@@ -22,9 +22,40 @@
 //!   its first returned node, so each node records the address of the
 //!   pointer that first linked it into the bottom list.
 //!
+//! * A node is allocated with [`MAX_HEIGHT`] tower slots only if its height
+//!   needs them; 255 nodes in 256 get the short layout that fills a
+//!   128-byte pool block instead of a 256-byte one (see [`SkipNode`]).
+//!
 //! The algorithm follows the lock-free skiplist lineage the paper cites
-//! (Michael / Fraser / Herlihy et al.): deletion marks the bottom link (the
-//! linearization point), then unlinks the tower levels top-down.
+//! (Michael / Fraser / Herlihy et al.). Every update is O(log n) expected.
+//!
+//! # Deletion
+//!
+//! 1. **Mark the bottom link** with the policy's CAS — the linearization
+//!    and persistence point; everything after it is volatile cleanup that
+//!    recovery would redo.
+//! 2. **Mark the tower words top-down** (raw CASes). A marked word is
+//!    frozen: walks snip the node instead of stepping onto it, and nobody
+//!    stores over a mark — the inserter included, which updates its own
+//!    tower words with a CAS that refuses a marked value and stops
+//!    threading when it meets one.
+//! 3. **One cleaning descent** ([`SkipList`]'s `unlink_and_retire`): the
+//!    same `findEntry` descent searches use, which snips marked successors
+//!    at every level on its way down; each tower level is then finished
+//!    from that descent's predecessor through the run of equal keys (a
+//!    re-inserted same-key node is linked in front of the victim), and the
+//!    bottom level is checked — and trimmed if need be — from the
+//!    descent's entry node. A successful remove is two descents in total.
+//! 4. **Two-party retire.** A remove may catch a node whose inserter is
+//!    still threading its tower, and a link landing after the cleaning
+//!    descent would leave a retired node reachable. Each node taller than
+//!    1 therefore carries a volatile `link_state` word that each party
+//!    CASes away from `THREADING` once — the inserter to `LINKED` when it
+//!    has written its last link, the deleter to `MARKED` when every level
+//!    is marked — and whoever finds the other already there runs the
+//!    cleaning descent and retires, so the node is retired only once it is
+//!    unreachable for good. Recovery resets the word to `LINKED` (no
+//!    inserter survives a crash).
 
 use nvtraverse::alloc::{alloc_node, free, PoolCtx};
 use nvtraverse::marked::MarkedPtr;
@@ -42,22 +73,49 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Tower height cap: supports the evaluated sizes (≤ a few million keys).
 pub const MAX_HEIGHT: usize = 16;
 
+/// Tower slots of a *short* node — what fits the pool's 128-byte block
+/// next to its 16-byte header and the five fixed words. All but one node in
+/// 256 draw a height this small.
+const SHORT_HEIGHT: usize = 9;
+
 /// One skiplist node. `key`, `value`, `height` and `orig_parent` are
 /// immutable; `next[0]` is the persistent bottom link; `next[1..height]` are
-/// volatile tower links.
+/// volatile tower links and `link_state` is the volatile retire handshake.
+///
+/// `H` is the number of tower slots the node was *allocated* with: the
+/// head and nodes taller than `SHORT_HEIGHT` (9) have all [`MAX_HEIGHT`],
+/// the rest only `SHORT_HEIGHT` (half the memory). The layouts share their
+/// prefix, so every node is handled through a pointer to the full type and
+/// only `next[..height]` of it is ever touched; allocation and free go
+/// through `alloc_sized`, `free_node` and `retire_node`, which pick `H`
+/// back from the height.
 #[repr(C)]
-pub struct SkipNode<K: Word, V: Word, B: Backend> {
+pub struct SkipNode<K: Word, V: Word, B: Backend, const H: usize = MAX_HEIGHT> {
     key: PCell<K, B>,
     value: PCell<V, B>,
     /// Immutable tower height in `1..=MAX_HEIGHT`.
     height: PCell<u64, B>,
     /// Supplement 2: address of the bottom link that first connected us.
     orig_parent: PCell<u64, B>,
+    /// Volatile retire handshake of a node taller than 1: it leaves
+    /// [`THREADING`] for [`LINKED`] when its inserter stops threading the
+    /// tower, or for [`MARKED`] when its deleter has marked every level —
+    /// whichever happens first; the party that comes second unlinks and
+    /// retires the node. Never flushed; recovery stores [`LINKED`].
+    link_state: PCell<u64, B>,
     /// `next[0]` persistent; higher levels volatile (never flushed).
-    next: [Link<K, V, B>; MAX_HEIGHT],
+    next: [Link<K, V, B>; H],
 }
 
-impl<K: Word, V: Word, B: Backend> fmt::Debug for SkipNode<K, V, B> {
+/// `link_state`: the inserter is still threading the tower (and no deleter
+/// has finished marking it).
+const THREADING: u64 = 0;
+/// `link_state`: the inserter will write no further tower link.
+const LINKED: u64 = 1;
+/// `link_state`: the deleter marked every level before the inserter was done.
+const MARKED: u64 = 2;
+
+impl<K: Word, V: Word, B: Backend, const H: usize> fmt::Debug for SkipNode<K, V, B, H> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SkipNode")
             .field("height", &self.height)
@@ -68,6 +126,52 @@ impl<K: Word, V: Word, B: Backend> fmt::Debug for SkipNode<K, V, B> {
 type NodePtr<K, V, B> = *mut SkipNode<K, V, B>;
 /// One tower-link word (bottom level persistent, upper levels volatile).
 type Link<K, V, B> = PCell<MarkedPtr<SkipNode<K, V, B>>, B>;
+
+/// Whether `node` was allocated with only [`SHORT_HEIGHT`] tower slots;
+/// `None` if its height word is poison (an unrecovered simulated crash).
+///
+/// # Safety
+///
+/// `node` must point to a live node.
+unsafe fn is_short<K: Word, V: Word, B: Backend>(node: NodePtr<K, V, B>) -> Option<bool> {
+    // SAFETY: live per the contract; `height` is in every node's prefix.
+    // nvt-lint: allow(raw-pcell-access): the immutable height word, read raw so teardown after an unrecovered crash cannot trip the poison check
+    let height = unsafe { (*node).height.peek_bits() };
+    (height != nvtraverse_pmem::POISON).then_some(height as usize <= SHORT_HEIGHT)
+}
+
+/// [`free`] through the type `node` was allocated as. A node whose height
+/// is poison leaks: its size is unknowable.
+///
+/// # Safety
+///
+/// As for [`free`].
+unsafe fn free_node<K: Word, V: Word, B: Backend>(node: NodePtr<K, V, B>) {
+    // SAFETY: the caller's contract is `free`'s; the cast restores the allocated type.
+    unsafe {
+        match is_short(node) {
+            Some(true) => free(node.cast::<SkipNode<K, V, B, SHORT_HEIGHT>>()),
+            Some(false) => free(node),
+            None => {}
+        }
+    }
+}
+
+/// [`Guard::retire`] through the type `node` was allocated as (a retired
+/// node was reachable, so its height is readable).
+///
+/// # Safety
+///
+/// As for [`Guard::retire`].
+unsafe fn retire_node<K: Word, V: Word, B: Backend>(guard: &Guard, node: NodePtr<K, V, B>) {
+    // SAFETY: the caller's contract is `retire`'s; the cast restores the allocated type.
+    unsafe {
+        match is_short(node) {
+            Some(true) => guard.retire(node.cast::<SkipNode<K, V, B, SHORT_HEIGHT>>()),
+            _ => guard.retire(node),
+        }
+    }
+}
 
 /// Traversal window: Harris's bottom-list window plus the tower
 /// predecessors `findEntry` computed (auxiliary data for upper linking).
@@ -142,17 +246,17 @@ where
 
     /// Creates an empty skiplist retiring into `collector`.
     pub fn with_collector(collector: Collector) -> Self {
-        let head = alloc_node::<_, D::B>(SkipNode {
-            key: PCell::new(K::from_bits(0)), // sentinel, never read
-            value: PCell::new(V::from_bits(0)),
-            height: PCell::new(MAX_HEIGHT as u64),
-            orig_parent: PCell::new(0),
-            next: std::array::from_fn(|_| PCell::new(MarkedPtr::null())),
-        });
-        // Only the persistent part of the head needs to survive: flushing
-        // the whole node is harmless and simplest.
-        Self::mark_tower_volatile(head);
-        D::persist_new_node(head as *const u8, std::mem::size_of::<SkipNode<K, V, D::B>>());
+        // Sentinel key/value, never read. Only the persistent part of the
+        // head needs to survive: flushing the whole node is harmless and
+        // simplest.
+        let head = Self::alloc_sized(
+            K::from_bits(0),
+            V::from_bits(0),
+            MAX_HEIGHT,
+            0,
+            MarkedPtr::null(),
+            LINKED,
+        );
         D::before_return();
         SkipList {
             head,
@@ -173,14 +277,58 @@ where
         self.head
     }
 
-    /// Declares `node`'s upper tower links (`next[1..]`) volatile by design
-    /// to any vet observer: only `next[0]` is part of the durable list,
-    /// recovery rebuilds the rest.
-    fn mark_tower_volatile(node: NodePtr<K, V, D::B>) {
-        // SAFETY: the caller just allocated `node`, so the tower array is
-        // live memory and taking element addresses cannot race anything.
-        let upper = unsafe { (*node).next[1].addr() as usize };
-        nvtraverse_pmem::sim::current_mark_volatile_range(upper, (MAX_HEIGHT - 1) * 8);
+    /// Allocates and persists (flush, no fence) a node of the given height
+    /// with as many tower slots as the height needs — [`SHORT_HEIGHT`] or
+    /// [`MAX_HEIGHT`] — and hands it out as a pointer to the full type.
+    fn alloc_sized(
+        key: K,
+        value: V,
+        height: usize,
+        orig_parent: u64,
+        bottom: MarkedPtr<SkipNode<K, V, D::B>>,
+        link_state: u64,
+    ) -> NodePtr<K, V, D::B> {
+        if height <= SHORT_HEIGHT {
+            Self::alloc_as::<SHORT_HEIGHT>(key, value, height, orig_parent, bottom, link_state)
+        } else {
+            Self::alloc_as::<MAX_HEIGHT>(key, value, height, orig_parent, bottom, link_state)
+        }
+    }
+
+    /// [`Self::alloc_sized`] for one allocated size. Also declares the
+    /// node's upper tower links (`next[1..]`) and its `link_state` word
+    /// volatile by design to any vet observer: only `next[0]` is part of
+    /// the durable list, recovery rebuilds the rest.
+    fn alloc_as<const H: usize>(
+        key: K,
+        value: V,
+        height: usize,
+        orig_parent: u64,
+        bottom: MarkedPtr<SkipNode<K, V, D::B>>,
+        link_state: u64,
+    ) -> NodePtr<K, V, D::B> {
+        debug_assert!((1..=H).contains(&height));
+        let node = alloc_node::<_, D::B>(SkipNode::<K, V, D::B, H> {
+            key: PCell::new(key),
+            value: PCell::new(value),
+            height: PCell::new(height as u64),
+            orig_parent: PCell::new(orig_parent),
+            link_state: PCell::new(link_state),
+            next: std::array::from_fn(|i| {
+                PCell::new(if i == 0 { bottom } else { MarkedPtr::null() })
+            }),
+        });
+        // SAFETY: `node` was just allocated with `H` tower slots, so these
+        // are addresses inside live memory that nothing can race yet.
+        let (state, upper) =
+            unsafe { ((*node).link_state.addr() as usize, (*node).next[1].addr() as usize) };
+        nvtraverse_pmem::sim::current_mark_volatile_range(state, 8);
+        nvtraverse_pmem::sim::current_mark_volatile_range(upper, (H - 1) * 8);
+        D::persist_new_node(
+            node as *const u8,
+            std::mem::size_of::<SkipNode<K, V, D::B, H>>(),
+        );
+        node.cast()
     }
 
     /// Rebuilds a skiplist handle around an existing head tower — the attach
@@ -234,14 +382,40 @@ where
     /// Auxiliary (volatile) walk of one tower level starting at `start`,
     /// snipping marked links on the way. Returns the rightmost node at
     /// `level` with key < `k`.
-    ///
-    /// Tower accesses are raw — never routed through the policy — because
-    /// the towers are recomputed on recovery (Property 2).
     fn aux_walk(
         &self,
         start: NodePtr<K, V, D::B>,
         level: usize,
         k: K,
+    ) -> NodePtr<K, V, D::B> {
+        self.aux_walk_while(start, level, |key| key < k)
+    }
+
+    /// [`Self::aux_walk`] continued through the run of nodes with key ==
+    /// `k`: returns the rightmost node at `level` with key ≤ `k`. An
+    /// unmarked result proves that no node with key ≤ `k` that was marked
+    /// when the walk began is still reachable at `level` (see
+    /// [`Self::unlink_and_retire`]).
+    fn aux_walk_through(
+        &self,
+        start: NodePtr<K, V, D::B>,
+        level: usize,
+        k: K,
+    ) -> NodePtr<K, V, D::B> {
+        self.aux_walk_while(start, level, |key| key <= k)
+    }
+
+    /// The walk behind [`Self::aux_walk`] and [`Self::aux_walk_through`]:
+    /// advances while `before(key of the successor)` holds and returns the
+    /// node it stopped on.
+    ///
+    /// Tower accesses are raw — never routed through the policy — because
+    /// the towers are recomputed on recovery (Property 2).
+    fn aux_walk_while(
+        &self,
+        start: NodePtr<K, V, D::B>,
+        level: usize,
+        before: impl Fn(K) -> bool,
     ) -> NodePtr<K, V, D::B> {
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
         unsafe {
@@ -287,7 +461,7 @@ where
                     }
                 }
                 let curr = w.ptr();
-                if curr.is_null() || !self.below(curr, k) {
+                if curr.is_null() || !before(Self::key_of(curr)) {
                     return pred;
                 }
                 pred = curr;
@@ -295,107 +469,187 @@ where
         }
     }
 
-    /// Ensures `node` is no longer linked at `level` (used before retiring).
+    /// Threads the freshly bottom-linked `node` into tower levels
+    /// `1..height`, bottom-up, starting each level from the search's
+    /// predecessor. Called once, by the node's inserter.
     ///
-    /// Two phases. The first rounds lean on [`SkipList::aux_walk`]'s snipping
-    /// as a side effect — the common case removes the node in one pass. If
-    /// the node stays reachable past [`Self::UNLINK_GENERIC_ROUNDS`] rounds
-    /// (heavy contention keeps invalidating the walk), fall back to a
-    /// *targeted* unlink that restarts from the entry (the never-marked
-    /// head) every round and CASes exactly this node out. The outer loop is
-    /// thereby bounded to generic rounds + however long the single frozen
-    /// link takes to snip — `node`'s tower word at `level` is already
-    /// marked and (with the un-marking bug fixed above) can never be
-    /// re-exposed, so no round can undo another's progress.
-    fn unlink_level(&self, node: NodePtr<K, V, D::B>, level: usize, k: K) {
-        let mut rounds = 0u32;
-        loop {
-            if rounds >= Self::UNLINK_GENERIC_ROUNDS {
-                if self.targeted_unlink(node, level) {
-                    return;
+    /// A concurrent remove may mark the tower at any moment. The node's
+    /// own word is therefore only ever updated with a CAS from the
+    /// unmarked value read before — a marked word is frozen and ends the
+    /// threading — and the closing [`LINKED`] handshake tells the deleter
+    /// whether a link could still have landed after its marks: if the
+    /// deleter got there first ([`MARKED`]), unlinking and retiring the
+    /// node falls to us.
+    fn link_tower(
+        &self,
+        guard: &Guard,
+        node: NodePtr<K, V, D::B>,
+        key: K,
+        height: usize,
+        preds: &[NodePtr<K, V, D::B>; MAX_HEIGHT],
+    ) {
+        // Indexes `preds` and the node's tower in lockstep; an iterator form obscures it.
+        #[allow(clippy::needless_range_loop)]
+        // nvt-lint: begin-allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
+        'levels: for level in 1..height {
+            let mut from = if self.below(preds[level], key) {
+                preds[level]
+            } else {
+                self.head
+            };
+            loop {
+                let pred = self.aux_walk(from, level, key);
+                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+                let succ = unsafe { (*pred).next[level].load() };
+                if succ.is_marked() {
+                    // pred was deleted under us and its tower word is
+                    // frozen: re-walking from it can never make progress.
+                    // Restart the level from the never-marked head.
+                    from = self.head;
+                    continue;
                 }
-                std::hint::spin_loop();
-                continue;
-            }
-            rounds += 1;
-            let pred = self.aux_walk(self.head, level, k);
-            // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-            // nvt-lint: begin-allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
-            let w = unsafe { (*pred).next[level].load() };
-            if w.is_marked() {
-                // pred died under the walk: its view of the level is
-                // useless. Count the round (a competing deleter is making
-                // progress here) and restart from the entry.
-                continue;
-            }
-            let mut cur = w.ptr();
-            // Check whether node is still reachable at this level from pred
-            // onwards (keys ≥ k region).
-            let mut reachable = false;
-            // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-            unsafe {
-                let mut hops = 0;
-                while !cur.is_null() && hops < 64 {
-                    if cur == node {
-                        reachable = true;
-                        break;
-                    }
-                    // Past the key means it cannot appear later.
-                    if !self.below(cur, k) && Self::key_of(cur) != k {
-                        break;
-                    }
-                    cur = (*cur).next[level].load().ptr();
-                    // nvt-lint: end-allow(raw-pcell-access)
-                    hops += 1;
+                #[cfg(test)]
+                tests::pause(tests::Pause::BeforeOwnWord);
+                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+                let own = unsafe { &(*node).next[level] };
+                let cur = own.load();
+                if cur.is_marked() || own.compare_exchange(cur, succ.untagged()).is_err() {
+                    // Only the deleter's mark competes for this word.
+                    break 'levels;
+                }
+                #[cfg(test)]
+                tests::pause(tests::Pause::BeforePredLink);
+                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+                if unsafe {
+                    (*pred).next[level]
+                        .compare_exchange(succ, MarkedPtr::new(node))
+                        // nvt-lint: end-allow(raw-pcell-access)
+                        .is_ok()
+                } {
+                    break;
                 }
             }
-            if !reachable {
-                return;
-            }
-            // aux_walk snips as a side effect; loop until gone.
-            std::hint::spin_loop();
+        }
+        if Self::arrives_second(node, LINKED) {
+            self.unlink_and_retire(guard, node, key, height);
         }
     }
 
-    /// Generic `unlink_level` rounds before switching to the targeted walk.
-    const UNLINK_GENERIC_ROUNDS: u32 = 64;
-
-    /// One round of `unlink_level`'s fallback: walk `level` from the head
-    /// and, if `node` is still some predecessor's successor, CAS it out
-    /// with its own frozen successor. Returns `true` once `node` is
-    /// provably unreachable at this level.
-    ///
-    /// `node` is marked at `level` (the deleter marked every tower level
-    /// before unlinking), so its successor word is frozen — reading it once
-    /// is sound — and no walk can ever re-link it.
-    fn targeted_unlink(&self, node: NodePtr<K, V, D::B>, level: usize) -> bool {
+    /// Bottom-list trim, exactly deleteMarkedNodes of the list: swings
+    /// `left` past the marked run to `right`. Unlike the list, the trimmer
+    /// does not retire — each node's *deleter* does, after unlinking its
+    /// towers. `false` means the window went stale (restart).
+    fn trim(w: &SkipWindow<K, V, D::B>) -> bool {
+        if w.left_succ.ptr() == w.right {
+            return true;
+        }
+        let to = if w.right.is_null() {
+            MarkedPtr::null()
+        } else {
+            MarkedPtr::new(w.right)
+        };
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // nvt-lint: begin-allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
-            let node_word = (*node).next[level].load();
-            debug_assert!(node_word.is_marked(), "targeted unlink of an unmarked node");
-            let replacement = node_word.without_mark().untagged();
-            let mut pred = self.head;
-            loop {
-                let w = (*pred).next[level].load();
-                if w.is_marked() {
-                    // pred died mid-walk; restart from the entry next round.
-                    return false;
-                }
-                let curr = w.ptr();
-                if curr.is_null() {
-                    return true; // fell off the level: node is not linked here
-                }
-                if curr == node {
-                    // Snip exactly node. A lost CAS means pred's link moved
-                    // (possibly a concurrent walk unlinked node for us) —
-                    // re-probe with a fresh walk next round.
-                    return (*pred).next[level].compare_exchange(w, replacement).is_ok();
-                    // nvt-lint: end-allow(raw-pcell-access)
-                }
-                pred = curr;
+        if D::c_cas_link(unsafe { &(*w.left).next[0] }, w.left_succ, to).is_err() {
+            return false;
+        }
+        if !w.right.is_null() {
+            // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+            let rn = D::c_load_link(unsafe { &(*w.right).next[0] });
+            if rn.is_marked() {
+                return false;
             }
         }
+        true
+    }
+
+    /// One party's arrival at `node`'s retire handshake (`mine` is
+    /// [`LINKED`] for the inserter, [`MARKED`] for the deleter): `true` if
+    /// the other party got there first, which makes retiring the caller's
+    /// job. The CAS is `AcqRel`, so the second arrival also sees everything
+    /// the first wrote before announcing itself (tower links, or marks).
+    fn arrives_second(node: NodePtr<K, V, D::B>, mine: u64) -> bool {
+        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+        let state = unsafe { &(*node).link_state };
+        // nvt-lint: allow(raw-pcell-access): the retire handshake word is volatile by design (never flushed, recovery stores LINKED)
+        state.compare_exchange(THREADING, mine).is_err()
+    }
+
+    /// Physically removes the logically deleted `node` (key `key`, tower
+    /// height `height`) from every level, then retires it — one search descent, O(log n) expected.
+    ///
+    /// The caller arrived second at the handshake: `node` is marked at
+    /// every level and its inserter writes no further link to it (a
+    /// height-1 node has no tower to thread, hence no handshake).
+    ///
+    /// The descent is [`TraversalOps::find_entry`], whose walks already snip
+    /// marked successors on the search path. Each tower level is then
+    /// finished from that descent's predecessor with
+    /// [`Self::aux_walk_through`], because a node re-inserted under the same
+    /// key is linked *in front of* `node` and hides it from the `< key`
+    /// walk. A predecessor that turned out marked is useless (its word is
+    /// frozen): only then does the level restart from the never-marked
+    /// head. The bottom level is checked with a traversal from the same
+    /// descent's entry node and trimmed under Protocol 1 if `node` (or any
+    /// other marked node) is still in the window.
+    ///
+    /// Why the retire is sound — `node` is off the head path at every
+    /// level, for good:
+    ///
+    /// * *Off the path.* Per tower level the walk ended on an unmarked node
+    ///   whose successor has a larger key. It started on a node that was
+    ///   linked and unmarked — hence on the head path, in front of every
+    ///   key-`key` node — and stepped only across links it read unmarked.
+    ///   Nodes never swap order on a level, so had `node` still been on the
+    ///   path, some step would have had to cross it; but the walk never
+    ///   steps onto a marked node, it snips it. At the bottom, `left` →
+    ///   `right` directly with `left` < `key` ≤ `right`, and no live
+    ///   same-key node can precede a marked one there (an insert trims
+    ///   before it links).
+    /// * *For good.* A link to `node` is written only by its inserter,
+    ///   which is done, or by a snip `pred: c → node` of a
+    ///   marked `c` still linked from `pred` — that is, only while `node`
+    ///   is on the path already. Marked words are frozen: nothing stores
+    ///   over a mark any more.
+    fn unlink_and_retire(
+        &self,
+        guard: &Guard,
+        node: NodePtr<K, V, D::B>,
+        key: K,
+        height: usize,
+    ) {
+        let probe = SetOp::Get(key);
+        let entry = self.find_entry(guard, probe);
+        for level in (1..height).rev() {
+            let mut from = entry.1[level];
+            loop {
+                let last = self.aux_walk_through(from, level, key);
+                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+                // nvt-lint: allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
+                if !unsafe { (*last).next[level].load().is_marked() } {
+                    break;
+                }
+                from = self.head;
+            }
+        }
+        loop {
+            let w = self.traverse(guard, entry, probe);
+            if w.left_succ.ptr() == w.right {
+                break;
+            }
+            // A critical-phase write on a fresh window: Protocol 1 first,
+            // exactly as the driver does between `traverse` and `critical`.
+            let mut persist = PersistSet::new();
+            self.collect_persist_set(&w, &mut persist);
+            if let Some(parent) = persist.parent() {
+                D::ensure_reachable(parent);
+            }
+            D::make_persistent(persist.fields());
+            let _ = Self::trim(&w);
+        }
+        // SAFETY: `node` is off the head path at every level and cannot
+        // return to it (argued in this function's doc comment), so only
+        // threads pinned before this call can hold it — EBR's contract.
+        unsafe { retire_node(guard, node) };
     }
 
     /// Returns the smallest live `(key, value)`, reading through the policy
@@ -546,7 +800,7 @@ where
                         let mut dead = start.ptr();
                         while !dead.is_null() && dead != cur {
                             let nxt = (*dead).next[0].load().ptr();
-                            guard.retire(dead);
+                            retire_node(&guard, dead);
                             dead = nxt;
                         }
                     } else {
@@ -564,6 +818,9 @@ where
             let mut cur = (*self.head).next[0].load().ptr();
             while !cur.is_null() {
                 count += 1;
+                // No inserter survives a crash: the handshake word restarts
+                // at LINKED (its persisted copy is stale or poison).
+                (*cur).link_state.store(LINKED);
                 let h = (*cur).height.load() as usize;
                 // Indexing two arrays in lockstep; an iterator form obscures it.
                 #[allow(clippy::needless_range_loop)]
@@ -695,31 +952,6 @@ where
         w: Self::Window,
         input: Self::Input,
     ) -> Critical<Self::Output> {
-        // Bottom-list trim, exactly deleteMarkedNodes of the list — except
-        // the *deleter* retires (it must first unlink the towers).
-        let trim = |w: &SkipWindow<K, V, D::B>| -> bool {
-            if w.left_succ.ptr() == w.right {
-                return true;
-            }
-            let to = if w.right.is_null() {
-                MarkedPtr::null()
-            } else {
-                MarkedPtr::new(w.right)
-            };
-            // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-            if D::c_cas_link(unsafe { &(*w.left).next[0] }, w.left_succ, to).is_err() {
-                return false;
-            }
-            if !w.right.is_null() {
-                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                let rn = D::c_load_link(unsafe { &(*w.right).next[0] });
-                if rn.is_marked() {
-                    return false;
-                }
-            }
-            true
-        };
-
         match input {
             SetOp::Get(key) => {
                 if w.right.is_null() || Self::key_of(w.right) != key {
@@ -730,7 +962,7 @@ where
                 }
             }
             SetOp::Insert(key, value) => {
-                if !trim(&w) {
+                if !Self::trim(&w) {
                     return Critical::Restart;
                 }
                 if !w.right.is_null() && Self::key_of(w.right) == key {
@@ -743,20 +975,14 @@ where
                 } else {
                     MarkedPtr::new(w.right)
                 };
-                let node = alloc_node::<_, D::B>(SkipNode {
-                    key: PCell::new(key),
-                    value: PCell::new(value),
-                    height: PCell::new(height as u64),
+                let node = Self::alloc_sized(
+                    key,
+                    value,
+                    height,
                     // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    orig_parent: PCell::new(unsafe { (*w.left).next[0].addr() } as u64),
-                    next: std::array::from_fn(|i| {
-                        PCell::new(if i == 0 { right_word } else { MarkedPtr::null() })
-                    }),
-                });
-                Self::mark_tower_volatile(node);
-                D::persist_new_node(
-                    node as *const u8,
-                    std::mem::size_of::<SkipNode<K, V, D::B>>(),
+                    unsafe { (*w.left).next[0].addr() } as u64,
+                    right_word,
+                    if height > 1 { THREADING } else { LINKED },
                 );
                 match D::c_cas_link(
                     // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
@@ -766,56 +992,22 @@ where
                 ) {
                     Ok(()) => {
                         // Bottom link is in (the linearization + persistence
-                        // point). Now thread the volatile tower levels.
-                        'levels: for level in 1..height {
-                            let mut from = if self.below(w.preds[level], key) {
-                                w.preds[level]
-                            } else {
-                                self.head
-                            };
-                            loop {
-                                let pred = self.aux_walk(from, level, key);
-                                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                                // nvt-lint: begin-allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
-                                let succ = unsafe { (*pred).next[level].load() };
-                                if succ.is_marked() {
-                                    // pred was deleted under us and its
-                                    // tower word is frozen: re-walking from
-                                    // it can never make progress. Restart
-                                    // the level from the never-marked head.
-                                    from = self.head;
-                                    continue;
-                                }
-                                // If we were deleted meanwhile, stop linking.
-                                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                                if unsafe { (*node).next[0].load().is_marked() } {
-                                    break 'levels;
-                                }
-                                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                                unsafe {
-                                    (*node).next[level].store(succ.untagged());
-                                }
-                                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                                if unsafe {
-                                    (*pred).next[level]
-                                        .compare_exchange(succ, MarkedPtr::new(node))
-                                        .is_ok()
-                                } {
-                                    break;
-                                }
-                            }
+                        // point). Now thread the volatile tower levels; a
+                        // height-1 node has none, and no handshake to close.
+                        if height > 1 {
+                            self.link_tower(guard, node, key, height, &w.preds);
                         }
                         Critical::Done(None)
                     }
                     Err(_) => {
-                        // SAFETY: the node is unlinked (no new traversal can reach it); EBR defers the actual free until all pre-retire guards drop.
-                        unsafe { free(node) };
+                        // SAFETY: the node was never published; it is ours alone.
+                        unsafe { free_node(node) };
                         Critical::Restart
                     }
                 }
             }
             SetOp::Remove(key) => {
-                if !trim(&w) {
+                if !Self::trim(&w) {
                     return Critical::Restart;
                 }
                 if w.right.is_null() || Self::key_of(w.right) != key {
@@ -836,6 +1028,7 @@ where
                         // aux walks snip us out.
                         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
                         let height = D::load_fixed(unsafe { &(*victim).height }) as usize;
+                        // nvt-lint: begin-allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
                         for level in (1..height).rev() {
                             loop {
                                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
@@ -854,34 +1047,21 @@ where
                                 }
                             }
                         }
-                        // Physically unlink: bottom first (policy CAS), then
-                        // every tower level, then retire.
+                        // First try at the bottom unlink (policy CAS); the
+                        // descent below verifies it and does the towers.
                         let _ = D::c_cas_link(
                             // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
                             unsafe { &(*w.left).next[0] },
                             MarkedPtr::new(victim),
                             r_next,
                         );
-                        for level in (1..height).rev() {
-                            self.unlink_level(victim, level, key);
+                        // A tall victim whose inserter is still threading
+                        // its tower is left to that inserter (it sees
+                        // MARKED when it is done); otherwise retiring it
+                        // is our job.
+                        if height == 1 || Self::arrives_second(victim, MARKED) {
+                            self.unlink_and_retire(guard, victim, key, height);
                         }
-                        // Ensure the bottom removal happened (ours or a
-                        // helper's) before retiring.
-                        loop {
-                            let e = self.find_entry(guard, SetOp::Get(key));
-                            let w2 = SkipList::traverse(self, guard, e, SetOp::Get(key));
-                            if w2.right != victim {
-                                break;
-                            }
-                            let _ = trim(&SkipWindow {
-                                left: w2.left,
-                                left_succ: w2.left_succ,
-                                right: r_next.without_mark().ptr(),
-                                preds: w2.preds,
-                            });
-                        }
-                        // SAFETY: the node is unlinked (no new traversal can reach it); EBR defers the actual free until all pre-retire guards drop.
-                        unsafe { guard.retire(victim) };
                         Critical::Done(Some(value))
                     }
                     Err(_) => Critical::Restart,
@@ -1016,7 +1196,7 @@ impl<K: Word, V: Word, D: Durability> Drop for SkipList<K, V, D> {
                 } else {
                     MarkedPtr::<SkipNode<K, V, D::B>>::from_bits_raw(bits).ptr()
                 };
-                free(cur);
+                free_node(cur);
                 cur = nxt;
             }
         }
@@ -1028,7 +1208,42 @@ mod tests {
     use super::*;
     use nvtraverse::model::ModelSet;
     use nvtraverse::policy::{Izraelevitz, LinkPersist, NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop};
+    use nvtraverse_pmem::{Clwb, Noop, Sim, SimHandle};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The two points of `link_tower` where a concurrent remove can slip
+    /// between the inserter's reads and its writes.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub(super) enum Pause {
+        /// After reading the predecessor's word, before the node's own
+        /// tower word is written.
+        BeforeOwnWord,
+        /// After the node's own tower word is written, before the
+        /// predecessor is swung to the node.
+        BeforePredLink,
+    }
+
+    type Hook = (Pause, Box<dyn FnOnce()>);
+
+    thread_local! {
+        /// One-shot interleaving hook: runs on this thread the next time
+        /// `link_tower` reaches the given point.
+        static PAUSE: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn pause(at: Pause) {
+        let armed = PAUSE.with(|p| {
+            let mut p = p.borrow_mut();
+            match &*p {
+                Some((point, _)) if *point == at => p.take(),
+                _ => None,
+            }
+        });
+        if let Some((_, run)) = armed {
+            run();
+        }
+    }
 
     fn smoke<D: Durability>() {
         let s: SkipList<u64, u64, D> = SkipList::new();
@@ -1193,6 +1408,136 @@ mod tests {
         assert_eq!(s.check_consistency(false).unwrap(), 9);
     }
 
+    /// The tower-link/remove race, interleaved deterministically: a remove
+    /// of key `k` runs to completion *inside* the insert of `k`, at one of
+    /// `link_tower`'s two windows. Before the handshake the inserter either
+    /// overwrote the deleter's tower mark with its raw store
+    /// (`BeforeOwnWord`) or linked the already-retired node
+    /// (`BeforePredLink`); both left "tower level 1 references dead node".
+    fn remove_inside_tower_threading(at: Pause) {
+        let s: Rc<SkipList<u64, u64, Volatile>> = Rc::new(SkipList::new());
+        for k in (0..128u64).step_by(2) {
+            assert!(s.insert(k, k));
+        }
+        let mut raced = 0;
+        for k in (1..128u64).step_by(2) {
+            let s2 = Rc::clone(&s);
+            let remove: Hook = (
+                at,
+                Box::new(move || assert!(s2.remove(k), "the bottom link is in: remove must win")),
+            );
+            PAUSE.with(|p| *p.borrow_mut() = Some(remove));
+            assert!(s.insert(k, k));
+            // Still armed means a height-1 draw (no tower to thread):
+            // disarm and move on.
+            if PAUSE.with(|p| p.borrow_mut().take()).is_none() {
+                raced += 1;
+                // Checked at once: any later walk past the node would
+                // snip a marked link and hide a retire that came too soon.
+                s.check_consistency(false).unwrap();
+                assert_eq!(s.get(k), None);
+            } else {
+                assert!(s.remove(k));
+            }
+        }
+        assert!(raced >= 16, "only {raced} inserts drew a tower");
+        assert_eq!(s.check_consistency(false).unwrap(), 64);
+        // Second pass once every retired node has really been freed: a
+        // link left to one of them would now read reclaimed memory.
+        nvtraverse::drain_collector(s.collector());
+        assert_eq!(s.check_consistency(false).unwrap(), 64);
+        for k in 0..128u64 {
+            assert_eq!(s.get(k), (k % 2 == 0).then_some(k));
+        }
+    }
+
+    #[test]
+    fn remove_before_own_tower_word_is_written() {
+        remove_inside_tower_threading(Pause::BeforeOwnWord);
+    }
+
+    #[test]
+    fn remove_before_predecessor_is_swung() {
+        remove_inside_tower_threading(Pause::BeforePredLink);
+    }
+
+    /// The race's habitat under real threads: every thread inserts *and*
+    /// removes the same handful of keys, so removes keep landing on nodes
+    /// whose inserter is still threading the tower.
+    #[test]
+    fn churn_same_keys_leaves_no_dead_tower_link() {
+        let s: SkipList<u64, u64, NvTraverse<Clwb>> = SkipList::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|sc| {
+            for tid in 0..4u64 {
+                let (s, start) = (&s, &start);
+                sc.spawn(move || {
+                    start.wait();
+                    for i in 0..20_000u64 {
+                        let k = (i * 5 + tid) % 8;
+                        if (i + tid) % 2 == 0 {
+                            s.insert(k, i);
+                        } else {
+                            s.remove(k);
+                        }
+                    }
+                });
+            }
+        });
+        s.check_consistency(false).unwrap();
+        nvtraverse::drain_collector(s.collector());
+        let live = s.check_consistency(false).unwrap();
+        assert_eq!(live, (0..8u64).filter(|&k| s.get(k).is_some()).count());
+    }
+
+    /// Keys of the live nodes taller than 1, ascending (quiescent).
+    fn tall_keys<D: Durability>(s: &SkipList<u64, u64, D>) -> Vec<u64> {
+        let mut out = Vec::new();
+        unsafe {
+            let mut cur = (*s.head).next[0].load().ptr();
+            while !cur.is_null() {
+                if (*cur).height.load() > 1 {
+                    out.push((*cur).key.load());
+                }
+                cur = (*cur).next[0].load().ptr();
+            }
+        }
+        out
+    }
+
+    /// Complexity pin without a clock: `Sim::steps()` counts every cell
+    /// access, flush and fence. Removing a node taller than 1 must cost
+    /// O(log n) of them — two descents — not a walk along each of its
+    /// levels from the head. With n = 2^12 the parent commit (one
+    /// `aux_walk` from the head per tower level) measured 4 311 steps per
+    /// tall remove; this code measures 175.
+    #[test]
+    fn tall_remove_costs_logarithmic_steps() {
+        const N: u64 = 1 << 12;
+        let sim = SimHandle::new();
+        let _g = sim.enter();
+        let s: SkipList<u64, u64, NvTraverse<Sim>> = SkipList::new();
+        // A fixed permutation, so no level degenerates into insert order.
+        for i in 0..N {
+            assert!(s.insert(i * 2_654_435_761 % N, i));
+        }
+        let tall = tall_keys(&s);
+        assert!(tall.len() as u64 > N / 4, "degenerate height draw");
+        let before = sim.steps();
+        // Largest key first: the towers in front of each victim are still
+        // standing, so the search itself stays logarithmic to the end.
+        for &k in tall.iter().rev() {
+            assert!(s.remove(k));
+        }
+        let per_remove = (sim.steps() - before) / tall.len() as u64;
+        let bound = 30 * N.ilog2() as u64;
+        assert!(
+            per_remove <= bound,
+            "{per_remove} steps per tall remove (bound {bound}): removes walk levels again"
+        );
+        s.check_consistency(false).unwrap();
+    }
+
     /// Livelock hunt (the ROADMAP open item this PR hardens against): loop
     /// the contended concurrent workload, each iteration under a fail-fast
     /// watchdog. A healthy iteration finishes in well under a second even
@@ -1251,6 +1596,15 @@ mod tests {
                 eprintln!("stress: {}/{} iterations clean", i + 1, iters);
             }
         }
+    }
+
+    /// The point of the short allocation: with the pool's 16-byte block
+    /// header a short node is exactly a 128-byte block, a full one fits 256.
+    #[test]
+    fn node_sizes_match_the_pool_blocks() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<SkipNode<u64, u64, Noop, SHORT_HEIGHT>>() + 16, 128);
+        assert!(size_of::<SkipNode<u64, u64, Noop>>() + 16 <= 256);
     }
 
     #[test]

@@ -40,9 +40,43 @@ use nvtraverse_structures::skiplist::SkipList;
 use nvtraverse_structures::soft_hash::SoftHash;
 use nvtraverse_structures::soft_list::SoftList;
 use nvtraverse_structures::stack::TreiberStack;
+use std::alloc::{GlobalAlloc, Layout, System};
 
 type D = NvTraverse<Count<Noop>>;
 type SD = Soft<Count<Noop>>;
+
+/// Starts every heap block of this test binary on a cache line, so that no
+/// count below depends on where `malloc` happened to put a node. Without it
+/// a 24-byte list node sits at offset 16 or 48 of a line; at 48
+/// `persist_new_node` covers two lines, so an insert's floor is 4 or 5
+/// flushes *by address*, and which offset a path's samples get is decided
+/// by what else that path allocates — the detectable inserts kept landing
+/// on 48 while one plain sample found 16, which read as a third extra
+/// flush (`plain (4, 3), detectable (7, 3)`) once in 10–200 runs. More
+/// samples per path do not help: with 16 the plain path always finds its
+/// lucky floor and the detectable path never does.
+struct LineAligned;
+
+// SAFETY: defers to `System` with the same layout on both sides, only with
+// the alignment raised to 64 — a layout `System` supports, and `dealloc`
+// recomputes exactly the layout `alloc` used.
+unsafe impl GlobalAlloc for LineAligned {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's obligations carry over unchanged.
+        unsafe { System.alloc(line_aligned(layout)) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above with this same layout.
+        unsafe { System.dealloc(ptr, line_aligned(layout)) }
+    }
+}
+
+fn line_aligned(layout: Layout) -> Layout {
+    layout.align_to(64).expect("a valid layout stays valid at alignment 64")
+}
+
+#[global_allocator]
+static HEAP: LineAligned = LineAligned;
 
 /// Keys present before each measured operation (the structures should be
 /// non-trivially populated — an empty-structure op can take shortcuts).
