@@ -11,8 +11,9 @@ use crate::workload::{measure, prefill, Cfg};
 use nvtraverse::policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Soft, Volatile};
 use nvtraverse::DurableSet;
 use nvtraverse_ebr::Collector;
+use nvtraverse_obs as obs;
 use nvtraverse_onefile::{TmBst, TmList};
-use nvtraverse_pmem::{stats, Clwb, Count, Noop, Sim};
+use nvtraverse_pmem::{Clwb, Count, Noop, Sim};
 use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::{HarrisList, HarrisListOrigParent};
@@ -481,10 +482,10 @@ fn count_ops<S: DurableSet<u64, u64>>(make: impl FnOnce() -> S) -> (f64, f64) {
     prefill(&s, &cfg);
     use rand::prelude::*;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    // Snapshot delta, not reset(): the counters are process-global and
-    // monotone, so diffing is exact here (single-threaded) and never
-    // clobbers a concurrent measurement. See the stats module docs.
-    let before = stats::snapshot();
+    // A private metric set: attribution is per thread, so the counts are
+    // this loop's own whatever else the process is doing.
+    let counts: &'static obs::MetricSet = Box::leak(Box::new(obs::MetricSet::new(1)));
+    let scope = obs::attribute_to(Some(counts));
     for _ in 0..OPS {
         let k = rng.random_range(0..cfg.range);
         match rng.random_range(0..100u32) {
@@ -499,8 +500,9 @@ fn count_ops<S: DurableSet<u64, u64>>(make: impl FnOnce() -> S) -> (f64, f64) {
             }
         }
     }
-    let d = stats::snapshot().since(before);
-    (d.flushes as f64 / OPS as f64, d.fences as f64 / OPS as f64)
+    drop(scope);
+    let d = counts.snapshot();
+    (d.total_flushes() as f64 / OPS as f64, d.total_fences() as f64 / OPS as f64)
 }
 
 /// Counts flush/fence instructions per operation for each policy on each

@@ -1,10 +1,9 @@
 //! Per-pool persistence-instruction accounting: flushes and fences **per
 //! operation**, for every pool-resident structure under the durable
-//! policies, attributed through `nvtraverse-obs` rather than the
-//! process-global `stats` counters.
+//! policies, attributed through `nvtraverse-obs`.
 //!
-//! Where `abl1` counts through the `Count<Noop>` backend's global counters
-//! (volatile structures, one measurement at a time), this figure runs the
+//! Where `abl1` counts volatile structures through the `Count<Noop>`
+//! backend into a private metric set, this figure runs the
 //! production configuration — `MmapBackend` flushes on pool-resident nodes —
 //! and reads the **owning pool's** metric set: each measurement creates its
 //! own pool file, brackets the workload in `obs::attribute_to(pool.metrics())`,

@@ -65,13 +65,17 @@
 //!
 //! ```
 //! use nvtraverse::policy::{Durability, NvTraverse, Volatile};
-//! use nvtraverse_pmem::{Count, Noop, PCell, stats};
+//! use nvtraverse_obs::{self as obs, MetricSet};
+//! use nvtraverse_pmem::{Count, Noop, PCell};
 //!
 //! // A shared cell read in a critical section: NVTraverse flushes it...
 //! let cell: PCell<u64, Count<Noop>> = PCell::new(5);
-//! let before = stats::snapshot();
-//! let _ = NvTraverse::<Count<Noop>>::c_load(&cell);
-//! assert!(stats::snapshot().since(before).flushes >= 1);
+//! let counts: &'static MetricSet = Box::leak(Box::new(MetricSet::new(1)));
+//! {
+//!     let _scope = obs::attribute_to(Some(counts));
+//!     let _ = NvTraverse::<Count<Noop>>::c_load(&cell);
+//! }
+//! assert_eq!(counts.snapshot().total_flushes(), 1);
 //!
 //! // ...while the original algorithm does not.
 //! let cell: PCell<u64, Noop> = PCell::new(5);
@@ -101,6 +105,29 @@ pub use set::{
     drain_collector, register_pool_tracer, restore_pool_tracer, DurableSet, PoolAttach,
     PoolTrace, PooledHandle, TypedRoots,
 };
+
+/// What [`counted`] saw.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct Counts {
+    pub(crate) flushes: u64,
+    pub(crate) fences: u64,
+}
+
+/// Runs `f` with this thread's `Count`-backend traffic attributed to a
+/// private metric set and returns the exact counts it issued, whatever the
+/// other tests of the binary are doing meanwhile.
+#[cfg(test)]
+pub(crate) fn counted<R>(f: impl FnOnce() -> R) -> (Counts, R) {
+    use nvtraverse_obs as obs;
+    let set: &'static obs::MetricSet = Box::leak(Box::new(obs::MetricSet::new(1)));
+    let r = {
+        let _scope = obs::attribute_to(Some(set));
+        f()
+    };
+    let s = set.snapshot();
+    (Counts { flushes: s.total_flushes(), fences: s.total_fences() }, r)
+}
 
 /// Convenience re-export of the persistence substrate.
 pub use nvtraverse_pmem as pmem;

@@ -248,8 +248,6 @@ mod tests {
 
     #[test]
     fn driver_issues_protocol_one_per_attempt() {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let b = Bouncer::<NvTraverse<Count<Noop>>> {
             cell: PCell::new(0),
             restarts_left: AtomicUsize::new(1),
@@ -257,9 +255,7 @@ mod tests {
         };
         let c = Collector::new();
         let g = c.pin();
-        let before = nvtraverse_pmem::stats::snapshot();
-        let _ = run_operation(&b, &g, 1);
-        let d = nvtraverse_pmem::stats::snapshot().since(before);
+        let (d, _) = crate::counted(|| run_operation(&b, &g, 1));
         // Two attempts: the parent is also the (sole) persist-set field, so
         // `ensure_reachable` is skipped and each attempt is one flush + the
         // makePersistent fence. The critical section writes nothing, so the
@@ -270,8 +266,6 @@ mod tests {
 
     #[test]
     fn driver_flushes_distinct_parent_separately() {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         /// Like `Bouncer` but with a parent link distinct from the window
         /// field, so Protocol 1 must flush both.
         struct TwoCell {
@@ -302,9 +296,7 @@ mod tests {
         };
         let c = Collector::new();
         let g = c.pin();
-        let before = nvtraverse_pmem::stats::snapshot();
-        run_operation(&s, &g, ());
-        let d = nvtraverse_pmem::stats::snapshot().since(before);
+        let (d, ()) = crate::counted(|| run_operation(&s, &g, ()));
         // ensure_reachable(parent) + make_persistent([field]) + its fence;
         // the duplicated field is flushed once.
         assert_eq!(d.flushes, 2);

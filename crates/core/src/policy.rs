@@ -617,21 +617,10 @@ impl<B: Backend> Durability for Soft<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvtraverse_pmem::{stats, Count};
+    use crate::counted;
+    use nvtraverse_pmem::Count;
 
     type CB = Count<Noop>;
-
-    fn counted<R>(f: impl FnOnce() -> R) -> (stats::Snapshot, R) {
-        let _guard = test_lock();
-        let before = stats::snapshot();
-        let r = f();
-        (stats::snapshot().since(before), r)
-    }
-
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn volatile_never_flushes_or_fences() {
@@ -760,10 +749,7 @@ mod tests {
         let a = Box::into_raw(Box::new(1u64));
         let b = Box::into_raw(Box::new(2u64));
         let l: PCell<MarkedPtr<u64>, CB> = PCell::new(MarkedPtr::new(a).with_dirty());
-        let r = {
-            let _g = test_lock();
-            LinkPersist::<CB>::c_cas_link(&l, MarkedPtr::new(a), MarkedPtr::new(b))
-        };
+        let r = LinkPersist::<CB>::c_cas_link(&l, MarkedPtr::new(a), MarkedPtr::new(b));
         assert!(r.is_ok());
         assert_eq!(l.load(), MarkedPtr::new(b));
         unsafe {
@@ -777,10 +763,7 @@ mod tests {
         let a = Box::into_raw(Box::new(1u64));
         let b = Box::into_raw(Box::new(2u64));
         let l: PCell<MarkedPtr<u64>, CB> = PCell::new(MarkedPtr::new(a).with_dirty());
-        let r = {
-            let _g = test_lock();
-            LinkPersist::<CB>::c_cas_link(&l, MarkedPtr::new(b), MarkedPtr::new(b))
-        };
+        let r = LinkPersist::<CB>::c_cas_link(&l, MarkedPtr::new(b), MarkedPtr::new(b));
         assert_eq!(r, Err(MarkedPtr::new(a)));
         assert!(!l.load().is_dirty(), "failed CAS must still help clean");
         unsafe {

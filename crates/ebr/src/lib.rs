@@ -18,6 +18,41 @@
 //!   use it so that simulated-NVRAM rollback never writes through a dangling
 //!   pointer, mirroring how a persistent heap survives a crash.
 //!
+//! # The pin path and its orderings
+//!
+//! Every structure operation starts with a pin, so pinning is kept to one
+//! thread-local read and one announce/re-read handshake: no lock, no hash,
+//! and no write to a cache line another thread writes.
+//!
+//! * **Finding the handle.** Each thread keeps one handle per collector in a
+//!   map keyed by collector id, and in front of it a one-entry cache of the
+//!   collector it pinned last. Ids are never reused, so a cache entry cannot
+//!   name a collector created later at the same address. Two collectors
+//!   pinned alternately on one thread miss the cache and take the map.
+//! * **`pin`: `SeqCst` store, then `SeqCst` re-read.** The thread announces
+//!   `epoch << 1 | 1` in its record and re-reads the global epoch. This is
+//!   the one store→load fence EBR needs: either the re-read sees a newer
+//!   epoch (and the thread announces again), or every later `try_advance`
+//!   scan sees the announcement and refuses to move the epoch a second step
+//!   past it. The scan's loads and the epoch CAS are `SeqCst` for the same
+//!   total order.
+//! * **`unpin`: `Release` store.** Clearing the pinned bit only has to keep
+//!   the operation's own reads and writes *before* it, so that a scanner
+//!   whose `SeqCst` (hence acquire) load sees the record unpinned also sees
+//!   the thread done with every node it could reach. Nothing after the
+//!   unpin depends on it being globally visible early: a scanner that still
+//!   reads "pinned" merely fails to advance, which is always safe.
+//! * **Orphans.** A thread that exits pushes its bags to the collector's
+//!   `orphans` list and raises `orphans_present`, both under the `orphans`
+//!   lock. `collect_orphans` returns on an `Acquire` load of the flag when
+//!   it is clear, and lowers it (`Release`, under the same lock, so a
+//!   concurrent raise cannot be lost) when the list drains. The flag
+//!   publishes no data of its own — the lock does — so a stale `false`
+//!   only delays adoption to the next collection.
+//! * **When a pin collects.** Only when the announced epoch moved since
+//!   this thread's last pin, or the thread holds sealed bags. A read-only
+//!   thread on a quiet collector therefore never reaches the flag at all.
+//!
 //! # Example
 //!
 //! ```
@@ -35,7 +70,7 @@
 #![warn(missing_debug_implementations)]
 
 use crossbeam_utils::CachePadded;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -116,8 +151,12 @@ struct Inner {
     id: u64,
     epoch: CachePadded<AtomicU64>,
     records: Mutex<Vec<Arc<Record>>>,
-    /// Bags abandoned by exited threads, reclaimed by whoever advances next.
+    /// Bags abandoned by exited threads, reclaimed by whoever collects next.
     orphans: Mutex<Vec<Bag>>,
+    /// Whether `orphans` may be non-empty. Written only under the `orphans`
+    /// lock; read without it so that collecting costs one load when no
+    /// thread has exited with garbage.
+    orphans_present: AtomicBool,
     leak: bool,
 }
 
@@ -146,13 +185,16 @@ impl Inner {
 
     /// Reclaims orphan bags that are at least two epochs old.
     fn collect_orphans(&self, global: u64) {
-        if self.leak {
+        if !self.orphans_present.load(Ordering::Acquire) {
             return;
         }
         let ready: Vec<Bag> = {
             let mut orphans = self.orphans.lock().unwrap_or_else(|e| e.into_inner());
             let (ready, keep): (Vec<_>, Vec<_>) =
                 orphans.drain(..).partition(|b| b.epoch + 2 <= global);
+            if keep.is_empty() {
+                self.orphans_present.store(false, Ordering::Release);
+            }
             *orphans = keep;
             ready
         };
@@ -211,6 +253,7 @@ impl Collector {
                 epoch: CachePadded::new(AtomicU64::new(0)),
                 records: Mutex::new(Vec::new()),
                 orphans: Mutex::new(Vec::new()),
+                orphans_present: AtomicBool::new(false),
                 leak,
             }),
         }
@@ -278,9 +321,9 @@ struct HandleInner {
     bags: RefCell<VecDeque<Bag>>,
     /// Items retired in `current_epoch`, not yet sealed.
     current: RefCell<Vec<Retired>>,
-    current_epoch: std::cell::Cell<u64>,
-    pin_depth: std::cell::Cell<usize>,
-    retires_since_advance: std::cell::Cell<usize>,
+    current_epoch: Cell<u64>,
+    pin_depth: Cell<usize>,
+    retires_since_advance: Cell<usize>,
 }
 
 impl HandleInner {
@@ -298,11 +341,16 @@ impl HandleInner {
                 }
                 e = now;
             }
-            if e != self.current_epoch.get() {
+            // Nothing can have become reclaimable unless the epoch moved or
+            // bags sealed earlier are still waiting for it to.
+            let moved = e != self.current_epoch.get();
+            if moved {
                 self.seal_current();
                 self.current_epoch.set(e);
             }
-            self.collect(e);
+            if moved || !self.bags.borrow().is_empty() {
+                self.collect(e);
+            }
         }
         self.pin_depth.set(depth + 1);
     }
@@ -312,7 +360,7 @@ impl HandleInner {
         debug_assert!(depth > 0);
         if depth == 1 {
             let e = self.current_epoch.get();
-            self.record.state.store(e << 1, Ordering::SeqCst);
+            self.record.state.store(e << 1, Ordering::Release);
         }
         self.pin_depth.set(depth - 1);
     }
@@ -380,46 +428,65 @@ impl Drop for HandleInner {
         self.seal_current();
         let bags: Vec<Bag> = self.bags.borrow_mut().drain(..).collect();
         if !bags.is_empty() {
-            self.collector
-                .orphans
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .extend(bags);
+            let mut orphans = self.collector.orphans.lock().unwrap_or_else(|e| e.into_inner());
+            orphans.extend(bags);
+            self.collector.orphans_present.store(true, Ordering::Release);
         }
     }
 }
 
+/// This thread's handles.
+struct Local {
+    /// The collector pinned last, by id, and its handle: the common pin
+    /// (same collector as last time) stops here.
+    last: RefCell<Option<(u64, Rc<HandleInner>)>>,
+    /// Every collector this thread has used, by id.
+    handles: RefCell<HashMap<u64, Rc<HandleInner>>>,
+}
+
 thread_local! {
-    static HANDLES: RefCell<HashMap<u64, Rc<HandleInner>>> = RefCell::new(HashMap::new());
+    static LOCAL: Local = Local {
+        last: RefCell::new(None),
+        handles: RefCell::new(HashMap::new()),
+    };
 }
 
 fn local_handle(collector: &Collector) -> Rc<HandleInner> {
-    HANDLES.with(|map| {
-        let mut map = map.borrow_mut();
-        if let Some(h) = map.get(&collector.inner.id) {
-            return Rc::clone(h);
+    let id = collector.inner.id;
+    LOCAL.with(|local| {
+        if let Some((last_id, handle)) = &*local.last.borrow() {
+            if *last_id == id {
+                return Rc::clone(handle);
+            }
         }
-        let record = Arc::new(Record {
-            state: CachePadded::new(AtomicU64::new(0)),
-            active: AtomicBool::new(true),
-        });
-        collector
-            .inner
-            .records
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&record));
-        let handle = Rc::new(HandleInner {
-            collector: Arc::clone(&collector.inner),
-            record,
-            bags: RefCell::new(VecDeque::new()),
-            current: RefCell::new(Vec::new()),
-            current_epoch: std::cell::Cell::new(0),
-            pin_depth: std::cell::Cell::new(0),
-            retires_since_advance: std::cell::Cell::new(0),
-        });
-        map.insert(collector.inner.id, Rc::clone(&handle));
+        let handle = Rc::clone(
+            local.handles.borrow_mut().entry(id).or_insert_with(|| register(collector)),
+        );
+        *local.last.borrow_mut() = Some((id, Rc::clone(&handle)));
         handle
+    })
+}
+
+/// Adds this thread to `collector`'s participants.
+fn register(collector: &Collector) -> Rc<HandleInner> {
+    let record = Arc::new(Record {
+        state: CachePadded::new(AtomicU64::new(0)),
+        active: AtomicBool::new(true),
+    });
+    collector
+        .inner
+        .records
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .push(Arc::clone(&record));
+    Rc::new(HandleInner {
+        collector: Arc::clone(&collector.inner),
+        record,
+        bags: RefCell::new(VecDeque::new()),
+        current: RefCell::new(Vec::new()),
+        current_epoch: Cell::new(0),
+        pin_depth: Cell::new(0),
+        retires_since_advance: Cell::new(0),
     })
 }
 
@@ -538,10 +605,20 @@ mod tests {
             let g = c.pin();
             unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&n))))) };
         }
+        // Nor through the thread-exit hand-off and another thread's pins.
+        let (c2, n2) = (c.clone(), Arc::clone(&n));
+        std::thread::spawn(move || {
+            let g = c2.pin();
+            unsafe { g.retire(Box::into_raw(Box::new(Counted(n2)))) };
+        })
+        .join()
+        .unwrap();
         for _ in 0..8 {
             c.synchronize();
+            drop(c.pin());
         }
         assert_eq!(n.load(Ordering::SeqCst), 0);
+        assert!(!c.inner.orphans_present.load(Ordering::SeqCst));
     }
 
     #[test]
@@ -603,34 +680,183 @@ mod tests {
         assert_eq!(n.load(Ordering::SeqCst), 5);
     }
 
+    /// Marks its slot when dropped, so a double or missing drop is visible
+    /// per object and not only in a total.
+    struct Slotted(Arc<Vec<AtomicUsize>>, usize);
+    impl Drop for Slotted {
+        fn drop(&mut self) {
+            self.0[self.1].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// `NVT_STRESS_ITERS` scales the run (CI sets 50 in release).
     #[test]
-    fn concurrent_stress_retires_everything() {
+    fn concurrent_stress_drops_everything_exactly_once() {
         const THREADS: usize = 4;
-        const PER_THREAD: usize = 500;
+        let per_thread = 500
+            * std::env::var("NVT_STRESS_ITERS")
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok())
+                .unwrap_or(1);
+        let c = Collector::new();
+        let slots: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..THREADS * per_thread).map(|_| AtomicUsize::new(0)).collect());
+        let start = Arc::new(std::sync::Barrier::new(THREADS));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (c, slots, start) = (c.clone(), Arc::clone(&slots), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..per_thread {
+                        let g = c.pin();
+                        let nested = (i % 7 == 0).then(|| c.pin());
+                        let obj = Slotted(Arc::clone(&slots), t * per_thread + i);
+                        unsafe { g.retire(Box::into_raw(Box::new(obj))) };
+                        drop(g);
+                        drop(nested);
+                    }
+                })
+            })
+            .collect();
+        // `join` (unlike `thread::scope`) returns after the worker's TLS
+        // destructors, so every bag has been handed over by now.
+        for w in workers {
+            w.join().unwrap();
+        }
+        c.synchronize();
+        let wrong = slots.iter().filter(|s| s.load(Ordering::SeqCst) != 1).count();
+        assert_eq!(wrong, 0, "objects not dropped exactly once");
+        assert!(!c.inner.orphans_present.load(Ordering::SeqCst));
+    }
+
+    /// Retires `Counted` objects through ordinary pinned operations until
+    /// `c`'s epoch reaches `target` — no `synchronize`.
+    fn operate_until_epoch(c: &Collector, target: u64, n: &Arc<AtomicUsize>) {
+        for _ in 0..=(target as usize + 1) * ADVANCE_EVERY {
+            if c.epoch() >= target {
+                break;
+            }
+            let g = c.pin();
+            unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(n))))) };
+        }
+        assert!(c.epoch() >= target, "retires did not advance the epoch");
+    }
+
+    #[test]
+    fn orphans_are_adopted_by_another_threads_pins() {
         let c = Collector::new();
         let n = counter();
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                let c = c.clone();
-                let n = Arc::clone(&n);
-                s.spawn(move || {
-                    for _ in 0..PER_THREAD {
-                        let g = c.pin();
-                        unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&n))))) };
-                    }
-                });
+        let (c2, n2) = (c.clone(), Arc::clone(&n));
+        std::thread::spawn(move || {
+            let g = c2.pin();
+            for _ in 0..5 {
+                unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&n2))))) };
             }
-        });
-        // `thread::scope` can return before worker TLS destructors finish
-        // publishing their orphan bags, so poll rather than assert once.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while n.load(Ordering::SeqCst) < THREADS * PER_THREAD
-            && std::time::Instant::now() < deadline
-        {
-            c.synchronize();
-            std::thread::yield_now();
+        })
+        .join()
+        .unwrap();
+        assert!(c.inner.orphans_present.load(Ordering::SeqCst), "hand-off did not raise the flag");
+        assert_eq!(n.load(Ordering::SeqCst), 0);
+
+        // One epoch later the bag is too young: it stays, and so does the flag.
+        let own = counter();
+        operate_until_epoch(&c, 1, &own);
+        drop(c.pin());
+        assert_eq!(n.load(Ordering::SeqCst), 0, "orphans reclaimed after one epoch");
+        assert!(c.inner.orphans_present.load(Ordering::SeqCst));
+
+        operate_until_epoch(&c, 2, &own);
+        drop(c.pin());
+        assert_eq!(n.load(Ordering::SeqCst), 5, "pins never adopted the orphans");
+        assert!(c.inner.orphans.lock().unwrap().is_empty());
+        assert!(
+            !c.inner.orphans_present.load(Ordering::SeqCst),
+            "flag still raised over an empty list"
+        );
+    }
+
+    #[test]
+    fn alternating_and_nested_collectors_keep_separate_state() {
+        let (a, b) = (Collector::new(), Collector::new());
+        let (na, nb) = (counter(), counter());
+        // Every pin below misses the one-entry cache.
+        let ga = a.pin();
+        let gb = b.pin();
+        let ga2 = a.pin();
+        unsafe { ga2.retire(Box::into_raw(Box::new(Counted(Arc::clone(&na))))) };
+        for _ in 0..2 {
+            unsafe { gb.retire(Box::into_raw(Box::new(Counted(Arc::clone(&nb))))) };
         }
-        assert_eq!(n.load(Ordering::SeqCst), THREADS * PER_THREAD);
+        assert_eq!((a.local_garbage(), b.local_garbage()), (1, 2));
+        drop(ga);
+        drop(gb);
+        // `b` is unpinned and moves on; `a` is still pinned by `ga2`.
+        b.synchronize();
+        assert_eq!(nb.load(Ordering::SeqCst), 2);
+        assert_eq!(b.local_garbage(), 0);
+        a.synchronize();
+        a.synchronize();
+        assert!(a.epoch() <= 1, "epoch advanced twice past a nested pin");
+        assert_eq!(na.load(Ordering::SeqCst), 0);
+        assert_eq!(a.local_garbage(), 1);
+        drop(ga2);
+        for _ in 0..100 {
+            drop(a.pin());
+            drop(b.pin());
+        }
+        a.synchronize();
+        assert_eq!(na.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_new_collector_never_hits_a_stale_cache_entry() {
+        let n = counter();
+        for round in 0..4 {
+            let c = Collector::new();
+            assert_eq!(c.local_garbage(), 0, "round {round}: saw another collector's bags");
+            let g = c.pin();
+            assert_eq!(g.handle.collector.id, c.inner.id);
+            assert_eq!(g.handle.current_epoch.get(), 0);
+            unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&n))))) };
+            drop(g);
+            // Leave the cache pointing at a collector that moved on and died.
+            c.synchronize();
+            assert_eq!(n.load(Ordering::SeqCst), round + 1);
+        }
+    }
+
+    #[test]
+    fn thread_exit_hands_bags_over_exactly_once() {
+        // The exiting thread's cache names `a` in one round and `b` in the
+        // other; its map holds both either way.
+        for last_is_a in [true, false] {
+            let (a, b) = (Collector::new(), Collector::new());
+            let (na, nb) = (counter(), counter());
+            let (a2, b2, na2, nb2) = (a.clone(), b.clone(), Arc::clone(&na), Arc::clone(&nb));
+            std::thread::spawn(move || {
+                for _ in 0..3 {
+                    let g = a2.pin();
+                    unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&na2))))) };
+                }
+                for _ in 0..2 {
+                    let g = b2.pin();
+                    unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&nb2))))) };
+                }
+                if last_is_a {
+                    drop(a2.pin());
+                }
+            })
+            .join()
+            .unwrap();
+            let handed = |c: &Collector| -> usize {
+                c.inner.orphans.lock().unwrap().iter().map(|bag| bag.items.len()).sum()
+            };
+            assert_eq!((handed(&a), handed(&b)), (3, 2));
+            a.synchronize();
+            b.synchronize();
+            assert_eq!((na.load(Ordering::SeqCst), nb.load(Ordering::SeqCst)), (3, 2));
+            assert_eq!((handed(&a), handed(&b)), (0, 0));
+        }
     }
 
     #[test]

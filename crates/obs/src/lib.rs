@@ -24,8 +24,8 @@
 //!   files a process ever opens, and reopening a pool accumulates into the
 //!   same set, which is exactly what a restart-loop wants to observe).
 //! * [`Snapshot`] / [`Snapshot::since`] — cheap copy-out with wrapping
-//!   deltas, the race-free replacement for the global
-//!   `stats::reset()` footgun, plus a hand-rolled [`Snapshot::to_json`]
+//!   deltas (nothing is ever reset under a concurrent reader), plus a
+//!   hand-rolled [`Snapshot::to_json`]
 //!   serializer and the whole-process [`stats_json`] dump.
 //! * [`ring`] — a bounded lock-free event ring capturing recent pool
 //!   lifecycle events (create/open/GC/close) for post-mortem dumps.

@@ -245,10 +245,11 @@ impl Backend for ClflushSync {
     }
 }
 
-/// Wraps another backend and counts every flush and fence in the global
-/// [`crate::stats`] counters **and** the thread's attributed
-/// `nvtraverse-obs` metric set (when one is installed with
+/// Wraps another backend and counts every flush and fence into the
+/// thread's attributed `nvtraverse-obs` metric set (installed with
 /// `nvtraverse_obs::attribute_to`), tagged with the thread's current phase.
+/// Attribution is per thread, so a measurement sees exactly its own
+/// thread's instructions whatever else the process is running.
 ///
 /// The ablation benchmark `abl1` uses `Count<Noop>` to report the exact
 /// number of persistence instructions each durability policy issues per
@@ -261,13 +262,17 @@ impl Backend for ClflushSync {
 /// # Example
 ///
 /// ```
-/// use nvtraverse_pmem::{stats, Backend, Count, Noop};
+/// use nvtraverse_obs::{self as obs, MetricSet};
+/// use nvtraverse_pmem::{Backend, Count, Noop};
 ///
-/// let before = stats::snapshot();
-/// Count::<Noop>::flush(std::ptr::null());
-/// Count::<Noop>::fence();
-/// let delta = stats::snapshot().since(before);
-/// assert!(delta.flushes >= 1 && delta.fences >= 1);
+/// let set: &'static MetricSet = Box::leak(Box::new(MetricSet::new(1)));
+/// {
+///     let _scope = obs::attribute_to(Some(set));
+///     Count::<Noop>::flush(std::ptr::null());
+///     Count::<Noop>::fence();
+/// }
+/// let counted = set.snapshot();
+/// assert_eq!((counted.total_flushes(), counted.total_fences()), (1, 1));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Count<B>(std::marker::PhantomData<fn() -> B>);
@@ -281,7 +286,6 @@ impl<B: Backend> Backend for Count<B> {
         // so it notes pending flushes itself; a non-Noop inner backend
         // noting again is harmless (only zero/non-zero is consulted).
         pending::note_flush();
-        crate::stats::record_flush();
         nvtraverse_obs::on_flush();
         B::flush(addr);
     }
@@ -289,7 +293,6 @@ impl<B: Backend> Backend for Count<B> {
     #[inline]
     fn fence() {
         pending::note_fence();
-        crate::stats::record_fence();
         nvtraverse_obs::on_fence();
         B::fence();
     }
@@ -391,10 +394,7 @@ impl MmapBackend {
 
 impl Backend for MmapBackend {
     /// Also records the flush into the thread's attributed `nvtraverse-obs`
-    /// metric set (per-pool, per-phase) — but deliberately **not** into the
-    /// legacy global [`crate::stats`] counters: every pool-backed thread
-    /// hammering one shared cache line is the contention the sharded metric
-    /// sets exist to avoid. Use the attributed snapshot deltas instead.
+    /// metric set (per-pool, per-phase); read it as snapshot deltas.
     #[inline]
     fn flush(addr: *const u8) {
         pending::note_flush();
@@ -503,23 +503,20 @@ mod tests {
     #[test]
     fn flush_range_covers_every_line_once() {
         // A 128-byte unaligned range spans exactly 3 lines; Count records 3.
-        let _g = crate::stats::test_guard();
-        let before = crate::stats::snapshot();
         let data = vec![0u8; 256];
         let unaligned = unsafe { data.as_ptr().add(32) };
-        Count::<Noop>::flush_range(unaligned, 128);
-        assert_eq!(crate::stats::snapshot().since(before).flushes, 3);
+        let counts = crate::counted(|| Count::<Noop>::flush_range(unaligned, 128));
+        assert_eq!(counts, (3, 0));
     }
 
     #[test]
     fn count_records_flushes_and_fences() {
-        let _g = crate::stats::test_guard();
-        let before = crate::stats::snapshot();
         let x = 0u64;
-        Count::<Noop>::flush(&x as *const u64 as *const u8);
-        Count::<Noop>::flush(&x as *const u64 as *const u8);
-        Count::<Noop>::fence();
-        let s = crate::stats::snapshot().since(before);
-        assert_eq!((s.flushes, s.fences), (2, 1));
+        let counts = crate::counted(|| {
+            Count::<Noop>::flush(&x as *const u64 as *const u8);
+            Count::<Noop>::flush(&x as *const u64 as *const u8);
+            Count::<Noop>::fence();
+        });
+        assert_eq!(counts, (2, 1));
     }
 }

@@ -147,15 +147,12 @@ impl<B: Backend> Drop for FenceBatch<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{stats, Count, Noop};
+    use crate::{Count, Noop};
 
     type CB = Count<Noop>;
 
     fn fences(f: impl FnOnce()) -> u64 {
-        let _g = stats::test_guard();
-        let before = stats::snapshot();
-        f();
-        stats::snapshot().since(before).fences
+        crate::counted(f).1
     }
 
     fn closing_fence() {

@@ -60,7 +60,6 @@ mod backend;
 mod cell;
 pub mod heap;
 pub mod sim;
-pub mod stats;
 mod word;
 
 pub use backend::{
@@ -69,3 +68,18 @@ pub use backend::{
 pub use cell::PCell;
 pub use sim::{CrashSignal, SimHandle, SimObserver, WriteKind, POISON};
 pub use word::Word;
+
+/// Runs `f` with this thread's [`Count`] traffic attributed to a private
+/// metric set and returns the exact `(flushes, fences)` it issued, whatever
+/// the other tests of the binary are doing meanwhile.
+#[cfg(test)]
+pub(crate) fn counted(f: impl FnOnce()) -> (u64, u64) {
+    let set: &'static nvtraverse_obs::MetricSet =
+        Box::leak(Box::new(nvtraverse_obs::MetricSet::new(1)));
+    {
+        let _scope = nvtraverse_obs::attribute_to(Some(set));
+        f();
+    }
+    let counts = set.snapshot();
+    (counts.total_flushes(), counts.total_fences())
+}

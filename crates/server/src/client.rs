@@ -9,7 +9,7 @@
 
 use crate::net::Stream;
 use crate::proto::{self, Reply, Request};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::ToSocketAddrs;
 use std::path::Path;
 
@@ -47,7 +47,10 @@ pub enum OutcomeAnswer {
 /// opening one connection per thread.
 #[derive(Debug)]
 pub struct Client {
-    stream: Stream,
+    /// Every read goes through the buffer, so a reply — or k pipelined
+    /// ones — costs one `read` call, not one per prefix and body.
+    stream: BufReader<Stream>,
+    /// The request frame under construction, reused across sends.
     buf: Vec<u8>,
 }
 
@@ -59,7 +62,7 @@ impl Client {
     /// Connection failures.
     pub fn connect_uds(path: impl AsRef<Path>) -> io::Result<Client> {
         let s = std::os::unix::net::UnixStream::connect(path)?;
-        Ok(Client { stream: Stream::Unix(s), buf: Vec::with_capacity(256) })
+        Ok(Client::over(Stream::Unix(s)))
     }
 
     /// Connects over TCP.
@@ -70,7 +73,11 @@ impl Client {
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let s = std::net::TcpStream::connect(addr)?;
         let _ = s.set_nodelay(true);
-        Ok(Client { stream: Stream::Tcp(s), buf: Vec::with_capacity(256) })
+        Ok(Client::over(Stream::Tcp(s)))
+    }
+
+    fn over(stream: Stream) -> Client {
+        Client { stream: BufReader::new(stream), buf: Vec::with_capacity(256) }
     }
 
     /// Writes one request frame without reading the reply (pipelining).
@@ -81,10 +88,9 @@ impl Client {
     ///
     /// Transport errors.
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        self.buf.clear();
-        proto::encode_request(req, &mut self.buf);
-        proto::write_frame(&mut self.stream, &self.buf)?;
-        self.stream.flush()
+        let stream = self.stream.get_mut();
+        proto::write_frame_with(stream, &mut self.buf, |out| proto::encode_request(req, out))?;
+        stream.flush()
     }
 
     /// Reads one reply frame and decodes it against `req` (the request it
@@ -225,8 +231,9 @@ impl Client {
     ///
     /// Transport errors.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
+        let stream = self.stream.get_mut();
+        stream.write_all(bytes)?;
+        stream.flush()
     }
 
     /// Reads one raw reply frame (for tests asserting on `BAD_REQUEST`

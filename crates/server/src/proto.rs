@@ -181,23 +181,51 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ProtoError> {
 
 // ---- frame transport -------------------------------------------------------
 
-/// Writes one frame (`u32le` length + body). The caller flushes the
-/// stream when the exchange requires it (replies are flushed per frame by
-/// the server; a pipelining client may batch its flushes).
+/// Bytes of length prefix in front of every frame body.
+const PREFIX: usize = 4;
+
+/// Writes one frame (`u32le` length + body) with a single `write_all`:
+/// a prefix written on its own wakes the peer for four bytes it cannot
+/// act on. The caller flushes the stream when the exchange requires it
+/// (replies are flushed per frame by the server; a pipelining client may
+/// batch its flushes).
 ///
 /// # Errors
 ///
 /// I/O errors from `w`; `InvalidData` when `body` exceeds [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    if body.len() > MAX_FRAME {
-        return Err(ProtoError(format!("frame of {} bytes exceeds MAX_FRAME", body.len())).into());
+    let mut frame = Vec::with_capacity(PREFIX + body.len());
+    write_frame_with(w, &mut frame, |out| out.extend_from_slice(body))
+}
+
+/// [`write_frame`] for a body that is still to be encoded: `encode`
+/// appends it to `buf` behind a reserved prefix, so prefix and body leave
+/// in one write without being copied together first. `buf` is scratch
+/// space a connection reuses across frames.
+///
+/// # Errors
+///
+/// As [`write_frame`].
+pub(crate) fn write_frame_with(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; PREFIX]);
+    encode(buf);
+    let len = buf.len() - PREFIX;
+    if len > MAX_FRAME {
+        return Err(ProtoError(format!("frame of {len} bytes exceeds MAX_FRAME")).into());
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
+    buf[..PREFIX].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(buf)
 }
 
 /// Reads one frame body. Returns `Ok(None)` on clean EOF **before** the
-/// length prefix (the peer closed between messages).
+/// length prefix (the peer closed between messages). Prefix and body are
+/// separate reads: hand it a buffered reader over a socket, as the server
+/// and [`Client`](crate::Client) do, and a frame costs one `read` call.
 ///
 /// # Errors
 ///
@@ -538,6 +566,38 @@ mod tests {
         assert!(decode_request(&[OP_BATCH, huge[0], huge[1], huge[2], huge[3]]).is_err());
     }
 
+    /// Counts `write` calls and accepts at most 3 bytes in each.
+    struct Trickle(Vec<u8>, usize);
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            self.1 += 1;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_offered_to_the_writer_whole() {
+        // Prefix and body arrive in one `write` call...
+        let mut whole = Vec::new();
+        let mut scratch = Vec::new();
+        write_frame_with(&mut whole, &mut scratch, |out| out.extend_from_slice(b"hello")).unwrap();
+        assert_eq!(whole, [&5u32.to_le_bytes()[..], b"hello"].concat());
+        assert_eq!(scratch, whole, "the scratch buffer is the frame");
+        // ...and a writer that takes less is retried until all of it is out.
+        let mut slow = Trickle(Vec::new(), 0);
+        write_frame(&mut slow, b"hello").unwrap();
+        assert_eq!((slow.0, slow.1), (whole, 3));
+        // The bound is checked on the encoded body, before anything is sent.
+        let mut none = Trickle(Vec::new(), 0);
+        assert!(write_frame(&mut none, &vec![0; MAX_FRAME + 1]).is_err());
+        assert_eq!(none.1, 0);
+    }
+
     #[test]
     fn frames_round_trip_and_enforce_bounds() {
         let mut buf = Vec::new();
@@ -554,5 +614,12 @@ mod tests {
         // Mid-frame EOF is an error, not a clean end.
         let truncated = [5u8, 0, 0, 0, b'x'];
         assert!(read_frame(&mut &truncated[..]).is_err());
+        assert!(read_frame(&mut &truncated[..2]).is_err(), "EOF inside the prefix");
+        // All of it holds through the buffered reader connections use.
+        let mut r = io::BufReader::with_capacity(8, &buf[..]);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
+        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        assert!(read_frame(&mut io::BufReader::new(&truncated[..])).is_err());
     }
 }

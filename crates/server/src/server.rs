@@ -26,7 +26,8 @@ use crate::proto::{self, Reply, Request};
 use crate::store::{ConnTokens, KvStore};
 use nvtraverse_obs as obs;
 use nvtraverse_pool::{OpId, OpOutcome};
-use std::io::Write;
+use std::collections::HashMap;
+use std::io::{BufReader, Write};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -74,7 +75,12 @@ struct Shared {
     /// so fences/op over the whole service is one snapshot delta.
     metrics: &'static obs::MetricSet,
     counters: Counters,
-    conns: Mutex<Vec<Stream>>,
+    /// A clone of every *live* connection's stream, by connection number,
+    /// so shutdown can cut handlers parked in `read`. A handler removes its
+    /// own entry when it exits.
+    conns: Mutex<HashMap<u64, Stream>>,
+    /// Handler threads not yet joined: the live ones, plus those that
+    /// finished since the last accept (the acceptor joins those).
     handlers: Mutex<Vec<JoinHandle<()>>>,
     in_flight: AtomicUsize,
 }
@@ -145,7 +151,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             metrics: Box::leak(Box::new(obs::MetricSet::new(16))),
             counters: Counters::default(),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
             in_flight: AtomicUsize::new(0),
         });
@@ -241,7 +247,7 @@ impl Server {
             std::thread::sleep(Duration::from_millis(2));
         }
         // Unblock handlers parked in `read` on idle connections.
-        for conn in shared.conns.lock().unwrap_or_else(|e| e.into_inner()).drain(..) {
+        for (_, conn) in shared.conns.lock().unwrap_or_else(|e| e.into_inner()).drain() {
             let _ = conn.shutdown_both();
         }
         let handlers: Vec<_> =
@@ -268,16 +274,27 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
             Ok(stream) => {
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+                let id = shared.counters.connections.fetch_add(1, Ordering::Relaxed);
                 if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().unwrap_or_else(|e| e.into_inner()).push(clone);
+                    shared.conns.lock().unwrap_or_else(|e| e.into_inner()).insert(id, clone);
                 }
                 let shared2 = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name("kv-conn".into())
-                    .spawn(move || handle_conn(&shared2, stream))
+                    .spawn(move || handle_conn(&shared2, id, stream))
                     .expect("spawn handler");
-                shared.handlers.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+                let mut handlers = shared.handlers.lock().unwrap_or_else(|e| e.into_inner());
+                // Reap the handlers of connections that have closed, so the
+                // list stays the size of the live set.
+                let mut i = 0;
+                while i < handlers.len() {
+                    if handlers[i].is_finished() {
+                        let _ = handlers.swap_remove(i).join();
+                    } else {
+                        i += 1;
+                    }
+                }
+                handlers.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -296,28 +313,44 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-fn handle_conn(shared: &Arc<Shared>, mut stream: Stream) {
+/// Takes connection `id` out of `Shared.conns` when its handler exits,
+/// unwinding included.
+struct ConnEntry<'a>(&'a Shared, u64);
+
+impl Drop for ConnEntry<'_> {
+    fn drop(&mut self) {
+        self.0.conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&self.1);
+    }
+}
+
+fn handle_conn(shared: &Arc<Shared>, id: u64, stream: Stream) {
+    let _entry = ConnEntry(shared, id);
     // Everything this connection flushes or fences — pool writes, batch
     // closing fences — lands in the server-wide metric set.
     let _obs = obs::attribute_to(Some(shared.metrics));
     let mut tokens = ConnTokens::new();
+    // One buffered reader and one reply buffer for the connection's
+    // lifetime: a frame is one `read` in and one `write` out.
+    let mut conn = BufReader::new(stream);
+    let mut out = Vec::with_capacity(64);
     // Ok(None) is clean EOF; Err covers a cut socket or a dead peer.
-    while let Ok(Some(body)) = proto::read_frame(&mut stream) {
+    while let Ok(Some(body)) = proto::read_frame(&mut conn) {
         shared.in_flight.fetch_add(1, Ordering::AcqRel);
         let guard = InFlightGuard(&shared.in_flight);
         let (reply, close_after) = process_request(shared, &mut tokens, &body);
-        let mut out = Vec::with_capacity(64);
-        proto::encode_reply(&reply, &mut out);
-        let io_ok = proto::write_frame(&mut stream, &out).and_then(|()| stream.flush()).is_ok();
+        let stream = conn.get_mut();
+        let io_ok = proto::write_frame_with(stream, &mut out, |body| proto::encode_reply(&reply, body))
+            .and_then(|()| stream.flush())
+            .is_ok();
         drop(guard);
         if !io_ok || close_after || shared.shutdown.load(Ordering::Acquire) {
             break;
         }
     }
-    // A clone of this stream lives in `shared.conns` (for forced close at
-    // shutdown), so dropping our handle would NOT deliver EOF to the peer.
-    // shutdown(2) acts on the socket itself, clones included.
-    let _ = stream.shutdown_both();
+    // Until `_entry` drops, a clone of this stream lives in `shared.conns`,
+    // and shutdown may be holding it: closing our handle alone would not
+    // deliver EOF to the peer. shutdown(2) acts on the socket itself.
+    let _ = conn.get_ref().shutdown_both();
 }
 
 /// Executes one framed request. Returns the reply and whether the
@@ -383,4 +416,90 @@ fn stats_json(shared: &Arc<Shared>) -> String {
         shared.metrics.snapshot().to_json(),
         shared.store.metrics_snapshot().to_json(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::store::PolicyKind;
+
+    fn open_fds() -> Option<usize> {
+        std::fs::read_dir("/proc/self/fd").ok().map(|d| d.count())
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Per-connection bookkeeping follows the *live* connections, not every
+    /// connection ever accepted; and shutdown still drains what is running.
+    #[test]
+    fn connection_churn_leaves_no_bookkeeping_behind() {
+        const WAVES: usize = 250;
+        const PER_WAVE: usize = 8;
+        let tag = format!("nvt-server-churn-{}", std::process::id());
+        let dir = std::env::temp_dir().join(&tag);
+        let sock = std::env::temp_dir().join(format!("{tag}.sock"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = KvStore::create(&dir, PolicyKind::NvTraverse, 2, 1 << 22).unwrap();
+        let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+        let server = Server::start_uds(&sock, store, cfg).unwrap();
+        let conns = |s: &Server| s.shared.conns.lock().unwrap().len();
+        let handlers = |s: &Server| s.shared.handlers.lock().unwrap().len();
+
+        let fds_before = open_fds();
+        let mut high_water = (0, 0);
+        for wave in 0..WAVES {
+            let mut clients: Vec<Client> =
+                (0..PER_WAVE).map(|_| Client::connect_uds(&sock).unwrap()).collect();
+            for (i, c) in clients.iter_mut().enumerate() {
+                let key = (wave * PER_WAVE + i) as u64;
+                assert!(c.insert(key, key * 3).unwrap());
+            }
+            high_water = (high_water.0.max(conns(&server)), high_water.1.max(handlers(&server)));
+            drop(clients);
+            if wave % 25 == 24 {
+                wait_until("closed connections leave the registry", || conns(&server) == 0);
+            }
+        }
+        wait_until("closed connections leave the registry", || conns(&server) == 0);
+        // Handlers are reaped at the next accept: at most the last waves'
+        // worth are still listed, never the 2 000 there have been.
+        assert!(high_water.0 <= 4 * PER_WAVE, "conns peaked at {}", high_water.0);
+        assert!(high_water.1 <= 8 * PER_WAVE, "handlers peaked at {}", high_water.1);
+        assert!(handlers(&server) <= 8 * PER_WAVE, "{} handles kept", handlers(&server));
+        if let (Some(before), Some(after)) = (fds_before, open_fds()) {
+            // Slack for whatever the other tests of this binary have open.
+            assert!(after <= before + 64, "fds grew {before} -> {after} over the churn");
+        }
+
+        // A pipelined connection with work in progress when shutdown is
+        // called gets the running request's reply before it is cut.
+        let mut busy = Client::connect_uds(&sock).unwrap();
+        let batch = Request::Batch((1 << 32..(1 << 32) + 4096).map(|k| Request::Insert(k, k)).collect());
+        for _ in 0..4 {
+            busy.send(&batch).unwrap();
+        }
+        wait_until("the handler has taken the first batch", || {
+            server.shared.in_flight.load(Ordering::Acquire) > 0
+                || server.ops_executed() > (WAVES * PER_WAVE) as u64
+        });
+        assert_eq!(conns(&server), 1);
+        server.shutdown().unwrap();
+        match busy.recv(&batch).unwrap() {
+            Reply::Batch(replies) => assert!(replies.iter().all(|r| *r == Reply::Applied)),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(!sock.exists(), "clean shutdown removes the socket");
+
+        let store = KvStore::open(&dir).unwrap();
+        assert!(store.len() >= WAVES * PER_WAVE + 4096, "acked inserts lost: {}", store.len());
+        store.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
