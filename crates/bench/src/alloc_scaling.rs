@@ -1,10 +1,8 @@
-//! Allocator scaling: pool alloc/free throughput, threads × engine.
+//! Allocator scaling: pool alloc/free throughput by thread count.
 //!
-//! Measures the quantity the lock-free allocator redesign targets — how
-//! pool `alloc`/`dealloc` throughput scales with thread count — for **both**
-//! engines in the same run: the original global-mutex baseline
-//! ([`AllocMode::Mutexed`]) and the magazine/shard/CAS-frontier design
-//! ([`AllocMode::LockFree`]). Two workloads:
+//! Measures the quantity the pool's magazine/shard/CAS-frontier allocator
+//! is designed for — how `alloc`/`dealloc` throughput scales with thread
+//! count. Two workloads:
 //!
 //! * `churn` — steady state: every thread cycles a ring of live blocks
 //!   through a size-class mix, freeing the oldest as it allocates; one in
@@ -14,9 +12,9 @@
 //!   free; stresses the frontier (slab carving vs per-block bump+persist).
 //!
 //! Points flow through the `--json` sink as figure `alloc_scaling`, series
-//! `<engine>-<workload>`, x = thread count, metric `mops` (million
+//! `lockfree-<workload>`, x = thread count, metric `mops` (million
 //! alloc+free pairs per second), so `BENCH_*.json` artifacts capture the
-//! mutex-vs-lockfree trajectory per run. The lock-free series additionally
+//! trajectory per run. Each series additionally
 //! reports `mag_hit_rate` — the fraction of allocations served by the
 //! per-thread magazine tier, read from the pool's `nvtraverse-obs` metric
 //! set — so a throughput regression can be told apart from a locality one
@@ -24,7 +22,7 @@
 
 use crate::figures::Mode;
 use nvtraverse_obs as obs;
-use nvtraverse_pool::{AllocMode, Pool};
+use nvtraverse_pool::Pool;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -45,8 +43,7 @@ fn pool_path(tag: &str) -> std::path::PathBuf {
 }
 
 /// The magazine hit rate over a metric-set delta: hits / (hits + misses),
-/// `NaN` when the engine recorded no magazine traffic (the mutexed
-/// baseline is unmetered by design).
+/// `NaN` when no magazine traffic was recorded (`NVT_OBS=off`).
 fn mag_hit_rate(d: &obs::Snapshot) -> f64 {
     let hits = d.counter(obs::Counter::MagHit) as f64;
     let misses = d.counter(obs::Counter::MagMiss) as f64;
@@ -55,10 +52,10 @@ fn mag_hit_rate(d: &obs::Snapshot) -> f64 {
 
 /// One churn measurement: returns (million alloc+free pairs per second,
 /// magazine hit rate).
-fn churn(mode: AllocMode, threads: usize, secs: f64) -> (f64, f64) {
+fn churn(threads: usize, secs: f64) -> (f64, f64) {
     let path = pool_path("churn");
     let _ = std::fs::remove_file(&path);
-    let pool = Pool::builder().path(&path).capacity(256 << 20).mode(mode).create().unwrap();
+    let pool = Pool::builder().path(&path).capacity(256 << 20).create().unwrap();
     // The metric set is keyed by path and outlives the pool, so counters
     // carry over between measurements on the same file — diff, don't read.
     let m_before = pool.metrics().snapshot();
@@ -145,10 +142,10 @@ fn churn(mode: AllocMode, threads: usize, secs: f64) -> (f64, f64) {
 /// rate). Each thread times its own burst before freeing; the rate is
 /// total allocations over the slowest thread's burst window, so the free
 /// phase is not measured.
-fn grow(mode: AllocMode, threads: usize, secs: f64) -> (f64, f64) {
+fn grow(threads: usize, secs: f64) -> (f64, f64) {
     let path = pool_path("grow");
     let _ = std::fs::remove_file(&path);
-    let pool = Pool::builder().path(&path).capacity(1 << 30).mode(mode).create().unwrap();
+    let pool = Pool::builder().path(&path).capacity(1 << 30).create().unwrap();
     let m_before = pool.metrics().snapshot();
     let quota = ((GROW_QUOTA as f64 * secs.max(0.05) / 0.12) as usize).max(256);
     let barrier = Barrier::new(threads);
@@ -203,32 +200,20 @@ pub fn run(mode: Mode) {
     };
     let threads = [1usize, 2, 4, 8];
     for (workload, f) in [
-        ("churn", churn as fn(AllocMode, usize, f64) -> (f64, f64)),
-        ("grow", grow as fn(AllocMode, usize, f64) -> (f64, f64)),
+        ("churn", churn as fn(usize, f64) -> (f64, f64)),
+        ("grow", grow as fn(usize, f64) -> (f64, f64)),
     ] {
         println!("\n== alloc_scaling: pool alloc/free throughput, {workload} workload ==");
         println!(
-            "{:>10}{:>14}{:>14}{:>10}{:>10}  [Mops/s; mag-hit = lock-free magazine hit rate]",
-            "threads", "mutexed", "lockfree", "speedup", "mag-hit"
+            "{:>10}{:>14}{:>10}  [Mops/s; mag-hit = magazine hit rate]",
+            "threads", "lockfree", "mag-hit"
         );
         for &t in &threads {
-            let (mutexed, _) = f(AllocMode::Mutexed, t, secs);
-            let (lockfree, hit_rate) = f(AllocMode::LockFree, t, secs);
-            let x = t.to_string();
-            crate::json::record("alloc_scaling", &format!("mutexed-{workload}"), &x, "mops", mutexed);
-            crate::json::record("alloc_scaling", &format!("lockfree-{workload}"), &x, "mops", lockfree);
-            crate::json::record(
-                "alloc_scaling",
-                &format!("lockfree-{workload}"),
-                &x,
-                "mag_hit_rate",
-                hit_rate,
-            );
-            println!(
-                "{t:>10}{mutexed:>14.3}{lockfree:>14.3}{:>9.1}x{:>9.1}%",
-                lockfree / mutexed.max(1e-9),
-                hit_rate * 100.0
-            );
+            let (mops, hit_rate) = f(t, secs);
+            let (series, x) = (format!("lockfree-{workload}"), t.to_string());
+            crate::json::record("alloc_scaling", &series, &x, "mops", mops);
+            crate::json::record("alloc_scaling", &series, &x, "mag_hit_rate", hit_rate);
+            println!("{t:>10}{mops:>14.3}{:>9.1}%", hit_rate * 100.0);
         }
     }
 }

@@ -15,11 +15,11 @@
 //! `figures --quick --json BENCH_quick.json all`.
 //!
 //! Beyond the paper's figures, [`alloc_scaling`] measures pool
-//! allocator throughput (threads x size-class mix, global-mutex baseline vs
-//! the lock-free magazine/shard design) under the same `--json` pipeline:
+//! allocator throughput (threads x size-class mix over the lock-free
+//! magazine/shard design) under the same `--json` pipeline:
 //! `figures --quick --json BENCH_alloc.json alloc_scaling` — and
 //! [`pool_structs`] measures end-to-end *structure* throughput on
-//! pool-resident instances (allocator + policy fences together), engine ×
+//! pool-resident instances (allocator + policy fences together),
 //! structure × threads: `figures --quick --json BENCH_ps.json pool_structs` —
 //! and [`persist_ops`] counts flushes/fences **per operation** for every
 //! pool-resident structure under both durable policies, attributed to the

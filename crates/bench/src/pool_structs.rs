@@ -1,8 +1,7 @@
-//! Pool-backed *structure* throughput: allocator engine × structure —
-//! the PR 2 follow-up the ROADMAP asked for. Where `alloc_scaling` measures
-//! the allocator in isolation, this sweep measures what users feel: full
-//! operations on pool-resident structures (policy flushes + traversal +
-//! allocator together), for **both** allocator engines in the same run.
+//! Pool-backed *structure* throughput, structure × threads. Where
+//! `alloc_scaling` measures the allocator in isolation, this sweep measures
+//! what users feel: full operations on pool-resident structures (policy
+//! flushes + traversal + allocator together).
 //!
 //! Every structure is created inside a fresh pool file via its
 //! [`PoolAttach`] implementation — the same path `PooledHandle` takes — so
@@ -19,7 +18,7 @@
 //!   population near its prefill.
 //!
 //! Points flow through the `--json` sink as figure `pool_structs`, series
-//! `<engine>-<structure>`, x = thread count, metric `mops` (million
+//! `lockfree-<structure>`, x = thread count, metric `mops` (million
 //! operations per second), so `BENCH_*.json` artifacts capture the
 //! trajectory per run.
 
@@ -27,7 +26,7 @@ use crate::figures::Mode;
 use nvtraverse::policy::NvTraverse;
 use nvtraverse::{DurableSet, PoolAttach, TypedRoots};
 use nvtraverse_pmem::MmapBackend;
-use nvtraverse_pool::{AllocMode, Pool};
+use nvtraverse_pool::Pool;
 use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::HarrisList;
@@ -86,7 +85,7 @@ fn measure(
     })
 }
 
-/// Creates `S` in a fresh pool under `mode`, runs `workload`, then closes
+/// Creates `S` in a fresh pool, runs `workload`, then closes
 /// and **reopens** the pool — without dropping the structure (its nodes
 /// live in the file) — and returns `(mops, reopen-GC µs)`: the wall time
 /// the open-time mark-sweep recovery GC spent proving the surviving
@@ -94,17 +93,11 @@ fn measure(
 /// the GC always runs here).
 fn with_pooled<S: PoolAttach + nvtraverse::PoolTrace>(
     tag: &str,
-    mode: AllocMode,
     workload: impl FnOnce(&S) -> f64,
 ) -> (f64, f64) {
     let path = pool_path(tag);
     let _ = std::fs::remove_file(&path);
-    let pool = Pool::builder()
-        .path(&path)
-        .capacity(POOL_CAP)
-        .mode(mode)
-        .create()
-        .unwrap();
+    let pool = Pool::builder().path(&path).capacity(POOL_CAP).create().unwrap();
     // The typed root registers the tracer and guarantees the structure's
     // destructor never runs (its nodes live in the pool file); closing the
     // handle drains retired blocks back to the pool first.
@@ -114,7 +107,7 @@ fn with_pooled<S: PoolAttach + nvtraverse::PoolTrace>(
     drop(pool);
     // The reopen path a restart pays: heap walk + root-driven mark-sweep
     // over everything the workload left live.
-    let pool = Pool::builder().path(&path).mode(mode).open().unwrap();
+    let pool = Pool::builder().path(&path).open().unwrap();
     let report = pool.recovery_report();
     // The tracer is registered (create_root above), so only a rebased
     // remap — an address-space collision outside our control — can skip
@@ -137,11 +130,10 @@ fn with_pooled<S: PoolAttach + nvtraverse::PoolTrace>(
 /// mix as every paper figure).
 fn set_mops<S: PoolAttach + nvtraverse::PoolTrace + DurableSet<u64, u64>>(
     tag: &str,
-    mode: AllocMode,
     threads: usize,
     secs: f64,
 ) -> (f64, f64) {
-    with_pooled::<S>(tag, mode, |s| {
+    with_pooled::<S>(tag, |s| {
         let mut cfg = crate::workload::Cfg::paper_default(threads, KEY_RANGE);
         cfg.secs = secs;
         crate::workload::prefill(s, &cfg);
@@ -150,8 +142,8 @@ fn set_mops<S: PoolAttach + nvtraverse::PoolTrace + DurableSet<u64, u64>>(
 }
 
 /// Enqueue+dequeue pairs on a prefilled queue (2 ops per iteration).
-fn queue_mops(mode: AllocMode, threads: usize, secs: f64) -> (f64, f64) {
-    with_pooled::<MsQueue<u64, D>>("queue", mode, |q| {
+fn queue_mops(threads: usize, secs: f64) -> (f64, f64) {
+    with_pooled::<MsQueue<u64, D>>("queue", |q| {
         for v in 0..KEY_RANGE / 2 {
             q.enqueue(v);
         }
@@ -170,8 +162,8 @@ fn queue_mops(mode: AllocMode, threads: usize, secs: f64) -> (f64, f64) {
 }
 
 /// Push+pop pairs on a prefilled stack (2 ops per iteration).
-fn stack_mops(mode: AllocMode, threads: usize, secs: f64) -> (f64, f64) {
-    with_pooled::<TreiberStack<u64, D>>("stack", mode, |s| {
+fn stack_mops(threads: usize, secs: f64) -> (f64, f64) {
+    with_pooled::<TreiberStack<u64, D>>("stack", |s| {
         for v in 0..KEY_RANGE / 2 {
             s.push(v);
         }
@@ -189,61 +181,46 @@ fn stack_mops(mode: AllocMode, threads: usize, secs: f64) -> (f64, f64) {
     })
 }
 
-/// Runs the full sweep: structure × engine × threads, one table per
-/// structure.
+/// Runs the full sweep: structure × threads, one table per structure.
 pub fn run(mode: Mode) {
     let secs = match mode {
         Mode::Quick => 0.12,
         Mode::Full => 1.0,
     };
     let threads = [1usize, 2, 4];
-    type Bench = fn(AllocMode, usize, f64) -> (f64, f64);
-    let list: Bench = |m, t, s| set_mops::<HarrisList<u64, u64, D>>("list", m, t, s);
-    let hash: Bench = |m, t, s| set_mops::<HashMapDs<u64, u64, D>>("hash", m, t, s);
-    let skip: Bench = |m, t, s| set_mops::<SkipList<u64, u64, D>>("skiplist", m, t, s);
-    let ellen: Bench = |m, t, s| set_mops::<EllenBst<u64, u64, D>>("ellen-bst", m, t, s);
-    let nm: Bench = |m, t, s| set_mops::<NmBst<u64, u64, D>>("nm-bst", m, t, s);
-    let queue: Bench = queue_mops;
-    let stack: Bench = stack_mops;
+    type Bench = fn(usize, f64) -> (f64, f64);
+    let list: Bench = |t, s| set_mops::<HarrisList<u64, u64, D>>("list", t, s);
+    let hash: Bench = |t, s| set_mops::<HashMapDs<u64, u64, D>>("hash", t, s);
+    let skip: Bench = |t, s| set_mops::<SkipList<u64, u64, D>>("skiplist", t, s);
+    let ellen: Bench = |t, s| set_mops::<EllenBst<u64, u64, D>>("ellen-bst", t, s);
+    let nm: Bench = |t, s| set_mops::<NmBst<u64, u64, D>>("nm-bst", t, s);
     let benches: [(&str, Bench); 7] = [
         ("list", list),
         ("hash", hash),
         ("skiplist", skip),
         ("ellen-bst", ellen),
         ("nm-bst", nm),
-        ("queue", queue),
-        ("stack", stack),
+        ("queue", queue_mops),
+        ("stack", stack_mops),
     ];
     for (name, f) in benches {
         println!("\n== pool_structs: pool-backed {name} throughput ==");
         println!(
-            "{:>10}{:>14}{:>14}{:>10}{:>14}  [Mops/s; reopen-gc = mark+sweep µs at reopen]",
-            "threads", "mutexed", "lockfree", "speedup", "reopen-gc"
+            "{:>10}{:>14}{:>14}  [Mops/s; reopen-gc = mark+sweep µs at reopen]",
+            "threads", "lockfree", "reopen-gc"
         );
         for &t in &threads {
-            let (mutexed, gc_mutexed) = f(AllocMode::Mutexed, t, secs);
-            let (lockfree, gc_lockfree) = f(AllocMode::LockFree, t, secs);
+            let (mops, gc_us) = f(t, secs);
             let x = t.to_string();
-            crate::json::record("pool_structs", &format!("mutexed-{name}"), &x, "mops", mutexed);
-            crate::json::record("pool_structs", &format!("lockfree-{name}"), &x, "mops", lockfree);
-            crate::json::record(
-                "pool_structs",
-                &format!("mutexed-{name}-reopen-gc"),
-                &x,
-                "us",
-                gc_mutexed,
-            );
+            crate::json::record("pool_structs", &format!("lockfree-{name}"), &x, "mops", mops);
             crate::json::record(
                 "pool_structs",
                 &format!("lockfree-{name}-reopen-gc"),
                 &x,
                 "us",
-                gc_lockfree,
+                gc_us,
             );
-            println!(
-                "{t:>10}{mutexed:>14.3}{lockfree:>14.3}{:>9.1}x{gc_lockfree:>12.0}µs",
-                lockfree / mutexed.max(1e-9)
-            );
+            println!("{t:>10}{mops:>14.3}{gc_us:>12.0}µs");
         }
     }
 }

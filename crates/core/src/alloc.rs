@@ -14,9 +14,7 @@
 //!   brackets its allocating operations with [`PoolCtx::enter`]. Inside the
 //!   scope, [`alloc_node`] serves every node from *that structure's* pool
 //!   file; structures living in different pools allocate correctly from
-//!   different files **concurrently**, with no process-global state. (The
-//!   deprecated `Pool::install_as_default` still works as a process-wide
-//!   fallback for unscoped allocations.)
+//!   different files **concurrently**, with no process-global state.
 //! * [`free`] — together with the EBR collector's reclamation — returns each
 //!   pointer to the heap that issued it, found via
 //!   [`nvtraverse_pmem::heap::owner_of`]; no context needed, the address
@@ -87,10 +85,8 @@ impl std::fmt::Debug for PoolCtx {
 
 impl PoolCtx {
     /// The no-pool context: entering it clears any scoped target, so
-    /// allocations fall back to the deprecated process-wide installed pool
-    /// if one exists, else the Rust heap (`Box`) — exactly the
-    /// pre-multi-pool behaviour a legacy structure relies on. It does
-    /// **not** pin `Box` against an installed fallback.
+    /// allocations come from the Rust heap (`Box`) — even when the scope is
+    /// nested inside a pooled one.
     pub const fn volatile() -> Self {
         PoolCtx {
             target: None,
@@ -108,8 +104,8 @@ impl PoolCtx {
     }
 
     /// Snapshot of the allocation target in effect on this thread right
-    /// now (an enclosing [`PoolCtx::enter`] scope, else the deprecated
-    /// process-wide install, else volatile). Structure constructors call
+    /// now (an enclosing [`PoolCtx::enter`] scope, else volatile). Structure
+    /// constructors call
     /// this so a structure built inside a pool scope *remembers* its pool.
     pub fn current() -> Self {
         PoolCtx {
@@ -127,8 +123,7 @@ impl PoolCtx {
     /// guard drops (scopes nest: the previous target is saved and
     /// restored). Pool-backed structures bracket their allocating
     /// operations with this; a [`PoolCtx::volatile`] context clears the
-    /// scoped target for the scope's duration (allocations then fall back
-    /// to the deprecated installed pool, else `Box` — see `volatile`).
+    /// scoped target for the scope's duration (allocations are `Box`).
     pub fn enter(&self) -> AllocScope {
         AllocScope {
             prev: heap::swap_scoped_target(self.target),
@@ -171,9 +166,8 @@ impl Drop for AllocScope {
 }
 
 /// Allocates `value` as a node — from the thread's current allocation
-/// target (an entered [`PoolCtx`] scope, else the deprecated process-wide
-/// installed pool, else the volatile heap) — and, under a simulating
-/// backend, registers the node's memory with the thread's simulation
+/// target (an entered [`PoolCtx`] scope, else the volatile heap) — and,
+/// under a simulating backend, registers the node's memory with the thread's simulation
 /// context.
 ///
 /// The returned pointer is owned by the data structure; free it with
@@ -372,6 +366,51 @@ mod tests {
             baseline,
             "reclaimed node left dangling Sim registrations"
         );
+    }
+
+    #[test]
+    fn unscoped_and_volatile_scopes_allocate_outside_every_open_pool() {
+        let open = |tag: &str| {
+            let path = std::env::temp_dir()
+                .join(format!("nvt-alloc-scope-{}-{tag}.pool", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
+            (pool, path)
+        };
+        let ((a, path_a), (b, path_b)) = (open("a"), open("b"));
+        let in_a_pool = |p: *mut u64| a.contains(p as *const u8) || b.contains(p as *const u8);
+
+        // Two pools open, no scope entered: an open pool is not a target.
+        let p = alloc_node::<_, Noop>(1u64);
+        assert!(!in_a_pool(p));
+        unsafe { free(p) };
+
+        let pooled = PoolCtx::of(&a).enter();
+        let p = alloc_node::<_, Noop>(2u64);
+        assert!(a.contains(p as *const u8));
+        unsafe { free(p) };
+        {
+            // Volatile nested inside pooled means `Box`, not "whatever
+            // encloses me" …
+            let _volatile = PoolCtx::volatile().enter();
+            assert!(!PoolCtx::current().is_pooled());
+            let p = alloc_node::<_, Noop>(3u64);
+            assert!(!in_a_pool(p));
+            unsafe { free(p) };
+        }
+        // … and its drop restores the pooled target.
+        let p = alloc_node::<_, Noop>(4u64);
+        assert!(a.contains(p as *const u8));
+        unsafe { free(p) };
+        drop(pooled);
+        assert!(!PoolCtx::current().is_pooled());
+
+        a.verify_heap().unwrap();
+        assert!(a.live_offsets().is_empty() && b.live_offsets().is_empty());
+        drop((a, b));
+        for path in [path_a, path_b] {
+            std::fs::remove_file(path).unwrap();
+        }
     }
 
     #[test]

@@ -56,8 +56,8 @@
 //! returns a [`PooledHandle`]. Every structure carries its own allocation
 //! context ([`alloc::PoolCtx`]), so [`alloc::alloc_node`]/[`alloc::free`]
 //! route each structure's node memory to *its* pool with no process-global
-//! state (the paper's `libvmmalloc` single-heap takeover, §5.1, survives
-//! only as a deprecated fallback). See `examples/pool_restart.rs`,
+//! state (where the paper's `libvmmalloc`, §5.1, takes over one heap for
+//! the whole process). See `examples/pool_restart.rs`,
 //! `tests/crash_process.rs`, and `nvtraverse_structures::sharded` for the
 //! N-pools-at-once form.
 //!
@@ -99,8 +99,6 @@ pub use marked::MarkedPtr;
 pub use pool::{OpId, OpOutcome};
 pub use ops::{run_operation, Critical, PersistSet, TraversalOps};
 pub use policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Soft, Volatile};
-#[allow(deprecated)]
-pub use set::PooledSet;
 pub use set::{
     drain_collector, register_pool_tracer, restore_pool_tracer, DurableSet, PoolAttach,
     PoolTrace, PooledHandle, TypedRoots,

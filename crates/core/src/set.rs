@@ -20,9 +20,8 @@
 //! [`PooledHandle<S>`] with the structure attached, recovered, and its
 //! [`PoolTrace`] tracer auto-registered for the recovery GC. Because the
 //! handle just holds a clone of the (first-class, multi-instance) pool,
-//! any number of roots and any number of pools coexist in one process —
-//! the former stringly-typed attach/adopt/register dance survives only as
-//! deprecated shims. [`PoolTrace`] is the reachability half of the
+//! any number of roots and any number of pools coexist in one process.
+//! [`PoolTrace`] is the reachability half of the
 //! lifecycle: it lets the pool's mark-sweep recovery GC walk each root's
 //! persistent node graph so blocks stranded by a crash are swept back to
 //! the pool's free lists before the structure attaches.
@@ -184,17 +183,17 @@ pub trait DurableSet<K, V>: Send + Sync {
 /// # Lifecycle
 ///
 /// ```text
-/// first process            crash / exit           any later process
-/// ─────────────            ────────────           ─────────────────
-/// Pool::create ─┐
-///               ├─ create_in_pool(pool, "name")   Pool::open ─┐
-/// operations …  │      (root registered)                      ├─ attach_to_pool(pool, "name")
-///               └─ [SIGKILL / power loss / drop]              ├─ recover_attached()
-///                                                             └─ operations …
+/// first process                    crash / exit        any later process
+/// ─────────────                    ────────────        ─────────────────
+/// Pool::builder().create() ─┐                          Pool::builder().open() ─┐
+///   create_in_pool(pool, "name")                         attach_to_pool(pool, "name")
+///   (root registered)       │                            recover_attached()    │
+///   operations …            └─ [SIGKILL / power loss / drop]                   └─ operations …
 /// ```
 ///
-/// [`PooledHandle`] packages both columns into single calls
-/// ([`PooledHandle::create`] / [`PooledHandle::open`]). Implementations
+/// [`TypedRoots`] packages each column into a single call
+/// ([`TypedRoots::create_root`] / [`TypedRoots::root`]) that returns a
+/// [`PooledHandle`]. Implementations
 /// register their root node in the pool's root registry at creation and
 /// rebuild their in-memory handle from that root on
 /// [`PoolAttach::attach_to_pool`].
@@ -275,8 +274,8 @@ pub trait PoolAttach: Sized {
 ///
 /// `Pool::open` cannot know which concrete structure type each registered
 /// root belongs to: the root registry stores untyped offsets. This trait
-/// closes the gap — [`PooledHandle`] registers a type-erased shim of
-/// [`PoolTrace::trace`] under the root's name before every open (and
+/// closes the gap — every [`TypedRoots`] method registers a type-erased
+/// shim of [`PoolTrace::trace`] under the root's name (and
 /// [`register_pool_tracer`] does the same for roots attached by hand), so
 /// open-time recovery can prove which allocated blocks are reachable and
 /// sweep the rest back to the free lists.
@@ -371,13 +370,13 @@ pub unsafe trait PoolTrace: PoolAttach {
 /// wins; the registry is scoped per pool path, so unrelated pools reusing
 /// a root name are unaffected).
 ///
-/// [`PooledHandle`] calls this automatically; call it by hand before
+/// [`TypedRoots`] calls this automatically; call it by hand before
 /// `Pool::open` for roots you attach directly with
 /// [`PoolAttach::attach_to_pool`] — the open-time GC only runs when
 /// *every* root name in the pool has a tracer.
 ///
 /// Returns the tracer this registration displaced, if any — callers whose
-/// subsequent attach fails should restore it (as [`PooledHandle::open`]
+/// subsequent attach fails should restore it (as [`TypedRoots::root`]
 /// does) rather than leave their own assertion behind.
 ///
 /// # Safety
@@ -451,14 +450,13 @@ unsafe fn trace_shim<S: PoolTrace>(root: *mut u8, marker: &mut nvtraverse_pool::
 /// [`Pool::run_pending_gc`], at *this* open when the tracer arrives before
 /// the first attach), runs the structure's recovery where applicable, and
 /// returns a [`PooledHandle`] that shares the pool: call the methods as
-/// many times as there are roots, on as many pools as are open. This
-/// retires the stringly-typed `attach_to_pool` → `recover_attached` →
-/// `register_pool_tracer` → `adopt` dance (all still available, deprecated
-/// or as the low-level layer underneath).
+/// many times as there are roots, on as many pools as are open
+/// (`attach_to_pool` → `recover_attached` → `register_pool_tracer` remain
+/// the low-level layer underneath).
 ///
 /// # Type contract
 ///
-/// Like the deprecated `PooledHandle::open`, `root::<S>` trusts the caller
+/// `root::<S>` trusts the caller
 /// that the root named `name` **was created as `S`** (same key/value/policy
 /// parameters): the pool's root registry stores untyped offsets, so a wrong
 /// `S` misreads pool memory — the same contract
@@ -591,10 +589,9 @@ impl TypedRoots for Pool {
 ///
 /// Three passes because the epoch advance needs two ticks to age out the
 /// newest bags, plus one to collect them. [`PooledHandle`] calls this on
-/// close/drop; for a structure created directly via
-/// [`PoolAttach::create_in_pool`], prefer wrapping it with
-/// [`PooledHandle::adopt`] (which also drains) over managing the drain and
-/// `std::mem::forget` by hand.
+/// close/drop; a structure created directly via
+/// [`PoolAttach::create_in_pool`] must be drained (and `std::mem::forget`
+/// applied) by hand — prefer [`TypedRoots::create_root`].
 pub fn drain_collector(collector: &nvtraverse_ebr::Collector) {
     for _ in 0..3 {
         collector.synchronize();
@@ -661,91 +658,6 @@ pub struct PooledHandle<S: PoolAttach> {
     pool: Pool,
     /// Set by `close()` so Drop does not repeat the collector drain.
     drained_on_close: bool,
-}
-
-/// The set-flavoured name [`PooledHandle`] grew out of, kept as an alias.
-#[deprecated(note = "use `PooledHandle` (the alias was set-specific naming)")]
-pub type PooledSet<S> = PooledHandle<S>;
-
-impl<S: PoolTrace> PooledHandle<S> {
-    /// One-call create: `Pool::builder().create()` +
-    /// [`TypedRoots::create_root`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file exists or pool creation/registration fails.
-    #[deprecated(
-        note = "use `Pool::builder().path(…).capacity(…).create()` then \
-                `pool.create_root::<S>(name)`"
-    )]
-    pub fn create(path: impl AsRef<Path>, capacity: u64, name: &str) -> io::Result<Self> {
-        let pool = Pool::builder().path(path).capacity(capacity).create()?;
-        pool.create_root::<S>(name)
-    }
-
-    /// One-call reopen: `Pool::builder().open()` + [`TypedRoots::root`]
-    /// (which also runs the pending recovery GC for a single-root pool —
-    /// the behaviour this shim always had).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the pool cannot be opened, was rebased, or holds no root
-    /// named `name`.
-    #[deprecated(
-        note = "use `Pool::builder().path(…).open()` then `pool.root::<S>(name)`"
-    )]
-    pub fn open(path: impl AsRef<Path>, name: &str) -> io::Result<Self> {
-        let pool = Pool::builder().path(path).open()?;
-        pool.root::<S>(name)
-    }
-
-    /// One-call restart-loop entry point:
-    /// `Pool::builder().open_or_create()` followed by
-    /// [`TypedRoots::root_or_create`]. Heals both interrupted-create states
-    /// (pool file without magic; pool without the named root).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the pool cannot be opened/created or was rebased.
-    #[deprecated(
-        note = "use `Pool::builder().path(…).capacity(…).open_or_create()` then \
-                `pool.root_or_create::<S>(name)`"
-    )]
-    pub fn open_or_create(
-        path: impl AsRef<Path>,
-        capacity: u64,
-        name: &str,
-    ) -> io::Result<Self> {
-        let pool = Pool::builder().path(path).capacity(capacity).open_or_create()?;
-        pool.root_or_create::<S>(name)
-    }
-
-    /// Wraps an already-created or already-attached structure into a
-    /// handle. `name` is the root name the structure was created or
-    /// attached under; its tracer is registered, and the handle guarantees
-    /// the structure's destructor never runs (even on panic unwind).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pool` has no root named `name` — the structure being
-    /// adopted cannot have been created or attached under that name, so
-    /// registering its tracer there would poison the next open's GC.
-    #[deprecated(
-        note = "secondary roots are first-class now: use `pool.create_root::<S>(name)` / \
-                `pool.root::<S>(name)` instead of create/attach + adopt"
-    )]
-    pub fn adopt(pool: &Pool, inner: S, name: &str) -> Self {
-        assert!(
-            pool.root_offset(name).is_some(),
-            "adopt: pool has no root named {name:?} — wrong name for the adopted structure"
-        );
-        // SAFETY: the caller created/attached `inner` under `name` as this
-        // type (attach_to_pool's own contract) — the tracer assertion is
-        // the same statement, scoped to this pool's path.
-        unsafe { register_pool_tracer::<S>(pool.path(), name) };
-        pool.note_attach();
-        PooledHandle::from_attached(pool.clone(), inner)
-    }
 }
 
 impl<S: PoolAttach> PooledHandle<S> {

@@ -21,14 +21,9 @@
 //!   *each structure* allocates from *its own* pool with no process-global
 //!   state. This is what lets two pools serve allocations concurrently in
 //!   one process.
-//! * [`install_allocator`] nominates one foreign heap as the process-wide
-//!   *fallback* allocation target, mirroring `libvmmalloc`'s
-//!   process-granularity takeover. It is the legacy single-pool model —
-//!   scoped targets take precedence — and survives only for the deprecated
-//!   `Pool::install_as_default` shim.
 //!
-//! The fast path — no foreign heap anywhere — is one TLS read plus one
-//! relaxed atomic load.
+//! With no scope entered a thread allocates from the volatile heap; that
+//! fast path is one TLS read.
 //!
 //! # Lifetime contract
 //!
@@ -110,51 +105,33 @@ fn refresh_snapshot(regions: &[Region]) {
     SNAPSHOT.store(snap, Ordering::Release);
 }
 
-/// The installed process-wide fallback allocator, published as a single
-/// pointer so a reader can never observe one installation's `ctx` paired
-/// with another's `alloc` fn. Each install leaks one 16-byte record
-/// (installs are rare and an uninstall cannot know when concurrent readers
-/// are done with the old record; leaking is the lock-free alternative to an
-/// epoch scheme here).
-static INSTALLED: AtomicPtr<AllocTarget> = AtomicPtr::new(std::ptr::null_mut());
-
 thread_local! {
     /// This thread's scoped allocation target — the top of the (saved/
-    /// restored, hence effectively stacked) per-structure pool scope. Takes
-    /// precedence over [`INSTALLED`].
+    /// restored, hence effectively stacked) per-structure pool scope.
     static SCOPED: Cell<Option<AllocTarget>> = const { Cell::new(None) };
 }
 
 /// Replaces this thread's **scoped allocation target** with `target`,
 /// returning the previous one so the caller can restore it — the save/
 /// restore discipline makes scopes nest like a stack. `None` clears the
-/// scope (allocations fall back to the installed heap, then `Box`).
+/// scope (allocations come from the volatile heap).
 ///
 /// This is the multi-pool allocation mechanism: a pool-backed structure's
 /// operations bracket their allocating sections with their own pool's
 /// target (via `nvtraverse::alloc::PoolCtx::enter`), so concurrent
 /// structures in different pools allocate from the right files with no
 /// global state. During thread TLS teardown the call is a lossy no-op
-/// (returns `None`); allocation then falls back, which only teardown-time
+/// (returns `None`); allocation is then volatile, which only teardown-time
 /// drops can observe.
 pub fn swap_scoped_target(target: Option<AllocTarget>) -> Option<AllocTarget> {
     SCOPED.try_with(|s| s.replace(target)).unwrap_or(None)
 }
 
 /// The allocation target [`allocate`] would use right now: this thread's
-/// scoped target if set, else the installed process-wide fallback. `None`
-/// means allocations come from the volatile heap.
+/// scoped target, or `None` — allocations come from the volatile heap.
 #[inline]
 pub fn current_target() -> Option<AllocTarget> {
-    if let Ok(Some(t)) = SCOPED.try_with(|s| s.get()) {
-        return Some(t);
-    }
-    let cur = INSTALLED.load(Ordering::Acquire);
-    if cur.is_null() {
-        return None;
-    }
-    // SAFETY: records are never freed, and the pair was published together.
-    Some(unsafe { *cur })
+    SCOPED.try_with(|s| s.get()).unwrap_or(None)
 }
 
 /// Announces `[start, start + len)` as owned by a foreign heap.
@@ -212,50 +189,12 @@ pub fn owner_of(ptr: *const u8) -> Option<(usize, DeallocFn)> {
     }
 }
 
-/// Installs a foreign heap as the process-wide **fallback** allocation
-/// target (scoped targets take precedence).
+/// Allocates from this thread's scoped target.
 ///
-/// Subsequent [`allocate`] calls with no scoped target are served by it
-/// until [`uninstall_allocator`]. Installing over an existing installation
-/// replaces it (last writer wins, like re-`LD_PRELOAD`ing `libvmmalloc`).
-/// This is the legacy single-pool model behind the deprecated
-/// `Pool::install_as_default`; new code carries per-pool scoped targets
-/// instead.
-pub fn install_allocator(ctx: usize, alloc: AllocFn) {
-    let rec = Box::into_raw(Box::new(AllocTarget { ctx, alloc }));
-    // The previous record is intentionally leaked (see `INSTALLED`).
-    INSTALLED.store(rec, Ordering::Release);
-}
-
-/// Removes the installed allocator if its context is `ctx`.
-pub fn uninstall_allocator(ctx: usize) {
-    let cur = INSTALLED.load(Ordering::Acquire);
-    // SAFETY: records are never freed, so a non-null `cur` is always valid.
-    if !cur.is_null() && unsafe { (*cur).ctx } == ctx {
-        // CAS so we only clear the installation we matched.
-        let _ = INSTALLED.compare_exchange(
-            cur,
-            std::ptr::null_mut(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-    }
-}
-
-/// Whether a process-wide fallback allocator is installed (scoped targets
-/// do not count: they are per-thread, per-structure state).
-#[inline]
-pub fn allocator_installed() -> bool {
-    !INSTALLED.load(Ordering::Acquire).is_null()
-}
-
-/// Allocates from the current foreign target — this thread's scoped target
-/// if set, else the installed fallback heap.
-///
-/// Returns `None` when no target is active **or** the target heap is
+/// Returns `None` when no scope is entered **or** the target heap is
 /// exhausted — callers decide whether to fall back to the volatile heap or
 /// to fail (use [`current_target`] to distinguish). The no-target fast path
-/// is one TLS read plus one relaxed load.
+/// is one TLS read.
 #[inline]
 pub fn allocate(size: usize, align: usize) -> Option<*mut u8> {
     let t = current_target()?;
@@ -273,11 +212,6 @@ mod tests {
     use super::*;
 
     unsafe fn fake_dealloc(_ctx: usize, _ptr: *mut u8, _size: usize, _align: usize) {}
-
-    /// Serializes the tests that observe or mutate the process-wide
-    /// `INSTALLED` fallback (the region and scoped-target tests are
-    /// naturally isolated: distinct addresses, per-thread state).
-    static INSTALL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn lookup_respects_bounds_and_unregister() {
@@ -317,41 +251,28 @@ mod tests {
     }
 
     #[test]
-    fn allocator_install_roundtrip() {
+    fn scoped_targets_save_restore_and_nest() {
         unsafe fn grab(ctx: usize, _size: usize, _align: usize) -> *mut u8 {
             ctx as *mut u8
         }
-        let _g = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Not installed for other tests: use a sentinel ctx and uninstall.
-        let sentinel = &raw const INSTALLED as usize;
-        install_allocator(sentinel, grab);
-        assert!(allocator_installed());
-        assert_eq!(allocate(8, 8), Some(sentinel as *mut u8));
-        uninstall_allocator(sentinel);
-        assert!(!allocator_installed());
+        let target = |ctx| Some(AllocTarget { ctx, alloc: grab });
+        assert_eq!(allocate(8, 8), None, "no scope entered: volatile");
+        let outer_prev = swap_scoped_target(target(0x1000));
+        assert!(outer_prev.is_none());
+        assert_eq!(allocate(8, 8), Some(0x1000 as *mut u8));
+        // Nested scope wins while entered …
+        let inner_prev = swap_scoped_target(target(0x2000));
+        assert_eq!(inner_prev.map(|t| t.ctx), Some(0x1000));
+        assert_eq!(allocate(8, 8), Some(0x2000 as *mut u8));
+        // … a nested `None` scope is volatile, not the enclosing target …
+        let cleared_prev = swap_scoped_target(None);
         assert_eq!(allocate(8, 8), None);
-    }
-
-    #[test]
-    fn scoped_target_overrides_the_installed_fallback_and_restores() {
-        unsafe fn grab(ctx: usize, _size: usize, _align: usize) -> *mut u8 {
-            ctx as *mut u8
-        }
-        let _g = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let installed = 0x1000usize;
-        let scoped = 0x2000usize;
-        install_allocator(installed, grab);
-        let prev = swap_scoped_target(Some(AllocTarget {
-            ctx: scoped,
-            alloc: grab,
-        }));
-        assert!(prev.is_none());
-        assert_eq!(allocate(8, 8), Some(scoped as *mut u8), "scope must win");
-        // Restore: back to the installed fallback.
-        let inner = swap_scoped_target(prev);
-        assert_eq!(inner.map(|t| t.ctx), Some(scoped));
-        assert_eq!(allocate(8, 8), Some(installed as *mut u8));
-        uninstall_allocator(installed);
+        assert!(current_target().is_none());
+        swap_scoped_target(cleared_prev);
+        // … and each restore puts back exactly what it displaced.
+        assert_eq!(swap_scoped_target(inner_prev).map(|t| t.ctx), Some(0x2000));
+        assert_eq!(allocate(8, 8), Some(0x1000 as *mut u8));
+        swap_scoped_target(outer_prev);
         assert_eq!(allocate(8, 8), None);
     }
 
@@ -360,7 +281,6 @@ mod tests {
         unsafe fn grab(ctx: usize, _size: usize, _align: usize) -> *mut u8 {
             ctx as *mut u8
         }
-        let _g = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = swap_scoped_target(Some(AllocTarget {
             ctx: 0x3000,
             alloc: grab,

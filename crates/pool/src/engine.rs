@@ -1,12 +1,9 @@
-//! Allocation engines: the scalable lock-free design and the original
-//! global-mutex baseline.
+//! The pool's allocation engine: per-thread magazines over sharded
+//! lock-free free lists, with a CAS-bump slab frontier.
 //!
-//! Both engines speak the **same persistent block format** (16-byte headers,
-//! size-classed blocks, a persisted frontier word in the pool header), so the
-//! engine choice is volatile and per-open: a file written by one engine opens
-//! under the other, and recovery is the same heap walk either way.
-//!
-//! # The lock-free engine
+//! The persistent format is 16-byte block headers, size-classed blocks and a
+//! persisted frontier word in the pool header; everything in this module is
+//! volatile state rebuilt from those by the recovery heap walk at every open.
 //!
 //! Three tiers, ordered hot to cold:
 //!
@@ -14,8 +11,8 @@
 //!    per size class per thread ([`MAG_CAP`] deep). The common alloc/free is
 //!    a thread-local push/pop plus one header flush: no shared-memory CAS,
 //!    no lock, no fence (see *Deferred fences* below).
-//! 2. **Sharded Treiber stacks** — [`NUM_SHARDS`] lock-free stacks per size
-//!    class, threaded through the (volatile-content) link word of free block
+//! 2. **Sharded Treiber stacks** — up to [`MAX_SHARDS`] lock-free stacks per
+//!    size class, threaded through the (volatile-content) link word of free block
 //!    headers. The head word packs a 40-bit offset with a 24-bit ABA tag;
 //!    pops bump the tag, so a popped-and-reused block can never satisfy a
 //!    stale CAS. Magazines refill from and drain to these stacks in batches
@@ -29,17 +26,16 @@
 //!    reserves a whole slab of blocks with one CAS on the volatile frontier,
 //!    formats every header in the slab, and only then publishes the persisted
 //!    frontier. Publication is *in reservation order* (a short spin on
-//!    [`LockFreeEngine::published`]), which maintains the recovery invariant:
+//!    [`Engine::published`]), which maintains the recovery invariant:
 //!    every byte below the persisted frontier is covered by a fully-persisted
 //!    block header. A crash between reservation and publication leaves the
 //!    slab invisible — the space is simply re-carved after reopen.
 //!
 //! # Deferred persistence ("the destination is more important than the journey")
 //!
-//! The mutexed baseline issues a full flush + fence on every allocator
-//! metadata update. The lock-free engine applies the paper's own philosophy
-//! to the allocator and persists headers at the *destination*, not along the
-//! journey:
+//! A flush + fence on every allocator metadata update would dominate the hot
+//! pair. The engine applies the paper's own philosophy to the allocator and
+//! persists headers at the *destination*, not along the journey:
 //!
 //! * **Alloc** — the allocated header is stored, and flushed only when it
 //!   occupies a cache line of its own ([`flush_header_if_isolated`]); in the
@@ -61,13 +57,12 @@
 //!   frontier have persisted headers) is the allocator's to maintain and no
 //!   caller fence can restore it.
 //!
-//! Crash safety is otherwise unchanged from the mutexed engine: magazines
-//! and shard heads are volatile and rebuilt by the recovery walk on open;
-//! the allocated bit is the only persistent free/live fact.
+//! Magazines and shard heads are volatile and rebuilt by the recovery walk
+//! on open; the allocated bit is the only persistent free/live fact.
 
 use crate::{
-    make_allocated, Mem, BLOCK_ALIGN, BLOCK_HEADER, CLASS_SIZES, HEAP_START, NUM_CLASSES,
-    OFF_FRONTIER, OVERSIZE, W0_ALLOCATED, W0_CLASS_SHIFT, W0_SIZE_MASK,
+    make_allocated, Mem, BLOCK_ALIGN, BLOCK_HEADER, CLASS_SIZES, HEAP_START, OFF_FRONTIER,
+    OVERSIZE, W0_ALLOCATED, W0_CLASS_SHIFT, W0_SIZE_MASK,
 };
 use nvtraverse_obs as obs;
 use nvtraverse_pmem::{Backend, MmapBackend};
@@ -96,22 +91,6 @@ const MAX_SLAB_BLOCKS: usize = 64;
 /// tag. Bounds pool capacity (checked at `Pool::create`).
 const OFF_BITS: u32 = 40;
 const OFF_MASK: u64 = (1 << OFF_BITS) - 1;
-
-/// Which allocator engine serves a pool handle.
-///
-/// The choice is volatile and per-open — both engines read and write the
-/// same persistent block format, so a file created under one mode opens
-/// under the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocMode {
-    /// Per-thread magazines over sharded lock-free free lists with a
-    /// CAS-bump slab frontier (default).
-    #[default]
-    LockFree,
-    /// The original single-`Mutex` segregated-fit allocator, kept as the
-    /// measured baseline for the `alloc_scaling` benchmark.
-    Mutexed,
-}
 
 fn pack(off: u64, tag: u64) -> u64 {
     debug_assert!(off <= OFF_MASK);
@@ -158,8 +137,8 @@ fn flush_header_if_isolated(mem: Mem, off: u64) {
 
 /// First-fit search of the intrusive oversize list rooted at `head`:
 /// unlinks and returns the first free block of at least `want` bytes, with
-/// its header written as allocated (stores only — the caller applies its
-/// engine's flush policy). Shared by both engines.
+/// its header written as allocated (stores only — the caller decides when
+/// the header is flushed).
 fn oversize_first_fit(mem: Mem, head: &mut u64, want: u64, payload: u64) -> Option<u64> {
     let mut prev = 0u64;
     let mut cur = *head;
@@ -188,207 +167,14 @@ fn plausible_off(mem: Mem, off: u64) -> bool {
     off >= HEAP_START && off.is_multiple_of(BLOCK_ALIGN) && off + BLOCK_HEADER <= mem.len() as u64
 }
 
-// ---- engine dispatch -------------------------------------------------------
-
-pub(crate) enum Engine {
-    Mutexed(MutexEngine),
-    LockFree(LockFreeEngine),
-}
-
-impl Engine {
-    /// `metrics` is the owning pool's attributed metric set; the lock-free
-    /// engine records allocator counters (magazine hit/miss, shard traffic,
-    /// CAS retries, slab carves, thread-exit drains) into it. The mutexed
-    /// baseline stays unmetered: it exists to be *measured against*, and its
-    /// single lock already serializes everything a counter could reveal.
-    pub(crate) fn new(mode: AllocMode, metrics: &'static obs::MetricSet) -> Engine {
-        match mode {
-            AllocMode::Mutexed => Engine::Mutexed(MutexEngine::new()),
-            AllocMode::LockFree => Engine::LockFree(LockFreeEngine::new(metrics)),
-        }
-    }
-
-    pub(crate) fn mode(&self) -> AllocMode {
-        match self {
-            Engine::Mutexed(_) => AllocMode::Mutexed,
-            Engine::LockFree(_) => AllocMode::LockFree,
-        }
-    }
-
-    /// Free-list shards per size class (1 for the single-lock baseline).
-    pub(crate) fn shard_count(&self) -> usize {
-        match self {
-            Engine::Mutexed(_) => 1,
-            Engine::LockFree(e) => e.num_shards,
-        }
-    }
-
-    /// Allocates one block of `class` (`OVERSIZE` ⇒ exact `want` bytes),
-    /// returning its block offset with an allocated, flushed header.
-    pub(crate) fn alloc(&self, mem: Mem, class: usize, want: u64, payload: u64) -> Option<u64> {
-        match self {
-            Engine::Mutexed(e) => e.alloc(mem, class, want, payload),
-            Engine::LockFree(e) => {
-                if class < OVERSIZE {
-                    let off = e.alloc_small(mem, class)?;
-                    make_allocated(mem, off, CLASS_SIZES[class], class, payload);
-                    flush_header_if_isolated(mem, off);
-                    Some(off)
-                } else {
-                    e.alloc_oversize(mem, want, payload)
-                }
-            }
-        }
-    }
-
-    /// Returns the block at `off` (already validated as allocated, of
-    /// `class`) to the free structures, clearing and flushing its header.
-    pub(crate) fn dealloc(&self, mem: Mem, off: u64, class: usize) {
-        match self {
-            Engine::Mutexed(e) => e.dealloc(mem, off, class),
-            Engine::LockFree(e) => e.dealloc(mem, off, class),
-        }
-    }
-
-    /// The volatile frontier every formatted block lies below. For the
-    /// lock-free engine this is the *published* frontier, so a concurrent
-    /// heap walk never runs into a half-formatted slab.
-    pub(crate) fn frontier(&self) -> u64 {
-        match self {
-            Engine::Mutexed(e) => e.state.lock().unwrap_or_else(|p| p.into_inner()).frontier,
-            Engine::LockFree(e) => e.published.load(Ordering::Acquire),
-        }
-    }
-
-    /// Installs the result of a recovery walk: the persisted frontier and
-    /// every free block found below it.
-    pub(crate) fn rebuild(&mut self, mem: Mem, frontier: u64, frees: &[(u64, usize)]) {
-        match self {
-            Engine::Mutexed(e) => e.rebuild(mem, frontier, frees),
-            Engine::LockFree(e) => e.rebuild(mem, frontier, frees),
-        }
-    }
-
-    /// Announces a (stably addressed) lock-free engine so exiting threads can
-    /// drain their magazines back to its shards.
-    pub(crate) fn register(&self, mem: Mem) {
-        if let Engine::LockFree(e) = self {
-            alive().push(AliveEntry {
-                instance: e.instance,
-                engine: e as *const LockFreeEngine,
-                mem,
-            });
-        }
-    }
-
-    /// Withdraws the [`Engine::register`] announcement. Must run before the
-    /// engine (or its mapping) is torn down.
-    pub(crate) fn unregister(&self) {
-        if let Engine::LockFree(e) = self {
-            alive().retain(|a| a.instance != e.instance);
-        }
-    }
-}
-
-// ---- the original mutexed engine ------------------------------------------
-
-struct MutexState {
-    /// Volatile mirror of the persisted frontier.
-    frontier: u64,
-    /// Volatile heads of the segregated free lists (block offsets; 0 = ∅).
-    heads: [u64; NUM_CLASSES],
-}
-
-/// The PR-1 allocator: one global mutex over the frontier and all free
-/// lists, full flush + fence on every metadata persist. Correct and simple;
-/// serializes every `alloc`/`dealloc` in the process.
-pub(crate) struct MutexEngine {
-    state: Mutex<MutexState>,
-}
-
-impl MutexEngine {
-    fn new() -> Self {
-        MutexEngine {
-            state: Mutex::new(MutexState {
-                frontier: HEAP_START,
-                heads: [0; NUM_CLASSES],
-            }),
-        }
-    }
-
-    fn alloc(&self, mem: Mem, class: usize, want: u64, payload: u64) -> Option<u64> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-
-        // 1. Try the segregated free list.
-        if class < OVERSIZE {
-            let head = state.heads[class];
-            if head != 0 {
-                let next = mem.load(head + 8);
-                state.heads[class] = next;
-                make_allocated(mem, head, CLASS_SIZES[class], class, payload);
-                mem.persist_u64(head);
-                return Some(head);
-            }
-        } else {
-            // Oversize: first fit in the (usually tiny) oversize list.
-            if let Some(cur) = oversize_first_fit(mem, &mut state.heads[OVERSIZE], want, payload) {
-                mem.persist_u64(cur);
-                return Some(cur);
-            }
-        }
-
-        // 2. Bump the frontier.
-        let block_size = if class < OVERSIZE {
-            CLASS_SIZES[class]
-        } else {
-            want
-        };
-        let off = state.frontier;
-        let new_frontier = off.checked_add(block_size)?;
-        if new_frontier > mem.len() as u64 {
-            return None; // pool exhausted
-        }
-        // Persist the block header *before* the frontier: a crash in between
-        // leaves the block invisible (frontier unchanged), never torn.
-        make_allocated(mem, off, block_size, class, payload);
-        mem.persist_u64(off);
-        state.frontier = new_frontier;
-        mem.store(OFF_FRONTIER, new_frontier);
-        mem.persist_u64(OFF_FRONTIER);
-        Some(off)
-    }
-
-    fn dealloc(&self, mem: Mem, off: u64, class: usize) {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let w0 = mem.load(off);
-        // Link first (volatile list structure), then persist the free bit.
-        // Free-list membership is the persistent fact; reopen rebuilds the
-        // links from a walk, so a stale link after a crash is harmless.
-        mem.store(off + 8, state.heads[class]);
-        mem.store(off, w0 & !W0_ALLOCATED);
-        mem.persist_u64(off);
-        state.heads[class] = off;
-    }
-
-    fn rebuild(&mut self, mem: Mem, frontier: u64, frees: &[(u64, usize)]) {
-        let state = self.state.get_mut().unwrap_or_else(|p| p.into_inner());
-        state.frontier = frontier;
-        state.heads = [0; NUM_CLASSES];
-        for &(off, class) in frees {
-            mem.store(off + 8, state.heads[class]);
-            state.heads[class] = off;
-        }
-    }
-}
-
-// ---- the lock-free engine --------------------------------------------------
+// ---- the engine -------------------------------------------------------------
 
 /// Monotonic id distinguishing engine instances in thread-local magazines
 /// (a reopened pool must never consume magazine entries of a previous
 /// instance, even at the same mapping address).
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
-pub(crate) struct LockFreeEngine {
+pub(crate) struct Engine {
     instance: u64,
     /// Shards per size class for this instance (power of two in
     /// `1..=MAX_SHARDS`, derived from the machine's parallelism at
@@ -405,17 +191,20 @@ pub(crate) struct LockFreeEngine {
     /// `shards[class * num_shards + shard]` = offset | tag << 40.
     shards: Box<[AtomicU64]>,
     /// Oversize blocks (exact-size, > 64 KiB): intrusive first-fit list.
-    /// Mutexed — oversize traffic is rare and first-fit needs mid-list
+    /// Behind a mutex — oversize traffic is rare and first-fit needs mid-list
     /// unlinking that a Treiber stack cannot express.
     oversize: Mutex<u64>,
     /// The owning pool's metric set (allocator-domain counters land here).
     obs: &'static obs::MetricSet,
 }
 
-impl LockFreeEngine {
-    fn new(metrics: &'static obs::MetricSet) -> Self {
+impl Engine {
+    /// `metrics` is the owning pool's attributed metric set; the engine
+    /// records its allocator counters (magazine hit/miss, shard traffic,
+    /// CAS retries, slab carves, thread-exit drains) into it.
+    pub(crate) fn new(metrics: &'static obs::MetricSet) -> Self {
         let num_shards = default_shard_count();
-        LockFreeEngine {
+        Engine {
             instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
             num_shards,
             frontier: AtomicU64::new(HEAP_START),
@@ -432,6 +221,46 @@ impl LockFreeEngine {
     #[inline]
     fn shard(&self, class: usize, idx: usize) -> &AtomicU64 {
         &self.shards[class * self.num_shards + idx]
+    }
+
+    /// Free-list shards per size class.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.num_shards
+    }
+
+    /// Allocates one block of `class` (`OVERSIZE` ⇒ exact `want` bytes),
+    /// returning its block offset with an allocated header.
+    pub(crate) fn alloc(&self, mem: Mem, class: usize, want: u64, payload: u64) -> Option<u64> {
+        if class < OVERSIZE {
+            let off = self.alloc_small(mem, class)?;
+            make_allocated(mem, off, CLASS_SIZES[class], class, payload);
+            flush_header_if_isolated(mem, off);
+            Some(off)
+        } else {
+            self.alloc_oversize(mem, want, payload)
+        }
+    }
+
+    /// The *published* frontier every formatted block lies below, so a
+    /// concurrent heap walk never runs into a half-formatted slab.
+    pub(crate) fn frontier(&self) -> u64 {
+        self.published.load(Ordering::Acquire)
+    }
+
+    /// Announces this (stably addressed) engine so exiting threads can
+    /// drain their magazines back to its shards.
+    pub(crate) fn register(&self, mem: Mem) {
+        alive().push(AliveEntry {
+            instance: self.instance,
+            engine: self as *const Engine,
+            mem,
+        });
+    }
+
+    /// Withdraws the [`Engine::register`] announcement. Must run before the
+    /// engine (or its mapping) is torn down.
+    pub(crate) fn unregister(&self) {
+        alive().retain(|a| a.instance != self.instance);
     }
 
     // -- small classes: magazine → shards → slab carve --
@@ -503,7 +332,7 @@ impl LockFreeEngine {
             // Brief spin for the multicore case, then yield: on few-core
             // machines the predecessor needs the CPU to finish its format,
             // and spinning a whole quantum against it would serialize worse
-            // than the mutex this engine replaces.
+            // than a single global lock would.
             spins += 1;
             if spins < 128 {
                 std::hint::spin_loop();
@@ -539,7 +368,9 @@ impl LockFreeEngine {
         self.publish(mem, start, start + n as u64 * bs);
     }
 
-    fn dealloc(&self, mem: Mem, off: u64, class: usize) {
+    /// Returns the block at `off` (already validated as allocated, of
+    /// `class`) to the free structures, clearing its allocated bit.
+    pub(crate) fn dealloc(&self, mem: Mem, off: u64, class: usize) {
         let w0 = mem.load(off);
         mem.store(off, w0 & !W0_ALLOCATED);
         // The free bit is *stored* here but only *flushed* when the block
@@ -637,7 +468,9 @@ impl LockFreeEngine {
         }
     }
 
-    fn rebuild(&mut self, mem: Mem, frontier: u64, frees: &[(u64, usize)]) {
+    /// Installs the result of a recovery walk: the persisted frontier and
+    /// every free block found below it.
+    pub(crate) fn rebuild(&mut self, mem: Mem, frontier: u64, frees: &[(u64, usize)]) {
         *self.frontier.get_mut() = frontier;
         *self.published.get_mut() = frontier;
         for head in self.shards.iter_mut() {
@@ -749,13 +582,13 @@ fn push_chain(head: &AtomicU64, mem: Mem, first: u64, last: u64, stats: &obs::Me
 
 type MagSet = [Vec<u64>; CLASS_SIZES.len()];
 
-/// Live lock-free engines, so exiting threads can return their magazine
+/// Live engines, so exiting threads can return their magazine
 /// contents to the right shards. The raw pointer is valid while the entry is
 /// present: `Engine::unregister` removes it (under the same lock) before the
 /// engine is dropped.
 struct AliveEntry {
     instance: u64,
-    engine: *const LockFreeEngine,
+    engine: *const Engine,
     mem: Mem,
 }
 // SAFETY: the pointer is only dereferenced under the ALIVE lock, while the

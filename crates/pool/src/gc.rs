@@ -9,8 +9,8 @@
 //! grows under crash-churn workloads.
 //!
 //! This module supplies the missing half of the recovery contract: during
-//! [`Pool::open`](crate::Pool::open), after the heap walk has validated
-//! every block header and **before** any structure attaches, a mark phase
+//! [`PoolBuilder::open`](crate::PoolBuilder::open), after the heap walk has
+//! validated every block header and **before** any structure attaches, a mark phase
 //! walks each registered root's persistent node graph (via a type-erased
 //! [`TraceFn`] the embedding process registered per pool path + root name) into a
 //! volatile [`Marker`] bitmap sized from the walk's frontier, and the sweep
@@ -28,7 +28,7 @@
 //! data. See `ARCHITECTURE.md` § "Recovery GC" for the per-structure
 //! reachability contract.
 
-use crate::{check_block_header, Mem, BLOCK_ALIGN, BLOCK_HEADER, HEAP_START};
+use crate::{check_block_header, Mem, BLOCK_ALIGN, BLOCK_HEADER, HEAP_START, W0_SIZE_MASK};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -75,8 +75,8 @@ pub(crate) fn normalize_path(path: &Path) -> PathBuf {
 /// a caller whose subsequent attach fails can *restore* the previous
 /// registration instead of deleting an assertion somebody else made.
 ///
-/// [`Pool::open`](crate::Pool::open) runs the mark-sweep collection only
-/// when every root name present in the opened pool has a tracer registered
+/// [`PoolBuilder::open`](crate::PoolBuilder::open) runs the mark-sweep
+/// collection only when every root name present in the opened pool has a tracer registered
 /// for that pool's path; higher layers (`nvtraverse::PooledHandle`,
 /// `PoolTrace`) call this with the right function for the structure type
 /// they are about to attach.
@@ -173,6 +173,28 @@ impl<'a> Marker<'a> {
         }
     }
 
+    /// [`Marker::valid_payload`] for a pointer: out-of-pool pointers are
+    /// `None`, and only a header that passes the full walk invariants — and
+    /// is allocated — names a block; anything else is a stray pointer
+    /// landing mid-block.
+    fn block_of(&self, ptr: *const u8) -> Option<u64> {
+        let addr = ptr as usize;
+        let base = self.mem.base();
+        if addr < base || addr >= base + self.mem.len() {
+            return None;
+        }
+        self.valid_payload((addr - base) as u64)
+    }
+
+    /// Payload capacity in bytes of the allocated block whose payload
+    /// starts at `ptr` (same validation as [`Marker::mark`]) — the bound a
+    /// tracer needs before reading a variable-length root block such as
+    /// the hash table's bucket table.
+    pub fn capacity_of(&self, ptr: *const u8) -> Option<u64> {
+        let block = self.block_of(ptr)?;
+        Some((self.mem.load(block) & W0_SIZE_MASK) - BLOCK_HEADER)
+    }
+
     /// Marks the block whose **payload** starts at `ptr` as reachable.
     ///
     /// Returns `true` when the block was newly marked — tracers use this to
@@ -182,15 +204,7 @@ impl<'a> Marker<'a> {
     /// and malformed pointers are ignored rather than trusted, so a tracer
     /// following a stale auxiliary word cannot corrupt the mark state.
     pub fn mark(&mut self, ptr: *const u8) -> bool {
-        let addr = ptr as usize;
-        let base = self.mem.base();
-        if addr < base || addr >= base + self.mem.len() {
-            return false;
-        }
-        // Only a header that passes the full walk invariants — and is
-        // allocated — names a markable block; anything else is a stray
-        // pointer landing mid-block.
-        let Some(block) = self.valid_payload((addr - base) as u64) else {
+        let Some(block) = self.block_of(ptr) else {
             return false;
         };
         let idx = ((block - HEAP_START) / BLOCK_ALIGN) as usize;

@@ -12,12 +12,10 @@
 //!   only offset-based access may use.
 //! * A **scalable recoverable allocator** — size-classed blocks with a
 //!   persistent 16-byte header each (size, class, allocated bit) and a
-//!   persisted heap frontier. The default [`AllocMode::LockFree`] engine
-//!   serves the hot path from per-thread magazines backed by sharded
-//!   lock-free free lists and a CAS-carved slab frontier (see the private
-//!   `engine` module's docs for the full design); [`AllocMode::Mutexed`] keeps the
-//!   original global-mutex allocator as a measurable baseline. Either way
-//!   the persist ordering guarantees that **no crash point corrupts the
+//!   persisted heap frontier. The hot path is served from per-thread
+//!   magazines backed by sharded lock-free free lists and a CAS-carved slab
+//!   frontier (see the private `engine` module's docs for the full design).
+//!   The persist ordering guarantees that **no crash point corrupts the
 //!   heap**: a crash never double-allocates or tears metadata, and blocks
 //!   it strands (in-flight allocations, EBR-retired-but-unreclaimed nodes)
 //!   stay allocated only until the next open — reopening rebuilds all
@@ -36,10 +34,9 @@
 //! protocol, and the correct one on a DAX NVRAM mapping) with an `msync`
 //! fallback for targets or deployments that need it.
 //!
-//! # Durability contract of the lock-free engine
+//! # Durability contract of the allocator
 //!
-//! Under [`AllocMode::LockFree`], [`Pool::alloc`] and [`Pool::dealloc`] do
-//! not fence, and the allocated header usually shares its cache line with
+//! [`Pool::alloc`] and [`Pool::dealloc`] do not fence, and the allocated header usually shares its cache line with
 //! the payload's first bytes, whose flush is the caller's job anyway. The
 //! contract: **flush the first line of the block's contents and fence
 //! before durably publishing the block** — which every durability policy in
@@ -61,10 +58,6 @@
 //! entry point as [`Pool::alloc_target`] so higher layers can direct node
 //! allocation per structure (the `nvtraverse::alloc::PoolCtx` scope).
 //! Nothing is process-global.
-//!
-//! The original `libvmmalloc`-style whole-process takeover
-//! ([`Pool::install_as_default`]) survives as a deprecated fallback: scoped
-//! targets take precedence over it.
 //!
 //! # Example
 //!
@@ -93,7 +86,6 @@ mod mmap;
 pub mod optable;
 mod poff;
 
-pub use engine::AllocMode;
 pub use gc::{register_tracer, unregister_tracer, Marker, TraceFn};
 pub use optable::{OpId, OpOutcome, RawOp, OPS_ROOT};
 pub use poff::POff;
@@ -117,10 +109,10 @@ pub const VERSION: u64 = 1;
 pub const MAX_ROOTS: usize = 16;
 /// Maximum root name length in bytes.
 pub const MAX_ROOT_NAME: usize = 24;
-/// Smallest capacity [`Pool::create`] accepts.
+/// Smallest capacity [`PoolBuilder::create`] accepts.
 pub const MIN_CAPACITY: u64 = 64 * 1024;
-/// Largest capacity [`Pool::create`] accepts (block offsets must fit the
-/// 40-bit offset field of the lock-free engine's tagged free-list heads).
+/// Largest capacity [`PoolBuilder::create`] accepts (block offsets must fit the
+/// 40-bit offset field of the engine's tagged free-list heads).
 pub const MAX_CAPACITY: u64 = 1 << 40;
 
 /// First heap byte: everything below is the pool header page.
@@ -153,7 +145,7 @@ pub(crate) const W0_CLASS_SHIFT: u32 = 48;
 pub(crate) const W0_CLASS_MASK: u64 = 0xFF;
 pub(crate) const W0_ALLOCATED: u64 = 1 << 63;
 
-/// What [`Pool::open`]'s recovery (heap walk + mark-sweep GC) found.
+/// What [`PoolBuilder::open`]'s recovery (heap walk + mark-sweep GC) found.
 ///
 /// The block counts describe the heap **after** the recovery GC: a block
 /// the sweep reclaimed is counted in `free_blocks` (and `reclaimed_blocks`),
@@ -214,7 +206,7 @@ pub struct RecoveryReport {
     pub ops_pending: usize,
 }
 
-/// Per-phase wall-clock breakdown of [`Pool::open`]'s recovery pipeline,
+/// Per-phase wall-clock breakdown of [`PoolBuilder::open`]'s recovery pipeline,
 /// in nanoseconds. Phases that did not run (e.g. mark/sweep when the GC
 /// was skipped) report 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -241,9 +233,9 @@ pub struct HeapReport {
 }
 
 /// The raw mapped region: base, length, and word-granular accessors. `Copy`
-/// so the allocation engines can take it by value without borrowing `Inner`.
+/// so the allocation engine can take it by value without borrowing `Inner`.
 ///
-/// All word access goes through relaxed atomics: the lock-free engine reads
+/// All word access goes through relaxed atomics: the engine reads
 /// and writes free-list link words from many threads concurrently, and
 /// mapped memory is ordinary memory as far as the Rust memory model cares.
 #[derive(Clone, Copy)]
@@ -271,7 +263,7 @@ impl Mem {
     pub(crate) fn au64(&self, off: u64) -> &AtomicU64 {
         debug_assert!(off.is_multiple_of(8) && (off as usize) + 8 <= self.len);
         // SAFETY: the mapping outlives every Mem user (Inner unmaps only
-        // after engines and the heap registry are torn down), and the
+        // after the engine and the heap registry are torn down), and the
         // address is valid, aligned shared memory.
         unsafe { AtomicU64::from_ptr(self.ptr(off) as *mut u64) }
     }
@@ -297,7 +289,7 @@ impl Mem {
     }
 }
 
-/// Writes an allocated block header (stores only — each engine decides how
+/// Writes an allocated block header (stores only — the engine decides how
 /// and when the header reaches persistence; see `engine`). The header is 16
 /// bytes at 16-byte alignment, so it never straddles a cache line: a single
 /// flush of `off`'s line always covers it.
@@ -344,7 +336,7 @@ struct Inner {
 }
 
 // SAFETY: the mapping is plain shared memory; mutation happens through the
-// engines' lock-free/locked protocols or ordered root-slot publication.
+// engine's lock-free protocol or ordered root-slot publication.
 unsafe impl Send for Inner {}
 unsafe impl Sync for Inner {}
 
@@ -362,28 +354,22 @@ impl fmt::Debug for Pool {
             .field("base", &format_args!("{:#x}", self.inner.mem.base()))
             .field("capacity", &self.inner.mem.len())
             .field("rebased", &self.inner.rebased)
-            .field("mode", &self.inner.engine.mode())
             .finish()
     }
 }
 
 /// Builder for opening or creating a [`Pool`] — the one constructor
-/// surface (`Pool::builder().path(…).capacity(…).mode(…)` then
+/// surface (`Pool::builder().path(…).capacity(…)` then
 /// [`create`](PoolBuilder::create) / [`open`](PoolBuilder::open) /
-/// [`open_or_create`](PoolBuilder::open_or_create)), replacing the former
-/// zoo of `create`/`open`/`*_with_mode`/`open_or_create` constructors (kept
-/// as deprecated shims for one release).
+/// [`open_or_create`](PoolBuilder::open_or_create)).
 ///
 /// * `path` — required for every terminal method.
 /// * `capacity` — required by `create` and `open_or_create`; ignored by
 ///   `open` (the file dictates it).
-/// * `mode` — the volatile [`AllocMode`] choice, default
-///   [`AllocMode::LockFree`].
 #[derive(Debug, Clone, Default)]
 pub struct PoolBuilder {
     path: Option<PathBuf>,
     capacity: Option<u64>,
-    mode: AllocMode,
 }
 
 impl PoolBuilder {
@@ -398,13 +384,6 @@ impl PoolBuilder {
     /// [`open_or_create`](PoolBuilder::open_or_create)).
     pub fn capacity(mut self, bytes: u64) -> Self {
         self.capacity = Some(bytes);
-        self
-    }
-
-    /// Selects the allocation engine (volatile, per-open; default
-    /// [`AllocMode::LockFree`]).
-    pub fn mode(mut self, mode: AllocMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -431,7 +410,7 @@ impl PoolBuilder {
     /// capacity is outside [`MIN_CAPACITY`]`..=`[`MAX_CAPACITY`], or
     /// mapping fails.
     pub fn create(self) -> io::Result<Pool> {
-        Pool::create_impl(self.want_path()?, self.want_capacity()?, self.mode)
+        Pool::create_impl(self.want_path()?, self.want_capacity()?)
     }
 
     /// Opens the existing pool file, verifies its header, and rebuilds the
@@ -450,7 +429,7 @@ impl PoolBuilder {
     /// Fails if `path` is unset or missing, on bad magic/version/capacity,
     /// or heap metadata that does not verify.
     pub fn open(self) -> io::Result<Pool> {
-        Pool::open_impl(self.want_path()?, self.mode)
+        Pool::open_impl(self.want_path()?)
     }
 
     /// [`open`](PoolBuilder::open), but with a bounded wait for the pool
@@ -471,7 +450,7 @@ impl PoolBuilder {
         let path = self.want_path()?.to_path_buf();
         let attempts = attempts.max(1);
         for attempt in 1..=attempts {
-            match Pool::open_impl(&path, self.mode) {
+            match Pool::open_impl(&path) {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock && attempt < attempts => {
                     std::thread::sleep(delay);
                 }
@@ -502,11 +481,11 @@ impl PoolBuilder {
         let path = self.want_path()?;
         if path.exists() {
             if unlink_if_never_completed(path)? {
-                return Pool::create_impl(path, self.want_capacity()?, self.mode);
+                return Pool::create_impl(path, self.want_capacity()?);
             }
-            Pool::open_impl(path, self.mode)
+            Pool::open_impl(path)
         } else {
-            Pool::create_impl(path, self.want_capacity()?, self.mode)
+            Pool::create_impl(path, self.want_capacity()?)
         }
     }
 }
@@ -517,29 +496,7 @@ impl Pool {
         PoolBuilder::default()
     }
 
-    /// Creates a new pool file of `capacity` bytes at `path` and maps it,
-    /// with the default [`AllocMode::LockFree`] engine.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file already exists, the capacity is outside
-    /// [`MIN_CAPACITY`]..=[`MAX_CAPACITY`], or mapping fails.
-    #[deprecated(note = "use `Pool::builder().path(…).capacity(…).create()`")]
-    pub fn create(path: impl AsRef<Path>, capacity: u64) -> io::Result<Pool> {
-        Pool::create_impl(path.as_ref(), capacity, AllocMode::default())
-    }
-
-    /// [`Pool::create`] with an explicit allocation engine.
-    #[deprecated(note = "use `Pool::builder().path(…).capacity(…).mode(…).create()`")]
-    pub fn create_with_mode(
-        path: impl AsRef<Path>,
-        capacity: u64,
-        mode: AllocMode,
-    ) -> io::Result<Pool> {
-        Pool::create_impl(path.as_ref(), capacity, mode)
-    }
-
-    fn create_impl(path: &Path, capacity: u64, mode: AllocMode) -> io::Result<Pool> {
+    fn create_impl(path: &Path, capacity: u64) -> io::Result<Pool> {
         if capacity < MIN_CAPACITY {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -581,7 +538,7 @@ impl Pool {
             _file: file,
             rebased: false,
             ready: false,
-            engine: Engine::new(mode, metrics),
+            engine: Engine::new(metrics),
             roots: Mutex::new(()),
             report: Mutex::new(RecoveryReport {
                 heap_bytes: 0,
@@ -613,26 +570,7 @@ impl Pool {
         Ok(Pool::finish_open(inner))
     }
 
-    /// Opens an existing pool file with the default [`AllocMode::LockFree`]
-    /// engine — see [`PoolBuilder::open`] for the full recovery story.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a missing file, bad magic/version/capacity, or heap
-    /// metadata that does not verify.
-    #[deprecated(note = "use `Pool::builder().path(…).open()`")]
-    pub fn open(path: impl AsRef<Path>) -> io::Result<Pool> {
-        Pool::open_impl(path.as_ref(), AllocMode::default())
-    }
-
-    /// [`Pool::open`] with an explicit allocation engine. The engine choice
-    /// is volatile: both engines read and write the same persistent format.
-    #[deprecated(note = "use `Pool::builder().path(…).mode(…).open()`")]
-    pub fn open_with_mode(path: impl AsRef<Path>, mode: AllocMode) -> io::Result<Pool> {
-        Pool::open_impl(path.as_ref(), mode)
-    }
-
-    fn open_impl(path: &Path, mode: AllocMode) -> io::Result<Pool> {
+    fn open_impl(path: &Path) -> io::Result<Pool> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         lock_pool_file(&file, path)?;
         let file_len = file.metadata()?.len();
@@ -689,7 +627,7 @@ impl Pool {
             _file: file,
             rebased,
             ready: false,
-            engine: Engine::new(mode, metrics),
+            engine: Engine::new(metrics),
             roots: Mutex::new(()),
             report: Mutex::new(RecoveryReport::default()),
             gc_pending: AtomicBool::new(false),
@@ -744,16 +682,6 @@ impl Pool {
         Ok(Pool::finish_open(inner))
     }
 
-    /// Opens `path` if it exists, otherwise creates it with `capacity`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Pool::open`]/[`Pool::create`] failures.
-    #[deprecated(note = "use `Pool::builder().path(…).capacity(…).open_or_create()`")]
-    pub fn open_or_create(path: impl AsRef<Path>, capacity: u64) -> io::Result<Pool> {
-        Pool::builder().path(path).capacity(capacity).open_or_create()
-    }
-
     fn finish_open(mut inner: Inner) -> Pool {
         inner.ready = true;
         // (The MmapBackend region was registered before the first header
@@ -791,11 +719,6 @@ impl Pool {
         &self.inner.path
     }
 
-    /// Which allocation engine this handle runs.
-    pub fn alloc_mode(&self) -> AllocMode {
-        self.inner.engine.mode()
-    }
-
     /// `true` when the pool could not be mapped at its recorded base, so
     /// absolute pointers stored inside it are invalid. Structures with
     /// embedded pointers must refuse to attach; offset-based access
@@ -827,8 +750,7 @@ impl Pool {
     /// The number of lock-free free-list shards per size class this
     /// handle's engine runs (derived from
     /// [`std::thread::available_parallelism`] at open; volatile rebuild
-    /// state, nothing persisted). `1` under [`AllocMode::Mutexed`] — the
-    /// baseline engine has a single lock, not shards.
+    /// state, nothing persisted).
     pub fn shard_count(&self) -> usize {
         self.inner.engine.shard_count()
     }
@@ -867,10 +789,9 @@ impl Pool {
     /// Allocates `size` bytes with `align`ment from the pool.
     ///
     /// Returns `None` when the pool is exhausted or `align` exceeds the
-    /// pool's 16-byte block alignment. The block's header is written and
-    /// flushed before the pointer is returned; under the lock-free engine
-    /// the ordering fence is deferred to the caller's own pre-publication
-    /// fence (see the crate docs), so a crash can never corrupt the heap or
+    /// pool's 16-byte block alignment. The block's header is written before
+    /// the pointer is returned; its flush and ordering fence ride on the
+    /// caller's own pre-publication flush + fence (see the crate docs), so a crash can never corrupt the heap or
     /// lose a durably published block — an in-flight block stays allocated
     /// until the next open's recovery GC proves it unreachable and sweeps
     /// it back to the free lists.
@@ -975,13 +896,6 @@ impl Pool {
         Ok(())
     }
 
-    /// The former name of [`Pool::set_root_offset`], freed up so the typed
-    /// root API (`nvtraverse`'s `root::<S>()`) can own the `root` verb.
-    #[deprecated(note = "renamed to `set_root_offset`")]
-    pub fn set_root(&self, name: &str, off: u64) -> io::Result<()> {
-        self.set_root_offset(name, off)
-    }
-
     /// Looks up the raw offset registered under `name`.
     ///
     /// (The typed counterpart — `pool.root::<S>(name)` returning an
@@ -1049,32 +963,14 @@ impl Pool {
         Some(POff::from_raw(self.offset_of(p as *const u8)))
     }
 
-    /// Registers `ptr` (a pool pointer) as root `name`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Pool::set_root`].
-    pub fn set_root_ptr<T>(&self, name: &str, ptr: *const T) -> io::Result<()> {
-        self.set_root_offset(name, self.offset_of(ptr as *const u8))
-    }
-
-    /// Resolves root `name` as a typed pointer in the current mapping.
-    ///
-    /// Performs no validity checks — structure attach paths should use
-    /// [`Pool::attach_root_ptr`] instead.
-    pub fn root_ptr<T>(&self, name: &str) -> Option<*mut T> {
-        self.root_offset(name).map(|off| self.at(off) as *mut T)
-    }
-
     /// The checked attach-side root lookup every `PoolAttach`
     /// implementation shares: refuses a [rebased](Pool::is_rebased) pool
     /// (embedded absolute pointers would be invalid) and a torn slot from a
     /// crashed `set_root_offset` (offset 0), then resolves the root as a
     /// typed pointer in the current mapping.
     ///
-    /// Since pools became first-class this performs **no process-global
-    /// installation**: allocation routing is the attaching structure's job
-    /// (it carries this pool's [`Pool::alloc_target`] in its `PoolCtx`).
+    /// Allocation routing is the attaching structure's job (it carries
+    /// this pool's [`Pool::alloc_target`] in its `PoolCtx`).
     pub fn attach_root_ptr<T>(&self, name: &str) -> Option<*mut T> {
         if self.is_rebased() {
             return None;
@@ -1091,19 +987,19 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Pool::set_root`].
+    /// Same conditions as [`Pool::set_root_offset`].
     ///
     /// # Panics
     ///
     /// Panics when `ptr` was not allocated from this pool: the structure
-    /// was built while a different pool (or none) was installed, and
+    /// was built outside this pool's allocation scope, and
     /// registering it would persist a root no reopen could ever resolve.
     pub fn set_root_ptr_checked<T>(&self, name: &str, ptr: *const T) -> io::Result<()> {
         assert!(
             self.contains(ptr as *const u8),
-            "root not allocated from this pool — was another pool installed?"
+            "root not allocated from this pool — was it built outside this pool's scope?"
         );
-        self.set_root_ptr(name, ptr)
+        self.set_root_offset(name, self.offset_of(ptr as *const u8))
     }
 
     // ---- allocation routing ---------------------------------------------
@@ -1124,26 +1020,6 @@ impl Pool {
             ctx: Arc::as_ptr(&self.inner) as usize,
             alloc: Inner::alloc_shim,
         }
-    }
-
-    /// Makes this pool the process-wide **fallback** allocation target
-    /// (per-structure scoped targets take precedence). Mirrors
-    /// `libvmmalloc`'s whole-process takeover (paper §5.1) — the
-    /// single-pool model this crate grew out of.
-    #[deprecated(
-        note = "pools are first-class now: structures carry a per-pool \
-                allocation context (`PoolCtx`), no global install needed"
-    )]
-    pub fn install_as_default(&self) {
-        let t = self.alloc_target();
-        heap::install_allocator(t.ctx, t.alloc);
-    }
-
-    /// Stops routing process-wide fallback allocations to this pool (no-op
-    /// if some other pool is installed).
-    #[deprecated(note = "counterpart of the deprecated `install_as_default`")]
-    pub fn uninstall_default(&self) {
-        heap::uninstall_allocator(Arc::as_ptr(&self.inner) as usize);
     }
 
     // ---- deferred recovery GC -------------------------------------------
@@ -1214,7 +1090,7 @@ impl Pool {
         let mut off = HEAP_START;
         while off < frontier {
             // Headers were validated at open and only mutated by the
-            // engines since; a failure here would be memory corruption.
+            // engine since; a failure here would be memory corruption.
             let Ok((size, class, allocated)) =
                 check_block_header(inner.mem.load(off), off, frontier)
             else {
@@ -1582,7 +1458,7 @@ impl Inner {
 
     /// The deferred variant of [`Inner::recovery_gc`], run after the engine
     /// is already rebuilt (see [`Pool::run_pending_gc`]): same mark phase,
-    /// but swept blocks return through [`Engine::dealloc`] — each engine's
+    /// but swept blocks return through [`Engine::dealloc`] — the engine's
     /// own free-path persistence discipline — instead of the rebuild's free
     /// list. Folds the reclaim into the existing `report`.
     fn deferred_gc(
@@ -1664,7 +1540,6 @@ impl Drop for Inner {
         // engine unregisters first so no exiting thread can drain magazines
         // into a dying engine.
         self.engine.unregister();
-        heap::uninstall_allocator(self as *const Inner as usize);
         heap::unregister_region(self.mem.base());
         MmapBackend::unregister_region(self.mem.base());
         // Clean-close marker only for a pool that actually opened: a

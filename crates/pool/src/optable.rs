@@ -19,7 +19,8 @@
 //!   written into inserted nodes as their *op tag*, which is what lets
 //!   recovery re-run a lookup and attribute the surviving state to a
 //!   specific descriptor.
-//! * [`Pool::open`] snapshots the table before any structure attaches;
+//! * [`PoolBuilder::open`](crate::PoolBuilder::open) snapshots the table
+//!   before any structure attaches;
 //!   [`Pool::op_outcome`] then classifies any queried [`OpId`] as
 //!   [`OpOutcome::Committed`] / [`OpOutcome::NotApplied`] — consulting the
 //!   recovered structure (via [`Pool::resolve_op`], driven by the typed
@@ -175,7 +176,7 @@ pub enum OpOutcome {
     Superseded,
 }
 
-/// One descriptor slot as found at [`Pool::open`] (raw words, decoded).
+/// One descriptor slot as found at [`PoolBuilder::open`](crate::PoolBuilder::open) (raw words, decoded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawOp {
     /// Slot index in the table.

@@ -370,62 +370,6 @@ fn alloc_value_and_poff_roundtrip() {
     cleanup(&path);
 }
 
-/// Legacy-compat: the deprecated process-wide install must keep working
-/// for one release (it is the pre-multi-pool allocation model).
-#[test]
-#[allow(deprecated)]
-fn install_as_default_routes_heap_allocate() {
-    let path = tmp("install");
-    let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
-    pool.install_as_default();
-    let p = heap::allocate(64, 8).unwrap();
-    assert!(pool.contains(p as *const u8));
-    // The foreign-heap registry routes the free back to this pool.
-    let (ctx, dealloc) = heap::owner_of(p as *const u8).unwrap();
-    unsafe { dealloc(ctx, p, 64, 8) };
-    pool.uninstall_default();
-    assert!(heap::allocate(64, 8).is_none());
-    pool.verify_heap().unwrap();
-    assert_eq!(pool.live_offsets().len(), 0);
-    drop(pool);
-    cleanup(&path);
-}
-
-#[test]
-fn mutexed_mode_roundtrip_and_cross_mode_open() {
-    let path = tmp("mutexed");
-    let off_keep;
-    {
-        let pool = Pool::builder().path(&path).capacity(1 << 20).mode(AllocMode::Mutexed).create().unwrap();
-        assert_eq!(pool.alloc_mode(), AllocMode::Mutexed);
-        let keep = pool.alloc(64, 8).unwrap();
-        unsafe { (keep as *mut u64).write(0xC0FF_EE00) };
-        nvtraverse_pmem::MmapBackend::flush(keep);
-        nvtraverse_pmem::MmapBackend::fence();
-        off_keep = pool.offset_of(keep as *const u8);
-        let freed = pool.alloc(200, 8).unwrap();
-        unsafe { pool.dealloc(freed) };
-        pool.set_root_offset("keep", off_keep).unwrap();
-        pool.verify_heap().unwrap();
-    }
-    // Same file, opposite engine: the persistent format is engine-agnostic.
-    {
-        let pool = Pool::builder().path(&path).mode(AllocMode::LockFree).open().unwrap();
-        assert_eq!(pool.alloc_mode(), AllocMode::LockFree);
-        assert_eq!(pool.root_offset("keep"), Some(off_keep));
-        assert_eq!(unsafe { (pool.at(off_keep) as *const u64).read() }, 0xC0FF_EE00);
-        let p = pool.alloc(100, 8).unwrap();
-        unsafe { pool.dealloc(p) };
-        pool.verify_heap().unwrap();
-    }
-    // And back again.
-    let pool = Pool::builder().path(&path).mode(AllocMode::Mutexed).open().unwrap();
-    assert_eq!(pool.root_offset("keep"), Some(off_keep));
-    pool.verify_heap().unwrap();
-    drop(pool);
-    cleanup(&path);
-}
-
 #[test]
 fn remote_frees_are_reusable_without_fresh_carving() {
     // Blocks allocated here, freed on another thread: the freeing thread's
@@ -579,9 +523,6 @@ fn shard_count_is_derived_from_parallelism() {
         .clamp(1, 64);
     assert_eq!(pool.shard_count(), want);
     assert!(pool.shard_count().is_power_of_two());
-    drop(pool);
-    let pool = Pool::builder().path(&path).mode(AllocMode::Mutexed).open().unwrap();
-    assert_eq!(pool.shard_count(), 1, "the single-lock baseline has no shards");
     drop(pool);
     cleanup(&path);
 }

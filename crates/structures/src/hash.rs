@@ -1,4 +1,4 @@
-//! Lock-free hash table: a fixed array of Harris-list buckets.
+//! Lock-free hash table: a fixed array of sorted-list buckets.
 //!
 //! This mirrors the hash table the paper evaluates — "a hash table
 //! implemented by David et al. based on Harris's linked-list" (§5) — and the
@@ -12,6 +12,13 @@
 //! sorted list. `findEntry` hashes the key to pick the bucket head — a
 //! genuine use of the paper's entry-point flexibility (§3: `findEntry`
 //! "outputs an entry point into the core tree").
+//!
+//! The table is written once, as [`BucketTable`] over a [`BucketList`]:
+//! [`HashMapDs`] instantiates it with [`HarrisList`] buckets, and
+//! [`SoftHash`](crate::soft_hash::SoftHash) with the minimal-flush
+//! [`SoftList`](crate::soft_list::SoftList) — "Efficient Lock-Free Durable
+//! Sets" builds its two tables the same way, one bucket array over two list
+//! disciplines.
 
 use crate::list::HarrisList;
 use nvtraverse::alloc::PoolCtx;
@@ -20,11 +27,86 @@ use nvtraverse::policy::Durability;
 use nvtraverse::set::{DurableSet, PoolAttach};
 use nvtraverse_ebr::Collector;
 use nvtraverse_pmem::{Backend, MmapBackend, Word};
-use nvtraverse_pool::{OpId, OpOutcome, Pool, RawOp};
+use nvtraverse_pool::{Marker, OpId, OpOutcome, Pool, RawOp};
 use std::fmt;
 use std::io;
 
-/// A fixed-capacity lock-free hash map with per-bucket Harris lists.
+/// A sorted-list type that can serve as the buckets of a [`BucketTable`]:
+/// the list's own set operations (through [`DurableSet`]) plus what the
+/// table needs to build, persist, re-attach, trace and inspect an array of
+/// them. Everything a table does that is the same for every list discipline
+/// lives in [`BucketTable`]; the three provided-or-required hooks at the end
+/// are the places where the disciplines genuinely differ.
+pub trait BucketList: DurableSet<Self::Key, Self::Value> + Sized {
+    /// Key type of the list (and the table over it).
+    type Key: Word + Ord;
+    /// Value type of the list (and the table over it).
+    type Value: Word;
+    /// The table's `Debug` name under this list type.
+    const TABLE_NAME: &'static str;
+
+    /// An empty list retiring into `collector`, allocated from the
+    /// thread's current allocation scope.
+    fn with_collector(collector: Collector) -> Self;
+
+    /// Address of the list's head sentinel — what the persistent bucket
+    /// table records (as a pool offset) for this bucket.
+    fn head_addr(&self) -> *const u8;
+
+    /// Rebuilds a list handle around an existing head sentinel.
+    ///
+    /// # Safety
+    ///
+    /// `head` must be the head sentinel of a quiescent list of this exact
+    /// type, and the caller must not drop two handles to one list.
+    unsafe fn attach_head(head: *mut u8, collector: Collector) -> Self;
+
+    /// Quiescent: verifies the list's invariants, returning its live nodes.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated invariant.
+    fn check_consistency(&self, allow_marked: bool) -> Result<usize, String>;
+
+    /// Quiescent: the list's `(key, value)` pairs in key order.
+    fn iter_snapshot(&self) -> Vec<(Self::Key, Self::Value)>;
+
+    /// Attach hook, run once over the freshly attached `buckets` of a
+    /// pooled table before recovery. Lists whose chains are found by
+    /// following persistent links need nothing (the default); SOFT lists
+    /// take their sealed nodes from the pool's block inventory here.
+    /// `None` fails the attach.
+    fn adopt_nodes(pool: &Pool, buckets: &[Self]) -> Option<()> {
+        let _ = (pool, buckets);
+        Some(())
+    }
+
+    /// Marks every block reachable from the validated bucket `heads` —
+    /// the per-bucket half of the table's `PoolTrace`.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`nvtraverse::PoolTrace::trace`], with every
+    /// element of `heads` a head sentinel of this list type.
+    unsafe fn trace_buckets(heads: &[*mut u8], marker: &mut Marker<'_>);
+
+    /// [`PoolAttach::resolve_detectable`] for a table of these lists; the
+    /// default does nothing (no detectable operations).
+    fn resolve_detectable(table: &BucketTable<Self>, pool: &Pool) {
+        let _ = (table, pool);
+    }
+}
+
+/// A fixed-capacity lock-free hash map: `n` independent sorted-list
+/// buckets sharing one collector. See the [module docs](self); use it
+/// through the [`HashMapDs`] and [`SoftHash`](crate::soft_hash::SoftHash)
+/// aliases.
+pub struct BucketTable<L> {
+    buckets: Box<[L]>,
+    collector: Collector,
+}
+
+/// The paper's hash table: [`BucketTable`] over [`HarrisList`] buckets.
 ///
 /// Named `HashMapDs` ("data structure") to avoid colliding with
 /// `std::collections::HashMap` in user code.
@@ -41,17 +123,64 @@ use std::io;
 /// assert!(map.insert(17, 1700));
 /// assert_eq!(map.get(17), Some(1700));
 /// ```
-pub struct HashMapDs<K: Word + Ord, V: Word, D: Durability> {
-    buckets: Box<[HarrisList<K, V, D>]>,
-    collector: Collector,
+pub type HashMapDs<K, V, D> = BucketTable<HarrisList<K, V, D>>;
+
+/// Largest bucket count [`decode_root`] accepts.
+const MAX_BUCKETS: u64 = 1 << 24;
+
+/// Writes the persistent form of a pooled table: a block
+/// `[bucket_count, head_off 0, …, head_off n-1]` holding each bucket head
+/// as a pool offset, flushed and fenced. The `Box<[L]>` handle is volatile
+/// and rebuilt from this block on every attach.
+fn encode_root<L: BucketList>(pool: &Pool, buckets: &[L]) -> io::Result<*mut u64> {
+    let n = buckets.len();
+    let table = pool
+        .alloc((n + 1) * 8, 8)
+        .ok_or_else(|| io::Error::other("pool exhausted"))? as *mut u64;
+    // SAFETY: the block was just allocated with room for `n + 1` words and
+    // is not yet reachable by anyone else.
+    unsafe {
+        table.write(n as u64);
+        for (i, b) in buckets.iter().enumerate() {
+            let head = b.head_addr();
+            assert!(
+                pool.contains(head),
+                "bucket head not allocated from this pool — built outside its scope?"
+            );
+            table.add(1 + i).write(pool.offset_of(head));
+        }
+    }
+    MmapBackend::flush_range(table as *const u8, (n + 1) * 8);
+    MmapBackend::fence();
+    Ok(table)
 }
 
-impl<K, V, D> HashMapDs<K, V, D>
-where
-    K: Word + Ord,
-    V: Word,
-    D: Durability,
-{
+/// Reads a `[n, head_off…]` block back, trusting nothing in it: `n` must
+/// be plausible **and fit the block** (`capacity` is the root block's
+/// payload size, so no head offset is read from beyond it), and every head
+/// offset must pass `head_at` — the caller's "payload start of an allocated
+/// block of this pool" check — before it is handed out as a pointer.
+/// `None` when anything fails.
+///
+/// # Safety
+///
+/// `root` must point at `capacity` readable bytes (an allocated payload of
+/// a quiescent pool).
+unsafe fn decode_root(
+    root: *const u64,
+    capacity: u64,
+    head_at: impl Fn(u64) -> Option<*mut u8>,
+) -> Option<Vec<*mut u8>> {
+    // SAFETY: every block payload holds at least two words.
+    let n = unsafe { root.read() };
+    if n == 0 || n > MAX_BUCKETS || (n + 1) * 8 > capacity {
+        return None;
+    }
+    // SAFETY: `(n + 1) * 8 <= capacity`, so words `1..=n` are in the block.
+    (1..=n as usize).map(|i| head_at(unsafe { root.add(i).read() })).collect()
+}
+
+impl<L: BucketList> BucketTable<L> {
     /// Creates a table with `buckets` fixed buckets (rounded up to 1).
     pub fn new(buckets: usize) -> Self {
         Self::with_collector(buckets, Collector::new())
@@ -59,12 +188,10 @@ where
 
     /// Creates a table whose bucket lists share `collector`.
     pub fn with_collector(buckets: usize, collector: Collector) -> Self {
-        let n = buckets.max(1);
-        let buckets: Vec<HarrisList<K, V, D>> = (0..n)
-            .map(|_| HarrisList::with_collector(collector.clone()))
-            .collect();
-        HashMapDs {
-            buckets: buckets.into_boxed_slice(),
+        BucketTable {
+            buckets: (0..buckets.max(1))
+                .map(|_| L::with_collector(collector.clone()))
+                .collect(),
             collector,
         }
     }
@@ -79,29 +206,18 @@ where
         &self.collector
     }
 
-    /// `findEntry` for the table: Fibonacci-mix the key bits, then reduce
-    /// with the paper's general *modulo*.
+    /// `findEntry` for the table, keyed by raw key bits (recovery
+    /// classification only has a descriptor's `key` word, not a `Key`):
+    /// Fibonacci-mix, then reduce with the paper's general *modulo*.
     #[inline]
-    fn bucket(&self, key: K) -> &HarrisList<K, V, D> {
-        self.bucket_for_bits(key.to_bits())
-    }
-
-    /// Same bucket choice keyed by raw key bits — recovery classification
-    /// only has the descriptor's `key` word, not a `K`.
-    #[inline]
-    fn bucket_for_bits(&self, key_bits: u64) -> &HarrisList<K, V, D> {
+    fn bucket_for_bits(&self, key_bits: u64) -> &L {
         let mixed = key_bits.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.buckets[(mixed % self.buckets.len() as u64) as usize]
     }
 
-    /// Classifies a recovered operation descriptor against this table's
-    /// recovered state by delegating to the owning bucket's
-    /// [`HarrisList::classify_op`]. Quiescent; call after
-    /// [`recover`](DurableSet::recover). The bucket count must match the
-    /// one the descriptor was written under (it is fixed at construction
-    /// and persisted in the root table, so a pooled reopen always agrees).
-    pub fn classify_op(&self, raw: &RawOp) -> OpOutcome {
-        self.bucket_for_bits(raw.key).classify_op(raw)
+    #[inline]
+    fn bucket(&self, key: L::Key) -> &L {
+        self.bucket_for_bits(key.to_bits())
     }
 
     /// Quiescent: verifies every bucket's invariants, returning total live
@@ -121,76 +237,36 @@ where
     }
 
     /// Quiescent: all `(key, value)` pairs, unordered across buckets.
-    pub fn iter_snapshot(&self) -> Vec<(K, V)> {
-        self.buckets
-            .iter()
-            .flat_map(|b| b.iter_snapshot())
-            .collect()
+    pub fn iter_snapshot(&self) -> Vec<(L::Key, L::Value)> {
+        self.buckets.iter().flat_map(|b| b.iter_snapshot()).collect()
     }
 
-    /// Bucket count used by [`PoolAttach::create_in_pool`]; pick a custom
-    /// count with [`HashMapDs::create_in_pool_with_buckets`].
+    /// Bucket count of a pooled table ([`PoolAttach::create_in_pool`]).
     pub const DEFAULT_POOL_BUCKETS: usize = 64;
+}
 
-    /// Builds a fresh table of `buckets` buckets whose nodes — and whose
-    /// bucket-head table — all live in `pool`, registered under `name`.
-    ///
-    /// The persistent form is a *bucket table* block
-    /// `[bucket_count, head_off 0, …, head_off n-1]` registered as the root:
-    /// the `Box<[HarrisList]>` handle is volatile and rebuilt from that
-    /// table on every attach.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the pool is exhausted or the root registry rejects `name`.
-    pub fn create_in_pool_with_buckets(
-        pool: &Pool,
-        name: &str,
-        buckets: usize,
-    ) -> io::Result<Self> {
-        // Entered so every bucket list's context snapshot captures this
-        // pool (the table block itself is allocated via `pool.alloc`).
-        let _scope = PoolCtx::of(pool).enter();
-        let map = Self::with_collector(buckets, Collector::new());
-        let n = map.bucket_count();
-        let table = pool
-            .alloc((n + 1) * 8, 8)
-            .ok_or_else(|| io::Error::other("pool exhausted"))?
-            as *mut u64;
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            table.write(n as u64);
-            for (i, b) in map.buckets.iter().enumerate() {
-                let head = b.head_ptr() as *const u8;
-                assert!(
-                    pool.contains(head),
-                    "bucket head not allocated from this pool — was another pool installed?"
-                );
-                table.add(1 + i).write(pool.offset_of(head));
-            }
-        }
-        MmapBackend::flush_range(table as *const u8, (n + 1) * 8);
-        MmapBackend::fence();
-        pool.set_root_ptr_checked(name, table)?;
-        Ok(map)
+impl<K: Word + Ord, V: Word, D: Durability> HashMapDs<K, V, D> {
+    /// Classifies a recovered operation descriptor against this table's
+    /// recovered state by delegating to the owning bucket's
+    /// [`HarrisList::classify_op`]. Quiescent; call after
+    /// [`recover`](DurableSet::recover). The bucket count must match the
+    /// one the descriptor was written under (it is fixed at construction
+    /// and persisted in the root table, so a pooled reopen always agrees).
+    pub fn classify_op(&self, raw: &RawOp) -> OpOutcome {
+        self.bucket_for_bits(raw.key).classify_op(raw)
     }
 }
 
-impl<K, V, D> DurableSet<K, V> for HashMapDs<K, V, D>
-where
-    K: Word + Ord,
-    V: Word,
-    D: Durability,
-{
-    fn insert(&self, key: K, value: V) -> bool {
+impl<L: BucketList> DurableSet<L::Key, L::Value> for BucketTable<L> {
+    fn insert(&self, key: L::Key, value: L::Value) -> bool {
         self.bucket(key).insert(key, value)
     }
 
-    fn remove(&self, key: K) -> bool {
+    fn remove(&self, key: L::Key) -> bool {
         self.bucket(key).remove(key)
     }
 
-    fn get(&self, key: K) -> Option<V> {
+    fn get(&self, key: L::Key) -> Option<L::Value> {
         self.bucket(key).get(key)
     }
 
@@ -198,70 +274,75 @@ where
         self.buckets.iter().map(|b| b.len()).sum()
     }
 
-    /// Recovery runs each bucket's `disconnect` pass. The bucket array itself
-    /// is immutable and was persisted at construction.
+    /// Recovery runs each bucket's own recovery pass. The bucket array
+    /// itself is immutable and was persisted at construction.
     fn recover(&self) {
         for b in self.buckets.iter() {
             b.recover();
         }
     }
 
-    fn try_insert(&self, key: K, value: V) -> Result<bool, OpError> {
+    fn try_insert(&self, key: L::Key, value: L::Value) -> Result<bool, OpError> {
         self.bucket(key).try_insert(key, value)
     }
 
-    fn try_remove(&self, key: K) -> Result<bool, OpError> {
+    fn try_remove(&self, key: L::Key) -> Result<bool, OpError> {
         self.bucket(key).try_remove(key)
     }
 
     fn insert_detectable(
         &self,
         token: &mut OpToken,
-        key: K,
-        value: V,
+        key: L::Key,
+        value: L::Value,
     ) -> Result<(OpId, bool), OpError> {
         self.bucket(key).insert_detectable(token, key, value)
     }
 
-    fn remove_detectable(&self, token: &mut OpToken, key: K) -> Result<(OpId, bool), OpError> {
+    fn remove_detectable(
+        &self,
+        token: &mut OpToken,
+        key: L::Key,
+    ) -> Result<(OpId, bool), OpError> {
         self.bucket(key).remove_detectable(token, key)
     }
 }
 
-impl<K, V, D> PoolAttach for HashMapDs<K, V, D>
-where
-    K: Word + Ord,
-    V: Word,
-    D: Durability,
-{
+impl<L: BucketList> PoolAttach for BucketTable<L> {
+    /// Builds a fresh table of [`Self::DEFAULT_POOL_BUCKETS`] buckets whose
+    /// nodes — and whose bucket-head table — all live in `pool`, registered
+    /// under `name`.
     fn create_in_pool(pool: &Pool, name: &str) -> io::Result<Self> {
-        Self::create_in_pool_with_buckets(pool, name, Self::DEFAULT_POOL_BUCKETS)
+        // Entered so every bucket list's context snapshot captures this
+        // pool (the table block itself is allocated via `pool.alloc`).
+        let _scope = PoolCtx::of(pool).enter();
+        let map = Self::with_collector(Self::DEFAULT_POOL_BUCKETS, Collector::new());
+        pool.set_root_ptr_checked(name, encode_root(pool, &map.buckets)?)?;
+        Ok(map)
     }
 
     // SAFETY: see `TraversalOps::attach_to_pool` — the caller guarantees the pool was created by this structure type under `name` and is quiescent.
     unsafe fn attach_to_pool(pool: &Pool, name: &str) -> Option<Self> {
-        let table = pool.attach_root_ptr::<u64>(name)? as *const u64;
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        let n = unsafe { table.read() } as usize;
-        if n == 0 || n > 1 << 24 {
-            return None; // not a plausible bucket table
+        let root = pool.attach_root_ptr::<u64>(name)? as *const u64;
+        if !pool.is_allocated_payload(pool.offset_of(root as *const u8)) {
+            return None;
         }
+        // SAFETY: `root` is an allocated payload of `usable_size` bytes, and attach runs single-threaded on a quiescent pool.
+        let heads = unsafe {
+            decode_root(root, pool.usable_size(root as *const u8), |off| {
+                pool.is_allocated_payload(off).then(|| pool.at(off))
+            })
+        }?;
         // Entered so every bucket list's context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
         let collector = Collector::new();
-        let buckets: Vec<HarrisList<K, V, D>> = (0..n)
-            .map(|i| {
-                // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-                let head_off = unsafe { table.add(1 + i).read() };
-                let head = pool.at(head_off) as *mut crate::list::Node<K, V, D::B>;
-                // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-                unsafe { HarrisList::attach_at(head, collector.clone()) }
-            })
+        let buckets: Box<[L]> = heads
+            .into_iter()
+            // SAFETY: the head is an allocated block the persistent table names; the caller vouches for the table's type.
+            .map(|head| unsafe { L::attach_head(head, collector.clone()) })
             .collect();
-        Some(HashMapDs {
-            buckets: buckets.into_boxed_slice(),
-            collector,
-        })
+        L::adopt_nodes(pool, &buckets)?;
+        Some(BucketTable { buckets, collector })
     }
 
     fn recover_attached(&self) {
@@ -273,134 +354,192 @@ where
     }
 
     fn resolve_detectable(&self, pool: &Pool) {
-        for raw in pool.unresolved_ops() {
-            pool.resolve_op(raw.id(), self.classify_op(&raw));
-        }
+        L::resolve_detectable(self, pool);
     }
 }
 
+// A root block that does not decode is left alone — attach rejects it too.
 // SAFETY: the root is the persistent bucket table `[n, head_off…]`; marking
-// it and then delegating each bucket head to the Harris list's walk covers
-// every block the table's recovery (per-bucket `disconnect`) can reach.
-// Bucket offsets are validated by `Marker::at` before dereference.
-// SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-unsafe impl<K, V, D> nvtraverse::PoolTrace for HashMapDs<K, V, D>
-where
-    K: Word + Ord,
-    V: Word,
-    D: Durability,
-{
-    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
+// it and handing its validated bucket heads to the list type's own walk
+// covers every block the table's recovery (each bucket's) can reach.
+unsafe impl<L: BucketList> nvtraverse::PoolTrace for BucketTable<L> {
+    // SAFETY: see `PoolTrace::trace` — `root` is a root this type created, on the quiescent, header-verified heap of `Pool::open` recovery.
+    unsafe fn trace(root: *mut u8, marker: &mut Marker<'_>) {
         if !marker.mark(root) {
             return;
         }
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        unsafe {
-            let table = root as *const u64;
-            let n = table.read() as usize;
-            if n == 0 || n > 1 << 24 {
-                return; // not a plausible bucket table (attach rejects too)
-            }
-            for i in 0..n {
-                let head_off = table.add(1 + i).read();
-                if let Some(head) = marker.at(head_off) {
-                    <HarrisList<K, V, D> as nvtraverse::PoolTrace>::trace(head, marker);
-                }
-            }
+        let Some(capacity) = marker.capacity_of(root) else {
+            return;
+        };
+        // SAFETY: `mark` vouched for `root` as an allocated payload of `capacity` bytes; the heap is quiescent during recovery.
+        let heads = unsafe { decode_root(root as *const u64, capacity, |off| marker.at(off)) };
+        if let Some(heads) = heads {
+            // SAFETY: every head passed `Marker::at`; the registry's type contract vouches for the list type.
+            unsafe { L::trace_buckets(&heads, marker) };
         }
     }
 }
 
-impl<K, V, D> fmt::Debug for HashMapDs<K, V, D>
-where
-    K: Word + Ord,
-    V: Word,
-    D: Durability,
-{
+impl<L: BucketList> fmt::Debug for BucketTable<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HashMapDs")
+        f.debug_struct(L::TABLE_NAME)
             .field("buckets", &self.buckets.len())
             .field("len", &self.len())
             .finish()
     }
 }
 
+impl<K: Word + Ord, V: Word, D: Durability> BucketList for HarrisList<K, V, D> {
+    type Key = K;
+    type Value = V;
+    const TABLE_NAME: &'static str = "HashMapDs";
+
+    fn with_collector(collector: Collector) -> Self {
+        Self::with_collector(collector)
+    }
+
+    fn head_addr(&self) -> *const u8 {
+        self.head_ptr() as *const u8
+    }
+
+    // SAFETY: see `BucketList::attach_head` — `head` is this list type's head sentinel, quiescent.
+    unsafe fn attach_head(head: *mut u8, collector: Collector) -> Self {
+        // SAFETY: forwarded.
+        unsafe { Self::attach_at(head as *mut crate::list::Node<K, V, D::B>, collector) }
+    }
+
+    fn check_consistency(&self, allow_marked: bool) -> Result<usize, String> {
+        self.check_consistency(allow_marked)
+    }
+
+    fn iter_snapshot(&self) -> Vec<(K, V)> {
+        self.iter_snapshot()
+    }
+
+    // SAFETY: see `BucketList::trace_buckets` — every head is a validated Harris head sentinel on a quiescent heap.
+    unsafe fn trace_buckets(heads: &[*mut u8], marker: &mut Marker<'_>) {
+        for &head in heads {
+            // SAFETY: forwarded — each head roots one Harris chain.
+            unsafe { <Self as nvtraverse::PoolTrace>::trace(head, marker) };
+        }
+    }
+
+    fn resolve_detectable(table: &HashMapDs<K, V, D>, pool: &Pool) {
+        for raw in pool.unresolved_ops() {
+            pool.resolve_op(raw.id(), table.classify_op(&raw));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soft_list::SoftList;
     use nvtraverse::model::ModelSet;
-    use nvtraverse::policy::{NvTraverse, Volatile};
+    use nvtraverse::policy::{NvTraverse, Soft, Volatile};
     use nvtraverse_pmem::{Clwb, Noop};
+
+    // The discipline-independent tests run over both list types.
+    type Harris<D> = HarrisList<u64, u64, D>;
+    type SoftL<D> = SoftList<u64, u64, D>;
 
     #[test]
     fn basic_semantics() {
-        let m: HashMapDs<u64, u64, NvTraverse<Clwb>> = HashMapDs::new(16);
-        assert!(m.insert(1, 10));
-        assert!(m.insert(17, 170)); // likely different bucket
-        assert!(!m.insert(1, 11));
-        assert_eq!(m.get(1), Some(10));
-        assert_eq!(m.get(17), Some(170));
-        assert!(m.remove(1));
-        assert_eq!(m.get(1), None);
-        assert_eq!(m.len(), 1);
+        fn run<L: BucketList<Key = u64, Value = u64>>() {
+            let m: BucketTable<L> = BucketTable::new(16);
+            assert!(m.insert(1, 10));
+            assert!(m.insert(17, 170)); // likely different bucket
+            assert!(!m.insert(1, 11));
+            assert_eq!(m.get(1), Some(10));
+            assert_eq!(m.get(17), Some(170));
+            assert!(m.remove(1));
+            assert_eq!(m.get(1), None);
+            assert_eq!(m.len(), 1);
+        }
+        run::<Harris<NvTraverse<Clwb>>>();
+        run::<SoftL<Soft<Clwb>>>();
     }
 
     #[test]
     fn single_bucket_degenerates_to_list() {
-        let m: HashMapDs<u64, u64, Volatile> = HashMapDs::new(1);
-        for k in 0..100u64 {
-            assert!(m.insert(k, k));
+        fn run<L: BucketList<Key = u64, Value = u64>>() {
+            let m: BucketTable<L> = BucketTable::new(1);
+            for k in 0..100u64 {
+                assert!(m.insert(k, k));
+            }
+            assert_eq!(m.len(), 100);
+            assert_eq!(m.check_consistency(true).unwrap(), 100);
         }
-        assert_eq!(m.len(), 100);
-        assert_eq!(m.check_consistency(true).unwrap(), 100);
+        run::<Harris<Volatile>>();
+        run::<SoftL<Volatile>>();
     }
 
     #[test]
     fn zero_bucket_request_is_clamped() {
-        let m: HashMapDs<u64, u64, Volatile> = HashMapDs::new(0);
-        assert_eq!(m.bucket_count(), 1);
-        assert!(m.insert(5, 50));
+        fn run<L: BucketList<Key = u64, Value = u64>>() {
+            let m: BucketTable<L> = BucketTable::new(0);
+            assert_eq!(m.bucket_count(), 1);
+            assert!(m.insert(5, 50));
+        }
+        run::<Harris<Volatile>>();
+        run::<SoftL<Volatile>>();
     }
 
     #[test]
     fn matches_model_on_random_workload() {
-        use rand::prelude::*;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let m: HashMapDs<u64, u64, NvTraverse<Noop>> = HashMapDs::new(8);
-        let mut model = ModelSet::new();
-        for i in 0..4000u64 {
-            let k = rng.random_range(0..256);
-            match rng.random_range(0..3) {
-                0 => assert_eq!(m.insert(k, i), model.insert(k, i)),
-                1 => assert_eq!(m.remove(k), model.remove(k)),
-                _ => assert_eq!(m.get(k), model.get(k)),
+        fn run<L: BucketList<Key = u64, Value = u64>>() {
+            use rand::prelude::*;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+            let m: BucketTable<L> = BucketTable::new(8);
+            let mut model = ModelSet::new();
+            for i in 0..4000u64 {
+                let k = rng.random_range(0..256);
+                match rng.random_range(0..3) {
+                    0 => assert_eq!(m.insert(k, i), model.insert(k, i)),
+                    1 => assert_eq!(m.remove(k), model.remove(k)),
+                    _ => assert_eq!(m.get(k), model.get(k)),
+                }
             }
+            assert_eq!(m.len(), model.len());
+            let mut got = m.iter_snapshot();
+            got.sort_unstable();
+            let want: Vec<(u64, u64)> = model.iter().collect();
+            assert_eq!(got, want);
         }
-        assert_eq!(m.len(), model.len());
-        let mut got = m.iter_snapshot();
-        got.sort_unstable();
-        let want: Vec<(u64, u64)> = model.iter().collect();
-        assert_eq!(got, want);
+        run::<Harris<NvTraverse<Noop>>>();
+        run::<SoftL<Soft<Noop>>>();
     }
 
     #[test]
     fn concurrent_stress_across_buckets() {
-        let m: HashMapDs<u64, u64, NvTraverse<Clwb>> = HashMapDs::new(32);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let m = &m;
-                s.spawn(move || {
-                    let base = t * 1000;
-                    for k in base..base + 1000 {
-                        assert!(m.insert(k, k));
-                    }
-                    for k in (base..base + 1000).step_by(2) {
-                        assert!(m.remove(k));
-                    }
-                });
-            }
-        });
-        assert_eq!(m.check_consistency(true).unwrap(), 2000);
+        fn run<L: BucketList<Key = u64, Value = u64>>() {
+            let m: BucketTable<L> = BucketTable::new(32);
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let m = &m;
+                    s.spawn(move || {
+                        let base = t * 1000;
+                        for k in base..base + 1000 {
+                            assert!(m.insert(k, k));
+                        }
+                        for k in (base..base + 1000).step_by(2) {
+                            assert!(m.remove(k));
+                        }
+                    });
+                }
+            });
+            assert_eq!(m.check_consistency(true).unwrap(), 2000);
+        }
+        run::<Harris<NvTraverse<Clwb>>>();
+        run::<SoftL<Soft<Clwb>>>();
+    }
+
+    #[test]
+    fn debug_names_the_alias() {
+        let h: HashMapDs<u64, u64, Volatile> = HashMapDs::new(2);
+        let s: crate::soft_hash::SoftHash<u64, u64, Volatile> = BucketTable::new(2);
+        assert!(format!("{h:?}").starts_with("HashMapDs {"));
+        assert!(format!("{s:?}").starts_with("SoftHash {"));
     }
 
     #[test]

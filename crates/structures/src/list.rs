@@ -190,7 +190,7 @@ where
     /// `head` must be the head sentinel of a list built with the *same*
     /// `K`/`V`/`D` parameters, reachable and quiescent. The caller is
     /// responsible for not dropping two handles to the same list (the
-    /// pooled lifecycle never drops — see `nvtraverse::PooledSet`).
+    /// pooled lifecycle never drops — see `nvtraverse::PooledHandle`).
     pub(crate) unsafe fn attach_at(head: NodePtr<K, V, D::B>, collector: Collector) -> Self {
         HarrisList {
             head,

@@ -420,7 +420,7 @@ impl<K: Word, V: Word, D: Durability> SoftList<K, V, D> {
         }
     }
 
-    pub(crate) fn register(&self, p: NodePtr<K, V, D::B>) {
+    fn register(&self, p: NodePtr<K, V, D::B>) {
         self.registry
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -438,7 +438,7 @@ impl<K: Word, V: Word, D: Durability> SoftList<K, V, D> {
     /// durable header, so fresh nodes never repeat a generation already on
     /// the heap (called while rebuilding the inventory at attach time and
     /// again by [`SoftList::recover_soft`]).
-    pub(crate) fn note_seq(&self, seq: u64) {
+    fn note_seq(&self, seq: u64) {
         self.next_seq.fetch_max(seq + 1, Ordering::Relaxed);
     }
 }
@@ -911,32 +911,7 @@ where
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         let list = unsafe { Self::attach_at(head, Collector::new()) };
-        // Rebuild the node inventory from the pool's allocated blocks:
-        // links are volatile, so membership is proved by each candidate's
-        // persistent header (sealed, and owned by this list's head).
-        let node_size = std::mem::size_of::<SoftNode<K, V, D::B>>() as u64;
-        for (off, cap) in pool.live_payloads().ok()? {
-            if cap < node_size {
-                continue;
-            }
-            let p = pool.at(off) as NodePtr<K, V, D::B>;
-            if p == head {
-                continue;
-            }
-            // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-            match unsafe { probe_header(p) } {
-                HdrProbe::Live { owner, seq, .. } if owner == head as u64 => {
-                    list.register(p);
-                    list.note_seq(seq);
-                }
-                HdrProbe::Tomb { owner, seq } if owner == head as u64 => {
-                    // Durably removed but not yet reused: don't register,
-                    // but keep the seq counter ahead of it.
-                    list.note_seq(seq);
-                }
-                _ => {}
-            }
-        }
+        adopt_sealed_nodes(pool, std::slice::from_ref(&list))?;
         Some(list)
     }
 
@@ -973,6 +948,49 @@ where
             crate::soft_list::soft_mark_owned::<K, V, D::B>(marker, &[root as u64]);
         }
     }
+}
+
+/// Rebuilds the node inventories of freshly attached `lists` (one list, or
+/// all buckets of a hash table) in **one** pass over the pool's allocated
+/// blocks: links are volatile, so membership is proved by each candidate's
+/// persistent header — sealed, with an `owner` word naming one of the heads.
+/// A durably removed (tombstoned) node is not registered, but still keeps
+/// its owner's `seq` counter ahead of it. `None` when the heap does not
+/// verify: attach must fail rather than present an empty list.
+pub(crate) fn adopt_sealed_nodes<K: Word, V: Word, D: Durability>(
+    pool: &Pool,
+    lists: &[SoftList<K, V, D>],
+) -> Option<()> {
+    let mut heads: Vec<(u64, &SoftList<K, V, D>)> =
+        lists.iter().map(|l| (l.owner_tag, l)).collect();
+    heads.sort_unstable_by_key(|h| h.0);
+    let owned_by = |tag: u64| {
+        let i = heads.binary_search_by_key(&tag, |h| h.0).ok()?;
+        Some(heads[i].1)
+    };
+    let node_size = std::mem::size_of::<SoftNode<K, V, D::B>>() as u64;
+    for (off, cap) in pool.live_payloads().ok()? {
+        let p = pool.at(off) as NodePtr<K, V, D::B>;
+        if cap < node_size || owned_by(p as u64).is_some() {
+            continue; // too small for a node, or a head sentinel itself
+        }
+        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
+        match unsafe { probe_header(p) } {
+            HdrProbe::Live { owner, seq, .. } => {
+                if let Some(list) = owned_by(owner) {
+                    list.register(p);
+                    list.note_seq(seq);
+                }
+            }
+            HdrProbe::Tomb { owner, seq } => {
+                if let Some(list) = owned_by(owner) {
+                    list.note_seq(seq);
+                }
+            }
+            HdrProbe::Invalid => {}
+        }
+    }
+    Some(())
 }
 
 /// Shared SOFT mark helper: marks every allocated block whose persistent

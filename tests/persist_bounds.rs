@@ -5,14 +5,11 @@
 //! constant), pinned as a regression test per structure.
 //!
 //! Counting goes through the [`Count`] backend, whose every flush/fence is
-//! recorded both into the process-global `stats` counters **and** into the
-//! thread's attributed `nvtraverse-obs` metric set. The tests attribute to
-//! a **private** metric set per measurement, which is what makes the counts
-//! exact even though the test binary runs other tests (and their flushes)
-//! concurrently: attribution is thread-local, so only this thread's
-//! instructions land in the private set. (The deprecated global
-//! `stats::reset()` could never do this — see the `stats` module docs for
-//! the interleaving hazard.)
+//! recorded into the thread's attributed `nvtraverse-obs` metric set. The
+//! tests attribute to a **private** metric set per measurement, which is
+//! what makes the counts exact even though the test binary runs other tests
+//! (and their flushes) concurrently: attribution is thread-local, so only
+//! this thread's instructions land in the private set.
 //!
 //! # The constants
 //!

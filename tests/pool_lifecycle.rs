@@ -10,7 +10,7 @@
 
 use nvtraverse::policy::{NvTraverse, Soft};
 use nvtraverse::pool::Pool;
-use nvtraverse::{DurableSet, PooledHandle, TypedRoots};
+use nvtraverse::{DurableSet, TypedRoots};
 use nvtraverse_pmem::MmapBackend;
 use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
@@ -522,45 +522,57 @@ fn create_root_refuses_to_overwrite_a_live_root() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The deprecated one-call shims (`PooledHandle::{create,open,
-/// open_or_create,adopt}`, `PooledSet`, `Pool::{create,open}`,
-/// `install_as_default`) must keep working for one release — they are the
-/// pre-multi-pool surface, now implemented on top of the builder and typed
-/// roots.
+/// The bucket table's root block `[n, head_off…]` is read back from media
+/// on every open (by the GC tracer inside `Pool::open`, then by attach), so
+/// nothing in it may be trusted: a count the block cannot hold and a head
+/// offset that names no allocated block must both surface as an `Err` from
+/// `root::<S>` — not a panic, not a read past the mapping, not a table
+/// quietly missing a bucket.
 #[test]
-#[allow(deprecated)]
-fn legacy_shims_still_work() {
-    use nvtraverse::{PoolAttach, PooledSet};
-    let path = tmp("legacy");
-    {
-        let list = PooledSet::<PooledList>::create(&path, 2 << 20, "legacy").unwrap();
-        for k in 0..40u64 {
-            assert!(list.insert(k, k + 1));
+fn corrupt_bucket_table_root_is_rejected_not_trusted() {
+    use std::os::unix::fs::FileExt;
+    const CAPACITY: u64 = 2 << 20;
+
+    // `patch(root_off)` names the file offset to overwrite and the word to
+    // put there (pool offsets are file offsets).
+    fn check<S: nvtraverse::PoolTrace + DurableSet<u64, u64>>(
+        tag: &str,
+        patch: fn(u64) -> (u64, u64),
+    ) {
+        let path = tmp(tag);
+        let root_off;
+        {
+            let map = create_pooled::<S>(&path, CAPACITY, "set").unwrap();
+            for k in 0..100u64 {
+                assert!(map.insert(k, k));
+            }
+            root_off = map.pool().root_offset("set").unwrap();
+            map.close().unwrap();
         }
-        // adopt of a second root, the old way.
-        let b = PooledHandle::adopt(
-            list.pool(),
-            PooledList::create_in_pool(list.pool(), "second").unwrap(),
-            "second",
-        );
-        b.insert(7, 77);
-        b.close().unwrap();
-        list.close().unwrap();
+        let (at, word) = patch(root_off);
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(&word.to_le_bytes(), at).unwrap();
+        drop(file);
+
+        // create_pooled registered S's tracer for this path, so the open
+        // itself traces the corrupt root before attach ever sees it.
+        let pool = Pool::builder().path(&path).open().unwrap();
+        assert!(pool.recovery_report().gc_ran);
+        assert!(pool.root::<S>("set").is_err(), "{tag}: corrupt root attached");
+        pool.verify_heap().unwrap();
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
     }
-    {
-        let list = PooledSet::<PooledList>::open(&path, "legacy").unwrap();
-        assert!(list.pool().recovery_report().gc_ran);
-        assert_eq!(list.get(3), Some(4));
-        // The legacy global install still routes unscoped allocations.
-        list.pool().install_as_default();
-        assert!(nvtraverse::pmem::heap::allocator_installed());
-        list.pool().uninstall_default();
-        list.close().unwrap();
-    }
-    let list = PooledSet::<PooledList>::open_or_create(&path, 2 << 20, "legacy").unwrap();
-    assert_eq!(list.len(), 40);
-    list.close().unwrap();
-    std::fs::remove_file(&path).unwrap();
+
+    // (a) 2^20 buckets would need an 8 MiB root block — four times the pool.
+    let huge_count: fn(u64) -> (u64, u64) = |root| (root, 1 << 20);
+    // (b) bucket 3's head: in the pool and aligned, but far past the
+    // frontier, so no allocated block starts there.
+    let stray_head: fn(u64) -> (u64, u64) = |root| (root + 8 * (1 + 3), CAPACITY - 4096);
+    check::<PooledMap>("corrupt-nvt-count", huge_count);
+    check::<PooledMap>("corrupt-nvt-head", stray_head);
+    check::<PooledSoftHash>("corrupt-soft-count", huge_count);
+    check::<PooledSoftHash>("corrupt-soft-head", stray_head);
 }
 
 /// SOFT keeps every link word volatile, so a close/reopen loses the entire
