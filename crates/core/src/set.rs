@@ -240,8 +240,12 @@ pub trait PoolAttach: Sized {
     /// of paper §4, plus any volatile-auxiliary rebuild). Set-shaped
     /// structures forward [`DurableSet::recover`]; queue/stack/priority
     /// queue forward their inherent `recover` — either way, pooled
-    /// lifecycles need no key/value type annotations.
-    fn recover_attached(&self);
+    /// lifecycles need no key/value type annotations. `pool` is the pool
+    /// the structure was just attached to: a structure whose recovery
+    /// enumerates candidate blocks rather than chasing links (the SOFT
+    /// sets) takes them from the pool's block inventory instead of keeping
+    /// one of its own.
+    fn recover_attached(&self, pool: &Pool);
 
     /// The EBR collector this structure retires nodes into.
     ///
@@ -521,7 +525,7 @@ impl TypedRoots for Pool {
                     },
                 )
             })?;
-            inner.recover_attached();
+            inner.recover_attached(self);
             // Recovery done and quiescent: let the structure answer the
             // descriptors the descriptor table alone could not classify.
             inner.resolve_detectable(self);

@@ -104,7 +104,7 @@ fn unpack(word: u64) -> (u64, u64) {
 /// The address-derived home shard of a block: slab-granular, so blocks carved
 /// together stay together and remote frees return to a stable shard without
 /// any per-block owner metadata.
-fn shard_of(off: u64, num_shards: usize) -> usize {
+pub(crate) fn shard_of(off: u64, num_shards: usize) -> usize {
     ((off / SLAB_TARGET) as usize) & (num_shards - 1)
 }
 
@@ -468,28 +468,35 @@ impl Engine {
         }
     }
 
-    /// Installs the result of a recovery walk: the persisted frontier and
-    /// every free block found below it.
-    pub(crate) fn rebuild(&mut self, mem: Mem, frontier: u64, frees: &[(u64, usize)]) {
+    /// Starts a recovery walk: the persisted frontier, and every free list
+    /// empty. The walk then [`push_free`](Self::push_free)es each free
+    /// block as it meets it.
+    pub(crate) fn reset(&mut self, frontier: u64) {
         *self.frontier.get_mut() = frontier;
         *self.published.get_mut() = frontier;
         for head in self.shards.iter_mut() {
             *head.get_mut() = 0;
         }
-        let mut over = 0u64;
-        for &(off, class) in frees {
-            if class < OVERSIZE {
-                let head = self.shards[class * self.num_shards + shard_of(off, self.num_shards)]
-                    .get_mut();
-                let (top, tag) = unpack(*head);
-                mem.store(off + 8, top);
-                *head = pack(off, tag);
-            } else {
-                mem.store(off + 8, over);
-                over = off;
-            }
+        *self.oversize.get_mut().unwrap_or_else(|p| p.into_inner()) = 0;
+    }
+
+    /// Pushes the free block at `off` onto its class's list — its home
+    /// shard's stack, or the oversize list. Recovery calls it while the
+    /// block's header line is still in cache (the walk just validated it;
+    /// the sweep just cleared it), in address order: the lists are LIFO, so
+    /// that order *is* the allocation order after the open.
+    pub(crate) fn push_free(&mut self, mem: Mem, off: u64, class: usize) {
+        if class < OVERSIZE {
+            let head =
+                self.shards[class * self.num_shards + shard_of(off, self.num_shards)].get_mut();
+            let (top, tag) = unpack(*head);
+            mem.store(off + 8, top);
+            *head = pack(off, tag);
+        } else {
+            let head = self.oversize.get_mut().unwrap_or_else(|p| p.into_inner());
+            mem.store(off + 8, *head);
+            *head = off;
         }
-        *self.oversize.get_mut().unwrap_or_else(|p| p.into_inner()) = over;
     }
 }
 

@@ -13,9 +13,23 @@
 //! validated every block header and **before** any structure attaches, a mark phase
 //! walks each registered root's persistent node graph (via a type-erased
 //! [`TraceFn`] the embedding process registered per pool path + root name) into a
-//! volatile [`Marker`] bitmap sized from the walk's frontier, and the sweep
-//! phase hands every allocated-but-unmarked block back to the allocation
-//! engine's free lists. The sweep clears and flushes the swept headers, so
+//! volatile [`Marker`], and the sweep phase hands every
+//! allocated-but-unmarked block back to the allocation engine's free lists.
+//!
+//! Both sets are **bitmaps** with one bit per 16-byte heap unit, a block
+//! named by its header's unit: the heap walk fills the *allocated* bitmap
+//! with every allocated block's start, the tracers fill the *mark* bitmap,
+//! and the sweep set is `allocated & !marked`, a word at a time — no side
+//! vector grows with the heap's block count. The allocated bitmap is also
+//! what makes pointer validation **exact**: [`Marker::mark`] and
+//! [`Marker::at`] accept a pointer iff it is in bounds, 16-aligned and 16
+//! bytes past a block start the walk recorded, so payload bytes that merely
+//! *decode* as a block header (values arrive off the wire; a header has no
+//! checksum) can never name a block — and marking reads no heap memory at
+//! all, which leaves the tracer's own link loads as the mark phase's only
+//! cache misses.
+//!
+//! The sweep clears and flushes the swept headers, so
 //! the reclamation itself is crash-consistent: re-killing the process at
 //! any point mid-GC leaves each garbage block either still allocated (the
 //! next open sweeps it again) or durably free — never torn.
@@ -25,12 +39,19 @@
 //! pointers, exactly like `recover()`) and **every** registered root has a
 //! tracer. One unknown root disables the whole collection — reachability of
 //! its blocks cannot be established, and sweeping them would destroy live
-//! data. See `ARCHITECTURE.md` § "Recovery GC" for the per-structure
-//! reachability contract.
+//! data. `collect` is the one collection both the open-time recovery and
+//! the deferred [`Pool::run_pending_gc`](crate::Pool::run_pending_gc) run;
+//! they differ only in where a swept block goes. See `ARCHITECTURE.md`
+//! § "Recovery GC" for the per-structure reachability contract.
 
-use crate::{check_block_header, Mem, BLOCK_ALIGN, BLOCK_HEADER, HEAP_START, W0_SIZE_MASK};
+use crate::{
+    Mem, RecoveryReport, BLOCK_ALIGN, BLOCK_HEADER, HEAP_START, W0_CLASS_MASK, W0_CLASS_SHIFT,
+    W0_SIZE_MASK,
+};
+use nvtraverse_obs as obs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// A type-erased tracer for one root: `root` is the root's payload pointer
 /// in the current mapping, and the implementation must [`Marker::mark`]
@@ -122,61 +143,100 @@ pub(crate) fn tracer_for(pool_key: &Path, name: &str) -> Option<TraceFn> {
         .map(|&(_, _, f)| f)
 }
 
-/// The mark phase's working state: a volatile bitmap with one bit per
-/// 16-byte heap unit (a block is marked at its header's unit), plus the
-/// geometry needed to validate every pointer a tracer hands in before it
-/// is trusted.
+/// One bit per 16-byte heap unit below the walked frontier; a block is
+/// named by the unit of its **header**. The recovery walk records every
+/// allocated block's start in one of these (128 KiB for a 16 MiB heap), the
+/// mark phase fills a second one of the same geometry, and the sweep is
+/// their word-wise difference.
+pub(crate) struct Bitmap(Vec<u64>);
+
+impl Bitmap {
+    /// An all-clear bitmap covering `[HEAP_START, frontier)`.
+    pub(crate) fn new(frontier: u64) -> Self {
+        Bitmap(vec![0; (((frontier - HEAP_START) / BLOCK_ALIGN) as usize).div_ceil(64)])
+    }
+
+    fn index(block: u64) -> (usize, u64) {
+        let unit = (block - HEAP_START) / BLOCK_ALIGN;
+        ((unit / 64) as usize, 1 << (unit % 64))
+    }
+
+    /// Sets the bit of the block at heap offset `block`; `false` when it
+    /// was already set.
+    pub(crate) fn set(&mut self, block: u64) -> bool {
+        let (word, bit) = Self::index(block);
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    /// Whether `block`'s bit is set; a block past the covered range has
+    /// none.
+    fn get(&self, block: u64) -> bool {
+        let (word, bit) = Self::index(block);
+        self.0.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Heap offsets of the blocks whose bits are set in `bits`, the
+    /// `word`-th word of a bitmap, in address order.
+    fn blocks_in(word: usize, mut bits: u64) -> impl Iterator<Item = u64> {
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let unit = word as u64 * 64 + u64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            Some(HEAP_START + unit * BLOCK_ALIGN)
+        })
+    }
+}
+
+/// The mark phase's working state: the walk's allocated-block bitmap (what
+/// a pointer is validated against) and a mark bitmap of the same geometry.
 ///
 /// Handed to [`TraceFn`]s by the sweep driver; user code never constructs
 /// one.
 pub struct Marker<'a> {
     mem: Mem,
-    frontier: u64,
-    bits: &'a mut [u64],
+    allocated: &'a Bitmap,
+    marks: Bitmap,
     marked: usize,
 }
 
 impl<'a> std::fmt::Debug for Marker<'a> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Marker")
-            .field("frontier", &self.frontier)
             .field("marked", &self.marked)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
 impl<'a> Marker<'a> {
-    pub(crate) fn new(mem: Mem, frontier: u64, bits: &'a mut [u64]) -> Self {
+    fn new(mem: Mem, allocated: &'a Bitmap) -> Self {
         Marker {
             mem,
-            frontier,
-            bits,
+            allocated,
+            marks: Bitmap(vec![0; allocated.0.len()]),
             marked: 0,
         }
     }
 
     /// The single validity check behind [`Marker::mark`] and [`Marker::at`]:
-    /// `off` (a heap offset) is the payload start of a valid **allocated**
-    /// block — in bounds, 16-aligned, below the frontier, with a header
-    /// passing the full walk invariants. Returns the block's header offset.
+    /// `off` (a heap offset) is the payload start of an **allocated** block
+    /// — in bounds, 16-aligned, and 16 bytes past a block start the heap
+    /// walk recorded. The answer is exact: bytes inside a payload that
+    /// merely decode as a header name no block. Returns the block's header
+    /// offset.
     fn valid_payload(&self, off: u64) -> Option<u64> {
         if off < HEAP_START + BLOCK_HEADER || !off.is_multiple_of(BLOCK_ALIGN) {
             return None;
         }
         let block = off - BLOCK_HEADER;
-        if block >= self.frontier {
-            return None;
-        }
-        match check_block_header(self.mem.load(block), block, self.frontier) {
-            Ok((_, _, true)) => Some(block),
-            _ => None,
-        }
+        self.allocated.get(block).then_some(block)
     }
 
     /// [`Marker::valid_payload`] for a pointer: out-of-pool pointers are
-    /// `None`, and only a header that passes the full walk invariants — and
-    /// is allocated — names a block; anything else is a stray pointer
-    /// landing mid-block.
+    /// `None`, like a stray pointer landing mid-block.
     fn block_of(&self, ptr: *const u8) -> Option<u64> {
         let addr = ptr as usize;
         let base = self.mem.base();
@@ -186,13 +246,17 @@ impl<'a> Marker<'a> {
         self.valid_payload((addr - base) as u64)
     }
 
+    /// Payload capacity of the (walk-validated) block at heap offset `block`.
+    fn capacity_at(&self, block: u64) -> u64 {
+        (self.mem.load(block) & W0_SIZE_MASK) - BLOCK_HEADER
+    }
+
     /// Payload capacity in bytes of the allocated block whose payload
     /// starts at `ptr` (same validation as [`Marker::mark`]) — the bound a
     /// tracer needs before reading a variable-length root block such as
     /// the hash table's bucket table.
     pub fn capacity_of(&self, ptr: *const u8) -> Option<u64> {
-        let block = self.block_of(ptr)?;
-        Some((self.mem.load(block) & W0_SIZE_MASK) - BLOCK_HEADER)
+        self.block_of(ptr).map(|block| self.capacity_at(block))
     }
 
     /// Marks the block whose **payload** starts at `ptr` as reachable.
@@ -200,28 +264,14 @@ impl<'a> Marker<'a> {
     /// Returns `true` when the block was newly marked — tracers use this to
     /// cut off shared suffixes and cycles. Returns `false` (marking
     /// nothing) when the block was already marked, or when `ptr` is not the
-    /// payload start of a valid allocated block of this pool: out-of-pool
+    /// payload start of an allocated block of this pool: out-of-pool
     /// and malformed pointers are ignored rather than trusted, so a tracer
     /// following a stale auxiliary word cannot corrupt the mark state.
+    /// Touches no heap memory: the answer comes from the two bitmaps.
     pub fn mark(&mut self, ptr: *const u8) -> bool {
-        let Some(block) = self.block_of(ptr) else {
-            return false;
-        };
-        let idx = ((block - HEAP_START) / BLOCK_ALIGN) as usize;
-        let (word, bit) = (idx / 64, idx % 64);
-        if self.bits[word] & (1 << bit) != 0 {
-            return false;
-        }
-        self.bits[word] |= 1 << bit;
-        self.marked += 1;
-        true
-    }
-
-    /// Whether the block starting at heap offset `block` is marked. Used by
-    /// the sweep phase.
-    pub(crate) fn is_marked(&self, block: u64) -> bool {
-        let idx = ((block - HEAP_START) / BLOCK_ALIGN) as usize;
-        self.bits[idx / 64] & (1 << (idx % 64)) != 0
+        let fresh = self.block_of(ptr).is_some_and(|block| self.marks.set(block));
+        self.marked += usize::from(fresh);
+        fresh
     }
 
     /// Number of distinct blocks marked so far.
@@ -232,7 +282,7 @@ impl<'a> Marker<'a> {
     /// Translates a stable heap offset to a pointer in the current mapping,
     /// for structures whose persistent root stores offsets rather than
     /// pointers (the hash table's bucket table). Returns `Some` only when
-    /// `off` is the payload start of a **valid allocated block** (same
+    /// `off` is the payload start of an **allocated block** (same
     /// validation as [`Marker::mark`]), so a tracer reading a torn or stale
     /// offset word gets `None` instead of a dereferenceable garbage
     /// pointer.
@@ -240,29 +290,83 @@ impl<'a> Marker<'a> {
         self.valid_payload(off).map(|_| self.mem.ptr(off))
     }
 
-    /// Payload offset and capacity of every **allocated** block, in address
-    /// order — the heap inventory a tracer needs when reachability is not
-    /// encoded in link words at all. The SOFT structures use this: their
-    /// links are volatile (rebuilt by recovery from per-node validity bits),
-    /// so their tracers *enumerate* candidate nodes and keep the ones whose
-    /// persistent header proves membership, rather than chasing pointers.
-    pub fn allocated_payloads(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut off = HEAP_START;
-        while off < self.frontier {
-            // Headers were validated by the open-time walk that produced
-            // this marker's frontier; a failure here is memory corruption
-            // and stopping the enumeration is the conservative answer.
-            let Ok((size, _class, allocated)) =
-                check_block_header(self.mem.load(off), off, self.frontier)
-            else {
-                break;
-            };
-            if allocated {
-                out.push((off + BLOCK_HEADER, size - BLOCK_HEADER));
+    /// Visits every **allocated** block in address order — `keep(payload,
+    /// capacity)` — and marks the ones it returns `true` for: the mark
+    /// phase of structures whose reachability is not encoded in link words
+    /// at all. The SOFT structures use this: their links are volatile
+    /// (rebuilt by recovery from per-node validity bits), so their tracers
+    /// *enumerate* candidate nodes and keep the ones whose persistent
+    /// header proves membership, rather than chasing pointers.
+    pub fn mark_allocated_if(&mut self, mut keep: impl FnMut(*mut u8, u64) -> bool) {
+        for word in 0..self.allocated.0.len() {
+            for block in Bitmap::blocks_in(word, self.allocated.0[word]) {
+                if keep(self.mem.ptr(block + BLOCK_HEADER), self.capacity_at(block))
+                    && self.marks.set(block)
+                {
+                    self.marked += 1;
+                }
             }
-            off += size;
         }
-        out
     }
+
+    /// Header offsets of the allocated blocks no tracer marked — the sweep
+    /// set, `allocated & !marked` a word at a time.
+    fn unmarked(&self) -> impl Iterator<Item = u64> + '_ {
+        (self.allocated.0.iter().zip(&self.marks.0).enumerate())
+            .flat_map(|(word, (&allocated, &marked))| Bitmap::blocks_in(word, allocated & !marked))
+    }
+}
+
+/// One mark-sweep collection over `roots` — the mark phase, the report
+/// bookkeeping and the GC counters of both the open-time and the deferred
+/// collection. `allocated` is the heap walk's block-start bitmap; `sweep`
+/// receives the `(header offset, class)` of every allocated block the mark
+/// phase never reached, in address order, and decides where it goes.
+/// Returns the swept `(blocks, bytes)`.
+pub(crate) fn collect(
+    mem: Mem,
+    allocated: &Bitmap,
+    roots: &[(String, u64, TraceFn)],
+    metrics: &obs::MetricSet,
+    report: &mut RecoveryReport,
+    sweep: impl FnOnce(&mut dyn Iterator<Item = (u64, usize)>),
+) -> (usize, u64) {
+    // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
+    let mark_start = Instant::now();
+    let mut marker = Marker::new(mem, allocated);
+    for (name, off, trace) in roots {
+        let before = marker.marked_blocks();
+        // Quiescent, header-verified heap mapped at its recorded base:
+        // open-time recovery, or the pre-attach state `run_pending_gc`
+        // requires.
+        // SAFETY: register_tracer's contract — the tracer matches the type
+        // that created this root — on the heap state described above.
+        unsafe { trace(mem.ptr(*off), &mut marker) };
+        report
+            .root_marks
+            .push((name.clone(), (marker.marked_blocks() - before) as u64));
+    }
+    let mark_nanos = mark_start.elapsed().as_nanos() as u64;
+    // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
+    let sweep_start = Instant::now();
+    let (mut swept, mut swept_bytes) = (0usize, 0u64);
+    sweep(&mut marker.unmarked().map(|block| {
+        let w0 = mem.load(block);
+        swept += 1;
+        swept_bytes += w0 & W0_SIZE_MASK;
+        (block, ((w0 >> W0_CLASS_SHIFT) & W0_CLASS_MASK) as usize)
+    }));
+    let sweep_nanos = sweep_start.elapsed().as_nanos() as u64;
+    report.gc_ran = true;
+    report.reclaimed_blocks += swept;
+    report.reclaimed_bytes += swept_bytes;
+    report.live_blocks -= swept;
+    report.free_blocks += swept;
+    report.phases.mark_nanos += mark_nanos;
+    report.phases.sweep_nanos += sweep_nanos;
+    report.gc_nanos += mark_nanos + sweep_nanos;
+    metrics.add(obs::Counter::GcRuns, 1);
+    metrics.add(obs::Counter::GcMarked, marker.marked_blocks() as u64);
+    metrics.add(obs::Counter::GcSwept, swept as u64);
+    (swept, swept_bytes)
 }

@@ -211,13 +211,17 @@ pub struct RecoveryReport {
 /// was skipped) report 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcPhases {
-    /// Validating every block header and inventorying the heap.
+    /// The one pass over the block headers: validating each, recording the
+    /// allocated ones in the block-start bitmap, and pushing the free ones
+    /// onto the engine's free lists while their header line is in cache.
     pub heap_walk_nanos: u64,
     /// Tracing every root's reachable graph into the mark bitmap.
     pub mark_nanos: u64,
     /// Clearing, flushing, and re-listing unreachable blocks.
     pub sweep_nanos: u64,
-    /// Rebuilding the engine's volatile free-list state.
+    /// Always 0: no separate rebuild pass runs any more — the free lists
+    /// are built block by block inside `heap_walk_nanos` and `sweep_nanos`.
+    /// Kept so the report (and what reads it) keeps its shape.
     pub rebuild_nanos: u64,
 }
 
@@ -1085,23 +1089,38 @@ impl Pool {
         // Re-walk the heap for the allocated inventory (the open-time walk
         // discarded it when the GC could not run). Cancel-on-alloc
         // guarantees this inventory equals the open-time one.
-        let frontier = inner.engine.frontier();
-        let mut allocs: Vec<(u64, u64, usize)> = Vec::new();
-        let mut off = HEAP_START;
-        while off < frontier {
-            // Headers were validated at open and only mutated by the
-            // engine since; a failure here would be memory corruption.
-            let Ok((size, class, allocated)) =
-                check_block_header(inner.mem.load(off), off, frontier)
-            else {
-                return false;
-            };
-            if allocated {
-                allocs.push((off, size, class));
+        let (mem, frontier) = (inner.mem, inner.engine.frontier());
+        let mut allocated = gc::Bitmap::new(frontier);
+        // Headers were validated at open and only mutated by the engine
+        // since; a failure here would be memory corruption.
+        if walk_heap(mem, frontier, |off, _, _, is_allocated| {
+            if is_allocated {
+                allocated.set(off);
             }
-            off += size;
+        })
+        .is_err()
+        {
+            return false;
         }
-        inner.deferred_gc(frontier, &roots, &allocs, &mut report);
+        let _t = obs::attribute_to(Some(inner.metrics));
+        let _p = obs::phase(obs::Phase::Gc);
+        // The engine is already rebuilt, so swept blocks return through
+        // `Engine::dealloc` — the engine's own free-path persistence
+        // discipline — instead of the recovery walk's free-list push.
+        let (swept, bytes) = gc::collect(
+            mem,
+            &allocated,
+            &roots,
+            inner.metrics,
+            &mut report,
+            |garbage| garbage.for_each(|(off, class)| inner.engine.dealloc(mem, off, class)),
+        );
+        obs::ring::record(
+            obs::ring::EventKind::DeferredGc,
+            &pool_label(&inner.path),
+            swept as u64,
+            bytes,
+        );
         inner.gc_pending.store(false, Ordering::Release);
         true
     }
@@ -1148,28 +1167,18 @@ impl Pool {
     ///
     /// Describes the first violated invariant.
     pub fn verify_heap(&self) -> Result<HeapReport, String> {
-        let inner = &*self.inner;
-        let frontier = inner.engine.frontier();
+        let frontier = self.inner.engine.frontier();
         let mut report = HeapReport {
             frontier,
             ..Default::default()
         };
-        let mut off = HEAP_START;
-        while off < frontier {
-            let w0 = inner.mem.load(off);
-            let (size, _class, allocated) = check_block_header(w0, off, frontier)?;
+        walk_heap(self.inner.mem, frontier, |off, size, _, allocated| {
             if allocated {
                 report.live.push((off, size - BLOCK_HEADER));
             } else {
                 report.free_blocks += 1;
             }
-            off += size;
-        }
-        if off != frontier {
-            return Err(format!(
-                "heap walk ended at {off:#x}, frontier is {frontier:#x}"
-            ));
-        }
+        })?;
         Ok(report)
     }
 
@@ -1181,21 +1190,24 @@ impl Pool {
             .unwrap_or_default()
     }
 
-    /// **Payload** offset and capacity of every currently allocated block
-    /// (address order). Structures whose recovery enumerates candidate
-    /// nodes instead of chasing links (the SOFT variants: links are
-    /// volatile, membership is proved by each node's persistent validity
-    /// header) rebuild their node inventory from this at attach time.
+    /// Calls `visit(payload offset, payload capacity)` for every currently
+    /// allocated block, in address order. Structures whose recovery
+    /// enumerates candidate nodes instead of chasing links (the SOFT
+    /// variants: links are volatile, membership is proved by each node's
+    /// persistent validity header) take their candidates from this pass —
+    /// the pool already knows its blocks, so they keep no inventory of
+    /// their own.
+    ///
+    /// # Errors
     ///
     /// A heap-verification failure is an error, not an empty live set:
-    /// attach must fail loudly rather than present a corrupt pool as an
+    /// recovery must fail loudly rather than present a corrupt pool as an
     /// empty structure.
-    pub fn live_payloads(&self) -> Result<Vec<(u64, u64)>, String> {
-        self.verify_heap().map(|r| {
-            r.live
-                .iter()
-                .map(|&(o, cap)| (o + BLOCK_HEADER, cap))
-                .collect()
+    pub fn for_each_live_payload(&self, mut visit: impl FnMut(u64, u64)) -> Result<(), String> {
+        walk_heap(self.inner.mem, self.inner.engine.frontier(), |off, size, _, allocated| {
+            if allocated {
+                visit(off + BLOCK_HEADER, size - BLOCK_HEADER);
+            }
         })
     }
 }
@@ -1290,12 +1302,16 @@ impl Inner {
     }
 
     /// Rebuilds allocator state from persistent block headers (the free
-    /// lists are reconstructed, not trusted), then runs the root-driven
-    /// mark-sweep recovery GC when every registered root has a tracer: the
-    /// swept blocks join the free lists the engine is rebuilt with.
+    /// lists are reconstructed, not trusted) in **one** pass that touches
+    /// each header once — validate it, then record an allocated block in
+    /// the block-start bitmap or push a free one onto its list — and then
+    /// runs the root-driven mark-sweep recovery GC when every registered
+    /// root has a tracer. Swept blocks follow the walk's free blocks onto
+    /// the lists, both in address order: the lists are LIFO, so this order
+    /// is the allocation order after the open.
     fn recover_allocator(&mut self, clean: bool) -> io::Result<RecoveryReport> {
-        let frontier = self.mem.load(OFF_FRONTIER);
-        if frontier < HEAP_START || frontier > self.mem.len() as u64 {
+        let (mem, frontier) = (self.mem, self.mem.load(OFF_FRONTIER));
+        if frontier < HEAP_START || frontier > mem.len() as u64 {
             return Err(bad_pool(format!("frontier {frontier:#x} out of range")));
         }
         let mut report = RecoveryReport {
@@ -1303,40 +1319,54 @@ impl Inner {
             clean_shutdown: clean,
             ..Default::default()
         };
-        // GC eligibility is decided before the walk, so the allocated-block
-        // inventory is only collected when a sweep can actually consume it.
         let gc_roots = self.traceable_roots();
+        let engine = &mut self.engine;
+        engine.reset(frontier);
         // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
         let walk_start = Instant::now();
-        let mut frees: Vec<(u64, usize)> = Vec::new();
-        let mut allocs: Vec<(u64, u64, usize)> = Vec::new();
-        let mut off = HEAP_START;
-        while off < frontier {
-            let w0 = self.mem.load(off);
-            // Same invariants as verify_heap (shared checker): a block that
-            // passed a weaker check here could poison a free list and
-            // later be handed out at its class size, overlapping a neighbour.
-            let (size, class, allocated) = check_block_header(w0, off, frontier)
-                .map_err(|e| bad_pool(format!("corrupt {e} (w0={w0:#x})")))?;
-            if allocated {
-                if gc_roots.is_some() {
-                    allocs.push((off, size, class));
-                }
+        let mut allocated = gc::Bitmap::new(frontier);
+        // A rejected open has by now rewritten the link words of the free
+        // blocks below the corrupt header — bytes with no persistent
+        // meaning (every open rebuilds them).
+        walk_heap(mem, frontier, |off, _, class, is_allocated| {
+            if is_allocated {
+                allocated.set(off);
                 report.live_blocks += 1;
             } else {
-                frees.push((off, class));
+                engine.push_free(mem, off, class);
                 report.free_blocks += 1;
             }
-            off += size;
-        }
+        })
+        .map_err(|e| bad_pool(format!("corrupt {e}")))?;
         report.phases.heap_walk_nanos = walk_start.elapsed().as_nanos() as u64;
         if let Some(roots) = gc_roots {
-            self.recovery_gc(frontier, &roots, &allocs, &mut frees, &mut report);
+            // Every allocated block the mark phase never reached is garbage
+            // by the reachability contract: clear its allocated bit, list
+            // it, flush the header, and order the batch with one closing
+            // fence so reclamation is itself durable. A crash mid-sweep is
+            // safe: each garbage block is independently either still
+            // allocated (reswept at the next open) or durably free.
+            let sweep = |garbage: &mut dyn Iterator<Item = (u64, usize)>| {
+                let mut any = false;
+                for (off, class) in garbage {
+                    mem.store(off, mem.load(off) & !W0_ALLOCATED);
+                    engine.push_free(mem, off, class);
+                    MmapBackend::flush(mem.ptr(off));
+                    any = true;
+                }
+                if any {
+                    MmapBackend::fence();
+                }
+            };
+            let (swept, bytes) =
+                gc::collect(mem, &allocated, &roots, self.metrics, &mut report, sweep);
+            obs::ring::record(
+                obs::ring::EventKind::Gc,
+                &pool_label(&self.path),
+                swept as u64,
+                bytes,
+            );
         }
-        // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
-        let rebuild_start = Instant::now();
-        self.engine.rebuild(self.mem, frontier, &frees);
-        report.phases.rebuild_nanos = rebuild_start.elapsed().as_nanos() as u64;
         Ok(report)
     }
 
@@ -1378,144 +1408,12 @@ impl Inner {
         }
     }
 
-    /// The mark-sweep collection of `Pool::open` recovery, over the
-    /// [`Inner::traceable_roots`]. Appends every allocated-but-unreachable
-    /// block to `frees` (with its header cleared and flushed) and records
-    /// the outcome in `report`. A crash mid-sweep is safe: each garbage
-    /// block is independently either still allocated (reswept at the next
-    /// open) or durably free.
-    fn recovery_gc(
-        &self,
-        frontier: u64,
-        roots: &[(String, u64, gc::TraceFn)],
-        allocs: &[(u64, u64, usize)],
-        frees: &mut Vec<(u64, usize)>,
-        report: &mut RecoveryReport,
-    ) {
-        // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
-        let mark_start = Instant::now();
-        // Mark: one bit per 16-byte heap unit, sized from the walked heap.
-        let mut bits = vec![0u64; (((frontier - HEAP_START) / BLOCK_ALIGN) as usize).div_ceil(64)];
-        let mut marker = gc::Marker::new(self.mem, frontier, &mut bits);
-        for (name, off, trace) in roots {
-            let before = marker.marked_blocks();
-            // SAFETY: register_tracer's contract — the tracer matches the
-            // type that created this root — plus a quiescent, header-
-            // verified heap mapped at its recorded base.
-            unsafe { trace(self.mem.ptr(*off), &mut marker) };
-            report
-                .root_marks
-                .push((name.clone(), (marker.marked_blocks() - before) as u64));
-        }
-        let marked = marker.marked_blocks();
-        let mark_nanos = mark_start.elapsed().as_nanos() as u64;
-        // Sweep: every allocated block the mark phase never reached is
-        // garbage by the reachability contract. Clear its allocated bit and
-        // hand it to the engine rebuild; flush the cleared headers in batch
-        // with one closing fence so reclamation is itself durable.
-        // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
-        let sweep_start = Instant::now();
-        let mut swept = 0usize;
-        for &(off, size, class) in allocs {
-            if marker.is_marked(off) {
-                continue;
-            }
-            self.mem.store(off, self.mem.load(off) & !W0_ALLOCATED);
-            MmapBackend::flush(self.mem.ptr(off));
-            frees.push((off, class));
-            swept += 1;
-            report.reclaimed_bytes += size;
-        }
-        if swept > 0 {
-            MmapBackend::fence();
-        }
-        let sweep_nanos = sweep_start.elapsed().as_nanos() as u64;
-        report.gc_ran = true;
-        report.reclaimed_blocks = swept;
-        report.live_blocks -= swept;
-        report.free_blocks += swept;
-        report.phases.mark_nanos = mark_nanos;
-        report.phases.sweep_nanos = sweep_nanos;
-        report.gc_nanos = mark_nanos + sweep_nanos;
-        self.metrics.add(obs::Counter::GcRuns, 1);
-        self.metrics.add(obs::Counter::GcMarked, marked as u64);
-        self.metrics.add(obs::Counter::GcSwept, swept as u64);
-        obs::ring::record(
-            obs::ring::EventKind::Gc,
-            &pool_label(&self.path),
-            swept as u64,
-            report.reclaimed_bytes,
-        );
-    }
-
     /// Number of named root slots in use.
     fn root_count(&self) -> usize {
         let _guard = self.roots.lock().unwrap_or_else(|e| e.into_inner());
         (0..MAX_ROOTS)
             .filter(|&slot| self.read_root_slot(slot).0.is_some())
             .count()
-    }
-
-    /// The deferred variant of [`Inner::recovery_gc`], run after the engine
-    /// is already rebuilt (see [`Pool::run_pending_gc`]): same mark phase,
-    /// but swept blocks return through [`Engine::dealloc`] — the engine's
-    /// own free-path persistence discipline — instead of the rebuild's free
-    /// list. Folds the reclaim into the existing `report`.
-    fn deferred_gc(
-        &self,
-        frontier: u64,
-        roots: &[(String, u64, gc::TraceFn)],
-        allocs: &[(u64, u64, usize)],
-        report: &mut RecoveryReport,
-    ) {
-        let _t = obs::attribute_to(Some(self.metrics));
-        let _p = obs::phase(obs::Phase::Gc);
-        // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
-        let mark_start = Instant::now();
-        let mut bits = vec![0u64; (((frontier - HEAP_START) / BLOCK_ALIGN) as usize).div_ceil(64)];
-        let mut marker = gc::Marker::new(self.mem, frontier, &mut bits);
-        for (name, off, trace) in roots {
-            let before = marker.marked_blocks();
-            // SAFETY: register_tracer's contract (tracer matches the root's
-            // type), plus the quiescent pre-attach heap `run_pending_gc`
-            // requires — the same state open-time recovery provides.
-            unsafe { trace(self.mem.ptr(*off), &mut marker) };
-            report
-                .root_marks
-                .push((name.clone(), (marker.marked_blocks() - before) as u64));
-        }
-        let marked = marker.marked_blocks();
-        let mark_nanos = mark_start.elapsed().as_nanos() as u64;
-        // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
-        let sweep_start = Instant::now();
-        let mut swept = 0usize;
-        let mut swept_bytes = 0u64;
-        for &(off, size, class) in allocs {
-            if marker.is_marked(off) {
-                continue;
-            }
-            self.engine.dealloc(self.mem, off, class);
-            swept += 1;
-            swept_bytes += size;
-        }
-        let sweep_nanos = sweep_start.elapsed().as_nanos() as u64;
-        report.gc_ran = true;
-        report.reclaimed_blocks += swept;
-        report.reclaimed_bytes += swept_bytes;
-        report.live_blocks -= swept;
-        report.free_blocks += swept;
-        report.phases.mark_nanos += mark_nanos;
-        report.phases.sweep_nanos += sweep_nanos;
-        report.gc_nanos += mark_nanos + sweep_nanos;
-        self.metrics.add(obs::Counter::GcRuns, 1);
-        self.metrics.add(obs::Counter::GcMarked, marked as u64);
-        self.metrics.add(obs::Counter::GcSwept, swept as u64);
-        obs::ring::record(
-            obs::ring::EventKind::DeferredGc,
-            &pool_label(&self.path),
-            swept as u64,
-            swept_bytes,
-        );
     }
 
     // ---- shims for the pmem foreign-heap registry ------------------------
@@ -1555,9 +1453,36 @@ impl Drop for Inner {
     }
 }
 
-/// Decodes and validates one block header word against the heap invariants
-/// shared by `verify_heap` and `recover_allocator`: size bounds, alignment,
-/// class range, class/size consistency, and frontier containment.
+/// The one pass over the block headers in `[HEAP_START, frontier)`: checks
+/// every header against the heap invariants and calls `block(offset, size,
+/// class, allocated)` for each, in address order. Every consumer of the
+/// heap's block inventory — open-time recovery, the deferred GC,
+/// [`Pool::verify_heap`], [`Pool::for_each_live_payload`] — is this loop, so a
+/// block that passed a weaker check somewhere can never poison a free list
+/// and later be handed out at its class size, overlapping a neighbour.
+///
+/// # Errors
+///
+/// Describes the first violated invariant (nothing past it is visited).
+fn walk_heap(
+    mem: Mem,
+    frontier: u64,
+    mut block: impl FnMut(u64, u64, usize, bool),
+) -> Result<(), String> {
+    let mut off = HEAP_START;
+    while off < frontier {
+        let w0 = mem.load(off);
+        let (size, class, allocated) =
+            check_block_header(w0, off, frontier).map_err(|e| format!("{e} (w0={w0:#x})"))?;
+        block(off, size, class, allocated);
+        off += size;
+    }
+    Ok(())
+}
+
+/// Decodes and validates one block header word against the heap
+/// invariants: size bounds, alignment, class range, class/size consistency,
+/// and frontier containment (so a walk ends exactly at the frontier).
 ///
 /// Returns `(block_size, class, allocated)`.
 fn check_block_header(w0: u64, off: u64, frontier: u64) -> Result<(u64, usize, bool), String> {

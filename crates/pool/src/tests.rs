@@ -724,3 +724,198 @@ fn open_retry_waits_out_a_closing_holder() {
     drop(reopened);
     cleanup(&path);
 }
+
+#[test]
+fn marker_refuses_payload_bytes_that_mimic_a_header() {
+    use std::sync::atomic::AtomicU8;
+    // 1 = refused, 2 = accepted; written by the tracer below.
+    static MARKED: AtomicU8 = AtomicU8::new(0);
+    static RESOLVED: AtomicU8 = AtomicU8::new(0);
+    unsafe fn probe_inside(root: *mut u8, marker: &mut gc::Marker<'_>) {
+        assert!(marker.mark(root), "the root itself is a real block");
+        // SAFETY: 16 bytes into the root's 112-byte payload.
+        let inside = unsafe { root.add(BLOCK_HEADER as usize) };
+        MARKED.store(1 + u8::from(marker.mark(inside)), Ordering::SeqCst);
+        // The same address as a pool offset, which the test body left in
+        // the root's second payload word.
+        // SAFETY: the second payload word of the root block.
+        let inside_off = unsafe { (root as *const u64).add(1).read() };
+        RESOLVED.store(1 + u8::from(marker.at(inside_off).is_some()), Ordering::SeqCst);
+    }
+    let path = tmp("mimic");
+    {
+        let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
+        let a = pool.alloc(112, 8).unwrap() as *mut u64;
+        // Another allocated block behind it, so the fake block below ends
+        // under the frontier whatever the slab geometry.
+        pool.alloc(112, 8).unwrap();
+        let a_off = pool.offset_of(a as *const u8);
+        // A word that decodes as the header of an allocated 64-byte-class
+        // block, at the start of a payload — values arrive off the wire.
+        let fake = CLASS_SIZES[1] | (1 << W0_CLASS_SHIFT) | W0_ALLOCATED;
+        assert!(matches!(
+            check_block_header(fake, a_off, pool.inner.engine.frontier()),
+            Ok((64, 1, true))
+        ));
+        // SAFETY: both words are inside `a`'s 112-byte payload.
+        unsafe {
+            a.write(fake);
+            a.add(1).write(a_off + BLOCK_HEADER);
+        }
+        pool.set_root_offset("r", a_off).unwrap();
+    }
+    // SAFETY: the root is one self-contained block; the tracer marks it.
+    unsafe { gc::register_tracer(&path, "r", probe_inside) };
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let report = pool.recovery_report();
+    assert!(report.gc_ran);
+    assert_eq!(MARKED.load(Ordering::SeqCst), 1, "mark() accepted a pointer into the middle of a block");
+    assert_eq!(RESOLVED.load(Ordering::SeqCst), 1, "at() resolved an offset into the middle of a block");
+    assert_eq!(report.root_marks, vec![("r".to_string(), 1)]);
+    assert_eq!(report.reclaimed_blocks, 1, "exactly the unreachable second block");
+    drop(pool);
+    gc::unregister_tracer(&path, "r");
+    cleanup(&path);
+}
+
+/// Every block below the frontier as `(offset, size, class, allocated)`.
+fn inventory(pool: &Pool) -> Vec<(u64, u64, usize, bool)> {
+    let mut blocks = Vec::new();
+    walk_heap(pool.inner.mem, pool.inner.engine.frontier(), |off, size, class, allocated| {
+        blocks.push((off, size, class, allocated));
+    })
+    .unwrap();
+    blocks
+}
+
+#[test]
+fn recovery_gc_reclaims_exactly_the_garbage_and_keeps_allocation_order() {
+    // The root block lists the offsets it keeps alive: `[n, off…]`.
+    unsafe fn trace_listed(root: *mut u8, marker: &mut gc::Marker<'_>) {
+        if !marker.mark(root) {
+            return;
+        }
+        // SAFETY: the test wrote `n` and `n` offsets into this block.
+        unsafe {
+            let words = root as *const u64;
+            for i in 1..=words.read() as usize {
+                let kept = marker.at(words.add(i).read()).expect("kept block is allocated");
+                marker.mark(kept);
+            }
+        }
+    }
+    const OVERSIZE_PAYLOAD: usize = 100 * 1024;
+    // Payload sizes landing in the 64-, 256- and 1024-byte classes.
+    const SIZES: [usize; 3] = [40, 200, 1000];
+    let path = tmp("gc-order");
+    let (before, kept, frontier);
+    {
+        let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
+        let root = pool.alloc(8 * 200, 8).unwrap() as *mut u64;
+        let (mut keep, mut free) = (Vec::new(), Vec::new());
+        for (c, &size) in SIZES.iter().enumerate() {
+            for i in 0..150usize {
+                let p = pool.alloc(size, 8).unwrap();
+                match (i + c) % 3 {
+                    0 => keep.push(pool.offset_of(p)),
+                    1 => free.push(p),
+                    _ => {} // garbage: allocated, reachable from no root
+                }
+            }
+        }
+        // Freed only now, so no later allocation takes a block straight
+        // back out of the magazine.
+        for p in free {
+            // SAFETY: allocated above, referenced by nobody.
+            unsafe { pool.dealloc(p) };
+        }
+        // Oversize: one freed, one garbage, one kept — all the same size,
+        // so first-fit takes whichever the list offers first.
+        let over_freed = pool.alloc(OVERSIZE_PAYLOAD, 8).unwrap();
+        pool.alloc(OVERSIZE_PAYLOAD, 8).unwrap();
+        keep.push(pool.offset_of(pool.alloc(OVERSIZE_PAYLOAD, 8).unwrap()));
+        // SAFETY: just allocated, referenced by nobody.
+        unsafe { pool.dealloc(over_freed) };
+        // SAFETY: the root block holds 200 words; `keep` has 151 entries.
+        unsafe {
+            root.write(keep.len() as u64);
+            for (i, off) in keep.iter().enumerate() {
+                root.add(1 + i).write(*off);
+            }
+        }
+        pool.set_root_offset("r", pool.offset_of(root as *const u8)).unwrap();
+        keep.push(pool.offset_of(root as *const u8));
+        before = inventory(&pool);
+        frontier = pool.inner.engine.frontier();
+        kept = keep;
+    }
+    // SAFETY: `trace_listed` reads the layout written above.
+    unsafe { gc::register_tracer(&path, "r", trace_listed) };
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let report = pool.recovery_report();
+    assert!(report.gc_ran);
+
+    // The reclaimed set is exactly the garbage.
+    let is_kept = |off: u64| kept.contains(&(off + BLOCK_HEADER));
+    let garbage: Vec<_> = before.iter().filter(|b| b.3 && !is_kept(b.0)).collect();
+    assert_eq!(garbage.len(), 3 * 50 + 1);
+    assert!(garbage.iter().any(|b| b.2 == OVERSIZE), "an oversize block is among the garbage");
+    assert_eq!(report.reclaimed_blocks, garbage.len());
+    assert_eq!(report.reclaimed_bytes, garbage.iter().map(|b| b.1).sum::<u64>());
+    assert_eq!(report.live_blocks, kept.len());
+    assert_eq!(report.free_blocks, before.len() - kept.len());
+    assert_eq!(report.root_marks, vec![("r".to_string(), kept.len() as u64)]);
+    let heap = pool.verify_heap().unwrap();
+    let mut live: Vec<u64> = heap.live.iter().map(|&(off, _)| off + BLOCK_HEADER).collect();
+    live.sort_unstable();
+    let mut want = kept.clone();
+    want.sort_unstable();
+    assert_eq!(live, want);
+    assert_eq!(heap.free_blocks, report.free_blocks);
+    assert_eq!(heap.frontier, frontier);
+
+    // Allocation order after the open: every free list is LIFO and was
+    // built by pushing the walk's free blocks, then the swept blocks, each
+    // in address order — so, shard by shard, allocation pops them in
+    // exactly the reverse of that. (Which shard a thread drains first is
+    // its own business; the order within a shard is the pool's.)
+    let shards = pool.shard_count();
+    for (c, &size) in SIZES.iter().enumerate() {
+        let class = [1, 3, 5][c];
+        let listed = |swept: bool| {
+            before
+                .iter()
+                .filter(move |b| b.2 == class && if swept { b.3 && !is_kept(b.0) } else { !b.3 })
+                .map(|b| b.0)
+        };
+        let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); shards];
+        for off in listed(false).chain(listed(true)) {
+            stacks[engine::shard_of(off, shards)].push(off);
+        }
+        for n in 0..64 {
+            let off = pool.offset_of(pool.alloc(size, 8).unwrap()) - BLOCK_HEADER;
+            assert!(off < frontier, "class {class}: carved fresh space at allocation {n}");
+            assert_eq!(
+                stacks[engine::shard_of(off, shards)].pop(),
+                Some(off),
+                "class {class}: allocation {n} came out of order"
+            );
+        }
+    }
+    // Oversize first-fit walks the list from its head: the swept block
+    // (pushed last), then the one the walk found free.
+    let over: Vec<u64> = before.iter().filter(|b| b.2 == OVERSIZE && !is_kept(b.0)).map(|b| b.0).collect();
+    let (over_free, over_swept) = if before.iter().any(|b| b.0 == over[0] && b.3) {
+        (over[1], over[0])
+    } else {
+        (over[0], over[1])
+    };
+    for want in [over_swept, over_free] {
+        let got = pool.offset_of(pool.alloc(OVERSIZE_PAYLOAD, 8).unwrap()) - BLOCK_HEADER;
+        assert_eq!(got, want, "oversize allocation order changed");
+    }
+    pool.verify_heap().unwrap();
+    drop(pool);
+    gc::unregister_tracer(&path, "r");
+    cleanup(&path);
+}

@@ -814,7 +814,7 @@ where
         Some(unsafe { Self::attach_at(root, Collector::new()) })
     }
 
-    fn recover_attached(&self) {
+    fn recover_attached(&self, _pool: &Pool) {
         self.recover_tree();
     }
 

@@ -19,6 +19,20 @@
 //! [`SoftList`](crate::soft_list::SoftList) — "Efficient Lock-Free Durable
 //! Sets" builds its two tables the same way, one bucket array over two list
 //! disciplines.
+//!
+//! # Recovery
+//!
+//! The table recovers (and is traced for the recovery GC) as a whole, not
+//! bucket by bucket, through two [`BucketList`] hooks. Harris buckets are
+//! `n` independent pointer chains, so both their GC mark
+//! ([`BucketList::trace_buckets`]) and their recovery
+//! ([`BucketList::recover_buckets`]) advance all `n` chains as one
+//! wavefront (the crate's `walk_chains`) whose cache misses
+//! overlap; recovery's wavefront is read-only and only flags the buckets
+//! that hold a marked link, on which the list's own `disconnect` pass then
+//! runs — any other bucket is one it would not write to. SOFT buckets have
+//! no persistent links to chase: a pooled table's one recovery pass takes
+//! every bucket's sealed nodes from the pool's block inventory.
 
 use crate::list::HarrisList;
 use nvtraverse::alloc::PoolCtx;
@@ -35,8 +49,8 @@ use std::io;
 /// the list's own set operations (through [`DurableSet`]) plus what the
 /// table needs to build, persist, re-attach, trace and inspect an array of
 /// them. Everything a table does that is the same for every list discipline
-/// lives in [`BucketTable`]; the three provided-or-required hooks at the end
-/// are the places where the disciplines genuinely differ.
+/// lives in [`BucketTable`]; the three hooks at the end are the places where
+/// the disciplines genuinely differ.
 pub trait BucketList: DurableSet<Self::Key, Self::Value> + Sized {
     /// Key type of the list (and the table over it).
     type Key: Word + Ord;
@@ -71,15 +85,14 @@ pub trait BucketList: DurableSet<Self::Key, Self::Value> + Sized {
     /// Quiescent: the list's `(key, value)` pairs in key order.
     fn iter_snapshot(&self) -> Vec<(Self::Key, Self::Value)>;
 
-    /// Attach hook, run once over the freshly attached `buckets` of a
-    /// pooled table before recovery. Lists whose chains are found by
-    /// following persistent links need nothing (the default); SOFT lists
-    /// take their sealed nodes from the pool's block inventory here.
-    /// `None` fails the attach.
-    fn adopt_nodes(pool: &Pool, buckets: &[Self]) -> Option<()> {
-        let _ = (pool, buckets);
-        Some(())
-    }
+    /// Recovery of all of a table's `buckets` at once (they share
+    /// `collector`) — the table-level hook behind both
+    /// [`DurableSet::recover`] (`pool` is `None`) and
+    /// [`PoolAttach::recover_attached`] (the pool just attached to). Harris
+    /// buckets scan every chain as one wavefront and recover only the ones
+    /// holding a marked link; SOFT buckets of a pooled table take their
+    /// candidate nodes from **one** pass over the pool's block inventory.
+    fn recover_buckets(buckets: &[Self], collector: &Collector, pool: Option<&Pool>);
 
     /// Marks every block reachable from the validated bucket `heads` —
     /// the per-bucket half of the table's `PoolTrace`.
@@ -274,12 +287,11 @@ impl<L: BucketList> DurableSet<L::Key, L::Value> for BucketTable<L> {
         self.buckets.iter().map(|b| b.len()).sum()
     }
 
-    /// Recovery runs each bucket's own recovery pass. The bucket array
+    /// Recovery is the list discipline's
+    /// [`recover_buckets`](BucketList::recover_buckets). The bucket array
     /// itself is immutable and was persisted at construction.
     fn recover(&self) {
-        for b in self.buckets.iter() {
-            b.recover();
-        }
+        L::recover_buckets(&self.buckets, &self.collector, None);
     }
 
     fn try_insert(&self, key: L::Key, value: L::Value) -> Result<bool, OpError> {
@@ -341,12 +353,11 @@ impl<L: BucketList> PoolAttach for BucketTable<L> {
             // SAFETY: the head is an allocated block the persistent table names; the caller vouches for the table's type.
             .map(|head| unsafe { L::attach_head(head, collector.clone()) })
             .collect();
-        L::adopt_nodes(pool, &buckets)?;
         Some(BucketTable { buckets, collector })
     }
 
-    fn recover_attached(&self) {
-        self.recover();
+    fn recover_attached(&self, pool: &Pool) {
+        L::recover_buckets(&self.buckets, &self.collector, Some(pool));
     }
 
     fn collector_of(&self) -> &Collector {
@@ -416,12 +427,15 @@ impl<K: Word + Ord, V: Word, D: Durability> BucketList for HarrisList<K, V, D> {
         self.iter_snapshot()
     }
 
+    fn recover_buckets(buckets: &[Self], collector: &Collector, _pool: Option<&Pool>) {
+        Self::recover_lists(buckets, collector);
+    }
+
     // SAFETY: see `BucketList::trace_buckets` — every head is a validated Harris head sentinel on a quiescent heap.
     unsafe fn trace_buckets(heads: &[*mut u8], marker: &mut Marker<'_>) {
-        for &head in heads {
-            // SAFETY: forwarded — each head roots one Harris chain.
-            unsafe { <Self as nvtraverse::PoolTrace>::trace(head, marker) };
-        }
+        let mut heads: Vec<_> = heads.iter().map(|&h| h as *mut crate::list::Node<K, V, D::B>).collect();
+        // SAFETY: forwarded — each head roots one Harris chain; the chains advance as one wavefront.
+        unsafe { Self::trace_heads(&mut heads, marker) };
     }
 
     fn resolve_detectable(table: &HashMapDs<K, V, D>, pool: &Pool) {
@@ -586,5 +600,216 @@ mod tests {
         }
         m.collector().synchronize();
         assert!(m.collector().epoch() > epoch_before);
+    }
+
+    // ---- recovery: the wavefront against a one-chain-at-a-time reference ----
+
+    use crate::list::Node;
+    use nvtraverse::{drain_collector, TypedRoots};
+    use nvtraverse_obs as obs;
+    use nvtraverse_pmem::Count;
+
+    /// The nodes behind `bucket`'s head sentinel, in chain order, marked or
+    /// not — the plain walk the wavefront is checked against.
+    fn chain<D: Durability>(bucket: &Harris<D>) -> Vec<*mut Node<u64, u64, D::B>> {
+        let mut out = Vec::new();
+        // SAFETY: quiescent test heap; every link was written by this test.
+        unsafe {
+            let mut cur = (*bucket.head_ptr()).next.load().ptr();
+            while !cur.is_null() {
+                out.push(cur);
+                cur = (*cur).next.load().ptr();
+            }
+        }
+        out
+    }
+
+    /// Logically deletes `node` and nothing more: the state a crash between
+    /// a remove's mark CAS and its unlink leaves behind.
+    fn mark_in_place<B: Backend>(node: *mut Node<u64, u64, B>) {
+        // SAFETY: quiescent test heap; `node` is a live chain node.
+        unsafe {
+            let next = &(*node).next;
+            next.store(next.load().with_mark());
+            B::flush(next.addr());
+        }
+        B::fence();
+    }
+
+    /// Raw words of every node of `bucket`: (address, key, value, link).
+    fn words<D: Durability>(bucket: &Harris<D>) -> Vec<(usize, u64, u64, u64)> {
+        chain(bucket)
+            .into_iter()
+            // SAFETY: quiescent test heap.
+            .map(|n| unsafe {
+                (n as usize, (*n).key.load(), (*n).value.load(), (*n).next.peek_bits())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pooled_recovery_matches_the_one_chain_at_a_time_reference() {
+        use rand::prelude::*;
+        type Map = HashMapDs<u64, u64, NvTraverse<MmapBackend>>;
+
+        // (buckets, keys drawn, tracer registered before the open?) — few
+        // keys over 64 buckets leaves buckets empty; the unregistered case
+        // takes the deferred collection instead of the open-time one.
+        for (buckets, draws, eager) in [(1usize, 300u64, true), (3, 300, false), (64, 90, true)] {
+            let name = "table";
+            let path = std::env::temp_dir().join(format!(
+                "nvt-hash-wavefront-{}-{buckets}.pool",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            nvtraverse_pool::unregister_tracer(&path, name);
+
+            let (want_pairs, want_live, marked, garbage_blocks, garbage_bytes);
+            {
+                let pool = Pool::builder().path(&path).capacity(8 << 20).create().unwrap();
+                let scope = PoolCtx::of(&pool).enter();
+                let map = Map::with_collector(buckets, Collector::new());
+                let root = encode_root(&pool, &map.buckets).unwrap();
+                pool.set_root_ptr_checked(name, root).unwrap();
+                drop(scope);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE ^ buckets as u64);
+                for i in 0..draws {
+                    let k = rng.random_range(0..400u64);
+                    if rng.random_range(0..4) == 0 {
+                        map.remove(k);
+                    } else {
+                        map.insert(k, i);
+                    }
+                }
+                drain_collector(map.collector());
+                // Marked-but-still-linked nodes at the head, in the middle
+                // (two adjacent) and at the tail of the longest chains.
+                let mut n_marked = 0;
+                let mut by_len: Vec<&Harris<_>> = map.buckets.iter().collect();
+                by_len.sort_by_key(|b| std::cmp::Reverse(chain(b).len()));
+                for (b, spots) in by_len.iter().zip([&[0usize, 3, 4][..], &[usize::MAX][..], &[2][..]]) {
+                    let nodes = chain(b);
+                    for &spot in spots {
+                        let i = spot.min(nodes.len().saturating_sub(1));
+                        // SAFETY: quiescent test heap.
+                        if i < nodes.len() && !unsafe { (*nodes[i]).next.load() }.is_marked() {
+                            mark_in_place(nodes[i]);
+                            n_marked += 1;
+                        }
+                    }
+                }
+                assert!(n_marked >= 3, "{buckets} buckets: chains too short to mark");
+                // Unreachable garbage, in several classes.
+                let garbage: Vec<*mut u8> =
+                    [40, 40, 200, 1000, 70_000].iter().map(|&n| pool.alloc(n, 8).unwrap()).collect();
+                garbage_blocks = garbage.len();
+                garbage_bytes = garbage.iter().map(|&p| pool.usable_size(p) + 16).sum::<u64>();
+                // The reference: one chain at a time.
+                let mut pairs = Vec::new();
+                let mut live = 1; // the bucket-table block
+                for b in map.buckets.iter() {
+                    let nodes = chain(b);
+                    live += 1 + nodes.len();
+                    for n in nodes {
+                        // SAFETY: quiescent test heap.
+                        unsafe {
+                            if !(*n).next.load().is_marked() {
+                                pairs.push(((*n).key.load(), (*n).value.load()));
+                            }
+                        }
+                    }
+                }
+                pairs.sort_unstable();
+                (want_pairs, want_live, marked) = (pairs, live, n_marked);
+                pool.sync().unwrap();
+                std::mem::forget(map); // pool-resident: never torn down
+            }
+
+            if eager {
+                // SAFETY: the root was created as a `Map` just above.
+                unsafe { nvtraverse::register_pool_tracer::<Map>(&path, name) };
+            }
+            let pool = Pool::builder().path(&path).open().unwrap();
+            assert_eq!(pool.recovery_report().gc_ran, eager, "{buckets} buckets");
+            let map = pool.root::<Map>(name).unwrap();
+            let report = pool.recovery_report();
+            assert!(report.gc_ran, "{buckets} buckets");
+            assert_eq!(report.reclaimed_blocks, garbage_blocks, "{buckets} buckets");
+            assert_eq!(report.reclaimed_bytes, garbage_bytes, "{buckets} buckets");
+            assert_eq!(report.live_blocks, want_live, "{buckets} buckets");
+            assert_eq!(report.root_marks, vec![(name.to_string(), want_live as u64)]);
+            let mut got = map.iter_snapshot();
+            got.sort_unstable();
+            assert_eq!(got, want_pairs, "{buckets} buckets");
+            assert_eq!(map.check_consistency(false).unwrap(), want_pairs.len());
+            assert_eq!(map.bucket_count(), buckets);
+            map.close().unwrap();
+            drop(pool);
+
+            // A second open finds nothing to reclaim: the marked nodes were
+            // trimmed by recover(), retired, and freed by the close's drain.
+            let pool = Pool::builder().path(&path).open().unwrap();
+            let report = pool.recovery_report();
+            assert!(report.gc_ran, "{buckets} buckets");
+            assert_eq!(report.reclaimed_blocks, 0, "{buckets} buckets");
+            assert_eq!(report.live_blocks, want_live - marked, "{buckets} buckets");
+            let map = pool.root::<Map>(name).unwrap();
+            assert_eq!(map.check_consistency(false).unwrap(), want_pairs.len());
+            pool.verify_heap().unwrap();
+            map.close().unwrap();
+            drop(pool);
+            nvtraverse_pool::unregister_tracer(&path, name);
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn recover_touches_only_buckets_holding_a_marked_link() {
+        type Map = HashMapDs<u64, u64, NvTraverse<Count<Noop>>>;
+        /// (flushes, fences) `f` issues, attributed to a private set.
+        fn counted(f: impl FnOnce()) -> (u64, u64) {
+            let set: &'static obs::MetricSet = Box::leak(Box::new(obs::MetricSet::new(1)));
+            {
+                let _t = obs::attribute_to(Some(set));
+                f();
+            }
+            let s = set.snapshot();
+            (s.total_flushes(), s.total_fences())
+        }
+        if !obs::enabled() {
+            return; // NVT_OBS=off: nothing is counted
+        }
+        let m = Map::new(8);
+        for k in 0..200u64 {
+            assert!(m.insert(k, k * 3));
+        }
+        let all_words = |m: &Map| m.buckets.iter().map(words).collect::<Vec<_>>();
+
+        // No marked link anywhere: recovery is a read-only scan.
+        let before = all_words(&m);
+        let garbage = m.collector().local_garbage();
+        assert_eq!(counted(|| m.recover()), (0, 0), "a clean table's recover persisted something");
+        assert_eq!(m.collector().local_garbage(), garbage, "a clean table's recover retired something");
+        assert_eq!(all_words(&m), before, "a clean table's recover wrote a link");
+
+        // One marked node, in the middle of one bucket.
+        let victim_bucket = 5;
+        let nodes = chain(&m.buckets[victim_bucket]);
+        let victim = nodes[nodes.len() / 2];
+        mark_in_place(victim);
+        let before = all_words(&m);
+        let (flushes, fences) = counted(|| m.recover());
+        assert!(flushes >= 1 && fences >= 1, "the unlink must be persisted");
+        assert_eq!(m.collector().local_garbage(), garbage + 1, "exactly the marked node is retired");
+        let after = all_words(&m);
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            if i == victim_bucket {
+                let survivors: Vec<_> = b.iter().filter(|w| w.0 != victim as usize).map(|w| w.0).collect();
+                assert_eq!(a.iter().map(|w| w.0).collect::<Vec<_>>(), survivors);
+            } else {
+                assert_eq!(a, b, "bucket {i} holds no marked link but was written");
+            }
+        }
+        assert_eq!(m.check_consistency(false).unwrap(), 199);
     }
 }

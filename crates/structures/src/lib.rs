@@ -28,7 +28,11 @@
 //! Each also implements [`PoolTrace`](nvtraverse::PoolTrace) — the
 //! reachability walk `Pool::open`'s mark-sweep recovery GC uses to sweep
 //! crash-stranded blocks; the table's *reachability contract* column
-//! documents exactly which links each walk follows.
+//! documents exactly which links each walk follows. Every walk over
+//! next-pointer chains — the tracers of the list, hash table, skiplist
+//! bottom level, queue and stack, and the hash table's recovery scan — is
+//! the crate's one `walk_chains` wavefront helper, which overlaps the cache
+//! misses of independent chains (a single chain is its one-lane case).
 //!
 //! # Example
 //!
@@ -48,26 +52,79 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-/// The singly-linked chain walk shared by every `PoolTrace` implementation
-/// built on a next-pointer chain (list and skiplist bottom level, queue
-/// node chain, stack chain): mark `cur`, then follow `next` until the end
-/// of the chain or an already-marked node (a shared suffix needs walking
-/// only once). Marked/logically-deleted links are followed like any other —
-/// a reachable-but-marked node must survive the sweep so `recover()` can
-/// trim it through the collector.
+/// The one chain walker of recovery: advances a set of **independent**
+/// singly-linked chains in lock-step, as one wavefront. Each round visits
+/// every live lane once — `visit(lane, node)` handles the lane's current
+/// node and returns its successor (null ends the lane) — and issues a
+/// software prefetch for that successor before moving to the next lane, so
+/// by the time the round comes back the line is (being) fetched. A chain
+/// walk is a dependent pointer chase, one cache/TLB miss in flight at a
+/// time; the chains of a bucket table do not depend on each other, so their
+/// misses can overlap, and that memory-level parallelism is the whole gain:
+/// the mark phase and the recovery scan of a 2^18-node, 64-bucket table drop
+/// from ≈ 145 ns to ≈ 10 ns a hop on DRAM (see `ARCHITECTURE.md` § "Recovery
+/// GC"). The lanes in flight are simply the chains given.
 ///
 /// # Safety
 ///
-/// `cur` must be null or a chain node valid under `Pool::open` recovery's
-/// quiescence, and `next` must read the node's link word without side
-/// effects (raw load, no policy flushes).
-pub(crate) unsafe fn trace_chain<N>(
+/// Every non-null element of `lanes`, and every non-null pointer `visit`
+/// returns, must be a chain node `visit` may be called on (valid under
+/// recovery's quiescence or an EBR guard the caller holds). The prefetch
+/// itself never faults, whatever the address.
+pub(crate) unsafe fn walk_chains<N>(
+    lanes: &mut [*mut N],
+    mut visit: impl FnMut(usize, *mut N) -> *mut N,
+) {
+    let mut live = true;
+    while live {
+        live = false;
+        for (lane, cur) in lanes.iter_mut().enumerate() {
+            if cur.is_null() {
+                continue;
+            }
+            *cur = visit(lane, *cur);
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: a prefetch is a hint — it performs no architectural
+            // access and cannot fault on any address, null included.
+            unsafe {
+                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                _mm_prefetch::<_MM_HINT_T0>(*cur as *const i8);
+            }
+            live = true;
+        }
+    }
+}
+
+/// The GC mark walk shared by every `PoolTrace` implementation built on
+/// next-pointer chains (list, hash-table buckets, skiplist bottom level,
+/// queue node chain, stack chain): the chains rooted at `heads` are marked
+/// through [`walk_chains`], each followed along `next` until its end or an
+/// already-marked node (a shared suffix needs walking only once).
+/// Marked/logically-deleted links are followed like any other — a
+/// reachable-but-marked node must survive the sweep so `recover()` can trim
+/// it through the collector.
+///
+/// # Safety
+///
+/// Every element of `heads` must be null or a chain node valid under
+/// `Pool::open` recovery's quiescence, and `next` must read the node's link
+/// word without side effects (raw load, no policy flushes).
+pub(crate) unsafe fn trace_chains<N>(
     marker: &mut nvtraverse_pool::Marker<'_>,
-    mut cur: *mut N,
+    heads: &mut [*mut N],
     next: impl Fn(*mut N) -> *mut N,
 ) {
-    while !cur.is_null() && marker.mark(cur as *const u8) {
-        cur = next(cur);
+    // SAFETY: forwarded — `mark` refuses whatever is not an allocated
+    // block's payload, so `next` only ever reads nodes the heap walk vouched
+    // for.
+    unsafe {
+        walk_chains(heads, |_, node| {
+            if marker.mark(node as *const u8) {
+                next(node)
+            } else {
+                std::ptr::null_mut()
+            }
+        });
     }
 }
 

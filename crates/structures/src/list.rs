@@ -387,6 +387,65 @@ where
         D::before_return();
     }
 
+    /// Recovery of many lists at once — the buckets of a hash table. A
+    /// list with no marked link is one on which [`recover_list`] performs
+    /// no CAS, retire or flush, so one read-only wavefront over all the
+    /// chains ([`walk_chains`](crate::walk_chains): their misses overlap)
+    /// first flags the lists that contain a marked link, and
+    /// [`recover_list`] then runs on those alone.
+    ///
+    /// `collector` is the one the lists share (a table's buckets do).
+    ///
+    /// [`recover_list`]: HarrisList::recover_list
+    pub(crate) fn recover_lists(lists: &[Self], collector: &Collector) {
+        if !D::DURABLE {
+            return;
+        }
+        let mut lanes: Vec<NodePtr<K, V, D::B>> = lists.iter().map(|l| l.head).collect();
+        let mut marked = vec![false; lists.len()];
+        {
+            // Recovery may run beside other operations (Supplement 1): the
+            // scan reads nodes a concurrent trim could retire.
+            let _guard = collector.pin();
+            // SAFETY: every lane starts at a head sentinel and follows links read under the guard above.
+            unsafe {
+                crate::walk_chains(&mut lanes, |lane, node| {
+                    // nvt-lint: allow(raw-pcell-access): read-only recovery scan reads raw mark bits by design
+                    let word = (*node).next.load();
+                    if word.is_marked() {
+                        marked[lane] = true;
+                        return std::ptr::null_mut();
+                    }
+                    word.ptr()
+                });
+            }
+        }
+        for (list, _) in lists.iter().zip(&marked).filter(|(_, &m)| m) {
+            list.recover_list();
+        }
+    }
+
+    /// The GC mark walk over the chains rooted at `heads` (one list's head
+    /// sentinel, or every bucket's), as one wavefront.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`nvtraverse::PoolTrace::trace`], with every
+    /// element of `heads` a head sentinel of this list type.
+    pub(crate) unsafe fn trace_heads(
+        heads: &mut [NodePtr<K, V, D::B>],
+        marker: &mut nvtraverse_pool::Marker<'_>,
+    ) {
+        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
+        unsafe {
+            crate::trace_chains(marker, heads, |n| {
+                // Raw load; `.ptr()` strips mark/flag/dirty bits.
+                // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
+                (*n).next.load().ptr()
+            });
+        }
+    }
+
     /// Quiescent lookup for recovery classification: the op tag of the
     /// live (unmarked, reachable) node holding exactly `key_bits`, if any.
     fn surviving_tag(&self, key_bits: u64) -> Option<u64> {
@@ -762,7 +821,7 @@ where
         Some(unsafe { Self::attach_at(head, Collector::new()) })
     }
 
-    fn recover_attached(&self) {
+    fn recover_attached(&self, _pool: &Pool) {
         self.recover_list();
     }
 
@@ -790,14 +849,8 @@ where
     D: Durability,
 {
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        unsafe {
-            crate::trace_chain(marker, root as NodePtr<K, V, D::B>, |n| {
-                // Raw load; `.ptr()` strips mark/flag/dirty bits.
-                // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
-                (*n).next.load().ptr()
-            });
-        }
+        // SAFETY: forwarded — one chain, rooted at this list's head sentinel.
+        unsafe { Self::trace_heads(&mut [root as NodePtr<K, V, D::B>], marker) };
     }
 }
 

@@ -136,8 +136,8 @@ where
         Some(PriorityQueue { inner })
     }
 
-    fn recover_attached(&self) {
-        self.inner.recover_attached();
+    fn recover_attached(&self, pool: &Pool) {
+        self.inner.recover_attached(pool);
     }
 
     fn collector_of(&self) -> &Collector {

@@ -1125,7 +1125,7 @@ where
         Some(unsafe { Self::attach_at(head, Collector::new()) })
     }
 
-    fn recover_attached(&self) {
+    fn recover_attached(&self, _pool: &Pool) {
         self.recover_skiplist();
     }
 
@@ -1150,7 +1150,7 @@ where
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         unsafe {
-            crate::trace_chain(marker, root as NodePtr<K, V, D::B>, |n| {
+            crate::trace_chains(marker, &mut [root as NodePtr<K, V, D::B>], |n| {
                 // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
                 (*n).next[0].load().ptr()
             });

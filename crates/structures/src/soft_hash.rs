@@ -7,13 +7,13 @@
 //! flush per update, recovery that rebuilds every bucket chain from the
 //! sealed nodes. Only what SOFT does differently lives here.
 //!
-//! Attach cost note: because links are volatile, re-attaching after a
+//! Recovery cost note: because links are volatile, recovering after a
 //! restart takes **one** pass over the pool's allocated blocks (shared by
 //! all buckets), distributing each sealed node to the bucket its `owner`
 //! word names; see [`crate::soft_list`] for the node-level contract.
 
 use crate::hash::{BucketList, BucketTable};
-use crate::soft_list::{adopt_sealed_nodes, soft_mark_owned, SoftList, SoftNode};
+use crate::soft_list::{recover_from_pool, soft_mark_owned, SoftList, SoftNode};
 use nvtraverse::policy::Durability;
 use nvtraverse_ebr::Collector;
 use nvtraverse_pmem::Word;
@@ -62,10 +62,14 @@ impl<K: Word + Ord, V: Word, D: Durability> BucketList for SoftList<K, V, D> {
         self.iter_snapshot()
     }
 
-    /// The bucket lists were attached with empty registries: one shared
-    /// inventory pass hands every sealed node to the bucket that owns it.
-    fn adopt_nodes(pool: &Pool, buckets: &[Self]) -> Option<()> {
-        adopt_sealed_nodes(pool, buckets)
+    /// A pooled table's buckets keep no node inventory: one shared pass
+    /// over the pool's hands every sealed node to the bucket that owns it.
+    /// Without a pool each bucket recovers from what it has itself.
+    fn recover_buckets(buckets: &[Self], _collector: &Collector, pool: Option<&Pool>) {
+        match pool {
+            Some(pool) => recover_from_pool(pool, buckets),
+            None => buckets.iter().for_each(Self::recover_soft),
+        }
     }
 
     // SOFT reachability is header-proved, not link-based: after marking

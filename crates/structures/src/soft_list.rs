@@ -55,9 +55,21 @@
 //!
 //! # Recovery-rebuild contract
 //!
-//! The list keeps a volatile *registry* of its allocated nodes (maintained
-//! at allocate/retire time; reconstructed from the pool's allocated-block
-//! inventory on attach). [`SoftList::recover_soft`] scans the registry,
+//! Recovery needs *candidates*: every block that might be one of this
+//! list's nodes. Where they come from depends on where the nodes live:
+//!
+//! * a **pooled** list keeps no inventory at all — the pool already knows
+//!   its blocks, so the open-time recovery (`recover_from_pool`: one pass
+//!   over `Pool::for_each_live_payload` for a whole table of lists) takes
+//!   every allocated block whose header is sealed with this list's `owner`
+//!   word. Insert and remove therefore touch no lock and no side table, and
+//!   nothing volatile outlives a `PooledHandle`;
+//! * a **`Box`-backed** list (unit tests, the `Sim` crash sweeps) has no
+//!   allocator to ask, so it keeps a volatile *registry* of its allocated
+//!   nodes (maintained at allocate/retire time), which is also what its
+//!   `Drop` frees.
+//!
+//! [`SoftList::recover_soft`] takes the candidates,
 //! keeps exactly the nodes whose header probes as live (`probe_header`),
 //! sorts them by key, and rewrites the whole chain with plain stores. A
 //! node whose seal never became durable was an in-flight insert (its
@@ -262,11 +274,12 @@ pub struct SoftList<K: Word, V: Word, D: Durability> {
     collector: Collector,
     /// Which heap this structure's nodes come from (see `HarrisList::ctx`).
     ctx: PoolCtx,
-    /// Live-node inventory for the recovery rebuild: every node currently
-    /// allocated to this list (pushed at allocation, dropped at
-    /// retire/free; rebuilt from the pool's block inventory on attach).
-    /// Stored as addresses: raw pointers are not `Send`.
-    registry: Mutex<Vec<usize>>,
+    /// Live-node inventory of a `Box`-backed list, for the recovery rebuild
+    /// and `Drop`: every node currently allocated to this list (pushed at
+    /// allocation, dropped at retire/free). `None` for a pooled list, whose
+    /// inventory is the pool's own. Stored as addresses: raw pointers are
+    /// not `Send`.
+    registry: Option<Mutex<Vec<usize>>>,
     /// `head as u64` — the value written into every node's `owner` word.
     owner_tag: u64,
     /// Allocation counter feeding each node's `seq` word. Resumed past the
@@ -309,15 +322,8 @@ where
         // Persist the empty list so it survives a crash at time zero.
         D::persist_new_node(head as *const u8, PERSIST_HDR);
         D::before_return();
-        SoftList {
-            head,
-            collector,
-            ctx: PoolCtx::current(),
-            registry: Mutex::new(Vec::new()),
-            owner_tag: head as u64,
-            next_seq: AtomicU64::new(1),
-            _marker: PhantomData,
-        }
+        // SAFETY: `head` was just allocated by this type, in the current scope.
+        unsafe { Self::attach_at(head, collector) }
     }
 
     /// The collector nodes are retired into.
@@ -330,11 +336,10 @@ where
         self.head
     }
 
-    /// Rebuilds a list handle around an existing head sentinel with an
-    /// **empty registry** — the attach half of the pool lifecycle. The
-    /// caller must repopulate the registry (directly from the pool's block
-    /// inventory, or via the hash table's shared distribution pass) before
-    /// recovery.
+    /// Builds the list handle around a head sentinel allocated from the
+    /// current allocation scope — a fresh one, or (the attach half of the
+    /// pool lifecycle) one found again in a pool, whose nodes
+    /// [`recover_from_pool`] then finds in the pool's block inventory.
     ///
     /// # Safety
     ///
@@ -342,11 +347,12 @@ where
     /// `K`/`V`/`D` parameters, reachable and quiescent, and the caller must
     /// not create two dropping handles to the same list.
     pub(crate) unsafe fn attach_at(head: NodePtr<K, V, D::B>, collector: Collector) -> Self {
+        let ctx = PoolCtx::current();
         SoftList {
             head,
             collector,
-            ctx: PoolCtx::current(),
-            registry: Mutex::new(Vec::new()),
+            registry: (!ctx.is_pooled()).then(|| Mutex::new(Vec::new())),
+            ctx,
             owner_tag: head as u64,
             next_seq: AtomicU64::new(1),
             _marker: PhantomData,
@@ -420,18 +426,48 @@ impl<K: Word, V: Word, D: Durability> SoftList<K, V, D> {
         }
     }
 
+    /// The `Box`-backed list's registry, locked; `None` for a pooled list.
+    fn registry(&self) -> Option<std::sync::MutexGuard<'_, Vec<usize>>> {
+        let reg = self.registry.as_ref()?;
+        Some(reg.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
     fn register(&self, p: NodePtr<K, V, D::B>) {
-        self.registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(p as usize);
+        if let Some(mut reg) = self.registry() {
+            reg.push(p as usize);
+        }
     }
 
     fn unregister(&self, p: NodePtr<K, V, D::B>) {
-        let mut reg = self.registry.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(i) = reg.iter().position(|&a| a == p as usize) {
-            reg.swap_remove(i);
+        if let Some(mut reg) = self.registry() {
+            if let Some(i) = reg.iter().position(|&a| a == p as usize) {
+                reg.swap_remove(i);
+            }
         }
+    }
+
+    /// Every node still linked behind the head, marked or not — a pooled
+    /// list's inventory when there is no pool to ask (an in-process
+    /// `recover()` after the open's, `Drop`). The volatile links are intact
+    /// whenever this process built them; a link poisoned by an unrecovered
+    /// simulated crash ends the walk.
+    fn linked_nodes(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        // SAFETY: quiescent (recovery or exclusive teardown); every pointer read is a link this process wrote.
+        unsafe {
+            // nvt-lint: allow(raw-pcell-access): quiescent inspection walk — raw bits so a poisoned link can end it
+            let mut bits = (*self.head).next.peek_bits();
+            while bits != POISON {
+                let cur = MarkedPtr::<SoftNode<K, V, D::B>>::from_bits_raw(bits).ptr();
+                if cur.is_null() {
+                    break;
+                }
+                out.push(cur as usize);
+                // nvt-lint: allow(raw-pcell-access): quiescent inspection walk — raw bits so a poisoned link can end it
+                bits = (*cur).next.peek_bits();
+            }
+        }
+        out
     }
 
     /// Advances the allocation counter past a `seq` recovered from a
@@ -577,11 +613,17 @@ where
         if !D::DURABLE {
             return;
         }
-        let candidates: Vec<usize> = self
-            .registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
+        let candidates = match self.registry() {
+            Some(reg) => reg.clone(),
+            None => self.linked_nodes(),
+        };
+        self.rebuild_from(candidates);
+    }
+
+    /// The rebuild behind [`recover_soft`](Self::recover_soft) and
+    /// [`recover_from_pool`], over the `candidates` (node addresses) the
+    /// caller's inventory supplied.
+    fn rebuild_from(&self, candidates: Vec<usize>) {
         type Live<K, V, B> = Vec<(K, u64, NodePtr<K, V, B>)>;
         let mut live: Live<K, V, D::B> = Vec::new();
         let mut max_seq = 0u64;
@@ -910,13 +952,11 @@ where
         let head = pool.attach_root_ptr::<SoftNode<K, V, D::B>>(name)?;
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        let list = unsafe { Self::attach_at(head, Collector::new()) };
-        adopt_sealed_nodes(pool, std::slice::from_ref(&list))?;
-        Some(list)
+        Some(unsafe { Self::attach_at(head, Collector::new()) })
     }
 
-    fn recover_attached(&self) {
-        self.recover_soft();
+    fn recover_attached(&self, pool: &Pool) {
+        recover_from_pool(pool, std::slice::from_ref(self));
     }
 
     fn collector_of(&self) -> &Collector {
@@ -945,88 +985,106 @@ where
         }
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         unsafe {
-            crate::soft_list::soft_mark_owned::<K, V, D::B>(marker, &[root as u64]);
+            soft_mark_owned::<K, V, D::B>(marker, &[root as u64]);
         }
     }
 }
 
-/// Rebuilds the node inventories of freshly attached `lists` (one list, or
-/// all buckets of a hash table) in **one** pass over the pool's allocated
-/// blocks: links are volatile, so membership is proved by each candidate's
-/// persistent header — sealed, with an `owner` word naming one of the heads.
-/// A durably removed (tombstoned) node is not registered, but still keeps
-/// its owner's `seq` counter ahead of it. `None` when the heap does not
-/// verify: attach must fail rather than present an empty list.
-pub(crate) fn adopt_sealed_nodes<K: Word, V: Word, D: Durability>(
+/// Which of a set of SOFT lists an `owner` word names: the head-sentinel
+/// addresses, sorted for a binary search (a table has one per bucket, and
+/// every allocated block of the pool is looked up).
+struct Owners(Vec<(u64, usize)>);
+
+impl Owners {
+    fn new(heads: impl Iterator<Item = u64>) -> Self {
+        let mut tags: Vec<(u64, usize)> = heads.enumerate().map(|(i, tag)| (tag, i)).collect();
+        tags.sort_unstable();
+        Owners(tags)
+    }
+
+    /// Index (in construction order) of the list whose head is at `tag`.
+    fn owned_by(&self, tag: u64) -> Option<usize> {
+        let i = self.0.binary_search_by_key(&tag, |t| t.0).ok()?;
+        Some(self.0[i].1)
+    }
+}
+
+/// Open-time recovery of freshly attached pooled `lists` (one list, or all
+/// buckets of a hash table): **one** pass over the pool's allocated blocks
+/// hands every sealed node to the list its `owner` word names — links are
+/// volatile, so membership is proved by each candidate's persistent header —
+/// and each list then rebuilds its chain from its share. A durably removed
+/// (tombstoned) node is no candidate, but still keeps its owner's `seq`
+/// counter ahead of it.
+///
+/// # Panics
+///
+/// Panics when the heap `Pool::open` verified moments ago no longer
+/// verifies: recovery must fail loudly rather than present a corrupt pool
+/// as an empty list.
+pub(crate) fn recover_from_pool<K: Word + Ord, V: Word, D: Durability>(
     pool: &Pool,
     lists: &[SoftList<K, V, D>],
-) -> Option<()> {
-    let mut heads: Vec<(u64, &SoftList<K, V, D>)> =
-        lists.iter().map(|l| (l.owner_tag, l)).collect();
-    heads.sort_unstable_by_key(|h| h.0);
-    let owned_by = |tag: u64| {
-        let i = heads.binary_search_by_key(&tag, |h| h.0).ok()?;
-        Some(heads[i].1)
-    };
+) {
+    if !D::DURABLE {
+        return;
+    }
+    let owners = Owners::new(lists.iter().map(|l| l.owner_tag));
+    let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); lists.len()];
     let node_size = std::mem::size_of::<SoftNode<K, V, D::B>>() as u64;
-    for (off, cap) in pool.live_payloads().ok()? {
+    pool.for_each_live_payload(|off, cap| {
         let p = pool.at(off) as NodePtr<K, V, D::B>;
-        if cap < node_size || owned_by(p as u64).is_some() {
-            continue; // too small for a node, or a head sentinel itself
+        if cap < node_size || owners.owned_by(p as u64).is_some() {
+            return; // too small for a node, or a head sentinel itself
         }
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         match unsafe { probe_header(p) } {
-            HdrProbe::Live { owner, seq, .. } => {
-                if let Some(list) = owned_by(owner) {
-                    list.register(p);
-                    list.note_seq(seq);
+            HdrProbe::Live { owner, .. } => {
+                if let Some(i) = owners.owned_by(owner) {
+                    candidates[i].push(p as usize);
                 }
             }
             HdrProbe::Tomb { owner, seq } => {
-                if let Some(list) = owned_by(owner) {
-                    list.note_seq(seq);
+                if let Some(i) = owners.owned_by(owner) {
+                    lists[i].note_seq(seq);
                 }
             }
             HdrProbe::Invalid => {}
         }
+    })
+    .expect("the heap Pool::open verified no longer verifies");
+    for (list, candidates) in lists.iter().zip(candidates) {
+        list.rebuild_from(candidates);
     }
-    Some(())
 }
 
 /// Shared SOFT mark helper: marks every allocated block whose persistent
 /// header probes as [`HdrProbe::Live`] with an `owner` word in `owners`
-/// (sorted or not — the slice is tiny for the list tracer, a bucket-head
-/// array for the hash tracer).
+/// (one head for the list tracer, a bucket-head array for the hash tracer).
 ///
 /// # Safety
 ///
 /// Same contract as [`nvtraverse_pool::gc::TraceFn`]: called on a validated
-/// quiescent heap; only peeks header words of blocks `Marker::at` vouches
-/// for.
+/// quiescent heap; only peeks header words of allocated blocks the marker
+/// enumerates.
 pub(crate) unsafe fn soft_mark_owned<K: Word, V: Word, B: Backend>(
     marker: &mut nvtraverse_pool::Marker<'_>,
     owners: &[u64],
 ) {
+    let owners = Owners::new(owners.iter().copied());
     let node_size = std::mem::size_of::<SoftNode<K, V, B>>() as u64;
-    for (off, cap) in marker.allocated_payloads() {
-        if cap < node_size {
-            continue;
+    marker.mark_allocated_if(|p, cap| {
+        if cap < node_size || owners.owned_by(p as u64).is_some() {
+            return false; // too small for a node, or a head sentinel itself
         }
-        let Some(p) = marker.at(off) else { continue };
-        if owners.contains(&(p as u64)) {
-            continue; // a head sentinel itself
-        }
-        let n = p as *const SoftNode<K, V, B>;
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        match unsafe { probe_header(n) } {
-            HdrProbe::Live { owner, .. } if owners.contains(&owner) => {
-                marker.mark(p);
-            }
-            // Tombstoned nodes are durably removed: sweeping them is what
-            // GC is for. Invalid headers are torn/in-flight: also swept.
-            _ => {}
-        }
-    }
+        // Tombstoned nodes are durably removed: sweeping them is what GC is
+        // for. Invalid headers are torn/in-flight: also swept.
+        // SAFETY: `p` is an allocated payload of at least node size.
+        matches!(
+            unsafe { probe_header(p as *const SoftNode<K, V, B>) },
+            HdrProbe::Live { owner, .. } if owners.owned_by(owner).is_some()
+        )
+    });
 }
 
 impl<K, V, D> Default for SoftList<K, V, D>
@@ -1057,10 +1115,15 @@ where
 impl<K: Word, V: Word, D: Durability> Drop for SoftList<K, V, D> {
     fn drop(&mut self) {
         // Exclusive access: the registry is exactly the set of nodes still
-        // owned by the list (live, tombstoned-but-unspliced, or crash
-        // garbage); trimmed nodes were unregistered and handed to the
+        // owned by a `Box`-backed list (live, tombstoned-but-unspliced, or
+        // crash garbage); trimmed nodes were unregistered and handed to the
         // collector. No link walk needed — poisoned links can't mislead us.
-        let reg = std::mem::take(&mut *self.registry.lock().unwrap_or_else(|e| e.into_inner()));
+        // A pooled list dropped by hand frees what is still linked (what is
+        // not is the next open's GC's).
+        let reg = match self.registry.take() {
+            Some(reg) => reg.into_inner().unwrap_or_else(|e| e.into_inner()),
+            None => self.linked_nodes(),
+        };
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
         unsafe {
             for a in reg {

@@ -295,7 +295,7 @@ where
         Some(unsafe { Self::attach_at(top, Collector::new()) })
     }
 
-    fn recover_attached(&self) {
+    fn recover_attached(&self, _pool: &Pool) {
         self.recover();
     }
 
@@ -324,7 +324,7 @@ where
             // `.ptr()` strips the link-and-persist dirty bit a crash can
             // leave on the top word.
             // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
-            crate::trace_chain(marker, (*top).load().ptr(), |n| (*n).next.load().ptr());
+            crate::trace_chains(marker, &mut [(*top).load().ptr()], |n| (*n).next.load().ptr());
         }
     }
 }
