@@ -6,9 +6,14 @@
 //! a crash but its *contents* are only as persistent as the program's flushes
 //! made them. This module follows the same shape:
 //!
-//! * By default, nodes come from the volatile Rust heap (`Box`) — correct
-//!   for the simulator and for benchmarks that only need the flush/fence
-//!   cost profile.
+//! * By default, nodes come from the volatile Rust heap — correct for the
+//!   simulator and for benchmarks that only need the flush/fence cost
+//!   profile.
+//! * Every node, whatever its type, is allocated and freed through one
+//!   byte-sized pair, [`try_alloc_bytes`]/[`free_bytes`]; [`alloc_node`],
+//!   [`try_alloc_node`] and [`free`] are its typed wrappers. A node whose
+//!   size is not its type's (a skiplist node is exactly its tower) calls
+//!   the pair directly and frees at the size it allocated.
 //! * A pool-backed structure carries a [`PoolCtx`] — its pool's allocation
 //!   entry point, captured at `create_in_pool`/`attach_to_pool` time — and
 //!   brackets its allocating operations with [`PoolCtx::enter`]. Inside the
@@ -85,7 +90,7 @@ impl std::fmt::Debug for PoolCtx {
 
 impl PoolCtx {
     /// The no-pool context: entering it clears any scoped target, so
-    /// allocations come from the Rust heap (`Box`) — even when the scope is
+    /// allocations come from the volatile Rust heap — even when the scope is
     /// nested inside a pooled one.
     pub const fn volatile() -> Self {
         PoolCtx {
@@ -123,7 +128,7 @@ impl PoolCtx {
     /// guard drops (scopes nest: the previous target is saved and
     /// restored). Pool-backed structures bracket their allocating
     /// operations with this; a [`PoolCtx::volatile`] context clears the
-    /// scoped target for the scope's duration (allocations are `Box`).
+    /// scoped target for the scope's duration (allocations are volatile).
     pub fn enter(&self) -> AllocScope {
         AllocScope {
             prev: heap::swap_scoped_target(self.target),
@@ -213,15 +218,41 @@ pub fn pool_full_seen() -> bool {
 /// instead of panicking: nothing is allocated and the volatile heap is
 /// **not** used as a fallback — a full pool must surface as a recoverable
 /// error, never as a structure silently split across two heaps. Volatile
-/// allocations (`Box`) never fail this way.
+/// allocations never fail this way.
+///
+/// A typed wrapper over [`try_alloc_bytes`] at `T`'s size and alignment.
 #[inline]
 pub fn try_alloc_node<T, B: Backend>(value: T) -> Option<*mut T> {
+    let ptr = try_alloc_bytes::<B>(std::mem::size_of::<T>(), std::mem::align_of::<T>())?.cast::<T>();
+    // SAFETY: a fresh block of at least size_of::<T>() bytes, aligned for `T`.
+    unsafe { ptr.write(value) };
+    Some(ptr)
+}
+
+/// The layout of a `size`-byte volatile allocation (never zero-sized, as
+/// the global allocator requires).
+#[inline]
+fn volatile_layout(size: usize, align: usize) -> std::alloc::Layout {
+    std::alloc::Layout::from_size_align(size.max(1), align).expect("node layout overflows")
+}
+
+/// The one allocation path behind every node: `size` bytes aligned to
+/// `align`, from the thread's current allocation target — an entered
+/// [`PoolCtx`] scope's pool, else the volatile heap at exactly that
+/// layout — and, under a simulating backend, registered with the thread's
+/// simulation context (every word of the `size` bytes, persisted value
+/// poison). Variable-size nodes (a skiplist node is exactly its tower) use
+/// it directly; [`try_alloc_node`] is its typed form.
+///
+/// Pool exhaustion returns `None` exactly as [`try_alloc_node`] describes.
+/// The memory is uninitialised; free it with [`free_bytes`] at the same
+/// `size` and `align`.
+#[inline]
+pub fn try_alloc_bytes<B: Backend>(size: usize, align: usize) -> Option<*mut u8> {
     let ptr = match heap::current_target() {
         Some(t) => {
             // SAFETY: the target pair was published together by its pool.
-            let p =
-                unsafe { (t.alloc)(t.ctx, std::mem::size_of::<T>(), std::mem::align_of::<T>()) }
-                    as *mut T;
+            let p = unsafe { (t.alloc)(t.ctx, size, align) };
             if p.is_null() {
                 POOL_FULL.with(|f| f.set(true));
                 // The entered PoolCtx attributed this thread to its pool's
@@ -231,27 +262,27 @@ pub fn try_alloc_node<T, B: Backend>(value: T) -> Option<*mut T> {
                 }
                 return None;
             }
-            // SAFETY: the pool returned a block of at least size_of::<T>()
-            // bytes with sufficient alignment.
-            unsafe { p.write(value) };
             p
         }
-        None => Box::into_raw(Box::new(value)),
+        None => {
+            let layout = volatile_layout(size, align);
+            // SAFETY: `volatile_layout` is never zero-sized.
+            let p = unsafe { std::alloc::alloc(layout) };
+            if p.is_null() {
+                std::alloc::handle_alloc_error(layout);
+            }
+            p
+        }
     };
     if B::SIM {
-        nvtraverse_pmem::sim::current_register_range(ptr as usize, std::mem::size_of::<T>());
+        nvtraverse_pmem::sim::current_register_range(ptr as usize, size);
     }
     Some(ptr)
 }
 
 /// Frees a node allocated by [`alloc_node`], returning it to whichever heap
-/// issued it (persistent pool or volatile heap).
-///
-/// Under a simulating backend the node's **entire** registered range is
-/// removed from the crash simulator before the memory is returned — the
-/// `PCell` destructors only cover the cell words, and non-cell words (keys,
-/// flags, padding) would otherwise linger as dangling registrations that a
-/// later rollback writes through.
+/// issued it (persistent pool or volatile heap): drops it in place, then
+/// [`free_bytes`] at `T`'s size and alignment.
 ///
 /// # Safety
 ///
@@ -259,22 +290,37 @@ pub fn try_alloc_node<T, B: Backend>(value: T) -> Option<*mut T> {
 /// and must not be freed twice.
 #[inline]
 pub unsafe fn free<T>(ptr: *mut T) {
-    nvtraverse_pmem::sim::current_deregister_range_if_active(
-        ptr as usize,
-        std::mem::size_of::<T>(),
-    );
-    if let Some((ctx, dealloc)) = heap::owner_of(ptr as *const u8) {
-        unsafe {
-            std::ptr::drop_in_place(ptr);
-            dealloc(
-                ctx,
-                ptr as *mut u8,
-                std::mem::size_of::<T>(),
-                std::mem::align_of::<T>(),
-            );
-        }
-    } else {
-        drop(unsafe { Box::from_raw(ptr) });
+    // SAFETY: the caller's contract is `free_bytes`'s, at `T`'s layout.
+    unsafe {
+        std::ptr::drop_in_place(ptr);
+        free_bytes(ptr.cast(), std::mem::size_of::<T>(), std::mem::align_of::<T>());
+    }
+}
+
+/// Returns `size` bytes at `ptr` to whichever heap issued them, found from
+/// the address alone ([`nvtraverse_pmem::heap::owner_of`]): the owning
+/// pool, else the volatile heap at the exact layout [`try_alloc_bytes`]
+/// used.
+///
+/// Under a simulating backend the **entire** range is removed from the
+/// crash simulator before the memory is returned — the `PCell` destructors
+/// only cover the cell words, and non-cell words (keys, flags, padding)
+/// would otherwise linger as dangling registrations that a later rollback
+/// writes through.
+///
+/// # Safety
+///
+/// `ptr` must come from [`try_alloc_bytes`] (or a typed wrapper) with this
+/// same `size` and `align`, must not be reachable by any thread, and must
+/// not be freed twice.
+#[inline]
+pub unsafe fn free_bytes(ptr: *mut u8, size: usize, align: usize) {
+    nvtraverse_pmem::sim::current_deregister_range_if_active(ptr as usize, size);
+    match heap::owner_of(ptr) {
+        // SAFETY: `ptr` came from this heap (the caller's contract).
+        Some((ctx, dealloc)) => unsafe { dealloc(ctx, ptr, size, align) },
+        // SAFETY: a volatile allocation made at this very layout.
+        None => unsafe { std::alloc::dealloc(ptr, volatile_layout(size, align)) },
     }
 }
 
@@ -390,7 +436,7 @@ mod tests {
         assert!(a.contains(p as *const u8));
         unsafe { free(p) };
         {
-            // Volatile nested inside pooled means `Box`, not "whatever
+            // Volatile nested inside pooled means the volatile heap, not "whatever
             // encloses me" …
             let _volatile = PoolCtx::volatile().enter();
             assert!(!PoolCtx::current().is_pooled());

@@ -224,9 +224,11 @@ pub trait PoolAttach: Sized {
 
     /// Re-attaches to the instance previously registered under `name`.
     ///
-    /// Returns `None` when the root is absent or the pool was
+    /// Returns `None` when the root is absent, the pool was
     /// [rebased](Pool::is_rebased) (embedded absolute pointers would be
-    /// invalid). Like `create_in_pool`, the attached instance captures a
+    /// invalid), or the implementation finds the root block malformed or
+    /// stamped with another node layout. Like `create_in_pool`, the
+    /// attached instance captures a
     /// [`PoolCtx`](crate::alloc::PoolCtx) for `pool`.
     ///
     /// # Safety
@@ -307,6 +309,10 @@ pub trait PoolAttach: Sized {
 ///   helping recovery reads `Info` records out of non-`CLEAN` update words
 ///   and then dereferences the nodes they name (including a pending
 ///   insert's not-yet-linked subtree); all of those must be marked.
+/// * **Refuse what is not this layout.** A root whose on-media layout stamp
+///   names another node layout cannot be walked as this one:
+///   [`refuse`](nvtraverse_pool::Marker::refuse) it, and the collection
+///   ends without sweeping anything.
 ///
 /// Everything allocated but unmarked after all roots are traced is swept.
 /// An implementation that under-marks therefore frees live data — which is
@@ -474,8 +480,9 @@ pub trait TypedRoots {
     ///
     /// # Errors
     ///
-    /// Fails when the pool has no root named `name` or was
-    /// [rebased](Pool::is_rebased).
+    /// Fails when the pool has no root named `name`, the root does not
+    /// attach as `S` (a torn slot, or a block written under another node
+    /// layout), or the pool was [rebased](Pool::is_rebased).
     fn root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>>;
 
     /// Creates a fresh `S` whose nodes live in this pool, registered under
@@ -521,7 +528,7 @@ impl TypedRoots for Pool {
                     if self.is_rebased() {
                         format!("pool was rebased; absolute pointers for root {name:?} are invalid")
                     } else {
-                        format!("pool has no root named {name:?}")
+                        format!("pool has no root named {name:?} that attaches as this type")
                     },
                 )
             })?;

@@ -13,7 +13,8 @@
 //! * [`Collector::pin`] — announce the current epoch; returns a [`Guard`]
 //!   whose lifetime protects any pointer read while pinned.
 //! * [`Guard::retire`] — hand a removed node to the collector for deferred
-//!   reclamation.
+//!   reclamation ([`Guard::retire_with`] when only the node's own free
+//!   function knows its size).
 //! * [`Collector::leaking`] — a collector that never reclaims. Crash tests
 //!   use it so that simulated-NVRAM rollback never writes through a dangling
 //!   pointer, mirroring how a persistent heap survives a crash.
@@ -519,6 +520,21 @@ impl Guard {
     pub unsafe fn retire<T>(&self, ptr: *mut T) {
         self.handle.retire(unsafe { Retired::new(ptr) });
     }
+
+    /// Retires an unlinked object that is freed by calling `free(ptr)` once
+    /// every thread has advanced two epochs — for objects whose size is not
+    /// their type's (a skiplist node is exactly its tower), which only the
+    /// object's own free function can return to its heap.
+    ///
+    /// # Safety
+    ///
+    /// * `ptr` must be fully unlinked, as for [`Guard::retire`], and
+    ///   retired at most once.
+    /// * `free(ptr)` must be sound to call once, on any thread, when no
+    ///   thread can still reach the object.
+    pub unsafe fn retire_with(&self, ptr: *mut u8, free: unsafe fn(*mut u8)) {
+        self.handle.retire(Retired { ptr, drop_fn: free });
+    }
 }
 
 impl Drop for Guard {
@@ -555,6 +571,25 @@ mod tests {
         c.synchronize();
         c.synchronize();
         assert_eq!(n.load(Ordering::SeqCst), 10, "retired objects never reclaimed");
+    }
+
+    #[test]
+    fn retire_with_frees_through_the_objects_own_function() {
+        static FREED: AtomicUsize = AtomicUsize::new(0);
+        unsafe fn free_pair(p: *mut u8) {
+            FREED.fetch_add(1, Ordering::SeqCst);
+            drop(unsafe { Box::from_raw(p.cast::<[u64; 2]>()) });
+        }
+        let c = Collector::new();
+        for _ in 0..3 {
+            let g = c.pin();
+            unsafe { g.retire_with(Box::into_raw(Box::new([7u64; 2])).cast(), free_pair) };
+        }
+        assert_eq!(std::mem::size_of::<Retired>(), 2 * std::mem::size_of::<usize>());
+        assert_eq!(FREED.load(Ordering::SeqCst), 0, "freed while still in its epoch");
+        c.synchronize();
+        c.synchronize();
+        assert_eq!(FREED.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -39,7 +39,8 @@
 //! pointers, exactly like `recover()`) and **every** registered root has a
 //! tracer. One unknown root disables the whole collection — reachability of
 //! its blocks cannot be established, and sweeping them would destroy live
-//! data. `collect` is the one collection both the open-time recovery and
+//! data — and so does a tracer that [refuses](Marker::refuse) its root
+//! (one written under another node layout). `collect` is the one collection both the open-time recovery and
 //! the deferred [`Pool::run_pending_gc`](crate::Pool::run_pending_gc) run;
 //! they differ only in where a swept block goes. See `ARCHITECTURE.md`
 //! § "Recovery GC" for the per-structure reachability contract.
@@ -201,12 +202,14 @@ pub struct Marker<'a> {
     allocated: &'a Bitmap,
     marks: Bitmap,
     marked: usize,
+    refused: bool,
 }
 
 impl<'a> std::fmt::Debug for Marker<'a> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Marker")
             .field("marked", &self.marked)
+            .field("refused", &self.refused)
             .finish_non_exhaustive()
     }
 }
@@ -218,7 +221,18 @@ impl<'a> Marker<'a> {
             allocated,
             marks: Bitmap(vec![0; allocated.0.len()]),
             marked: 0,
+            refused: false,
         }
+    }
+
+    /// Refuses the whole collection: the tracer found a root it cannot
+    /// trace — one whose on-media layout stamp names a different node
+    /// layout than the tracer's — so no block's reachability is provable.
+    /// The collection then ends before its sweep with
+    /// [`RecoveryReport::gc_ran`] false, the same conservative outcome as
+    /// a root with no tracer at all: nothing is freed.
+    pub fn refuse(&mut self) {
+        self.refused = true;
     }
 
     /// The single validity check behind [`Marker::mark`] and [`Marker::at`]:
@@ -322,7 +336,8 @@ impl<'a> Marker<'a> {
 /// collection. `allocated` is the heap walk's block-start bitmap; `sweep`
 /// receives the `(header offset, class)` of every allocated block the mark
 /// phase never reached, in address order, and decides where it goes.
-/// Returns the swept `(blocks, bytes)`.
+/// Returns the swept `(blocks, bytes)`, or `None` — with nothing swept and
+/// the report untouched — when a tracer [refused](Marker::refuse).
 pub(crate) fn collect(
     mem: Mem,
     allocated: &Bitmap,
@@ -330,10 +345,11 @@ pub(crate) fn collect(
     metrics: &obs::MetricSet,
     report: &mut RecoveryReport,
     sweep: impl FnOnce(&mut dyn Iterator<Item = (u64, usize)>),
-) -> (usize, u64) {
+) -> Option<(usize, u64)> {
     // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
     let mark_start = Instant::now();
     let mut marker = Marker::new(mem, allocated);
+    let mut root_marks = Vec::with_capacity(roots.len());
     for (name, off, trace) in roots {
         let before = marker.marked_blocks();
         // Quiescent, header-verified heap mapped at its recorded base:
@@ -342,10 +358,12 @@ pub(crate) fn collect(
         // SAFETY: register_tracer's contract — the tracer matches the type
         // that created this root — on the heap state described above.
         unsafe { trace(mem.ptr(*off), &mut marker) };
-        report
-            .root_marks
-            .push((name.clone(), (marker.marked_blocks() - before) as u64));
+        if marker.refused {
+            return None;
+        }
+        root_marks.push((name.clone(), (marker.marked_blocks() - before) as u64));
     }
+    report.root_marks.extend(root_marks);
     let mark_nanos = mark_start.elapsed().as_nanos() as u64;
     // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
     let sweep_start = Instant::now();
@@ -368,5 +386,5 @@ pub(crate) fn collect(
     metrics.add(obs::Counter::GcRuns, 1);
     metrics.add(obs::Counter::GcMarked, marker.marked_blocks() as u64);
     metrics.add(obs::Counter::GcSwept, swept as u64);
-    (swept, swept_bytes)
+    Some((swept, swept_bytes))
 }

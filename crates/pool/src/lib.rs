@@ -1107,14 +1107,18 @@ impl Pool {
         // The engine is already rebuilt, so swept blocks return through
         // `Engine::dealloc` — the engine's own free-path persistence
         // discipline — instead of the recovery walk's free-list push.
-        let (swept, bytes) = gc::collect(
+        // A refusing tracer leaves the collection pending, as a missing
+        // one does: nothing was swept.
+        let Some((swept, bytes)) = gc::collect(
             mem,
             &allocated,
             &roots,
             inner.metrics,
             &mut report,
             |garbage| garbage.for_each(|(off, class)| inner.engine.dealloc(mem, off, class)),
-        );
+        ) else {
+            return false;
+        };
         obs::ring::record(
             obs::ring::EventKind::DeferredGc,
             &pool_label(&inner.path),
@@ -1358,14 +1362,17 @@ impl Inner {
                     MmapBackend::fence();
                 }
             };
-            let (swept, bytes) =
-                gc::collect(mem, &allocated, &roots, self.metrics, &mut report, sweep);
-            obs::ring::record(
-                obs::ring::EventKind::Gc,
-                &pool_label(&self.path),
-                swept as u64,
-                bytes,
-            );
+            // A refusing tracer leaves every block as the walk found it.
+            if let Some((swept, bytes)) =
+                gc::collect(mem, &allocated, &roots, self.metrics, &mut report, sweep)
+            {
+                obs::ring::record(
+                    obs::ring::EventKind::Gc,
+                    &pool_label(&self.path),
+                    swept as u64,
+                    bytes,
+                );
+            }
         }
         Ok(report)
     }

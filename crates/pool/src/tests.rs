@@ -565,6 +565,36 @@ fn pending_gc_collects_before_first_attach_only() {
 }
 
 #[test]
+fn a_refusing_tracer_sweeps_nothing_at_open_or_later() {
+    unsafe fn mark_then_refuse(root: *mut u8, marker: &mut gc::Marker<'_>) {
+        marker.mark(root);
+        marker.refuse();
+    }
+    let path = tmp("refuse");
+    {
+        let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
+        let keep = pool.alloc(64, 8).unwrap();
+        pool.set_root_offset("r", pool.offset_of(keep)).unwrap();
+        // An orphan a collection would sweep.
+        pool.alloc(64, 8).unwrap();
+    }
+    // SAFETY: the tracer reads nothing; it refuses every root.
+    unsafe { gc::register_tracer(&path, "r", mark_then_refuse) };
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let report = pool.recovery_report();
+    assert!(!report.gc_ran, "a refused collection must not count as run");
+    assert_eq!((report.reclaimed_blocks, report.live_blocks), (0, 2));
+    assert!(report.root_marks.is_empty());
+    assert!(pool.gc_pending(), "refused like an untraceable root: still pending");
+    assert!(!pool.run_pending_gc(), "the deferred collection refuses too");
+    assert_eq!(pool.live_offsets().len(), 2, "nothing was swept");
+    pool.verify_heap().unwrap();
+    drop(pool);
+    gc::unregister_tracer(&path, "r");
+    cleanup(&path);
+}
+
+#[test]
 fn poff_resolve_validates_allocated_payloads() {
     let path = tmp("poff-validate");
     let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();

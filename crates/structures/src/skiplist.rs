@@ -21,13 +21,41 @@
 //!   entry shortcut means the traversal may not know the current parent of
 //!   its first returned node, so each node records the address of the
 //!   pointer that first linked it into the bottom list.
-//!
-//! * A node is allocated with [`MAX_HEIGHT`] tower slots only if its height
-//!   needs them; 255 nodes in 256 get the short layout that fills a
-//!   128-byte pool block instead of a 256-byte one (see [`SkipNode`]).
+//! * A node is exactly its tower: four fixed words, then `height` links —
+//!   no slot is reserved for a level the node does not have.
 //!
 //! The algorithm follows the lock-free skiplist lineage the paper cites
 //! (Michael / Fraser / Herlihy et al.). Every update is O(log n) expected.
+//!
+//! # Node layout
+//!
+//! ```text
+//!  word:  0     1       2                       3            4 .. 4+height
+//!       +-----+-------+-----------------------+------------+-------------------+
+//!       | key | value | meta                  | link_state | next[0..height]   |
+//!       +-----+-------+-----------------------+------------+-------------------+
+//!                     | 63..56: height        |  volatile    next[0] durable,
+//!                     | 55..0:  orig. parent  |              next[1..] volatile
+//! ```
+//!
+//! A node of height `h` is `32 + 8h` bytes, allocated and freed at exactly
+//! that size (the free path reads `h` back from `meta`). `meta` is
+//! immutable; a user-space address fits in 56 bits, so the height rides in
+//! its top byte. In a pool, whose blocks are powers of two with a 16-byte
+//! header, the geometric height draw lands as:
+//!
+//! | height | node bytes | pool block | share of nodes |
+//! |---|---|---|---|
+//! | 1–2   | 40–48   | 64  | 3/4 |
+//! | 3–10  | 56–112  | 128 | ≈ 1/4 |
+//! | 11–16 | 120–160 | 256 | 1/1 024 |
+//!
+//! — about 80 B per key, and a 64-byte node shares one cache line with its
+//! block header. The head sentinel has [`MAX_HEIGHT`] levels; its value
+//! word, never read as a value, holds the layout tag `"SKIPv003"`. A pool
+//! whose skiplist head carries any other tag was written under another
+//! node layout: its GC tracer refuses it (nothing is swept) and attaching
+//! returns `None`.
 //!
 //! # Deletion
 //!
@@ -57,46 +85,46 @@
 //!    unreachable for good. Recovery resets the word to `LINKED` (no
 //!    inserter survives a crash).
 
-use nvtraverse::alloc::{alloc_node, free, PoolCtx};
+use nvtraverse::alloc::{free_bytes, try_alloc_bytes, PoolCtx};
 use nvtraverse::marked::MarkedPtr;
 use nvtraverse::ops::{run_operation, Critical, PersistSet, TraversalOps};
 use nvtraverse::policy::Durability;
 use nvtraverse::set::{DurableSet, PoolAttach, SetOp};
 use nvtraverse_ebr::{Collector, Guard};
-use nvtraverse_pmem::{Backend, PCell, Word};
+use nvtraverse_pmem::{sim, Backend, PCell, Word};
 use nvtraverse_pool::Pool;
 use std::fmt;
 use std::io;
 use std::marker::PhantomData;
+use std::ptr::{addr_of, addr_of_mut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tower height cap: supports the evaluated sizes (≤ a few million keys).
 pub const MAX_HEIGHT: usize = 16;
 
-/// Tower slots of a *short* node — what fits the pool's 128-byte block
-/// next to its 16-byte header and the five fixed words. All but one node in
-/// 256 draw a height this small.
-const SHORT_HEIGHT: usize = 9;
+/// `meta` keeps the height in bits 63..56 and the original parent below.
+const HEIGHT_SHIFT: u32 = 56;
 
-/// One skiplist node. `key`, `value`, `height` and `orig_parent` are
-/// immutable; `next[0]` is the persistent bottom link; `next[1..height]` are
-/// volatile tower links and `link_state` is the volatile retire handshake.
+/// The head sentinel's value word in a skiplist of this node layout. Heads
+/// written under an earlier layout hold 0 there, so they are refused.
+const LAYOUT_TAG: u64 = u64::from_le_bytes(*b"SKIPv003");
+
+/// One skiplist node, allocated at exactly `32 + 8 * height` bytes (see the
+/// module's "Node layout"). `key`, `value` and `meta` are immutable;
+/// `next[0]` is the persistent bottom link; `next[1..height]` are volatile
+/// tower links and `link_state` is the volatile retire handshake.
 ///
-/// `H` is the number of tower slots the node was *allocated* with: the
-/// head and nodes taller than `SHORT_HEIGHT` (9) have all [`MAX_HEIGHT`],
-/// the rest only `SHORT_HEIGHT` (half the memory). The layouts share their
-/// prefix, so every node is handled through a pointer to the full type and
-/// only `next[..height]` of it is ever touched; allocation and free go
-/// through `alloc_sized`, `free_node` and `retire_node`, which pick `H`
-/// back from the height.
+/// `next` is declared empty: the tower is the trailing `height` words the
+/// allocation really has, reached through `link`. The size is read back
+/// from `meta` when the node is freed.
 #[repr(C)]
-pub struct SkipNode<K: Word, V: Word, B: Backend, const H: usize = MAX_HEIGHT> {
+pub struct SkipNode<K: Word, V: Word, B: Backend> {
     key: PCell<K, B>,
     value: PCell<V, B>,
-    /// Immutable tower height in `1..=MAX_HEIGHT`.
-    height: PCell<u64, B>,
-    /// Supplement 2: address of the bottom link that first connected us.
-    orig_parent: PCell<u64, B>,
+    /// Immutable: the tower height in `1..=MAX_HEIGHT` (top byte) and,
+    /// Supplement 2, the address of the bottom link that first connected
+    /// us (low 56 bits). Read through `height_of` and `parent_of`.
+    meta: PCell<u64, B>,
     /// Volatile retire handshake of a node taller than 1: it leaves
     /// [`THREADING`] for [`LINKED`] when its inserter stops threading the
     /// tower, or for [`MARKED`] when its deleter has marked every level —
@@ -104,7 +132,7 @@ pub struct SkipNode<K: Word, V: Word, B: Backend, const H: usize = MAX_HEIGHT> {
     /// retires the node. Never flushed; recovery stores [`LINKED`].
     link_state: PCell<u64, B>,
     /// `next[0]` persistent; higher levels volatile (never flushed).
-    next: [Link<K, V, B>; H],
+    next: [Link<K, V, B>; 0],
 }
 
 /// `link_state`: the inserter is still threading the tower (and no deleter
@@ -115,62 +143,79 @@ const LINKED: u64 = 1;
 /// `link_state`: the deleter marked every level before the inserter was done.
 const MARKED: u64 = 2;
 
-impl<K: Word, V: Word, B: Backend, const H: usize> fmt::Debug for SkipNode<K, V, B, H> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SkipNode")
-            .field("height", &self.height)
-            .finish()
+impl<K: Word, V: Word, B: Backend> SkipNode<K, V, B> {
+    /// Bytes of a node of `height`: the four fixed words, then the tower.
+    const fn size(height: usize) -> usize {
+        std::mem::size_of::<Self>() + height * std::mem::size_of::<Link<K, V, B>>()
     }
+}
+
+impl<K: Word, V: Word, B: Backend> fmt::Debug for SkipNode<K, V, B> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SkipNode").field("meta", &self.meta).finish()
+    }
+}
+
+/// The tower height packed in a `meta` word.
+const fn height_of(meta: u64) -> usize {
+    (meta >> HEIGHT_SHIFT) as usize
+}
+
+/// The original-parent address packed in a `meta` word.
+const fn parent_of(meta: u64) -> u64 {
+    meta & ((1 << HEIGHT_SHIFT) - 1)
 }
 
 type NodePtr<K, V, B> = *mut SkipNode<K, V, B>;
 /// One tower-link word (bottom level persistent, upper levels volatile).
 type Link<K, V, B> = PCell<MarkedPtr<SkipNode<K, V, B>>, B>;
 
-/// Whether `node` was allocated with only [`SHORT_HEIGHT`] tower slots;
-/// `None` if its height word is poison (an unrecovered simulated crash).
+/// `node`'s tower word at `level`.
 ///
 /// # Safety
 ///
-/// `node` must point to a live node.
-unsafe fn is_short<K: Word, V: Word, B: Backend>(node: NodePtr<K, V, B>) -> Option<bool> {
-    // SAFETY: live per the contract; `height` is in every node's prefix.
-    // nvt-lint: allow(raw-pcell-access): the immutable height word, read raw so teardown after an unrecovered crash cannot trip the poison check
-    let height = unsafe { (*node).height.peek_bits() };
-    (height != nvtraverse_pmem::POISON).then_some(height as usize <= SHORT_HEIGHT)
+/// `node` must be live (for `'a`) and taller than `level`.
+#[inline]
+unsafe fn link<'a, K: Word, V: Word, B: Backend>(
+    node: NodePtr<K, V, B>,
+    level: usize,
+) -> &'a Link<K, V, B> {
+    // SAFETY: the node's allocation ends after its `height` tower words.
+    unsafe { &*addr_of!((*node).next).cast::<Link<K, V, B>>().add(level) }
 }
 
-/// [`free`] through the type `node` was allocated as. A node whose height
-/// is poison leaks: its size is unknowable.
+/// Returns a node to its heap at the size it was allocated with, read back
+/// from its `meta` word — the one free path, both for teardown and (as the
+/// function [`Guard::retire_with`] calls) for EBR reclamation. A node whose
+/// `meta` is poison (an unrecovered simulated crash) leaks: its size is
+/// unknowable.
 ///
 /// # Safety
 ///
-/// As for [`free`].
-unsafe fn free_node<K: Word, V: Word, B: Backend>(node: NodePtr<K, V, B>) {
-    // SAFETY: the caller's contract is `free`'s; the cast restores the allocated type.
-    unsafe {
-        match is_short(node) {
-            Some(true) => free(node.cast::<SkipNode<K, V, B, SHORT_HEIGHT>>()),
-            Some(false) => free(node),
-            None => {}
-        }
+/// As for [`free_bytes`]: `node` came from `alloc_tower`, is unreachable,
+/// and is freed once.
+unsafe fn free_tower<K: Word, V: Word, B: Backend>(node: *mut u8) {
+    // SAFETY: live per the contract; `meta` is a fixed word of every node.
+    // nvt-lint: allow(raw-pcell-access): the immutable meta word, read raw so teardown after an unrecovered crash cannot trip the poison check
+    let meta = unsafe { (*node.cast::<SkipNode<K, V, B>>()).meta.peek_bits() };
+    if meta != nvtraverse_pmem::POISON {
+        let size = SkipNode::<K, V, B>::size(height_of(meta));
+        // SAFETY: `alloc_tower` allocated the node at exactly this layout.
+        unsafe { free_bytes(node, size, std::mem::align_of::<SkipNode<K, V, B>>()) };
     }
 }
 
-/// [`Guard::retire`] through the type `node` was allocated as (a retired
-/// node was reachable, so its height is readable).
+/// Whether `head`'s value word holds [`LAYOUT_TAG`]: the head sentinel of a
+/// skiplist written under this node layout: a stored signature compared
+/// with the expected one before anything else in the pool is trusted.
 ///
 /// # Safety
 ///
-/// As for [`Guard::retire`].
-unsafe fn retire_node<K: Word, V: Word, B: Backend>(guard: &Guard, node: NodePtr<K, V, B>) {
-    // SAFETY: the caller's contract is `retire`'s; the cast restores the allocated type.
-    unsafe {
-        match is_short(node) {
-            Some(true) => guard.retire(node.cast::<SkipNode<K, V, B, SHORT_HEIGHT>>()),
-            _ => guard.retire(node),
-        }
-    }
+/// `head` must point to at least two readable, quiescent words.
+unsafe fn has_layout_tag<K: Word, V: Word, B: Backend>(head: NodePtr<K, V, B>) -> bool {
+    // SAFETY: per the contract.
+    // nvt-lint: allow(raw-pcell-access): the head's value word is a layout stamp, read as raw bits
+    unsafe { (*head).value.peek_bits() == LAYOUT_TAG }
 }
 
 /// Traversal window: Harris's bottom-list window plus the tower
@@ -246,25 +291,15 @@ where
 
     /// Creates an empty skiplist retiring into `collector`.
     pub fn with_collector(collector: Collector) -> Self {
-        // Sentinel key/value, never read. Only the persistent part of the
-        // head needs to survive: flushing the whole node is harmless and
-        // simplest.
-        let head = Self::alloc_sized(
-            K::from_bits(0),
-            V::from_bits(0),
-            MAX_HEIGHT,
-            0,
-            MarkedPtr::null(),
-            LINKED,
-        );
+        // Sentinel key, never read; the value word carries the layout tag.
+        // Only the persistent part of the head needs to survive: flushing
+        // the whole node is harmless and simplest.
+        let head =
+            Self::alloc_tower(K::from_bits(0), LAYOUT_TAG, MAX_HEIGHT, 0, MarkedPtr::null(), LINKED);
         D::before_return();
-        SkipList {
-            head,
-            collector,
-            ctx: PoolCtx::current(),
-            height_seq: AtomicU64::new(1),
-            _marker: PhantomData,
-        }
+        // SAFETY: a fresh head, owned by this handle alone; it has no tower
+        // for a recovery to rebuild.
+        unsafe { Self::attach_at(head, collector) }
     }
 
     /// The collector nodes are retired into.
@@ -272,63 +307,51 @@ where
         &self.collector
     }
 
-    /// The head tower (for pool root registration below).
-    fn head_ptr(&self) -> NodePtr<K, V, D::B> {
-        self.head
-    }
-
-    /// Allocates and persists (flush, no fence) a node of the given height
-    /// with as many tower slots as the height needs — [`SHORT_HEIGHT`] or
-    /// [`MAX_HEIGHT`] — and hands it out as a pointer to the full type.
-    fn alloc_sized(
+    /// Allocates a node of `height` at exactly its size, from the current
+    /// allocation target, and persists it (flush, no fence). `value_bits` is
+    /// the value word's raw content (the head's is [`LAYOUT_TAG`]).
+    ///
+    /// Also declares the node's `link_state` word and upper tower links
+    /// (`next[1..height]`) volatile by design to any vet observer: only
+    /// `next[0]` is part of the durable list, recovery rebuilds the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the targeted persistent pool is exhausted (see
+    /// `nvtraverse::alloc::alloc_node`).
+    fn alloc_tower(
         key: K,
-        value: V,
+        value_bits: u64,
         height: usize,
         orig_parent: u64,
         bottom: MarkedPtr<SkipNode<K, V, D::B>>,
         link_state: u64,
     ) -> NodePtr<K, V, D::B> {
-        if height <= SHORT_HEIGHT {
-            Self::alloc_as::<SHORT_HEIGHT>(key, value, height, orig_parent, bottom, link_state)
-        } else {
-            Self::alloc_as::<MAX_HEIGHT>(key, value, height, orig_parent, bottom, link_state)
+        debug_assert!((1..=MAX_HEIGHT).contains(&height));
+        // The free path trusts the height it reads back from `meta`.
+        assert_eq!(parent_of(orig_parent), orig_parent, "a link address above 56 bits");
+        let size = SkipNode::<K, V, D::B>::size(height);
+        let node = try_alloc_bytes::<D::B>(size, std::mem::align_of::<SkipNode<K, V, D::B>>())
+            .expect("persistent pool exhausted (and volatile fallback would lose data)")
+            .cast::<SkipNode<K, V, D::B>>();
+        let meta = ((height as u64) << HEIGHT_SHIFT) | orig_parent;
+        // SAFETY: `node` is a fresh, suitably aligned block of `size` bytes
+        // that nothing else can see yet; every word is written once.
+        unsafe {
+            addr_of_mut!((*node).key).write(PCell::new(key));
+            addr_of_mut!((*node).value).cast::<PCell<u64, D::B>>().write(PCell::new(value_bits));
+            addr_of_mut!((*node).meta).write(PCell::new(meta));
+            addr_of_mut!((*node).link_state).write(PCell::new(link_state));
+            let tower = addr_of_mut!((*node).next).cast::<Link<K, V, D::B>>();
+            tower.write(PCell::new(bottom));
+            for level in 1..height {
+                tower.add(level).write(PCell::new(MarkedPtr::null()));
+            }
+            sim::current_mark_volatile_range((*node).link_state.addr() as usize, 8);
+            sim::current_mark_volatile_range(tower.add(1) as usize, (height - 1) * 8);
         }
-    }
-
-    /// [`Self::alloc_sized`] for one allocated size. Also declares the
-    /// node's upper tower links (`next[1..]`) and its `link_state` word
-    /// volatile by design to any vet observer: only `next[0]` is part of
-    /// the durable list, recovery rebuilds the rest.
-    fn alloc_as<const H: usize>(
-        key: K,
-        value: V,
-        height: usize,
-        orig_parent: u64,
-        bottom: MarkedPtr<SkipNode<K, V, D::B>>,
-        link_state: u64,
-    ) -> NodePtr<K, V, D::B> {
-        debug_assert!((1..=H).contains(&height));
-        let node = alloc_node::<_, D::B>(SkipNode::<K, V, D::B, H> {
-            key: PCell::new(key),
-            value: PCell::new(value),
-            height: PCell::new(height as u64),
-            orig_parent: PCell::new(orig_parent),
-            link_state: PCell::new(link_state),
-            next: std::array::from_fn(|i| {
-                PCell::new(if i == 0 { bottom } else { MarkedPtr::null() })
-            }),
-        });
-        // SAFETY: `node` was just allocated with `H` tower slots, so these
-        // are addresses inside live memory that nothing can race yet.
-        let (state, upper) =
-            unsafe { ((*node).link_state.addr() as usize, (*node).next[1].addr() as usize) };
-        nvtraverse_pmem::sim::current_mark_volatile_range(state, 8);
-        nvtraverse_pmem::sim::current_mark_volatile_range(upper, (H - 1) * 8);
-        D::persist_new_node(
-            node as *const u8,
-            std::mem::size_of::<SkipNode<K, V, D::B, H>>(),
-        );
-        node.cast()
+        D::persist_new_node(node as *const u8, size);
+        node
     }
 
     /// Rebuilds a skiplist handle around an existing head tower — the attach
@@ -368,26 +391,16 @@ where
         D::load_fixed(unsafe { &(*node).key })
     }
 
-    #[inline]
-    fn is_head(&self, node: NodePtr<K, V, D::B>) -> bool {
-        node == self.head
-    }
-
     /// `key(node) < k`, treating the head as −∞.
     #[inline]
     fn below(&self, node: NodePtr<K, V, D::B>, k: K) -> bool {
-        self.is_head(node) || Self::key_of(node) < k
+        node == self.head || Self::key_of(node) < k
     }
 
     /// Auxiliary (volatile) walk of one tower level starting at `start`,
     /// snipping marked links on the way. Returns the rightmost node at
     /// `level` with key < `k`.
-    fn aux_walk(
-        &self,
-        start: NodePtr<K, V, D::B>,
-        level: usize,
-        k: K,
-    ) -> NodePtr<K, V, D::B> {
+    fn aux_walk(&self, start: NodePtr<K, V, D::B>, level: usize, k: K) -> NodePtr<K, V, D::B> {
         self.aux_walk_while(start, level, |key| key < k)
     }
 
@@ -396,12 +409,7 @@ where
     /// unmarked result proves that no node with key ≤ `k` that was marked
     /// when the walk began is still reachable at `level` (see
     /// [`Self::unlink_and_retire`]).
-    fn aux_walk_through(
-        &self,
-        start: NodePtr<K, V, D::B>,
-        level: usize,
-        k: K,
-    ) -> NodePtr<K, V, D::B> {
+    fn aux_walk_through(&self, start: NodePtr<K, V, D::B>, level: usize, k: K) -> NodePtr<K, V, D::B> {
         self.aux_walk_while(start, level, |key| key <= k)
     }
 
@@ -422,7 +430,7 @@ where
             let mut pred = start;
             loop {
                 // nvt-lint: begin-allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
-                let mut w = (*pred).next[level].load();
+                let mut w = link(pred, level).load();
                 // A marked word means *pred itself* was deleted at this
                 // level. Its tower word is frozen from here on: snipping
                 // through it would CAS an **unmarked** successor word into
@@ -440,10 +448,10 @@ where
                     if curr.is_null() {
                         return pred;
                     }
-                    let cw = (*curr).next[level].load();
+                    let cw = link(curr, level).load();
                     if cw.is_marked() {
                         // Bypass curr at this level.
-                        match (*pred).next[level]
+                        match link(pred, level)
                             .compare_exchange(w, cw.without_mark().untagged())
                             // nvt-lint: end-allow(raw-pcell-access)
                         {
@@ -492,15 +500,11 @@ where
         #[allow(clippy::needless_range_loop)]
         // nvt-lint: begin-allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
         'levels: for level in 1..height {
-            let mut from = if self.below(preds[level], key) {
-                preds[level]
-            } else {
-                self.head
-            };
+            let mut from = if self.below(preds[level], key) { preds[level] } else { self.head };
             loop {
                 let pred = self.aux_walk(from, level, key);
                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                let succ = unsafe { (*pred).next[level].load() };
+                let succ = unsafe { link(pred, level).load() };
                 if succ.is_marked() {
                     // pred was deleted under us and its tower word is
                     // frozen: re-walking from it can never make progress.
@@ -511,7 +515,7 @@ where
                 #[cfg(test)]
                 tests::pause(tests::Pause::BeforeOwnWord);
                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                let own = unsafe { &(*node).next[level] };
+                let own = unsafe { link(node, level) };
                 let cur = own.load();
                 if cur.is_marked() || own.compare_exchange(cur, succ.untagged()).is_err() {
                     // Only the deleter's mark competes for this word.
@@ -521,7 +525,7 @@ where
                 tests::pause(tests::Pause::BeforePredLink);
                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
                 if unsafe {
-                    (*pred).next[level]
+                    link(pred, level)
                         .compare_exchange(succ, MarkedPtr::new(node))
                         // nvt-lint: end-allow(raw-pcell-access)
                         .is_ok()
@@ -543,18 +547,13 @@ where
         if w.left_succ.ptr() == w.right {
             return true;
         }
-        let to = if w.right.is_null() {
-            MarkedPtr::null()
-        } else {
-            MarkedPtr::new(w.right)
-        };
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        if D::c_cas_link(unsafe { &(*w.left).next[0] }, w.left_succ, to).is_err() {
+        if D::c_cas_link(unsafe { link(w.left, 0) }, w.left_succ, MarkedPtr::new(w.right)).is_err() {
             return false;
         }
         if !w.right.is_null() {
             // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-            let rn = D::c_load_link(unsafe { &(*w.right).next[0] });
+            let rn = D::c_load_link(unsafe { link(w.right, 0) });
             if rn.is_marked() {
                 return false;
             }
@@ -625,7 +624,7 @@ where
                 let last = self.aux_walk_through(from, level, key);
                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
                 // nvt-lint: allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
-                if !unsafe { (*last).next[level].load().is_marked() } {
+                if !unsafe { link(last, level).load().is_marked() } {
                     break;
                 }
                 from = self.head;
@@ -649,7 +648,7 @@ where
         // SAFETY: `node` is off the head path at every level and cannot
         // return to it (argued in this function's doc comment), so only
         // threads pinned before this call can hold it — EBR's contract.
-        unsafe { retire_node(guard, node) };
+        unsafe { guard.retire_with(node.cast(), free_tower::<K, V, D::B>) };
     }
 
     /// Returns the smallest live `(key, value)`, reading through the policy
@@ -662,13 +661,13 @@ where
         let _guard = self.collector.pin();
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
         unsafe {
-            let mut cur = D::t_load_link(&(*self.head).next[0]);
+            let mut cur = D::t_load_link(link(self.head, 0));
             loop {
                 let node = cur.ptr();
                 if node.is_null() {
                     return None;
                 }
-                let nw = D::t_load_link(&(*node).next[0]);
+                let nw = D::t_load_link(link(node, 0));
                 if !nw.is_marked() {
                     return Some((
                         D::load_fixed(&(*node).key),
@@ -692,9 +691,9 @@ where
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
         unsafe {
             // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = (*self.head).next[0].load().ptr();
+            let mut cur = link(self.head, 0).load().ptr();
             while !cur.is_null() {
-                let nw = (*cur).next[0].load();
+                let nw = link(cur, 0).load();
                 if include_marked || !nw.is_marked() {
                     out.push(((*cur).key.load(), (*cur).value.load()));
                     // nvt-lint: end-allow(raw-pcell-access)
@@ -720,9 +719,9 @@ where
         unsafe {
             let mut last: Option<K> = None;
             // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = (*self.head).next[0].load().ptr();
+            let mut cur = link(self.head, 0).load().ptr();
             while !cur.is_null() {
-                let nw = (*cur).next[0].load();
+                let nw = link(cur, 0).load();
                 if nw.is_marked() {
                     if !allow_marked {
                         return Err("reachable bottom-marked node".into());
@@ -743,7 +742,7 @@ where
             // Towers must only reference live bottom nodes (after recovery).
             if !allow_marked {
                 for level in 1..MAX_HEIGHT {
-                    let mut c = (*self.head).next[level].load().ptr();
+                    let mut c = link(self.head, level).load().ptr();
                     let mut prev_key: Option<K> = None;
                     while !c.is_null() {
                         if !live.contains(&(c as usize)) {
@@ -756,7 +755,7 @@ where
                             }
                         }
                         prev_key = Some(k);
-                        c = (*c).next[level].load().ptr();
+                        c = link(c, level).load().ptr();
                         // nvt-lint: end-allow(raw-pcell-access)
                     }
                 }
@@ -765,10 +764,12 @@ where
         Ok(count)
     }
 
-    /// Recovery (paper §4 + Property 2): trim marked bottom nodes with the
-    /// policy's disconnection CASes, then rebuild every volatile tower from
-    /// the bottom list with write-only passes (no tower word is read, so
-    /// poisoned towers are safe).
+    /// Recovery (paper §4 + Property 2) in one walk of the bottom list: at
+    /// each step, disconnect the run of marked nodes after `pred` with the
+    /// policy's CAS (Supplement 1) and retire it, then thread the next live
+    /// node into every volatile tower level it has. The towers are rebuilt
+    /// store-only, left to right — no tower word is read, so poisoned
+    /// towers are safe.
     pub fn recover_skiplist(&self) {
         if !D::DURABLE {
             return;
@@ -776,62 +777,48 @@ where
         let guard = self.collector.pin();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         unsafe {
-            // Pass 1: disconnect marked bottom nodes (Supplement 1).
+            let mut prevs: [NodePtr<K, V, D::B>; MAX_HEIGHT] = [self.head; MAX_HEIGHT];
+            let mut count: u64 = 0;
             let mut pred = self.head;
             loop {
-                // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery reads raw bits (marks, flags, poison) by design
-                let start = (*pred).next[0].load().without_dirty();
+                // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery reads raw bits (marks, flags, poison) and rebuilds volatile towers by design
+                let start = link(pred, 0).load().without_dirty();
                 let mut cur = start.ptr();
                 while !cur.is_null() {
-                    let nw = (*cur).next[0].load();
-                    if nw.is_marked() {
-                        cur = nw.ptr();
-                    } else {
+                    let nw = link(cur, 0).load();
+                    if !nw.is_marked() {
                         break;
                     }
+                    cur = nw.ptr();
                 }
                 if cur != start.ptr() {
-                    let to = if cur.is_null() {
-                        MarkedPtr::null()
-                    } else {
-                        MarkedPtr::new(cur)
-                    };
-                    if D::c_cas_link(&(*pred).next[0], start, to).is_ok() {
-                        let mut dead = start.ptr();
-                        while !dead.is_null() && dead != cur {
-                            let nxt = (*dead).next[0].load().ptr();
-                            retire_node(&guard, dead);
-                            dead = nxt;
-                        }
-                    } else {
+                    if D::c_cas_link(link(pred, 0), start, MarkedPtr::new(cur)).is_err() {
                         continue;
+                    }
+                    let mut dead = start.ptr();
+                    while !dead.is_null() && dead != cur {
+                        let nxt = link(dead, 0).load().ptr();
+                        guard.retire_with(dead.cast(), free_tower::<K, V, D::B>);
+                        dead = nxt;
                     }
                 }
                 if cur.is_null() {
                     break;
                 }
-                pred = cur;
-            }
-            // Pass 2: rebuild towers (volatile): store-only, left to right.
-            let mut prevs: [NodePtr<K, V, D::B>; MAX_HEIGHT] = [self.head; MAX_HEIGHT];
-            let mut count: u64 = 0;
-            let mut cur = (*self.head).next[0].load().ptr();
-            while !cur.is_null() {
                 count += 1;
                 // No inserter survives a crash: the handshake word restarts
                 // at LINKED (its persisted copy is stale or poison).
                 (*cur).link_state.store(LINKED);
-                let h = (*cur).height.load() as usize;
                 // Indexing two arrays in lockstep; an iterator form obscures it.
                 #[allow(clippy::needless_range_loop)]
-                for level in 1..h {
-                    (*prevs[level]).next[level].store(MarkedPtr::new(cur));
+                for level in 1..height_of((*cur).meta.load()) {
+                    link(prevs[level], level).store(MarkedPtr::new(cur));
                     prevs[level] = cur;
                 }
-                cur = (*cur).next[0].load().ptr();
+                pred = cur;
             }
             for (level, prev) in prevs.iter().enumerate().skip(1) {
-                (**prev).next[level].store(MarkedPtr::null());
+                link(*prev, level).store(MarkedPtr::null());
                 // nvt-lint: end-allow(raw-pcell-access)
             }
             // Reseed the deterministic height source past the surviving
@@ -873,7 +860,7 @@ where
             // falls back to the head for marked entry points.)
             // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
             // nvt-lint: allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
-            if unsafe { (*pred).next[level].load().is_marked() } {
+            if unsafe { link(pred, level).load().is_marked() } {
                 pred = self.aux_walk(self.head, level, k);
             }
             preds[level] = pred;
@@ -896,10 +883,10 @@ where
             // never-marked sentinel — exactly as a shortcut-less traversal
             // would start. Mid-walk candidates are already mark-checked.
             let mut base = start;
-            let mut first = D::t_load_link(&(*base).next[0]);
+            let mut first = D::t_load_link(link(base, 0));
             if first.is_marked() {
                 base = self.head;
-                first = D::t_load_link(&(*base).next[0]);
+                first = D::t_load_link(link(base, 0));
             }
             let mut left = base;
             let mut left_succ = first;
@@ -919,7 +906,7 @@ where
                     break;
                 }
                 curr = nxt;
-                succ = D::t_load_link(&(*curr).next[0]);
+                succ = D::t_load_link(link(curr, 0));
             }
             SkipWindow {
                 left,
@@ -935,13 +922,13 @@ where
         unsafe {
             // Supplement 2: flush the original-parent location of `left`
             // (the entry shortcut hides left's current parent).
-            let addr = D::load_fixed(&(*w.left).orig_parent);
+            let addr = parent_of(D::load_fixed(&(*w.left).meta));
             if addr != 0 {
                 out.set_parent(addr as *const u8);
             }
-            out.push((*w.left).next[0].addr());
+            out.push(link(w.left, 0).addr());
             if !w.right.is_null() {
-                out.push((*w.right).next[0].addr());
+                out.push(link(w.right, 0).addr());
             }
         }
     }
@@ -970,23 +957,19 @@ where
                     return Critical::Done(Some(D::load_fixed(unsafe { &(*w.right).value })));
                 }
                 let height = self.next_height();
-                let right_word = if w.right.is_null() {
-                    MarkedPtr::null()
-                } else {
-                    MarkedPtr::new(w.right)
-                };
-                let node = Self::alloc_sized(
+                let right_word = MarkedPtr::new(w.right);
+                let node = Self::alloc_tower(
                     key,
-                    value,
+                    value.to_bits(),
                     height,
                     // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    unsafe { (*w.left).next[0].addr() } as u64,
+                    unsafe { link(w.left, 0).addr() } as u64,
                     right_word,
                     if height > 1 { THREADING } else { LINKED },
                 );
                 match D::c_cas_link(
                     // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    unsafe { &(*w.left).next[0] },
+                    unsafe { link(w.left, 0) },
                     right_word,
                     MarkedPtr::new(node),
                 ) {
@@ -1001,7 +984,7 @@ where
                     }
                     Err(_) => {
                         // SAFETY: the node was never published; it is ours alone.
-                        unsafe { free_node(node) };
+                        unsafe { free_tower::<K, V, D::B>(node.cast()) };
                         Critical::Restart
                     }
                 }
@@ -1015,7 +998,7 @@ where
                 }
                 let victim = w.right;
                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                let bottom = unsafe { &(*victim).next[0] };
+                let bottom = unsafe { link(victim, 0) };
                 let r_next = D::c_load_link(bottom);
                 if r_next.is_marked() {
                     return Critical::Restart;
@@ -1027,18 +1010,18 @@ where
                         // Mark every tower level (volatile, raw CAS) so that
                         // aux walks snip us out.
                         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                        let height = D::load_fixed(unsafe { &(*victim).height }) as usize;
+                        let height = height_of(D::load_fixed(unsafe { &(*victim).meta }));
                         // nvt-lint: begin-allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
                         for level in (1..height).rev() {
                             loop {
                                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                                let cw = unsafe { (*victim).next[level].load() };
+                                let cw = unsafe { link(victim, level).load() };
                                 if cw.is_marked() {
                                     break;
                                 }
                                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
                                 if unsafe {
-                                    (*victim).next[level]
+                                    link(victim, level)
                                         .compare_exchange(cw, cw.with_mark())
                                         // nvt-lint: end-allow(raw-pcell-access)
                                         .is_ok()
@@ -1051,7 +1034,7 @@ where
                         // descent below verifies it and does the towers.
                         let _ = D::c_cas_link(
                             // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                            unsafe { &(*w.left).next[0] },
+                            unsafe { link(w.left, 0) },
                             MarkedPtr::new(victim),
                             r_next,
                         );
@@ -1112,13 +1095,19 @@ where
     fn create_in_pool(pool: &Pool, name: &str) -> io::Result<Self> {
         let _scope = PoolCtx::of(pool).enter();
         let list = Self::with_collector(Collector::new());
-        pool.set_root_ptr_checked(name, list.head_ptr())?;
+        pool.set_root_ptr_checked(name, list.head)?;
         Ok(list)
     }
 
     // SAFETY: see `TraversalOps::attach_to_pool` — the caller guarantees the pool was created by this structure type under `name` and is quiescent.
     unsafe fn attach_to_pool(pool: &Pool, name: &str) -> Option<Self> {
         let head = pool.attach_root_ptr::<SkipNode<K, V, D::B>>(name)?;
+        // SAFETY: the tag is read only from an allocated block of this pool.
+        if !pool.is_allocated_payload(pool.offset_of(head as *const u8))
+            || unsafe { !has_layout_tag(head) }
+        {
+            return None;
+        }
         // Entered so `attach_at`'s context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
@@ -1140,6 +1129,8 @@ where
 // `recover_skiplist` rebuilds with write-only passes — they are never read
 // by recovery and may be stale after a crash, so the trace must not (and
 // does not) follow them; every node they could name is on the bottom list.
+// A head without this layout's tag was written under another node layout,
+// where `next[0]` is another word: the tracer refuses it instead.
 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
 unsafe impl<K, V, D> nvtraverse::PoolTrace for SkipList<K, V, D>
 where
@@ -1150,9 +1141,14 @@ where
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         unsafe {
-            crate::trace_chains(marker, &mut [root as NodePtr<K, V, D::B>], |n| {
+            let head = root as NodePtr<K, V, D::B>;
+            if marker.capacity_of(root).is_none() || !has_layout_tag(head) {
+                marker.refuse();
+                return;
+            }
+            crate::trace_chains(marker, &mut [head], |n| {
                 // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
-                (*n).next[0].load().ptr()
+                link(n, 0).load().ptr()
             });
         }
     }
@@ -1190,13 +1186,13 @@ impl<K: Word, V: Word, D: Durability> Drop for SkipList<K, V, D> {
             let mut cur = self.head;
             while !cur.is_null() {
                 // nvt-lint: allow(raw-pcell-access): teardown/drop owns the structure exclusively; nothing durable happens after it
-                let bits = (*cur).next[0].peek_bits();
+                let bits = link(cur, 0).peek_bits();
                 let nxt = if bits == nvtraverse_pmem::POISON {
                     std::ptr::null_mut()
                 } else {
                     MarkedPtr::<SkipNode<K, V, D::B>>::from_bits_raw(bits).ptr()
                 };
-                free_node(cur);
+                free_tower::<K, V, D::B>(cur.cast());
                 cur = nxt;
             }
         }
@@ -1208,7 +1204,7 @@ mod tests {
     use super::*;
     use nvtraverse::model::ModelSet;
     use nvtraverse::policy::{Izraelevitz, LinkPersist, NvTraverse, Volatile};
-    use nvtraverse_pmem::{Clwb, Noop, Sim, SimHandle};
+    use nvtraverse_pmem::{Clwb, MmapBackend, Noop, Sim, SimHandle};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1290,7 +1286,7 @@ mod tests {
         // Some node must be taller than 1 (probability astronomically high).
         unsafe {
             assert!(
-                !(*s.head).next[1].load().is_null(),
+                !link(s.head, 1).load().is_null(),
                 "towers were never built"
             );
         }
@@ -1377,7 +1373,7 @@ mod tests {
         // Wreck the towers (simulating their loss in a crash).
         unsafe {
             for level in 1..MAX_HEIGHT {
-                (*s.head).next[level].store(MarkedPtr::null());
+                link(s.head, level).store(MarkedPtr::null());
             }
         }
         s.recover();
@@ -1396,12 +1392,12 @@ mod tests {
         }
         unsafe {
             // Mark key 4's bottom link by hand (crash mid-delete).
-            let mut cur = (*s.head).next[0].load().ptr();
+            let mut cur = link(s.head, 0).load().ptr();
             while !cur.is_null() && (*cur).key.load() != 4 {
-                cur = (*cur).next[0].load().ptr();
+                cur = link(cur, 0).load().ptr();
             }
-            let nw = (*cur).next[0].load();
-            (*cur).next[0].store(nw.with_mark());
+            let nw = link(cur, 0).load();
+            link(cur, 0).store(nw.with_mark());
         }
         s.recover();
         assert_eq!(s.get(4), None);
@@ -1494,12 +1490,12 @@ mod tests {
     fn tall_keys<D: Durability>(s: &SkipList<u64, u64, D>) -> Vec<u64> {
         let mut out = Vec::new();
         unsafe {
-            let mut cur = (*s.head).next[0].load().ptr();
+            let mut cur = link(s.head, 0).load().ptr();
             while !cur.is_null() {
-                if (*cur).height.load() > 1 {
+                if height_of((*cur).meta.load()) > 1 {
                     out.push((*cur).key.load());
                 }
-                cur = (*cur).next[0].load().ptr();
+                cur = link(cur, 0).load().ptr();
             }
         }
         out
@@ -1598,13 +1594,200 @@ mod tests {
         }
     }
 
-    /// The point of the short allocation: with the pool's 16-byte block
-    /// header a short node is exactly a 128-byte block, a full one fits 256.
+    type Pooled = SkipList<u64, u64, NvTraverse<MmapBackend>>;
+
+    /// A fresh pool file path for `tag`, private to this process.
+    fn pool_path(tag: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir()
+            .join(format!("nvt-skiplist-{tag}-{}.pool", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Every height's node is exactly `32 + 8h` bytes and lands in the
+    /// smallest pool block that holds it next to the 16-byte header.
     #[test]
     fn node_sizes_match_the_pool_blocks() {
-        use std::mem::size_of;
-        assert_eq!(size_of::<SkipNode<u64, u64, Noop, SHORT_HEIGHT>>() + 16, 128);
-        assert!(size_of::<SkipNode<u64, u64, Noop>>() + 16 <= 256);
+        let path = pool_path("sizes");
+        let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
+        let _scope = PoolCtx::of(&pool).enter();
+        for h in 1..=MAX_HEIGHT {
+            assert_eq!(SkipNode::<u64, u64, MmapBackend>::size(h), 32 + 8 * h);
+            let node = Pooled::alloc_tower(7, 70, h, 0, MarkedPtr::null(), LINKED);
+            let block = (16 + 32 + 8 * h).next_power_of_two() as u64;
+            assert_eq!(pool.usable_size(node as *const u8), block - 16, "height {h}");
+            // SAFETY: never published.
+            unsafe { free_tower::<u64, u64, MmapBackend>(node.cast()) };
+        }
+        assert!(pool.live_offsets().is_empty(), "a free missed its block");
+        drop(_scope);
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The sized nodes' payoff, counted the way `bytes_per_key` is: heap
+    /// bytes after a reopen over the keys found.
+    #[test]
+    fn pooled_list_costs_at_most_82_bytes_per_key() {
+        use nvtraverse::TypedRoots;
+        const N: u64 = 1 << 15;
+        let path = pool_path("bytes-per-key");
+        {
+            let pool = Pool::builder().path(&path).capacity(8 << 20).create().unwrap();
+            let s = pool.create_root::<Pooled>("skip").unwrap();
+            for i in 0..N {
+                assert!(s.insert(i * 2_654_435_761 % N, i));
+            }
+            s.close().unwrap();
+        }
+        let pool = Pool::builder().path(&path).open().unwrap();
+        let s = pool.root::<Pooled>("skip").unwrap();
+        assert_eq!(s.len() as u64, N);
+        let per_key = pool.recovery_report().heap_bytes as f64 / N as f64;
+        assert!(per_key <= 82.0, "{per_key:.2} heap bytes per key");
+        s.close().unwrap();
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The bottom list's nodes in order, marked or not (quiescent).
+    fn chain<D: Durability>(s: &SkipList<u64, u64, D>) -> Vec<NodePtr<u64, u64, D::B>> {
+        let mut out = Vec::new();
+        unsafe {
+            let mut cur = link(s.head, 0).load().ptr();
+            while !cur.is_null() {
+                out.push(cur);
+                cur = link(cur, 0).load().ptr();
+            }
+        }
+        out
+    }
+
+    /// What a recovery leaves behind: the live pairs, each tower level's
+    /// keys, the nodes it retired and the reseeded height source.
+    type Outcome = (Vec<(u64, u64)>, Vec<Vec<u64>>, usize, u64);
+
+    fn outcome<D: Durability>(s: &SkipList<u64, u64, D>) -> Outcome {
+        let towers = (1..MAX_HEIGHT)
+            .map(|level| {
+                let mut keys = Vec::new();
+                unsafe {
+                    let mut cur = link(s.head, level).load().ptr();
+                    while !cur.is_null() {
+                        keys.push((*cur).key.load());
+                        cur = link(cur, level).load().ptr();
+                    }
+                }
+                keys
+            })
+            .collect();
+        let seq = s.height_seq.load(Ordering::Relaxed);
+        (s.iter_snapshot(), towers, s.collector().local_garbage(), seq)
+    }
+
+    /// The recovery before it became one walk: pass 1 trims every marked
+    /// run, pass 2 rebuilds the towers and resets `link_state`.
+    fn recover_two_pass<D: Durability>(s: &SkipList<u64, u64, D>) {
+        let guard = s.collector.pin();
+        unsafe {
+            let mut pred = s.head;
+            loop {
+                let start = link(pred, 0).load().without_dirty();
+                let mut cur = start.ptr();
+                while !cur.is_null() && link(cur, 0).load().is_marked() {
+                    cur = link(cur, 0).load().ptr();
+                }
+                if cur != start.ptr() {
+                    D::c_cas_link(link(pred, 0), start, MarkedPtr::new(cur)).unwrap();
+                    let mut dead = start.ptr();
+                    while !dead.is_null() && dead != cur {
+                        let nxt = link(dead, 0).load().ptr();
+                        guard.retire_with(dead.cast(), free_tower::<u64, u64, D::B>);
+                        dead = nxt;
+                    }
+                }
+                if cur.is_null() {
+                    break;
+                }
+                pred = cur;
+            }
+            let mut prevs = [s.head; MAX_HEIGHT];
+            let mut count = 0;
+            let mut cur = link(s.head, 0).load().ptr();
+            while !cur.is_null() {
+                count += 1;
+                (*cur).link_state.store(LINKED);
+                for (level, prev) in prevs.iter_mut().enumerate().take(height_of((*cur).meta.load())).skip(1) {
+                    link(*prev, level).store(MarkedPtr::new(cur));
+                    *prev = cur;
+                }
+                cur = link(cur, 0).load().ptr();
+            }
+            for (level, prev) in prevs.iter().enumerate().skip(1) {
+                link(*prev, level).store(MarkedPtr::null());
+            }
+            s.height_seq.store(count + 1, Ordering::Relaxed);
+        }
+        D::before_return();
+    }
+
+    /// One walk and two passes, on the same pool image: nodes marked in
+    /// place (a crash between a remove's mark and its unlink) at the head,
+    /// in the middle (two adjacent) and at the tail.
+    #[test]
+    fn one_walk_recovery_matches_the_two_pass_reference() {
+        use nvtraverse::TypedRoots;
+        let (path, name) = (pool_path("one-walk"), "skip");
+        {
+            let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
+            let s = pool.create_root::<Pooled>(name).unwrap();
+            for k in 0..400u64 {
+                assert!(s.insert(k * 7 % 400, k));
+            }
+            for k in (0..400u64).step_by(5) {
+                assert!(s.remove(k));
+            }
+            nvtraverse::drain_collector(s.collector());
+            let nodes = chain(&*s);
+            let mid = nodes.len() / 2;
+            for i in [0, mid, mid + 1, nodes.len() - 1] {
+                unsafe {
+                    let next = link(nodes[i], 0);
+                    next.store(next.load().with_mark());
+                    MmapBackend::flush(next.addr());
+                }
+            }
+            MmapBackend::fence();
+            s.close().unwrap();
+        }
+        let image = std::fs::read(&path).unwrap();
+
+        // The reference, on the image as closed.
+        nvtraverse_pool::unregister_tracer(&path, name);
+        let want = {
+            let pool = Pool::builder().path(&path).open().unwrap();
+            // SAFETY: the root was created as a `Pooled` above; attach alone
+            // runs no recovery, so the reference is the only one.
+            let s = unsafe { Pooled::attach_to_pool(&pool, name) }.unwrap();
+            recover_two_pass(&s);
+            let want = outcome(&s);
+            assert_eq!(s.check_consistency(false).unwrap(), 320 - 4);
+            nvtraverse::drain_collector(s.collector());
+            std::mem::forget(s); // pool-resident: never torn down
+            want
+        };
+        assert_eq!(want.2, 4, "the reference retires exactly the marked nodes");
+
+        // The one walk, on the same bytes.
+        std::fs::write(&path, &image).unwrap();
+        let pool = Pool::builder().path(&path).open().unwrap();
+        let s = pool.root::<Pooled>(name).unwrap();
+        assert_eq!(outcome(&*s), want);
+        assert_eq!(s.check_consistency(false).unwrap(), 320 - 4);
+        s.close().unwrap();
+        drop(pool);
+        nvtraverse_pool::unregister_tracer(&path, name);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

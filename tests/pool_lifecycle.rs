@@ -575,6 +575,64 @@ fn corrupt_bucket_table_root_is_rejected_not_trusted() {
     check::<PooledSoftHash>("corrupt-soft-head", stray_head);
 }
 
+/// A skiplist pool written under another node layout — its head's value
+/// word holds 0 where this layout keeps its tag, as every pool written
+/// before the tag existed does — is refused, not destroyed. Traced as
+/// this layout, its `next[0]` would be another word: the GC would mark the
+/// wrong blocks and its sweep would durably free live nodes. Instead the
+/// tracer refuses (no sweep, `gc_ran` false) and the attach fails, as a
+/// `SkipList` and as a `PriorityQueue`, and the file keeps every byte.
+#[test]
+fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
+    use nvtraverse::{PoolTrace, TypedRoots};
+    use std::os::unix::fs::FileExt;
+    let path = tmp("skip-layout");
+    let head;
+    {
+        let s = create_pooled::<PooledSkip>(&path, 4 << 20, "skip").unwrap();
+        for k in 0..300u64 {
+            assert!(s.insert(k, k * 3));
+        }
+        for k in (0..300u64).step_by(3) {
+            assert!(s.remove(k));
+        }
+        head = s.pool().root_offset("skip").unwrap();
+        s.close().unwrap();
+    }
+    // Word 1 of the head sentinel (pool offsets are file offsets).
+    let stamp = |word: &[u8; 8]| {
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(word, head + 8).unwrap();
+    };
+    stamp(&[0; 8]);
+    // Every open rebuilds the free lists, rewriting the free blocks' link
+    // words (bytes with no persistent meaning) in address order: settle
+    // them with one open, so the bytes compared below are all the others.
+    drop(Pool::builder().path(&path).open().unwrap());
+    let before = std::fs::read(&path).unwrap();
+
+    fn refused<S: PoolTrace>(path: &std::path::Path, before: &[u8]) {
+        let pool = Pool::builder().path(path).open().unwrap();
+        assert!(!pool.recovery_report().gc_ran, "a refusing tracer must not sweep");
+        assert!(pool.root::<S>("skip").is_err(), "an old-layout head attached");
+        let report = pool.recovery_report();
+        assert!(!report.gc_ran && report.reclaimed_blocks == 0);
+        pool.verify_heap().unwrap();
+        drop(pool);
+        assert!(std::fs::read(path).unwrap() == before, "the refused open changed the file");
+    }
+    refused::<PooledSkip>(&path, &before);
+    refused::<PooledPq>(&path, &before);
+
+    // Nothing was lost: with its tag back, the list opens with every key.
+    stamp(b"SKIPv003");
+    let s = open_pooled::<PooledSkip>(&path, "skip").unwrap();
+    assert_eq!(s.check_consistency(false).unwrap(), 200);
+    assert!((0..300u64).all(|k| s.get(k) == (k % 3 != 0).then_some(k * 3)));
+    s.close().unwrap();
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// SOFT keeps every link word volatile, so a close/reopen loses the entire
 /// chain by construction — attach must rebuild it from nothing but the
 /// per-node validity headers. This is the single-process version of the
