@@ -311,8 +311,9 @@ pub unsafe fn free<T>(ptr: *mut T) {
 /// # Safety
 ///
 /// `ptr` must come from [`try_alloc_bytes`] (or a typed wrapper) with this
-/// same `size` and `align`, must not be reachable by any thread, and must
-/// not be freed twice.
+/// same `size` — and, for a volatile allocation, this same `align` (a pool
+/// block's alignment is its pool's, whatever was asked) — must not be
+/// reachable by any thread, and must not be freed twice.
 #[inline]
 pub unsafe fn free_bytes(ptr: *mut u8, size: usize, align: usize) {
     nvtraverse_pmem::sim::current_deregister_range_if_active(ptr as usize, size);

@@ -97,7 +97,7 @@ pub use alloc::PoolCtx;
 pub use detect::{ArmHandle, DetectablePool, OpError, OpToken};
 pub use marked::MarkedPtr;
 pub use pool::{OpId, OpOutcome};
-pub use ops::{run_operation, Critical, PersistSet, TraversalOps};
+pub use ops::{persist_window, run_operation, Critical, PersistSet, TraversalOps};
 pub use policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Soft, Volatile};
 pub use set::{
     drain_collector, register_pool_tracer, restore_pool_tracer, DurableSet, PoolAttach,

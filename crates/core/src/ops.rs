@@ -147,6 +147,26 @@ pub trait TraversalOps {
     ) -> Critical<Self::Output>;
 }
 
+/// Protocol 1 for one window: `ensureReachable` on its parent link, then
+/// `makePersistent` on its fields — the step [`run_operation`] injects
+/// between `traverse` and `critical`. A critical method that traverses
+/// again and acts on the fresh window (a remove finishing its unlink)
+/// calls it first, exactly as `run_operation` would.
+#[inline]
+pub fn persist_window<S: TraversalOps>(structure: &S, window: &S::Window) {
+    let mut persist = PersistSet::new();
+    structure.collect_persist_set(window, &mut persist);
+    if let Some(parent) = persist.parent() {
+        // `make_persistent` flushes every field anyway, so a parent that is
+        // also a field would be flushed twice; the fence in
+        // `make_persistent` covers both orders.
+        if !persist.fields().contains(&parent) {
+            <S::D as Durability>::ensure_reachable(parent);
+        }
+    }
+    <S::D as Durability>::make_persistent(persist.fields());
+}
+
 /// Runs one operation on a traversal data structure (Algorithm 2).
 ///
 /// Retries on [`Critical::Restart`] and issues the Protocol 1 and
@@ -157,17 +177,7 @@ pub fn run_operation<S: TraversalOps>(structure: &S, guard: &Guard, input: S::In
     loop {
         let entry = structure.find_entry(guard, input);
         let window = structure.traverse(guard, entry, input);
-        let mut persist = PersistSet::new();
-        structure.collect_persist_set(&window, &mut persist);
-        if let Some(parent) = persist.parent() {
-            // `make_persistent` flushes every field anyway, so a parent
-            // that is also a field would be flushed twice; the fence in
-            // `make_persistent` covers both orders.
-            if !persist.fields().contains(&parent) {
-                <S::D as Durability>::ensure_reachable(parent);
-            }
-        }
-        <S::D as Durability>::make_persistent(persist.fields());
+        persist_window(structure, &window);
         match structure.critical(guard, window, input) {
             Critical::Done(value) => {
                 <S::D as Durability>::before_return();

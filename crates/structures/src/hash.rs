@@ -410,7 +410,7 @@ impl<K: Word + Ord, V: Word, D: Durability> BucketList for HarrisList<K, V, D> {
     }
 
     fn head_addr(&self) -> *const u8 {
-        self.head_ptr() as *const u8
+        self.head as *const u8
     }
 
     // SAFETY: see `BucketList::attach_head` — `head` is this list type's head sentinel, quiescent.
@@ -615,7 +615,7 @@ mod tests {
         let mut out = Vec::new();
         // SAFETY: quiescent test heap; every link was written by this test.
         unsafe {
-            let mut cur = (*bucket.head_ptr()).next.load().ptr();
+            let mut cur = (*bucket.head).next.load().ptr();
             while !cur.is_null() {
                 out.push(cur);
                 cur = (*cur).next.load().ptr();

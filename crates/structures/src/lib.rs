@@ -19,6 +19,13 @@
 //!   traversal form (paper §3: "traversal data structures capture not just
 //!   set data structures, but also queues, stacks, …").
 //!
+//! The list, [`soft_list::SoftList`] (the buckets of
+//! [`soft_hash::SoftHash`]) and the skiplist's bottom level are one Harris
+//! sorted chain, written once in the crate's `chain` module: the window
+//! walk, `deleteMarkedNodes`, recovery's marked-run disconnect and the
+//! quiescent and teardown walks. Each keeps only its discipline: node
+//! layout, the linearizing write, Protocol-1 fields and recovery policy.
+//!
 //! Every structure (including [`pqueue::PriorityQueue`]) implements
 //! [`PoolAttach`](nvtraverse::PoolAttach): it can be created inside a
 //! `nvtraverse-pool` file, found again by name after a restart, and
@@ -128,6 +135,7 @@ pub(crate) unsafe fn trace_chains<N>(
     }
 }
 
+mod chain;
 pub mod ellen_bst;
 pub mod hash;
 pub mod list;

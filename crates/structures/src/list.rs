@@ -17,8 +17,14 @@
 //! * `true` — Supplement 2: every node carries an *original parent* field
 //!   recording the address of the pointer that linked it in, and that
 //!   address is flushed instead (costs one word per node; ablation `abl2`).
+//!
+//! The chain's window walk, trim, recovery disconnect, quiescent and
+//! teardown walks are the crate's shared Harris chain (`chain.rs`); this
+//! list keeps its node layout, its durable links, the `ensureReachable`
+//! choice above and detectable operations.
 
-use nvtraverse::alloc::{alloc_node, clear_pool_full, free, pool_full_seen, try_alloc_node, PoolCtx};
+use crate::chain::{self, ChainNode, Window};
+use nvtraverse::alloc::{alloc_node, free, try_alloc_node, PoolCtx};
 use nvtraverse::detect::{ArmHandle, OpError, OpToken};
 use nvtraverse::marked::MarkedPtr;
 use nvtraverse::ops::{run_operation, Critical, PersistSet, TraversalOps};
@@ -29,10 +35,12 @@ use nvtraverse_pmem::{Backend, PCell, Word};
 use nvtraverse_pool::optable::{
     classify_raw, RawClass, OP_KIND_INSERT, OP_KIND_REMOVE, OP_TARGET_MISS,
 };
-use nvtraverse_pool::{OpId, OpOutcome, Pool, RawOp};
+use nvtraverse_pool::{Marker, OpId, OpOutcome, Pool, RawOp};
 use std::fmt;
 use std::io;
 use std::marker::PhantomData;
+use std::mem::offset_of;
+use std::ops::ControlFlow;
 
 /// One list node. All fields are 64-bit persistent cells; `key`, `value` and
 /// `orig_parent` are immutable after initialization (flushed once, before the
@@ -61,31 +69,18 @@ impl<K: Word + fmt::Debug, V: Word, B: Backend> fmt::Debug for Node<K, V, B> {
     }
 }
 
+// SAFETY: the offsets name the node's own `key`, `value` and `next` cells;
+// `key` and `value` are written once, before the node is linked.
+unsafe impl<K: Word, V: Word, B: Backend> ChainNode for Node<K, V, B> {
+    type K = K;
+    type V = V;
+    type B = B;
+    const KEY: usize = offset_of!(Self, key);
+    const VALUE: usize = offset_of!(Self, value);
+    const NEXT: usize = offset_of!(Self, next);
+}
+
 type NodePtr<K, V, B> = *mut Node<K, V, B>;
-
-/// The traversal window: the suffix of the path that `traverse` returns
-/// (paper §3.1 — left, right, and enough information to trim the marked
-/// chain between them).
-pub struct Window<K: Word, V: Word, B: Backend> {
-    /// Current parent of `left` (for the Lemma 4.1 `ensureReachable`).
-    left_parent: NodePtr<K, V, B>,
-    /// Last unmarked node with key < search key (or the head sentinel).
-    left: NodePtr<K, V, B>,
-    /// The word read from `left.next` when `left` was selected; its pointer
-    /// is the first node of the marked chain (or `right` itself).
-    left_succ: MarkedPtr<Node<K, V, B>>,
-    /// First unmarked node with key ≥ search key; null = end of list.
-    right: NodePtr<K, V, B>,
-}
-
-impl<K: Word, V: Word, B: Backend> fmt::Debug for Window<K, V, B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Window")
-            .field("left", &self.left)
-            .field("right", &self.right)
-            .finish()
-    }
-}
 
 /// The list's operation-driver input: the set operation plus, for
 /// detectable operations, the descriptor handle the critical section arms
@@ -93,6 +88,8 @@ impl<K: Word, V: Word, B: Backend> fmt::Debug for Window<K, V, B> {
 #[derive(Debug, Clone, Copy)]
 pub struct ListOp<K, V> {
     op: SetOp<K, V>,
+    /// For a detectable operation, the descriptor slot it is driven
+    /// through (armed before, published at, its linearization point).
     detect: Option<ArmHandle>,
 }
 
@@ -102,23 +99,13 @@ impl<K, V> From<SetOp<K, V>> for ListOp<K, V> {
     }
 }
 
-impl<K, V> ListOp<K, V> {
-    /// A detectable operation: `op` driven through `handle`'s descriptor
-    /// slot (armed before, published at, its linearization point).
-    pub(crate) fn detectable(op: SetOp<K, V>, handle: ArmHandle) -> Self {
-        ListOp {
-            op,
-            detect: Some(handle),
-        }
-    }
-}
-
 /// Harris's sorted linked list, parameterized by durability policy.
 ///
 /// See the [module docs](self) and the crate example. All operations are
 /// lock-free and (for durable policies) durably linearizable.
 pub struct HarrisList<K: Word, V: Word, D: Durability, const ORIG_PARENT: bool = false> {
-    head: NodePtr<K, V, D::B>,
+    /// The head sentinel (also what a pool root records).
+    pub(crate) head: NodePtr<K, V, D::B>,
     collector: Collector,
     /// Which heap this structure's nodes come from — its own pool for a
     /// pooled instance, the volatile heap otherwise. Captured at
@@ -164,22 +151,13 @@ where
         // Persist the empty list so it survives a crash at time zero.
         D::persist_new_node(head as *const u8, std::mem::size_of::<Node<K, V, D::B>>());
         D::before_return();
-        HarrisList {
-            head,
-            collector,
-            ctx: PoolCtx::current(),
-            _marker: PhantomData,
-        }
+        // SAFETY: a fresh head, owned by this handle alone.
+        unsafe { Self::attach_at(head, collector) }
     }
 
     /// The collector nodes are retired into.
     pub fn collector(&self) -> &Collector {
         &self.collector
-    }
-
-    /// The head sentinel (for pool root registration by this crate).
-    pub(crate) fn head_ptr(&self) -> NodePtr<K, V, D::B> {
-        self.head
     }
 
     /// Rebuilds a list handle around an existing head sentinel — the attach
@@ -200,100 +178,9 @@ where
         }
     }
 
-    #[inline]
-    fn key_of(node: NodePtr<K, V, D::B>) -> K {
-        debug_assert!(!node.is_null());
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        D::load_fixed(unsafe { &(*node).key })
-    }
-
-    /// The word form of `right` for CAS expected values (null ⇒ null word).
-    #[inline]
-    fn word_of(node: NodePtr<K, V, D::B>) -> MarkedPtr<Node<K, V, D::B>> {
-        if node.is_null() {
-            MarkedPtr::null()
-        } else {
-            MarkedPtr::new(node)
-        }
-    }
-
-    /// `deleteMarkedNodes` (Algorithm 4, lines 40–57): physically disconnect
-    /// the marked chain between `left` and `right` with the unique
-    /// disconnection CAS (Property 5), retiring the chain on success.
-    ///
-    /// Returns `false` if the caller must re-traverse.
-    fn trim(&self, guard: &Guard, w: &Window<K, V, D::B>) -> bool {
-        if w.left_succ.ptr() == w.right {
-            // nodes.size() == 2: left and right are already adjacent.
-            return true;
-        }
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        let left_next = unsafe { &(*w.left).next };
-        match D::c_cas_link(left_next, w.left_succ, Self::word_of(w.right)) {
-            Ok(()) => {
-                // The chain [left_succ .. right) is now unreachable; every
-                // node in it is marked (frozen), so plain loads suffice.
-                let mut cur = w.left_succ.ptr();
-                while !cur.is_null() && cur != w.right {
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    // nvt-lint: allow(raw-pcell-access): reading the frozen (marked) chain being trimmed; plain loads suffice
-                    let nxt = unsafe { (*cur).next.load() };
-                    debug_assert!(nxt.is_marked(), "trimmed an unmarked node");
-                    // SAFETY: the node is unlinked (no new traversal can reach it); EBR defers the actual free until all pre-retire guards drop.
-                    unsafe { guard.retire(cur) };
-                    cur = nxt.ptr();
-                }
-                // Algorithm 4 lines 50–53: if right got marked meanwhile the
-                // caller's picture of the list is stale.
-                if !w.right.is_null() {
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    let rn = D::c_load_link(unsafe { &(*w.right).next });
-                    if rn.is_marked() {
-                        return false;
-                    }
-                }
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Quiescent: counts unmarked reachable nodes.
-    fn quiescent_len(&self) -> usize {
-        let mut n = 0;
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = (*self.head).next.load().ptr();
-            while !cur.is_null() {
-                let nw = (*cur).next.load();
-                // nvt-lint: end-allow(raw-pcell-access)
-                if !nw.is_marked() {
-                    n += 1;
-                }
-                cur = nw.ptr();
-            }
-        }
-        n
-    }
-
     /// Quiescent: collects the unmarked `(key, value)` pairs in list order.
     pub fn iter_snapshot(&self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = (*self.head).next.load().ptr();
-            while !cur.is_null() {
-                let nw = (*cur).next.load();
-                if !nw.is_marked() {
-                    out.push(((*cur).key.load(), (*cur).value.load()));
-                    // nvt-lint: end-allow(raw-pcell-access)
-                }
-                cur = nw.ptr();
-            }
-        }
-        out
+        chain::snapshot(self.head)
     }
 
     /// Quiescent: verifies structural invariants, returning the number of
@@ -304,33 +191,7 @@ where
     /// Describes the violation: unsorted keys, or (when `allow_marked` is
     /// false, e.g. right after recovery) a reachable marked node.
     pub fn check_consistency(&self, allow_marked: bool) -> Result<usize, String> {
-        let mut live = 0;
-        let mut last_key: Option<K> = None;
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = (*self.head).next.load().ptr();
-            while !cur.is_null() {
-                let nw = (*cur).next.load();
-                if nw.is_marked() {
-                    if !allow_marked {
-                        return Err("reachable marked node after recovery".into());
-                    }
-                } else {
-                    let k = (*cur).key.load();
-                    // nvt-lint: end-allow(raw-pcell-access)
-                    if let Some(prev) = last_key.take() {
-                        if prev >= k {
-                            return Err("keys not strictly increasing".into());
-                        }
-                    }
-                    last_key = Some(k);
-                    live += 1;
-                }
-                cur = nw.ptr();
-            }
-        }
-        Ok(live)
+        chain::check(self.head, allow_marked, |_| Ok(()))
     }
 
     /// The recovery procedure (paper §4 "Recovery"): run `disconnect(root)`
@@ -343,47 +204,8 @@ where
             return;
         }
         let guard = self.collector.pin();
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        unsafe {
-            let mut pred: NodePtr<K, V, D::B> = self.head;
-            loop {
-                // Raw load: strip the link-and-persist dirty bit before
-                // using the word as a CAS expectation.
-                // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery reads raw bits (marks, flags, poison) by design
-                let start = (*pred).next.load().without_dirty();
-                debug_assert!(!start.is_marked(), "predecessor must be unmarked");
-                // Find the first unmarked node at or after start.
-                let mut cur = start.ptr();
-                while !cur.is_null() {
-                    let nw = (*cur).next.load();
-                    if nw.is_marked() {
-                        cur = nw.ptr();
-                    } else {
-                        break;
-                    }
-                }
-                if cur != start.ptr() {
-                    // Disconnect the marked chain [start .. cur) atomically
-                    // (the unique legal disconnection of Property 5).
-                    if D::c_cas_link(&(*pred).next, start, Self::word_of(cur)).is_ok() {
-                        let mut dead = start.ptr();
-                        while !dead.is_null() && dead != cur {
-                            let nxt = (*dead).next.load().ptr();
-                            // nvt-lint: end-allow(raw-pcell-access)
-                            guard.retire(dead);
-                            dead = nxt;
-                        }
-                    } else {
-                        // Raced with a concurrent trim; rescan from pred.
-                        continue;
-                    }
-                }
-                if cur.is_null() {
-                    break;
-                }
-                pred = cur;
-            }
-        }
+        // SAFETY: the node is disconnected for good; EBR defers the free until all pre-retire guards drop.
+        chain::disconnect::<_, D>(self.head, |dead| unsafe { guard.retire(dead) }, |_| {});
         D::before_return();
     }
 
@@ -403,23 +225,22 @@ where
         }
         let mut lanes: Vec<NodePtr<K, V, D::B>> = lists.iter().map(|l| l.head).collect();
         let mut marked = vec![false; lists.len()];
-        {
-            // Recovery may run beside other operations (Supplement 1): the
-            // scan reads nodes a concurrent trim could retire.
-            let _guard = collector.pin();
-            // SAFETY: every lane starts at a head sentinel and follows links read under the guard above.
-            unsafe {
-                crate::walk_chains(&mut lanes, |lane, node| {
-                    // nvt-lint: allow(raw-pcell-access): read-only recovery scan reads raw mark bits by design
-                    let word = (*node).next.load();
-                    if word.is_marked() {
-                        marked[lane] = true;
-                        return std::ptr::null_mut();
-                    }
-                    word.ptr()
-                });
-            }
+        // Recovery may run beside other operations (Supplement 1): the
+        // scan reads nodes a concurrent trim could retire.
+        let guard = collector.pin();
+        // SAFETY: every lane starts at a head sentinel and follows links read under the guard above.
+        unsafe {
+            crate::walk_chains(&mut lanes, |lane, node| {
+                // nvt-lint: allow(raw-pcell-access): read-only recovery scan reads raw mark bits by design
+                let word = (*node).next.load();
+                if word.is_marked() {
+                    marked[lane] = true;
+                    return std::ptr::null_mut();
+                }
+                word.ptr()
+            });
         }
+        drop(guard);
         for (list, _) in lists.iter().zip(&marked).filter(|(_, &m)| m) {
             list.recover_list();
         }
@@ -432,37 +253,12 @@ where
     ///
     /// Same contract as [`nvtraverse::PoolTrace::trace`], with every
     /// element of `heads` a head sentinel of this list type.
-    pub(crate) unsafe fn trace_heads(
-        heads: &mut [NodePtr<K, V, D::B>],
-        marker: &mut nvtraverse_pool::Marker<'_>,
-    ) {
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
+    pub(crate) unsafe fn trace_heads(heads: &mut [NodePtr<K, V, D::B>], marker: &mut Marker<'_>) {
+        // SAFETY: forwarded; `Marker` vouches for every node whose link is read.
         unsafe {
-            crate::trace_chains(marker, heads, |n| {
-                // Raw load; `.ptr()` strips mark/flag/dirty bits.
-                // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
-                (*n).next.load().ptr()
-            });
+            // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
+            crate::trace_chains(marker, heads, |n| (*n).next.load().ptr());
         }
-    }
-
-    /// Quiescent lookup for recovery classification: the op tag of the
-    /// live (unmarked, reachable) node holding exactly `key_bits`, if any.
-    fn surviving_tag(&self, key_bits: u64) -> Option<u64> {
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // nvt-lint: begin-allow(raw-pcell-access): quiescent post-crash inspection of raw tag bits
-            let mut cur = (*self.head).next.load().ptr();
-            while !cur.is_null() {
-                let nw = (*cur).next.load();
-                if !nw.is_marked() && (*cur).key.load().to_bits() == key_bits {
-                    return Some((*cur).op_tag.load());
-                    // nvt-lint: end-allow(raw-pcell-access)
-                }
-                cur = nw.ptr();
-            }
-        }
-        None
     }
 
     /// Classifies one recovered operation descriptor against this list's
@@ -487,25 +283,28 @@ where
         match classify_raw(Some(raw), raw.id()) {
             RawClass::Decided(outcome) => outcome,
             RawClass::NeedsLookup => {
-                let tag = self.surviving_tag(raw.key);
-                match raw.kind {
-                    OP_KIND_INSERT => {
-                        if tag == Some(raw.id().to_bits()) {
-                            OpOutcome::Committed
-                        } else {
-                            OpOutcome::NotApplied
-                        }
+                // The op tag of the live node holding exactly this key.
+                // nvt-lint: begin-allow(raw-pcell-access): quiescent post-crash inspection of raw tag bits
+                // SAFETY: quiescent; `n` is a linked node.
+                let tag = chain::walk(self.head, |n, marked| unsafe {
+                    if !marked && (*n).key.load().to_bits() == raw.key {
+                        ControlFlow::Break((*n).op_tag.load())
+                    } else {
+                        ControlFlow::Continue(())
                     }
-                    OP_KIND_REMOVE => {
-                        if raw.target_tag == OP_TARGET_MISS || tag == Some(raw.target_tag) {
-                            OpOutcome::NotApplied
-                        } else {
-                            OpOutcome::Committed
-                        }
-                    }
+                });
+                // nvt-lint: end-allow(raw-pcell-access)
+                let applied = match raw.kind {
+                    OP_KIND_INSERT => tag == Some(raw.id().to_bits()),
+                    OP_KIND_REMOVE => raw.target_tag != OP_TARGET_MISS && tag != Some(raw.target_tag),
                     // Unknown kind bits (torn arm that still matched the
                     // sequence number): nothing can have applied.
-                    _ => OpOutcome::NotApplied,
+                    _ => false,
+                };
+                if applied {
+                    OpOutcome::Committed
+                } else {
+                    OpOutcome::NotApplied
                 }
             }
         }
@@ -524,7 +323,7 @@ where
     /// `Remove`/`Get` → the value found.
     type Output = Option<V>;
     type Entry = NodePtr<K, V, D::B>;
-    type Window = Window<K, V, D::B>;
+    type Window = Window<Node<K, V, D::B>>;
 
     fn find_entry(&self, _guard: &Guard, _input: Self::Input) -> Self::Entry {
         // The head of the list is the only entry point (§3: findEntry "is
@@ -533,45 +332,8 @@ where
     }
 
     fn traverse(&self, _guard: &Guard, entry: Self::Entry, input: Self::Input) -> Self::Window {
-        let key = match input.op {
-            SetOp::Insert(k, _) | SetOp::Remove(k) | SetOp::Get(k) => k,
-        };
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            let head = entry;
-            let mut left_parent = head;
-            let mut left = head;
-            let mut left_succ = D::t_load_link(&(*head).next);
-            let mut pred = head;
-            let mut curr = head;
-            let mut succ = left_succ; // invariant: succ = word of curr.next
-            loop {
-                if !succ.is_marked() {
-                    if curr != head && Self::key_of(curr) >= key {
-                        // curr is the right node: first unmarked key ≥ k.
-                        break;
-                    }
-                    // curr is unmarked with key < k: new left candidate.
-                    left_parent = pred;
-                    left = curr;
-                    left_succ = succ;
-                }
-                pred = curr;
-                let nxt = succ.ptr();
-                if nxt.is_null() {
-                    curr = std::ptr::null_mut();
-                    break;
-                }
-                curr = nxt;
-                succ = D::t_load_link(&(*curr).next);
-            }
-            Window {
-                left_parent,
-                left,
-                left_succ,
-                right: curr,
-            }
-        }
+        let (SetOp::Insert(key, _) | SetOp::Remove(key) | SetOp::Get(key)) = input.op;
+        chain::traverse::<_, D>(self.head, entry, |k| k < key)
     }
 
     fn collect_persist_set(&self, w: &Self::Window, out: &mut PersistSet) {
@@ -603,22 +365,20 @@ where
         input: Self::Input,
     ) -> Critical<Self::Output> {
         let detect = input.detect;
+        // deleteMarkedNodes, retiring the trimmed run into this list's collector.
+        // SAFETY: a trimmed node is unlinked; EBR defers its free until all pre-retire guards drop.
+        let trim = || chain::trim::<_, D, _>(&w, Some(|n| unsafe { guard.retire(n) }));
+        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+        let left_next = unsafe { &(*w.left).next };
         match input.op {
-            SetOp::Get(key) => {
-                // findCritical (Algorithm 4, lines 1–6).
-                if w.right.is_null() || Self::key_of(w.right) != key {
-                    Critical::Done(None)
-                } else {
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    Critical::Done(Some(D::load_fixed(unsafe { &(*w.right).value })))
-                }
-            }
+            // findCritical (Algorithm 4, lines 1–6).
+            SetOp::Get(key) => Critical::Done(w.hit::<D>(key).then(|| w.value::<D>())),
             SetOp::Insert(key, value) => {
                 // insertCritical (Algorithm 3, lines 18–35).
-                if !self.trim(guard, &w) {
+                if !trim() {
                     return Critical::Restart;
                 }
-                if !w.right.is_null() && Self::key_of(w.right) == key {
+                if w.hit::<D>(key) {
                     if let Some(h) = detect {
                         // Duplicate: the no-op linearizes right here — arm
                         // and publish together, both made durable by the
@@ -626,15 +386,13 @@ where
                         h.arm::<D::B>(0);
                         h.publish::<D::B>(false);
                     }
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    return Critical::Done(Some(D::load_fixed(unsafe { &(*w.right).value })));
+                    return Critical::Done(Some(w.value::<D>()));
                 }
                 let Some(node) = try_alloc_node::<_, D::B>(Node {
                     key: PCell::new(key),
                     value: PCell::new(value),
-                    next: PCell::new(Self::word_of(w.right)),
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    orig_parent: PCell::new(unsafe { (*w.left).next.addr() } as u64),
+                    next: PCell::new(MarkedPtr::new(w.right)),
+                    orig_parent: PCell::new(left_next.addr() as u64),
                     op_tag: PCell::new(detect.map_or(0, |h| h.tag())),
                 }) else {
                     // Pool exhausted: nothing changed. The thread-local
@@ -651,9 +409,7 @@ where
                     // becomes durable. Idempotent across restarts.
                     h.arm::<D::B>(0);
                 }
-                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                let left_next = unsafe { &(*w.left).next };
-                match D::c_cas_link(left_next, Self::word_of(w.right), MarkedPtr::new(node)) {
+                match D::c_cas_link(left_next, MarkedPtr::new(w.right), MarkedPtr::new(node)) {
                     Ok(()) => {
                         if let Some(h) = detect {
                             // Linearized: publish the applied result; the
@@ -672,10 +428,10 @@ where
             }
             SetOp::Remove(key) => {
                 // deleteCritical (Algorithm 3, lines 37–57).
-                if !self.trim(guard, &w) {
+                if !trim() {
                     return Critical::Restart;
                 }
-                if w.right.is_null() || Self::key_of(w.right) != key {
+                if !w.hit::<D>(key) {
                     if let Some(h) = detect {
                         // Miss: a no-op remove. The MISS sentinel (not 0)
                         // distinguishes this from removing an untagged node.
@@ -708,14 +464,11 @@ where
                         }
                         // Logically deleted; now try the physical splice. If
                         // it fails another traversal's trim will finish it.
-                        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                        let left_next = unsafe { &(*w.left).next };
-                        if D::c_cas_link(left_next, Self::word_of(w.right), r_next).is_ok() {
+                        if D::c_cas_link(left_next, MarkedPtr::new(w.right), r_next).is_ok() {
                             // SAFETY: the node is unlinked (no new traversal can reach it); EBR defers the actual free until all pre-retire guards drop.
                             unsafe { guard.retire(w.right) };
                         }
-                        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                        Critical::Done(Some(D::load_fixed(unsafe { &(*w.right).value })))
+                        Critical::Done(Some(w.value::<D>()))
                     }
                     Err(_) => Critical::Restart,
                 }
@@ -747,7 +500,7 @@ where
     }
 
     fn len(&self) -> usize {
-        self.quiescent_len()
+        chain::len(self.head)
     }
 
     fn recover(&self) {
@@ -755,18 +508,9 @@ where
     }
 
     fn try_insert(&self, key: K, value: V) -> Result<bool, OpError> {
-        let _scope = self.ctx.enter();
-        let guard = self.collector.pin();
-        clear_pool_full();
-        let existing = run_operation(self, &guard, ListOp::from(SetOp::Insert(key, value)));
-        if pool_full_seen() {
-            return Err(OpError::PoolFull);
-        }
-        Ok(existing.is_none())
-    }
-
-    fn try_remove(&self, key: K) -> Result<bool, OpError> {
-        Ok(self.remove(key))
+        chain::allocating(&self.ctx, &self.collector, |guard| {
+            run_operation(self, guard, ListOp::from(SetOp::Insert(key, value))).is_none()
+        })
     }
 
     fn insert_detectable(
@@ -775,26 +519,19 @@ where
         key: K,
         value: V,
     ) -> Result<(OpId, bool), OpError> {
-        let _scope = self.ctx.enter();
-        let guard = self.collector.pin();
-        clear_pool_full();
-        let h = token.begin_insert(key.to_bits(), value.to_bits());
-        let existing = run_operation(
-            self,
-            &guard,
-            ListOp::detectable(SetOp::Insert(key, value), h),
-        );
-        if pool_full_seen() {
-            return Err(OpError::PoolFull);
-        }
-        Ok((h.id(), existing.is_none()))
+        chain::allocating(&self.ctx, &self.collector, |guard| {
+            let h = token.begin_insert(key.to_bits(), value.to_bits());
+            let op = ListOp { op: SetOp::Insert(key, value), detect: Some(h) };
+            (h.id(), run_operation(self, guard, op).is_none())
+        })
     }
 
     fn remove_detectable(&self, token: &mut OpToken, key: K) -> Result<(OpId, bool), OpError> {
         let _scope = self.ctx.enter();
         let guard = self.collector.pin();
         let h = token.begin_remove(key.to_bits());
-        let removed = run_operation(self, &guard, ListOp::detectable(SetOp::Remove(key), h));
+        let op = ListOp { op: SetOp::Remove(key), detect: Some(h) };
+        let removed = run_operation(self, &guard, op);
         Ok((h.id(), removed.is_some()))
     }
 }
@@ -848,7 +585,7 @@ where
     V: Word,
     D: Durability,
 {
-    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
+    unsafe fn trace(root: *mut u8, marker: &mut Marker<'_>) {
         // SAFETY: forwarded — one chain, rooted at this list's head sentinel.
         unsafe { Self::trace_heads(&mut [root as NodePtr<K, V, D::B>], marker) };
     }
@@ -873,7 +610,7 @@ where
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HarrisList")
-            .field("len", &self.quiescent_len())
+            .field("len", &chain::len(self.head))
             .field("durable", &D::DURABLE)
             .finish()
     }
@@ -882,24 +619,9 @@ where
 impl<K: Word, V: Word, D: Durability, const P: bool> Drop for HarrisList<K, V, D, P> {
     fn drop(&mut self) {
         // Exclusive access: free every node reachable from head, marked or
-        // not. Trimmed nodes were handed to the collector already. Links
-        // poisoned by an unrecovered simulated crash terminate the walk
-        // (leaking the tail), matching a persistent heap's behaviour.
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            let mut cur = self.head;
-            while !cur.is_null() {
-                // nvt-lint: allow(raw-pcell-access): teardown/drop owns the structure exclusively; nothing durable happens after it
-                let bits = (*cur).next.peek_bits();
-                let nxt = if bits == nvtraverse_pmem::POISON {
-                    std::ptr::null_mut()
-                } else {
-                    MarkedPtr::<Node<K, V, D::B>>::from_bits_raw(bits).ptr()
-                };
-                free(cur);
-                cur = nxt;
-            }
-        }
+        // not. Trimmed nodes were handed to the collector already.
+        // SAFETY: exclusive access — no other thread can reach these nodes.
+        chain::teardown(self.head, |n| unsafe { free(n) });
     }
 }
 

@@ -22,7 +22,7 @@
 
 use nvtraverse::alloc::{alloc_node, free, PoolCtx};
 use nvtraverse::marked::MarkedPtr;
-use nvtraverse::ops::{run_operation, Critical, PersistSet, TraversalOps};
+use nvtraverse::ops::{persist_window, run_operation, Critical, PersistSet, TraversalOps};
 use nvtraverse::policy::Durability;
 use nvtraverse::set::{DurableSet, PoolAttach, SetOp};
 use nvtraverse_ebr::{Collector, Guard};
@@ -304,12 +304,7 @@ where
     /// persists its window per Protocol 1 before acting on it.
     fn seek_persisted(&self, guard: &Guard, key: K) -> NmSeek<K, V, D::B> {
         let rec = self.traverse(guard, self.root, SetOp::Get(key));
-        let mut ps = PersistSet::new();
-        self.collect_persist_set(&rec, &mut ps);
-        if let Some(p) = ps.parent() {
-            D::ensure_reachable(p);
-        }
-        D::make_persistent(ps.fields());
+        persist_window(self, &rec);
         rec
     }
 

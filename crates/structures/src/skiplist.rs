@@ -16,7 +16,10 @@
 //! * `findEntry` descends the towers (it may snip marked tower links — the
 //!   auxiliary structure is not subject to the traverse method's no-write
 //!   rule), returning a bottom-level entry node; `traverse` is then exactly
-//!   Harris's bottom walk.
+//!   Harris's bottom walk: the bottom level *is* the crate's shared Harris
+//!   chain (`chain.rs`), entered from the shortcut. The skiplist keeps the
+//!   tower layout, the towers' marking and threading, and a retire that
+//!   waits for both.
 //! * `ensureReachable` uses Supplement 2's *original parent* field: the
 //!   entry shortcut means the traversal may not know the current parent of
 //!   its first returned node, so each node records the address of the
@@ -85,9 +88,11 @@
 //!    unreachable for good. Recovery resets the word to `LINKED` (no
 //!    inserter survives a crash).
 
+use crate::chain::{self, ChainNode, Window};
 use nvtraverse::alloc::{free_bytes, try_alloc_bytes, PoolCtx};
+use nvtraverse::detect::OpError;
 use nvtraverse::marked::MarkedPtr;
-use nvtraverse::ops::{run_operation, Critical, PersistSet, TraversalOps};
+use nvtraverse::ops::{persist_window, run_operation, Critical, PersistSet, TraversalOps};
 use nvtraverse::policy::Durability;
 use nvtraverse::set::{DurableSet, PoolAttach, SetOp};
 use nvtraverse_ebr::{Collector, Guard};
@@ -96,6 +101,7 @@ use nvtraverse_pool::Pool;
 use std::fmt;
 use std::io;
 use std::marker::PhantomData;
+use std::mem::offset_of;
 use std::ptr::{addr_of, addr_of_mut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -169,6 +175,9 @@ const fn parent_of(meta: u64) -> u64 {
 type NodePtr<K, V, B> = *mut SkipNode<K, V, B>;
 /// One tower-link word (bottom level persistent, upper levels volatile).
 type Link<K, V, B> = PCell<MarkedPtr<SkipNode<K, V, B>>, B>;
+/// The tower predecessors `findEntry` computed, per level (volatile
+/// shortcuts; level 0 unused).
+type Preds<K, V, B> = [NodePtr<K, V, B>; MAX_HEIGHT];
 
 /// `node`'s tower word at `level`.
 ///
@@ -182,6 +191,18 @@ unsafe fn link<'a, K: Word, V: Word, B: Backend>(
 ) -> &'a Link<K, V, B> {
     // SAFETY: the node's allocation ends after its `height` tower words.
     unsafe { &*addr_of!((*node).next).cast::<Link<K, V, B>>().add(level) }
+}
+
+// SAFETY: `key` and `value` are fixed words of the node, written once
+// before it is linked; the chain link is the bottom tower word `next[0]`,
+// which every node has.
+unsafe impl<K: Word, V: Word, B: Backend> ChainNode for SkipNode<K, V, B> {
+    type K = K;
+    type V = V;
+    type B = B;
+    const KEY: usize = offset_of!(Self, key);
+    const VALUE: usize = offset_of!(Self, value);
+    const NEXT: usize = offset_of!(Self, next);
 }
 
 /// Returns a node to its heap at the size it was allocated with, read back
@@ -216,25 +237,6 @@ unsafe fn has_layout_tag<K: Word, V: Word, B: Backend>(head: NodePtr<K, V, B>) -
     // SAFETY: per the contract.
     // nvt-lint: allow(raw-pcell-access): the head's value word is a layout stamp, read as raw bits
     unsafe { (*head).value.peek_bits() == LAYOUT_TAG }
-}
-
-/// Traversal window: Harris's bottom-list window plus the tower
-/// predecessors `findEntry` computed (auxiliary data for upper linking).
-pub struct SkipWindow<K: Word, V: Word, B: Backend> {
-    left: NodePtr<K, V, B>,
-    left_succ: MarkedPtr<SkipNode<K, V, B>>,
-    right: NodePtr<K, V, B>,
-    /// Tower predecessors per level (volatile shortcuts; level 0 unused).
-    preds: [NodePtr<K, V, B>; MAX_HEIGHT],
-}
-
-impl<K: Word, V: Word, B: Backend> fmt::Debug for SkipWindow<K, V, B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SkipWindow")
-            .field("left", &self.left)
-            .field("right", &self.right)
-            .finish()
-    }
 }
 
 /// A lock-free skiplist map, parameterized by durability policy.
@@ -295,7 +297,8 @@ where
         // Only the persistent part of the head needs to survive: flushing
         // the whole node is harmless and simplest.
         let head =
-            Self::alloc_tower(K::from_bits(0), LAYOUT_TAG, MAX_HEIGHT, 0, MarkedPtr::null(), LINKED);
+            Self::alloc_tower(K::from_bits(0), LAYOUT_TAG, MAX_HEIGHT, 0, MarkedPtr::null(), LINKED)
+                .expect("persistent pool exhausted while allocating the skiplist head");
         D::before_return();
         // SAFETY: a fresh head, owned by this handle alone; it has no tower
         // for a recovery to rebuild.
@@ -315,10 +318,8 @@ where
     /// (`next[1..height]`) volatile by design to any vet observer: only
     /// `next[0]` is part of the durable list, recovery rebuilds the rest.
     ///
-    /// # Panics
-    ///
-    /// Panics when the targeted persistent pool is exhausted (see
-    /// `nvtraverse::alloc::alloc_node`).
+    /// `None` when the targeted persistent pool is exhausted (see
+    /// `nvtraverse::alloc::try_alloc_bytes`).
     fn alloc_tower(
         key: K,
         value_bits: u64,
@@ -326,13 +327,12 @@ where
         orig_parent: u64,
         bottom: MarkedPtr<SkipNode<K, V, D::B>>,
         link_state: u64,
-    ) -> NodePtr<K, V, D::B> {
+    ) -> Option<NodePtr<K, V, D::B>> {
         debug_assert!((1..=MAX_HEIGHT).contains(&height));
         // The free path trusts the height it reads back from `meta`.
         assert_eq!(parent_of(orig_parent), orig_parent, "a link address above 56 bits");
         let size = SkipNode::<K, V, D::B>::size(height);
-        let node = try_alloc_bytes::<D::B>(size, std::mem::align_of::<SkipNode<K, V, D::B>>())
-            .expect("persistent pool exhausted (and volatile fallback would lose data)")
+        let node = try_alloc_bytes::<D::B>(size, std::mem::align_of::<SkipNode<K, V, D::B>>())?
             .cast::<SkipNode<K, V, D::B>>();
         let meta = ((height as u64) << HEIGHT_SHIFT) | orig_parent;
         // SAFETY: `node` is a fresh, suitably aligned block of `size` bytes
@@ -351,7 +351,7 @@ where
             sim::current_mark_volatile_range(tower.add(1) as usize, (height - 1) * 8);
         }
         D::persist_new_node(node as *const u8, size);
-        node
+        Some(node)
     }
 
     /// Rebuilds a skiplist handle around an existing head tower — the attach
@@ -389,12 +389,6 @@ where
     fn key_of(node: NodePtr<K, V, D::B>) -> K {
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
         D::load_fixed(unsafe { &(*node).key })
-    }
-
-    /// `key(node) < k`, treating the head as −∞.
-    #[inline]
-    fn below(&self, node: NodePtr<K, V, D::B>, k: K) -> bool {
-        node == self.head || Self::key_of(node) < k
     }
 
     /// Auxiliary (volatile) walk of one tower level starting at `start`,
@@ -500,7 +494,9 @@ where
         #[allow(clippy::needless_range_loop)]
         // nvt-lint: begin-allow(raw-pcell-access): volatile tower links (levels >= 1) are never flushed; towers are rebuilt on recovery
         'levels: for level in 1..height {
-            let mut from = if self.below(preds[level], key) { preds[level] } else { self.head };
+            // The search's predecessor if below `key` (the head is −∞).
+            let p = preds[level];
+            let mut from = if p == self.head || Self::key_of(p) < key { p } else { self.head };
             loop {
                 let pred = self.aux_walk(from, level, key);
                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
@@ -537,28 +533,6 @@ where
         if Self::arrives_second(node, LINKED) {
             self.unlink_and_retire(guard, node, key, height);
         }
-    }
-
-    /// Bottom-list trim, exactly deleteMarkedNodes of the list: swings
-    /// `left` past the marked run to `right`. Unlike the list, the trimmer
-    /// does not retire — each node's *deleter* does, after unlinking its
-    /// towers. `false` means the window went stale (restart).
-    fn trim(w: &SkipWindow<K, V, D::B>) -> bool {
-        if w.left_succ.ptr() == w.right {
-            return true;
-        }
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        if D::c_cas_link(unsafe { link(w.left, 0) }, w.left_succ, MarkedPtr::new(w.right)).is_err() {
-            return false;
-        }
-        if !w.right.is_null() {
-            // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-            let rn = D::c_load_link(unsafe { link(w.right, 0) });
-            if rn.is_marked() {
-                return false;
-            }
-        }
-        true
     }
 
     /// One party's arrival at `node`'s retire handshake (`mine` is
@@ -632,18 +606,13 @@ where
         }
         loop {
             let w = self.traverse(guard, entry, probe);
-            if w.left_succ.ptr() == w.right {
+            if w.0.left_succ.ptr() == w.0.right {
                 break;
             }
             // A critical-phase write on a fresh window: Protocol 1 first,
             // exactly as the driver does between `traverse` and `critical`.
-            let mut persist = PersistSet::new();
-            self.collect_persist_set(&w, &mut persist);
-            if let Some(parent) = persist.parent() {
-                D::ensure_reachable(parent);
-            }
-            D::make_persistent(persist.fields());
-            let _ = Self::trim(&w);
+            persist_window(self, &w);
+            let _ = chain::trim::<_, D, fn(_)>(&w.0, None);
         }
         // SAFETY: `node` is off the head path at every level and cannot
         // return to it (argued in this function's doc comment), so only
@@ -659,49 +628,15 @@ where
         // removers: the marked nodes it reads through are retire()d by their
         // deleters, so the walk must hold an epoch pin.
         let _guard = self.collector.pin();
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            let mut cur = D::t_load_link(link(self.head, 0));
-            loop {
-                let node = cur.ptr();
-                if node.is_null() {
-                    return None;
-                }
-                let nw = D::t_load_link(link(node, 0));
-                if !nw.is_marked() {
-                    return Some((
-                        D::load_fixed(&(*node).key),
-                        D::load_fixed(&(*node).value),
-                    ));
-                }
-                cur = nw;
-            }
-        }
+        // The chain's walk, stopping at the first live node.
+        let w = chain::traverse::<_, D>(self.head, self.head, |_| false);
+        (!w.right.is_null()).then(|| (Self::key_of(w.right), w.value::<D>()))
     }
 
     /// Quiescent: the live `(key, value)` pairs in key order (the unmarked
     /// bottom list — the persistent core the towers merely accelerate).
     pub fn iter_snapshot(&self) -> Vec<(K, V)> {
-        self.bottom_snapshot(false)
-    }
-
-    /// Quiescent bottom-list walk.
-    fn bottom_snapshot(&self, include_marked: bool) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = link(self.head, 0).load().ptr();
-            while !cur.is_null() {
-                let nw = link(cur, 0).load();
-                if include_marked || !nw.is_marked() {
-                    out.push(((*cur).key.load(), (*cur).value.load()));
-                    // nvt-lint: end-allow(raw-pcell-access)
-                }
-                cur = nw.ptr();
-            }
-        }
-        out
+        chain::snapshot(self.head)
     }
 
     /// Quiescent: verifies bottom-list sortedness and tower reachability.
@@ -712,121 +647,82 @@ where
     /// `allow_marked` is false), or a tower link pointing at a node that is
     /// not alive in the bottom list.
     pub fn check_consistency(&self, allow_marked: bool) -> Result<usize, String> {
-        use std::collections::HashSet;
-        let mut live: HashSet<usize> = HashSet::new();
-        let mut count = 0;
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+        let mut live = std::collections::HashSet::new();
+        let count = chain::check(self.head, allow_marked, |n| {
+            live.insert(n as usize);
+            Ok(())
+        })?;
+        if allow_marked {
+            return Ok(count);
+        }
+        // Towers must only reference live bottom nodes (after recovery).
+        // SAFETY: quiescent (this method's contract); tower links name nodes of this skiplist.
         unsafe {
-            let mut last: Option<K> = None;
             // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = link(self.head, 0).load().ptr();
-            while !cur.is_null() {
-                let nw = link(cur, 0).load();
-                if nw.is_marked() {
-                    if !allow_marked {
-                        return Err("reachable bottom-marked node".into());
+            for level in 1..MAX_HEIGHT {
+                let mut c = link(self.head, level).load().ptr();
+                let mut prev_key: Option<K> = None;
+                while !c.is_null() {
+                    if !live.contains(&(c as usize)) {
+                        return Err(format!("tower level {level} references dead node"));
                     }
-                } else {
-                    let k = (*cur).key.load();
-                    if let Some(prev) = last.take() {
-                        if prev >= k {
-                            return Err("bottom keys not strictly increasing".into());
-                        }
+                    let k = (*c).key.load();
+                    if prev_key.is_some_and(|pk| pk >= k) {
+                        return Err(format!("tower level {level} unsorted"));
                     }
-                    last = Some(k);
-                    live.insert(cur as usize);
-                    count += 1;
-                }
-                cur = nw.ptr();
-            }
-            // Towers must only reference live bottom nodes (after recovery).
-            if !allow_marked {
-                for level in 1..MAX_HEIGHT {
-                    let mut c = link(self.head, level).load().ptr();
-                    let mut prev_key: Option<K> = None;
-                    while !c.is_null() {
-                        if !live.contains(&(c as usize)) {
-                            return Err(format!("tower level {level} references dead node"));
-                        }
-                        let k = (*c).key.load();
-                        if let Some(pk) = prev_key.take() {
-                            if pk >= k {
-                                return Err(format!("tower level {level} unsorted"));
-                            }
-                        }
-                        prev_key = Some(k);
-                        c = link(c, level).load().ptr();
-                        // nvt-lint: end-allow(raw-pcell-access)
-                    }
+                    prev_key = Some(k);
+                    c = link(c, level).load().ptr();
+                    // nvt-lint: end-allow(raw-pcell-access)
                 }
             }
         }
         Ok(count)
     }
 
-    /// Recovery (paper §4 + Property 2) in one walk of the bottom list: at
-    /// each step, disconnect the run of marked nodes after `pred` with the
-    /// policy's CAS (Supplement 1) and retire it, then thread the next live
-    /// node into every volatile tower level it has. The towers are rebuilt
-    /// store-only, left to right — no tower word is read, so poisoned
-    /// towers are safe.
+    /// Recovery (paper §4 + Property 2) in one walk of the bottom list: the
+    /// chain's `disconnect` (Supplement 1) retires each run of marked nodes,
+    /// and its live-node hook threads each live node into every volatile
+    /// tower level it has. The towers are rebuilt store-only, left to right
+    /// — no tower word is read, so poisoned towers are safe.
     pub fn recover_skiplist(&self) {
         if !D::DURABLE {
             return;
         }
         let guard = self.collector.pin();
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        unsafe {
-            let mut prevs: [NodePtr<K, V, D::B>; MAX_HEIGHT] = [self.head; MAX_HEIGHT];
-            let mut count: u64 = 0;
-            let mut pred = self.head;
-            loop {
-                // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery reads raw bits (marks, flags, poison) and rebuilds volatile towers by design
-                let start = link(pred, 0).load().without_dirty();
-                let mut cur = start.ptr();
-                while !cur.is_null() {
-                    let nw = link(cur, 0).load();
-                    if !nw.is_marked() {
-                        break;
-                    }
-                    cur = nw.ptr();
-                }
-                if cur != start.ptr() {
-                    if D::c_cas_link(link(pred, 0), start, MarkedPtr::new(cur)).is_err() {
-                        continue;
-                    }
-                    let mut dead = start.ptr();
-                    while !dead.is_null() && dead != cur {
-                        let nxt = link(dead, 0).load().ptr();
-                        guard.retire_with(dead.cast(), free_tower::<K, V, D::B>);
-                        dead = nxt;
-                    }
-                }
-                if cur.is_null() {
-                    break;
-                }
+        let mut prevs: Preds<K, V, D::B> = [self.head; MAX_HEIGHT];
+        let mut count: u64 = 0;
+        chain::disconnect::<_, D>(
+            self.head,
+            // SAFETY: the run is disconnected for good, and its towers are never read again (they are rebuilt below); EBR defers the free.
+            |dead| unsafe { guard.retire_with(dead.cast(), free_tower::<K, V, D::B>) },
+            |cur| {
                 count += 1;
-                // No inserter survives a crash: the handshake word restarts
-                // at LINKED (its persisted copy is stale or poison).
-                (*cur).link_state.store(LINKED);
-                // Indexing two arrays in lockstep; an iterator form obscures it.
-                #[allow(clippy::needless_range_loop)]
-                for level in 1..height_of((*cur).meta.load()) {
-                    link(prevs[level], level).store(MarkedPtr::new(cur));
-                    prevs[level] = cur;
+                // SAFETY: recovery runs single-threaded on a quiescent structure; `cur` and every `prevs` entry are live nodes of it.
+                unsafe {
+                    // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery rebuilds volatile towers by design
+                    // No inserter survives a crash: the handshake word
+                    // restarts at LINKED (its persisted copy is stale or
+                    // poison).
+                    (*cur).link_state.store(LINKED);
+                    // Indexing two arrays in lockstep; an iterator form obscures it.
+                    #[allow(clippy::needless_range_loop)]
+                    for level in 1..height_of((*cur).meta.load()) {
+                        link(prevs[level], level).store(MarkedPtr::new(cur));
+                        prevs[level] = cur;
+                    }
                 }
-                pred = cur;
-            }
-            for (level, prev) in prevs.iter().enumerate().skip(1) {
-                link(*prev, level).store(MarkedPtr::null());
-                // nvt-lint: end-allow(raw-pcell-access)
-            }
-            // Reseed the deterministic height source past the surviving
-            // population, so a reattached list keeps drawing fresh heights
-            // (correctness never depends on this; tower balance across
-            // reopen cycles does).
-            self.height_seq.store(count + 1, Ordering::Relaxed);
+            },
+        );
+        for (level, prev) in prevs.iter().enumerate().skip(1) {
+            // SAFETY: as above; `prev` is the last live node at `level`.
+            unsafe { link(*prev, level).store(MarkedPtr::null()) };
+            // nvt-lint: end-allow(raw-pcell-access)
         }
+        // Reseed the deterministic height source past the surviving
+        // population, so a reattached list keeps drawing fresh heights
+        // (correctness never depends on this; tower balance across reopen
+        // cycles does).
+        self.height_seq.store(count + 1, Ordering::Relaxed);
         D::before_return();
     }
 }
@@ -841,13 +737,13 @@ where
     type Input = SetOp<K, V>;
     type Output = Option<V>;
     /// Entry: bottom-level start node plus the tower predecessors.
-    type Entry = (NodePtr<K, V, D::B>, [NodePtr<K, V, D::B>; MAX_HEIGHT]);
-    type Window = SkipWindow<K, V, D::B>;
+    type Entry = (NodePtr<K, V, D::B>, Preds<K, V, D::B>);
+    /// The bottom level's chain window, plus the tower predecessors for
+    /// threading an inserted node's tower.
+    type Window = (Window<SkipNode<K, V, D::B>>, Preds<K, V, D::B>);
 
     fn find_entry(&self, _guard: &Guard, input: Self::Input) -> Self::Entry {
-        let k = match input {
-            SetOp::Insert(k, _) | SetOp::Remove(k) | SetOp::Get(k) => k,
-        };
+        let (SetOp::Insert(k, _) | SetOp::Remove(k) | SetOp::Get(k)) = input;
         // Descend the volatile towers, snipping marked links: auxiliary
         // maintenance outside the core tree.
         let mut preds = [self.head; MAX_HEIGHT];
@@ -869,55 +765,14 @@ where
     }
 
     fn traverse(&self, _guard: &Guard, entry: Self::Entry, input: Self::Input) -> Self::Window {
-        let k = match input {
-            SetOp::Insert(k, _) | SetOp::Remove(k) | SetOp::Get(k) => k,
-        };
+        let (SetOp::Insert(k, _) | SetOp::Remove(k) | SetOp::Get(k)) = input;
+        // The chain's walk from the shortcut entry point; a shortcut that
+        // landed on a node deleted meanwhile falls back to the head.
         let (start, preds) = entry;
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // Harris-style bottom walk from the shortcut entry point. The
-            // shortcut may have landed on a node that was logically deleted
-            // meanwhile; a marked node must never become the window's
-            // `left` (trim would CAS its frozen next word, resurrecting it
-            // and splicing live nodes out), so fall back to the head — the
-            // never-marked sentinel — exactly as a shortcut-less traversal
-            // would start. Mid-walk candidates are already mark-checked.
-            let mut base = start;
-            let mut first = D::t_load_link(link(base, 0));
-            if first.is_marked() {
-                base = self.head;
-                first = D::t_load_link(link(base, 0));
-            }
-            let mut left = base;
-            let mut left_succ = first;
-            let mut curr = base;
-            let mut succ = left_succ;
-            loop {
-                if !succ.is_marked() {
-                    if curr != base && !self.below(curr, k) {
-                        break;
-                    }
-                    left = curr;
-                    left_succ = succ;
-                }
-                let nxt = succ.ptr();
-                if nxt.is_null() {
-                    curr = std::ptr::null_mut();
-                    break;
-                }
-                curr = nxt;
-                succ = D::t_load_link(link(curr, 0));
-            }
-            SkipWindow {
-                left,
-                left_succ,
-                right: curr,
-                preds,
-            }
-        }
+        (chain::traverse::<_, D>(self.head, start, |key| key < k), preds)
     }
 
-    fn collect_persist_set(&self, w: &Self::Window, out: &mut PersistSet) {
+    fn collect_persist_set(&self, (w, _): &Self::Window, out: &mut PersistSet) {
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
         unsafe {
             // Supplement 2: flush the original-parent location of `left`
@@ -936,49 +791,43 @@ where
     fn critical(
         &self,
         guard: &Guard,
-        w: Self::Window,
+        (w, preds): Self::Window,
         input: Self::Input,
     ) -> Critical<Self::Output> {
+        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+        let left_link = unsafe { link(w.left, 0) };
         match input {
-            SetOp::Get(key) => {
-                if w.right.is_null() || Self::key_of(w.right) != key {
-                    Critical::Done(None)
-                } else {
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    Critical::Done(Some(D::load_fixed(unsafe { &(*w.right).value })))
-                }
-            }
+            SetOp::Get(key) => Critical::Done(w.hit::<D>(key).then(|| w.value::<D>())),
             SetOp::Insert(key, value) => {
-                if !Self::trim(&w) {
+                // Bottom-level trim, without a retire hook: each node's
+                // *deleter* retires it, after unlinking its towers.
+                if !chain::trim::<_, D, fn(_)>(&w, None) {
                     return Critical::Restart;
                 }
-                if !w.right.is_null() && Self::key_of(w.right) == key {
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    return Critical::Done(Some(D::load_fixed(unsafe { &(*w.right).value })));
+                if w.hit::<D>(key) {
+                    return Critical::Done(Some(w.value::<D>()));
                 }
                 let height = self.next_height();
                 let right_word = MarkedPtr::new(w.right);
-                let node = Self::alloc_tower(
+                let Some(node) = Self::alloc_tower(
                     key,
                     value.to_bits(),
                     height,
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    unsafe { link(w.left, 0).addr() } as u64,
+                    left_link.addr() as u64,
                     right_word,
                     if height > 1 { THREADING } else { LINKED },
-                );
-                match D::c_cas_link(
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    unsafe { link(w.left, 0) },
-                    right_word,
-                    MarkedPtr::new(node),
-                ) {
+                ) else {
+                    // Pool exhausted: report "no effect" through the
+                    // duplicate-shaped output (see `HarrisList::critical`).
+                    return Critical::Done(Some(value));
+                };
+                match D::c_cas_link(left_link, right_word, MarkedPtr::new(node)) {
                     Ok(()) => {
                         // Bottom link is in (the linearization + persistence
                         // point). Now thread the volatile tower levels; a
                         // height-1 node has none, and no handshake to close.
                         if height > 1 {
-                            self.link_tower(guard, node, key, height, &w.preds);
+                            self.link_tower(guard, node, key, height, &preds);
                         }
                         Critical::Done(None)
                     }
@@ -990,10 +839,12 @@ where
                 }
             }
             SetOp::Remove(key) => {
-                if !Self::trim(&w) {
+                // Bottom-level trim, without a retire hook: each node's
+                // *deleter* retires it, after unlinking its towers.
+                if !chain::trim::<_, D, fn(_)>(&w, None) {
                     return Critical::Restart;
                 }
-                if w.right.is_null() || Self::key_of(w.right) != key {
+                if !w.hit::<D>(key) {
                     return Critical::Done(None);
                 }
                 let victim = w.right;
@@ -1005,8 +856,7 @@ where
                 }
                 match D::c_cas_link(bottom, r_next, r_next.with_mark()) {
                     Ok(()) => {
-                        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                        let value = D::load_fixed(unsafe { &(*victim).value });
+                        let value = w.value::<D>();
                         // Mark every tower level (volatile, raw CAS) so that
                         // aux walks snip us out.
                         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
@@ -1032,12 +882,7 @@ where
                         }
                         // First try at the bottom unlink (policy CAS); the
                         // descent below verifies it and does the towers.
-                        let _ = D::c_cas_link(
-                            // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                            unsafe { link(w.left, 0) },
-                            MarkedPtr::new(victim),
-                            r_next,
-                        );
+                        let _ = D::c_cas_link(left_link, MarkedPtr::new(victim), r_next);
                         // A tall victim whose inserter is still threading
                         // its tower is left to that inserter (it sees
                         // MARKED when it is done); otherwise retiring it
@@ -1061,9 +906,8 @@ where
     D: Durability,
 {
     fn insert(&self, key: K, value: V) -> bool {
-        let _scope = self.ctx.enter();
-        let guard = self.collector.pin();
-        run_operation(self, &guard, SetOp::Insert(key, value)).is_none()
+        self.try_insert(key, value)
+            .expect("persistent pool exhausted (and volatile fallback would lose data)")
     }
 
     fn remove(&self, key: K) -> bool {
@@ -1078,11 +922,17 @@ where
     }
 
     fn len(&self) -> usize {
-        self.bottom_snapshot(false).len()
+        chain::len(self.head)
     }
 
     fn recover(&self) {
         self.recover_skiplist();
+    }
+
+    fn try_insert(&self, key: K, value: V) -> Result<bool, OpError> {
+        chain::allocating(&self.ctx, &self.collector, |guard| {
+            run_operation(self, guard, SetOp::Insert(key, value)).is_none()
+        })
     }
 }
 
@@ -1180,22 +1030,8 @@ where
 
 impl<K: Word, V: Word, D: Durability> Drop for SkipList<K, V, D> {
     fn drop(&mut self) {
-        // Poisoned links (unrecovered crash) end the walk; the tail leaks.
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            let mut cur = self.head;
-            while !cur.is_null() {
-                // nvt-lint: allow(raw-pcell-access): teardown/drop owns the structure exclusively; nothing durable happens after it
-                let bits = link(cur, 0).peek_bits();
-                let nxt = if bits == nvtraverse_pmem::POISON {
-                    std::ptr::null_mut()
-                } else {
-                    MarkedPtr::<SkipNode<K, V, D::B>>::from_bits_raw(bits).ptr()
-                };
-                free_tower::<K, V, D::B>(cur.cast());
-                cur = nxt;
-            }
-        }
+        // SAFETY: exclusive access — no other thread can reach these nodes.
+        chain::teardown(self.head, |n| unsafe { free_tower::<K, V, D::B>(n.cast()) });
     }
 }
 
@@ -1309,7 +1145,7 @@ mod tests {
                 _ => assert_eq!(s.get(k), model.get(k), "get({k})"),
             }
         }
-        let got = s.bottom_snapshot(false);
+        let got = s.iter_snapshot();
         let want: Vec<(u64, u64)> = model.iter().collect();
         assert_eq!(got, want);
         s.check_consistency(false).unwrap();
@@ -1613,7 +1449,7 @@ mod tests {
         let _scope = PoolCtx::of(&pool).enter();
         for h in 1..=MAX_HEIGHT {
             assert_eq!(SkipNode::<u64, u64, MmapBackend>::size(h), 32 + 8 * h);
-            let node = Pooled::alloc_tower(7, 70, h, 0, MarkedPtr::null(), LINKED);
+            let node = Pooled::alloc_tower(7, 70, h, 0, MarkedPtr::null(), LINKED).unwrap();
             let block = (16 + 32 + 8 * h).next_power_of_two() as u64;
             assert_eq!(pool.usable_size(node as *const u8), block - 16, "height {h}");
             // SAFETY: never published.

@@ -45,7 +45,7 @@ impl<K: Word + Ord, V: Word, D: Durability> BucketList for SoftList<K, V, D> {
     }
 
     fn head_addr(&self) -> *const u8 {
-        self.head_ptr() as *const u8
+        self.head as *const u8
     }
 
     // SAFETY: see `BucketList::attach_head` — `head` is this list type's head sentinel, quiescent.

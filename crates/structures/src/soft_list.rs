@@ -53,6 +53,12 @@
 //!   so recovery in a pool shared by several structures attributes each
 //!   node to the right one.
 //!
+//! The volatile chain is the crate's shared Harris chain (`chain.rs`), the
+//! one [`HarrisList`](crate::list::HarrisList) walks and trims; SOFT keeps
+//! the sealed header, the tombstone before the mark and the rebuild below.
+//! Nodes come from the one sized allocation path (`try_alloc_bytes`,
+//! `free_bytes`, `Guard::retire_with`), 64-aligned on the volatile heap.
+//!
 //! # Recovery-rebuild contract
 //!
 //! Recovery needs *candidates*: every block that might be one of this
@@ -102,17 +108,21 @@
 //! that needs strict durable linearizability for dependent operations
 //! would add SOFT's `pValid` helping bit.
 
-use nvtraverse::alloc::{clear_pool_full, free, pool_full_seen, try_alloc_node, PoolCtx};
+use crate::chain::{self, ChainNode, Window};
+use nvtraverse::alloc::{free_bytes, try_alloc_bytes, PoolCtx};
+use nvtraverse::detect::OpError;
 use nvtraverse::marked::MarkedPtr;
 use nvtraverse::ops::{run_operation, Critical, PersistSet, TraversalOps};
 use nvtraverse::policy::Durability;
 use nvtraverse::set::{DurableSet, PoolAttach, SetOp};
 use nvtraverse_ebr::{Collector, Guard};
-use nvtraverse_pmem::{heap, Backend, PCell, Word, POISON};
+use nvtraverse_pmem::{heap, sim, Backend, PCell, Word, POISON};
 use nvtraverse_pool::Pool;
 use std::fmt;
 use std::io;
 use std::marker::PhantomData;
+use std::mem::offset_of;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -235,32 +245,37 @@ impl<K: Word, V: Word, B: Backend> fmt::Debug for SoftNode<K, V, B> {
     }
 }
 
-/// Cache-line-aligned box for the volatile allocation path: a 64-aligned
-/// node puts the 48-byte persistent header in exactly one cache line, so
-/// the insert's header flush is deterministically one flush under the
-/// counting backend (the pool path provides 16-byte alignment and its own
-/// backend). `repr(C)` wrapper: a `*mut AlignedNode` is a `*mut SoftNode`.
-#[repr(C, align(64))]
-struct AlignedNode<K: Word, V: Word, B: Backend>(SoftNode<K, V, B>);
+// SAFETY: the offsets name the node's own `key`, `value` and `next` cells;
+// `key` and `value` are written once, before the node is linked.
+unsafe impl<K: Word, V: Word, B: Backend> ChainNode for SoftNode<K, V, B> {
+    type K = K;
+    type V = V;
+    type B = B;
+    const KEY: usize = offset_of!(Self, key);
+    const VALUE: usize = offset_of!(Self, value);
+    const NEXT: usize = offset_of!(Self, next);
+}
+
+/// Alignment of a node on the volatile heap: a 64-aligned node puts the
+/// 48-byte persistent header in exactly one cache line, so the insert's
+/// header flush is deterministically one flush under the counting backend.
+/// A pool block keeps its pool's 16-byte alignment (and its own backend).
+const VOLATILE_ALIGN: usize = 64;
 
 type NodePtr<K, V, B> = *mut SoftNode<K, V, B>;
 
-/// The traversal window: same shape as the Harris list's (left, the word
-/// read from `left.next`, right), minus the parent — SOFT has no
-/// `ensureReachable` to feed.
-pub struct SoftWindow<K: Word, V: Word, B: Backend> {
-    left: NodePtr<K, V, B>,
-    left_succ: MarkedPtr<SoftNode<K, V, B>>,
-    right: NodePtr<K, V, B>,
-}
-
-impl<K: Word, V: Word, B: Backend> fmt::Debug for SoftWindow<K, V, B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SoftWindow")
-            .field("left", &self.left)
-            .field("right", &self.right)
-            .finish()
-    }
+/// Returns a node to whichever heap issued it — the one free path, both
+/// for teardown and (as the function [`Guard::retire_with`] calls) for EBR
+/// reclamation. The volatile alignment is passed for every node: the
+/// volatile heap needs it, a pool ignores it.
+///
+/// # Safety
+///
+/// `node` came from `SoftList::alloc_soft`, is unreachable, and is freed
+/// once.
+unsafe fn free_node<K: Word, V: Word, B: Backend>(node: *mut u8) {
+    // SAFETY: `alloc_soft` allocated the node at this size (the contract).
+    unsafe { free_bytes(node, std::mem::size_of::<SoftNode<K, V, B>>(), VOLATILE_ALIGN) };
 }
 
 /// SOFT sorted linked list, parameterized by durability policy.
@@ -270,7 +285,8 @@ impl<K: Word, V: Word, B: Backend> fmt::Debug for SoftWindow<K, V, B> {
 /// are lock-free; recovery and the snapshot/consistency helpers are
 /// quiescent.
 pub struct SoftList<K: Word, V: Word, D: Durability> {
-    head: NodePtr<K, V, D::B>,
+    /// The head sentinel (also what a pool root records).
+    pub(crate) head: NodePtr<K, V, D::B>,
     collector: Collector,
     /// Which heap this structure's nodes come from (see `HarrisList::ctx`).
     ctx: PoolCtx,
@@ -295,6 +311,73 @@ pub struct SoftList<K: Word, V: Word, D: Durability> {
 unsafe impl<K: Word, V: Word, D: Durability> Send for SoftList<K, V, D> {}
 // SAFETY: all shared mutation goes through atomics/PCells; raw node pointers are only dereferenced under EBR guards.
 unsafe impl<K: Word, V: Word, D: Durability> Sync for SoftList<K, V, D> {}
+
+// Allocation plumbing, kept free of the `K: Ord` bound so `Drop` (which
+// must match the struct's own bounds) can reach it.
+impl<K: Word, V: Word, D: Durability> SoftList<K, V, D> {
+    /// Allocates a node through the one sized allocation path — from the
+    /// entered pool context when one is active, else from the volatile heap
+    /// at [`VOLATILE_ALIGN`] — and declares its volatile link to any vet
+    /// observer.
+    fn alloc_soft(node: SoftNode<K, V, D::B>) -> Option<NodePtr<K, V, D::B>> {
+        let align = match heap::current_target() {
+            Some(_) => std::mem::align_of::<SoftNode<K, V, D::B>>(),
+            None => VOLATILE_ALIGN,
+        };
+        let p = try_alloc_bytes::<D::B>(std::mem::size_of::<SoftNode<K, V, D::B>>(), align)?
+            .cast::<SoftNode<K, V, D::B>>();
+        // SAFETY: a fresh block of node size, aligned for a node, that
+        // nothing else can see yet.
+        unsafe {
+            p.write(node);
+            // SOFT keeps its links volatile (recovery rebuilds them from
+            // the durable payloads); tell any vet observer so `next` is
+            // exempt from durability rules.
+            sim::current_mark_volatile_range((*p).next.addr() as usize, 8);
+        }
+        Some(p)
+    }
+
+    /// Takes `p` out of the registry and retires it into the collector.
+    ///
+    /// # Safety
+    ///
+    /// `p` is unlinked for good: no new traversal can reach it.
+    unsafe fn retire(&self, guard: &Guard, p: NodePtr<K, V, D::B>) {
+        self.unregister(p);
+        // SAFETY: unlinked (the contract); EBR defers the free until all
+        // pre-retire guards drop, and `free_node` is this node's free path.
+        unsafe { guard.retire_with(p.cast(), free_node::<K, V, D::B>) };
+    }
+
+    /// The `Box`-backed list's registry, locked; `None` for a pooled list.
+    fn registry(&self) -> Option<std::sync::MutexGuard<'_, Vec<usize>>> {
+        let reg = self.registry.as_ref()?;
+        Some(reg.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    fn register(&self, p: NodePtr<K, V, D::B>) {
+        if let Some(mut reg) = self.registry() {
+            reg.push(p as usize);
+        }
+    }
+
+    fn unregister(&self, p: NodePtr<K, V, D::B>) {
+        if let Some(mut reg) = self.registry() {
+            if let Some(i) = reg.iter().position(|&a| a == p as usize) {
+                reg.swap_remove(i);
+            }
+        }
+    }
+
+    /// Advances the allocation counter past a `seq` recovered from a
+    /// durable header, so fresh nodes never repeat a generation already on
+    /// the heap (called while rebuilding the inventory at attach time and
+    /// again by [`SoftList::recover_soft`]).
+    fn note_seq(&self, seq: u64) {
+        self.next_seq.fetch_max(seq + 1, Ordering::Relaxed);
+    }
+}
 
 impl<K, V, D> SoftList<K, V, D>
 where
@@ -331,11 +414,6 @@ where
         &self.collector
     }
 
-    /// The head sentinel (for pool root registration by this crate).
-    pub(crate) fn head_ptr(&self) -> NodePtr<K, V, D::B> {
-        self.head
-    }
-
     /// Builds the list handle around a head sentinel allocated from the
     /// current allocation scope — a fresh one, or (the attach half of the
     /// pool lifecycle) one found again in a pool, whose nodes
@@ -359,210 +437,9 @@ where
         }
     }
 
-    #[inline]
-    fn key_of(node: NodePtr<K, V, D::B>) -> K {
-        debug_assert!(!node.is_null());
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        D::load_fixed(unsafe { &(*node).key })
-    }
-}
-
-// Allocation plumbing, kept free of the `K: Ord` bound so `Drop` (which
-// must match the struct's own bounds) can reach it.
-impl<K: Word, V: Word, D: Durability> SoftList<K, V, D> {
-    /// Allocates a node: from the entered pool context when one is active
-    /// (the pool registers the node's words with any simulator itself), or
-    /// as a cache-line-aligned `Box` on the volatile path — registering
-    /// only the node's own words with the simulator, never the alignment
-    /// padding (a registration over padding would dangle after free).
-    fn alloc_soft(node: SoftNode<K, V, D::B>) -> Option<NodePtr<K, V, D::B>> {
-        let p = if PoolCtx::current().is_pooled() {
-            try_alloc_node::<_, D::B>(node)?
-        } else {
-            let p = Box::into_raw(Box::new(AlignedNode(node))) as NodePtr<K, V, D::B>;
-            if D::B::SIM {
-                nvtraverse_pmem::sim::current_register_range(
-                    p as usize,
-                    std::mem::size_of::<SoftNode<K, V, D::B>>(),
-                );
-            }
-            p
-        };
-        // SOFT keeps its links volatile (recovery rebuilds them from the
-        // durable payloads); tell any vet observer so `next` is exempt from
-        // durability rules.
-        // SAFETY: `p` was just allocated and is exclusively ours.
-        nvtraverse_pmem::sim::current_mark_volatile_range(
-            unsafe { (*p).next.addr() as usize },
-            8,
-        );
-        Some(p)
-    }
-
-    /// Frees a node immediately (never-published or teardown path),
-    /// routing through the layout it was allocated with: pool blocks as
-    /// `SoftNode`, volatile boxes as the 64-aligned wrapper.
-    // SAFETY: the caller owns `p` exclusively (never published, or already unlinked at teardown), so freeing it immediately cannot race a traversal.
-    unsafe fn free_soft(p: NodePtr<K, V, D::B>) {
-        if heap::owner_of(p as *const u8).is_some() {
-            // SAFETY: the node is unlinked (no new traversal can reach it); EBR defers the actual free until all pre-retire guards drop.
-            unsafe { free(p) };
-        } else {
-            // SAFETY: the node is unlinked (no new traversal can reach it); EBR defers the actual free until all pre-retire guards drop.
-            unsafe { free(p as *mut AlignedNode<K, V, D::B>) };
-        }
-    }
-
-    /// Unregisters `p` and retires it into the collector (same layout
-    /// dispatch as [`Self::free_soft`]).
-    unsafe fn retire_soft(&self, guard: &Guard, p: NodePtr<K, V, D::B>) {
-        self.unregister(p);
-        if heap::owner_of(p as *const u8).is_some() {
-            // SAFETY: the node is unlinked (no new traversal can reach it); EBR defers the actual free until all pre-retire guards drop.
-            unsafe { guard.retire(p) };
-        } else {
-            // SAFETY: the node is unlinked (no new traversal can reach it); EBR defers the actual free until all pre-retire guards drop.
-            unsafe { guard.retire(p as *mut AlignedNode<K, V, D::B>) };
-        }
-    }
-
-    /// The `Box`-backed list's registry, locked; `None` for a pooled list.
-    fn registry(&self) -> Option<std::sync::MutexGuard<'_, Vec<usize>>> {
-        let reg = self.registry.as_ref()?;
-        Some(reg.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    fn register(&self, p: NodePtr<K, V, D::B>) {
-        if let Some(mut reg) = self.registry() {
-            reg.push(p as usize);
-        }
-    }
-
-    fn unregister(&self, p: NodePtr<K, V, D::B>) {
-        if let Some(mut reg) = self.registry() {
-            if let Some(i) = reg.iter().position(|&a| a == p as usize) {
-                reg.swap_remove(i);
-            }
-        }
-    }
-
-    /// Every node still linked behind the head, marked or not — a pooled
-    /// list's inventory when there is no pool to ask (an in-process
-    /// `recover()` after the open's, `Drop`). The volatile links are intact
-    /// whenever this process built them; a link poisoned by an unrecovered
-    /// simulated crash ends the walk.
-    fn linked_nodes(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        // SAFETY: quiescent (recovery or exclusive teardown); every pointer read is a link this process wrote.
-        unsafe {
-            // nvt-lint: allow(raw-pcell-access): quiescent inspection walk — raw bits so a poisoned link can end it
-            let mut bits = (*self.head).next.peek_bits();
-            while bits != POISON {
-                let cur = MarkedPtr::<SoftNode<K, V, D::B>>::from_bits_raw(bits).ptr();
-                if cur.is_null() {
-                    break;
-                }
-                out.push(cur as usize);
-                // nvt-lint: allow(raw-pcell-access): quiescent inspection walk — raw bits so a poisoned link can end it
-                bits = (*cur).next.peek_bits();
-            }
-        }
-        out
-    }
-
-    /// Advances the allocation counter past a `seq` recovered from a
-    /// durable header, so fresh nodes never repeat a generation already on
-    /// the heap (called while rebuilding the inventory at attach time and
-    /// again by [`SoftList::recover_soft`]).
-    fn note_seq(&self, seq: u64) {
-        self.next_seq.fetch_max(seq + 1, Ordering::Relaxed);
-    }
-}
-
-impl<K, V, D> SoftList<K, V, D>
-where
-    K: Word + Ord,
-    V: Word,
-    D: Durability,
-{
-    #[inline]
-    fn word_of(node: NodePtr<K, V, D::B>) -> MarkedPtr<SoftNode<K, V, D::B>> {
-        if node.is_null() {
-            MarkedPtr::null()
-        } else {
-            MarkedPtr::new(node)
-        }
-    }
-
-    /// Physically disconnects the marked chain between `left` and `right`
-    /// (volatile CASes; retired nodes leave the registry). Returns `false`
-    /// if the caller must re-traverse.
-    fn trim(&self, guard: &Guard, w: &SoftWindow<K, V, D::B>) -> bool {
-        if w.left_succ.ptr() == w.right {
-            return true;
-        }
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        let left_next = unsafe { &(*w.left).next };
-        match D::c_cas_link(left_next, w.left_succ, Self::word_of(w.right)) {
-            Ok(()) => {
-                let mut cur = w.left_succ.ptr();
-                while !cur.is_null() && cur != w.right {
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    // nvt-lint: allow(raw-pcell-access): reading the frozen (marked) chain being trimmed; plain loads suffice
-                    let nxt = unsafe { (*cur).next.load() };
-                    debug_assert!(nxt.is_marked(), "trimmed an unmarked node");
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    unsafe { self.retire_soft(guard, cur) };
-                    cur = nxt.ptr();
-                }
-                if !w.right.is_null() {
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    let rn = D::c_load_link(unsafe { &(*w.right).next });
-                    if rn.is_marked() {
-                        return false;
-                    }
-                }
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn quiescent_len(&self) -> usize {
-        let mut n = 0;
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = (*self.head).next.load().ptr();
-            while !cur.is_null() {
-                let nw = (*cur).next.load();
-                // nvt-lint: end-allow(raw-pcell-access)
-                if !nw.is_marked() {
-                    n += 1;
-                }
-                cur = nw.ptr();
-            }
-        }
-        n
-    }
-
     /// Quiescent: collects the unmarked `(key, value)` pairs in list order.
     pub fn iter_snapshot(&self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = (*self.head).next.load().ptr();
-            while !cur.is_null() {
-                let nw = (*cur).next.load();
-                if !nw.is_marked() {
-                    out.push(((*cur).key.load(), (*cur).value.load()));
-                    // nvt-lint: end-allow(raw-pcell-access)
-                }
-                cur = nw.ptr();
-            }
-        }
-        out
+        chain::snapshot(self.head)
     }
 
     /// Quiescent: verifies structural invariants, returning the number of
@@ -574,48 +451,34 @@ where
     /// that is not sealed, or (when `allow_marked` is false, e.g. right
     /// after recovery) a reachable marked node.
     pub fn check_consistency(&self, allow_marked: bool) -> Result<usize, String> {
-        let mut live = 0;
-        let mut last_key: Option<K> = None;
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            // nvt-lint: begin-allow(raw-pcell-access): quiescent inspection walk — no concurrent mutators, no durability obligations
-            let mut cur = (*self.head).next.load().ptr();
-            while !cur.is_null() {
-                let nw = (*cur).next.load();
-                if nw.is_marked() {
-                    if !allow_marked {
-                        return Err("reachable marked node after recovery".into());
-                    }
-                } else {
-                    if !matches!(probe_header(cur), HdrProbe::Live { .. }) {
-                        return Err("reachable unmarked node is not durably sealed".into());
-                    }
-                    let k = (*cur).key.load();
-                    // nvt-lint: end-allow(raw-pcell-access)
-                    if let Some(prev) = last_key.take() {
-                        if prev >= k {
-                            return Err("keys not strictly increasing".into());
-                        }
-                    }
-                    last_key = Some(k);
-                    live += 1;
-                }
-                cur = nw.ptr();
+        chain::check(self.head, allow_marked, |n| {
+            // SAFETY: quiescent; `n` is a linked node.
+            match unsafe { probe_header(n) } {
+                HdrProbe::Live { .. } => Ok(()),
+                _ => Err("reachable unmarked node is not durably sealed".into()),
             }
-        }
-        Ok(live)
+        })
     }
 
     /// The SOFT recovery procedure: rebuild all links from the surviving
     /// valid nodes (see the [module docs](self) for why each keep/drop
-    /// decision is durably linearizable). Quiescent.
+    /// decision is durably linearizable). Quiescent. A pooled list with no
+    /// pool to ask (an in-process `recover()` after the open's) takes the
+    /// nodes still linked behind its head, links this process built.
     pub fn recover_soft(&self) {
         if !D::DURABLE {
             return;
         }
         let candidates = match self.registry() {
             Some(reg) => reg.clone(),
-            None => self.linked_nodes(),
+            None => {
+                let mut linked = Vec::new();
+                chain::walk::<_, ()>(self.head, |n, _| {
+                    linked.push(n as usize);
+                    ControlFlow::Continue(())
+                });
+                linked
+            }
         };
         self.rebuild_from(candidates);
     }
@@ -680,7 +543,7 @@ where
         for n in stale {
             self.unregister(n);
             // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-            unsafe { Self::free_soft(n) };
+            unsafe { free_node::<K, V, D::B>(n.cast()) };
         }
     }
 }
@@ -697,45 +560,15 @@ where
     /// `Remove`/`Get` → the value found.
     type Output = Option<V>;
     type Entry = NodePtr<K, V, D::B>;
-    type Window = SoftWindow<K, V, D::B>;
+    type Window = Window<SoftNode<K, V, D::B>>;
 
     fn find_entry(&self, _guard: &Guard, _input: Self::Input) -> Self::Entry {
         self.head
     }
 
     fn traverse(&self, _guard: &Guard, entry: Self::Entry, input: Self::Input) -> Self::Window {
-        let key = match input {
-            SetOp::Insert(k, _) | SetOp::Remove(k) | SetOp::Get(k) => k,
-        };
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            let head = entry;
-            let mut left = head;
-            let mut left_succ = D::t_load_link(&(*head).next);
-            let mut curr = head;
-            let mut succ = left_succ;
-            loop {
-                if !succ.is_marked() {
-                    if curr != head && Self::key_of(curr) >= key {
-                        break;
-                    }
-                    left = curr;
-                    left_succ = succ;
-                }
-                let nxt = succ.ptr();
-                if nxt.is_null() {
-                    curr = std::ptr::null_mut();
-                    break;
-                }
-                curr = nxt;
-                succ = D::t_load_link(&(*curr).next);
-            }
-            SoftWindow {
-                left,
-                left_succ,
-                right: curr,
-            }
-        }
+        let (SetOp::Insert(key, _) | SetOp::Remove(key) | SetOp::Get(key)) = input;
+        chain::traverse::<_, D>(self.head, entry, |k| k < key)
     }
 
     fn collect_persist_set(&self, _w: &Self::Window, _out: &mut PersistSet) {
@@ -749,39 +582,37 @@ where
         w: Self::Window,
         input: Self::Input,
     ) -> Critical<Self::Output> {
+        // deleteMarkedNodes; the trimmed run leaves the registry as it is
+        // retired.
+        // SAFETY: a trimmed node is unlinked for good.
+        let trim = || chain::trim::<_, D, _>(&w, Some(|n| unsafe { self.retire(guard, n) }));
+        // A linked node's `vstart` is either its seal or `TOMB`.
+        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+        let tombstoned = |n: NodePtr<K, V, D::B>| D::c_load(unsafe { &(*n).vstart }) == TOMB;
+        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+        let left_next = unsafe { &(*w.left).next };
         match input {
+            // Tombstoned but not yet unlinked: logically absent.
             SetOp::Get(key) => {
-                if w.right.is_null() || Self::key_of(w.right) != key {
-                    Critical::Done(None)
-                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                } else if D::c_load(unsafe { &(*w.right).vstart }) == TOMB {
-                    // Tombstoned but not yet unlinked: logically absent. (A
-                    // linked node's `vstart` is either its seal or `TOMB`.)
-                    Critical::Done(None)
-                } else {
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    Critical::Done(Some(D::load_fixed(unsafe { &(*w.right).value })))
-                }
+                Critical::Done((w.hit::<D>(key) && !tombstoned(w.right)).then(|| w.value::<D>()))
             }
             SetOp::Insert(key, value) => {
-                if !self.trim(guard, &w) {
+                if !trim() {
                     return Critical::Restart;
                 }
-                if !w.right.is_null() && Self::key_of(w.right) == key {
-                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                    if D::c_load(unsafe { &(*w.right).vstart }) != TOMB {
+                if w.hit::<D>(key) {
+                    if !tombstoned(w.right) {
                         // Duplicate of a live node: insert fails.
-                        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                        return Critical::Done(Some(D::load_fixed(unsafe { &(*w.right).value })));
+                        return Critical::Done(Some(w.value::<D>()));
                     }
                     // Tombstoned twin still linked: help mark it out of the
                     // way, then retry against the updated list.
                     // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+                    let right_next = unsafe { &(*w.right).next };
                     // nvt-lint: allow(raw-pcell-access): raw read feeding a policy-routed helping CAS; durability comes from the CAS route
-                    let rn = unsafe { (*w.right).next.load() };
+                    let rn = right_next.load();
                     if !rn.is_marked() {
-                        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                        let _ = D::c_cas_link(unsafe { &(*w.right).next }, rn, rn.with_mark());
+                        let _ = D::c_cas_link(right_next, rn, rn.with_mark());
                     }
                     return Critical::Restart;
                 }
@@ -794,7 +625,7 @@ where
                     owner: PCell::new(self.owner_tag),
                     seq: PCell::new(seq),
                     vend: PCell::new(s1),
-                    next: PCell::new(Self::word_of(w.right)),
+                    next: PCell::new(MarkedPtr::new(w.right)),
                 }) else {
                     // Pool exhausted: report "no effect" through the
                     // duplicate-shaped output (see `HarrisList::critical`).
@@ -804,9 +635,7 @@ where
                 // The insert's one flush: the persistent header (not the
                 // volatile link word behind it).
                 D::persist_new_node(node as *const u8, PERSIST_HDR);
-                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                let left_next = unsafe { &(*w.left).next };
-                match D::c_cas_link(left_next, Self::word_of(w.right), MarkedPtr::new(node)) {
+                match D::c_cas_link(left_next, MarkedPtr::new(w.right), MarkedPtr::new(node)) {
                     Ok(()) => Critical::Done(None),
                     Err(_) => {
                         self.unregister(node);
@@ -816,24 +645,24 @@ where
                         // returns to the allocator, so a recycled block can
                         // never replay this generation's seal (an off-hot-
                         // path fence: contended retries only).
-                        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+                        // SAFETY: never published: the node is ours alone.
                         unsafe {
                             // nvt-lint: allow(raw-pcell-access): SOFT places its own flushes: the tombstone seal is flushed explicitly right here
                             (*node).vstart.store(TOMB);
                             D::B::flush((*node).vstart.addr());
                         }
                         D::before_return();
-                        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                        unsafe { Self::free_soft(node) };
+                        // SAFETY: never published: the node is ours alone.
+                        unsafe { free_node::<K, V, D::B>(node.cast()) };
                         Critical::Restart
                     }
                 }
             }
             SetOp::Remove(key) => {
-                if !self.trim(guard, &w) {
+                if !trim() {
                     return Critical::Restart;
                 }
-                if w.right.is_null() || Self::key_of(w.right) != key {
+                if !w.hit::<D>(key) {
                     return Critical::Done(None);
                 }
                 // The durable linearization point: seal → tombstone, one
@@ -841,21 +670,19 @@ where
                 // The expected seal is recomputed from the node's immutable
                 // words; a concurrent remove already tombstoned it iff the
                 // CAS misses.
+                let value = w.value::<D>();
                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                let value = D::load_fixed(unsafe { &(*w.right).value });
-                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                let seq = D::load_fixed(unsafe { &(*w.right).seq });
+                let right = unsafe { &*w.right };
+                let seq = D::load_fixed(&right.seq);
                 let (s0, _) = hdr_seals(key.to_bits(), value.to_bits(), self.owner_tag, seq);
-                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                match D::c_cas(unsafe { &(*w.right).vstart }, s0, TOMB) {
+                match D::c_cas(&right.vstart, s0, TOMB) {
                     Ok(_) => {
                         // Logical deletion done; now the volatile unlink,
                         // Harris-style: mark, then best-effort splice (a
                         // failed splice is finished by a later trim).
                         loop {
-                            // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
                             // nvt-lint: allow(raw-pcell-access): raw read feeding a policy-routed helping CAS; durability comes from the CAS route
-                            let rn = unsafe { (*w.right).next.load() };
+                            let rn = right.next.load();
                             if rn.is_marked() {
                                 // An inserter that saw our tombstone helped
                                 // mark the node (the duplicate path); the
@@ -863,15 +690,10 @@ where
                                 // later trim's job.
                                 break;
                             }
-                            // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                            if D::c_cas_link(unsafe { &(*w.right).next }, rn, rn.with_mark())
-                                .is_ok()
-                            {
-                                // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                                let left_next = unsafe { &(*w.left).next };
-                                if D::c_cas_link(left_next, Self::word_of(w.right), rn).is_ok() {
-                                    // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-                                    unsafe { self.retire_soft(guard, w.right) };
+                            if D::c_cas_link(&right.next, rn, rn.with_mark()).is_ok() {
+                                if D::c_cas_link(left_next, MarkedPtr::new(w.right), rn).is_ok() {
+                                    // SAFETY: the node is unlinked (no new traversal can reach it).
+                                    unsafe { self.retire(guard, w.right) };
                                 }
                                 break;
                             }
@@ -909,7 +731,7 @@ where
     }
 
     fn len(&self) -> usize {
-        self.quiescent_len()
+        chain::len(self.head)
     }
 
     fn recover(&self) {
@@ -917,22 +739,11 @@ where
     }
 
     fn try_insert(&self, key: K, value: V) -> Result<bool, OpError> {
-        let _scope = self.ctx.enter();
-        let guard = self.collector.pin();
-        clear_pool_full();
-        let existing = run_operation(self, &guard, SetOp::Insert(key, value));
-        if pool_full_seen() {
-            return Err(OpError::PoolFull);
-        }
-        Ok(existing.is_none())
-    }
-
-    fn try_remove(&self, key: K) -> Result<bool, OpError> {
-        Ok(self.remove(key))
+        chain::allocating(&self.ctx, &self.collector, |guard| {
+            run_operation(self, guard, SetOp::Insert(key, value)).is_none()
+        })
     }
 }
-
-use nvtraverse::detect::OpError;
 
 impl<K, V, D> PoolAttach for SoftList<K, V, D>
 where
@@ -1106,7 +917,7 @@ where
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SoftList")
-            .field("len", &self.quiescent_len())
+            .field("len", &chain::len(self.head))
             .field("durable", &D::DURABLE)
             .finish()
     }
@@ -1114,22 +925,21 @@ where
 
 impl<K: Word, V: Word, D: Durability> Drop for SoftList<K, V, D> {
     fn drop(&mut self) {
-        // Exclusive access: the registry is exactly the set of nodes still
-        // owned by a `Box`-backed list (live, tombstoned-but-unspliced, or
-        // crash garbage); trimmed nodes were unregistered and handed to the
-        // collector. No link walk needed — poisoned links can't mislead us.
-        // A pooled list dropped by hand frees what is still linked (what is
-        // not is the next open's GC's).
-        let reg = match self.registry.take() {
-            Some(reg) => reg.into_inner().unwrap_or_else(|e| e.into_inner()),
-            None => self.linked_nodes(),
-        };
-        // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        unsafe {
-            for a in reg {
-                Self::free_soft(a as NodePtr<K, V, D::B>);
+        // Exclusive access. A `Box`-backed list's registry is exactly the
+        // set of nodes it still owns (live, tombstoned-but-unspliced, or
+        // crash garbage) — trimmed nodes were unregistered and handed to the
+        // collector — so no link walk is needed and poisoned links can't
+        // mislead it. A pooled list dropped by hand frees what is still
+        // linked (what is not is the next open's GC's).
+        // SAFETY: exclusive teardown: every node freed is unreachable, once.
+        let free = |n: NodePtr<K, V, D::B>| unsafe { free_node::<K, V, D::B>(n.cast()) };
+        match self.registry.take() {
+            Some(reg) => {
+                let reg = reg.into_inner().unwrap_or_else(|e| e.into_inner());
+                reg.into_iter().for_each(|a| free(a as NodePtr<K, V, D::B>));
+                free(self.head);
             }
-            Self::free_soft(self.head);
+            None => chain::teardown(self.head, free),
         }
     }
 }
@@ -1305,7 +1115,7 @@ mod tests {
             // The durable footprint of an insert that crashed after its
             // header flush, before publication: fully sealed + owned,
             // unlinked, unregistered.
-            let owner = list.head_ptr() as u64;
+            let owner = list.head as u64;
             let (s0, s1) = hdr_seals(9, 90, owner, 1000);
             L::alloc_soft(SoftNode {
                 vstart: PCell::new(s0),
