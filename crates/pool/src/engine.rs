@@ -4,8 +4,11 @@
 //! The persistent format is 16-byte block headers, size-classed blocks and a
 //! persisted frontier word in the pool header; everything in this module is
 //! volatile state rebuilt from those by the recovery heap walk at every open.
+//! The walk only *reads*: it writes no link word into the free blocks it
+//! finds (tier 3 below). The heap stores an open still makes are the GC
+//! sweep's cleared headers and the links of oversize free blocks.
 //!
-//! Three tiers, ordered hot to cold:
+//! Four sources, ordered hot to cold:
 //!
 //! 1. **Per-thread magazines** — a volatile `Vec<u64>` of free block offsets
 //!    per size class per thread ([`MAG_CAP`] deep). The common alloc/free is
@@ -22,7 +25,18 @@
 //!    A block freed on any thread eventually lands in the shard owned by its
 //!    *address* ([`shard_of`]), so remote frees hand blocks back without a
 //!    global lock and allocation locality follows slab locality.
-//! 3. **CAS-bump slab frontier** — when a class is dry everywhere, a thread
+//! 3. **The recovered free bitmap** — the free small-class blocks the open's
+//!    heap walk found and its GC swept, one bit per 16-byte heap unit,
+//!    waiting until an allocation needs them. A shard miss *claims* up to
+//!    [`REFILL`] blocks of its class in address order, from a per-class
+//!    word cursor under one mutex, clears their bits and hands them to the
+//!    magazine exactly as a shard pop does. The claim comes before the
+//!    frontier, so no slab is carved while a recovered block waits. The
+//!    bitmap is dropped when its last bit is claimed; from then on (and in
+//!    a freshly created pool, always) this tier costs a shard miss one
+//!    `Acquire` load. Oversize blocks never enter it: recovery links them
+//!    onto their first-fit list.
+//! 4. **CAS-bump slab frontier** — when a class is dry everywhere, a thread
 //!    reserves a whole slab of blocks with one CAS on the volatile frontier,
 //!    formats every header in the slab, and only then publishes the persisted
 //!    frontier. Publication is *in reservation order* (a short spin on
@@ -57,18 +71,19 @@
 //!   frontier have persisted headers) is the allocator's to maintain and no
 //!   caller fence can restore it.
 //!
-//! Magazines and shard heads are volatile and rebuilt by the recovery walk
-//! on open; the allocated bit is the only persistent free/live fact.
+//! Magazines, shard heads and the free bitmap are volatile and rebuilt by
+//! the recovery walk on open; the allocated bit is the only persistent
+//! free/live fact.
 
 use crate::{
-    make_allocated, Mem, BLOCK_ALIGN, BLOCK_HEADER, CLASS_SIZES, HEAP_START, OFF_FRONTIER,
-    OVERSIZE, W0_ALLOCATED, W0_CLASS_SHIFT, W0_SIZE_MASK,
+    gc, make_allocated, Mem, BLOCK_ALIGN, BLOCK_HEADER, CLASS_SIZES, HEAP_START, OFF_FRONTIER,
+    OVERSIZE, W0_ALLOCATED, W0_CLASS_MASK, W0_CLASS_SHIFT, W0_SIZE_MASK,
 };
 use nvtraverse_obs as obs;
 use nvtraverse_pmem::{Backend, MmapBackend};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Upper bound on lock-free free-list shards per size class (the actual
@@ -77,8 +92,9 @@ use std::sync::Mutex;
 pub(crate) const MAX_SHARDS: usize = 64;
 /// Capacity of one per-thread magazine (blocks per size class).
 const MAG_CAP: usize = 64;
-/// Blocks pulled from a shard into the magazine per refill.
-const REFILL: usize = 32;
+/// Blocks pulled from a shard, or claimed from the free bitmap, into the
+/// magazine per refill.
+pub(crate) const REFILL: usize = 32;
 /// Blocks drained from an overflowing magazine back to the shards.
 const DRAIN: usize = 32;
 /// Target slab size in bytes for frontier carving (small classes carve many
@@ -194,8 +210,28 @@ pub(crate) struct Engine {
     /// Behind a mutex — oversize traffic is rare and first-fit needs mid-list
     /// unlinking that a Treiber stack cannot express.
     oversize: Mutex<u64>,
+    /// The free small-class blocks recovery found and no allocation has
+    /// claimed yet; `None` once the last one is claimed (and in a created
+    /// pool).
+    unclaimed: Mutex<Option<Unclaimed>>,
+    /// Bit `c` is set while class `c` has unclaimed blocks: all a shard
+    /// miss reads before it takes the `unclaimed` lock.
+    unclaimed_classes: AtomicU32,
+    /// Oversize free blocks recovery found, in the order it found them,
+    /// until [`Engine::finish_recovery`] links them.
+    recovered_oversize: Vec<u64>,
     /// The owning pool's metric set (allocator-domain counters land here).
     obs: &'static obs::MetricSet,
+}
+
+/// The recovered free bitmap (tier 3 of the module docs).
+struct Unclaimed {
+    bits: gc::Bitmap,
+    /// Per class: the first bitmap word that may still hold one of its
+    /// blocks.
+    cursor: [usize; CLASS_SIZES.len()],
+    /// Per class: blocks still in `bits`.
+    left: [usize; CLASS_SIZES.len()],
 }
 
 impl Engine {
@@ -213,6 +249,9 @@ impl Engine {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             oversize: Mutex::new(0),
+            unclaimed: Mutex::new(None),
+            unclaimed_classes: AtomicU32::new(0),
+            recovered_oversize: Vec::new(),
             obs: metrics,
         }
     }
@@ -263,7 +302,7 @@ impl Engine {
         alive().retain(|a| a.instance != self.instance);
     }
 
-    // -- small classes: magazine → shards → slab carve --
+    // -- small classes: magazine → shards → free bitmap → slab carve --
 
     fn alloc_small(&self, mem: Mem, class: usize) -> Option<u64> {
         if let Some(Some(off)) = with_cache(self.instance, |mags| mags[class].pop()) {
@@ -279,6 +318,13 @@ impl Engine {
                 self.obs.add(obs::Counter::ShardPop, got.len() as u64);
                 break;
             }
+        }
+        // Before the frontier: a slab carved while recovered blocks wait
+        // would grow the heap for nothing.
+        if got.is_empty() && self.unclaimed_classes.load(Ordering::Acquire) & 1 << class != 0 {
+            self.claim(mem, class, &mut got);
+            // To the magazine tier a claim is a shard pop.
+            self.obs.add(obs::Counter::ShardPop, got.len() as u64);
         }
         if got.is_empty() {
             self.carve_slab(mem, class, &mut got);
@@ -298,6 +344,27 @@ impl Engine {
             }
         }
         Some(ret)
+    }
+
+    /// Claims up to [`REFILL`] unclaimed blocks of `class` into `out`,
+    /// lowest address first, clearing their bits; drops the bitmap when
+    /// this takes its last bit. A bit is only ever set for a free block of
+    /// a small class that is on no list, so reading its header's class
+    /// races with nothing.
+    fn claim(&self, mem: Mem, class: usize, out: &mut Vec<u64>) {
+        let mut slot = self.unclaimed.lock().unwrap_or_else(|p| p.into_inner());
+        let Some(free) = slot.as_mut() else {
+            return;
+        };
+        let want = REFILL.min(free.left[class]);
+        let of_class = |block| ((mem.load(block) >> W0_CLASS_SHIFT) & W0_CLASS_MASK) as usize == class;
+        free.bits.take(&mut free.cursor[class], want, of_class, out);
+        debug_assert_eq!(out.len(), want, "class {class}: the free bitmap lost a block");
+        free.left[class] -= out.len();
+        let bit = 1 << class;
+        if free.left[class] == 0 && self.unclaimed_classes.fetch_and(!bit, Ordering::AcqRel) == bit {
+            *slot = None;
+        }
     }
 
     /// Reserves `n × unit` bytes from the frontier (fewer if the pool is
@@ -468,9 +535,10 @@ impl Engine {
         }
     }
 
-    /// Starts a recovery walk: the persisted frontier, and every free list
-    /// empty. The walk then [`push_free`](Self::push_free)es each free
-    /// block as it meets it.
+    /// Starts a recovery walk: the persisted frontier, every free list
+    /// empty, and an empty free bitmap covering the heap. The walk and the
+    /// sweep then [`recover_free`](Self::recover_free) each free block, and
+    /// [`finish_recovery`](Self::finish_recovery) ends the rebuild.
     pub(crate) fn reset(&mut self, frontier: u64) {
         *self.frontier.get_mut() = frontier;
         *self.published.get_mut() = frontier;
@@ -478,24 +546,48 @@ impl Engine {
             *head.get_mut() = 0;
         }
         *self.oversize.get_mut().unwrap_or_else(|p| p.into_inner()) = 0;
+        *self.unclaimed.get_mut().unwrap_or_else(|p| p.into_inner()) = Some(Unclaimed {
+            bits: gc::Bitmap::new(frontier),
+            cursor: [0; CLASS_SIZES.len()],
+            left: [0; CLASS_SIZES.len()],
+        });
+        self.recovered_oversize.clear();
     }
 
-    /// Pushes the free block at `off` onto its class's list — its home
-    /// shard's stack, or the oversize list. Recovery calls it while the
-    /// block's header line is still in cache (the walk just validated it;
-    /// the sweep just cleared it), in address order: the lists are LIFO, so
-    /// that order *is* the allocation order after the open.
-    pub(crate) fn push_free(&mut self, mem: Mem, off: u64, class: usize) {
+    /// Records the free block at `off` without touching it: a small class
+    /// sets its bit in the free bitmap, an oversize block waits for
+    /// [`finish_recovery`](Self::finish_recovery). Nothing is written to
+    /// the heap, so a walk that then rejects the image has changed no byte.
+    pub(crate) fn recover_free(&mut self, off: u64, class: usize) {
         if class < OVERSIZE {
-            let head =
-                self.shards[class * self.num_shards + shard_of(off, self.num_shards)].get_mut();
-            let (top, tag) = unpack(*head);
-            mem.store(off + 8, top);
-            *head = pack(off, tag);
+            let free = self.unclaimed.get_mut().unwrap_or_else(|p| p.into_inner());
+            let free = free.as_mut().expect("reset before the walk");
+            free.bits.set(off);
+            free.left[class] += 1;
         } else {
-            let head = self.oversize.get_mut().unwrap_or_else(|p| p.into_inner());
+            self.recovered_oversize.push(off);
+        }
+    }
+
+    /// Ends a recovery: links the oversize free blocks onto their first-fit
+    /// list — the one write an open makes to a free block, and only to one
+    /// of more than 64 KiB — and opens the free bitmap to claims (dropping
+    /// it when it holds nothing). Blocks are linked in recorded order (the
+    /// walk's, then the sweep's, each in address order) onto a LIFO list,
+    /// so first-fit tries the last one recorded first.
+    pub(crate) fn finish_recovery(&mut self, mem: Mem) {
+        let head = self.oversize.get_mut().unwrap_or_else(|p| p.into_inner());
+        for off in self.recovered_oversize.drain(..) {
             mem.store(off + 8, *head);
             *head = off;
+        }
+        let slot = self.unclaimed.get_mut().unwrap_or_else(|p| p.into_inner());
+        let classes = slot.as_ref().map_or(0, |free| {
+            (0..CLASS_SIZES.len()).filter(|&c| free.left[c] > 0).fold(0, |bits, c| bits | 1 << c)
+        });
+        *self.unclaimed_classes.get_mut() = classes;
+        if classes == 0 {
+            *slot = None;
         }
     }
 }

@@ -14,7 +14,10 @@
 //! walks each registered root's persistent node graph (via a type-erased
 //! [`TraceFn`] the embedding process registered per pool path + root name) into a
 //! volatile [`Marker`], and the sweep phase hands every
-//! allocated-but-unmarked block back to the allocation engine's free lists.
+//! allocated-but-unmarked block back to the allocation engine: at open into
+//! its free bitmap beside the walk's free blocks, where allocations claim
+//! them in address order; in a deferred collection through its ordinary
+//! free path.
 //!
 //! Both sets are **bitmaps** with one bit per 16-byte heap unit, a block
 //! named by its header's unit: the heap walk fills the *allocated* bitmap
@@ -33,6 +36,14 @@
 //! the reclamation itself is crash-consistent: re-killing the process at
 //! any point mid-GC leaves each garbage block either still allocated (the
 //! next open sweeps it again) or durably free — never torn.
+//!
+//! The mark phase also keeps one finding that recovery would otherwise
+//! walk the heap again for: whether any tracer crossed a marked link
+//! ([`Marker::note_marked_link`]). A collection that traced every root and
+//! noted none leaves a one-shot clean verdict
+//! ([`Pool::take_clean_trace`](crate::Pool::take_clean_trace)), and a
+//! structure whose tracer notes every marked link it crosses may skip its
+//! recovery scan on it.
 //!
 //! The GC is conservative about what it cannot prove: it runs only when the
 //! pool is mapped at its preferred base (tracers chase embedded absolute
@@ -148,7 +159,8 @@ pub(crate) fn tracer_for(pool_key: &Path, name: &str) -> Option<TraceFn> {
 /// named by the unit of its **header**. The recovery walk records every
 /// allocated block's start in one of these (128 KiB for a 16 MiB heap), the
 /// mark phase fills a second one of the same geometry, and the sweep is
-/// their word-wise difference.
+/// their word-wise difference. A third, the engine's, holds the free
+/// small-class blocks until allocations claim them.
 pub(crate) struct Bitmap(Vec<u64>);
 
 impl Bitmap {
@@ -178,6 +190,34 @@ impl Bitmap {
         self.0.get(word).is_some_and(|w| w & bit != 0)
     }
 
+    /// Clears and pushes onto `out`, in address order, up to `max` set
+    /// blocks that `want` accepts, scanning from word `*cursor` on. Leaves
+    /// `*cursor` at the first word that may still hold an accepted block,
+    /// so a caller that always passes the same `want` never rescans a word
+    /// it has exhausted.
+    pub(crate) fn take(
+        &mut self,
+        cursor: &mut usize,
+        max: usize,
+        mut want: impl FnMut(u64) -> bool,
+        out: &mut Vec<u64>,
+    ) {
+        let start = out.len();
+        while *cursor < self.0.len() && out.len() - start < max {
+            let word = *cursor;
+            for block in Self::blocks_in(word, self.0[word]) {
+                if want(block) {
+                    self.0[word] &= !Self::index(block).1;
+                    out.push(block);
+                    if out.len() - start == max {
+                        return;
+                    }
+                }
+            }
+            *cursor += 1;
+        }
+    }
+
     /// Heap offsets of the blocks whose bits are set in `bits`, the
     /// `word`-th word of a bitmap, in address order.
     fn blocks_in(word: usize, mut bits: u64) -> impl Iterator<Item = u64> {
@@ -203,6 +243,7 @@ pub struct Marker<'a> {
     marks: Bitmap,
     marked: usize,
     refused: bool,
+    marked_link: bool,
 }
 
 impl<'a> std::fmt::Debug for Marker<'a> {
@@ -210,6 +251,7 @@ impl<'a> std::fmt::Debug for Marker<'a> {
         f.debug_struct("Marker")
             .field("marked", &self.marked)
             .field("refused", &self.refused)
+            .field("marked_link", &self.marked_link)
             .finish_non_exhaustive()
     }
 }
@@ -222,7 +264,23 @@ impl<'a> Marker<'a> {
             marks: Bitmap(vec![0; allocated.0.len()]),
             marked: 0,
             refused: false,
+            marked_link: false,
         }
+    }
+
+    /// Notes that the tracer crossed a **marked** (logically deleted) link.
+    ///
+    /// A collection that traced every root and noted none leaves a clean
+    /// verdict behind, which [`Pool::take_clean_trace`](crate::Pool::take_clean_trace)
+    /// hands to the first structure that attaches: its recovery may then
+    /// skip its own scan for marked links, which would find none. The
+    /// contract is on the reader: a structure may skip its scan on the
+    /// verdict only if its own tracer calls this for **every** marked link
+    /// it crosses. A tracer that never calls it (SOFT, the skiplist, the
+    /// trees) leaves the verdict clean whatever its links hold, so their
+    /// recoveries must not read it.
+    pub fn note_marked_link(&mut self) {
+        self.marked_link = true;
     }
 
     /// Refuses the whole collection: the tracer found a root it cannot
@@ -336,8 +394,10 @@ impl<'a> Marker<'a> {
 /// collection. `allocated` is the heap walk's block-start bitmap; `sweep`
 /// receives the `(header offset, class)` of every allocated block the mark
 /// phase never reached, in address order, and decides where it goes.
-/// Returns the swept `(blocks, bytes)`, or `None` — with nothing swept and
-/// the report untouched — when a tracer [refused](Marker::refuse).
+/// Returns the swept `(blocks, bytes)` and whether the trace was clean (no
+/// tracer [noted a marked link](Marker::note_marked_link)), or `None` —
+/// with nothing swept and the report untouched — when a tracer
+/// [refused](Marker::refuse).
 pub(crate) fn collect(
     mem: Mem,
     allocated: &Bitmap,
@@ -345,7 +405,7 @@ pub(crate) fn collect(
     metrics: &obs::MetricSet,
     report: &mut RecoveryReport,
     sweep: impl FnOnce(&mut dyn Iterator<Item = (u64, usize)>),
-) -> Option<(usize, u64)> {
+) -> Option<(usize, u64, bool)> {
     // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
     let mark_start = Instant::now();
     let mut marker = Marker::new(mem, allocated);
@@ -386,5 +446,5 @@ pub(crate) fn collect(
     metrics.add(obs::Counter::GcRuns, 1);
     metrics.add(obs::Counter::GcMarked, marker.marked_blocks() as u64);
     metrics.add(obs::Counter::GcSwept, swept as u64);
-    Some((swept, swept_bytes))
+    Some((swept, swept_bytes, !marker.marked_link))
 }

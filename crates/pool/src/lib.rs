@@ -19,7 +19,7 @@
 //!   heap**: a crash never double-allocates or tears metadata, and blocks
 //!   it strands (in-flight allocations, EBR-retired-but-unreclaimed nodes)
 //!   stay allocated only until the next open — reopening rebuilds all
-//!   volatile free-list state from a full heap walk and then runs a
+//!   volatile allocator state from one read-only heap walk and then runs a
 //!   **root-driven mark-sweep GC** (the [`gc`] module) that returns every
 //!   allocated block unreachable from the registered roots to the free
 //!   lists, reporting the reclaim in [`RecoveryReport`].
@@ -157,8 +157,8 @@ pub struct RecoveryReport {
     /// plus — when the GC was [skipped](RecoveryReport::gc_ran) — any
     /// unprovable blocks left alone).
     pub live_blocks: usize,
-    /// Blocks free after recovery, re-linked into the free-list structures
-    /// (swept blocks included).
+    /// Blocks free after recovery, swept blocks included: the small ones
+    /// wait in the engine's free bitmap until allocations claim them.
     pub free_blocks: usize,
     /// Bytes between the heap start and the persisted frontier.
     pub heap_bytes: u64,
@@ -182,7 +182,7 @@ pub struct RecoveryReport {
     /// `phases.mark_nanos + phases.sweep_nanos`.
     pub gc_nanos: u64,
     /// Per-phase timing breakdown of the whole recovery pipeline (heap
-    /// walk and free-list rebuild included, which `gc_nanos` is not).
+    /// walk included, which `gc_nanos` is not).
     pub phases: GcPhases,
     /// Blocks each root's mark walk newly reached, as `(root name, count)`
     /// in registry order — which roots own the heap, and which contributed
@@ -211,17 +211,18 @@ pub struct RecoveryReport {
 /// was skipped) report 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcPhases {
-    /// The one pass over the block headers: validating each, recording the
-    /// allocated ones in the block-start bitmap, and pushing the free ones
-    /// onto the engine's free lists while their header line is in cache.
+    /// The one read-only pass over the block headers: validating each and
+    /// recording it in the block-start bitmap (allocated) or the engine's
+    /// free bitmap (free).
     pub heap_walk_nanos: u64,
     /// Tracing every root's reachable graph into the mark bitmap.
     pub mark_nanos: u64,
-    /// Clearing, flushing, and re-listing unreachable blocks.
+    /// Clearing and flushing unreachable blocks' headers, and recording
+    /// them as free.
     pub sweep_nanos: u64,
-    /// Always 0: no separate rebuild pass runs any more — the free lists
-    /// are built block by block inside `heap_walk_nanos` and `sweep_nanos`.
-    /// Kept so the report (and what reads it) keeps its shape.
+    /// Always 0: no rebuild pass runs — free blocks are recorded inside
+    /// `heap_walk_nanos` and `sweep_nanos` and claimed by allocations
+    /// later. Kept only because the benchmark harness (`nvbench`) reads it.
     pub rebuild_nanos: u64,
 }
 
@@ -328,6 +329,9 @@ struct Inner {
     /// nonzero disables the deferred GC — the heap is no longer provably
     /// quiescent-and-untouched.
     attach_count: AtomicUsize,
+    /// This open's recovery GC traced every root and no tracer noted a
+    /// marked link; cleared by the first [`Pool::take_clean_trace`].
+    clean_trace: AtomicBool,
     /// This pool's telemetry (`nvtraverse-obs`), resolved from the same
     /// normalized path key the tracer registry uses — so a reopened pool
     /// keeps accumulating into the same set. `&'static`: the registry leaks
@@ -551,6 +555,7 @@ impl Pool {
             }),
             gc_pending: AtomicBool::new(false),
             attach_count: AtomicUsize::new(0),
+            clean_trace: AtomicBool::new(false),
             metrics,
             ops: Mutex::new(optable::OpsState::default()),
         };
@@ -636,6 +641,7 @@ impl Pool {
             report: Mutex::new(RecoveryReport::default()),
             gc_pending: AtomicBool::new(false),
             attach_count: AtomicUsize::new(0),
+            clean_trace: AtomicBool::new(false),
             metrics,
             ops: Mutex::new(optable::OpsState::default()),
         };
@@ -1106,10 +1112,10 @@ impl Pool {
         let _p = obs::phase(obs::Phase::Gc);
         // The engine is already rebuilt, so swept blocks return through
         // `Engine::dealloc` — the engine's own free-path persistence
-        // discipline — instead of the recovery walk's free-list push.
+        // discipline — instead of the open-time free bitmap.
         // A refusing tracer leaves the collection pending, as a missing
         // one does: nothing was swept.
-        let Some((swept, bytes)) = gc::collect(
+        let Some((swept, bytes, clean)) = gc::collect(
             mem,
             &allocated,
             &roots,
@@ -1119,6 +1125,7 @@ impl Pool {
         ) else {
             return false;
         };
+        inner.clean_trace.store(clean, Ordering::Release);
         obs::ring::record(
             obs::ring::EventKind::DeferredGc,
             &pool_label(&inner.path),
@@ -1127,6 +1134,22 @@ impl Pool {
         );
         inner.gc_pending.store(false, Ordering::Release);
         true
+    }
+
+    /// The mark phase's verdict, handed out once: `true` when this open's
+    /// recovery GC (at open, or [deferred](Pool::run_pending_gc)) traced
+    /// every root and no tracer [noted a marked link](Marker::note_marked_link),
+    /// and at most one structure has [attached](Pool::note_attach) since —
+    /// the heap is still the one the trace saw. The first call clears it,
+    /// so only the first structure to attach skips its recovery scan on
+    /// it; every later caller gets `false`, as does every open whose GC did
+    /// not run or was refused.
+    ///
+    /// Only a structure whose own tracer notes every marked link it crosses
+    /// may act on `true` (see [`Marker::note_marked_link`]).
+    pub fn take_clean_trace(&self) -> bool {
+        self.inner.clean_trace.swap(false, Ordering::AcqRel)
+            && self.inner.attach_count.load(Ordering::Acquire) <= 1
     }
 
     /// Whether `off` is the payload start of a currently **allocated**
@@ -1305,14 +1328,15 @@ impl Inner {
         self.engine.dealloc(self.mem, off, class);
     }
 
-    /// Rebuilds allocator state from persistent block headers (the free
-    /// lists are reconstructed, not trusted) in **one** pass that touches
-    /// each header once — validate it, then record an allocated block in
-    /// the block-start bitmap or push a free one onto its list — and then
-    /// runs the root-driven mark-sweep recovery GC when every registered
-    /// root has a tracer. Swept blocks follow the walk's free blocks onto
-    /// the lists, both in address order: the lists are LIFO, so this order
-    /// is the allocation order after the open.
+    /// Rebuilds allocator state from persistent block headers (nothing
+    /// volatile is trusted) in **one** read-only pass that touches each
+    /// header once — validate it, then record an allocated block in the
+    /// block-start bitmap or a free one in the engine's free bitmap — and
+    /// then runs the root-driven mark-sweep recovery GC when every
+    /// registered root has a tracer. Swept blocks join the walk's free ones
+    /// in the free bitmap, so small-class allocations after the open claim
+    /// both in one ascending address order, a function of the image alone.
+    /// The walk writes nothing, so an image it rejects keeps every byte.
     fn recover_allocator(&mut self, clean: bool) -> io::Result<RecoveryReport> {
         let (mem, frontier) = (self.mem, self.mem.load(OFF_FRONTIER));
         if frontier < HEAP_START || frontier > mem.len() as u64 {
@@ -1329,15 +1353,12 @@ impl Inner {
         // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
         let walk_start = Instant::now();
         let mut allocated = gc::Bitmap::new(frontier);
-        // A rejected open has by now rewritten the link words of the free
-        // blocks below the corrupt header — bytes with no persistent
-        // meaning (every open rebuilds them).
         walk_heap(mem, frontier, |off, _, class, is_allocated| {
             if is_allocated {
                 allocated.set(off);
                 report.live_blocks += 1;
             } else {
-                engine.push_free(mem, off, class);
+                engine.recover_free(off, class);
                 report.free_blocks += 1;
             }
         })
@@ -1345,17 +1366,18 @@ impl Inner {
         report.phases.heap_walk_nanos = walk_start.elapsed().as_nanos() as u64;
         if let Some(roots) = gc_roots {
             // Every allocated block the mark phase never reached is garbage
-            // by the reachability contract: clear its allocated bit, list
-            // it, flush the header, and order the batch with one closing
-            // fence so reclamation is itself durable. A crash mid-sweep is
-            // safe: each garbage block is independently either still
-            // allocated (reswept at the next open) or durably free.
+            // by the reachability contract: clear its allocated bit, flush
+            // the header, and order the batch with one closing fence so
+            // reclamation is itself durable; then it is free like any block
+            // the walk found. A crash mid-sweep is safe: each garbage block
+            // is independently either still allocated (reswept at the next
+            // open) or durably free.
             let sweep = |garbage: &mut dyn Iterator<Item = (u64, usize)>| {
                 let mut any = false;
                 for (off, class) in garbage {
                     mem.store(off, mem.load(off) & !W0_ALLOCATED);
-                    engine.push_free(mem, off, class);
                     MmapBackend::flush(mem.ptr(off));
+                    engine.recover_free(off, class);
                     any = true;
                 }
                 if any {
@@ -1363,9 +1385,10 @@ impl Inner {
                 }
             };
             // A refusing tracer leaves every block as the walk found it.
-            if let Some((swept, bytes)) =
+            if let Some((swept, bytes, clean)) =
                 gc::collect(mem, &allocated, &roots, self.metrics, &mut report, sweep)
             {
+                *self.clean_trace.get_mut() = clean;
                 obs::ring::record(
                     obs::ring::EventKind::Gc,
                     &pool_label(&self.path),
@@ -1374,6 +1397,7 @@ impl Inner {
                 );
             }
         }
+        engine.finish_recovery(mem);
         Ok(report)
     }
 

@@ -819,7 +819,7 @@ fn inventory(pool: &Pool) -> Vec<(u64, u64, usize, bool)> {
 }
 
 #[test]
-fn recovery_gc_reclaims_exactly_the_garbage_and_keeps_allocation_order() {
+fn recovery_gc_reclaims_exactly_the_garbage_and_allocates_in_address_order() {
     // The root block lists the offsets it keeps alive: `[n, off…]`.
     unsafe fn trace_listed(root: *mut u8, marker: &mut gc::Marker<'_>) {
         if !marker.mark(root) {
@@ -904,32 +904,19 @@ fn recovery_gc_reclaims_exactly_the_garbage_and_keeps_allocation_order() {
     assert_eq!(heap.free_blocks, report.free_blocks);
     assert_eq!(heap.frontier, frontier);
 
-    // Allocation order after the open: every free list is LIFO and was
-    // built by pushing the walk's free blocks, then the swept blocks, each
-    // in address order — so, shard by shard, allocation pops them in
-    // exactly the reverse of that. (Which shard a thread drains first is
-    // its own business; the order within a shard is the pool's.)
-    let shards = pool.shard_count();
+    // Allocation order after the open: the walk's free blocks and the swept
+    // ones wait in one free bitmap, and allocations claim them merged, in
+    // ascending address order — a function of the image alone, whatever
+    // the shard count.
     for (c, &size) in SIZES.iter().enumerate() {
         let class = [1, 3, 5][c];
-        let listed = |swept: bool| {
-            before
-                .iter()
-                .filter(move |b| b.2 == class && if swept { b.3 && !is_kept(b.0) } else { !b.3 })
-                .map(|b| b.0)
-        };
-        let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); shards];
-        for off in listed(false).chain(listed(true)) {
-            stacks[engine::shard_of(off, shards)].push(off);
-        }
-        for n in 0..64 {
+        let free_or_swept: Vec<u64> =
+            before.iter().filter(|b| b.2 == class && !is_kept(b.0)).map(|b| b.0).collect();
+        assert!(free_or_swept.len() >= 64, "class {class}: too few free blocks to check");
+        for (n, &want) in free_or_swept[..64].iter().enumerate() {
             let off = pool.offset_of(pool.alloc(size, 8).unwrap()) - BLOCK_HEADER;
             assert!(off < frontier, "class {class}: carved fresh space at allocation {n}");
-            assert_eq!(
-                stacks[engine::shard_of(off, shards)].pop(),
-                Some(off),
-                "class {class}: allocation {n} came out of order"
-            );
+            assert_eq!(off, want, "class {class}: allocation {n} came out of address order");
         }
     }
     // Oversize first-fit walks the list from its head: the swept block
@@ -945,6 +932,143 @@ fn recovery_gc_reclaims_exactly_the_garbage_and_keeps_allocation_order() {
         assert_eq!(got, want, "oversize allocation order changed");
     }
     pool.verify_heap().unwrap();
+    drop(pool);
+    gc::unregister_tracer(&path, "r");
+    cleanup(&path);
+}
+
+#[test]
+fn concurrent_claims_are_exact_and_come_before_the_frontier() {
+    const THREADS: usize = 4;
+    // Payload sizes in the 64- and 128-byte classes: both carve 64-block
+    // slabs, so 2·K blocks fill whole slabs and leave no carved spare.
+    const SIZES: [usize; 2] = [40, 100];
+    const K: usize = THREADS * engine::REFILL;
+    let path = tmp("claims");
+    {
+        let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
+        for size in SIZES {
+            let blocks: Vec<*mut u8> = (0..2 * K).map(|_| pool.alloc(size, 8).unwrap()).collect();
+            for &p in blocks.iter().step_by(2) {
+                // SAFETY: allocated above, referenced by nobody.
+                unsafe { pool.dealloc(p) };
+            }
+        }
+    }
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let frontier = pool.inner.engine.frontier();
+    let mut free: Vec<u64> = inventory(&pool).iter().filter(|b| !b.3).map(|b| b.0).collect();
+    for class in [1, 2] {
+        let n = inventory(&pool).iter().filter(|b| !b.3 && b.2 == class).count();
+        assert_eq!(n, K, "class {class}: the image should hold exactly K free blocks");
+    }
+    assert_eq!(free.len(), 2 * K);
+
+    // Every thread takes exactly one claim's worth of each class, so the K
+    // blocks of a class go in THREADS claims and nothing is left to carve.
+    let start = std::sync::Barrier::new(THREADS);
+    let mut got: Vec<u64> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let mut mine = Vec::new();
+                    for _ in 0..engine::REFILL {
+                        for size in SIZES {
+                            let p = pool.alloc(size, 8).unwrap();
+                            mine.push(pool.offset_of(p) - BLOCK_HEADER);
+                        }
+                    }
+                    mine
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+    });
+    got.sort_unstable();
+    free.sort_unstable();
+    assert_eq!(got.len(), 2 * K);
+    assert!(got.windows(2).all(|w| w[0] != w[1]), "a block was handed out twice");
+    assert_eq!(got, free, "the allocations are exactly the recovered free blocks");
+    assert_eq!(pool.inner.engine.frontier(), frontier, "a slab was carved while free blocks waited");
+    let heap = pool.verify_heap().unwrap();
+    assert_eq!((heap.live.len(), heap.free_blocks), (4 * K, 0));
+    // Every recovered block is claimed: the next allocation carves.
+    pool.alloc(SIZES[0], 8).unwrap();
+    assert!(pool.inner.engine.frontier() > frontier, "nothing left to claim, yet no carve");
+    drop(pool);
+    cleanup(&path);
+}
+
+#[test]
+fn clean_trace_verdict_is_handed_out_once_and_only_after_a_clean_collection() {
+    use std::os::unix::fs::FileExt;
+    // The root's first word scripts the trace: 0 finds nothing, 1 crosses a
+    // marked link, 2 meets another layout.
+    unsafe fn scripted(root: *mut u8, marker: &mut gc::Marker<'_>) {
+        marker.mark(root);
+        // SAFETY: the first payload word of the root block.
+        match unsafe { (root as *const u64).read() } {
+            1 => marker.note_marked_link(),
+            2 => marker.refuse(),
+            _ => {}
+        }
+    }
+    let path = tmp("clean-trace");
+    let root_off = {
+        let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
+        let root = pool.alloc(64, 8).unwrap();
+        // SAFETY: a fresh 64-byte payload.
+        unsafe { (root as *mut u64).write(0) };
+        let off = pool.offset_of(root);
+        pool.set_root_offset("r", off).unwrap();
+        off
+    };
+    let script = |word: u64| {
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(&word.to_le_bytes(), root_off).unwrap();
+    };
+    let open = || Pool::builder().path(&path).open().unwrap();
+
+    // No tracer: the GC cannot run, so there is no verdict — until the
+    // deferred collection runs clean.
+    gc::unregister_tracer(&path, "r");
+    let pool = open();
+    assert!(!pool.recovery_report().gc_ran && pool.gc_pending());
+    assert!(!pool.take_clean_trace(), "a pending GC left a verdict");
+    // SAFETY: the root is one self-contained block; `scripted` marks it.
+    unsafe { gc::register_tracer(&path, "r", scripted) };
+    assert!(pool.run_pending_gc());
+    assert!(pool.take_clean_trace(), "a clean deferred collection left no verdict");
+    assert!(!pool.take_clean_trace(), "the verdict was handed out twice");
+    drop(pool);
+
+    // A clean collection at open: true exactly once.
+    let pool = open();
+    assert!(pool.recovery_report().gc_ran);
+    assert!(pool.take_clean_trace());
+    assert!(!pool.take_clean_trace(), "the verdict was handed out twice");
+    drop(pool);
+
+    // Clean, but a second structure attached before the verdict was read.
+    let pool = open();
+    pool.note_attach();
+    pool.note_attach();
+    assert!(!pool.take_clean_trace(), "a second attach read the first one's verdict");
+    drop(pool);
+
+    // A tracer noted a marked link.
+    script(1);
+    let pool = open();
+    assert!(pool.recovery_report().gc_ran);
+    assert!(!pool.take_clean_trace(), "a noted marked link left a clean verdict");
+    drop(pool);
+
+    // A tracer refused: no collection, no verdict.
+    script(2);
+    let pool = open();
+    assert!(!pool.recovery_report().gc_ran);
+    assert!(!pool.take_clean_trace(), "a refused collection left a verdict");
     drop(pool);
     gc::unregister_tracer(&path, "r");
     cleanup(&path);

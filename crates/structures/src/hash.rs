@@ -30,7 +30,10 @@
 //! wavefront (the crate's `walk_chains`) whose cache misses
 //! overlap; recovery's wavefront is read-only and only flags the buckets
 //! that hold a marked link, on which the list's own `disconnect` pass then
-//! runs — any other bucket is one it would not write to. SOFT buckets have
+//! runs — any other bucket is one it would not write to. The GC's mark
+//! wavefront has already read every one of those links and notes each
+//! marked one, so a pooled table attaching right after a trace that noted
+//! none skips the recovery wavefront altogether. SOFT buckets have
 //! no persistent links to chase: a pooled table's one recovery pass takes
 //! every bucket's sealed nodes from the pool's block inventory.
 
@@ -427,8 +430,14 @@ impl<K: Word + Ord, V: Word, D: Durability> BucketList for HarrisList<K, V, D> {
         self.iter_snapshot()
     }
 
-    fn recover_buckets(buckets: &[Self], collector: &Collector, _pool: Option<&Pool>) {
-        Self::recover_lists(buckets, collector);
+    /// The wavefront recovery scan over every bucket, skipped when the
+    /// pool just attached to hands over a clean verdict
+    /// ([`Pool::take_clean_trace`]): its GC's tracer read every link the
+    /// scan would read and found none marked.
+    fn recover_buckets(buckets: &[Self], collector: &Collector, pool: Option<&Pool>) {
+        if !pool.is_some_and(Pool::take_clean_trace) {
+            Self::recover_lists(buckets, collector);
+        }
     }
 
     // SAFETY: see `BucketList::trace_buckets` — every head is a validated Harris head sentinel on a quiescent heap.

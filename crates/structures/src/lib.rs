@@ -109,7 +109,8 @@ pub(crate) unsafe fn walk_chains<N>(
 /// already-marked node (a shared suffix needs walking only once).
 /// Marked/logically-deleted links are followed like any other — a
 /// reachable-but-marked node must survive the sweep so `recover()` can trim
-/// it through the collector.
+/// it through the collector. `next` gets the marker too, so a structure
+/// that reads the GC's clean verdict can note each marked link it crosses.
 ///
 /// # Safety
 ///
@@ -119,7 +120,7 @@ pub(crate) unsafe fn walk_chains<N>(
 pub(crate) unsafe fn trace_chains<N>(
     marker: &mut nvtraverse_pool::Marker<'_>,
     heads: &mut [*mut N],
-    next: impl Fn(*mut N) -> *mut N,
+    next: impl Fn(&mut nvtraverse_pool::Marker<'_>, *mut N) -> *mut N,
 ) {
     // SAFETY: forwarded — `mark` refuses whatever is not an allocated
     // block's payload, so `next` only ever reads nodes the heap walk vouched
@@ -127,7 +128,7 @@ pub(crate) unsafe fn trace_chains<N>(
     unsafe {
         walk_chains(heads, |_, node| {
             if marker.mark(node as *const u8) {
-                next(node)
+                next(marker, node)
             } else {
                 std::ptr::null_mut()
             }

@@ -247,7 +247,10 @@ where
     }
 
     /// The GC mark walk over the chains rooted at `heads` (one list's head
-    /// sentinel, or every bucket's), as one wavefront.
+    /// sentinel, or every bucket's), as one wavefront. It reads every link
+    /// the recovery scan would read and
+    /// [notes](Marker::note_marked_link) each marked one, which is what
+    /// lets recovery skip that scan on the pool's clean verdict.
     ///
     /// # Safety
     ///
@@ -256,8 +259,14 @@ where
     pub(crate) unsafe fn trace_heads(heads: &mut [NodePtr<K, V, D::B>], marker: &mut Marker<'_>) {
         // SAFETY: forwarded; `Marker` vouches for every node whose link is read.
         unsafe {
-            // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
-            crate::trace_chains(marker, heads, |n| (*n).next.load().ptr());
+            crate::trace_chains(marker, heads, |marker, n| {
+                // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
+                let word = (*n).next.load();
+                if word.is_marked() {
+                    marker.note_marked_link();
+                }
+                word.ptr()
+            });
         }
     }
 
@@ -558,8 +567,13 @@ where
         Some(unsafe { Self::attach_at(head, Collector::new()) })
     }
 
-    fn recover_attached(&self, _pool: &Pool) {
-        self.recover_list();
+    /// [`recover_list`](HarrisList::recover_list), unless the pool's GC
+    /// just traced this chain and crossed no marked link
+    /// ([`Pool::take_clean_trace`]): then there is nothing to disconnect.
+    fn recover_attached(&self, pool: &Pool) {
+        if !pool.take_clean_trace() {
+            self.recover_list();
+        }
     }
 
     fn collector_of(&self) -> &Collector {

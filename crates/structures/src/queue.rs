@@ -435,7 +435,7 @@ where
         unsafe {
             let anchor = root as *mut Anchor<V, D::B>;
             // nvt-lint: begin-allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
-            crate::trace_chains(marker, &mut [(*anchor).head.load().ptr()], |n| {
+            crate::trace_chains(marker, &mut [(*anchor).head.load().ptr()], |_, n| {
                 (*n).next.load().ptr()
                 // nvt-lint: end-allow(raw-pcell-access)
             });

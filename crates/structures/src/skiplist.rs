@@ -996,7 +996,7 @@ where
                 marker.refuse();
                 return;
             }
-            crate::trace_chains(marker, &mut [head], |n| {
+            crate::trace_chains(marker, &mut [head], |_, n| {
                 // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
                 link(n, 0).load().ptr()
             });

@@ -605,10 +605,6 @@ fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
         file.write_all_at(word, head + 8).unwrap();
     };
     stamp(&[0; 8]);
-    // Every open rebuilds the free lists, rewriting the free blocks' link
-    // words (bytes with no persistent meaning) in address order: settle
-    // them with one open, so the bytes compared below are all the others.
-    drop(Pool::builder().path(&path).open().unwrap());
     let before = std::fs::read(&path).unwrap();
 
     fn refused<S: PoolTrace>(path: &std::path::Path, before: &[u8]) {
@@ -630,6 +626,82 @@ fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
     assert_eq!(s.check_consistency(false).unwrap(), 200);
     assert!((0..300u64).all(|k| s.get(k) == (k % 3 != 0).then_some(k * 3)));
     s.close().unwrap();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Builds a pool whose free blocks' link words follow no address order: a
+/// hash table that inserted and removed keys, then raw blocks allocated and
+/// freed (highest first) on a thread that exits — more frees than one
+/// magazine holds, so blocks left the magazine tier in drain batches and
+/// at the thread's exit, each batch linking them in its own order. An open
+/// that rebuilt free lists by storing links in address order would change
+/// bytes of this file. Returns the number of keys the table holds and the
+/// header offset of a block past the middle of the heap with free blocks
+/// below it — found before the close, since on a build whose open rewrote
+/// link words even a looking open would settle them.
+fn churned_image(path: &std::path::Path) -> (usize, u64) {
+    let map = create_pooled::<PooledMap>(path, 4 << 20, "set").unwrap();
+    for k in 0..600u64 {
+        assert!(map.insert(k, k * 7));
+    }
+    for k in (0..600u64).step_by(3) {
+        assert!(map.remove(k));
+    }
+    let pool = map.pool().clone();
+    std::thread::spawn(move || {
+        let blocks: Vec<usize> = (0..300).map(|_| pool.alloc(40, 8).unwrap() as usize).collect();
+        for p in blocks.into_iter().rev() {
+            // SAFETY: allocated above, referenced by nobody.
+            unsafe { pool.dealloc(p as *mut u8) };
+        }
+    })
+    .join()
+    .unwrap();
+    let heap = map.pool().verify_heap().unwrap();
+    let victim = heap.live.iter().map(|&(off, _)| off).find(|&off| off > heap.frontier / 2).unwrap();
+    // Consecutive live blocks with a gap between them: free blocks.
+    let free_below = heap.live.windows(2).any(|w| w[1].0 < victim && w[0].0 + 16 + w[0].1 < w[1].0);
+    assert!(free_below, "no free block below {victim:#x}");
+    map.close().unwrap();
+    (400, victim)
+}
+
+/// The allocator's recovery only reads: free blocks wait in a volatile
+/// bitmap until an allocation claims them, and the table's recovery scan
+/// is skipped on the GC's clean verdict. So a clean open, a read-only
+/// session and a close leave the file exactly as they found it.
+#[test]
+fn a_clean_open_and_close_leave_the_file_byte_identical() {
+    let path = tmp("open-writes-nothing");
+    let (keys, _) = churned_image(&path);
+    let before = std::fs::read(&path).unwrap();
+    let map = open_pooled::<PooledMap>(&path, "set").unwrap();
+    let report = map.pool().recovery_report();
+    assert!(report.gc_ran && report.clean_shutdown);
+    assert!(report.free_blocks > 64, "too few free blocks to tell: {report:?}");
+    assert_eq!(map.len(), keys);
+    assert!((0..600u64).all(|k| map.get(k) == (k % 3 != 0).then_some(k * 7)));
+    map.close().unwrap();
+    assert!(std::fs::read(&path).unwrap() == before, "a clean open and close changed the file");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// An open that rejects the image — here a block header zeroed past the
+/// middle of the heap, with free blocks below it — has written nothing by
+/// the time the walk reaches the corruption.
+#[test]
+fn an_open_rejected_by_a_corrupt_header_leaves_the_file_byte_identical() {
+    use std::os::unix::fs::FileExt;
+    let path = tmp("rejected-open-writes-nothing");
+    let (_, victim) = churned_image(&path);
+    // Pool offsets are file offsets; a zero size word fails the walk.
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.write_all_at(&0u64.to_le_bytes(), victim).unwrap();
+    drop(file);
+    let before = std::fs::read(&path).unwrap();
+    let err = Pool::builder().path(&path).open().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(std::fs::read(&path).unwrap() == before, "the rejected open changed the file");
     std::fs::remove_file(&path).unwrap();
 }
 
