@@ -25,15 +25,17 @@
 //!    A block freed on any thread eventually lands in the shard owned by its
 //!    *address* ([`shard_of`]), so remote frees hand blocks back without a
 //!    global lock and allocation locality follows slab locality.
-//! 3. **The recovered free bitmap** — the free small-class blocks the open's
-//!    heap walk found and its GC swept, one bit per 16-byte heap unit,
-//!    waiting until an allocation needs them. A shard miss *claims* up to
-//!    [`REFILL`] blocks of its class in address order, from a per-class
-//!    word cursor under one mutex, clears their bits and hands them to the
-//!    magazine exactly as a shard pop does. The claim comes before the
-//!    frontier, so no slab is carved while a recovered block waits. The
-//!    bitmap is dropped when its last bit is claimed; from then on (and in
-//!    a freshly created pool, always) this tier costs a shard miss one
+//! 3. **The recovered free bitmaps** — the free small-class blocks the
+//!    open's heap walk found and its GC swept, one bitmap per class with one
+//!    bit per 16-byte heap unit, waiting until an allocation needs them. A
+//!    shard miss *claims* up to [`REFILL`] blocks of its class in address
+//!    order, from its class's word cursor under that class's own lock,
+//!    clears their bits and hands them to the magazine exactly as a shard
+//!    pop does. A claim reads only its own class's bitmap — no block
+//!    header, no other class's lock. The claim comes before the frontier,
+//!    so no slab is carved while a recovered block waits. A class's bitmap
+//!    is dropped when its last bit is claimed; from then on (and in a
+//!    freshly created pool, always) this tier costs a shard miss one
 //!    `Acquire` load. Oversize blocks never enter it: recovery links them
 //!    onto their first-fit list.
 //! 4. **CAS-bump slab frontier** — when a class is dry everywhere, a thread
@@ -71,13 +73,13 @@
 //!   frontier have persisted headers) is the allocator's to maintain and no
 //!   caller fence can restore it.
 //!
-//! Magazines, shard heads and the free bitmap are volatile and rebuilt by
+//! Magazines, shard heads and the free bitmaps are volatile and rebuilt by
 //! the recovery walk on open; the allocated bit is the only persistent
 //! free/live fact.
 
 use crate::{
     gc, make_allocated, Mem, BLOCK_ALIGN, BLOCK_HEADER, CLASS_SIZES, HEAP_START, OFF_FRONTIER,
-    OVERSIZE, W0_ALLOCATED, W0_CLASS_MASK, W0_CLASS_SHIFT, W0_SIZE_MASK,
+    OVERSIZE, W0_ALLOCATED, W0_CLASS_SHIFT, W0_SIZE_MASK,
 };
 use nvtraverse_obs as obs;
 use nvtraverse_pmem::{Backend, MmapBackend};
@@ -210,28 +212,26 @@ pub(crate) struct Engine {
     /// Behind a mutex — oversize traffic is rare and first-fit needs mid-list
     /// unlinking that a Treiber stack cannot express.
     oversize: Mutex<u64>,
-    /// The free small-class blocks recovery found and no allocation has
-    /// claimed yet; `None` once the last one is claimed (and in a created
-    /// pool).
-    unclaimed: Mutex<Option<Unclaimed>>,
+    /// Per small class, the free blocks recovery found and no allocation
+    /// has claimed yet, each class behind its own lock; `None` once the
+    /// class's last one is claimed (and in a created pool).
+    unclaimed: [Mutex<Option<Unclaimed>>; CLASS_SIZES.len()],
     /// Bit `c` is set while class `c` has unclaimed blocks: all a shard
-    /// miss reads before it takes the `unclaimed` lock.
+    /// miss reads before it takes that class's lock. A hint only — the
+    /// lock guards the bitmap, and a stale set bit costs one lock that
+    /// finds `None`.
     unclaimed_classes: AtomicU32,
-    /// Oversize free blocks recovery found, in the order it found them,
-    /// until [`Engine::finish_recovery`] links them.
-    recovered_oversize: Vec<u64>,
     /// The owning pool's metric set (allocator-domain counters land here).
     obs: &'static obs::MetricSet,
 }
 
-/// The recovered free bitmap (tier 3 of the module docs).
+/// One class's recovered free bitmap (tier 3 of the module docs).
 struct Unclaimed {
     bits: gc::Bitmap,
-    /// Per class: the first bitmap word that may still hold one of its
-    /// blocks.
-    cursor: [usize; CLASS_SIZES.len()],
-    /// Per class: blocks still in `bits`.
-    left: [usize; CLASS_SIZES.len()],
+    /// The first bitmap word that may still hold a block.
+    cursor: usize,
+    /// Blocks still in `bits`.
+    left: usize,
 }
 
 impl Engine {
@@ -249,9 +249,8 @@ impl Engine {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             oversize: Mutex::new(0),
-            unclaimed: Mutex::new(None),
+            unclaimed: std::array::from_fn(|_| Mutex::new(None)),
             unclaimed_classes: AtomicU32::new(0),
-            recovered_oversize: Vec::new(),
             obs: metrics,
         }
     }
@@ -302,7 +301,7 @@ impl Engine {
         alive().retain(|a| a.instance != self.instance);
     }
 
-    // -- small classes: magazine → shards → free bitmap → slab carve --
+    // -- small classes: magazine → shards → free bitmaps → slab carve --
 
     fn alloc_small(&self, mem: Mem, class: usize) -> Option<u64> {
         if let Some(Some(off)) = with_cache(self.instance, |mags| mags[class].pop()) {
@@ -322,7 +321,7 @@ impl Engine {
         // Before the frontier: a slab carved while recovered blocks wait
         // would grow the heap for nothing.
         if got.is_empty() && self.unclaimed_classes.load(Ordering::Acquire) & 1 << class != 0 {
-            self.claim(mem, class, &mut got);
+            self.claim(class, &mut got);
             // To the magazine tier a claim is a shard pop.
             self.obs.add(obs::Counter::ShardPop, got.len() as u64);
         }
@@ -347,22 +346,21 @@ impl Engine {
     }
 
     /// Claims up to [`REFILL`] unclaimed blocks of `class` into `out`,
-    /// lowest address first, clearing their bits; drops the bitmap when
-    /// this takes its last bit. A bit is only ever set for a free block of
-    /// a small class that is on no list, so reading its header's class
-    /// races with nothing.
-    fn claim(&self, mem: Mem, class: usize, out: &mut Vec<u64>) {
-        let mut slot = self.unclaimed.lock().unwrap_or_else(|p| p.into_inner());
+    /// lowest address first, clearing their bits; drops the class's bitmap
+    /// when this takes its last bit. Holds only `class`'s lock and reads
+    /// only its bitmap, so claims of different classes never wait on each
+    /// other.
+    fn claim(&self, class: usize, out: &mut Vec<u64>) {
+        let mut slot = self.unclaimed[class].lock().unwrap_or_else(|p| p.into_inner());
         let Some(free) = slot.as_mut() else {
             return;
         };
-        let want = REFILL.min(free.left[class]);
-        let of_class = |block| ((mem.load(block) >> W0_CLASS_SHIFT) & W0_CLASS_MASK) as usize == class;
-        free.bits.take(&mut free.cursor[class], want, of_class, out);
+        let want = REFILL.min(free.left);
+        free.bits.take(&mut free.cursor, want, out);
         debug_assert_eq!(out.len(), want, "class {class}: the free bitmap lost a block");
-        free.left[class] -= out.len();
-        let bit = 1 << class;
-        if free.left[class] == 0 && self.unclaimed_classes.fetch_and(!bit, Ordering::AcqRel) == bit {
+        free.left -= out.len();
+        if free.left == 0 {
+            self.unclaimed_classes.fetch_and(!(1 << class), Ordering::Release);
             *slot = None;
         }
     }
@@ -535,10 +533,10 @@ impl Engine {
         }
     }
 
-    /// Starts a recovery walk: the persisted frontier, every free list
-    /// empty, and an empty free bitmap covering the heap. The walk and the
-    /// sweep then [`recover_free`](Self::recover_free) each free block, and
-    /// [`finish_recovery`](Self::finish_recovery) ends the rebuild.
+    /// Starts a recovery walk: the persisted frontier and every free list
+    /// and free bitmap empty. The walk and the sweep then
+    /// [`recover_free`](Self::recover_free) each free small-class block,
+    /// and [`finish_recovery`](Self::finish_recovery) ends the rebuild.
     pub(crate) fn reset(&mut self, frontier: u64) {
         *self.frontier.get_mut() = frontier;
         *self.published.get_mut() = frontier;
@@ -546,49 +544,47 @@ impl Engine {
             *head.get_mut() = 0;
         }
         *self.oversize.get_mut().unwrap_or_else(|p| p.into_inner()) = 0;
-        *self.unclaimed.get_mut().unwrap_or_else(|p| p.into_inner()) = Some(Unclaimed {
-            bits: gc::Bitmap::new(frontier),
-            cursor: [0; CLASS_SIZES.len()],
-            left: [0; CLASS_SIZES.len()],
-        });
-        self.recovered_oversize.clear();
-    }
-
-    /// Records the free block at `off` without touching it: a small class
-    /// sets its bit in the free bitmap, an oversize block waits for
-    /// [`finish_recovery`](Self::finish_recovery). Nothing is written to
-    /// the heap, so a walk that then rejects the image has changed no byte.
-    pub(crate) fn recover_free(&mut self, off: u64, class: usize) {
-        if class < OVERSIZE {
-            let free = self.unclaimed.get_mut().unwrap_or_else(|p| p.into_inner());
-            let free = free.as_mut().expect("reset before the walk");
-            free.bits.set(off);
-            free.left[class] += 1;
-        } else {
-            self.recovered_oversize.push(off);
+        for slot in &mut self.unclaimed {
+            *slot.get_mut().unwrap_or_else(|p| p.into_inner()) = None;
         }
     }
 
-    /// Ends a recovery: links the oversize free blocks onto their first-fit
-    /// list — the one write an open makes to a free block, and only to one
-    /// of more than 64 KiB — and opens the free bitmap to claims (dropping
-    /// it when it holds nothing). Blocks are linked in recorded order (the
-    /// walk's, then the sweep's, each in address order) onto a LIFO list,
-    /// so first-fit tries the last one recorded first.
-    pub(crate) fn finish_recovery(&mut self, mem: Mem) {
+    /// Records the free block at `off` of small class `class` without
+    /// touching it: its bit is set in the class's free bitmap, created at
+    /// the class's first block. Nothing is written to the heap, so a walk
+    /// that then rejects the image has changed no byte.
+    pub(crate) fn recover_free(&mut self, off: u64, class: usize) {
+        let frontier = *self.frontier.get_mut();
+        let slot = self.unclaimed[class].get_mut().unwrap_or_else(|p| p.into_inner());
+        let free = slot.get_or_insert_with(|| Unclaimed {
+            bits: gc::Bitmap::new(frontier),
+            cursor: usize::MAX,
+            left: 0,
+        });
+        free.bits.set(off);
+        free.cursor = free.cursor.min(gc::Bitmap::word_of(off));
+        free.left += 1;
+    }
+
+    /// Ends a recovery: links the `oversize` free blocks onto their
+    /// first-fit list — the one write an open makes to a free block, and
+    /// only to one of more than 64 KiB — and opens the free bitmaps to
+    /// claims. Blocks are linked in the order given (the walk's, then the
+    /// sweep's, each in address order) onto a LIFO list, so first-fit tries
+    /// the last one first.
+    pub(crate) fn finish_recovery(&mut self, mem: Mem, oversize: &[u64]) {
         let head = self.oversize.get_mut().unwrap_or_else(|p| p.into_inner());
-        for off in self.recovered_oversize.drain(..) {
+        for &off in oversize {
             mem.store(off + 8, *head);
             *head = off;
         }
-        let slot = self.unclaimed.get_mut().unwrap_or_else(|p| p.into_inner());
-        let classes = slot.as_ref().map_or(0, |free| {
-            (0..CLASS_SIZES.len()).filter(|&c| free.left[c] > 0).fold(0, |bits, c| bits | 1 << c)
-        });
-        *self.unclaimed_classes.get_mut() = classes;
-        if classes == 0 {
-            *slot = None;
+        let mut classes = 0;
+        for (class, slot) in self.unclaimed.iter_mut().enumerate() {
+            if slot.get_mut().unwrap_or_else(|p| p.into_inner()).is_some() {
+                classes |= 1 << class;
+            }
         }
+        *self.unclaimed_classes.get_mut() = classes;
     }
 }
 

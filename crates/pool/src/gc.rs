@@ -15,7 +15,7 @@
 //! [`TraceFn`] the embedding process registered per pool path + root name) into a
 //! volatile [`Marker`], and the sweep phase hands every
 //! allocated-but-unmarked block back to the allocation engine: at open into
-//! its free bitmap beside the walk's free blocks, where allocations claim
+//! its free bitmaps beside the walk's free blocks, where allocations claim
 //! them in address order; in a deferred collection through its ordinary
 //! free path.
 //!
@@ -159,8 +159,8 @@ pub(crate) fn tracer_for(pool_key: &Path, name: &str) -> Option<TraceFn> {
 /// named by the unit of its **header**. The recovery walk records every
 /// allocated block's start in one of these (128 KiB for a 16 MiB heap), the
 /// mark phase fills a second one of the same geometry, and the sweep is
-/// their word-wise difference. A third, the engine's, holds the free
-/// small-class blocks until allocations claim them.
+/// their word-wise difference. The engine keeps one more per small class,
+/// holding that class's free blocks until allocations claim them.
 pub(crate) struct Bitmap(Vec<u64>);
 
 impl Bitmap {
@@ -190,29 +190,27 @@ impl Bitmap {
         self.0.get(word).is_some_and(|w| w & bit != 0)
     }
 
+    /// The word holding `block`'s bit.
+    pub(crate) fn word_of(block: u64) -> usize {
+        Self::index(block).0
+    }
+
     /// Clears and pushes onto `out`, in address order, up to `max` set
-    /// blocks that `want` accepts, scanning from word `*cursor` on. Leaves
-    /// `*cursor` at the first word that may still hold an accepted block,
-    /// so a caller that always passes the same `want` never rescans a word
-    /// it has exhausted.
-    pub(crate) fn take(
-        &mut self,
-        cursor: &mut usize,
-        max: usize,
-        mut want: impl FnMut(u64) -> bool,
-        out: &mut Vec<u64>,
-    ) {
-        let start = out.len();
-        while *cursor < self.0.len() && out.len() - start < max {
-            let word = *cursor;
-            for block in Self::blocks_in(word, self.0[word]) {
-                if want(block) {
-                    self.0[word] &= !Self::index(block).1;
-                    out.push(block);
-                    if out.len() - start == max {
-                        return;
-                    }
-                }
+    /// blocks, scanning from word `*cursor` on. Leaves `*cursor` at the
+    /// first word that may still hold one, so no call rescans a word an
+    /// earlier one exhausted.
+    pub(crate) fn take(&mut self, cursor: &mut usize, max: usize, out: &mut Vec<u64>) {
+        let mut left = max;
+        while left > 0 && *cursor < self.0.len() {
+            let bits = &mut self.0[*cursor];
+            while left > 0 && *bits != 0 {
+                let unit = *cursor as u64 * 64 + u64::from(bits.trailing_zeros());
+                *bits &= *bits - 1;
+                out.push(HEAP_START + unit * BLOCK_ALIGN);
+                left -= 1;
+            }
+            if *bits != 0 {
+                return;
             }
             *cursor += 1;
         }

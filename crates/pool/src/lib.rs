@@ -158,7 +158,7 @@ pub struct RecoveryReport {
     /// unprovable blocks left alone).
     pub live_blocks: usize,
     /// Blocks free after recovery, swept blocks included: the small ones
-    /// wait in the engine's free bitmap until allocations claim them.
+    /// wait in the engine's free bitmaps until allocations claim them.
     pub free_blocks: usize,
     /// Bytes between the heap start and the persisted frontier.
     pub heap_bytes: u64,
@@ -212,8 +212,8 @@ pub struct RecoveryReport {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcPhases {
     /// The one read-only pass over the block headers: validating each and
-    /// recording it in the block-start bitmap (allocated) or the engine's
-    /// free bitmap (free).
+    /// recording it in the block-start bitmap (allocated) or its class's
+    /// free bitmap in the engine (free).
     pub heap_walk_nanos: u64,
     /// Tracing every root's reachable graph into the mark bitmap.
     pub mark_nanos: u64,
@@ -1112,7 +1112,7 @@ impl Pool {
         let _p = obs::phase(obs::Phase::Gc);
         // The engine is already rebuilt, so swept blocks return through
         // `Engine::dealloc` — the engine's own free-path persistence
-        // discipline — instead of the open-time free bitmap.
+        // discipline — instead of the open-time free bitmaps.
         // A refusing tracer leaves the collection pending, as a missing
         // one does: nothing was swept.
         let Some((swept, bytes, clean)) = gc::collect(
@@ -1331,11 +1331,12 @@ impl Inner {
     /// Rebuilds allocator state from persistent block headers (nothing
     /// volatile is trusted) in **one** read-only pass that touches each
     /// header once — validate it, then record an allocated block in the
-    /// block-start bitmap or a free one in the engine's free bitmap — and
-    /// then runs the root-driven mark-sweep recovery GC when every
-    /// registered root has a tracer. Swept blocks join the walk's free ones
-    /// in the free bitmap, so small-class allocations after the open claim
-    /// both in one ascending address order, a function of the image alone.
+    /// block-start bitmap or a free one in its class's free bitmap in the
+    /// engine — and then runs the root-driven mark-sweep recovery GC when
+    /// every registered root has a tracer. Swept blocks join the walk's
+    /// free ones in those bitmaps, so small-class allocations after the
+    /// open claim both in one ascending address order per class, a function
+    /// of the image alone.
     /// The walk writes nothing, so an image it rejects keeps every byte.
     fn recover_allocator(&mut self, clean: bool) -> io::Result<RecoveryReport> {
         let (mem, frontier) = (self.mem, self.mem.load(OFF_FRONTIER));
@@ -1353,12 +1354,19 @@ impl Inner {
         // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
         let walk_start = Instant::now();
         let mut allocated = gc::Bitmap::new(frontier);
+        // Linked only once the image is accepted: a rejected open writes
+        // nothing.
+        let mut oversize = Vec::new();
         walk_heap(mem, frontier, |off, _, class, is_allocated| {
             if is_allocated {
                 allocated.set(off);
                 report.live_blocks += 1;
             } else {
-                engine.recover_free(off, class);
+                if class == OVERSIZE {
+                    oversize.push(off);
+                } else {
+                    engine.recover_free(off, class);
+                }
                 report.free_blocks += 1;
             }
         })
@@ -1377,7 +1385,11 @@ impl Inner {
                 for (off, class) in garbage {
                     mem.store(off, mem.load(off) & !W0_ALLOCATED);
                     MmapBackend::flush(mem.ptr(off));
-                    engine.recover_free(off, class);
+                    if class == OVERSIZE {
+                        oversize.push(off);
+                    } else {
+                        engine.recover_free(off, class);
+                    }
                     any = true;
                 }
                 if any {
@@ -1397,7 +1409,7 @@ impl Inner {
                 );
             }
         }
-        engine.finish_recovery(mem);
+        engine.finish_recovery(mem, &oversize);
         Ok(report)
     }
 

@@ -905,7 +905,7 @@ fn recovery_gc_reclaims_exactly_the_garbage_and_allocates_in_address_order() {
     assert_eq!(heap.frontier, frontier);
 
     // Allocation order after the open: the walk's free blocks and the swept
-    // ones wait in one free bitmap, and allocations claim them merged, in
+    // ones wait in their class's free bitmap, and allocations claim them merged, in
     // ascending address order — a function of the image alone, whatever
     // the shard count.
     for (c, &size) in SIZES.iter().enumerate() {
@@ -944,11 +944,15 @@ fn concurrent_claims_are_exact_and_come_before_the_frontier() {
     // slabs, so 2·K blocks fill whole slabs and leave no carved spare.
     const SIZES: [usize; 2] = [40, 100];
     const K: usize = THREADS * engine::REFILL;
+    // A rare class (1024-byte blocks, 8 to a slab) whose few free blocks
+    // lie above every other class's.
+    const RARE_SIZE: usize = 1000;
+    const RARE: usize = 4;
     let path = tmp("claims");
     {
         let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
-        for size in SIZES {
-            let blocks: Vec<*mut u8> = (0..2 * K).map(|_| pool.alloc(size, 8).unwrap()).collect();
+        for (size, n) in [(SIZES[0], K), (SIZES[1], K), (RARE_SIZE, RARE)] {
+            let blocks: Vec<*mut u8> = (0..2 * n).map(|_| pool.alloc(size, 8).unwrap()).collect();
             for &p in blocks.iter().step_by(2) {
                 // SAFETY: allocated above, referenced by nobody.
                 unsafe { pool.dealloc(p) };
@@ -957,26 +961,38 @@ fn concurrent_claims_are_exact_and_come_before_the_frontier() {
     }
     let pool = Pool::builder().path(&path).open().unwrap();
     let frontier = pool.inner.engine.frontier();
-    let mut free: Vec<u64> = inventory(&pool).iter().filter(|b| !b.3).map(|b| b.0).collect();
-    for class in [1, 2] {
-        let n = inventory(&pool).iter().filter(|b| !b.3 && b.2 == class).count();
-        assert_eq!(n, K, "class {class}: the image should hold exactly K free blocks");
+    let blocks = inventory(&pool);
+    let mut free: Vec<u64> = blocks.iter().filter(|b| !b.3).map(|b| b.0).collect();
+    for (class, n) in [(1, K), (2, K), (5, RARE)] {
+        let found = blocks.iter().filter(|b| !b.3 && b.2 == class).count();
+        assert_eq!(found, n, "class {class}: the image should hold exactly {n} free blocks");
     }
-    assert_eq!(free.len(), 2 * K);
+    let rare_low = blocks.iter().filter(|b| !b.3 && b.2 == 5).map(|b| b.0).min().unwrap();
+    assert!(blocks.iter().filter(|b| b.2 != 5).all(|b| b.0 < rare_low), "the rare blocks lie high");
+    assert_eq!(free.len(), 2 * K + RARE);
 
-    // Every thread takes exactly one claim's worth of each class, so the K
-    // blocks of a class go in THREADS claims and nothing is left to carve.
+    // Every thread takes exactly one claim's worth of each common class,
+    // in its own order of classes, so the K blocks of a class go in
+    // THREADS claims and nothing is left to carve. Midway, one thread
+    // also takes the rare class's blocks in one claim while the others
+    // keep claiming theirs.
     let start = std::sync::Barrier::new(THREADS);
     let mut got: Vec<u64> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..THREADS)
-            .map(|_| {
-                s.spawn(|| {
-                    start.wait();
+            .map(|t| {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
                     let mut mine = Vec::new();
-                    for _ in 0..engine::REFILL {
-                        for size in SIZES {
-                            let p = pool.alloc(size, 8).unwrap();
-                            mine.push(pool.offset_of(p) - BLOCK_HEADER);
+                    let mut take = |size: usize| {
+                        let p = pool.alloc(size, 8).unwrap();
+                        mine.push(pool.offset_of(p) - BLOCK_HEADER);
+                    };
+                    start.wait();
+                    for i in 0..engine::REFILL {
+                        take(SIZES[(i + t) % 2]);
+                        take(SIZES[(i + t + 1) % 2]);
+                        if t == 0 && i == engine::REFILL / 2 {
+                            (0..RARE).for_each(|_| take(RARE_SIZE));
                         }
                     }
                     mine
@@ -987,12 +1003,12 @@ fn concurrent_claims_are_exact_and_come_before_the_frontier() {
     });
     got.sort_unstable();
     free.sort_unstable();
-    assert_eq!(got.len(), 2 * K);
+    assert_eq!(got.len(), 2 * K + RARE);
     assert!(got.windows(2).all(|w| w[0] != w[1]), "a block was handed out twice");
     assert_eq!(got, free, "the allocations are exactly the recovered free blocks");
     assert_eq!(pool.inner.engine.frontier(), frontier, "a slab was carved while free blocks waited");
     let heap = pool.verify_heap().unwrap();
-    assert_eq!((heap.live.len(), heap.free_blocks), (4 * K, 0));
+    assert_eq!((heap.live.len(), heap.free_blocks), (4 * K + 2 * RARE, 0));
     // Every recovered block is claimed: the next allocation carves.
     pool.alloc(SIZES[0], 8).unwrap();
     assert!(pool.inner.engine.frontier() > frontier, "nothing left to claim, yet no carve");
