@@ -106,6 +106,20 @@ pub trait BucketList: DurableSet<Self::Key, Self::Value> + Sized {
     /// element of `heads` a head sentinel of this list type.
     unsafe fn trace_buckets(heads: &[*mut u8], marker: &mut Marker<'_>);
 
+    /// Whether `head`, an allocated block of `capacity` payload bytes that
+    /// the persistent bucket table names, is a head sentinel of this list
+    /// type's node layout. A table naming any other head is refused — its
+    /// tracer refuses the collection and attaching returns `None` — rather
+    /// than read under the wrong layout. The default accepts every head.
+    ///
+    /// # Safety
+    ///
+    /// `head` must point to `capacity` readable, quiescent bytes.
+    unsafe fn is_own_head(head: *const u8, capacity: u64) -> bool {
+        let _ = (head, capacity);
+        true
+    }
+
     /// [`PoolAttach::resolve_detectable`] for a table of these lists; the
     /// default does nothing (no detectable operations).
     fn resolve_detectable(table: &BucketTable<Self>, pool: &Pool) {
@@ -348,6 +362,10 @@ impl<L: BucketList> PoolAttach for BucketTable<L> {
                 pool.is_allocated_payload(off).then(|| pool.at(off))
             })
         }?;
+        // SAFETY: every head is an allocated payload of `usable_size` bytes.
+        if !heads.iter().all(|&h| unsafe { L::is_own_head(h, pool.usable_size(h)) }) {
+            return None;
+        }
         // Entered so every bucket list's context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
         let collector = Collector::new();
@@ -373,6 +391,8 @@ impl<L: BucketList> PoolAttach for BucketTable<L> {
 }
 
 // A root block that does not decode is left alone — attach rejects it too.
+// A bucket head the list type does not own (`BucketList::is_own_head`)
+// refuses the whole collection, and attach rejects that table as well.
 // SAFETY: the root is the persistent bucket table `[n, head_off…]`; marking
 // it and handing its validated bucket heads to the list type's own walk
 // covers every block the table's recovery (each bucket's) can reach.
@@ -387,10 +407,16 @@ unsafe impl<L: BucketList> nvtraverse::PoolTrace for BucketTable<L> {
         };
         // SAFETY: `mark` vouched for `root` as an allocated payload of `capacity` bytes; the heap is quiescent during recovery.
         let heads = unsafe { decode_root(root as *const u64, capacity, |off| marker.at(off)) };
-        if let Some(heads) = heads {
-            // SAFETY: every head passed `Marker::at`; the registry's type contract vouches for the list type.
-            unsafe { L::trace_buckets(&heads, marker) };
+        let Some(heads) = heads else {
+            return;
+        };
+        // SAFETY: every head passed `Marker::at`, so `capacity_of` knows its payload; the heap is quiescent.
+        if !heads.iter().all(|&h| marker.capacity_of(h).is_some_and(|cap| unsafe { L::is_own_head(h, cap) })) {
+            marker.refuse();
+            return;
         }
+        // SAFETY: every head passed `Marker::at`; the registry's type contract vouches for the list type.
+        unsafe { L::trace_buckets(&heads, marker) };
     }
 }
 

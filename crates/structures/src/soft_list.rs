@@ -14,44 +14,56 @@
 //!
 //! # Node layout and the validity protocol
 //!
-//! A node is seven 64-bit words; the first six are the *persistent header*,
-//! the last is the volatile link:
+//! A node is six 64-bit words, 48 bytes — with the pool's 16-byte block
+//! header, exactly one 64-byte block. The first five are the *persistent
+//! header*, the last is the volatile link:
 //!
 //! ```text
-//! [ vstart | key | value | owner | seq | vend ]  [ next ]
-//!   ^------------- flushed once -------------^    never flushed
+//! [ vstart | key | value | owner | seq ]  [ next ]
+//!   ^--------- flushed once ---------^    never flushed
 //! ```
 //!
-//! `vstart` and `vend` are not constants: they are the two halves of a
-//! **content-bound seal** (`hdr_seals`), a checksum pair over
-//! `(key, value, owner, seq)`. A header counts as durably inserted only if
-//! *both* seal words match the seals recomputed from the header's own data
-//! words. This is what SOFT's per-chunk alternating validity bits buy in
-//! the original paper, obtained here without allocator cooperation:
+//! `vstart` is not a constant: it is a **content-bound seal**
+//! (`hdr_seal`), a 63-bit checksum over `(key, value, owner, seq)`, while
+//! the node is live, and the same seal with bit 63 (`TOMB`) set once it is
+//! removed. A header counts as durably inserted only if `vstart` equals
+//! the seal recomputed from the header's own data words, and as durably
+//! removed only if it equals that seal `| TOMB` — so a tombstone still
+//! authenticates its `owner` and `seq`. This is what SOFT's per-chunk
+//! alternating validity bits buy in the original paper, obtained here
+//! without allocator cooperation:
 //!
 //! * a **torn header** (crash while the insert's flush was in flight) has
 //!   some subset of its words durable; any mix of old and new words fails
 //!   the checksum, so it can never be mistaken for a valid node;
 //! * a **recycled block** cannot replay its previous life: `seq` is drawn
 //!   from a per-list monotonic counter, so even a reinsert of the same
-//!   key/value produces different seal words, and a crash that persists
-//!   only part of the new header leaves bits that validate as nothing —
-//!   in particular, a durably *removed* key can never be resurrected by
+//!   key/value produces a different seal, and a crash that persists only
+//!   part of the new header leaves bits that validate as nothing — in
+//!   particular, a durably *removed* key can never be resurrected by
 //!   reusing its old block (each free path also durably tombstones the
 //!   header before the block returns to the allocator).
 //!
 //! The protocol:
 //!
-//! * insert: initialize the header with the computed seal pair, flush the
+//! * insert: initialize the header with the computed seal, flush the
 //!   header (one cache line on the volatile path — the node is 64-aligned),
 //!   link with a plain CAS, fence before returning. The insert is durably
 //!   linearized at that fence.
-//! * remove: CAS `vstart` from its seal to `TOMB` and flush it (the durable
-//!   linearization point, made durable by the closing fence), then unlink
-//!   with plain volatile CASes exactly like Harris's list.
+//! * remove: CAS `vstart` from `seal` to `seal | TOMB` and flush it (the
+//!   durable linearization point, made durable by the closing fence), then
+//!   unlink with plain volatile CASes exactly like Harris's list. A get
+//!   tests the one bit.
 //! * the `owner` word names the owning list (its head sentinel's address),
 //!   so recovery in a pool shared by several structures attributes each
 //!   node to the right one.
+//!
+//! The head sentinel's value word, never read as a value, holds the layout
+//! tag `"SOFTv002"`. A pool whose SOFT head carries any other tag — every
+//! pool written under the earlier seven-word layout holds 0 there — is
+//! refused: its GC tracer refuses the collection (nothing is swept) and
+//! attaching returns `None`. Probed as this layout, about half of an old
+//! pool's live nodes would read as tombstones and be destroyed.
 //!
 //! The volatile chain is the crate's shared Harris chain (`chain.rs`), the
 //! one [`HarrisList`](crate::list::HarrisList) walks and trims; SOFT keeps
@@ -75,9 +87,13 @@
 //!   nodes (maintained at allocate/retire time), which is also what its
 //!   `Drop` frees.
 //!
-//! [`SoftList::recover_soft`] takes the candidates,
-//! keeps exactly the nodes whose header probes as live (`probe_header`),
-//! sorts them by key, and rewrites the whole chain with plain stores. A
+//! Each candidate's header is probed (`probe_header`) **once**: the probe
+//! hands every live node's `(key, seq, node)` to the relink, which sorts
+//! them by key and links the chain from that list without reading a header
+//! again. An open therefore probes each header twice — the GC's mark, then
+//! this inventory. The relink reads each `next` word and stores only the
+//! ones that differ, so after a clean close (or a SIGKILL whose page cache
+//! kept the links) it writes no node at all. A
 //! node whose seal never became durable was an in-flight insert (its
 //! operation had not fenced, hence had not returned): dropping it is
 //! durably linearizable. A sealed node that was never linked (crash between
@@ -121,18 +137,25 @@ use nvtraverse_pool::Pool;
 use std::fmt;
 use std::io;
 use std::marker::PhantomData;
+use std::cmp::Reverse;
 use std::mem::offset_of;
 use std::ops::ControlFlow;
+use std::ptr::addr_of_mut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// `vstart` value of a durably removed node.
-pub(crate) const TOMB: u64 = 0x70B5_70B5_70B5_70B5;
+/// The tombstone bit of `vstart`: a durably removed node's `vstart` is its
+/// seal with this bit set. No seal has it set.
+pub(crate) const TOMB: u64 = 1 << 63;
 
 /// The persistent header prefix of a [`SoftNode`]: `vstart`, `key`,
-/// `value`, `owner`, `seq`, `vend` — everything **except** the volatile
-/// link.
-pub(crate) const PERSIST_HDR: usize = 6 * 8;
+/// `value`, `owner`, `seq` — everything **except** the volatile link.
+pub(crate) const PERSIST_HDR: usize = 5 * 8;
+
+/// The head sentinel's value word in a SOFT list of this node layout. Heads
+/// written under the earlier seven-word layout hold 0 there, so they are
+/// refused.
+const LAYOUT_TAG: u64 = u64::from_le_bytes(*b"SOFTv002");
 
 /// SplitMix64 finalizer (same mixer as the op-descriptor checksum in
 /// `nvtraverse_pool::optable`).
@@ -142,38 +165,36 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The reserved words a computed seal must dodge: [`TOMB`] (a seal equal to
-/// it would read as removed) and [`POISON`] (the simulator refuses to store
-/// its own poison pattern).
-fn dodge_reserved(w: u64) -> u64 {
-    if w == TOMB || w == POISON {
-        w ^ 1
-    } else {
-        w
-    }
-}
-
-/// Computes a header's content-bound seal pair `(vstart, vend)` from its
-/// data words. A header is durably live iff both stored seal words equal
-/// the pair recomputed from its stored data words — so a crash that
-/// persists any *mix* of one node generation's words with another's (torn
-/// flush, recycled block) yields a header that validates as nothing. `seq`
-/// comes from the owning list's monotonic allocation counter, which is what
-/// distinguishes two generations that inserted the same key and value.
-pub(crate) fn hdr_seals(key: u64, value: u64, owner: u64, seq: u64) -> (u64, u64) {
+/// Computes a header's content-bound seal from its data words: 63 bits,
+/// bit 63 ([`TOMB`]) clear. A header is durably live iff its stored
+/// `vstart` equals the seal recomputed from its stored data words — so a
+/// crash that persists any *mix* of one node generation's words with
+/// another's (torn flush, recycled block) yields a header that validates
+/// as nothing. `seq` comes from the owning list's monotonic allocation
+/// counter, which is what distinguishes two generations that inserted the
+/// same key and value. The seal's tombstone dodges [`POISON`] (the
+/// simulator refuses to store its own poison pattern, and a rolled-back
+/// `vstart` must never read as a tombstone); the seal itself cannot equal
+/// it, since `POISON` has bit 63 set.
+pub(crate) fn hdr_seal(key: u64, value: u64, owner: u64, seq: u64) -> u64 {
     let mut h = 0x5EA1_5EA1_5EA1_5EA1u64;
     for w in [key, value, owner, seq] {
         h = mix64(h ^ w).wrapping_add(0x9E37_79B9_7F4A_7C15);
     }
-    (dodge_reserved(h), dodge_reserved(mix64(h)))
+    let seal = h & !TOMB;
+    if seal | TOMB == POISON {
+        seal ^ 1
+    } else {
+        seal
+    }
 }
 
 /// What a raw scan of a candidate block's header words proves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum HdrProbe {
-    /// Both seal words match the data words: a durably inserted node.
+    /// `vstart` is the seal of the data words: a durably inserted node.
     Live { key: u64, owner: u64, seq: u64 },
-    /// `vstart` is [`TOMB`] and `vend` still matches: durably removed.
+    /// `vstart` is that seal `| TOMB`: durably removed.
     Tomb { owner: u64, seq: u64 },
     /// Anything else — torn, in-flight, recycled, or foreign bits.
     Invalid,
@@ -190,7 +211,7 @@ pub(crate) unsafe fn probe_header<K: Word, V: Word, B: Backend>(
     n: *const SoftNode<K, V, B>,
 ) -> HdrProbe {
     // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-    let (vstart, key, value, owner, seq, vend) = unsafe {
+    let (vstart, key, value, owner, seq) = unsafe {
         (
             // nvt-lint: begin-allow(raw-pcell-access): validity-window probe reads raw header bits by design (SOFT recovery rule)
             (*n).vstart.peek_bits(),
@@ -198,31 +219,42 @@ pub(crate) unsafe fn probe_header<K: Word, V: Word, B: Backend>(
             (*n).value.peek_bits(),
             (*n).owner.peek_bits(),
             (*n).seq.peek_bits(),
-            (*n).vend.peek_bits(),
             // nvt-lint: end-allow(raw-pcell-access)
         )
     };
-    let (s0, s1) = hdr_seals(key, value, owner, seq);
-    if vend != s1 {
-        return HdrProbe::Invalid;
-    }
-    if vstart == s0 {
+    let seal = hdr_seal(key, value, owner, seq);
+    if vstart == seal {
         HdrProbe::Live { key, owner, seq }
-    } else if vstart == TOMB {
+    } else if vstart == seal | TOMB {
         HdrProbe::Tomb { owner, seq }
     } else {
         HdrProbe::Invalid
     }
 }
 
+/// Whether `head`, an allocated block of `capacity` payload bytes, is the
+/// head sentinel of a SOFT list of this node layout: big enough for a node,
+/// with [`LAYOUT_TAG`] in its value word. Checked before anything else in
+/// a pool is trusted.
+///
+/// # Safety
+///
+/// `head` must point to `capacity` readable, quiescent bytes.
+pub(crate) unsafe fn is_soft_head<K: Word, V: Word, B: Backend>(head: *const u8, capacity: u64) -> bool {
+    capacity >= std::mem::size_of::<SoftNode<K, V, B>>() as u64
+        // SAFETY: per the contract, and the block holds a whole node.
+        // nvt-lint: allow(raw-pcell-access): the head's value word is a layout stamp, read as raw bits
+        && unsafe { (*head.cast::<SoftNode<K, V, B>>()).value.peek_bits() == LAYOUT_TAG }
+}
+
 /// One SOFT node. Field order is the layout contract documented in the
-/// [module docs](self): six persistent header words, then the volatile
+/// [module docs](self): five persistent header words, then the volatile
 /// link. Exposed (with private fields) because it appears in the
 /// [`TraversalOps`] associated types; user code never constructs nodes.
 #[repr(C)]
 pub struct SoftNode<K: Word, V: Word, B: Backend> {
-    /// Validity word: the content-bound seal ([`hdr_seals`]) while the node
-    /// is live, `TOMB` once removed.
+    /// Validity word: the content-bound seal ([`hdr_seal`]) while the node
+    /// is live, `seal | TOMB` once removed.
     pub(crate) vstart: PCell<u64, B>,
     pub(crate) key: PCell<K, B>,
     pub(crate) value: PCell<V, B>,
@@ -233,8 +265,6 @@ pub struct SoftNode<K: Word, V: Word, B: Backend> {
     /// seals unique (recycled blocks can't replay) and orders duplicate
     /// survivors for recovery's keep-newest rule.
     pub(crate) seq: PCell<u64, B>,
-    /// Far-end seal: proves the header flush was not torn.
-    pub(crate) vend: PCell<u64, B>,
     /// Volatile link: never flushed, rebuilt by recovery.
     pub(crate) next: PCell<MarkedPtr<SoftNode<K, V, B>>, B>,
 }
@@ -257,12 +287,16 @@ unsafe impl<K: Word, V: Word, B: Backend> ChainNode for SoftNode<K, V, B> {
 }
 
 /// Alignment of a node on the volatile heap: a 64-aligned node puts the
-/// 48-byte persistent header in exactly one cache line, so the insert's
+/// 40-byte persistent header in exactly one cache line, so the insert's
 /// header flush is deterministically one flush under the counting backend.
 /// A pool block keeps its pool's 16-byte alignment (and its own backend).
 const VOLATILE_ALIGN: usize = 64;
 
 type NodePtr<K, V, B> = *mut SoftNode<K, V, B>;
+
+/// A node recovery found live: its key, its `seq` and where it is — all
+/// the relink needs, so no header is read twice by one recovery.
+type LiveNode<K, V, B> = (K, u64, NodePtr<K, V, B>);
 
 /// Returns a node to whichever heap issued it — the one free path, both
 /// for teardown and (as the function [`Guard::retire_with`] calls) for EBR
@@ -372,8 +406,8 @@ impl<K: Word, V: Word, D: Durability> SoftList<K, V, D> {
 
     /// Advances the allocation counter past a `seq` recovered from a
     /// durable header, so fresh nodes never repeat a generation already on
-    /// the heap (called while rebuilding the inventory at attach time and
-    /// again by [`SoftList::recover_soft`]).
+    /// the heap (called by recovery for a tombstone's `seq` and for the
+    /// highest live one).
     fn note_seq(&self, seq: u64) {
         self.next_seq.fetch_max(seq + 1, Ordering::Relaxed);
     }
@@ -398,11 +432,14 @@ where
             value: PCell::new(V::from_bits(0)),
             owner: PCell::new(0),
             seq: PCell::new(0),
-            vend: PCell::new(0),
             next: PCell::new(MarkedPtr::null()),
         })
         .expect("persistent pool exhausted while allocating list head");
-        // Persist the empty list so it survives a crash at time zero.
+        // SAFETY: a fresh head nothing else can see; the value word is
+        // written raw, since `V` may not hold all 64 bits of the tag.
+        unsafe { addr_of_mut!((*head).value).cast::<PCell<u64, D::B>>().write(PCell::new(LAYOUT_TAG)) };
+        // Persist the empty list, tag included, so it survives a crash at
+        // time zero.
         D::persist_new_node(head as *const u8, PERSIST_HDR);
         D::before_return();
         // SAFETY: `head` was just allocated by this type, in the current scope.
@@ -469,80 +506,86 @@ where
         if !D::DURABLE {
             return;
         }
-        let candidates = match self.registry() {
-            Some(reg) => reg.clone(),
-            None => {
-                let mut linked = Vec::new();
-                chain::walk::<_, ()>(self.head, |n, _| {
-                    linked.push(n as usize);
-                    ControlFlow::Continue(())
-                });
-                linked
-            }
-        };
-        self.rebuild_from(candidates);
-    }
-
-    /// The rebuild behind [`recover_soft`](Self::recover_soft) and
-    /// [`recover_from_pool`], over the `candidates` (node addresses) the
-    /// caller's inventory supplied.
-    fn rebuild_from(&self, candidates: Vec<usize>) {
-        type Live<K, V, B> = Vec<(K, u64, NodePtr<K, V, B>)>;
-        let mut live: Live<K, V, D::B> = Vec::new();
-        let mut max_seq = 0u64;
-        for a in candidates {
-            let n = a as NodePtr<K, V, D::B>;
+        let mut live = Vec::new();
+        let mut take = |n: NodePtr<K, V, D::B>| {
             // Raw peeks: any of these words may have rolled back to poison
             // (never persisted) under the simulator; the seal checksum
             // rejects every such header without key-filtering real data.
-            // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
+            // SAFETY: recovery runs single-threaded on a quiescent structure; every candidate is a node this list allocated.
             match unsafe { probe_header(n) } {
-                HdrProbe::Live { key, seq, .. } => {
-                    max_seq = max_seq.max(seq);
-                    live.push((K::from_bits(key), seq, n));
-                }
-                HdrProbe::Tomb { seq, .. } => max_seq = max_seq.max(seq),
+                HdrProbe::Live { key, seq, .. } => live.push((K::from_bits(key), seq, n)),
+                HdrProbe::Tomb { seq, .. } => self.note_seq(seq),
                 HdrProbe::Invalid => {}
             }
+        };
+        match self.registry() {
+            Some(reg) => reg.iter().for_each(|&a| take(a as NodePtr<K, V, D::B>)),
+            None => {
+                chain::walk::<_, ()>(self.head, |n, _| {
+                    take(n);
+                    ControlFlow::Continue(())
+                });
+            }
         }
-        self.note_seq(max_seq);
+        self.relink(live);
+    }
+
+    /// The rebuild behind [`recover_soft`](Self::recover_soft) and
+    /// [`recover_from_pool`]: links the `live` nodes their probe found in
+    /// key order, reading no header again. Each link word is read first and
+    /// stored only when it changes, so a chain that is already right — after
+    /// a clean close, or a SIGKILL whose page cache kept the links — is left
+    /// unwritten, and nothing is fenced unless a stale twin was tombstoned.
+    fn relink(&self, mut live: Vec<LiveNode<K, V, D::B>>) {
+        if let Some(max_seq) = live.iter().map(|l| l.1).max() {
+            self.note_seq(max_seq);
+        }
         // Newest generation first within each key: duplicate sealed nodes
         // only arise from crashed concurrent writers (e.g. a remove whose
         // tombstone flush never drained racing a completed reinsert), and
         // the newest insert is the one whose effect a caller could have
-        // been told about.
-        live.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-        let mut stale: Vec<NodePtr<K, V, D::B>> = Vec::new();
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        unsafe {
-            let mut pred = self.head;
-            let mut i = 0;
-            while i < live.len() {
-                let (key, _, n) = live[i];
-                // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery reads raw bits (marks, flags, poison) by design
-                (*pred).next.store(MarkedPtr::new(n));
-                pred = n;
-                i += 1;
-                while i < live.len() && live[i].0 == key {
-                    stale.push(live[i].2);
-                    i += 1;
-                }
+        // been told about. `seq` is unique within a list.
+        live.sort_unstable_by_key(|&(key, seq, _)| (key, Reverse(seq)));
+        // SAFETY: recovery runs single-threaded on a quiescent structure; every node is a live one of this list.
+        let link = |pred: NodePtr<K, V, D::B>, succ: MarkedPtr<SoftNode<K, V, D::B>>| unsafe {
+            // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery compares and rewrites volatile links by design
+            if (*pred).next.peek_bits() != succ.to_bits() {
+                (*pred).next.store(succ);
             }
-            (*pred).next.store(MarkedPtr::null());
-            // Durably tombstone the stale twins so no later crash can
-            // resurrect them, then free them — fence first: the blocks must
-            // not reach the allocator (nor, under the simulator, drop their
-            // cell registrations) until the tombstones have drained.
-            for &n in &stale {
-                (*n).vstart.store(TOMB);
-                // nvt-lint: end-allow(raw-pcell-access)
-                D::B::flush((*n).vstart.addr());
+        };
+        // SAFETY: as for `link`; a stale twin is a live node, its `vstart` its seal.
+        let tombstone = |n: NodePtr<K, V, D::B>| unsafe {
+            let vstart = &(*n).vstart;
+            vstart.store(vstart.peek_bits() | TOMB);
+            // nvt-lint: end-allow(raw-pcell-access)
+            D::B::flush(vstart.addr());
+        };
+        let mut stale: Vec<NodePtr<K, V, D::B>> = Vec::new();
+        let mut pred = self.head;
+        let mut i = 0;
+        while i < live.len() {
+            let (key, _, n) = live[i];
+            link(pred, MarkedPtr::new(n));
+            pred = n;
+            i += 1;
+            while i < live.len() && live[i].0 == key {
+                stale.push(live[i].2);
+                i += 1;
             }
         }
+        link(pred, MarkedPtr::null());
+        if stale.is_empty() {
+            return;
+        }
+        // Durably tombstone the stale twins so no later crash can resurrect
+        // them, then free them — fence first: the blocks must not reach the
+        // allocator (nor, under the simulator, drop their cell
+        // registrations) until the tombstones have drained.
+        stale.iter().for_each(|&n| tombstone(n));
         D::before_return();
         for n in stale {
             self.unregister(n);
-            // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
+            // SAFETY: recovery runs single-threaded on a quiescent structure; a stale twin is linked nowhere.
             unsafe { free_node::<K, V, D::B>(n.cast()) };
         }
     }
@@ -586,9 +629,9 @@ where
         // retired.
         // SAFETY: a trimmed node is unlinked for good.
         let trim = || chain::trim::<_, D, _>(&w, Some(|n| unsafe { self.retire(guard, n) }));
-        // A linked node's `vstart` is either its seal or `TOMB`.
+        // A linked node's `vstart` is either its seal or `seal | TOMB`.
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
-        let tombstoned = |n: NodePtr<K, V, D::B>| D::c_load(unsafe { &(*n).vstart }) == TOMB;
+        let tombstoned = |n: NodePtr<K, V, D::B>| D::c_load(unsafe { &(*n).vstart }) & TOMB != 0;
         // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
         let left_next = unsafe { &(*w.left).next };
         match input {
@@ -617,14 +660,13 @@ where
                     return Critical::Restart;
                 }
                 let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-                let (s0, s1) = hdr_seals(key.to_bits(), value.to_bits(), self.owner_tag, seq);
+                let seal = hdr_seal(key.to_bits(), value.to_bits(), self.owner_tag, seq);
                 let Some(node) = Self::alloc_soft(SoftNode {
-                    vstart: PCell::new(s0),
+                    vstart: PCell::new(seal),
                     key: PCell::new(key),
                     value: PCell::new(value),
                     owner: PCell::new(self.owner_tag),
                     seq: PCell::new(seq),
-                    vend: PCell::new(s1),
                     next: PCell::new(MarkedPtr::new(w.right)),
                 }) else {
                     // Pool exhausted: report "no effect" through the
@@ -648,7 +690,7 @@ where
                         // SAFETY: never published: the node is ours alone.
                         unsafe {
                             // nvt-lint: allow(raw-pcell-access): SOFT places its own flushes: the tombstone seal is flushed explicitly right here
-                            (*node).vstart.store(TOMB);
+                            (*node).vstart.store(seal | TOMB);
                             D::B::flush((*node).vstart.addr());
                         }
                         D::before_return();
@@ -665,7 +707,7 @@ where
                 if !w.hit::<D>(key) {
                     return Critical::Done(None);
                 }
-                // The durable linearization point: seal → tombstone, one
+                // The durable linearization point: seal → seal | TOMB, one
                 // flush, fenced by the operation's closing `before_return`.
                 // The expected seal is recomputed from the node's immutable
                 // words; a concurrent remove already tombstoned it iff the
@@ -674,8 +716,8 @@ where
                 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
                 let right = unsafe { &*w.right };
                 let seq = D::load_fixed(&right.seq);
-                let (s0, _) = hdr_seals(key.to_bits(), value.to_bits(), self.owner_tag, seq);
-                match D::c_cas(&right.vstart, s0, TOMB) {
+                let seal = hdr_seal(key.to_bits(), value.to_bits(), self.owner_tag, seq);
+                match D::c_cas(&right.vstart, seal, seal | TOMB) {
                     Ok(_) => {
                         // Logical deletion done; now the volatile unlink,
                         // Harris-style: mark, then best-effort splice (a
@@ -761,6 +803,12 @@ where
     // SAFETY: see `TraversalOps::attach_to_pool` — the caller guarantees the pool was created by this structure type under `name` and is quiescent.
     unsafe fn attach_to_pool(pool: &Pool, name: &str) -> Option<Self> {
         let head = pool.attach_root_ptr::<SoftNode<K, V, D::B>>(name)?;
+        // SAFETY: the tag is read only from an allocated block of this pool, within its payload.
+        if !pool.is_allocated_payload(pool.offset_of(head as *const u8))
+            || unsafe { !is_soft_head::<K, V, D::B>(head as *const u8, pool.usable_size(head as *const u8)) }
+        {
+            return None;
+        }
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         Some(unsafe { Self::attach_at(head, Collector::new()) })
@@ -782,7 +830,9 @@ where
 // valid-but-unlinked node (crash between the header flush and the link CAS)
 // is therefore kept, as the recovery-rebuild contract requires; in-flight
 // (unsealed) and tombstoned nodes are left for the sweep. Every candidate
-// pointer comes from `Marker::at`, which validates it first.
+// pointer comes from `Marker::at`, which validates it first. A head without
+// this layout's tag was written under another node layout: the tracer
+// refuses the collection rather than probe its nodes as this layout.
 // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
 unsafe impl<K, V, D> nvtraverse::PoolTrace for SoftList<K, V, D>
 where
@@ -791,6 +841,11 @@ where
     D: Durability,
 {
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
+        // SAFETY: `capacity_of` vouches for `root` as an allocated payload of that many bytes; the heap is quiescent.
+        if !marker.capacity_of(root).is_some_and(|cap| unsafe { is_soft_head::<K, V, D::B>(root, cap) }) {
+            marker.refuse();
+            return;
+        }
         if !marker.mark(root) {
             return;
         }
@@ -822,11 +877,12 @@ impl Owners {
 
 /// Open-time recovery of freshly attached pooled `lists` (one list, or all
 /// buckets of a hash table): **one** pass over the pool's allocated blocks
-/// hands every sealed node to the list its `owner` word names — links are
-/// volatile, so membership is proved by each candidate's persistent header —
-/// and each list then rebuilds its chain from its share. A durably removed
-/// (tombstoned) node is no candidate, but still keeps its owner's `seq`
-/// counter ahead of it.
+/// probes each header once and hands every sealed node's `(key, seq,
+/// node)` to the list its `owner` word names — links are volatile, so
+/// membership is proved by each candidate's persistent header — and each
+/// list then relinks its chain from its share without reading a header
+/// again. A durably removed (tombstoned) node is no candidate, but still
+/// keeps its owner's `seq` counter ahead of it.
 ///
 /// # Panics
 ///
@@ -841,7 +897,7 @@ pub(crate) fn recover_from_pool<K: Word + Ord, V: Word, D: Durability>(
         return;
     }
     let owners = Owners::new(lists.iter().map(|l| l.owner_tag));
-    let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); lists.len()];
+    let mut live: Vec<Vec<LiveNode<K, V, D::B>>> = lists.iter().map(|_| Vec::new()).collect();
     let node_size = std::mem::size_of::<SoftNode<K, V, D::B>>() as u64;
     pool.for_each_live_payload(|off, cap| {
         let p = pool.at(off) as NodePtr<K, V, D::B>;
@@ -850,9 +906,9 @@ pub(crate) fn recover_from_pool<K: Word + Ord, V: Word, D: Durability>(
         }
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         match unsafe { probe_header(p) } {
-            HdrProbe::Live { owner, .. } => {
+            HdrProbe::Live { key, owner, seq } => {
                 if let Some(i) = owners.owned_by(owner) {
-                    candidates[i].push(p as usize);
+                    live[i].push((K::from_bits(key), seq, p));
                 }
             }
             HdrProbe::Tomb { owner, seq } => {
@@ -864,8 +920,8 @@ pub(crate) fn recover_from_pool<K: Word + Ord, V: Word, D: Durability>(
         }
     })
     .expect("the heap Pool::open verified no longer verifies");
-    for (list, candidates) in lists.iter().zip(candidates) {
-        list.rebuild_from(candidates);
+    for (list, live) in lists.iter().zip(live) {
+        list.relink(live);
     }
 }
 
@@ -1093,7 +1149,7 @@ mod tests {
     /// The GC reachability rule, white-box: a sealed node no link reaches
     /// (an insert that crashed between its header flush and its volatile
     /// link CAS) must survive the open-time mark-sweep and be resurrected
-    /// by recovery, while a torn header (far-end seal missing) is garbage.
+    /// by recovery, while a torn header (a data word missing) is garbage.
     #[test]
     fn gc_keeps_sealed_but_unlinked_nodes_and_sweeps_torn_ones() {
         use nvtraverse::TypedRoots;
@@ -1116,26 +1172,23 @@ mod tests {
             // header flush, before publication: fully sealed + owned,
             // unlinked, unregistered.
             let owner = list.head as u64;
-            let (s0, s1) = hdr_seals(9, 90, owner, 1000);
             L::alloc_soft(SoftNode {
-                vstart: PCell::new(s0),
+                vstart: PCell::new(hdr_seal(9, 90, owner, 1000)),
                 key: PCell::new(9u64),
                 value: PCell::new(90u64),
                 owner: PCell::new(owner),
                 seq: PCell::new(1000),
-                vend: PCell::new(s1),
                 next: PCell::new(MarkedPtr::null()),
             })
             .unwrap();
-            // And one that crashed *mid*-header-flush: vend never sealed.
-            let (t0, _) = hdr_seals(11, 110, owner, 1001);
+            // And one that crashed *mid*-header-flush: its seal drained,
+            // its `seq` word never did.
             L::alloc_soft(SoftNode {
-                vstart: PCell::new(t0),
+                vstart: PCell::new(hdr_seal(11, 110, owner, 1001)),
                 key: PCell::new(11u64),
                 value: PCell::new(110u64),
                 owner: PCell::new(owner),
-                seq: PCell::new(1001),
-                vend: PCell::new(0),
+                seq: PCell::new(0),
                 next: PCell::new(MarkedPtr::null()),
             })
             .unwrap();
@@ -1166,40 +1219,80 @@ mod tests {
     #[test]
     fn recycled_block_word_mixtures_never_probe_live() {
         let owner = 0xABCu64;
-        let (a0, a1) = hdr_seals(7, 70, owner, 3);
-        let (b0, b1) = hdr_seals(7, 70, owner, 9);
-        assert_ne!(a0, b0, "seq must distinguish same-content generations");
-        let mk = |vstart, seq, vend| SoftNode::<u64, u64, Noop> {
+        let a = hdr_seal(7, 70, owner, 3);
+        let b = hdr_seal(7, 70, owner, 9);
+        assert_ne!(a, b, "seq must distinguish same-content generations");
+        let mk = |vstart, seq| SoftNode::<u64, u64, Noop> {
             vstart: PCell::new(vstart),
             key: PCell::new(7),
             value: PCell::new(70),
             owner: PCell::new(owner),
             seq: PCell::new(seq),
-            vend: PCell::new(vend),
             next: PCell::new(MarkedPtr::null()),
         };
+        let probe = |vstart, seq| unsafe { probe_header(&mk(vstart, seq)) };
         // Generation A's full header: live before the remove, a tombstone
         // after (what the allocator hands out for reuse).
-        assert!(matches!(
-            unsafe { probe_header(&mk(a0, 3, a1)) },
-            HdrProbe::Live { seq: 3, .. }
-        ));
-        assert!(matches!(
-            unsafe { probe_header(&mk(TOMB, 3, a1)) },
-            HdrProbe::Tomb { seq: 3, .. }
-        ));
+        assert!(matches!(probe(a, 3), HdrProbe::Live { seq: 3, .. }));
+        assert!(matches!(probe(a | TOMB, 3), HdrProbe::Tomb { seq: 3, .. }));
         // A crash persisting only generation B's vstart over the freed
-        // block: the REVIEW scenario that used to resurrect old data.
-        assert_eq!(unsafe { probe_header(&mk(b0, 3, a1)) }, HdrProbe::Invalid);
-        // Every other partial overlay is equally invalid.
-        assert_eq!(unsafe { probe_header(&mk(TOMB, 3, b1)) }, HdrProbe::Invalid);
-        assert_eq!(unsafe { probe_header(&mk(b0, 9, a1)) }, HdrProbe::Invalid);
-        assert_eq!(unsafe { probe_header(&mk(a0, 9, b1)) }, HdrProbe::Invalid);
-        // Only generation B's complete header is live again.
-        assert!(matches!(
-            unsafe { probe_header(&mk(b0, 9, b1)) },
-            HdrProbe::Live { seq: 9, .. }
-        ));
+        // block: the scenario that once resurrected old data.
+        assert_eq!(probe(b, 3), HdrProbe::Invalid);
+        // Every other partial overlay is equally invalid, including one
+        // generation's data under the other's tombstone.
+        assert_eq!(probe(a, 9), HdrProbe::Invalid);
+        assert_eq!(probe(a | TOMB, 9), HdrProbe::Invalid);
+        assert_eq!(probe(b | TOMB, 3), HdrProbe::Invalid);
+        // A rolled-back (poisoned) vstart is neither.
+        assert_eq!(probe(POISON, 3), HdrProbe::Invalid);
+        // Only generation B's complete header is live again, and its own
+        // tombstone still authenticates it.
+        assert!(matches!(probe(b, 9), HdrProbe::Live { seq: 9, .. }));
+        assert!(matches!(probe(b | TOMB, 9), HdrProbe::Tomb { seq: 9, .. }));
+    }
+
+    /// The one-word protocol's invariants: a seal never has the tombstone
+    /// bit, and a tombstone is never the simulator's poison (which a
+    /// rolled-back `vstart` reads as).
+    #[test]
+    fn seals_leave_the_tomb_bit_clear_and_tombstones_miss_poison() {
+        use rand::prelude::*;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EA1);
+        for i in 0..100_000u64 {
+            let seal = hdr_seal(rng.next_u64(), rng.next_u64(), rng.next_u64(), i);
+            assert_eq!(seal & TOMB, 0, "seal {seal:#x} has the tomb bit");
+            assert_ne!(seal | TOMB, POISON);
+        }
+        assert_ne!(hdr_seal(0, 0, 0, 0), 0, "a zeroed block would probe live");
+    }
+
+    /// A node is six words, so a pooled node fills exactly one 64-byte
+    /// block (48 bytes of payload behind the 16-byte block header).
+    #[test]
+    fn node_sizes_match_the_pool_blocks() {
+        use nvtraverse_pmem::MmapBackend;
+        type L = SoftList<u64, u64, Soft<MmapBackend>>;
+        assert_eq!(std::mem::size_of::<SoftNode<u64, u64, MmapBackend>>(), 48);
+        assert_eq!(PERSIST_HDR, offset_of!(SoftNode<u64, u64, MmapBackend>, next));
+        let path = std::env::temp_dir().join(format!("nvt-soft-sizes-{}.pool", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
+        let scope = PoolCtx::of(&pool).enter();
+        let node = L::alloc_soft(SoftNode {
+            vstart: PCell::new(0),
+            key: PCell::new(1u64),
+            value: PCell::new(10u64),
+            owner: PCell::new(0),
+            seq: PCell::new(1),
+            next: PCell::new(MarkedPtr::null()),
+        })
+        .unwrap();
+        assert_eq!(pool.usable_size(node as *const u8) + 16, 64, "not the 64-byte class");
+        // SAFETY: never published.
+        unsafe { free_node::<u64, u64, MmapBackend>(node.cast()) };
+        drop(scope);
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Two durably sealed nodes for one key — the wreckage of a remove
@@ -1214,14 +1307,12 @@ mod tests {
         let l: L = SoftList::with_collector(Collector::leaking());
         let owner = l.owner_tag;
         for (value, seq) in [(10u64, 5u64), (20, 9)] {
-            let (s0, s1) = hdr_seals(1, value, owner, seq);
             let n = L::alloc_soft(SoftNode {
-                vstart: PCell::new(s0),
+                vstart: PCell::new(hdr_seal(1, value, owner, seq)),
                 key: PCell::new(1u64),
                 value: PCell::new(value),
                 owner: PCell::new(owner),
                 seq: PCell::new(seq),
-                vend: PCell::new(s1),
                 next: PCell::new(MarkedPtr::null()),
             })
             .unwrap();

@@ -629,6 +629,73 @@ fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A SOFT pool written under another node layout — a head sentinel whose
+/// value word holds 0 where this layout keeps its `"SOFTv002"` tag, as
+/// every pool written under the seven-word layout does — is refused, not
+/// destroyed. Probed as this layout, about half of its live nodes would
+/// read as tombstones and be swept. Instead the tracer refuses (no sweep,
+/// `gc_ran` false) and the attach fails, for a list and for a table with
+/// one such bucket head, and the file keeps every byte.
+#[test]
+fn soft_pool_of_another_layout_is_refused_not_destroyed() {
+    use std::os::unix::fs::FileExt;
+
+    /// `head_of(file, root)` is the file offset of the head sentinel whose
+    /// tag is zeroed (pool offsets are file offsets).
+    fn check<S: nvtraverse::PoolTrace + DurableSet<u64, u64>>(
+        tag: &str,
+        head_of: fn(&std::fs::File, u64) -> u64,
+    ) {
+        let path = tmp(tag);
+        let root;
+        {
+            let s = create_pooled::<S>(&path, 8 << 20, "soft").unwrap();
+            for k in 0..300u64 {
+                assert!(s.insert(k, k * 3));
+            }
+            for k in (0..300u64).step_by(3) {
+                assert!(s.remove(k));
+            }
+            root = s.pool().root_offset("soft").unwrap();
+            s.close().unwrap();
+        }
+        let file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
+        // Word 2 of the head sentinel: its value word.
+        let tag_at = head_of(&file, root) + 16;
+        let mut saved = [0u8; 8];
+        file.read_exact_at(&mut saved, tag_at).unwrap();
+        assert_eq!(&saved, b"SOFTv002", "{tag}: the head carries no layout tag");
+        file.write_all_at(&[0; 8], tag_at).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        {
+            let pool = Pool::builder().path(&path).open().unwrap();
+            assert!(!pool.recovery_report().gc_ran, "{tag}: a refusing tracer must not sweep");
+            assert!(pool.root::<S>("soft").is_err(), "{tag}: an old-layout head attached");
+            let report = pool.recovery_report();
+            assert!(!report.gc_ran && report.reclaimed_blocks == 0, "{tag}");
+            pool.verify_heap().unwrap();
+        }
+        assert!(std::fs::read(&path).unwrap() == before, "{tag}: the refused open changed the file");
+
+        // Nothing was lost: with its tag back, the set opens with every key.
+        file.write_all_at(&saved, tag_at).unwrap();
+        drop(file);
+        let s = open_pooled::<S>(&path, "soft").unwrap();
+        assert!(s.pool().recovery_report().gc_ran, "{tag}");
+        assert_eq!(s.len(), 200, "{tag}");
+        assert!((0..300u64).all(|k| s.get(k) == (k % 3 != 0).then_some(k * 3)), "{tag}");
+        s.close().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+    check::<PooledSoftList>("soft-list-layout", |_, root| root);
+    // The table's root block is `[n, head_off…]`: bucket 0's head.
+    check::<PooledSoftHash>("soft-hash-layout", |file, root| {
+        let mut word = [0u8; 8];
+        file.read_exact_at(&mut word, root + 8).unwrap();
+        u64::from_le_bytes(word)
+    });
+}
+
 /// Builds a pool whose free blocks' link words follow no address order: a
 /// hash table that inserted and removed keys, then raw blocks allocated and
 /// freed (highest first) on a thread that exits — more frees than one
@@ -684,6 +751,58 @@ fn a_clean_open_and_close_leave_the_file_byte_identical() {
     map.close().unwrap();
     assert!(std::fs::read(&path).unwrap() == before, "a clean open and close changed the file");
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A clean SOFT open reads every node header and link and writes neither:
+/// the relink finds each link already right and stores nothing. Measured
+/// as the dirty memory of the pool's mapping right after the open (a
+/// relink that rewrote every link dirtied every node page, megabytes
+/// here), then as the file's bytes after the close.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_clean_soft_open_dirties_no_node_page() {
+    const KEYS: u64 = 1 << 15;
+    let path = tmp("soft-open-writes-nothing");
+    {
+        let map = create_pooled::<PooledSoftHash>(&path, 16 << 20, "kv").unwrap();
+        for k in 0..KEYS {
+            assert!(map.insert(k, k ^ 0x5A));
+        }
+        map.close().unwrap();
+    }
+    let before = std::fs::read(&path).unwrap();
+    let map = open_pooled::<PooledSoftHash>(&path, "kv").unwrap();
+    let report = map.pool().recovery_report();
+    assert!(report.gc_ran && report.clean_shutdown);
+    let dirty = dirty_kib(map.pool().base(), map.pool().capacity());
+    assert!(dirty <= 64, "a clean open dirtied {dirty} KiB of the pool");
+    assert_eq!(map.len(), KEYS as usize);
+    assert!((0..KEYS).all(|k| map.get(k) == Some(k ^ 0x5A)));
+    map.close().unwrap();
+    assert!(std::fs::read(&path).unwrap() == before, "a clean open and close changed the file");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `Private_Dirty + Shared_Dirty`, in KiB, of this process's mappings that
+/// overlap `[base, base + len)`, from `/proc/self/smaps`.
+#[cfg(target_os = "linux")]
+fn dirty_kib(base: usize, len: u64) -> u64 {
+    let end = base + len as usize;
+    let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+    let (mut inside, mut kib) = (false, 0);
+    for line in smaps.lines() {
+        let mut words = line.split_whitespace();
+        let Some(first) = words.next() else { continue };
+        let range = first.split_once('-').and_then(|(lo, hi)| {
+            Some((usize::from_str_radix(lo, 16).ok()?, usize::from_str_radix(hi, 16).ok()?))
+        });
+        if let Some((lo, hi)) = range {
+            inside = lo < end && hi > base;
+        } else if inside && matches!(first, "Private_Dirty:" | "Shared_Dirty:") {
+            kib += words.next().unwrap().parse::<u64>().unwrap();
+        }
+    }
+    kib
 }
 
 /// An open that rejects the image — here a block header zeroed past the
