@@ -1,13 +1,14 @@
 //! Allocator scaling: pool alloc/free throughput by thread count.
 //!
-//! Measures the quantity the pool's magazine/shard/CAS-frontier allocator
+//! Measures the quantity the pool's magazine/bitmap/CAS-frontier allocator
 //! is designed for — how `alloc`/`dealloc` throughput scales with thread
 //! count. Two workloads:
 //!
 //! * `churn` — steady state: every thread cycles a ring of live blocks
 //!   through a size-class mix, freeing the oldest as it allocates; one in
 //!   eight freed blocks is handed to the next thread through a lock-free
-//!   exchange slot, so remote frees (shard handoff) are always in play.
+//!   exchange slot, so remote frees (a block freed by another thread than
+//!   the one that allocated it) are always in play.
 //! * `grow` — allocation-only burst until a per-thread quota, then bulk
 //!   free; stresses the frontier (slab carving vs per-block bump+persist).
 //!

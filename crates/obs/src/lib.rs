@@ -9,8 +9,8 @@
 //!
 //! * [`MetricSet`] — a sharded, cache-padded set of relaxed [`AtomicU64`]
 //!   counters (flushes and fences **per phase**, allocator-tier counters,
-//!   GC counters) plus log-bucketed operation-latency histograms. One shard
-//!   per allocator-engine shard, so recording never contends across
+//!   GC counters) plus log-bucketed operation-latency histograms. Threads
+//!   record into cache-padded shards, so recording rarely contends across
 //!   threads; reading sums the shards.
 //! * **Attribution** — recording is routed through a thread-local
 //!   *(target, phase)* pair: [`attribute_to`] aims subsequent
@@ -120,22 +120,25 @@ impl Phase {
 
 /// Event counters beyond the per-phase flush/fence pair. The first group
 /// (`MagHit`‥`ThreadDrain`) is the allocator domain, recorded by the pool's
-/// lock-free engine; the `Gc*` group is the recovery domain.
+/// engine; the `Gc*` group is the recovery domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
     /// Allocation served by the per-thread magazine (tier-1 hit).
     MagHit = 0,
-    /// Allocation that missed the magazine and fell to the shard stacks.
+    /// Allocation that missed the magazine and fell to the shared tier
+    /// (the class free bitmaps, then the slab frontier).
     MagMiss = 1,
-    /// Blocks popped from sharded free-list stacks (refills).
+    /// Blocks moved from the shared tier (the class free bitmaps) into a
+    /// magazine (refills).
     ShardPop = 2,
-    /// Blocks pushed back to sharded free-list stacks (drains).
+    /// Blocks moved from a magazine back to the shared tier (drains).
     ShardPush = 3,
-    /// Failed `compare_exchange` attempts on shard heads / the frontier.
+    /// Failed `compare_exchange` attempts on the slab frontier.
     CasRetry = 4,
-    /// Drained blocks whose home shard differs from the draining thread's
-    /// preferred shard — frees crossing thread locality.
+    /// Always 0: the shared tier has no per-thread home for a block, so no
+    /// free crosses one. Kept only because the benchmark harness (`nvbench`)
+    /// reads it.
     RemoteFree = 5,
     /// Slab carves from the frontier (one frontier reservation each).
     SlabCarve = 6,
@@ -305,7 +308,7 @@ fn my_shard(num_shards: usize) -> usize {
 
 impl MetricSet {
     /// A fresh all-zero set with `shards` recording shards (clamped to at
-    /// least 1). Pools size this to their allocator engine's shard count.
+    /// least 1). Pools size this to the machine's parallelism.
     pub fn new(shards: usize) -> MetricSet {
         MetricSet {
             shards: (0..shards.max(1))
@@ -549,8 +552,7 @@ impl Snapshot {
 static REGISTRY: Mutex<Vec<(PathBuf, &'static MetricSet)>> = Mutex::new(Vec::new());
 
 /// Default shard count for registry sets: the machine's parallelism rounded
-/// to a power of two, clamped to 64 — the same shape the pool's lock-free
-/// allocator engine derives.
+/// to a power of two, clamped to 64.
 fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

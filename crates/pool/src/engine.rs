@@ -1,44 +1,36 @@
-//! The pool's allocation engine: per-thread magazines over sharded
-//! lock-free free lists, with a CAS-bump slab frontier.
+//! The pool's allocation engine: per-thread magazines over one free bitmap
+//! per size class, with a CAS-bump slab frontier.
 //!
 //! The persistent format is 16-byte block headers, size-classed blocks and a
 //! persisted frontier word in the pool header; everything in this module is
 //! volatile state rebuilt from those by the recovery heap walk at every open.
 //! The walk only *reads*: it writes no link word into the free blocks it
-//! finds (tier 3 below). The heap stores an open still makes are the GC
+//! finds (tier 2 below). The heap stores an open still makes are the GC
 //! sweep's cleared headers and the links of oversize free blocks.
 //!
-//! Four sources, ordered hot to cold:
+//! Three tiers, ordered hot to cold:
 //!
 //! 1. **Per-thread magazines** — a volatile `Vec<u64>` of free block offsets
 //!    per size class per thread ([`MAG_CAP`] deep). The common alloc/free is
 //!    a thread-local push/pop plus one header flush: no shared-memory CAS,
 //!    no lock, no fence (see *Deferred fences* below).
-//! 2. **Sharded Treiber stacks** — up to [`MAX_SHARDS`] lock-free stacks per
-//!    size class, threaded through the (volatile-content) link word of free block
-//!    headers. The head word packs a 40-bit offset with a 24-bit ABA tag;
-//!    pops bump the tag, so a popped-and-reused block can never satisfy a
-//!    stale CAS. Magazines refill from and drain to these stacks in batches
-//!    of [`REFILL`]/[`DRAIN`] blocks (one or two CASes per batch, not one
-//!    per block: a refill takes the whole stack by CAS and splices the
-//!    surplus back, so it never reads a link it does not own).
-//!    A block freed on any thread eventually lands in the shard owned by its
-//!    *address* ([`shard_of`]), so remote frees hand blocks back without a
-//!    global lock and allocation locality follows slab locality.
-//! 3. **The recovered free bitmaps** — the free small-class blocks the
-//!    open's heap walk found and its GC swept, one bitmap per class with one
-//!    bit per 16-byte heap unit, waiting until an allocation needs them. A
-//!    shard miss *claims* up to [`REFILL`] blocks of its class in address
-//!    order, from its class's word cursor under that class's own lock,
-//!    clears their bits and hands them to the magazine exactly as a shard
-//!    pop does. A claim reads only its own class's bitmap — no block
-//!    header, no other class's lock. The claim comes before the frontier,
-//!    so no slab is carved while a recovered block waits. A class's bitmap
-//!    is dropped when its last bit is claimed; from then on (and in a
-//!    freshly created pool, always) this tier costs a shard miss one
-//!    `Acquire` load. Oversize blocks never enter it: recovery links them
-//!    onto their first-fit list.
-//! 4. **CAS-bump slab frontier** — when a class is dry everywhere, a thread
+//! 2. **The class free bitmaps** — every small-class free block outside the
+//!    magazines, one bitmap per class with one bit per 16-byte heap unit,
+//!    each behind its own class lock for the engine's whole life. A
+//!    magazine that overflows *drains* [`DRAIN`] blocks into it: it flushes
+//!    their headers, then sets their bits and lowers the class's word
+//!    cursor. A magazine miss *claims* up to [`REFILL`] blocks in address
+//!    order from that cursor and clears their bits. Either costs one class
+//!    lock per batch, and reads only its own class's bitmap — no block
+//!    header, no link word, no other class's lock. The open's heap walk and
+//!    its GC sweep fill the same bitmaps with the free blocks they find, so
+//!    after an open allocations claim recovered blocks exactly as they claim
+//!    drained ones. A claim comes before the frontier, so no slab is carved
+//!    while a free block of its class waits. A bitmap covers the heap up to
+//!    its highest free block and grows under the class lock when a drain
+//!    passes its end. Oversize blocks never enter it: they sit on a
+//!    first-fit list behind a mutex of their own.
+//! 3. **CAS-bump slab frontier** — when a class is dry everywhere, a thread
 //!    reserves a whole slab of blocks with one CAS on the volatile frontier,
 //!    formats every header in the slab, and only then publishes the persisted
 //!    frontier. Publication is *in reservation order* (a short spin on
@@ -63,82 +55,41 @@
 //!   the caller had not durably published it either, so handing it out again
 //!   is correct.
 //! * **Free** — the free bit is stored at `dealloc` but flushed in batch
-//!   when the magazine drains to a shard (or at clean close / thread exit),
-//!   where the lines are cold. Flushing at `dealloc` would stall the
-//!   magazine's LIFO reallocation of the same line on the in-flight
-//!   write-back. Power failure can leak magazine-resident blocks (bounded
-//!   per thread × class); it can never double-allocate.
+//!   when the magazine drains to its class bitmap (or at clean close /
+//!   thread exit), where the lines are cold. Flushing at `dealloc` would
+//!   stall the magazine's LIFO reallocation of the same line on the
+//!   in-flight write-back. Power failure can leak magazine-resident blocks
+//!   (bounded per thread × class); it can never double-allocate.
 //! * **Frontier** — slab formatting and the frontier publish keep their own
 //!   flush + fence: the walk invariant (all bytes below the persisted
 //!   frontier have persisted headers) is the allocator's to maintain and no
 //!   caller fence can restore it.
 //!
-//! Magazines, shard heads and the free bitmaps are volatile and rebuilt by
-//! the recovery walk on open; the allocated bit is the only persistent
-//! free/live fact.
+//! Magazines and the free bitmaps are volatile and rebuilt by the recovery
+//! walk on open; the allocated bit is the only persistent free/live fact.
 
 use crate::{
-    gc, make_allocated, Mem, BLOCK_ALIGN, BLOCK_HEADER, CLASS_SIZES, HEAP_START, OFF_FRONTIER,
-    OVERSIZE, W0_ALLOCATED, W0_CLASS_SHIFT, W0_SIZE_MASK,
+    gc, make_allocated, Mem, CLASS_SIZES, HEAP_START, OFF_FRONTIER, OVERSIZE, W0_ALLOCATED,
+    W0_CLASS_SHIFT, W0_SIZE_MASK,
 };
 use nvtraverse_obs as obs;
 use nvtraverse_pmem::{Backend, MmapBackend};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Upper bound on lock-free free-list shards per size class (the actual
-/// count is derived from [`std::thread::available_parallelism`] per engine
-/// instance — volatile rebuild state, nothing persisted).
-pub(crate) const MAX_SHARDS: usize = 64;
 /// Capacity of one per-thread magazine (blocks per size class).
 const MAG_CAP: usize = 64;
-/// Blocks pulled from a shard, or claimed from the free bitmap, into the
-/// magazine per refill.
+/// Blocks claimed from a class bitmap into the magazine per refill.
 pub(crate) const REFILL: usize = 32;
-/// Blocks drained from an overflowing magazine back to the shards.
+/// Blocks drained from an overflowing magazine back to its class bitmap.
 const DRAIN: usize = 32;
 /// Target slab size in bytes for frontier carving (small classes carve many
 /// blocks per frontier CAS; classes at or above this carve one at a time).
 const SLAB_TARGET: u64 = 8192;
 /// Upper bound on blocks per slab (also bounds magazine spill after a carve).
 const MAX_SLAB_BLOCKS: usize = 64;
-
-/// Bits of a shard head word holding the block offset; the rest is the ABA
-/// tag. Bounds pool capacity (checked at `Pool::create`).
-const OFF_BITS: u32 = 40;
-const OFF_MASK: u64 = (1 << OFF_BITS) - 1;
-
-fn pack(off: u64, tag: u64) -> u64 {
-    debug_assert!(off <= OFF_MASK);
-    off | (tag << OFF_BITS)
-}
-
-fn unpack(word: u64) -> (u64, u64) {
-    (word & OFF_MASK, word >> OFF_BITS)
-}
-
-/// The address-derived home shard of a block: slab-granular, so blocks carved
-/// together stay together and remote frees return to a stable shard without
-/// any per-block owner metadata.
-pub(crate) fn shard_of(off: u64, num_shards: usize) -> usize {
-    ((off / SLAB_TARGET) as usize) & (num_shards - 1)
-}
-
-/// Shards this machine wants: the detected parallelism rounded up to a
-/// power of two (the shard index is an AND mask), clamped to
-/// `1..=`[`MAX_SHARDS`]. Hard-coding 8 either wasted cache on small boxes
-/// or contended on big ones; deriving it is free because the shard arrays
-/// are volatile — recovery rebuilds them at every open, so two opens of
-/// one file may legitimately disagree on the count.
-fn default_shard_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .next_power_of_two()
-        .clamp(1, MAX_SHARDS)
-}
 
 /// Flushes a freshly allocated header only when it occupies a cache line
 /// the caller's payload never touches (`off % 64 == 48`: the 16-byte header
@@ -178,13 +129,6 @@ fn oversize_first_fit(mem: Mem, head: &mut u64, want: u64, payload: u64) -> Opti
     None
 }
 
-/// Whether `off` can be a block offset (used to reject garbage read from a
-/// racing free-list walk before it is dereferenced; the tagged CAS rejects
-/// the walk itself).
-fn plausible_off(mem: Mem, off: u64) -> bool {
-    off >= HEAP_START && off.is_multiple_of(BLOCK_ALIGN) && off + BLOCK_HEADER <= mem.len() as u64
-}
-
 // ---- the engine -------------------------------------------------------------
 
 /// Monotonic id distinguishing engine instances in thread-local magazines
@@ -194,76 +138,64 @@ static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
 pub(crate) struct Engine {
     instance: u64,
-    /// Shards per size class for this instance (power of two in
-    /// `1..=MAX_SHARDS`, derived from the machine's parallelism at
-    /// construction; purely volatile — recovery rebuilds the shard arrays,
-    /// so reopening under a different count is routine).
-    num_shards: usize,
     /// Volatile reservation frontier (CAS-bumped, slab granular).
     frontier: AtomicU64,
     /// Frontier up to which slab headers AND the persistent frontier word
     /// are known persisted. Trails `frontier` only while a slab is being
     /// formatted; publication is in reservation order.
     published: AtomicU64,
-    /// Tagged Treiber heads, `num_shards` per class, row-major:
-    /// `shards[class * num_shards + shard]` = offset | tag << 40.
-    shards: Box<[AtomicU64]>,
     /// Oversize blocks (exact-size, > 64 KiB): intrusive first-fit list.
-    /// Behind a mutex — oversize traffic is rare and first-fit needs mid-list
-    /// unlinking that a Treiber stack cannot express.
+    /// Behind a mutex — oversize traffic is rare and first-fit needs
+    /// mid-list unlinking.
     oversize: Mutex<u64>,
-    /// Per small class, the free blocks recovery found and no allocation
-    /// has claimed yet, each class behind its own lock; `None` once the
-    /// class's last one is claimed (and in a created pool).
-    unclaimed: [Mutex<Option<Unclaimed>>; CLASS_SIZES.len()],
-    /// Bit `c` is set while class `c` has unclaimed blocks: all a shard
-    /// miss reads before it takes that class's lock. A hint only — the
-    /// lock guards the bitmap, and a stale set bit costs one lock that
-    /// finds `None`.
-    unclaimed_classes: AtomicU32,
+    /// Per small class, its free blocks outside every magazine (tier 2 of
+    /// the module docs), each class behind its own lock.
+    free: [Mutex<FreeBits>; CLASS_SIZES.len()],
     /// The owning pool's metric set (allocator-domain counters land here).
     obs: &'static obs::MetricSet,
 }
 
-/// One class's recovered free bitmap (tier 3 of the module docs).
-struct Unclaimed {
+/// One class's free bitmap.
+struct FreeBits {
     bits: gc::Bitmap,
     /// The first bitmap word that may still hold a block.
     cursor: usize,
-    /// Blocks still in `bits`.
+    /// Blocks in `bits`.
     left: usize,
+}
+
+impl Default for FreeBits {
+    fn default() -> Self {
+        FreeBits {
+            bits: gc::Bitmap::default(),
+            cursor: usize::MAX,
+            left: 0,
+        }
+    }
+}
+
+impl FreeBits {
+    /// Records the free block at `off`, which lies below `frontier`.
+    fn put(&mut self, off: u64, frontier: u64) {
+        self.bits.set_growing(off, frontier);
+        self.cursor = self.cursor.min(gc::Bitmap::word_of(off));
+        self.left += 1;
+    }
 }
 
 impl Engine {
     /// `metrics` is the owning pool's attributed metric set; the engine
-    /// records its allocator counters (magazine hit/miss, shard traffic,
-    /// CAS retries, slab carves, thread-exit drains) into it.
+    /// records its allocator counters (magazine hit/miss, shared-tier
+    /// traffic, CAS retries, slab carves, thread-exit drains) into it.
     pub(crate) fn new(metrics: &'static obs::MetricSet) -> Self {
-        let num_shards = default_shard_count();
         Engine {
             instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
-            num_shards,
             frontier: AtomicU64::new(HEAP_START),
             published: AtomicU64::new(HEAP_START),
-            shards: (0..CLASS_SIZES.len() * num_shards)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
             oversize: Mutex::new(0),
-            unclaimed: std::array::from_fn(|_| Mutex::new(None)),
-            unclaimed_classes: AtomicU32::new(0),
+            free: std::array::from_fn(|_| Mutex::default()),
             obs: metrics,
         }
-    }
-
-    /// The tagged head of `class`'s shard `idx`.
-    #[inline]
-    fn shard(&self, class: usize, idx: usize) -> &AtomicU64 {
-        &self.shards[class * self.num_shards + idx]
-    }
-
-    /// Free-list shards per size class.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.num_shards
     }
 
     /// Allocates one block of `class` (`OVERSIZE` ⇒ exact `want` bytes),
@@ -286,7 +218,7 @@ impl Engine {
     }
 
     /// Announces this (stably addressed) engine so exiting threads can
-    /// drain their magazines back to its shards.
+    /// drain their magazines back to it.
     pub(crate) fn register(&self, mem: Mem) {
         alive().push(AliveEntry {
             instance: self.instance,
@@ -301,7 +233,7 @@ impl Engine {
         alive().retain(|a| a.instance != self.instance);
     }
 
-    // -- small classes: magazine → shards → free bitmaps → slab carve --
+    // -- small classes: magazine → class bitmap → slab carve --
 
     fn alloc_small(&self, mem: Mem, class: usize) -> Option<u64> {
         if let Some(Some(off)) = with_cache(self.instance, |mags| mags[class].pop()) {
@@ -310,21 +242,9 @@ impl Engine {
         }
         self.obs.add(obs::Counter::MagMiss, 1);
         let mut got = Vec::with_capacity(REFILL.max(MAX_SLAB_BLOCKS));
-        let pref = preferred_shard(self.num_shards);
-        for i in 0..self.num_shards {
-            let head = self.shard(class, (pref + i) & (self.num_shards - 1));
-            if pop_chain(head, mem, REFILL, &mut got, self.obs) {
-                self.obs.add(obs::Counter::ShardPop, got.len() as u64);
-                break;
-            }
-        }
-        // Before the frontier: a slab carved while recovered blocks wait
-        // would grow the heap for nothing.
-        if got.is_empty() && self.unclaimed_classes.load(Ordering::Acquire) & 1 << class != 0 {
-            self.claim(class, &mut got);
-            // To the magazine tier a claim is a shard pop.
-            self.obs.add(obs::Counter::ShardPop, got.len() as u64);
-        }
+        // Before the frontier: a slab carved while free blocks wait would
+        // grow the heap for nothing.
+        self.claim(class, &mut got);
         if got.is_empty() {
             self.carve_slab(mem, class, &mut got);
         }
@@ -338,31 +258,30 @@ impl Engine {
             });
             if cached.is_none() {
                 // TLS already torn down (thread exit path): hand the batch
-                // straight back to the shards.
-                self.drain_to_shards(mem, class, rest);
+                // straight back to the class bitmap.
+                self.drain(mem, class, rest);
             }
         }
         Some(ret)
     }
 
-    /// Claims up to [`REFILL`] unclaimed blocks of `class` into `out`,
-    /// lowest address first, clearing their bits; drops the class's bitmap
-    /// when this takes its last bit. Holds only `class`'s lock and reads
-    /// only its bitmap, so claims of different classes never wait on each
-    /// other.
+    /// Claims up to [`REFILL`] free blocks of `class` into `out`, lowest
+    /// address first, clearing their bits. Holds only `class`'s lock and
+    /// reads only its bitmap, so claims of different classes never wait on
+    /// each other.
     fn claim(&self, class: usize, out: &mut Vec<u64>) {
-        let mut slot = self.unclaimed[class].lock().unwrap_or_else(|p| p.into_inner());
-        let Some(free) = slot.as_mut() else {
-            return;
-        };
+        let mut guard = self.free[class].lock().unwrap_or_else(|p| p.into_inner());
+        let free = &mut *guard;
         let want = REFILL.min(free.left);
         free.bits.take(&mut free.cursor, want, out);
-        debug_assert_eq!(out.len(), want, "class {class}: the free bitmap lost a block");
+        debug_assert_eq!(
+            out.len(),
+            want,
+            "class {class}: the free bitmap lost a block"
+        );
         free.left -= out.len();
-        if free.left == 0 {
-            self.unclaimed_classes.fetch_and(!(1 << class), Ordering::Release);
-            *slot = None;
-        }
+        drop(guard);
+        self.obs.add(obs::Counter::ShardPop, out.len() as u64);
     }
 
     /// Reserves `n × unit` bytes from the frontier (fewer if the pool is
@@ -439,7 +358,7 @@ impl Engine {
         let w0 = mem.load(off);
         mem.store(off, w0 & !W0_ALLOCATED);
         // The free bit is *stored* here but only *flushed* when the block
-        // next leaves the magazine tier (shard drain flushes the batch;
+        // next leaves the magazine tier (a drain flushes the batch;
         // reallocation rewrites the word under the new owner's flush). A
         // magazine pops its most-recent free first, and flushing a line
         // that is about to be rewritten stalls the rewrite on the in-flight
@@ -447,8 +366,8 @@ impl Engine {
         // A power failure can therefore leak magazine-resident blocks
         // (bounded per thread and class, recovered as live and re-leaked at
         // worst), but never double-allocate: free-list membership is only
-        // load-bearing for blocks that stay free, and those reach a shard
-        // drain or a clean close, both of which persist the bit.
+        // load-bearing for blocks that stay free, and those reach a drain
+        // or a clean close, both of which persist the bit.
         if class < OVERSIZE {
             let overflow = with_cache(self.instance, |mags| {
                 let mag = &mut mags[class];
@@ -460,10 +379,10 @@ impl Engine {
                 }
             });
             match overflow {
-                Some(Some(batch)) => self.drain_to_shards(mem, class, &batch),
+                Some(Some(batch)) => self.drain(mem, class, &batch),
                 Some(None) => {}
                 // TLS torn down: skip the magazine tier entirely.
-                None => self.drain_to_shards(mem, class, &[off]),
+                None => self.drain(mem, class, &[off]),
             }
         } else {
             // Oversize blocks skip the magazine tier: flush immediately.
@@ -493,183 +412,59 @@ impl Engine {
         Some(start)
     }
 
-    /// Pushes a batch of `class` free blocks to their home shards, one
-    /// chain splice (single CAS) per touched shard. Flushes every header on
-    /// the way out: this is where the free bits deferred by [`Self::dealloc`]
-    /// become persistent (the lines are cold by now, so the flushes are
-    /// cheap and stall nobody).
-    fn drain_to_shards(&self, mem: Mem, class: usize, blocks: &[u64]) {
-        self.obs.add(obs::Counter::ShardPush, blocks.len() as u64);
-        let pref = preferred_shard(self.num_shards);
-        // (first, last) of a chain being built per shard; 0 = empty.
-        let mut chains = [(0u64, 0u64); MAX_SHARDS];
-        let mut remote = 0u64;
-        for &off in blocks {
-            let home = shard_of(off, self.num_shards);
-            if home != pref {
-                remote += 1;
-            }
-            let (first, last) = &mut chains[home];
-            if *first == 0 {
-                mem.store(off + 8, 0);
-                *last = off;
-            } else {
-                mem.store(off + 8, *first);
-            }
-            *first = off;
-        }
-        if remote != 0 {
-            self.obs.add(obs::Counter::RemoteFree, remote);
-        }
-        // Separate pass so no header is rewritten after its flush (which
-        // would stall on the in-flight write-back).
+    /// Returns a batch of `class` free blocks to the class bitmap. Flushes
+    /// every header first: this is where the free bits deferred by
+    /// [`Self::dealloc`] become persistent (the lines are cold by now, so
+    /// the flushes are cheap and stall nobody). Then sets their bits under
+    /// the class lock. The free bit it flushes is the only heap word a
+    /// drain writes.
+    fn drain(&self, mem: Mem, class: usize, blocks: &[u64]) {
         for &off in blocks {
             MmapBackend::flush(mem.ptr(off));
         }
-        for (s, &(first, last)) in chains.iter().take(self.num_shards).enumerate() {
-            if first != 0 {
-                push_chain(self.shard(class, s), mem, first, last, self.obs);
-            }
+        // Every block handed out lies below the published frontier.
+        let frontier = self.frontier();
+        let mut free = self.free[class].lock().unwrap_or_else(|p| p.into_inner());
+        for &off in blocks {
+            free.put(off, frontier);
         }
+        drop(free);
+        self.obs.add(obs::Counter::ShardPush, blocks.len() as u64);
     }
 
-    /// Starts a recovery walk: the persisted frontier and every free list
-    /// and free bitmap empty. The walk and the sweep then
+    /// Starts the recovery walk of a fresh engine at the persisted
+    /// `frontier`. The walk and the sweep then
     /// [`recover_free`](Self::recover_free) each free small-class block,
-    /// and [`finish_recovery`](Self::finish_recovery) ends the rebuild.
+    /// and [`finish_recovery`](Self::finish_recovery) links the oversize
+    /// ones.
     pub(crate) fn reset(&mut self, frontier: u64) {
         *self.frontier.get_mut() = frontier;
         *self.published.get_mut() = frontier;
-        for head in self.shards.iter_mut() {
-            *head.get_mut() = 0;
-        }
-        *self.oversize.get_mut().unwrap_or_else(|p| p.into_inner()) = 0;
-        for slot in &mut self.unclaimed {
-            *slot.get_mut().unwrap_or_else(|p| p.into_inner()) = None;
-        }
     }
 
     /// Records the free block at `off` of small class `class` without
-    /// touching it: its bit is set in the class's free bitmap, created at
-    /// the class's first block. Nothing is written to the heap, so a walk
-    /// that then rejects the image has changed no byte.
+    /// touching it: its bit is set in the class's free bitmap. Nothing is
+    /// written to the heap, so a walk that then rejects the image has
+    /// changed no byte.
     pub(crate) fn recover_free(&mut self, off: u64, class: usize) {
         let frontier = *self.frontier.get_mut();
-        let slot = self.unclaimed[class].get_mut().unwrap_or_else(|p| p.into_inner());
-        let free = slot.get_or_insert_with(|| Unclaimed {
-            bits: gc::Bitmap::new(frontier),
-            cursor: usize::MAX,
-            left: 0,
-        });
-        free.bits.set(off);
-        free.cursor = free.cursor.min(gc::Bitmap::word_of(off));
-        free.left += 1;
+        let free = self.free[class]
+            .get_mut()
+            .unwrap_or_else(|p| p.into_inner());
+        free.put(off, frontier);
     }
 
     /// Ends a recovery: links the `oversize` free blocks onto their
     /// first-fit list — the one write an open makes to a free block, and
-    /// only to one of more than 64 KiB — and opens the free bitmaps to
-    /// claims. Blocks are linked in the order given (the walk's, then the
-    /// sweep's, each in address order) onto a LIFO list, so first-fit tries
-    /// the last one first.
+    /// only to one of more than 64 KiB. Blocks are linked in the order
+    /// given (the walk's, then the sweep's, each in address order) onto a
+    /// LIFO list, so first-fit tries the last one first.
     pub(crate) fn finish_recovery(&mut self, mem: Mem, oversize: &[u64]) {
         let head = self.oversize.get_mut().unwrap_or_else(|p| p.into_inner());
         for &off in oversize {
             mem.store(off + 8, *head);
             *head = off;
         }
-        let mut classes = 0;
-        for (class, slot) in self.unclaimed.iter_mut().enumerate() {
-            if slot.get_mut().unwrap_or_else(|p| p.into_inner()).is_some() {
-                classes |= 1 << class;
-            }
-        }
-        *self.unclaimed_classes.get_mut() = classes;
-    }
-}
-
-// ---- tagged Treiber stack primitives ---------------------------------------
-
-/// Pops up to `max` linked blocks from a tagged head into `out`, splicing
-/// any surplus straight back. Returns `false` if the stack was observed
-/// empty.
-///
-/// Ownership-first protocol: one tagged CAS **takes the entire stack**
-/// (bumping the ABA tag) before any link word is read, so the walk only
-/// ever dereferences links of blocks this thread exclusively owns — there
-/// is no optimistic traversal of memory a concurrent pop could be
-/// reallocating. The surplus chain (everything past `max`) is pushed back
-/// with a single splice; a concurrent thread that finds the head
-/// momentarily empty simply falls through to another shard or the
-/// frontier.
-fn pop_chain(
-    head: &AtomicU64,
-    mem: Mem,
-    max: usize,
-    out: &mut Vec<u64>,
-    stats: &obs::MetricSet,
-) -> bool {
-    let first = loop {
-        let h = head.load(Ordering::Acquire);
-        let (off, tag) = unpack(h);
-        if off == 0 {
-            return false;
-        }
-        if head
-            .compare_exchange_weak(
-                h,
-                pack(0, tag.wrapping_add(1)),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-        {
-            break off;
-        }
-        stats.add(obs::Counter::CasRetry, 1);
-    };
-    // The whole chain is ours now: the walk is race-free. The bounds check
-    // is pure corruption defense, never a race filter; a bad link ends the
-    // chain (dropping what would follow it rather than faulting).
-    out.clear();
-    let mut cur = first;
-    loop {
-        out.push(cur);
-        let next = mem.load(cur + 8);
-        if next == 0 || !plausible_off(mem, next) {
-            return true; // took the whole (possibly truncated) chain
-        }
-        if out.len() >= max {
-            // Walk the surplus to its end and splice it back in one CAS.
-            let (rest_first, mut rest_last) = (next, next);
-            loop {
-                let n = mem.load(rest_last + 8);
-                if n == 0 || !plausible_off(mem, n) {
-                    break;
-                }
-                rest_last = n;
-            }
-            push_chain(head, mem, rest_first, rest_last, stats);
-            return true;
-        }
-        cur = next;
-    }
-}
-
-/// Pushes the pre-linked chain `first → … → last` onto a tagged head.
-/// Pushes do not bump the tag; only pops do.
-fn push_chain(head: &AtomicU64, mem: Mem, first: u64, last: u64, stats: &obs::MetricSet) {
-    loop {
-        let h = head.load(Ordering::Acquire);
-        let (top, tag) = unpack(h);
-        mem.store(last + 8, top);
-        if head
-            .compare_exchange_weak(h, pack(first, tag), Ordering::Release, Ordering::Acquire)
-            .is_ok()
-        {
-            return;
-        }
-        stats.add(obs::Counter::CasRetry, 1);
     }
 }
 
@@ -678,9 +473,9 @@ fn push_chain(head: &AtomicU64, mem: Mem, first: u64, last: u64, stats: &obs::Me
 type MagSet = [Vec<u64>; CLASS_SIZES.len()];
 
 /// Live engines, so exiting threads can return their magazine
-/// contents to the right shards. The raw pointer is valid while the entry is
-/// present: `Engine::unregister` removes it (under the same lock) before the
-/// engine is dropped.
+/// contents to the right engine. The raw pointer is valid while the entry
+/// is present: `Engine::unregister` removes it (under the same lock) before
+/// the engine is dropped.
 struct AliveEntry {
     instance: u64,
     engine: *const Engine,
@@ -698,8 +493,8 @@ fn alive() -> std::sync::MutexGuard<'static, Vec<AliveEntry>> {
 
 /// Per-thread magazines, keyed by engine instance. On thread exit the
 /// destructor drains every magazine of a still-alive engine back to its
-/// shards, so blocks cached by short-lived threads are not stranded until
-/// the next reopen.
+/// class bitmaps, so blocks cached by short-lived threads are not stranded
+/// until the next reopen.
 struct Caches(HashMap<u64, Box<MagSet>>);
 
 impl Drop for Caches {
@@ -713,7 +508,7 @@ impl Drop for Caches {
                 let engine = unsafe { &*entry.engine };
                 let mut drained = false;
                 for (class, blocks) in mags.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
-                    engine.drain_to_shards(entry.mem, class, blocks);
+                    engine.drain(entry.mem, class, blocks);
                     drained = true;
                 }
                 if drained {
@@ -738,7 +533,7 @@ thread_local! {
 
 /// Runs `f` on this thread's magazine set for `instance`. Returns `None`
 /// when the thread's TLS is already torn down (callers fall back to the
-/// shard tier directly).
+/// class bitmaps directly).
 fn with_cache<R>(instance: u64, f: impl FnOnce(&mut MagSet) -> R) -> Option<R> {
     if let Ok((id, ptr)) = FAST_MAG.try_with(|fast| fast.get()) {
         if id == instance && !ptr.is_null() {
@@ -770,15 +565,4 @@ fn with_cache<R>(instance: u64, f: impl FnOnce(&mut MagSet) -> R) -> Option<R> {
             f(mags)
         })
         .ok()
-}
-
-/// The shard a thread prefers for refills: assigned round-robin at first
-/// use (masked per engine by its own shard count), so concurrent threads
-/// spread across shards.
-fn preferred_shard(num_shards: usize) -> usize {
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed);
-    }
-    SHARD.try_with(|s| *s).unwrap_or(0) & (num_shards - 1)
 }

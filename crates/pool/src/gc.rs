@@ -161,12 +161,33 @@ pub(crate) fn tracer_for(pool_key: &Path, name: &str) -> Option<TraceFn> {
 /// mark phase fills a second one of the same geometry, and the sweep is
 /// their word-wise difference. The engine keeps one more per small class,
 /// holding that class's free blocks until allocations claim them.
+#[derive(Default)]
 pub(crate) struct Bitmap(Vec<u64>);
 
 impl Bitmap {
     /// An all-clear bitmap covering `[HEAP_START, frontier)`.
     pub(crate) fn new(frontier: u64) -> Self {
-        Bitmap(vec![0; (((frontier - HEAP_START) / BLOCK_ALIGN) as usize).div_ceil(64)])
+        Bitmap(vec![0; Self::words(frontier)])
+    }
+
+    /// Words covering `[HEAP_START, frontier)`.
+    fn words(frontier: u64) -> usize {
+        (((frontier - HEAP_START) / BLOCK_ALIGN) as usize).div_ceil(64)
+    }
+
+    /// [`Bitmap::set`], first growing the bitmap — to cover
+    /// `[HEAP_START, frontier)` and to at least twice its old size — when
+    /// `block` lies past its end. The grown words come zeroed from the
+    /// allocator, so a page the bitmap never writes costs no memory.
+    pub(crate) fn set_growing(&mut self, block: u64, frontier: u64) {
+        let word = Self::word_of(block);
+        if word >= self.0.len() {
+            let len = Self::words(frontier).max(word + 1).max(2 * self.0.len());
+            let mut grown = vec![0; len];
+            grown[..self.0.len()].copy_from_slice(&self.0);
+            self.0 = grown;
+        }
+        self.set(block);
     }
 
     fn index(block: u64) -> (usize, u64) {

@@ -13,8 +13,9 @@
 //! * A **scalable recoverable allocator** — size-classed blocks with a
 //!   persistent 16-byte header each (size, class, allocated bit) and a
 //!   persisted heap frontier. The hot path is served from per-thread
-//!   magazines backed by sharded lock-free free lists and a CAS-carved slab
-//!   frontier (see the private `engine` module's docs for the full design).
+//!   magazines backed by one free bitmap per size class and a CAS-carved
+//!   slab frontier (see the private `engine` module's docs for the full
+//!   design).
 //!   The persist ordering guarantees that **no crash point corrupts the
 //!   heap**: a crash never double-allocates or tears metadata, and blocks
 //!   it strands (in-flight allocations, EBR-retired-but-unreclaimed nodes)
@@ -111,8 +112,9 @@ pub const MAX_ROOTS: usize = 16;
 pub const MAX_ROOT_NAME: usize = 24;
 /// Smallest capacity [`PoolBuilder::create`] accepts.
 pub const MIN_CAPACITY: u64 = 64 * 1024;
-/// Largest capacity [`PoolBuilder::create`] accepts (block offsets must fit the
-/// 40-bit offset field of the engine's tagged free-list heads).
+/// Largest capacity [`PoolBuilder::create`] accepts: 1 TiB. An open keeps
+/// volatile bitmaps of one bit per 16-byte heap unit, 1/128 of the heap
+/// each, so the bound also caps the memory a recovery may need.
 pub const MAX_CAPACITY: u64 = 1 << 40;
 
 /// First heap byte: everything below is the pool header page.
@@ -240,9 +242,10 @@ pub struct HeapReport {
 /// The raw mapped region: base, length, and word-granular accessors. `Copy`
 /// so the allocation engine can take it by value without borrowing `Inner`.
 ///
-/// All word access goes through relaxed atomics: the engine reads
-/// and writes free-list link words from many threads concurrently, and
-/// mapped memory is ordinary memory as far as the Rust memory model cares.
+/// All word access goes through relaxed atomics: block headers are
+/// written by whichever thread allocates or frees the block, while a heap
+/// walk ([`Pool::verify_heap`]) may read them concurrently, and mapped
+/// memory is ordinary memory as far as the Rust memory model cares.
 #[derive(Clone, Copy)]
 pub(crate) struct Mem {
     base: usize,
@@ -755,14 +758,6 @@ impl Pool {
     /// regions with [`nvtraverse_obs::MetricSet::snapshot`] deltas.
     pub fn metrics(&self) -> &'static obs::MetricSet {
         self.inner.metrics
-    }
-
-    /// The number of lock-free free-list shards per size class this
-    /// handle's engine runs (derived from
-    /// [`std::thread::available_parallelism`] at open; volatile rebuild
-    /// state, nothing persisted).
-    pub fn shard_count(&self) -> usize {
-        self.inner.engine.shard_count()
     }
 
     /// Whether `ptr` points into this pool's mapping.

@@ -373,7 +373,7 @@ fn alloc_value_and_poff_roundtrip() {
 #[test]
 fn remote_frees_are_reusable_without_fresh_carving() {
     // Blocks allocated here, freed on another thread: the freeing thread's
-    // magazines must drain back to the shards when it exits, so this thread
+    // magazines must drain back to the class bitmap when it exits, so this thread
     // can reallocate every block without moving the frontier.
     let path = tmp("remote-free");
     let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
@@ -407,9 +407,42 @@ fn remote_frees_are_reusable_without_fresh_carving() {
 }
 
 #[test]
+fn a_drain_writes_only_the_free_bit() {
+    // A drain hands blocks to the class bitmap without touching the heap
+    // beyond the free bit it flushes: no link word, no other header bit.
+    let path = tmp("drain-writes");
+    let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
+    let mem = pool.inner.mem;
+    let blocks: Vec<u64> =
+        (0..300).map(|_| pool.offset_of(pool.alloc(48, 8).unwrap()) - BLOCK_HEADER).collect();
+    let before: Vec<(u64, u64)> = blocks.iter().map(|&b| (mem.load(b), mem.load(b + 8))).collect();
+    {
+        let pool = pool.clone();
+        let blocks = blocks.clone();
+        // The magazine overflows and drains while freeing; the thread's
+        // exit drains the rest.
+        std::thread::spawn(move || {
+            for b in blocks {
+                // SAFETY: allocated above, referenced by nobody.
+                unsafe { pool.dealloc(pool.at(b + BLOCK_HEADER)) };
+            }
+        })
+        .join()
+        .unwrap();
+    }
+    for (&b, &(w0, w1)) in blocks.iter().zip(&before) {
+        assert_eq!(mem.load(b) ^ w0, W0_ALLOCATED, "block {b:#x}: word 0 changed beyond the free bit");
+        assert_eq!(mem.load(b + 8), w1, "block {b:#x}: a drain rewrote word 1");
+    }
+    assert_eq!(pool.verify_heap().unwrap().live.len(), 0);
+    drop(pool);
+    cleanup(&path);
+}
+
+#[test]
 fn mixed_class_concurrent_churn_with_oversize() {
     // All three tiers under concurrency: magazines (small classes),
-    // shard stacks (cross-thread frees), the slab frontier, and the
+    // class bitmaps (cross-thread frees), the slab frontier, and the
     // mutexed oversize path.
     let path = tmp("mixed-churn");
     let pool = Pool::builder().path(&path).capacity(64 << 20).create().unwrap();
@@ -490,7 +523,7 @@ fn concurrent_alloc_free_stress_keeps_heap_consistent() {
     cleanup(&path);
 }
 
-// ---- PR 5: builder, shard derivation, pending GC, POff validation ----------
+// ---- builder, pending GC, POff validation -----------------------------------
 
 #[test]
 fn builder_requires_path_and_capacity() {
@@ -509,21 +542,6 @@ fn builder_requires_path_and_capacity() {
     }
     let p = Pool::builder().path(&path).open().unwrap();
     drop(p);
-    cleanup(&path);
-}
-
-#[test]
-fn shard_count_is_derived_from_parallelism() {
-    let path = tmp("shards");
-    let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
-    let want = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .next_power_of_two()
-        .clamp(1, 64);
-    assert_eq!(pool.shard_count(), want);
-    assert!(pool.shard_count().is_power_of_two());
-    drop(pool);
     cleanup(&path);
 }
 

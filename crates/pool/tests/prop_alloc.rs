@@ -213,7 +213,7 @@ proptest! {
     /// threads, the walked live set is exactly the union of the blocks the
     /// threads still hold, with intact payloads — and a close + reopen
     /// reproduces precisely the same live set and payloads. Exercises the
-    /// lock-free engine's magazines, shard stacks, and slab frontier under
+    /// engine's magazines, class free bitmaps, and slab frontier under
     /// real interleavings rather than a single-threaded script.
     #[test]
     fn concurrent_interleavings_preserve_live_set(

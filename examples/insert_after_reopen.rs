@@ -1,6 +1,7 @@
 //! Allocation right after a reopen: what the first inserts pay for the free
 //! blocks an open leaves behind, on a key-value store and on a raw pool
-//! whose rarest class's free blocks lie at the top of the heap.
+//! whose rarest class's free blocks lie at the top of the heap — and, for
+//! contrast, allocation after a free-heavy phase in a pool never reopened.
 //!
 //! ```text
 //! cargo run --release --example insert_after_reopen -- [dir] [threads] [keys]
@@ -8,7 +9,8 @@
 //!
 //! Defaults: `/tmp/nvt-insert-after-reopen`, 4 threads, 2^18 keys. Each run
 //! builds both images from scratch, closes them, reopens them and prints
-//! one line per image (times in wall-clock milliseconds):
+//! one line per image, then two `churn` lines (times in wall-clock
+//! milliseconds):
 //!
 //! * `kv` — a 2-shard NVTraverse `KvStore` that took `keys` inserts and then
 //!   removed every other key, so the reopened heap holds `keys / 2` free
@@ -19,6 +21,11 @@
 //!   8 are freed. After the reopen one allocation of the rare 1 KiB class
 //!   is timed alone (`rare_us`), then `threads` threads take the freed
 //!   common blocks, each alternating the two classes.
+//! * `churn` — in a fresh pool, one thread allocates `blocks` 64-byte
+//!   blocks (`first_fill_ms`), frees them all (`free_ms`) and allocates
+//!   `blocks` again (`refill_ms`), at 2^16 and 2^17 blocks. The refill
+//!   should cost no more than the first fill, and twice the blocks about
+//!   twice the time.
 //!
 //! To compare two builds, alternate their runs on one directory.
 
@@ -43,6 +50,9 @@ fn main() -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     kv(&dir.join("kv"), threads, keys)?;
     pool(&dir.join("blocks.pool"), threads, keys / 2)?;
+    for blocks in [1 << 16, 1 << 17] {
+        churn(&dir.join(format!("churn-{blocks}.pool")), blocks)?;
+    }
     std::fs::remove_dir_all(dir)
 }
 
@@ -127,6 +137,31 @@ fn pool(path: &Path, threads: u64, per_class: u64) -> std::io::Result<()> {
         "pool threads={threads} allocs={} open_ms={open_ms:.2} rare_us={rare_us:.1} alloc_ms={alloc_ms:.2} allocs_per_s={:.0}",
         2 * each * threads,
         (2 * each * threads) as f64 / alloc_ms * 1e3
+    );
+    Ok(())
+}
+
+fn churn(path: &Path, blocks: usize) -> std::io::Result<()> {
+    const SIZE: usize = 40; // a 64-byte block with its header
+    let pool = Pool::builder().path(path).capacity(64 << 20).create()?;
+    let t0 = Instant::now();
+    let held: Vec<*mut u8> = (0..blocks)
+        .map(|_| pool.alloc(SIZE, 8).expect("pool full"))
+        .collect();
+    let first_fill_ms = ms(t0);
+    let t0 = Instant::now();
+    for &p in &held {
+        // SAFETY: allocated above, referenced by nobody, freed once.
+        unsafe { pool.dealloc(p) };
+    }
+    let free_ms = ms(t0);
+    let t0 = Instant::now();
+    for _ in 0..blocks {
+        pool.alloc(SIZE, 8).expect("pool full");
+    }
+    let refill_ms = ms(t0);
+    println!(
+        "churn blocks={blocks} first_fill_ms={first_fill_ms:.2} free_ms={free_ms:.2} refill_ms={refill_ms:.2}"
     );
     Ok(())
 }
