@@ -45,9 +45,9 @@
 //!   plus `O(log #pools)` compares) and pushes the block into the *freeing*
 //!   thread's magazine. EBR reclaims whole bags of retired nodes at once on
 //!   whichever thread advances the epoch, so those frees batch naturally
-//!   into that thread's magazines and drain back to the pool's sharded free
-//!   lists in chunks, one CAS per chunk — remote frees never touch a global
-//!   lock.
+//!   into that thread's magazines; an overflowing one drains a batch back
+//!   by setting the blocks' bits in their class's free bitmap, under that
+//!   class's lock — one lock per batch, never a pool-wide one.
 
 use nvtraverse_obs as obs;
 use nvtraverse_pmem::heap::AllocTarget;
@@ -71,7 +71,7 @@ use std::marker::PhantomData;
 /// A pooled context is **non-owning**: it must not be entered after the
 /// last handle to its pool is dropped (the pool would be unmapped). The
 /// `PooledHandle` lifecycle upholds this by construction — the handle owns
-/// a pool handle for as long as the structure is reachable.
+/// a pool handle, and a pooled structure's destructor enters no context.
 #[derive(Clone, Copy, Default)]
 pub struct PoolCtx {
     target: Option<AllocTarget>,
@@ -407,7 +407,7 @@ mod tests {
             assert!(sim.tracked_cells() > baseline);
             unsafe { g.retire(p) };
         }
-        crate::drain_collector(&c);
+        c.drain();
         assert_eq!(
             sim.tracked_cells(),
             baseline,

@@ -100,8 +100,8 @@ pub use pool::{OpId, OpOutcome};
 pub use ops::{persist_window, run_operation, Critical, PersistSet, TraversalOps};
 pub use policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Soft, Volatile};
 pub use set::{
-    drain_collector, register_pool_tracer, restore_pool_tracer, DurableSet, PoolAttach,
-    PoolTrace, PooledHandle, TypedRoots,
+    register_pool_tracer, restore_pool_tracer, DurableSet, PoolAttach, PoolTrace, PooledHandle,
+    TypedRoots,
 };
 
 /// What [`counted`] saw.

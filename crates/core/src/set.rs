@@ -29,7 +29,6 @@
 use crate::detect::{OpError, OpToken};
 use nvtraverse_pool::{OpId, Pool};
 use std::io;
-use std::mem::ManuallyDrop;
 use std::ops::Deref;
 use std::path::Path;
 
@@ -215,7 +214,9 @@ pub trait PoolAttach: Sized {
     /// around its allocating operations, so all of its node allocations —
     /// now and after this call returns — are served from this pool, with
     /// no process-global state: structures in different pools coexist and
-    /// allocate concurrently.
+    /// allocate concurrently. It retires removed nodes into
+    /// [`Pool::collector`], and dropping it frees only its volatile shell:
+    /// the nodes belong to the pool.
     ///
     /// # Errors
     ///
@@ -248,14 +249,6 @@ pub trait PoolAttach: Sized {
     /// sets) takes them from the pool's block inventory instead of keeping
     /// one of its own.
     fn recover_attached(&self, pool: &Pool);
-
-    /// The EBR collector this structure retires nodes into.
-    ///
-    /// [`PooledHandle`] drains it before letting go of the pool: nodes
-    /// retired but not yet reclaimed hold allocated pool blocks, and
-    /// without a drain every close would leak them in the file until the
-    /// next open's recovery GC sweeps them.
-    fn collector_of(&self) -> &nvtraverse_ebr::Collector;
 
     /// Settles the pool's still-unresolved operation descriptors
     /// ([`Pool::unresolved_ops`]) against this structure's **recovered**
@@ -595,27 +588,15 @@ impl TypedRoots for Pool {
     }
 }
 
-/// Drains `collector` fully: retired-but-unreclaimed nodes are freed back
-/// to the heap that issued them (for a pooled structure, the pool file).
+/// Owning handle for a pool-resident structure: the attached structure plus
+/// a handle on the pool it lives in, dropped in that order.
 ///
-/// Three passes because the epoch advance needs two ticks to age out the
-/// newest bags, plus one to collect them. [`PooledHandle`] calls this on
-/// close/drop; a structure created directly via
-/// [`PoolAttach::create_in_pool`] must be drained (and `std::mem::forget`
-/// applied) by hand — prefer [`TypedRoots::create_root`].
-pub fn drain_collector(collector: &nvtraverse_ebr::Collector) {
-    for _ in 0..3 {
-        collector.synchronize();
-    }
-}
-
-/// Owning handle for a pool-resident structure: the pool mapping plus the
-/// attached structure, with the right drop order and **no node teardown**.
-///
-/// Dropping a structure normally frees all of its nodes — exactly wrong for
-/// one that lives in a pool and must be found again on the next open.
-/// `PooledHandle` therefore never runs the structure's destructor; dropping
-/// the handle just unmaps the pool (after an `msync`).
+/// Dropping the handle drops the structure like any value — a pooled
+/// structure's destructor frees its volatile shell and no node, because
+/// the nodes belong to the pool and must be found again on the next open —
+/// and then the pool handle. The last pool handle to go drains the pool's
+/// [collector](Pool::collector), closes it and unmaps the pool (after an
+/// `msync`); see `ARCHITECTURE.md`, "Closing a pool".
 ///
 /// This is the paper's §2 lifecycle as an API: *"Processes call the recovery
 /// operation before any other operation after a crash event"* —
@@ -665,21 +646,16 @@ pub fn drain_collector(collector: &nvtraverse_ebr::Collector) {
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub struct PooledHandle<S: PoolAttach> {
-    inner: ManuallyDrop<S>,
+    /// Declared first so it drops first, while `pool` keeps the mapping.
+    inner: S,
     pool: Pool,
-    /// Set by `close()` so Drop does not repeat the collector drain.
-    drained_on_close: bool,
 }
 
 impl<S: PoolAttach> PooledHandle<S> {
     /// Wraps an attached (or freshly created) structure with the pool it
     /// lives in — the internal constructor behind [`TypedRoots`].
     fn from_attached(pool: Pool, inner: S) -> Self {
-        PooledHandle {
-            inner: ManuallyDrop::new(inner),
-            pool,
-            drained_on_close: false,
-        }
+        PooledHandle { inner, pool }
     }
 
     /// The underlying pool (for roots, stats, `sync`, …).
@@ -687,33 +663,13 @@ impl<S: PoolAttach> PooledHandle<S> {
         &self.pool
     }
 
-    /// Reclaims every retired-but-unreclaimed node now.
-    ///
-    /// Retired nodes hold allocated pool blocks until the collector frees
-    /// them; draining before the pool goes away keeps those blocks from
-    /// leaking in the file. Called automatically on drop/close; quiescence
-    /// is the caller's responsibility (as for [`DurableSet::recover`]).
-    pub fn drain_retired(&self) {
-        drain_collector(self.inner.collector_of());
-    }
-
-    /// Flushes the mapping to the backing file and detaches **without**
-    /// freeing any live node (the normal way to let go of a pooled
-    /// structure).
-    pub fn close(mut self) -> io::Result<()> {
-        self.drain_retired();
-        self.drained_on_close = true;
+    /// Reclaims what this thread has retired into the pool's collector,
+    /// flushes the mapping to the backing file and drops the handle
+    /// **without** freeing any live node (the normal way to let go of a
+    /// pooled structure).
+    pub fn close(self) -> io::Result<()> {
+        self.pool.collector().drain();
         self.pool.sync()
-    }
-}
-
-impl<S: PoolAttach> Drop for PooledHandle<S> {
-    fn drop(&mut self) {
-        // Return retired nodes' blocks to the pool while it is still mapped
-        // (the live structure itself is deliberately NOT dropped).
-        if !self.drained_on_close {
-            self.drain_retired();
-        }
     }
 }
 

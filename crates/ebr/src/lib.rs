@@ -15,8 +15,10 @@
 //! * [`Guard::retire`] — hand a removed node to the collector for deferred
 //!   reclamation ([`Guard::retire_with`] when only the node's own free
 //!   function knows its size).
-//! * [`Collector::leaking`] — a collector that never reclaims. Crash tests
-//!   use it so that simulated-NVRAM rollback never writes through a dangling
+//! * [`Collector::drain`] reclaims what it can now; [`Collector::close`]
+//!   stops all reclamation for good — a persistent pool does both before it
+//!   unmaps. [`Collector::leaking`] is closed from birth: crash tests use it
+//!   so that simulated-NVRAM rollback never writes through a dangling
 //!   pointer, mirroring how a persistent heap survives a crash.
 //!
 //! # The pin path and its orderings
@@ -43,6 +45,8 @@
 //!   the thread done with every node it could reach. Nothing after the
 //!   unpin depends on it being globally visible early: a scanner that still
 //!   reads "pinned" merely fails to advance, which is always safe.
+//! * **Participants.** A thread's first pin adds its record to the list an
+//!   advance scans; its exit removes it, so the list holds live threads.
 //! * **Orphans.** A thread that exits pushes its bags to the collector's
 //!   `orphans` list and raises `orphans_present`, both under the `orphans`
 //!   lock. `collect_orphans` returns on an `Acquire` load of the flag when
@@ -72,6 +76,7 @@
 
 use crossbeam_utils::CachePadded;
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -138,7 +143,6 @@ struct Bag {
 struct Record {
     /// `epoch << 1 | pinned`.
     state: CachePadded<AtomicU64>,
-    active: AtomicBool,
 }
 
 impl Record {
@@ -158,7 +162,8 @@ struct Inner {
     /// lock; read without it so that collecting costs one load when no
     /// thread has exited with garbage.
     orphans_present: AtomicBool,
-    leak: bool,
+    /// Set by [`Collector::close`]: nothing is reclaimed from then on.
+    closed: AtomicBool,
 }
 
 impl Inner {
@@ -169,9 +174,6 @@ impl Inner {
         {
             let records = self.records.lock().unwrap_or_else(|e| e.into_inner());
             for r in records.iter() {
-                if !r.active.load(Ordering::SeqCst) {
-                    continue;
-                }
                 if let Some(e) = r.pinned_epoch() {
                     if e != global {
                         return false;
@@ -184,9 +186,13 @@ impl Inner {
             .is_ok()
     }
 
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
     /// Reclaims orphan bags that are at least two epochs old.
     fn collect_orphans(&self, global: u64) {
-        if !self.orphans_present.load(Ordering::Acquire) {
+        if !self.orphans_present.load(Ordering::Acquire) || self.is_closed() {
             return;
         }
         let ready: Vec<Bag> = {
@@ -210,7 +216,10 @@ impl Inner {
 impl Drop for Inner {
     fn drop(&mut self) {
         // No handle can be alive (they hold an Arc on us), so everything
-        // still queued is unreachable and safe to free.
+        // still queued is unreachable and safe to free — unless closed.
+        if self.is_closed() {
+            return;
+        }
         let orphans = std::mem::take(self.orphans.get_mut().unwrap_or_else(|e| e.into_inner()));
         for bag in orphans {
             for item in bag.items {
@@ -233,7 +242,7 @@ impl fmt::Debug for Collector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Collector")
             .field("epoch", &self.epoch())
-            .field("leaking", &self.inner.leak)
+            .field("closed", &self.inner.is_closed())
             .finish()
     }
 }
@@ -247,7 +256,8 @@ impl Default for Collector {
 static NEXT_COLLECTOR_ID: AtomicU64 = AtomicU64::new(1);
 
 impl Collector {
-    fn with_leak(leak: bool) -> Self {
+    /// Creates a collector that reclaims retired objects after two epochs.
+    pub fn new() -> Self {
         Collector {
             inner: Arc::new(Inner {
                 id: NEXT_COLLECTOR_ID.fetch_add(1, Ordering::Relaxed),
@@ -255,28 +265,21 @@ impl Collector {
                 records: Mutex::new(Vec::new()),
                 orphans: Mutex::new(Vec::new()),
                 orphans_present: AtomicBool::new(false),
-                leak,
+                closed: AtomicBool::new(false),
             }),
         }
     }
 
-    /// Creates a collector that reclaims retired objects after two epochs.
-    pub fn new() -> Self {
-        Self::with_leak(false)
-    }
-
-    /// Creates a collector that never reclaims.
+    /// Creates a collector that never reclaims: one [closed](Self::close)
+    /// from birth.
     ///
     /// Used by the crash tests: simulated-crash rollback writes the persisted
     /// bits back into every registered cell, so node memory must stay valid
     /// for the whole test — exactly as a persistent heap would keep it.
     pub fn leaking() -> Self {
-        Self::with_leak(true)
-    }
-
-    /// Returns whether this collector leaks instead of reclaiming.
-    pub fn is_leaking(&self) -> bool {
-        self.inner.leak
+        let c = Self::new();
+        c.close();
+        c
     }
 
     /// The current global epoch (monotonically increasing from 0).
@@ -287,28 +290,59 @@ impl Collector {
     /// Pins the current thread, returning a guard that keeps every pointer
     /// read during its lifetime safe from reclamation. Pins nest.
     pub fn pin(&self) -> Guard {
-        let handle = local_handle(self);
+        let handle = local_handle(self, true).expect("registered");
         handle.pin();
         Guard { handle }
     }
 
     /// Makes a best effort to advance the epoch and reclaim everything this
     /// thread and exited threads have retired. Intended for tests and
-    /// shutdown paths, not the hot path.
+    /// shutdown paths, not the hot path. Registers no participant.
     pub fn synchronize(&self) {
         for _ in 0..3 {
             self.inner.try_advance();
         }
         let global = self.epoch();
         self.inner.collect_orphans(global);
-        let handle = local_handle(self);
-        handle.seal_current();
-        handle.collect(global);
+        if let Some(handle) = local_handle(self, false) {
+            handle.seal_current();
+            handle.collect(global);
+        }
+    }
+
+    /// Reclaims everything this thread and exited threads retired: three
+    /// [`synchronize`](Self::synchronize) passes, as the newest bags need two
+    /// epoch ticks to age out and one more to be collected. Another live
+    /// thread's bags stay with it.
+    pub fn drain(&self) {
+        for _ in 0..3 {
+            self.synchronize();
+        }
+    }
+
+    /// Closes the collector: from now on nothing retired into it is
+    /// reclaimed — not from a thread's bags, not from the orphans, not when
+    /// the collector drops — and a retire forgets its object at once.
+    ///
+    /// A persistent pool [drains](Self::drain) and closes its collector
+    /// before it unmaps, so a node still in another thread's bag stays
+    /// allocated for the next open's recovery GC; freeing it later would hit
+    /// an unmapped range or, after a reopen at the same base, a block that
+    /// GC already took back. The calling thread's participant goes at once,
+    /// other threads' when they exit.
+    pub fn close(&self) {
+        self.inner.closed.store(true, Ordering::Release);
+        let id = self.inner.id;
+        // During thread teardown the map may be gone, and its handles too.
+        let _ = LOCAL.try_with(|local| {
+            local.last.borrow_mut().take_if(|(last_id, _)| *last_id == id);
+            local.handles.borrow_mut().remove(&id)
+        });
     }
 
     /// Number of objects this thread has retired that are not yet reclaimed.
     pub fn local_garbage(&self) -> usize {
-        let handle = local_handle(self);
+        let handle = local_handle(self, true).expect("registered");
         let bags = handle.bags.borrow();
         let current = handle.current.borrow();
         bags.iter().map(|b| b.items.len()).sum::<usize>() + current.len()
@@ -378,7 +412,7 @@ impl HandleInner {
 
     /// Frees every sealed bag that is two epochs old.
     fn collect(&self, global: u64) {
-        if self.collector.leak {
+        if self.collector.is_closed() {
             return;
         }
         loop {
@@ -402,12 +436,8 @@ impl HandleInner {
     }
 
     fn retire(&self, item: Retired) {
-        if self.collector.leak {
-            // Deliberately forget: the object must stay valid forever.
-            // (Retired has no Drop — forgetting it documents the leak.)
-            #[allow(clippy::forget_non_drop)]
-            std::mem::forget(item);
-            return;
+        if self.collector.is_closed() {
+            return; // `Retired` has no `Drop`: the object stays valid forever.
         }
         self.current.borrow_mut().push(item);
         let n = self.retires_since_advance.get() + 1;
@@ -425,7 +455,9 @@ impl HandleInner {
 
 impl Drop for HandleInner {
     fn drop(&mut self) {
-        self.record.active.store(false, Ordering::SeqCst);
+        let mut records = self.collector.records.lock().unwrap_or_else(|e| e.into_inner());
+        records.retain(|r| !Arc::ptr_eq(r, &self.record));
+        drop(records);
         self.seal_current();
         let bags: Vec<Bag> = self.bags.borrow_mut().drain(..).collect();
         if !bags.is_empty() {
@@ -452,19 +484,23 @@ thread_local! {
     };
 }
 
-fn local_handle(collector: &Collector) -> Rc<HandleInner> {
+/// This thread's handle for `collector`. A thread without one registers
+/// only if `join`: draining must not make a thread a participant.
+fn local_handle(collector: &Collector, join: bool) -> Option<Rc<HandleInner>> {
     let id = collector.inner.id;
     LOCAL.with(|local| {
         if let Some((last_id, handle)) = &*local.last.borrow() {
             if *last_id == id {
-                return Rc::clone(handle);
+                return Some(Rc::clone(handle));
             }
         }
-        let handle = Rc::clone(
-            local.handles.borrow_mut().entry(id).or_insert_with(|| register(collector)),
-        );
+        let handle = match local.handles.borrow_mut().entry(id) {
+            Entry::Occupied(e) => Rc::clone(e.get()),
+            Entry::Vacant(e) if join => Rc::clone(e.insert(register(collector))),
+            Entry::Vacant(_) => return None,
+        };
         *local.last.borrow_mut() = Some((id, Rc::clone(&handle)));
-        handle
+        Some(handle)
     })
 }
 
@@ -472,7 +508,6 @@ fn local_handle(collector: &Collector) -> Rc<HandleInner> {
 fn register(collector: &Collector) -> Rc<HandleInner> {
     let record = Arc::new(Record {
         state: CachePadded::new(AtomicU64::new(0)),
-        active: AtomicBool::new(true),
     });
     collector
         .inner
@@ -634,7 +669,7 @@ mod tests {
     #[test]
     fn leaking_collector_never_reclaims() {
         let c = Collector::leaking();
-        assert!(c.is_leaking());
+        assert!(c.inner.is_closed());
         let n = counter();
         {
             let g = c.pin();
@@ -654,6 +689,78 @@ mod tests {
         }
         assert_eq!(n.load(Ordering::SeqCst), 0);
         assert!(!c.inner.orphans_present.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn exited_threads_leave_no_participant_record() {
+        let c = Collector::new();
+        let records = |c: &Collector| c.inner.records.lock().unwrap().len();
+        for _ in 0..200 {
+            let c2 = c.clone();
+            std::thread::spawn(move || drop(c2.pin())).join().unwrap();
+        }
+        assert_eq!(records(&c), 0, "exited threads are still scanned");
+        // Live participants stay: this thread and one parked thread.
+        drop(c.pin());
+        let (c2, (ready_tx, ready_rx)) = (c.clone(), std::sync::mpsc::channel());
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let parked = std::thread::spawn(move || {
+            drop(c2.pin());
+            ready_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+        });
+        ready_rx.recv().unwrap();
+        assert_eq!(records(&c), 2);
+        go_tx.send(()).unwrap();
+        parked.join().unwrap();
+        assert_eq!(records(&c), 1);
+        // Draining registers nobody; closing drops this thread's record.
+        let fresh = Collector::new();
+        fresh.drain();
+        assert_eq!(records(&fresh), 0, "a drain registered a participant");
+        c.close();
+        assert_eq!(records(&c), 0, "close kept the closing thread's record");
+    }
+
+    #[test]
+    fn a_closed_collector_reclaims_nothing_it_still_holds() {
+        let c = Collector::new();
+        let n = counter();
+        // Another thread's bag outstanding at close, then handed over on exit.
+        let (c2, n2) = (c.clone(), Arc::clone(&n));
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let t = std::thread::spawn(move || {
+            drop(c2.pin());
+            let g = c2.pin();
+            unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&n2))))) };
+            drop(g);
+            ready_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+        });
+        ready_rx.recv().unwrap();
+        // This thread's own retire is reclaimable by the drain.
+        let g = c.pin();
+        unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&n))))) };
+        drop(g);
+        c.drain();
+        assert_eq!(
+            n.load(Ordering::SeqCst),
+            1,
+            "the drain missed this thread's bag"
+        );
+        c.close();
+        go_tx.send(()).unwrap();
+        t.join().unwrap();
+        {
+            let g = c.pin();
+            unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&n))))) };
+        }
+        for _ in 0..8 {
+            c.drain();
+        }
+        drop(c);
+        assert_eq!(n.load(Ordering::SeqCst), 1, "a closed collector reclaimed");
     }
 
     #[test]

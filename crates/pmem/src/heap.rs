@@ -35,8 +35,12 @@
 //! that the last pool handle may only be dropped once its structures are no
 //! longer in use; their memory is unmapped by the drop anyway, so any
 //! concurrent use is already a use-after-unmap regardless of this registry.
-//! The same rule covers scoped targets: a target must not outlive its pool,
-//! which the `PooledHandle` lifecycle guarantees by construction.
+//! Deferred frees obey it too: a pool's retired nodes wait in the pool's
+//! own epoch collector, which the pool drains before it unregisters and
+//! then closes, so no reclaim reaches a heap after its unregister. The same
+//! rule covers scoped targets: a structure enters its pool's target only
+//! while its `PooledHandle`, which holds the pool, is alive — a pooled
+//! structure's destructor enters none.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, Ordering};

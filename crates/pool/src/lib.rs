@@ -92,6 +92,7 @@ pub use optable::{OpId, OpOutcome, RawOp, OPS_ROOT};
 pub use poff::POff;
 
 use engine::Engine;
+use nvtraverse_ebr::Collector;
 use nvtraverse_obs as obs;
 use nvtraverse_pmem::{heap, Backend, MmapBackend};
 use std::fmt;
@@ -344,6 +345,8 @@ struct Inner {
     /// structure-reported resolutions (see [`optable`]). The mutex also
     /// serializes table creation and slot registration.
     ops: Mutex<optable::OpsState>,
+    /// The epoch collector of [`Pool::collector`].
+    collector: Collector,
 }
 
 // SAFETY: the mapping is plain shared memory; mutation happens through the
@@ -561,6 +564,7 @@ impl Pool {
             clean_trace: AtomicBool::new(false),
             metrics,
             ops: Mutex::new(optable::OpsState::default()),
+            collector: Collector::new(),
         };
         // Initialize the header. The magic is persisted last, so a crash
         // during create leaves a file without it, which `open` rejects
@@ -647,6 +651,7 @@ impl Pool {
             clean_trace: AtomicBool::new(false),
             metrics,
             ops: Mutex::new(optable::OpsState::default()),
+            collector: Collector::new(),
         };
         let mut report = {
             // Recovery traffic (header flushes of swept blocks, the closing
@@ -758,6 +763,13 @@ impl Pool {
     /// regions with [`nvtraverse_obs::MetricSet::snapshot`] deltas.
     pub fn metrics(&self) -> &'static obs::MetricSet {
         self.inner.metrics
+    }
+
+    /// The epoch collector this pool's structures retire removed nodes
+    /// into. The last pool handle drains and closes it before the unmap, so
+    /// no node is ever reclaimed into a pool that is gone.
+    pub fn collector(&self) -> &Collector {
+        &self.inner.collector
     }
 
     /// Whether `ptr` points into this pool's mapping.
@@ -1017,9 +1029,9 @@ impl Pool {
     ///
     /// The target is **non-owning**: it is valid only while some `Pool`
     /// handle to this mapping is alive. The `PooledHandle` lifecycle
-    /// guarantees that (the handle owns a pool clone and the structure
-    /// never outlives it); hand-rolled users must keep a handle alive
-    /// themselves.
+    /// guarantees that (the handle owns a pool clone, and drops its
+    /// structure — which enters the target no more — before it); hand-rolled
+    /// users must keep a handle alive themselves.
     pub fn alloc_target(&self) -> heap::AllocTarget {
         heap::AllocTarget {
             ctx: Arc::as_ptr(&self.inner) as usize,
@@ -1472,6 +1484,10 @@ impl Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
+        // Reclaim retired nodes while mapped, then close the collector: what
+        // other threads still hold is left for the next open's GC.
+        self.collector.drain();
+        self.collector.close();
         // Stop routing new work here before the mapping goes away. The
         // engine unregisters first so no exiting thread can drain magazines
         // into a dying engine.

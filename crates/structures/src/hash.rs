@@ -345,7 +345,7 @@ impl<L: BucketList> PoolAttach for BucketTable<L> {
         // Entered so every bucket list's context snapshot captures this
         // pool (the table block itself is allocated via `pool.alloc`).
         let _scope = PoolCtx::of(pool).enter();
-        let map = Self::with_collector(Self::DEFAULT_POOL_BUCKETS, Collector::new());
+        let map = Self::with_collector(Self::DEFAULT_POOL_BUCKETS, pool.collector().clone());
         pool.set_root_ptr_checked(name, encode_root(pool, &map.buckets)?)?;
         Ok(map)
     }
@@ -368,7 +368,7 @@ impl<L: BucketList> PoolAttach for BucketTable<L> {
         }
         // Entered so every bucket list's context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
-        let collector = Collector::new();
+        let collector = pool.collector().clone();
         let buckets: Box<[L]> = heads
             .into_iter()
             // SAFETY: the head is an allocated block the persistent table names; the caller vouches for the table's type.
@@ -379,10 +379,6 @@ impl<L: BucketList> PoolAttach for BucketTable<L> {
 
     fn recover_attached(&self, pool: &Pool) {
         L::recover_buckets(&self.buckets, &self.collector, Some(pool));
-    }
-
-    fn collector_of(&self) -> &Collector {
-        &self.collector
     }
 
     fn resolve_detectable(&self, pool: &Pool) {
@@ -640,7 +636,7 @@ mod tests {
     // ---- recovery: the wavefront against a one-chain-at-a-time reference ----
 
     use crate::list::Node;
-    use nvtraverse::{drain_collector, TypedRoots};
+    use nvtraverse::TypedRoots;
     use nvtraverse_obs as obs;
     use nvtraverse_pmem::Count;
 
@@ -703,7 +699,7 @@ mod tests {
             {
                 let pool = Pool::builder().path(&path).capacity(8 << 20).create().unwrap();
                 let scope = PoolCtx::of(&pool).enter();
-                let map = Map::with_collector(buckets, Collector::new());
+                let map = Map::with_collector(buckets, pool.collector().clone());
                 let root = encode_root(&pool, &map.buckets).unwrap();
                 pool.set_root_ptr_checked(name, root).unwrap();
                 drop(scope);
@@ -716,7 +712,7 @@ mod tests {
                         map.insert(k, i);
                     }
                 }
-                drain_collector(map.collector());
+                map.collector().drain();
                 // Marked-but-still-linked nodes at the head, in the middle
                 // (two adjacent) and at the tail of the longest chains.
                 let mut n_marked = 0;
@@ -757,7 +753,6 @@ mod tests {
                 pairs.sort_unstable();
                 (want_pairs, want_live, marked) = (pairs, live, n_marked);
                 pool.sync().unwrap();
-                std::mem::forget(map); // pool-resident: never torn down
             }
 
             if eager {

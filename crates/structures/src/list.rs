@@ -167,8 +167,9 @@ where
     ///
     /// `head` must be the head sentinel of a list built with the *same*
     /// `K`/`V`/`D` parameters, reachable and quiescent. The caller is
-    /// responsible for not dropping two handles to the same list (the
-    /// pooled lifecycle never drops — see `nvtraverse::PooledHandle`).
+    /// responsible for not dropping two handles to the same `Box`-backed
+    /// list (a pooled handle's drop frees no node — see
+    /// `nvtraverse::PooledHandle`).
     pub(crate) unsafe fn attach_at(head: NodePtr<K, V, D::B>, collector: Collector) -> Self {
         HarrisList {
             head,
@@ -553,7 +554,7 @@ where
 {
     fn create_in_pool(pool: &Pool, name: &str) -> io::Result<Self> {
         let _scope = PoolCtx::of(pool).enter();
-        let list = Self::with_collector(Collector::new());
+        let list = Self::with_collector(pool.collector().clone());
         pool.set_root_ptr_checked(name, list.head)?;
         Ok(list)
     }
@@ -564,7 +565,7 @@ where
         // Entered so `attach_at`'s context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        Some(unsafe { Self::attach_at(head, Collector::new()) })
+        Some(unsafe { Self::attach_at(head, pool.collector().clone()) })
     }
 
     /// [`recover_list`](HarrisList::recover_list), unless the pool's GC
@@ -574,10 +575,6 @@ where
         if !pool.take_clean_trace() {
             self.recover_list();
         }
-    }
-
-    fn collector_of(&self) -> &Collector {
-        &self.collector
     }
 
     fn resolve_detectable(&self, pool: &Pool) {
@@ -632,6 +629,10 @@ where
 
 impl<K: Word, V: Word, D: Durability, const P: bool> Drop for HarrisList<K, V, D, P> {
     fn drop(&mut self) {
+        // A pooled list's nodes belong to the pool: drop only the shell.
+        if self.ctx.is_pooled() {
+            return;
+        }
         // Exclusive access: free every node reachable from head, marked or
         // not. Trimmed nodes were handed to the collector already.
         // SAFETY: exclusive access — no other thread can reach these nodes.

@@ -204,8 +204,8 @@ where
     ///
     /// `root` must be the `R(∞₂)` sentinel of a tree built with the *same*
     /// `K`/`V`/`D` parameters, reachable and quiescent, and the caller must
-    /// not drop two handles to the same tree (the pooled lifecycle never
-    /// drops — see `nvtraverse::PooledHandle`).
+    /// not drop two handles to the same `Box`-backed tree (a pooled
+    /// handle's drop frees no node — see `nvtraverse::PooledHandle`).
     unsafe fn attach_at(root: NodePtr<K, V, D::B>, collector: Collector) -> Self {
         NmBst {
             root,
@@ -689,7 +689,7 @@ where
 {
     fn create_in_pool(pool: &Pool, name: &str) -> io::Result<Self> {
         let _scope = PoolCtx::of(pool).enter();
-        let t = Self::with_collector(Collector::new());
+        let t = Self::with_collector(pool.collector().clone());
         pool.set_root_ptr_checked(name, t.root)?;
         Ok(t)
     }
@@ -700,15 +700,11 @@ where
         // Entered so `attach_at`'s context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        Some(unsafe { Self::attach_at(root, Collector::new()) })
+        Some(unsafe { Self::attach_at(root, pool.collector().clone()) })
     }
 
     fn recover_attached(&self, _pool: &Pool) {
         self.recover_tree();
-    }
-
-    fn collector_of(&self) -> &Collector {
-        &self.collector
     }
 }
 
@@ -771,6 +767,10 @@ where
 
 impl<K: Word, V: Word, D: Durability> Drop for NmBst<K, V, D> {
     fn drop(&mut self) {
+        // A pooled tree's nodes belong to the pool: drop only the shell.
+        if self.ctx.is_pooled() {
+            return;
+        }
         Self::free_subtree(self.root);
     }
 }

@@ -139,10 +139,6 @@ where
     fn recover_attached(&self, pool: &Pool) {
         self.inner.recover_attached(pool);
     }
-
-    fn collector_of(&self) -> &Collector {
-        self.inner.collector_of()
-    }
 }
 
 // SAFETY: the registered root *is* the inner skiplist's head tower, so the

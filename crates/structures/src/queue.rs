@@ -239,8 +239,8 @@ where
     ///
     /// `anchor` must be the anchor of a queue built with the *same* `V`/`D`
     /// parameters, reachable and quiescent, and the caller must not drop two
-    /// handles to the same queue (the pooled lifecycle never drops — see
-    /// `nvtraverse::PooledHandle`).
+    /// handles to the same `Box`-backed queue (a pooled handle's drop frees
+    /// no node — see `nvtraverse::PooledHandle`).
     unsafe fn attach_at(anchor: *mut Anchor<V, D::B>, collector: Collector) -> Self {
         MsQueue {
             anchor,
@@ -392,7 +392,7 @@ where
 {
     fn create_in_pool(pool: &Pool, name: &str) -> io::Result<Self> {
         let _scope = PoolCtx::of(pool).enter();
-        let q = Self::with_collector(Collector::new());
+        let q = Self::with_collector(pool.collector().clone());
         pool.set_root_ptr_checked(name, q.anchor_ptr())?;
         Ok(q)
     }
@@ -403,15 +403,11 @@ where
         // Entered so `attach_at`'s context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        Some(unsafe { Self::attach_at(anchor, Collector::new()) })
+        Some(unsafe { Self::attach_at(anchor, pool.collector().clone()) })
     }
 
     fn recover_attached(&self, _pool: &Pool) {
         self.recover();
-    }
-
-    fn collector_of(&self) -> &Collector {
-        &self.collector
     }
 }
 
@@ -457,6 +453,10 @@ impl<V: Word, D: Durability> fmt::Debug for MsQueue<V, D> {
 
 impl<V: Word, D: Durability> Drop for MsQueue<V, D> {
     fn drop(&mut self) {
+        // A pooled queue's nodes belong to the pool: drop only the shell.
+        if self.ctx.is_pooled() {
+            return;
+        }
         // Poisoned links (unrecovered crash) end the walk; the tail leaks.
         let teardown = |bits: u64| {
             if bits == nvtraverse_pmem::POISON {

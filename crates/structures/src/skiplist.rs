@@ -364,8 +364,8 @@ where
     ///
     /// `head` must be the head tower of a skiplist built with the *same*
     /// `K`/`V`/`D` parameters, reachable and quiescent, and the caller must
-    /// not drop two handles to the same structure (the pooled lifecycle
-    /// never drops — see `nvtraverse::PooledHandle`).
+    /// not drop two handles to the same `Box`-backed structure (a pooled
+    /// handle's drop frees no node — see `nvtraverse::PooledHandle`).
     pub(crate) unsafe fn attach_at(head: NodePtr<K, V, D::B>, collector: Collector) -> Self {
         SkipList {
             head,
@@ -944,7 +944,7 @@ where
 {
     fn create_in_pool(pool: &Pool, name: &str) -> io::Result<Self> {
         let _scope = PoolCtx::of(pool).enter();
-        let list = Self::with_collector(Collector::new());
+        let list = Self::with_collector(pool.collector().clone());
         pool.set_root_ptr_checked(name, list.head)?;
         Ok(list)
     }
@@ -961,15 +961,11 @@ where
         // Entered so `attach_at`'s context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        Some(unsafe { Self::attach_at(head, Collector::new()) })
+        Some(unsafe { Self::attach_at(head, pool.collector().clone()) })
     }
 
     fn recover_attached(&self, _pool: &Pool) {
         self.recover_skiplist();
-    }
-
-    fn collector_of(&self) -> &Collector {
-        &self.collector
     }
 }
 
@@ -1030,6 +1026,10 @@ where
 
 impl<K: Word, V: Word, D: Durability> Drop for SkipList<K, V, D> {
     fn drop(&mut self) {
+        // A pooled skiplist's nodes belong to the pool: drop only the shell.
+        if self.ctx.is_pooled() {
+            return;
+        }
         // SAFETY: exclusive access — no other thread can reach these nodes.
         chain::teardown(self.head, |n| unsafe { free_tower::<K, V, D::B>(n.cast()) });
     }
@@ -1276,7 +1276,7 @@ mod tests {
         assert_eq!(s.check_consistency(false).unwrap(), 64);
         // Second pass once every retired node has really been freed: a
         // link left to one of them would now read reclaimed memory.
-        nvtraverse::drain_collector(s.collector());
+        s.collector().drain();
         assert_eq!(s.check_consistency(false).unwrap(), 64);
         for k in 0..128u64 {
             assert_eq!(s.get(k), (k % 2 == 0).then_some(k));
@@ -1317,7 +1317,7 @@ mod tests {
             }
         });
         s.check_consistency(false).unwrap();
-        nvtraverse::drain_collector(s.collector());
+        s.collector().drain();
         let live = s.check_consistency(false).unwrap();
         assert_eq!(live, (0..8u64).filter(|&k| s.get(k).is_some()).count());
     }
@@ -1583,7 +1583,7 @@ mod tests {
             for k in (0..400u64).step_by(5) {
                 assert!(s.remove(k));
             }
-            nvtraverse::drain_collector(s.collector());
+            s.collector().drain();
             let nodes = chain(&*s);
             let mid = nodes.len() / 2;
             for i in [0, mid, mid + 1, nodes.len() - 1] {
@@ -1608,8 +1608,7 @@ mod tests {
             recover_two_pass(&s);
             let want = outcome(&s);
             assert_eq!(s.check_consistency(false).unwrap(), 320 - 4);
-            nvtraverse::drain_collector(s.collector());
-            std::mem::forget(s); // pool-resident: never torn down
+            s.collector().drain();
             want
         };
         assert_eq!(want.2, 4, "the reference retires exactly the marked nodes");

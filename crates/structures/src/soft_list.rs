@@ -795,7 +795,7 @@ where
 {
     fn create_in_pool(pool: &Pool, name: &str) -> io::Result<Self> {
         let _scope = PoolCtx::of(pool).enter();
-        let list = Self::with_collector(Collector::new());
+        let list = Self::with_collector(pool.collector().clone());
         pool.set_root_ptr_checked(name, list.head)?;
         Ok(list)
     }
@@ -811,15 +811,11 @@ where
         }
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        Some(unsafe { Self::attach_at(head, Collector::new()) })
+        Some(unsafe { Self::attach_at(head, pool.collector().clone()) })
     }
 
     fn recover_attached(&self, pool: &Pool) {
         recover_from_pool(pool, std::slice::from_ref(self));
-    }
-
-    fn collector_of(&self) -> &Collector {
-        &self.collector
     }
 }
 
@@ -985,18 +981,16 @@ impl<K: Word, V: Word, D: Durability> Drop for SoftList<K, V, D> {
         // set of nodes it still owns (live, tombstoned-but-unspliced, or
         // crash garbage) — trimmed nodes were unregistered and handed to the
         // collector — so no link walk is needed and poisoned links can't
-        // mislead it. A pooled list dropped by hand frees what is still
-        // linked (what is not is the next open's GC's).
+        // mislead it. A pooled list has no registry: its nodes belong to
+        // the pool, which finds them again at the next open.
+        let Some(reg) = self.registry.take() else {
+            return;
+        };
         // SAFETY: exclusive teardown: every node freed is unreachable, once.
         let free = |n: NodePtr<K, V, D::B>| unsafe { free_node::<K, V, D::B>(n.cast()) };
-        match self.registry.take() {
-            Some(reg) => {
-                let reg = reg.into_inner().unwrap_or_else(|e| e.into_inner());
-                reg.into_iter().for_each(|a| free(a as NodePtr<K, V, D::B>));
-                free(self.head);
-            }
-            None => chain::teardown(self.head, free),
-        }
+        let reg = reg.into_inner().unwrap_or_else(|e| e.into_inner());
+        reg.into_iter().for_each(|a| free(a as NodePtr<K, V, D::B>));
+        free(self.head);
     }
 }
 

@@ -188,8 +188,8 @@ where
     ///
     /// `top` must be the top cell of a stack built with the *same* `V`/`D`
     /// parameters, reachable and quiescent, and the caller must not drop two
-    /// handles to the same stack (the pooled lifecycle never drops — see
-    /// `nvtraverse::PooledHandle`).
+    /// handles to the same `Box`-backed stack (a pooled handle's drop frees
+    /// no node — see `nvtraverse::PooledHandle`).
     unsafe fn attach_at(
         top: *mut PCell<MarkedPtr<StackNode<V, D::B>>, D::B>,
         collector: Collector,
@@ -281,7 +281,7 @@ where
 {
     fn create_in_pool(pool: &Pool, name: &str) -> io::Result<Self> {
         let _scope = PoolCtx::of(pool).enter();
-        let s = Self::with_collector(Collector::new());
+        let s = Self::with_collector(pool.collector().clone());
         pool.set_root_ptr_checked(name, s.top_ptr())?;
         Ok(s)
     }
@@ -292,15 +292,11 @@ where
         // Entered so `attach_at`'s context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        Some(unsafe { Self::attach_at(top, Collector::new()) })
+        Some(unsafe { Self::attach_at(top, pool.collector().clone()) })
     }
 
     fn recover_attached(&self, _pool: &Pool) {
         self.recover();
-    }
-
-    fn collector_of(&self) -> &Collector {
-        &self.collector
     }
 }
 
@@ -345,6 +341,10 @@ impl<V: Word, D: Durability> fmt::Debug for TreiberStack<V, D> {
 
 impl<V: Word, D: Durability> Drop for TreiberStack<V, D> {
     fn drop(&mut self) {
+        // A pooled stack's nodes belong to the pool: drop only the shell.
+        if self.ctx.is_pooled() {
+            return;
+        }
         // Poisoned links (unrecovered crash) end the walk; the tail leaks.
         let teardown = |bits: u64| {
             if bits == nvtraverse_pmem::POISON {

@@ -714,7 +714,7 @@ fn validate_churn(pool_path: &Path, log_path: &Path) -> u64 {
     }
 
     // The oracle itself: reachable footprint == allocated footprint.
-    set.drain_retired();
+    set.pool().collector().drain();
     let live = set.pool().live_offsets().len();
     eprintln!(
         "churn cycle: GC reclaimed {} blocks / {} bytes in {} µs; \

@@ -12,7 +12,7 @@
 //! returned to `System`, so the check itself never corrupts the heap.)
 
 use nvtraverse::policy::{NvTraverse, Volatile};
-use nvtraverse::{drain_collector, DurableSet, TypedRoots};
+use nvtraverse::{DurableSet, TypedRoots};
 use nvtraverse_ebr::Collector;
 use nvtraverse_pmem::{Clwb, MmapBackend, Sim, SimHandle};
 use nvtraverse_pool::Pool;
@@ -119,7 +119,7 @@ fn volatile_skiplist_frees_every_node_at_its_own_size() {
     });
     s.check_consistency(false).unwrap();
     // EBR reclamation frees every retired node through its own function.
-    drain_collector(s.collector());
+    s.collector().drain();
     assert_every_free_matched();
     drop(s);
     assert_every_free_matched();
@@ -132,7 +132,7 @@ fn sim_skiplist_frees_and_deregisters_every_node_at_its_own_size() {
     let baseline = sim.tracked_cells();
     let s = SkipList::<u64, u64, NvTraverse<Sim>>::with_collector(Collector::new());
     churn(&s, 11);
-    drain_collector(s.collector());
+    s.collector().drain();
     assert_every_free_matched();
     drop(s);
     assert_every_free_matched();
@@ -165,7 +165,7 @@ fn pooled_skiplist_returns_every_node_to_its_pool() {
     for (k, _) in s.iter_snapshot() {
         assert!(s.remove(k));
     }
-    drain_collector(s.collector());
+    s.collector().drain();
     // Only the head sentinel is left: every node reached its pool.
     assert_eq!(pool.live_offsets().len(), 1);
     pool.verify_heap().unwrap();
