@@ -85,12 +85,11 @@ fn measure(
     })
 }
 
-/// Creates `S` in a fresh pool, runs `workload`, then closes
-/// and **reopens** the pool — without dropping the structure (its nodes
-/// live in the file) — and returns `(mops, reopen-GC µs)`: the wall time
-/// the open-time mark-sweep recovery GC spent proving the surviving
-/// population reachable (adopting the handle registered `S`'s tracer, so
-/// the GC always runs here).
+/// Creates `S` in a fresh pool, runs `workload`, then closes and
+/// **reopens** the pool — without dropping the structure (its nodes live
+/// in the file) — and returns `(mops, reopen-GC µs)`: the wall time the
+/// recovery mark-sweep GC spent proving the surviving population reachable
+/// (`root::<S>` runs it with `S`'s tracer before attaching).
 fn with_pooled<S: PoolAttach + nvtraverse::PoolTrace>(
     tag: &str,
     workload: impl FnOnce(&S) -> f64,
@@ -98,9 +97,8 @@ fn with_pooled<S: PoolAttach + nvtraverse::PoolTrace>(
     let path = pool_path(tag);
     let _ = std::fs::remove_file(&path);
     let pool = Pool::builder().path(&path).capacity(POOL_CAP).create().unwrap();
-    // The typed root registers the tracer and guarantees the structure's
-    // destructor never runs (its nodes live in the pool file); closing the
-    // handle drains retired blocks back to the pool first.
+    // The typed root keeps the structure's nodes in the pool file; closing
+    // the handle drains retired blocks back to the pool first.
     let s = pool.create_root::<S>("bench").unwrap();
     let mops = workload(&s);
     s.close().unwrap();
@@ -108,13 +106,16 @@ fn with_pooled<S: PoolAttach + nvtraverse::PoolTrace>(
     // The reopen path a restart pays: heap walk + root-driven mark-sweep
     // over everything the workload left live.
     let pool = Pool::builder().path(&path).open().unwrap();
+    // `root::<S>` hands the collection S's tracer, so only a rebased remap
+    // — an address-space collision outside our control — can skip the GC
+    // (and then the attach itself fails).
+    if let Ok(s) = pool.root::<S>("bench") {
+        s.close().unwrap();
+    }
     let report = pool.recovery_report();
-    // The tracer is registered (create_root above), so only a rebased
-    // remap — an address-space collision outside our control — can skip
-    // the GC.
     assert!(
         report.gc_ran || pool.is_rebased(),
-        "tracer registered and mapping at preferred base, yet the GC skipped"
+        "tracer given and mapping at preferred base, yet the GC skipped"
     );
     let gc_us = if report.gc_ran {
         report.gc_nanos as f64 / 1e3

@@ -99,10 +99,7 @@ pub use marked::MarkedPtr;
 pub use pool::{OpId, OpOutcome};
 pub use ops::{persist_window, run_operation, Critical, PersistSet, TraversalOps};
 pub use policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Soft, Volatile};
-pub use set::{
-    register_pool_tracer, restore_pool_tracer, DurableSet, PoolAttach, PoolTrace, PooledHandle,
-    TypedRoots,
-};
+pub use set::{DurableSet, PoolAttach, PoolTrace, PooledHandle, TypedRoots};
 
 /// What [`counted`] saw.
 #[cfg(test)]

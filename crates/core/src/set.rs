@@ -17,10 +17,11 @@
 //! for [`Pool`]): build a pool with `Pool::builder()`, then
 //! `pool.root::<S>("name")` / `pool.create_root::<S>("name")` /
 //! `pool.root_or_create::<S>("name")` — each returns a ready
-//! [`PooledHandle<S>`] with the structure attached, recovered, and its
-//! [`PoolTrace`] tracer auto-registered for the recovery GC. Because the
-//! handle just holds a clone of the (first-class, multi-instance) pool,
-//! any number of roots and any number of pools coexist in one process.
+//! [`PooledHandle<S>`] with the structure attached and recovered — `root`
+//! first runs the pool's recovery GC with `S`'s [`PoolTrace`] tracer.
+//! Because the handle just holds a clone of the (first-class,
+//! multi-instance) pool, any number of roots and any number of pools
+//! coexist in one process.
 //! [`PoolTrace`] is the reachability half of the
 //! lifecycle: it lets the pool's mark-sweep recovery GC walk each root's
 //! persistent node graph so blocks stranded by a crash are swept back to
@@ -30,7 +31,6 @@ use crate::detect::{OpError, OpToken};
 use nvtraverse_pool::{OpId, Pool};
 use std::io;
 use std::ops::Deref;
-use std::path::Path;
 
 /// One set operation, used as the driver input for set-shaped structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,7 +230,9 @@ pub trait PoolAttach: Sized {
     /// invalid), or the implementation finds the root block malformed or
     /// stamped with another node layout. Like `create_in_pool`, the
     /// attached instance captures a
-    /// [`PoolCtx`](crate::alloc::PoolCtx) for `pool`.
+    /// [`PoolCtx`](crate::alloc::PoolCtx) for `pool`. An attach by hand
+    /// runs no recovery collection: call [`Pool::collect`] before it, as
+    /// [`TypedRoots::root`] does, never after.
     ///
     /// # Safety
     ///
@@ -272,18 +274,18 @@ pub trait PoolAttach: Sized {
 /// recovery GC (see `nvtraverse_pool::gc`).
 ///
 /// `Pool::open` cannot know which concrete structure type each registered
-/// root belongs to: the root registry stores untyped offsets. This trait
-/// closes the gap — every [`TypedRoots`] method registers a type-erased
-/// shim of [`PoolTrace::trace`] under the root's name (and
-/// [`register_pool_tracer`] does the same for roots attached by hand), so
-/// open-time recovery can prove which allocated blocks are reachable and
-/// sweep the rest back to the free lists.
+/// root belongs to: the root registry stores untyped offsets. The attach
+/// does — [`TypedRoots::root`] hands [`PoolTrace::trace`] for the root's
+/// name to [`Pool::collect`] before `S` attaches (pass every root's tracer
+/// to `Pool::collect` yourself for a pool of several roots), so recovery
+/// can prove which allocated blocks are reachable and sweep the rest back
+/// to the free lists.
 ///
 /// # Contract for implementations
 ///
-/// `trace` runs during `Pool::open`, **before** `attach_to_pool` and
+/// `trace` runs in [`Pool::collect`], **before** `attach_to_pool` and
 /// `recover()`, single-threaded, on a quiescent heap whose block headers
-/// have all been verified. An implementation must
+/// the open has all verified. An implementation must
 /// [`mark`](nvtraverse_pool::Marker::mark) every block that the structure's
 /// recovery pass — or any later operation — may reach from `root`:
 ///
@@ -343,9 +345,9 @@ pub trait PoolAttach: Sized {
 /// list.close()?;
 /// drop(pool);
 ///
-/// // root::<List> registers List's tracer for "gc-demo", so the mark-sweep
-/// // runs before the structure attaches and reclaims exactly the orphan
-/// // (the clean close already drained every retired node).
+/// // root::<List> hands List's tracer for "gc-demo" to the collection, so
+/// // the mark-sweep runs before the structure attaches and reclaims exactly
+/// // the orphan (the clean close already drained every retired node).
 /// let pool = Pool::builder().path(&path).open()?;
 /// let list = pool.root::<List>("gc-demo")?;
 /// let report = pool.recovery_report();
@@ -366,57 +368,6 @@ pub unsafe trait PoolTrace: PoolAttach {
     /// quiescent, with verified block headers — the exact state
     /// `Pool::open` recovery provides.
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>);
-}
-
-/// Registers `S`'s [`PoolTrace::trace`] as the recovery-GC tracer for the
-/// root named `name` of the pool file at `pool_path` (newest registration
-/// wins; the registry is scoped per pool path, so unrelated pools reusing
-/// a root name are unaffected).
-///
-/// [`TypedRoots`] calls this automatically; call it by hand before
-/// `Pool::open` for roots you attach directly with
-/// [`PoolAttach::attach_to_pool`] — the open-time GC only runs when
-/// *every* root name in the pool has a tracer.
-///
-/// Returns the tracer this registration displaced, if any — callers whose
-/// subsequent attach fails should restore it (as [`TypedRoots::root`]
-/// does) rather than leave their own assertion behind.
-///
-/// # Safety
-///
-/// The caller asserts that the root registered under `name` in the pool at
-/// `pool_path` was created by `S::create_in_pool` (same concrete type
-/// parameters) — the same contract [`PoolAttach::attach_to_pool`]
-/// requires. Tracing a root as the wrong type misreads pool memory and can
-/// sweep live blocks.
-pub unsafe fn register_pool_tracer<S: PoolTrace>(
-    pool_path: impl AsRef<Path>,
-    name: &str,
-) -> Option<nvtraverse_pool::TraceFn> {
-    // SAFETY: forwarded to the caller (identical contract).
-    unsafe { nvtraverse_pool::register_tracer(pool_path.as_ref(), name, trace_shim::<S>) }
-}
-
-/// Undoes a [`register_pool_tracer`] whose subsequent open/attach failed:
-/// puts back the displaced tracer, or removes the entry when there was
-/// none. Pair every speculative registration with this on the failure
-/// path — a failed attach must not leave its type assertion in the
-/// process-global registry (the pool could later hold a different type).
-pub fn restore_pool_tracer(path: &Path, name: &str, prev: Option<nvtraverse_pool::TraceFn>) {
-    match prev {
-        // SAFETY: re-asserting exactly what the previous registrant
-        // (whose registration we displaced) had already asserted.
-        Some(f) => {
-            unsafe { nvtraverse_pool::register_tracer(path, name, f) };
-        }
-        None => nvtraverse_pool::unregister_tracer(path, name),
-    }
-}
-
-/// The type-erased shim stored in the pool's tracer registry.
-unsafe fn trace_shim<S: PoolTrace>(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
-    // SAFETY: forwarded from the registry's per-name type contract.
-    unsafe { S::trace(root, marker) }
 }
 
 /// **Typed roots** — the extension of [`Pool`] that turns a root *name*
@@ -448,14 +399,12 @@ unsafe fn trace_shim<S: PoolTrace>(root: *mut u8, marker: &mut nvtraverse_pool::
 /// # Ok::<(), std::io::Error>(())
 /// ```
 ///
-/// Each method auto-registers `S`'s [`PoolTrace`] tracer for the root (so
-/// the recovery GC can prove reachability at the next open — and, via
-/// [`Pool::run_pending_gc`], at *this* open when the tracer arrives before
-/// the first attach), runs the structure's recovery where applicable, and
-/// returns a [`PooledHandle`] that shares the pool: call the methods as
-/// many times as there are roots, on as many pools as are open
-/// (`attach_to_pool` → `recover_attached` → `register_pool_tracer` remain
-/// the low-level layer underneath).
+/// [`TypedRoots::root`] first runs the open's recovery collection with
+/// `S`'s [`PoolTrace`] tracer ([`Pool::collect`]), then attaches and runs
+/// the structure's recovery; every method returns a [`PooledHandle`] that
+/// shares the pool: call the methods as many times as there are roots, on
+/// as many pools as are open (`Pool::collect` → `attach_to_pool` →
+/// `recover_attached` remain the low-level layer underneath).
 ///
 /// # Type contract
 ///
@@ -467,9 +416,10 @@ unsafe fn trace_shim<S: PoolTrace>(root: *mut u8, marker: &mut nvtraverse_pool::
 /// API keeps the assertion in exactly one place per root name.
 pub trait TypedRoots {
     /// Attaches to the root named `name` as an `S`, runs its recovery, and
-    /// returns the owning handle. Registers `S`'s tracer for `name` and —
-    /// when this is the first attach and every root is now traceable —
-    /// runs the pool's [pending recovery GC](Pool::run_pending_gc) first.
+    /// returns the owning handle. First calls [`Pool::collect`] with `S`'s
+    /// tracer for `name`: the first attach after the open collects a pool
+    /// whose only root (besides the ops table) is `name`, and ends the
+    /// open's collection either way.
     ///
     /// # Errors
     ///
@@ -479,7 +429,7 @@ pub trait TypedRoots {
     fn root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>>;
 
     /// Creates a fresh `S` whose nodes live in this pool, registered under
-    /// `name`, and returns the owning handle. Registers `S`'s tracer.
+    /// `name`, and returns the owning handle.
     ///
     /// # Errors
     ///
@@ -500,44 +450,26 @@ pub trait TypedRoots {
 impl TypedRoots for Pool {
     fn root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>> {
         // SAFETY: attach_to_pool below requires the root to be of type `S`;
-        // registering S's tracer for it is the same assertion. A failed
-        // attach restores the previous registration (it must not leave a
-        // type assertion behind, nor delete one a live handle installed).
-        let prev = unsafe { register_pool_tracer::<S>(self.path(), name) };
-        // With the tracer in hand the open-time GC may have become
-        // provable; collect before anything attaches.
-        self.run_pending_gc();
-        // Count the attach *before* it happens: from here on a concurrent
-        // `root::<T>` must never run the deferred GC (this structure's
-        // recovery may be mutating the heap). A failed attach leaves the
-        // count raised — conservative, the safe direction.
-        self.note_attach();
-        let attempt: io::Result<PooledHandle<S>> = (|| {
-            // SAFETY: deferred to the caller's choice of `S` — see the
-            // trait-level type contract.
-            let inner = unsafe { S::attach_to_pool(self, name) }.ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    if self.is_rebased() {
-                        format!("pool was rebased; absolute pointers for root {name:?} are invalid")
-                    } else {
-                        format!("pool has no root named {name:?} that attaches as this type")
-                    },
-                )
-            })?;
-            inner.recover_attached(self);
-            // Recovery done and quiescent: let the structure answer the
-            // descriptors the descriptor table alone could not classify.
-            inner.resolve_detectable(self);
-            Ok(PooledHandle::from_attached(self.clone(), inner))
-        })();
-        match attempt {
-            Ok(handle) => Ok(handle),
-            Err(e) => {
-                restore_pool_tracer(self.path(), name, prev);
-                Err(e)
-            }
-        }
+        // tracing it as `S` is the same assertion. This is the attach, so
+        // nothing attached before it through this API.
+        unsafe { self.collect(&[(name, S::trace)]) };
+        // SAFETY: deferred to the caller's choice of `S` — see the
+        // trait-level type contract.
+        let inner = unsafe { S::attach_to_pool(self, name) }.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                if self.is_rebased() {
+                    format!("pool was rebased; absolute pointers for root {name:?} are invalid")
+                } else {
+                    format!("pool has no root named {name:?} that attaches as this type")
+                },
+            )
+        })?;
+        inner.recover_attached(self);
+        // Recovery done and quiescent: let the structure answer the
+        // descriptors the descriptor table alone could not classify.
+        inner.resolve_detectable(self);
+        Ok(PooledHandle::from_attached(self.clone(), inner))
     }
 
     fn create_root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>> {
@@ -556,20 +488,7 @@ impl TypedRoots for Pool {
                 ),
             ));
         }
-        // Creation mutates the heap: conservatively disable the deferred
-        // GC up front (reachability of a mid-create heap is not provable).
-        self.note_attach();
-        // SAFETY: the root named `name` is created right below by this very
-        // type — exactly the tracer registration contract.
-        let prev = unsafe { register_pool_tracer::<S>(self.path(), name) };
-        match S::create_in_pool(self, name) {
-            Ok(inner) => Ok(PooledHandle::from_attached(self.clone(), inner)),
-            Err(e) => {
-                // The root was never registered: retract the assertion.
-                restore_pool_tracer(self.path(), name, prev);
-                Err(e)
-            }
-        }
+        S::create_in_pool(self, name).map(|inner| PooledHandle::from_attached(self.clone(), inner))
     }
 
     fn root_or_create<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>> {

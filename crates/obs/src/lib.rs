@@ -146,7 +146,7 @@ pub enum Counter {
     SlabBlocks = 7,
     /// Thread-exit magazine drains (one per engine instance drained).
     ThreadDrain = 8,
-    /// Mark-sweep collections run (eager or deferred).
+    /// Mark-sweep recovery collections run.
     GcRuns = 9,
     /// Blocks proved reachable by GC mark phases.
     GcMarked = 10,
@@ -562,8 +562,7 @@ fn default_shards() -> usize {
 }
 
 /// The metric set of the pool identified by `key` (callers should pass a
-/// stable, normalized pool path — `nvtraverse-pool` uses its tracer-registry
-/// key). Creates (and leaks) the set on first request; every later request
+/// stable, normalized pool path, as `nvtraverse-pool` does). Creates (and leaks) the set on first request; every later request
 /// for the same key — including reopens of the pool — returns the same set.
 pub fn for_pool(key: &Path) -> &'static MetricSet {
     let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());

@@ -1,7 +1,7 @@
 //! A bounded lock-free ring of recent pool lifecycle events.
 //!
 //! The ring keeps the last [`CAPACITY`] events — pool create/open, recovery
-//! and deferred GC runs, clean closes — for post-mortem dumps: when a
+//! GC runs, clean closes — for post-mortem dumps: when a
 //! process wedges or a recovery surprises, `recent()` (or the `events`
 //! section of [`crate::stats_json`]) answers "what did the pools just do?"
 //! without any logging infrastructure.
@@ -30,10 +30,9 @@ pub enum EventKind {
     Create = 1,
     /// An existing pool file was opened (after recovery finished).
     Open = 2,
-    /// Eager recovery GC ran at open. `a` = blocks reclaimed, `b` = bytes.
+    /// A pool's recovery collection ran. `a` = blocks reclaimed, `b` =
+    /// bytes.
     Gc = 3,
-    /// A deferred GC pass ran. `a` = blocks reclaimed, `b` = bytes.
-    DeferredGc = 4,
     /// A pool was cleanly closed (last handle dropped).
     Close = 5,
 }
@@ -45,7 +44,6 @@ impl EventKind {
             EventKind::Create => "create",
             EventKind::Open => "open",
             EventKind::Gc => "gc",
-            EventKind::DeferredGc => "deferred_gc",
             EventKind::Close => "close",
         }
     }
@@ -55,7 +53,6 @@ impl EventKind {
             1 => Some(EventKind::Create),
             2 => Some(EventKind::Open),
             3 => Some(EventKind::Gc),
-            4 => Some(EventKind::DeferredGc),
             5 => Some(EventKind::Close),
             _ => None,
         }
@@ -241,7 +238,7 @@ mod tests {
     #[test]
     fn overwrite_keeps_only_the_window() {
         for i in 0..(CAPACITY as u64 + 50) {
-            record(EventKind::DeferredGc, "ring-flood", i, 0);
+            record(EventKind::Gc, "ring-flood", i, 0);
         }
         let events = recent();
         assert!(events.len() <= CAPACITY);

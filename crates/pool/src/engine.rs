@@ -5,8 +5,9 @@
 //! persisted frontier word in the pool header; everything in this module is
 //! volatile state rebuilt from those by the recovery heap walk at every open.
 //! The walk only *reads*: it writes no link word into the free blocks it
-//! finds (tier 2 below). The heap stores an open still makes are the GC
-//! sweep's cleared headers and the links of oversize free blocks.
+//! finds (tier 2 below). The only heap store an open makes is the links
+//! of oversize free blocks; the recovery collection that may follow
+//! clears and flushes the headers it sweeps.
 //!
 //! Three tiers, ordered hot to cold:
 //!
@@ -22,10 +23,11 @@
 //!    cursor. A magazine miss *claims* up to [`REFILL`] blocks in address
 //!    order from that cursor and clears their bits. Either costs one class
 //!    lock per batch, and reads only its own class's bitmap — no block
-//!    header, no link word, no other class's lock. The open's heap walk and
-//!    its GC sweep fill the same bitmaps with the free blocks they find, so
-//!    after an open allocations claim recovered blocks exactly as they claim
-//!    drained ones. A claim comes before the frontier, so no slab is carved
+//!    header, no link word, no other class's lock. The open's heap walk
+//!    fills the same bitmaps with the free blocks it finds, and the
+//!    recovery collection's sweep drains into them, so after an open
+//!    allocations claim recovered blocks exactly as they claim drained
+//!    ones. A claim comes before the frontier, so no slab is carved
 //!    while a free block of its class waits. A bitmap covers the heap up to
 //!    its highest free block and grows under the class lock when a drain
 //!    passes its end. Oversize blocks never enter it: they sit on a
@@ -385,11 +387,40 @@ impl Engine {
                 None => self.drain(mem, class, &[off]),
             }
         } else {
-            // Oversize blocks skip the magazine tier: flush immediately.
-            MmapBackend::flush(mem.ptr(off));
-            let mut head = self.oversize.lock().unwrap_or_else(|p| p.into_inner());
-            mem.store(off + 8, *head);
-            *head = off;
+            self.free_oversize(mem, off);
+        }
+    }
+
+    /// Links the oversize block at `off`, whose header already reads free,
+    /// onto the first-fit list. Oversize blocks skip the magazine tier, so
+    /// the header is flushed here.
+    fn free_oversize(&self, mem: Mem, off: u64) {
+        MmapBackend::flush(mem.ptr(off));
+        let mut head = self.oversize.lock().unwrap_or_else(|p| p.into_inner());
+        mem.store(off + 8, *head);
+        *head = off;
+    }
+
+    /// Frees the blocks a recovery collection proved unreachable, given as
+    /// `(header offset, class)`: each header's allocated bit is cleared,
+    /// and a small block [drains](Self::drain) into its class bitmap, an
+    /// oversize one joins the first-fit list. One closing fence orders the
+    /// flushed headers, so a crash mid-sweep leaves each block either still
+    /// allocated (the next open's collection sweeps it again) or durably
+    /// free.
+    pub(crate) fn sweep(&self, mem: Mem, garbage: impl Iterator<Item = (u64, usize)>) {
+        let mut any = false;
+        for (off, class) in garbage {
+            mem.store(off, mem.load(off) & !W0_ALLOCATED);
+            if class == OVERSIZE {
+                self.free_oversize(mem, off);
+            } else {
+                self.drain(mem, class, &[off]);
+            }
+            any = true;
+        }
+        if any {
+            MmapBackend::fence();
         }
     }
 
@@ -433,10 +464,9 @@ impl Engine {
     }
 
     /// Starts the recovery walk of a fresh engine at the persisted
-    /// `frontier`. The walk and the sweep then
-    /// [`recover_free`](Self::recover_free) each free small-class block,
-    /// and [`finish_recovery`](Self::finish_recovery) links the oversize
-    /// ones.
+    /// `frontier`. The walk then [`recover_free`](Self::recover_free)s each
+    /// free small-class block, and
+    /// [`finish_recovery`](Self::finish_recovery) links the oversize ones.
     pub(crate) fn reset(&mut self, frontier: u64) {
         *self.frontier.get_mut() = frontier;
         *self.published.get_mut() = frontier;
@@ -457,8 +487,9 @@ impl Engine {
     /// Ends a recovery: links the `oversize` free blocks onto their
     /// first-fit list — the one write an open makes to a free block, and
     /// only to one of more than 64 KiB. Blocks are linked in the order
-    /// given (the walk's, then the sweep's, each in address order) onto a
-    /// LIFO list, so first-fit tries the last one first.
+    /// given (the walk's address order) onto a LIFO list, so first-fit
+    /// tries the last one first — after any a later [sweep](Self::sweep)
+    /// pushes.
     pub(crate) fn finish_recovery(&mut self, mem: Mem, oversize: &[u64]) {
         let head = self.oversize.get_mut().unwrap_or_else(|p| p.into_inner());
         for &off in oversize {

@@ -8,16 +8,20 @@
 //! block headers know — so without a collector the pool file only ever
 //! grows under crash-churn workloads.
 //!
-//! This module supplies the missing half of the recovery contract: during
-//! [`PoolBuilder::open`](crate::PoolBuilder::open), after the heap walk has
-//! validated every block header and **before** any structure attaches, a mark phase
-//! walks each registered root's persistent node graph (via a type-erased
-//! [`TraceFn`] the embedding process registered per pool path + root name) into a
-//! volatile [`Marker`], and the sweep phase hands every
-//! allocated-but-unmarked block back to the allocation engine: at open into
-//! its free bitmaps beside the walk's free blocks, where allocations claim
-//! them in address order; in a deferred collection through its ordinary
-//! free path.
+//! This module supplies the missing half of the recovery contract. The
+//! open's one heap walk records every allocated block's start and keeps
+//! that inventory; the open runs no tracer, because only the caller knows
+//! which type each root holds. The first
+//! [`Pool::collect`](crate::Pool::collect) — which
+//! `TypedRoots::root::<S>` calls with `S`'s tracer before `S` attaches —
+//! consumes the inventory: a mark phase walks each root's persistent node
+//! graph (via the [`TraceFn`] the caller passed for that root's name) into
+//! a volatile [`Marker`], and the sweep hands every allocated-but-unmarked
+//! block to the allocation engine's free path, into the class bitmaps
+//! where the walk's free blocks already wait and allocations claim both in
+//! address order. The first allocation or free after the open consumes the
+//! inventory too, so a block the session itself allocated or freed is
+//! never taken for crash garbage.
 //!
 //! Both sets are **bitmaps** with one bit per 16-byte heap unit, a block
 //! named by its header's unit: the heap walk fills the *allocated* bitmap
@@ -47,22 +51,20 @@
 //!
 //! The GC is conservative about what it cannot prove: it runs only when the
 //! pool is mapped at its preferred base (tracers chase embedded absolute
-//! pointers, exactly like `recover()`) and **every** registered root has a
-//! tracer. One unknown root disables the whole collection — reachability of
-//! its blocks cannot be established, and sweeping them would destroy live
-//! data — and so does a tracer that [refuses](Marker::refuse) its root
-//! (one written under another node layout). `collect` is the one collection both the open-time recovery and
-//! the deferred [`Pool::run_pending_gc`](crate::Pool::run_pending_gc) run;
-//! they differ only in where a swept block goes. See `ARCHITECTURE.md`
-//! § "Recovery GC" for the per-structure reachability contract.
+//! pointers, exactly like `recover()`) and **every** root has a tracer. One
+//! unknown root disables the whole collection — reachability of its blocks
+//! cannot be established, and sweeping them would destroy live data — and
+//! so does a tracer that [refuses](Marker::refuse) its root (one written
+//! under another node layout). See `ARCHITECTURE.md` § "Recovery GC" for
+//! the per-structure reachability contract.
 
+use crate::engine::Engine;
 use crate::{
     Mem, RecoveryReport, BLOCK_ALIGN, BLOCK_HEADER, HEAP_START, W0_CLASS_MASK, W0_CLASS_SHIFT,
     W0_SIZE_MASK,
 };
 use nvtraverse_obs as obs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// A type-erased tracer for one root: `root` is the root's payload pointer
@@ -75,24 +77,20 @@ use std::time::Instant;
 ///
 /// # Safety
 ///
-/// The function is called during `Pool::open`, single-threaded, on a
-/// quiescent heap whose every block header has been validated. It must only
-/// dereference memory inside the pool that is reachable from `root` under
-/// the structure's own invariants; `register_tracer`'s contract guarantees
-/// `root` really is a root of the traced structure type.
+/// The function is called by [`Pool::collect`](crate::Pool::collect),
+/// single-threaded, on a quiescent heap whose every block header the open
+/// validated and nothing has changed since. It must only dereference memory
+/// inside the pool that is reachable from `root` under the structure's own
+/// invariants; `Pool::collect`'s contract guarantees `root` really is a
+/// root of the traced structure type.
 pub type TraceFn = unsafe fn(root: *mut u8, marker: &mut Marker<'_>);
 
-/// The process-wide tracer registry, keyed by **(normalized pool path,
-/// root name)** — per-pool scoping means a tracer registered while working
-/// with one pool file can never be applied to an unrelated pool that
-/// happens to reuse the root name. Tiny (one entry per root the process
-/// touches), so a vector beats a map.
-static TRACERS: Mutex<Vec<(PathBuf, String, TraceFn)>> = Mutex::new(Vec::new());
-
-/// Stable registry key for a pool path: the canonicalized parent directory
+/// Stable per-file key for a pool path: the canonicalized parent directory
 /// plus the file name. Canonicalizing the *parent* (not the file) gives
 /// the same key whether the pool file exists yet (open) or not (create),
-/// and is symlink-stable for the directory components.
+/// and is symlink-stable for the directory components. Keys the pool's
+/// telemetry set (`nvtraverse_obs::for_pool`), so a reopened pool keeps
+/// accumulating into the same one.
 pub(crate) fn normalize_path(path: &Path) -> PathBuf {
     match path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => match std::fs::canonicalize(dir) {
@@ -101,58 +99,6 @@ pub(crate) fn normalize_path(path: &Path) -> PathBuf {
         },
         _ => std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf()),
     }
-}
-
-/// Registers (or replaces) the tracer for the root named `name` of the
-/// pool file at `pool_path`, returning the tracer it displaced (if any) so
-/// a caller whose subsequent attach fails can *restore* the previous
-/// registration instead of deleting an assertion somebody else made.
-///
-/// [`PoolBuilder::open`](crate::PoolBuilder::open) runs the mark-sweep
-/// collection only when every root name present in the opened pool has a tracer registered
-/// for that pool's path; higher layers (`nvtraverse::PooledHandle`,
-/// `PoolTrace`) call this with the right function for the structure type
-/// they are about to attach.
-///
-/// # Safety
-///
-/// By registering, the caller asserts that whenever this process opens the
-/// pool at `pool_path`, its root registered under `name` points at a
-/// structure `f` can correctly trace (same concrete node layout) — the
-/// same contract `attach_to_pool` requires of the attaching type. A
-/// mismatch makes the mark phase misinterpret pool memory: undefined
-/// behaviour, and live blocks may be swept. Re-register (the newest
-/// registration wins) if the root is recreated with a different type.
-pub unsafe fn register_tracer(pool_path: &Path, name: &str, f: TraceFn) -> Option<TraceFn> {
-    let key = normalize_path(pool_path);
-    let mut reg = TRACERS.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(entry) = reg.iter_mut().find(|(p, n, _)| *p == key && n == name) {
-        Some(std::mem::replace(&mut entry.2, f))
-    } else {
-        reg.push((key, name.to_string(), f));
-        None
-    }
-}
-
-/// Removes the tracer registered for `name` of the pool at `pool_path`, if
-/// any. Subsequent opens of that pool skip the recovery GC.
-pub fn unregister_tracer(pool_path: &Path, name: &str) {
-    let key = normalize_path(pool_path);
-    TRACERS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .retain(|(p, n, _)| !(*p == key && n == name));
-}
-
-/// The tracer registered for `name` under the (already normalized) pool
-/// key, if any.
-pub(crate) fn tracer_for(pool_key: &Path, name: &str) -> Option<TraceFn> {
-    TRACERS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .find(|(p, n, _)| p == pool_key && n == name)
-        .map(|&(_, _, f)| f)
 }
 
 /// One bit per 16-byte heap unit below the walked frontier; a block is
@@ -408,22 +354,20 @@ impl<'a> Marker<'a> {
     }
 }
 
-/// One mark-sweep collection over `roots` — the mark phase, the report
-/// bookkeeping and the GC counters of both the open-time and the deferred
-/// collection. `allocated` is the heap walk's block-start bitmap; `sweep`
-/// receives the `(header offset, class)` of every allocated block the mark
-/// phase never reached, in address order, and decides where it goes.
-/// Returns the swept `(blocks, bytes)` and whether the trace was clean (no
-/// tracer [noted a marked link](Marker::note_marked_link)), or `None` —
-/// with nothing swept and the report untouched — when a tracer
+/// One mark-sweep collection over `roots`: the mark phase, the sweep
+/// through `engine`'s free path, the report bookkeeping and the GC
+/// counters. `allocated` is the open's block-start bitmap. Returns the
+/// swept `(blocks, bytes)` and whether the trace was clean (no tracer
+/// [noted a marked link](Marker::note_marked_link)), or `None` — with
+/// nothing swept and the report untouched — when a tracer
 /// [refused](Marker::refuse).
 pub(crate) fn collect(
     mem: Mem,
     allocated: &Bitmap,
     roots: &[(String, u64, TraceFn)],
+    engine: &Engine,
     metrics: &obs::MetricSet,
     report: &mut RecoveryReport,
-    sweep: impl FnOnce(&mut dyn Iterator<Item = (u64, usize)>),
 ) -> Option<(usize, u64, bool)> {
     // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
     let mark_start = Instant::now();
@@ -431,37 +375,38 @@ pub(crate) fn collect(
     let mut root_marks = Vec::with_capacity(roots.len());
     for (name, off, trace) in roots {
         let before = marker.marked_blocks();
-        // Quiescent, header-verified heap mapped at its recorded base:
-        // open-time recovery, or the pre-attach state `run_pending_gc`
-        // requires.
-        // SAFETY: register_tracer's contract — the tracer matches the type
-        // that created this root — on the heap state described above.
+        // SAFETY: `Pool::collect`'s contract — each tracer matches the type
+        // that created its root, on a quiescent heap mapped at its recorded
+        // base whose headers the open validated and nothing has changed.
         unsafe { trace(mem.ptr(*off), &mut marker) };
         if marker.refused {
             return None;
         }
         root_marks.push((name.clone(), (marker.marked_blocks() - before) as u64));
     }
-    report.root_marks.extend(root_marks);
+    report.root_marks = root_marks;
     let mark_nanos = mark_start.elapsed().as_nanos() as u64;
     // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
     let sweep_start = Instant::now();
     let (mut swept, mut swept_bytes) = (0usize, 0u64);
-    sweep(&mut marker.unmarked().map(|block| {
-        let w0 = mem.load(block);
-        swept += 1;
-        swept_bytes += w0 & W0_SIZE_MASK;
-        (block, ((w0 >> W0_CLASS_SHIFT) & W0_CLASS_MASK) as usize)
-    }));
+    engine.sweep(
+        mem,
+        marker.unmarked().map(|block| {
+            let w0 = mem.load(block);
+            swept += 1;
+            swept_bytes += w0 & W0_SIZE_MASK;
+            (block, ((w0 >> W0_CLASS_SHIFT) & W0_CLASS_MASK) as usize)
+        }),
+    );
     let sweep_nanos = sweep_start.elapsed().as_nanos() as u64;
     report.gc_ran = true;
-    report.reclaimed_blocks += swept;
-    report.reclaimed_bytes += swept_bytes;
+    report.reclaimed_blocks = swept;
+    report.reclaimed_bytes = swept_bytes;
     report.live_blocks -= swept;
     report.free_blocks += swept;
-    report.phases.mark_nanos += mark_nanos;
-    report.phases.sweep_nanos += sweep_nanos;
-    report.gc_nanos += mark_nanos + sweep_nanos;
+    report.phases.mark_nanos = mark_nanos;
+    report.phases.sweep_nanos = sweep_nanos;
+    report.gc_nanos = mark_nanos + sweep_nanos;
     metrics.add(obs::Counter::GcRuns, 1);
     metrics.add(obs::Counter::GcMarked, marker.marked_blocks() as u64);
     metrics.add(obs::Counter::GcSwept, swept as u64);

@@ -20,10 +20,11 @@
 //!   heap**: a crash never double-allocates or tears metadata, and blocks
 //!   it strands (in-flight allocations, EBR-retired-but-unreclaimed nodes)
 //!   stay allocated only until the next open — reopening rebuilds all
-//!   volatile allocator state from one read-only heap walk and then runs a
-//!   **root-driven mark-sweep GC** (the [`gc`] module) that returns every
-//!   allocated block unreachable from the registered roots to the free
-//!   lists, reporting the reclaim in [`RecoveryReport`].
+//!   volatile allocator state from one read-only heap walk, and the first
+//!   [`Pool::collect`] after it (the typed `root::<S>()` attach calls it
+//!   with `S`'s tracer) runs a **root-driven mark-sweep GC** (the [`gc`]
+//!   module) that returns every allocated block unreachable from the roots
+//!   to the free lists, reporting the reclaim in [`RecoveryReport`].
 //! * [`POff`] — typed offset pointers, stable across rebased mappings.
 //! * A **root registry** — up to [`MAX_ROOTS`] named offsets in the pool
 //!   header, so a structure can be found again after reopen
@@ -87,7 +88,7 @@ mod mmap;
 pub mod optable;
 mod poff;
 
-pub use gc::{register_tracer, unregister_tracer, Marker, TraceFn};
+pub use gc::{Marker, TraceFn};
 pub use optable::{OpId, OpOutcome, RawOp, OPS_ROOT};
 pub use poff::POff;
 
@@ -99,7 +100,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -148,12 +149,14 @@ pub(crate) const W0_CLASS_SHIFT: u32 = 48;
 pub(crate) const W0_CLASS_MASK: u64 = 0xFF;
 pub(crate) const W0_ALLOCATED: u64 = 1 << 63;
 
-/// What [`PoolBuilder::open`]'s recovery (heap walk + mark-sweep GC) found.
+/// What recovery found: [`PoolBuilder::open`]'s heap walk, plus the
+/// mark-sweep GC of the first [`Pool::collect`] once it ran.
 ///
 /// The block counts describe the heap **after** the recovery GC: a block
 /// the sweep reclaimed is counted in `free_blocks` (and `reclaimed_blocks`),
 /// not in `live_blocks`, so the report always matches what
-/// [`Pool::verify_heap`] would observe right after the open.
+/// [`Pool::verify_heap`] would observe right after the open and its
+/// collection.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Blocks allocated after recovery (live data reachable from roots,
@@ -168,10 +171,11 @@ pub struct RecoveryReport {
     /// Whether the previous session closed cleanly (diagnostic only —
     /// recovery never depends on it).
     pub clean_shutdown: bool,
-    /// Whether the root-driven mark-sweep GC ran at this open. It runs only
-    /// when the pool mapped at its preferred base and **every** registered
-    /// root has a tracer (see [`gc::register_tracer`]); otherwise
-    /// reachability cannot be proved and nothing is swept.
+    /// Whether the root-driven mark-sweep GC ran for this open: `false`
+    /// until [`Pool::collect`] (or the typed `root::<S>()` attach that
+    /// calls it) collects. It runs only when the pool mapped at its
+    /// preferred base and the caller passed a tracer for **every** root;
+    /// otherwise reachability cannot be proved and nothing is swept.
     pub gc_ran: bool,
     /// Allocated blocks the sweep proved unreachable from every root and
     /// returned to the free lists. `0` after a clean close (the EBR drain
@@ -189,8 +193,7 @@ pub struct RecoveryReport {
     pub phases: GcPhases,
     /// Blocks each root's mark walk newly reached, as `(root name, count)`
     /// in registry order — which roots own the heap, and which contributed
-    /// nothing. Empty when the GC did not run. A deferred collection
-    /// ([`Pool::run_pending_gc`]) appends its own walk's counts.
+    /// nothing. Empty when the GC did not run.
     pub root_marks: Vec<(String, u64)>,
     /// Operation descriptors found in the [`optable::OPS_ROOT`] table at
     /// open (slots whose sequence number was ever durably armed). Always
@@ -209,9 +212,10 @@ pub struct RecoveryReport {
     pub ops_pending: usize,
 }
 
-/// Per-phase wall-clock breakdown of [`PoolBuilder::open`]'s recovery pipeline,
-/// in nanoseconds. Phases that did not run (e.g. mark/sweep when the GC
-/// was skipped) report 0.
+/// Per-phase wall-clock breakdown of the recovery pipeline — the open's
+/// heap walk, then the mark and sweep of [`Pool::collect`] — in
+/// nanoseconds. Phases that did not run (e.g. mark/sweep when the GC was
+/// skipped) report 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcPhases {
     /// The one read-only pass over the block headers: validating each and
@@ -323,23 +327,21 @@ struct Inner {
     /// Serializes root-registry reads and writes (slot names are multi-word,
     /// so their publication is not atomic). Rare operations only.
     roots: Mutex<()>,
-    /// Mutable because [`Pool::run_pending_gc`] folds a deferred collection
-    /// into it after the open.
+    /// Mutable because [`Pool::collect`] folds its collection into it after
+    /// the open. Also serializes collections.
     report: Mutex<RecoveryReport>,
-    /// Open-time recovery wanted to GC but a root had no tracer yet:
-    /// [`Pool::run_pending_gc`] may still collect before the first attach.
-    gc_pending: AtomicBool,
-    /// Structures attached through this pool (see [`Pool::note_attach`]);
-    /// nonzero disables the deferred GC — the heap is no longer provably
-    /// quiescent-and-untouched.
-    attach_count: AtomicUsize,
+    /// The open's allocated-block bitmap, kept for the first
+    /// [`Pool::collect`]; null when there is nothing to collect (a fresh,
+    /// rootless or rebased pool) or once a collection, an allocation or a
+    /// free consumed it. Owned: a non-null value came from `Box::into_raw`.
+    inventory: AtomicPtr<gc::Bitmap>,
     /// This open's recovery GC traced every root and no tracer noted a
     /// marked link; cleared by the first [`Pool::take_clean_trace`].
     clean_trace: AtomicBool,
-    /// This pool's telemetry (`nvtraverse-obs`), resolved from the same
-    /// normalized path key the tracer registry uses — so a reopened pool
-    /// keeps accumulating into the same set. `&'static`: the registry leaks
-    /// one set per distinct pool file.
+    /// This pool's telemetry (`nvtraverse-obs`), resolved from the pool's
+    /// normalized path — so a reopened pool keeps accumulating into the
+    /// same set. `&'static`: the registry leaks one set per distinct pool
+    /// file.
     metrics: &'static obs::MetricSet,
     /// Open-time snapshot of the operation-descriptor table plus the
     /// structure-reported resolutions (see [`optable`]). The mutex also
@@ -349,8 +351,8 @@ struct Inner {
     collector: Collector,
 }
 
-// SAFETY: the mapping is plain shared memory; mutation happens through the
-// engine's lock-free protocol or ordered root-slot publication.
+// SAFETY: the mapping is plain shared memory; mutation happens through the engine's
+// lock-free protocol, ordered root-slot publication, or the inventory's single swap.
 unsafe impl Send for Inner {}
 unsafe impl Sync for Inner {}
 
@@ -428,11 +430,11 @@ impl PoolBuilder {
     }
 
     /// Opens the existing pool file, verifies its header, and rebuilds the
-    /// allocator's volatile state from a full heap walk — followed by the
-    /// root-driven mark-sweep recovery GC (see the [`gc`] module) when
-    /// every registered root has a tracer. When tracers are missing the
-    /// collection is left *pending*: [`Pool::run_pending_gc`] can still run
-    /// it once tracers are registered, provided nothing has attached yet.
+    /// allocator's volatile state from one read-only heap walk. The open
+    /// runs no tracer: it keeps the walk's allocated-block inventory for the
+    /// root-driven mark-sweep recovery GC (see the [`gc`] module) of the
+    /// first [`Pool::collect`] — which the typed `root::<S>()` attach calls
+    /// with `S`'s tracer before `S` attaches.
     ///
     /// The file is mapped at its recorded preferred base when that range is
     /// still free (embedded absolute pointers stay valid); otherwise it is
@@ -559,8 +561,7 @@ impl Pool {
                 clean_shutdown: true,
                 ..Default::default()
             }),
-            gc_pending: AtomicBool::new(false),
-            attach_count: AtomicUsize::new(0),
+            inventory: AtomicPtr::default(),
             clean_trace: AtomicBool::new(false),
             metrics,
             ops: Mutex::new(optable::OpsState::default()),
@@ -646,16 +647,15 @@ impl Pool {
             engine: Engine::new(metrics),
             roots: Mutex::new(()),
             report: Mutex::new(RecoveryReport::default()),
-            gc_pending: AtomicBool::new(false),
-            attach_count: AtomicUsize::new(0),
+            inventory: AtomicPtr::default(),
             clean_trace: AtomicBool::new(false),
             metrics,
             ops: Mutex::new(optable::OpsState::default()),
             collector: Collector::new(),
         };
-        let mut report = {
-            // Recovery traffic (header flushes of swept blocks, the closing
-            // fence) is this pool's GC spending.
+        let (mut report, allocated) = {
+            // Recovery traffic (the oversize links) is this pool's GC
+            // spending.
             let _t = obs::attribute_to(Some(metrics));
             let _p = obs::phase(obs::Phase::Gc);
             inner.recover_allocator(clean == 1)?
@@ -672,12 +672,10 @@ impl Pool {
             .map(|off| optable::snapshot_ops(mem, off, &mut report))
             .unwrap_or_default();
         *inner.ops.get_mut().unwrap_or_else(|e| e.into_inner()) = ops_state;
-        // The GC stays *pending* when it was skipped only because a root
-        // lacked a tracer: a later `run_pending_gc` (before any attach) can
-        // still prove reachability once higher layers register tracers.
-        // Rebased mappings and rootless pools can never become provable.
-        if !report.gc_ran && !inner.rebased && inner.root_count() > 0 {
-            *inner.gc_pending.get_mut() = true;
+        // Keep the walk's inventory for the first `collect`. Rebased
+        // mappings and rootless pools can never be collected.
+        if !rebased && !inner.roots().is_empty() {
+            *inner.inventory.get_mut() = Box::into_raw(Box::new(allocated));
         }
         // Mark the pool dirty until a clean close. The preferred base is
         // only re-recorded for a NON-rebased mapping: on a rebased one,
@@ -745,9 +743,8 @@ impl Pool {
         self.inner.rebased
     }
 
-    /// What recovery found when this pool was opened — including, when a
-    /// deferred [`Pool::run_pending_gc`] collected after the open, that
-    /// collection's reclaim.
+    /// What recovery found when this pool was opened — including, once
+    /// [`Pool::collect`] collected, that collection's reclaim.
     pub fn recovery_report(&self) -> RecoveryReport {
         self.inner
             .report
@@ -956,15 +953,7 @@ impl Pool {
 
     /// All registered `(name, offset)` pairs.
     pub fn roots(&self) -> Vec<(String, u64)> {
-        let inner = &*self.inner;
-        let _guard = inner.roots.lock().unwrap_or_else(|e| e.into_inner());
-        (0..MAX_ROOTS)
-            .filter_map(|slot| {
-                let (name, off) = inner.read_root_slot(slot);
-                let name = name?;
-                Some((String::from_utf8_lossy(&name).into_owned(), off))
-            })
-            .collect()
+        self.inner.roots()
     }
 
     // ---- typed convenience ----------------------------------------------
@@ -1039,124 +1028,78 @@ impl Pool {
         }
     }
 
-    // ---- deferred recovery GC -------------------------------------------
+    // ---- recovery GC ----------------------------------------------------
 
-    /// Whether open-time recovery skipped the mark-sweep GC **only**
-    /// because some root had no registered tracer yet — the state
-    /// [`Pool::run_pending_gc`] can still resolve.
-    pub fn gc_pending(&self) -> bool {
-        self.inner.gc_pending.load(Ordering::Acquire)
-    }
-
-    /// Records that a structure has attached to (or been created in) this
-    /// pool. Called by the typed-root layer (`nvtraverse`'s `TypedRoots`);
-    /// hand-rolled `attach_to_pool` users should call it too. Once any
-    /// structure is attached the deferred GC is permanently disabled for
-    /// this open: the heap is no longer provably untouched since recovery.
-    pub fn note_attach(&self) {
-        self.inner.attach_count.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Runs the deferred open-time mark-sweep GC, if it is still both
-    /// [pending](Pool::gc_pending) and provable: every registered root now
-    /// has a tracer (see [`gc::register_tracer`]) and **nothing has
-    /// attached yet** ([`Pool::note_attach`]). Returns whether a collection
-    /// ran; its reclaim is folded into [`Pool::recovery_report`].
+    /// Runs this open's root-driven mark-sweep recovery GC (the [`gc`]
+    /// module) with `tracers`, the `(root name, tracer)` of each root the
+    /// caller can name; the [`OPS_ROOT`] table brings its own. Returns
+    /// whether a collection ran; its reclaim is folded into
+    /// [`Pool::recovery_report`].
     ///
-    /// This exists for the typed-root open order: `Pool::builder().open()`
-    /// runs before any `root::<S>()` call can register `S`'s tracer, so a
-    /// single-structure pool opened through the new API GCs here — at the
-    /// first `root::<S>()`, before the structure attaches — rather than
-    /// inside `open`. Multi-root pools GC once the last tracer arrives
-    /// (register tracers for all roots before the first attach to get a
-    /// collection; see `register_pool_tracer`).
+    /// Only the first call after the open can collect: it consumes the
+    /// open's block inventory, whether or not a collection runs, and so
+    /// does the first allocation or free — from then on the heap is no
+    /// longer the one the walk saw. Nothing is swept when a root has no
+    /// tracer in `tracers`, a tracer [refuses](Marker::refuse) its root,
+    /// or the pool is [rebased](Pool::is_rebased): reachability is then
+    /// not provable. The typed `root::<S>()` attach calls this with `S`'s
+    /// tracer before `S` attaches, which collects a single-root pool; a
+    /// multi-root pool is collected by passing every root's tracer here
+    /// before the first attach. Collections serialize on the report lock,
+    /// and the inventory is freed before this returns.
     ///
-    /// Quiescence contract: callers must not run this concurrently with
-    /// pool allocation or structure operations (the typed-root layer calls
-    /// it only before the first attach, which satisfies this by
-    /// construction). Two belt-and-braces guards back the contract up:
-    /// whole collections serialize on the report lock (concurrent callers
-    /// can never both sweep, i.e. never double-free the same blocks), and
-    /// any `alloc`/`dealloc` on the pool cancels the pending collection
-    /// outright — the flag stays raised until a sweep *completes*, so a
-    /// mutation at any earlier point is seen and a block allocated after
-    /// the open can never be mistaken for crash garbage by a later
-    /// deferred sweep.
-    pub fn run_pending_gc(&self) -> bool {
+    /// # Safety
+    ///
+    /// Each tracer must trace the root it names as the type that created
+    /// it (same concrete node layout) — the contract
+    /// `PoolAttach::attach_to_pool` states for the attaching type. No
+    /// structure may have attached to this pool since the open: a
+    /// structure's recovery may retire nodes it unlinks, and the sweep
+    /// would free them a second time. A mismatch misreads pool memory and
+    /// may sweep live blocks.
+    pub unsafe fn collect(&self, tracers: &[(&str, TraceFn)]) -> bool {
         let inner = &*self.inner;
-        // One collection at a time: the report lock is held across the
-        // whole decide-walk-sweep sequence, and the pending flag is only
-        // lowered (terminally) under it.
         let mut report = inner.report.lock().unwrap_or_else(|e| e.into_inner());
-        if !inner.gc_pending.load(Ordering::Acquire)
-            || inner.attach_count.load(Ordering::Acquire) > 0
-        {
-            return false;
-        }
-        let Some(roots) = inner.traceable_roots() else {
-            // Not provable *yet* (a tracer is still missing); the flag
-            // stays raised so a later registration can retry — and so any
-            // interleaved alloc/dealloc still cancels it.
+        let Some(allocated) = inner.take_inventory() else {
             return false;
         };
-        // Re-walk the heap for the allocated inventory (the open-time walk
-        // discarded it when the GC could not run). Cancel-on-alloc
-        // guarantees this inventory equals the open-time one.
-        let (mem, frontier) = (inner.mem, inner.engine.frontier());
-        let mut allocated = gc::Bitmap::new(frontier);
-        // Headers were validated at open and only mutated by the engine
-        // since; a failure here would be memory corruption.
-        if walk_heap(mem, frontier, |off, _, _, is_allocated| {
-            if is_allocated {
-                allocated.set(off);
-            }
-        })
-        .is_err()
-        {
+        let Some(roots) = inner.traceable_roots(tracers) else {
             return false;
-        }
+        };
         let _t = obs::attribute_to(Some(inner.metrics));
         let _p = obs::phase(obs::Phase::Gc);
-        // The engine is already rebuilt, so swept blocks return through
-        // `Engine::dealloc` — the engine's own free-path persistence
-        // discipline — instead of the open-time free bitmaps.
-        // A refusing tracer leaves the collection pending, as a missing
-        // one does: nothing was swept.
         let Some((swept, bytes, clean)) = gc::collect(
-            mem,
+            inner.mem,
             &allocated,
             &roots,
+            &inner.engine,
             inner.metrics,
             &mut report,
-            |garbage| garbage.for_each(|(off, class)| inner.engine.dealloc(mem, off, class)),
         ) else {
             return false;
         };
         inner.clean_trace.store(clean, Ordering::Release);
         obs::ring::record(
-            obs::ring::EventKind::DeferredGc,
+            obs::ring::EventKind::Gc,
             &pool_label(&inner.path),
             swept as u64,
             bytes,
         );
-        inner.gc_pending.store(false, Ordering::Release);
         true
     }
 
     /// The mark phase's verdict, handed out once: `true` when this open's
-    /// recovery GC (at open, or [deferred](Pool::run_pending_gc)) traced
-    /// every root and no tracer [noted a marked link](Marker::note_marked_link),
-    /// and at most one structure has [attached](Pool::note_attach) since —
-    /// the heap is still the one the trace saw. The first call clears it,
-    /// so only the first structure to attach skips its recovery scan on
-    /// it; every later caller gets `false`, as does every open whose GC did
-    /// not run or was refused.
+    /// [collection](Pool::collect) traced every root and no tracer
+    /// [noted a marked link](Marker::note_marked_link). The first call
+    /// clears it, so only the structure that attaches right after the
+    /// collection — the heap is still the one the trace saw — skips its
+    /// recovery scan on it; every later caller gets `false`, as does every
+    /// open whose GC did not run or was refused.
     ///
     /// Only a structure whose own tracer notes every marked link it crosses
     /// may act on `true` (see [`Marker::note_marked_link`]).
     pub fn take_clean_trace(&self) -> bool {
         self.inner.clean_trace.swap(false, Ordering::AcqRel)
-            && self.inner.attach_count.load(Ordering::Acquire) <= 1
     }
 
     /// Whether `off` is the payload start of a currently **allocated**
@@ -1269,14 +1212,7 @@ impl Inner {
     // ---- allocator entry points ------------------------------------------
 
     fn alloc(&self, size: usize, align: usize) -> Option<*mut u8> {
-        // Any mutation before a still-pending deferred GC makes the GC's
-        // open-time reachability picture stale — a fresh allocation is
-        // reachable from no root and would be swept as crash garbage.
-        // Cancel the collection instead. (One relaxed load; the flag is
-        // false for the pool's entire steady-state life.)
-        if self.gc_pending.load(Ordering::Relaxed) {
-            self.gc_pending.store(false, Ordering::Release);
-        }
+        self.end_inventory();
         if align > BLOCK_ALIGN as usize {
             // Alignment is caller-controlled through the generic alloc_node
             // path; an unsupported value must fail the allocation, not the
@@ -1323,11 +1259,7 @@ impl Inner {
 
     // SAFETY: see the trait contract — `ptr` came from this heap's `alloc` and is freed at most once.
     unsafe fn dealloc(&self, ptr: *mut u8) {
-        // See `alloc`: a free before the deferred GC ran could hand the
-        // sweep an already-free (or recycled) block — cancel it.
-        if self.gc_pending.load(Ordering::Relaxed) {
-            self.gc_pending.store(false, Ordering::Release);
-        }
+        self.end_inventory();
         let (_, class) = self.block_info(ptr);
         let off = (ptr as usize - self.mem.base()) as u64 - BLOCK_HEADER;
         let _t = obs::attribute_to(Some(self.metrics));
@@ -1338,14 +1270,10 @@ impl Inner {
     /// Rebuilds allocator state from persistent block headers (nothing
     /// volatile is trusted) in **one** read-only pass that touches each
     /// header once — validate it, then record an allocated block in the
-    /// block-start bitmap or a free one in its class's free bitmap in the
-    /// engine — and then runs the root-driven mark-sweep recovery GC when
-    /// every registered root has a tracer. Swept blocks join the walk's
-    /// free ones in those bitmaps, so small-class allocations after the
-    /// open claim both in one ascending address order per class, a function
-    /// of the image alone.
-    /// The walk writes nothing, so an image it rejects keeps every byte.
-    fn recover_allocator(&mut self, clean: bool) -> io::Result<RecoveryReport> {
+    /// returned block-start bitmap or a free one in its class's free bitmap
+    /// in the engine. The walk writes nothing, so an image it rejects keeps
+    /// every byte.
+    fn recover_allocator(&mut self, clean: bool) -> io::Result<(RecoveryReport, gc::Bitmap)> {
         let (mem, frontier) = (self.mem, self.mem.load(OFF_FRONTIER));
         if frontier < HEAP_START || frontier > mem.len() as u64 {
             return Err(bad_pool(format!("frontier {frontier:#x} out of range")));
@@ -1355,7 +1283,6 @@ impl Inner {
             clean_shutdown: clean,
             ..Default::default()
         };
-        let gc_roots = self.traceable_roots();
         let engine = &mut self.engine;
         engine.reset(frontier);
         // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
@@ -1379,91 +1306,71 @@ impl Inner {
         })
         .map_err(|e| bad_pool(format!("corrupt {e}")))?;
         report.phases.heap_walk_nanos = walk_start.elapsed().as_nanos() as u64;
-        if let Some(roots) = gc_roots {
-            // Every allocated block the mark phase never reached is garbage
-            // by the reachability contract: clear its allocated bit, flush
-            // the header, and order the batch with one closing fence so
-            // reclamation is itself durable; then it is free like any block
-            // the walk found. A crash mid-sweep is safe: each garbage block
-            // is independently either still allocated (reswept at the next
-            // open) or durably free.
-            let sweep = |garbage: &mut dyn Iterator<Item = (u64, usize)>| {
-                let mut any = false;
-                for (off, class) in garbage {
-                    mem.store(off, mem.load(off) & !W0_ALLOCATED);
-                    MmapBackend::flush(mem.ptr(off));
-                    if class == OVERSIZE {
-                        oversize.push(off);
-                    } else {
-                        engine.recover_free(off, class);
-                    }
-                    any = true;
-                }
-                if any {
-                    MmapBackend::fence();
-                }
-            };
-            // A refusing tracer leaves every block as the walk found it.
-            if let Some((swept, bytes, clean)) =
-                gc::collect(mem, &allocated, &roots, self.metrics, &mut report, sweep)
-            {
-                *self.clean_trace.get_mut() = clean;
-                obs::ring::record(
-                    obs::ring::EventKind::Gc,
-                    &pool_label(&self.path),
-                    swept as u64,
-                    bytes,
-                );
-            }
-        }
         engine.finish_recovery(mem, &oversize);
-        Ok(report)
+        Ok((report, allocated))
     }
 
-    /// The `(name, offset, tracer)` triples of every registered root — or `None`
-    /// when the recovery GC must be skipped because reachability is not
-    /// provable: a [rebased](Pool::is_rebased) mapping (tracers follow
-    /// embedded absolute pointers, exactly as `recover()` does), no roots
-    /// at all, a torn slot (offset 0), or any root without a registered
-    /// [`TraceFn`] for this pool's path. One unknown root disables the
-    /// whole collection — its blocks' reachability cannot be established,
-    /// and sweeping them could destroy live data.
-    fn traceable_roots(&self) -> Option<Vec<(String, u64, gc::TraceFn)>> {
-        if self.rebased {
+    /// Takes the open's block inventory; `None` once consumed.
+    fn take_inventory(&self) -> Option<Box<gc::Bitmap>> {
+        let p = self.inventory.swap(std::ptr::null_mut(), Ordering::AcqRel);
+        // SAFETY: a non-null inventory came from `Box::into_raw` at open,
+        // and the swap hands it to exactly one caller.
+        (!p.is_null()).then(|| unsafe { Box::from_raw(p) })
+    }
+
+    /// Consumes the open's inventory, if still held: the heap is about to
+    /// differ from the one the walk saw — a fresh allocation is reachable
+    /// from no root, a free may recycle a block — so no collection may run
+    /// on it any more. Once consumed this costs one load, `Relaxed`
+    /// because it only gates the swap, which does the `Acquire`.
+    fn end_inventory(&self) {
+        if !self.inventory.load(Ordering::Relaxed).is_null() {
+            drop(self.take_inventory());
+        }
+    }
+
+    /// The `(name, offset, tracer)` triples of every root — or `None` when
+    /// the recovery GC must be skipped because reachability is not
+    /// provable: no roots at all, a torn slot (offset 0), or a root without
+    /// a tracer in `tracers`. One unknown root disables the whole
+    /// collection — its blocks' reachability cannot be established, and
+    /// sweeping them could destroy live data.
+    fn traceable_roots(
+        &self,
+        tracers: &[(&str, gc::TraceFn)],
+    ) -> Option<Vec<(String, u64, gc::TraceFn)>> {
+        let roots = self.roots();
+        if roots.is_empty() {
             return None;
         }
-        let key = gc::normalize_path(&self.path);
-        let mut roots: Vec<(String, u64, gc::TraceFn)> = Vec::new();
-        for slot in 0..MAX_ROOTS {
-            let (name, off) = self.read_root_slot(slot);
-            let Some(name) = name else { continue };
-            if off == 0 {
-                return None; // torn slot: its structure cannot be traced
-            }
-            let name = String::from_utf8_lossy(&name).into_owned();
-            // The reserved ops-table root has a built-in tracer (a single
-            // block, no outgoing pointers) — detectable pools must not lose
-            // the GC just because no structure tracer mentions this root.
-            if name == optable::OPS_ROOT {
-                roots.push((name, off, optable::ops_trace as gc::TraceFn));
-                continue;
-            }
-            let tracer = gc::tracer_for(&key, &name)?;
-            roots.push((name, off, tracer));
-        }
-        if roots.is_empty() {
-            None
-        } else {
-            Some(roots)
-        }
+        roots
+            .into_iter()
+            .map(|(name, off)| {
+                if off == 0 {
+                    return None; // torn slot: its structure cannot be traced
+                }
+                // The reserved ops-table root has a built-in tracer (a single
+                // block, no outgoing pointers) — detectable pools must not
+                // lose the GC just because no structure tracer mentions it.
+                let trace = if name == optable::OPS_ROOT {
+                    optable::ops_trace as gc::TraceFn
+                } else {
+                    tracers.iter().find(|(n, _)| *n == name)?.1
+                };
+                Some((name, off, trace))
+            })
+            .collect()
     }
 
-    /// Number of named root slots in use.
-    fn root_count(&self) -> usize {
+    /// All named `(name, offset)` root slots.
+    fn roots(&self) -> Vec<(String, u64)> {
         let _guard = self.roots.lock().unwrap_or_else(|e| e.into_inner());
         (0..MAX_ROOTS)
-            .filter(|&slot| self.read_root_slot(slot).0.is_some())
-            .count()
+            .filter_map(|slot| {
+                let (name, off) = self.read_root_slot(slot);
+                Some((String::from_utf8_lossy(&name?).into_owned(), off))
+            })
+            .collect()
     }
 
     // ---- shims for the pmem foreign-heap registry ------------------------
@@ -1488,6 +1395,7 @@ impl Drop for Inner {
         // other threads still hold is left for the next open's GC.
         self.collector.drain();
         self.collector.close();
+        drop(self.take_inventory());
         // Stop routing new work here before the mapping goes away. The
         // engine unregisters first so no exiting thread can drain magazines
         // into a dying engine.
@@ -1510,7 +1418,7 @@ impl Drop for Inner {
 /// The one pass over the block headers in `[HEAP_START, frontier)`: checks
 /// every header against the heap invariants and calls `block(offset, size,
 /// class, allocated)` for each, in address order. Every consumer of the
-/// heap's block inventory — open-time recovery, the deferred GC,
+/// heap's block inventory — open-time recovery,
 /// [`Pool::verify_heap`], [`Pool::for_each_live_payload`] — is this loop, so a
 /// block that passed a weaker check somewhere can never poison a free list
 /// and later be handed out at its class size, overlapping a neighbour.

@@ -523,7 +523,7 @@ fn concurrent_alloc_free_stress_keeps_heap_consistent() {
     cleanup(&path);
 }
 
-// ---- builder, pending GC, POff validation -----------------------------------
+// ---- builder, recovery collection, POff validation -----------------------------------
 
 #[test]
 fn builder_requires_path_and_capacity() {
@@ -546,44 +546,70 @@ fn builder_requires_path_and_capacity() {
 }
 
 #[test]
-fn pending_gc_collects_before_first_attach_only() {
+fn only_the_first_collect_before_any_alloc_or_free_runs() {
     unsafe fn mark_root(root: *mut u8, marker: &mut gc::Marker<'_>) {
         marker.mark(root);
     }
-    let path = tmp("pending");
-    let root_off;
+    let path = tmp("first-collect");
+    let (root_off, orphans);
     {
         let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
         let keep = pool.alloc(64, 8).unwrap();
         root_off = pool.offset_of(keep);
         pool.set_root_offset("r", root_off).unwrap();
-        // Orphan: allocated, reachable from nothing.
-        pool.alloc(64, 8).unwrap();
+        // Orphans: allocated, reachable from nothing.
+        orphans = [
+            pool.offset_of(pool.alloc(64, 8).unwrap()),
+            pool.offset_of(pool.alloc(64, 8).unwrap()),
+        ];
     }
-    // No tracer in a fresh "process" state for this path: reset it.
-    gc::unregister_tracer(&path, "r");
-    let pool = Pool::builder().path(&path).open().unwrap();
-    assert!(!pool.recovery_report().gc_ran);
-    assert!(pool.gc_pending(), "missing tracer must leave the GC pending");
-    assert!(!pool.run_pending_gc(), "still no tracer: nothing to prove");
-    // SAFETY: the root is a single self-contained block; mark_root covers it.
-    unsafe { gc::register_tracer(&path, "r", mark_root) };
-    assert!(pool.run_pending_gc(), "tracer registered, nothing attached: collect");
+    let open = || Pool::builder().path(&path).open().unwrap();
+    // SAFETY (every `collect` below): the root is a single self-contained
+    // block; `mark_root` covers it, and nothing attaches to this pool.
+
+    // A missing tracer sweeps nothing, and ends the open's collection.
+    let pool = open();
+    assert!(!pool.recovery_report().gc_ran, "the open ran a collection");
+    assert!(!unsafe { pool.collect(&[]) }, "no tracer: nothing to prove");
+    assert!(!unsafe { pool.collect(&[("r", mark_root)]) }, "a second collect ran");
     let report = pool.recovery_report();
-    assert!(report.gc_ran && !pool.gc_pending());
+    assert!(!report.gc_ran);
+    assert_eq!((report.reclaimed_blocks, report.live_blocks), (0, 3));
+    assert_eq!(pool.live_offsets().len(), 3, "something was swept");
+    drop(pool);
+
+    // A free before the first attach cancels the collection.
+    let pool = open();
+    // SAFETY: an orphan nothing references.
+    unsafe { pool.dealloc(pool.at(orphans[0])) };
+    assert!(!unsafe { pool.collect(&[("r", mark_root)]) }, "a free left the inventory");
+    assert!(!pool.recovery_report().gc_ran);
+    drop(pool);
+
+    // So does an allocation.
+    let pool = open();
+    let fresh = pool.alloc(64, 8).unwrap();
+    assert!(!unsafe { pool.collect(&[("r", mark_root)]) }, "an allocation left the inventory");
+    assert!(!pool.recovery_report().gc_ran);
+    // SAFETY: just allocated, referenced by nobody.
+    unsafe { pool.dealloc(fresh) };
+    drop(pool);
+
+    // Every tracer, nothing allocated or freed: exactly the orphan goes.
+    let pool = open();
+    assert!(unsafe { pool.collect(&[("r", mark_root)]) }, "tracer given, nothing attached: collect");
+    let report = pool.recovery_report();
+    assert!(report.gc_ran);
     assert_eq!(report.reclaimed_blocks, 1, "exactly the orphan");
     assert_eq!(pool.live_offsets(), vec![root_off - BLOCK_HEADER]);
-    assert!(!pool.run_pending_gc(), "a second run has nothing pending");
-    // After an attach, a (hypothetically) pending GC must refuse.
-    pool.note_attach();
-    assert!(!pool.run_pending_gc());
+    assert!(!unsafe { pool.collect(&[("r", mark_root)]) }, "a second collect ran");
+    assert_eq!(pool.recovery_report(), report, "a second collect changed the report");
     drop(pool);
-    gc::unregister_tracer(&path, "r");
     cleanup(&path);
 }
 
 #[test]
-fn a_refusing_tracer_sweeps_nothing_at_open_or_later() {
+fn a_refusing_tracer_sweeps_nothing() {
     unsafe fn mark_then_refuse(root: *mut u8, marker: &mut gc::Marker<'_>) {
         marker.mark(root);
         marker.refuse();
@@ -596,19 +622,18 @@ fn a_refusing_tracer_sweeps_nothing_at_open_or_later() {
         // An orphan a collection would sweep.
         pool.alloc(64, 8).unwrap();
     }
-    // SAFETY: the tracer reads nothing; it refuses every root.
-    unsafe { gc::register_tracer(&path, "r", mark_then_refuse) };
     let pool = Pool::builder().path(&path).open().unwrap();
+    // SAFETY: the tracer reads nothing; it refuses every root.
+    assert!(!unsafe { pool.collect(&[("r", mark_then_refuse)]) });
     let report = pool.recovery_report();
     assert!(!report.gc_ran, "a refused collection must not count as run");
     assert_eq!((report.reclaimed_blocks, report.live_blocks), (0, 2));
     assert!(report.root_marks.is_empty());
-    assert!(pool.gc_pending(), "refused like an untraceable root: still pending");
-    assert!(!pool.run_pending_gc(), "the deferred collection refuses too");
+    // SAFETY: as above.
+    assert!(!unsafe { pool.collect(&[("r", mark_then_refuse)]) }, "a second collect ran");
     assert_eq!(pool.live_offsets().len(), 2, "nothing was swept");
     pool.verify_heap().unwrap();
     drop(pool);
-    gc::unregister_tracer(&path, "r");
     cleanup(&path);
 }
 
@@ -674,8 +699,9 @@ fn op_table_registers_slots_and_survives_reopen() {
     drop(pool);
 
     let pool = Pool::builder().path(&path).open().unwrap();
+    // SAFETY: the pool's one root is the ops table, which brings its own.
+    assert!(unsafe { pool.collect(&[]) }, "ops root has a built-in tracer");
     let report = pool.recovery_report();
-    assert!(report.gc_ran, "ops root has a built-in tracer");
     assert_eq!(report.ops_descriptors, 1);
     assert_eq!(report.ops_not_applied, 1, "published no-op is decided");
     assert_eq!(report.ops_pending, 0);
@@ -812,17 +838,15 @@ fn marker_refuses_payload_bytes_that_mimic_a_header() {
         }
         pool.set_root_offset("r", a_off).unwrap();
     }
-    // SAFETY: the root is one self-contained block; the tracer marks it.
-    unsafe { gc::register_tracer(&path, "r", probe_inside) };
     let pool = Pool::builder().path(&path).open().unwrap();
+    // SAFETY: the root is one self-contained block; the tracer marks it.
+    assert!(unsafe { pool.collect(&[("r", probe_inside)]) });
     let report = pool.recovery_report();
-    assert!(report.gc_ran);
     assert_eq!(MARKED.load(Ordering::SeqCst), 1, "mark() accepted a pointer into the middle of a block");
     assert_eq!(RESOLVED.load(Ordering::SeqCst), 1, "at() resolved an offset into the middle of a block");
     assert_eq!(report.root_marks, vec![("r".to_string(), 1)]);
     assert_eq!(report.reclaimed_blocks, 1, "exactly the unreachable second block");
     drop(pool);
-    gc::unregister_tracer(&path, "r");
     cleanup(&path);
 }
 
@@ -897,11 +921,10 @@ fn recovery_gc_reclaims_exactly_the_garbage_and_allocates_in_address_order() {
         frontier = pool.inner.engine.frontier();
         kept = keep;
     }
-    // SAFETY: `trace_listed` reads the layout written above.
-    unsafe { gc::register_tracer(&path, "r", trace_listed) };
     let pool = Pool::builder().path(&path).open().unwrap();
+    // SAFETY: `trace_listed` reads the layout written above.
+    assert!(unsafe { pool.collect(&[("r", trace_listed)]) });
     let report = pool.recovery_report();
-    assert!(report.gc_ran);
 
     // The reclaimed set is exactly the garbage.
     let is_kept = |off: u64| kept.contains(&(off + BLOCK_HEADER));
@@ -951,7 +974,6 @@ fn recovery_gc_reclaims_exactly_the_garbage_and_allocates_in_address_order() {
     }
     pool.verify_heap().unwrap();
     drop(pool);
-    gc::unregister_tracer(&path, "r");
     cleanup(&path);
 }
 
@@ -1063,37 +1085,30 @@ fn clean_trace_verdict_is_handed_out_once_and_only_after_a_clean_collection() {
         file.write_all_at(&word.to_le_bytes(), root_off).unwrap();
     };
     let open = || Pool::builder().path(&path).open().unwrap();
+    // SAFETY (every `collect` below): the root is one self-contained block;
+    // `scripted` marks it, and nothing attaches to this pool.
 
-    // No tracer: the GC cannot run, so there is no verdict — until the
-    // deferred collection runs clean.
-    gc::unregister_tracer(&path, "r");
+    // No tracer: the GC cannot run, so there is no verdict.
     let pool = open();
-    assert!(!pool.recovery_report().gc_ran && pool.gc_pending());
-    assert!(!pool.take_clean_trace(), "a pending GC left a verdict");
-    // SAFETY: the root is one self-contained block; `scripted` marks it.
-    unsafe { gc::register_tracer(&path, "r", scripted) };
-    assert!(pool.run_pending_gc());
-    assert!(pool.take_clean_trace(), "a clean deferred collection left no verdict");
-    assert!(!pool.take_clean_trace(), "the verdict was handed out twice");
+    assert!(!unsafe { pool.collect(&[]) });
+    assert!(!pool.take_clean_trace(), "a GC that did not run left a verdict");
     drop(pool);
 
-    // A clean collection at open: true exactly once.
+    // A clean collection: true exactly once.
     let pool = open();
-    assert!(pool.recovery_report().gc_ran);
-    assert!(pool.take_clean_trace());
+    assert!(!pool.take_clean_trace(), "a verdict before the collection");
+    assert!(unsafe { pool.collect(&[("r", scripted)]) });
+    assert!(pool.take_clean_trace(), "a clean collection left no verdict");
     assert!(!pool.take_clean_trace(), "the verdict was handed out twice");
-    drop(pool);
-
-    // Clean, but a second structure attached before the verdict was read.
-    let pool = open();
-    pool.note_attach();
-    pool.note_attach();
-    assert!(!pool.take_clean_trace(), "a second attach read the first one's verdict");
+    // Nor does a second collect hand it out again.
+    assert!(!unsafe { pool.collect(&[("r", scripted)]) });
+    assert!(!pool.take_clean_trace(), "a second collect left a verdict");
     drop(pool);
 
     // A tracer noted a marked link.
     script(1);
     let pool = open();
+    assert!(unsafe { pool.collect(&[("r", scripted)]) });
     assert!(pool.recovery_report().gc_ran);
     assert!(!pool.take_clean_trace(), "a noted marked link left a clean verdict");
     drop(pool);
@@ -1101,9 +1116,9 @@ fn clean_trace_verdict_is_handed_out_once_and_only_after_a_clean_collection() {
     // A tracer refused: no collection, no verdict.
     script(2);
     let pool = open();
+    assert!(!unsafe { pool.collect(&[("r", scripted)]) });
     assert!(!pool.recovery_report().gc_ran);
     assert!(!pool.take_clean_trace(), "a refused collection left a verdict");
     drop(pool);
-    gc::unregister_tracer(&path, "r");
     cleanup(&path);
 }

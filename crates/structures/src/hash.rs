@@ -683,17 +683,15 @@ mod tests {
         use rand::prelude::*;
         type Map = HashMapDs<u64, u64, NvTraverse<MmapBackend>>;
 
-        // (buckets, keys drawn, tracer registered before the open?) — few
-        // keys over 64 buckets leaves buckets empty; the unregistered case
-        // takes the deferred collection instead of the open-time one.
-        for (buckets, draws, eager) in [(1usize, 300u64, true), (3, 300, false), (64, 90, true)] {
+        // (buckets, keys drawn) — few keys over 64 buckets leaves buckets
+        // empty.
+        for (buckets, draws) in [(1usize, 300u64), (3, 300), (64, 90)] {
             let name = "table";
             let path = std::env::temp_dir().join(format!(
                 "nvt-hash-wavefront-{}-{buckets}.pool",
                 std::process::id()
             ));
             let _ = std::fs::remove_file(&path);
-            nvtraverse_pool::unregister_tracer(&path, name);
 
             let (want_pairs, want_live, marked, garbage_blocks, garbage_bytes);
             {
@@ -755,12 +753,7 @@ mod tests {
                 pool.sync().unwrap();
             }
 
-            if eager {
-                // SAFETY: the root was created as a `Map` just above.
-                unsafe { nvtraverse::register_pool_tracer::<Map>(&path, name) };
-            }
             let pool = Pool::builder().path(&path).open().unwrap();
-            assert_eq!(pool.recovery_report().gc_ran, eager, "{buckets} buckets");
             let map = pool.root::<Map>(name).unwrap();
             let report = pool.recovery_report();
             assert!(report.gc_ran, "{buckets} buckets");
@@ -779,16 +772,15 @@ mod tests {
             // A second open finds nothing to reclaim: the marked nodes were
             // trimmed by recover(), retired, and freed by the close's drain.
             let pool = Pool::builder().path(&path).open().unwrap();
+            let map = pool.root::<Map>(name).unwrap();
             let report = pool.recovery_report();
             assert!(report.gc_ran, "{buckets} buckets");
             assert_eq!(report.reclaimed_blocks, 0, "{buckets} buckets");
             assert_eq!(report.live_blocks, want_live - marked, "{buckets} buckets");
-            let map = pool.root::<Map>(name).unwrap();
             assert_eq!(map.check_consistency(false).unwrap(), want_pairs.len());
             pool.verify_heap().unwrap();
             map.close().unwrap();
             drop(pool);
-            nvtraverse_pool::unregister_tracer(&path, name);
             std::fs::remove_file(&path).unwrap();
         }
     }

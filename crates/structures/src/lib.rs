@@ -33,7 +33,7 @@
 //! and the repository's `ARCHITECTURE.md` for the per-structure recovery
 //! table (what each root encodes and what is rebuilt volatile-side).
 //! Each also implements [`PoolTrace`](nvtraverse::PoolTrace) — the
-//! reachability walk `Pool::open`'s mark-sweep recovery GC uses to sweep
+//! reachability walk the recovery mark-sweep GC of `root::<S>` uses to sweep
 //! crash-stranded blocks; the table's *reachability contract* column
 //! documents exactly which links each walk follows. Every walk over
 //! next-pointer chains — the tracers of the list, hash table, skiplist

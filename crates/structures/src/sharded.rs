@@ -57,10 +57,7 @@
 //! ```
 
 use nvtraverse::detect::{DetectablePool, OpError, OpToken};
-use nvtraverse::{
-    register_pool_tracer, restore_pool_tracer, DurableSet, PoolAttach, PoolTrace, PooledHandle,
-    TypedRoots,
-};
+use nvtraverse::{DurableSet, PoolAttach, PoolTrace, PooledHandle, TypedRoots};
 use nvtraverse_pmem::Word;
 use nvtraverse_pool::{OpId, Pool, RecoveryReport};
 use std::io;
@@ -225,8 +222,8 @@ impl<S: PoolTrace + Send> ShardedSet<S> {
     /// opens **all shards concurrently** (one thread per shard — this is
     /// the multi-pool capability exercised end to end). Each shard runs the
     /// full independent recovery pipeline: heap walk, root-driven
-    /// mark-sweep GC (the tracer is registered before the open, so the GC
-    /// always runs eagerly), and the structure's own `recover()`.
+    /// mark-sweep GC (run by `root::<S>` with `S`'s tracer, before the
+    /// structure attaches), and the structure's own `recover()`.
     ///
     /// # Errors
     ///
@@ -255,19 +252,10 @@ impl<S: PoolTrace + Send> ShardedSet<S> {
                 .map(|i| {
                     let path = shard_file(dir, i);
                     scope.spawn(move || {
-                        // Pre-register the tracer so the open itself runs
-                        // the recovery GC (eagerly, not pending).
-                        // SAFETY: shard pools hold exactly one root, created
-                        // as `S` by `create` — the registration contract.
-                        let prev = unsafe { register_pool_tracer::<S>(&path, SHARD_ROOT) };
-                        let attempt = Pool::builder()
+                        Pool::builder()
                             .path(&path)
                             .open()
-                            .and_then(|pool| pool.root::<S>(SHARD_ROOT));
-                        if attempt.is_err() {
-                            restore_pool_tracer(&path, SHARD_ROOT, prev);
-                        }
-                        attempt
+                            .and_then(|pool| pool.root::<S>(SHARD_ROOT))
                     })
                 })
                 .collect();

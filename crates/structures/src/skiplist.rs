@@ -1599,7 +1599,6 @@ mod tests {
         let image = std::fs::read(&path).unwrap();
 
         // The reference, on the image as closed.
-        nvtraverse_pool::unregister_tracer(&path, name);
         let want = {
             let pool = Pool::builder().path(&path).open().unwrap();
             // SAFETY: the root was created as a `Pooled` above; attach alone
@@ -1621,7 +1620,6 @@ mod tests {
         assert_eq!(s.check_consistency(false).unwrap(), 320 - 4);
         s.close().unwrap();
         drop(pool);
-        nvtraverse_pool::unregister_tracer(&path, name);
         std::fs::remove_file(&path).unwrap();
     }
 

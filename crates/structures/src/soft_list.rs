@@ -1142,7 +1142,7 @@ mod tests {
 
     /// The GC reachability rule, white-box: a sealed node no link reaches
     /// (an insert that crashed between its header flush and its volatile
-    /// link CAS) must survive the open-time mark-sweep and be resurrected
+    /// link CAS) must survive the reopen's mark-sweep and be resurrected
     /// by recovery, while a torn header (a data word missing) is garbage.
     #[test]
     fn gc_keeps_sealed_but_unlinked_nodes_and_sweeps_torn_ones() {
@@ -1190,10 +1190,10 @@ mod tests {
         }
 
         let pool = Pool::builder().path(&path).open().unwrap();
+        let list = pool.root::<L>("s").unwrap();
         let report = pool.recovery_report();
         assert!(report.gc_ran);
         assert_eq!(report.reclaimed_blocks, 1, "exactly the torn node is garbage");
-        let list = pool.root::<L>("s").unwrap();
         assert_eq!(
             list.iter_snapshot(),
             vec![(1, 10), (2, 20), (9, 90)],

@@ -24,7 +24,7 @@
 
 use nvtraverse_suite::core::policy::NvTraverse;
 use nvtraverse_suite::core::pool::Pool;
-use nvtraverse_suite::core::{DurableSet, TypedRoots};
+use nvtraverse_suite::core::{DurableSet, PoolTrace, TypedRoots};
 use nvtraverse_suite::pmem::MmapBackend;
 use nvtraverse_suite::structures::list::HarrisList;
 use nvtraverse_suite::structures::queue::MsQueue;
@@ -89,20 +89,22 @@ fn main() {
         );
     } else {
         // ---- second run: reopen, recover each root, verify -------------
-        // Pre-register every root's GC tracer so the open itself runs the
-        // mark-sweep (it needs a tracer for *every* root; registering only
-        // some would leave the collection pending). A single-root pool
-        // skips this — `root::<S>()` handles it.
-        // SAFETY: these roots were created by these exact types above.
-        unsafe {
-            nvtraverse_suite::core::register_pool_tracer::<PooledList>(&path, "demo-list");
-            nvtraverse_suite::core::register_pool_tracer::<PooledQueue>(&path, "demo-queue");
-            nvtraverse_suite::core::register_pool_tracer::<PooledSkip>(&path, "demo-skip");
-        }
         let pool = Pool::builder().path(&path).open().unwrap();
-        let report = pool.recovery_report();
+        // The recovery GC needs a tracer for *every* root, and only the
+        // first collection after the open can run, so hand it all three
+        // before the first `root::<S>()` (a single-root pool skips this —
+        // `root::<S>()` collects with its own tracer).
+        // SAFETY: these roots were created by these exact types above, and
+        // nothing has attached yet.
+        let collected = unsafe {
+            pool.collect(&[
+                ("demo-list", PooledList::trace),
+                ("demo-queue", PooledQueue::trace),
+                ("demo-skip", PooledSkip::trace),
+            ])
+        };
         assert!(
-            report.gc_ran,
+            collected,
             "all three roots have tracers, so the recovery GC must run"
         );
 
@@ -135,15 +137,17 @@ fn main() {
         for k in 0..SKIP_KEYS {
             assert_eq!(skip.get(k), Some(k + 1000), "skiplist key {k} lost");
         }
+        let report = pool.recovery_report();
 
         println!(
             "reopened pool {path}: {recovered} list keys, {} queued values, \
-             {} skiplist keys ({} live blocks, clean_shutdown={}, \
+             {} skiplist keys ({} live blocks, clean_shutdown={}, gc_ran={}, \
              gc reclaimed {} blocks / {} bytes in {} µs) — all verified",
             queue.len(),
             skip.len(),
             report.live_blocks,
             report.clean_shutdown,
+            report.gc_ran,
             report.reclaimed_blocks,
             report.reclaimed_bytes,
             report.gc_nanos / 1_000,

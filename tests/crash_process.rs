@@ -667,7 +667,7 @@ fn sigkill_mid_workload_recovers_soft_hash() {
 }
 
 /// The leak-regression oracle: after a churn-heavy SIGKILL, reopen (the
-/// root-driven mark-sweep runs inside `Pool::open`), recover, drain the
+/// root-driven mark-sweep runs inside `root::<S>`), recover, drain the
 /// collector — and then the pool's allocated-block count must equal the
 /// structure's reachable footprint **exactly**: one head sentinel plus one
 /// node per live key. Any surplus is a leak the sweep failed to reclaim;
@@ -944,7 +944,7 @@ fn sigkill_mid_workload_recovers_stack() {
 /// first-class multi-pool support:
 ///
 /// 1. every shard pool reopens **independently** (own heap walk, own
-///    eager mark-sweep GC, own dirty-shutdown marker, own `recover()`);
+///    mark-sweep GC, own dirty-shutdown marker, own `recover()`);
 /// 2. every surviving key lives in exactly the shard the hash routes it
 ///    to (no key leaks across pools);
 /// 3. the union of shards passes the same durable-linearizability oracle
@@ -961,7 +961,7 @@ fn validate_sharded(dir: &Path, log_path: &Path) -> u64 {
         );
         assert!(
             report.gc_ran,
-            "shard {i}: tracer is registered before its open — the GC must run"
+            "shard {i}: root::<S> hands the collection its tracer — the GC must run"
         );
         set.shard(i)
             .pool()

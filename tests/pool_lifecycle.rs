@@ -404,9 +404,9 @@ fn deliberately_orphaned_allocation_is_swept_on_reopen() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// A pool whose roots lack a registered tracer must NOT be collected:
-/// reachability is unprovable, so the conservative answer is to keep
-/// every allocated block.
+/// A pool whose roots lack a tracer must NOT be collected: reachability
+/// is unprovable, so the conservative answer is to keep every allocated
+/// block.
 #[test]
 fn gc_skips_pools_with_untraceable_roots() {
     let path = tmp("no-tracer");
@@ -417,11 +417,13 @@ fn gc_skips_pools_with_untraceable_roots() {
         let p = pool.alloc(64, 8).unwrap();
         off = pool.offset_of(p);
         // A raw root no structure type describes (like the storm test's
-        // slot array): nobody registers a tracer for it.
+        // slot array): nobody has a tracer for it.
         pool.set_root_offset("raw-root", off).unwrap();
     }
 
     let pool = nvtraverse::pool::Pool::builder().path(&path).open().unwrap();
+    // SAFETY: no tracer is given, so nothing is traced.
+    assert!(!unsafe { pool.collect(&[]) }, "an untraceable root was collected");
     let report = pool.recovery_report();
     assert!(!report.gc_ran, "an untraceable root must disable the GC");
     assert_eq!(report.reclaimed_blocks, 0);
@@ -434,11 +436,11 @@ fn gc_skips_pools_with_untraceable_roots() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// A failed `create` against somebody else's pool file must not leave (or
-/// overwrite) a GC tracer for that pool's roots: the next open would run a
-/// wrong-typed trace over live data.
+/// A failed wrong-typed `create` against somebody else's pool file leaves
+/// that pool alone: the next typed open collects it with its own type's
+/// tracer, reclaims nothing and finds every value.
 #[test]
-fn failed_create_does_not_poison_the_tracer_registry() {
+fn a_failed_create_leaves_the_next_collection_intact() {
     let path = tmp("foreign");
 
     // The "foreign" pool: a queue registered under the name a list will
@@ -449,24 +451,63 @@ fn failed_create_does_not_poison_the_tracer_registry() {
     }
     q.close().unwrap();
 
-    // Wrong-typed create fails on the existing file — and must not have
-    // registered (or replaced) a tracer for (path, "r").
+    // Wrong-typed create fails on the existing file.
     assert!(create_pooled::<PooledList>(&path, 1 << 20, "r").is_err());
 
-    // A raw reopen still GCs with the queue's own tracer (from its create)
-    // and the queue's data is intact.
-    let pool = nvtraverse::pool::Pool::builder().path(&path).open().unwrap();
-    assert!(pool.recovery_report().gc_ran);
-    assert_eq!(pool.recovery_report().reclaimed_blocks, 0);
-    drop(pool);
+    // The reopen GCs with the queue's own tracer, and the queue's data is
+    // intact.
     let q = open_pooled::<PooledQueue>(&path, "r").unwrap();
+    assert!(q.pool().recovery_report().gc_ran);
+    assert_eq!(q.pool().recovery_report().reclaimed_blocks, 0);
     assert_eq!(q.iter_snapshot(), (0..20u64).collect::<Vec<_>>());
     q.close().unwrap();
     std::fs::remove_file(&path).unwrap();
 }
 
+/// The collection traces a root as the type the attach names, never as a
+/// type an earlier file at the same path held. Here a stack is created at
+/// a path by the typed API, the file is deleted, and a list is built at
+/// the same path under the same root name by `create_in_pool` — what
+/// another process writing the path amounts to. A reopen that traced the
+/// list as a stack would mark only its head and sweep every node, and the
+/// inserts after it would overwrite the keys.
+#[test]
+fn a_reused_pool_path_never_traces_with_the_old_files_type() {
+    use nvtraverse::PoolAttach;
+    let path = tmp("reused-path");
+    let stack = create_pooled::<PooledStack>(&path, 1 << 20, "x").unwrap();
+    stack.push(7);
+    stack.close().unwrap();
+    std::fs::remove_file(&path).unwrap();
+    {
+        let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
+        let list = PooledList::create_in_pool(&pool, "x").unwrap();
+        for k in 0..100u64 {
+            assert!(list.insert(k, k * 3));
+        }
+        drop(list);
+    }
+
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let list = pool.root::<PooledList>("x").unwrap();
+    for k in 1000..1100u64 {
+        assert!(list.insert(k, k));
+    }
+    let missing = (0..100u64).filter(|&k| list.get(k) != Some(k * 3)).count();
+    assert_eq!(missing, 0, "{missing} of 100 keys lost");
+    pool.verify_heap().unwrap();
+    let report = pool.recovery_report();
+    assert!(report.gc_ran);
+    assert_eq!(report.reclaimed_blocks, 0, "live list nodes were swept: {report:?}");
+    assert_eq!(report.root_marks, vec![("x".to_string(), 101)]);
+    list.close().unwrap();
+    drop(pool);
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn two_structures_share_one_pool() {
+    use nvtraverse::PoolTrace;
     let path = tmp("two");
     {
         // Secondary roots are first-class now: just ask the pool for a
@@ -480,8 +521,11 @@ fn two_structures_share_one_pool() {
         a.close().unwrap();
     }
     let pool = Pool::builder().path(&path).open().unwrap();
-    // Multi-root GC: both tracers were registered by the creation above
-    // (same process), so the open itself ran the mark-sweep eagerly.
+    // Multi-root GC: both roots' tracers go to the collection before the
+    // first attach.
+    // SAFETY: both roots were created as `PooledList` above; nothing has
+    // attached yet.
+    assert!(unsafe { pool.collect(&[("a", PooledList::trace), ("b", PooledList::trace)]) });
     assert!(pool.recovery_report().gc_ran);
     assert_eq!(pool.recovery_report().reclaimed_blocks, 0);
     // Multi-root attribution: each root reports its own mark count
@@ -523,7 +567,7 @@ fn create_root_refuses_to_overwrite_a_live_root() {
 }
 
 /// The bucket table's root block `[n, head_off…]` is read back from media
-/// on every open (by the GC tracer inside `Pool::open`, then by attach), so
+/// on every open (by the GC tracer inside `root::<S>`, then by attach), so
 /// nothing in it may be trusted: a count the block cannot hold and a head
 /// offset that names no allocated block must both surface as an `Err` from
 /// `root::<S>` — not a panic, not a read past the mapping, not a table
@@ -554,11 +598,10 @@ fn corrupt_bucket_table_root_is_rejected_not_trusted() {
         file.write_all_at(&word.to_le_bytes(), at).unwrap();
         drop(file);
 
-        // create_pooled registered S's tracer for this path, so the open
-        // itself traces the corrupt root before attach ever sees it.
+        // root::<S> traces the corrupt root before attach ever sees it.
         let pool = Pool::builder().path(&path).open().unwrap();
-        assert!(pool.recovery_report().gc_ran);
         assert!(pool.root::<S>("set").is_err(), "{tag}: corrupt root attached");
+        assert!(pool.recovery_report().gc_ran);
         pool.verify_heap().unwrap();
         drop(pool);
         std::fs::remove_file(&path).unwrap();
@@ -609,10 +652,9 @@ fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
 
     fn refused<S: PoolTrace>(path: &std::path::Path, before: &[u8]) {
         let pool = Pool::builder().path(path).open().unwrap();
-        assert!(!pool.recovery_report().gc_ran, "a refusing tracer must not sweep");
         assert!(pool.root::<S>("skip").is_err(), "an old-layout head attached");
         let report = pool.recovery_report();
-        assert!(!report.gc_ran && report.reclaimed_blocks == 0);
+        assert!(!report.gc_ran && report.reclaimed_blocks == 0, "a refusing tracer must not sweep");
         pool.verify_heap().unwrap();
         drop(pool);
         assert!(std::fs::read(path).unwrap() == before, "the refused open changed the file");
@@ -669,10 +711,9 @@ fn soft_pool_of_another_layout_is_refused_not_destroyed() {
         let before = std::fs::read(&path).unwrap();
         {
             let pool = Pool::builder().path(&path).open().unwrap();
-            assert!(!pool.recovery_report().gc_ran, "{tag}: a refusing tracer must not sweep");
             assert!(pool.root::<S>("soft").is_err(), "{tag}: an old-layout head attached");
             let report = pool.recovery_report();
-            assert!(!report.gc_ran && report.reclaimed_blocks == 0, "{tag}");
+            assert!(!report.gc_ran && report.reclaimed_blocks == 0, "{tag}: a refusing tracer must not sweep");
             pool.verify_heap().unwrap();
         }
         assert!(std::fs::read(&path).unwrap() == before, "{tag}: the refused open changed the file");
