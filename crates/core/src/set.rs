@@ -18,14 +18,16 @@
 //! `pool.root::<S>("name")` / `pool.create_root::<S>("name")` /
 //! `pool.root_or_create::<S>("name")` — each returns a ready
 //! [`PooledHandle<S>`] with the structure attached and recovered — `root`
-//! first runs the pool's recovery GC with `S`'s [`PoolTrace`] tracer.
+//! first runs the pool's recovery GC with `S`'s [`PoolTrace`] tracer, whose
+//! plan the structure's recovery then carries out.
 //! Because the handle just holds a clone of the (first-class,
 //! multi-instance) pool, any number of roots and any number of pools
 //! coexist in one process.
-//! [`PoolTrace`] is the reachability half of the
-//! lifecycle: it lets the pool's mark-sweep recovery GC walk each root's
-//! persistent node graph so blocks stranded by a crash are swept back to
-//! the pool's free lists before the structure attaches.
+//! [`PoolTrace`] is the recovery half of the lifecycle: its one read of
+//! each root's persistent node graph is the mark phase of the pool's
+//! mark-sweep recovery GC — blocks stranded by a crash are swept back to
+//! the pool's free lists before the structure attaches — and what it found
+//! is the plan the attached structure's recovery runs.
 
 use crate::detect::{OpError, OpToken};
 use nvtraverse_pool::{OpId, Pool};
@@ -232,7 +234,8 @@ pub trait PoolAttach: Sized {
     /// attached instance captures a
     /// [`PoolCtx`](crate::alloc::PoolCtx) for `pool`. An attach by hand
     /// runs no recovery collection: call [`Pool::collect`] before it, as
-    /// [`TypedRoots::root`] does, never after.
+    /// [`TypedRoots::root`] does, never after. It writes nothing: recovery
+    /// is [`PoolTrace::recover_attached`], run on the trace's plan.
     ///
     /// # Safety
     ///
@@ -241,37 +244,30 @@ pub trait PoolAttach: Sized {
     /// stores untyped offsets.
     unsafe fn attach_to_pool(pool: &Pool, name: &str) -> Option<Self>;
 
-    /// Runs the structure's post-crash recovery (the `disconnect(root)` pass
-    /// of paper §4, plus any volatile-auxiliary rebuild). Set-shaped
-    /// structures forward [`DurableSet::recover`]; queue/stack/priority
-    /// queue forward their inherent `recover` — either way, pooled
-    /// lifecycles need no key/value type annotations. `pool` is the pool
-    /// the structure was just attached to: a structure whose recovery
-    /// enumerates candidate blocks rather than chasing links (the SOFT
-    /// sets) takes them from the pool's block inventory instead of keeping
-    /// one of its own.
-    fn recover_attached(&self, pool: &Pool);
-
     /// Settles the pool's still-unresolved operation descriptors
     /// ([`Pool::unresolved_ops`]) against this structure's **recovered**
     /// state: re-run the lookup the descriptor describes and report
     /// `Committed`/`NotApplied` back through [`Pool::resolve_op`]. Called
-    /// by the typed-root open path after [`recover_attached`]
-    /// (quiescent, recovery finished), so `Pool::op_outcome` has an answer
-    /// for every descriptor by the time the open returns a handle.
+    /// by the typed-root open path after
+    /// [`recover_attached`](PoolTrace::recover_attached) (quiescent,
+    /// recovery finished), so `Pool::op_outcome` has an answer for every
+    /// descriptor by the time the open returns a handle.
     ///
     /// The default does nothing — correct for every structure without
     /// detectable operations (their pools never arm a descriptor).
-    ///
-    /// [`recover_attached`]: PoolAttach::recover_attached
     fn resolve_detectable(&self, pool: &Pool) {
         let _ = pool;
     }
 }
 
-/// A [`PoolAttach`] structure whose persistent node graph can be walked
-/// from its root — the mark phase of the pool's root-driven mark-sweep
-/// recovery GC (see `nvtraverse_pool::gc`).
+/// A [`PoolAttach`] structure's recovery, as one typed step in two halves:
+/// [`trace`](PoolTrace::trace) reads the persistent node graph from the
+/// root — the mark phase of the pool's root-driven mark-sweep recovery GC
+/// (see `nvtraverse_pool::gc`) — and returns a [`Plan`](PoolTrace::Plan)
+/// of what it found; [`recover_attached`](PoolTrace::recover_attached)
+/// carries the plan out on the attached structure. The paper's recovery is
+/// a walk from the root (§4, `disconnect(root)`); the mark phase already is
+/// that walk, so an open reads each structure's graph once.
 ///
 /// `Pool::open` cannot know which concrete structure type each registered
 /// root belongs to: the root registry stores untyped offsets. The attach
@@ -279,20 +275,24 @@ pub trait PoolAttach: Sized {
 /// name to [`Pool::collect`] before `S` attaches (pass every root's tracer
 /// to `Pool::collect` yourself for a pool of several roots), so recovery
 /// can prove which allocated blocks are reachable and sweep the rest back
-/// to the free lists.
+/// to the free lists. When no collection can run, `Pool::collect` still
+/// runs the tracer, read-only, so the plan always comes from `trace`.
 ///
 /// # Contract for implementations
 ///
-/// `trace` runs in [`Pool::collect`], **before** `attach_to_pool` and
-/// `recover()`, single-threaded, on a quiescent heap whose block headers
-/// the open has all verified. An implementation must
+/// `trace` runs in [`Pool::collect`], **before** `attach_to_pool`,
+/// single-threaded, on a quiescent heap whose block headers have all been
+/// verified. It **only reads**: a collection it refuses, or an open whose
+/// attach then fails, must leave the file byte-identical. Every write
+/// recovery needs goes in the plan, which `recover_attached` runs only
+/// after the attach succeeded. An implementation must
 /// [`mark`](nvtraverse_pool::Marker::mark) every block that the structure's
-/// recovery pass — or any later operation — may reach from `root`:
+/// recovery — or any later operation — may reach from `root`:
 ///
 /// * **Follow marked / logically-deleted links.** A reachable-but-marked
-///   node is still linked into the structure; `recover()` will trim it and
+///   node is still linked into the structure; recovery will trim it and
 ///   retire it through the collector, so the sweep must not free it first.
-///   Walk exactly the links `recover()` walks.
+///   Walk exactly the links recovery walks.
 /// * **Do not follow volatile auxiliary state.** Links that recovery
 ///   rebuilds without reading (skiplist tower levels, the queue's tail
 ///   shortcut) may be stale after a crash; tracing through them would at
@@ -308,6 +308,9 @@ pub trait PoolAttach: Sized {
 ///   names another node layout cannot be walked as this one:
 ///   [`refuse`](nvtraverse_pool::Marker::refuse) it, and the collection
 ///   ends without sweeping anything.
+/// * **Plan only from what was read.** The plan may name only blocks the
+///   trace marked or (SOFT) enumerated: recovery acts on it without
+///   reading the graph again.
 ///
 /// Everything allocated but unmarked after all roots are traced is swept.
 /// An implementation that under-marks therefore frees live data — which is
@@ -320,7 +323,7 @@ pub trait PoolAttach: Sized {
 /// Implementors assert that `trace`, given a root created by
 /// `create_in_pool` of this exact type, marks a superset of the blocks any
 /// post-recovery execution can reach, dereferencing only memory valid
-/// under the structure's invariants.
+/// under the structure's invariants, and writes nothing.
 ///
 /// # Example: leaked blocks are reclaimed at the next open
 ///
@@ -358,8 +361,14 @@ pub trait PoolAttach: Sized {
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub unsafe trait PoolTrace: PoolAttach {
+    /// What the trace found that recovery acts on: the chains that cross a
+    /// marked link (Harris), each list's sealed nodes (SOFT), or nothing
+    /// (`()`) for a structure whose recovery walks its graph itself.
+    type Plan;
+
     /// Marks every block reachable from `root` (a payload pointer to this
-    /// structure's registered root block) in `marker`.
+    /// structure's registered root block) in `marker`, and returns the
+    /// plan for [`recover_attached`](PoolTrace::recover_attached).
     ///
     /// # Safety
     ///
@@ -367,7 +376,13 @@ pub unsafe trait PoolTrace: PoolAttach {
     /// `Self::create_in_pool`, in a pool mapped at its preferred base,
     /// quiescent, with verified block headers — the exact state
     /// `Pool::open` recovery provides.
-    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>);
+    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) -> Self::Plan;
+
+    /// Runs the structure's post-crash recovery (the `disconnect(root)` pass
+    /// of paper §4, plus any volatile-auxiliary rebuild) on the structure
+    /// just attached, with the `plan` its own [`trace`](PoolTrace::trace)
+    /// returned for this open. Quiescent.
+    fn recover_attached(&self, plan: Self::Plan);
 }
 
 /// **Typed roots** — the extension of [`Pool`] that turns a root *name*
@@ -401,10 +416,11 @@ pub unsafe trait PoolTrace: PoolAttach {
 ///
 /// [`TypedRoots::root`] first runs the open's recovery collection with
 /// `S`'s [`PoolTrace`] tracer ([`Pool::collect`]), then attaches and runs
-/// the structure's recovery; every method returns a [`PooledHandle`] that
-/// shares the pool: call the methods as many times as there are roots, on
-/// as many pools as are open (`Pool::collect` → `attach_to_pool` →
-/// `recover_attached` remain the low-level layer underneath).
+/// the structure's recovery on the tracer's plan; every method returns a
+/// [`PooledHandle`] that shares the pool: call the methods as many times
+/// as there are roots, on as many pools as are open (`Pool::collect` →
+/// `attach_to_pool` → `recover_attached` remain the low-level layer
+/// underneath).
 ///
 /// # Type contract
 ///
@@ -419,7 +435,8 @@ pub trait TypedRoots {
     /// returns the owning handle. First calls [`Pool::collect`] with `S`'s
     /// tracer for `name`: the first attach after the open collects a pool
     /// whose only root (besides the ops table) is `name`, and ends the
-    /// open's collection either way.
+    /// open's collection either way. The tracer's plan is what
+    /// [`PoolTrace::recover_attached`] then runs.
     ///
     /// # Errors
     ///
@@ -449,13 +466,15 @@ pub trait TypedRoots {
 
 impl TypedRoots for Pool {
     fn root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>> {
+        let mut plan = None;
         // SAFETY: attach_to_pool below requires the root to be of type `S`;
         // tracing it as `S` is the same assertion. This is the attach, so
         // nothing attached before it through this API.
-        unsafe { self.collect(&[(name, S::trace)]) };
+        unsafe { self.collect(&mut [(name, &mut |root, marker| plan = Some(S::trace(root, marker)))]) };
         // SAFETY: deferred to the caller's choice of `S` — see the
-        // trait-level type contract.
-        let inner = unsafe { S::attach_to_pool(self, name) }.ok_or_else(|| {
+        // trait-level type contract. No plan: no root, or a rebased pool.
+        let attached = plan.and_then(|plan| Some((unsafe { S::attach_to_pool(self, name) }?, plan)));
+        let (inner, plan) = attached.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotFound,
                 if self.is_rebased() {
@@ -465,7 +484,7 @@ impl TypedRoots for Pool {
                 },
             )
         })?;
-        inner.recover_attached(self);
+        inner.recover_attached(plan);
         // Recovery done and quiescent: let the structure answer the
         // descriptors the descriptor table alone could not classify.
         inner.resolve_detectable(self);

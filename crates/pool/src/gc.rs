@@ -41,13 +41,14 @@
 //! any point mid-GC leaves each garbage block either still allocated (the
 //! next open sweeps it again) or durably free — never torn.
 //!
-//! The mark phase also keeps one finding that recovery would otherwise
-//! walk the heap again for: whether any tracer crossed a marked link
-//! ([`Marker::note_marked_link`]). A collection that traced every root and
-//! noted none leaves a one-shot clean verdict
-//! ([`Pool::take_clean_trace`](crate::Pool::take_clean_trace)), and a
-//! structure whose tracer notes every marked link it crosses may skip its
-//! recovery scan on it.
+//! The mark phase is also the structures' recovery read. A tracer returns
+//! what it found to the caller that named its type — the chains that cross
+//! a marked link, the sealed nodes of a SOFT list — and the structure's
+//! recovery acts on that plan alone, so an open reads each structure's
+//! graph once. When no collection can run (the inventory is gone, or a
+//! root has no tracer), [`Pool::collect`](crate::Pool::collect) still runs
+//! the tracers it was given, read-only, over the inventory or a fresh
+//! walk, and sweeps nothing: the plan always comes from the tracer.
 //!
 //! The GC is conservative about what it cannot prove: it runs only when the
 //! pool is mapped at its preferred base (tracers chase embedded absolute
@@ -67,23 +68,25 @@ use nvtraverse_obs as obs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// A type-erased tracer for one root: `root` is the root's payload pointer
-/// in the current mapping, and the implementation must [`Marker::mark`]
-/// every block the structure's `recover()` pass may reach — following
-/// marked/logically-deleted links (a reachable-but-marked node is kept so
-/// recovery can trim it into the collector), and ignoring volatile
-/// auxiliary links that recovery rebuilds without reading (skiplist towers,
-/// the queue's tail shortcut).
+/// A type-erased tracer for one root, called with the root's payload
+/// pointer in the current mapping. It must [`Marker::mark`] every block
+/// the structure's recovery may reach — following marked/logically-deleted
+/// links (a reachable-but-marked node is kept so recovery can trim it into
+/// the collector), and ignoring volatile auxiliary links that recovery
+/// rebuilds without reading (skiplist towers, the queue's tail shortcut) —
+/// and it may keep whatever it reads for that recovery. It must write
+/// nothing: a collection a tracer [refuses](Marker::refuse), or an open
+/// whose attach then fails, leaves the file as it found it.
 ///
-/// # Safety
-///
-/// The function is called by [`Pool::collect`](crate::Pool::collect),
-/// single-threaded, on a quiescent heap whose every block header the open
-/// validated and nothing has changed since. It must only dereference memory
-/// inside the pool that is reachable from `root` under the structure's own
-/// invariants; `Pool::collect`'s contract guarantees `root` really is a
-/// root of the traced structure type.
-pub type TraceFn = unsafe fn(root: *mut u8, marker: &mut Marker<'_>);
+/// [`Pool::collect`](crate::Pool::collect) calls it single-threaded, on a
+/// quiescent heap whose every block header was validated; its `unsafe`
+/// contract is what vouches that each tracer matches its root's type.
+pub type TraceFn<'t> = &'t mut dyn FnMut(*mut u8, &mut Marker<'_>);
+
+/// A root the mark phase traces: its name, its payload offset, and the
+/// tracer for it — an index into the caller's tracers, or `None` for the
+/// operation-descriptor table's built-in one.
+pub(crate) type Root = (String, u64, Option<usize>);
 
 /// Stable per-file key for a pool path: the canonicalized parent directory
 /// plus the file name. Canonicalizing the *parent* (not the file) gives
@@ -208,7 +211,6 @@ pub struct Marker<'a> {
     marks: Bitmap,
     marked: usize,
     refused: bool,
-    marked_link: bool,
 }
 
 impl<'a> std::fmt::Debug for Marker<'a> {
@@ -216,7 +218,6 @@ impl<'a> std::fmt::Debug for Marker<'a> {
         f.debug_struct("Marker")
             .field("marked", &self.marked)
             .field("refused", &self.refused)
-            .field("marked_link", &self.marked_link)
             .finish_non_exhaustive()
     }
 }
@@ -229,23 +230,7 @@ impl<'a> Marker<'a> {
             marks: Bitmap(vec![0; allocated.0.len()]),
             marked: 0,
             refused: false,
-            marked_link: false,
         }
-    }
-
-    /// Notes that the tracer crossed a **marked** (logically deleted) link.
-    ///
-    /// A collection that traced every root and noted none leaves a clean
-    /// verdict behind, which [`Pool::take_clean_trace`](crate::Pool::take_clean_trace)
-    /// hands to the first structure that attaches: its recovery may then
-    /// skip its own scan for marked links, which would find none. The
-    /// contract is on the reader: a structure may skip its scan on the
-    /// verdict only if its own tracer calls this for **every** marked link
-    /// it crosses. A tracer that never calls it (SOFT, the skiplist, the
-    /// trees) leaves the verdict clean whatever its links hold, so their
-    /// recoveries must not read it.
-    pub fn note_marked_link(&mut self) {
-        self.marked_link = true;
     }
 
     /// Refuses the whole collection: the tracer found a root it cannot
@@ -354,36 +339,51 @@ impl<'a> Marker<'a> {
     }
 }
 
-/// One mark-sweep collection over `roots`: the mark phase, the sweep
-/// through `engine`'s free path, the report bookkeeping and the GC
-/// counters. `allocated` is the open's block-start bitmap. Returns the
-/// swept `(blocks, bytes)` and whether the trace was clean (no tracer
-/// [noted a marked link](Marker::note_marked_link)), or `None` — with
-/// nothing swept and the report untouched — when a tracer
-/// [refused](Marker::refuse).
-pub(crate) fn collect(
+/// The mark phase: traces `roots` in order into a fresh [`Marker`] over
+/// `allocated`, calling `tracers[i]` for a root whose tracer is `Some(i)`.
+/// Returns the marker and each root's newly marked block count, or `None`
+/// as soon as a tracer [refuses](Marker::refuse).
+pub(crate) fn mark<'a>(
     mem: Mem,
-    allocated: &Bitmap,
-    roots: &[(String, u64, TraceFn)],
-    engine: &Engine,
-    metrics: &obs::MetricSet,
-    report: &mut RecoveryReport,
-) -> Option<(usize, u64, bool)> {
-    // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
-    let mark_start = Instant::now();
+    allocated: &'a Bitmap,
+    roots: &[Root],
+    tracers: &mut [(&str, TraceFn<'_>)],
+) -> Option<(Marker<'a>, Vec<(String, u64)>)> {
     let mut marker = Marker::new(mem, allocated);
     let mut root_marks = Vec::with_capacity(roots.len());
-    for (name, off, trace) in roots {
+    for (name, off, tracer) in roots {
         let before = marker.marked_blocks();
-        // SAFETY: `Pool::collect`'s contract — each tracer matches the type
-        // that created its root, on a quiescent heap mapped at its recorded
-        // base whose headers the open validated and nothing has changed.
-        unsafe { trace(mem.ptr(*off), &mut marker) };
+        let root = mem.ptr(*off);
+        match tracer {
+            Some(i) => (tracers[*i].1)(root, &mut marker),
+            // SAFETY: the reserved ops-table root is one self-contained block.
+            None => unsafe { crate::optable::ops_trace(root, &mut marker) },
+        }
         if marker.refused {
             return None;
         }
         root_marks.push((name.clone(), (marker.marked_blocks() - before) as u64));
     }
+    Some((marker, root_marks))
+}
+
+/// One mark-sweep collection over `roots`: the [mark phase](mark), the
+/// sweep through `engine`'s free path, the report bookkeeping and the GC
+/// counters. `allocated` is the open's block-start bitmap. Returns the
+/// swept `(blocks, bytes)`, or `None` — with nothing swept and the report
+/// untouched — when a tracer [refused](Marker::refuse).
+pub(crate) fn collect(
+    mem: Mem,
+    allocated: &Bitmap,
+    roots: &[Root],
+    tracers: &mut [(&str, TraceFn<'_>)],
+    engine: &Engine,
+    metrics: &obs::MetricSet,
+    report: &mut RecoveryReport,
+) -> Option<(usize, u64)> {
+    // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
+    let mark_start = Instant::now();
+    let (marker, root_marks) = mark(mem, allocated, roots, tracers)?;
     report.root_marks = root_marks;
     let mark_nanos = mark_start.elapsed().as_nanos() as u64;
     // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
@@ -410,5 +410,5 @@ pub(crate) fn collect(
     metrics.add(obs::Counter::GcRuns, 1);
     metrics.add(obs::Counter::GcMarked, marker.marked_blocks() as u64);
     metrics.add(obs::Counter::GcSwept, swept as u64);
-    Some((swept, swept_bytes, !marker.marked_link))
+    Some((swept, swept_bytes))
 }

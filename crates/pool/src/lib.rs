@@ -100,7 +100,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -335,9 +335,6 @@ struct Inner {
     /// rootless or rebased pool) or once a collection, an allocation or a
     /// free consumed it. Owned: a non-null value came from `Box::into_raw`.
     inventory: AtomicPtr<gc::Bitmap>,
-    /// This open's recovery GC traced every root and no tracer noted a
-    /// marked link; cleared by the first [`Pool::take_clean_trace`].
-    clean_trace: AtomicBool,
     /// This pool's telemetry (`nvtraverse-obs`), resolved from the pool's
     /// normalized path — so a reopened pool keeps accumulating into the
     /// same set. `&'static`: the registry leaks one set per distinct pool
@@ -562,7 +559,6 @@ impl Pool {
                 ..Default::default()
             }),
             inventory: AtomicPtr::default(),
-            clean_trace: AtomicBool::new(false),
             metrics,
             ops: Mutex::new(optable::OpsState::default()),
             collector: Collector::new(),
@@ -648,7 +644,6 @@ impl Pool {
             roots: Mutex::new(()),
             report: Mutex::new(RecoveryReport::default()),
             inventory: AtomicPtr::default(),
-            clean_trace: AtomicBool::new(false),
             metrics,
             ops: Mutex::new(optable::OpsState::default()),
             collector: Collector::new(),
@@ -1048,6 +1043,13 @@ impl Pool {
     /// before the first attach. Collections serialize on the report lock,
     /// and the inventory is freed before this returns.
     ///
+    /// A tracer runs whether or not a collection can: when none can, each
+    /// of `tracers` whose root exists runs read-only — over the inventory
+    /// if it is still held, else over a fresh heap walk — and nothing is
+    /// swept, so a structure always gets its recovery plan from its own
+    /// tracer. Nothing runs on a rebased pool, whose absolute pointers no
+    /// tracer may follow.
+    ///
     /// # Safety
     ///
     /// Each tracer must trace the root it names as the type that created
@@ -1056,29 +1058,47 @@ impl Pool {
     /// structure may have attached to this pool since the open: a
     /// structure's recovery may retire nodes it unlinks, and the sweep
     /// would free them a second time. A mismatch misreads pool memory and
-    /// may sweep live blocks.
-    pub unsafe fn collect(&self, tracers: &[(&str, TraceFn)]) -> bool {
+    /// may sweep live blocks. The heap must be quiescent for the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fresh walk finds a heap that no longer verifies:
+    /// recovery must fail loudly rather than present a corrupt pool as an
+    /// empty structure.
+    pub unsafe fn collect(&self, tracers: &mut [(&str, TraceFn<'_>)]) -> bool {
         let inner = &*self.inner;
         let mut report = inner.report.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(allocated) = inner.take_inventory() else {
+        if inner.rebased {
             return false;
-        };
-        let Some(roots) = inner.traceable_roots(tracers) else {
-            return false;
-        };
+        }
+        let inventory = inner.take_inventory();
         let _t = obs::attribute_to(Some(inner.metrics));
         let _p = obs::phase(obs::Phase::Gc);
-        let Some((swept, bytes, clean)) = gc::collect(
+        let roots = inventory.as_ref().and_then(|_| inner.traceable_roots(tracers));
+        let (Some(allocated), Some(roots)) = (&inventory, roots) else {
+            let named: Vec<gc::Root> = (tracers.iter().enumerate())
+                .filter_map(|(i, (name, _))| {
+                    let off = self.root_offset(name).filter(|&off| off != 0)?;
+                    Some((name.to_string(), off, Some(i)))
+                })
+                .collect();
+            if !named.is_empty() {
+                let allocated = inventory.map_or_else(|| inner.walk_allocated(), |inv| *inv);
+                gc::mark(inner.mem, &allocated, &named, tracers);
+            }
+            return false;
+        };
+        let Some((swept, bytes)) = gc::collect(
             inner.mem,
-            &allocated,
+            allocated,
             &roots,
+            tracers,
             &inner.engine,
             inner.metrics,
             &mut report,
         ) else {
             return false;
         };
-        inner.clean_trace.store(clean, Ordering::Release);
         obs::ring::record(
             obs::ring::EventKind::Gc,
             &pool_label(&inner.path),
@@ -1086,20 +1106,6 @@ impl Pool {
             bytes,
         );
         true
-    }
-
-    /// The mark phase's verdict, handed out once: `true` when this open's
-    /// [collection](Pool::collect) traced every root and no tracer
-    /// [noted a marked link](Marker::note_marked_link). The first call
-    /// clears it, so only the structure that attaches right after the
-    /// collection — the heap is still the one the trace saw — skips its
-    /// recovery scan on it; every later caller gets `false`, as does every
-    /// open whose GC did not run or was refused.
-    ///
-    /// Only a structure whose own tracer notes every marked link it crosses
-    /// may act on `true` (see [`Marker::note_marked_link`]).
-    pub fn take_clean_trace(&self) -> bool {
-        self.inner.clean_trace.swap(false, Ordering::AcqRel)
     }
 
     /// Whether `off` is the payload start of a currently **allocated**
@@ -1165,27 +1171,6 @@ impl Pool {
         self.verify_heap()
             .map(|r| r.live.iter().map(|&(o, _)| o).collect())
             .unwrap_or_default()
-    }
-
-    /// Calls `visit(payload offset, payload capacity)` for every currently
-    /// allocated block, in address order. Structures whose recovery
-    /// enumerates candidate nodes instead of chasing links (the SOFT
-    /// variants: links are volatile, membership is proved by each node's
-    /// persistent validity header) take their candidates from this pass —
-    /// the pool already knows its blocks, so they keep no inventory of
-    /// their own.
-    ///
-    /// # Errors
-    ///
-    /// A heap-verification failure is an error, not an empty live set:
-    /// recovery must fail loudly rather than present a corrupt pool as an
-    /// empty structure.
-    pub fn for_each_live_payload(&self, mut visit: impl FnMut(u64, u64)) -> Result<(), String> {
-        walk_heap(self.inner.mem, self.inner.engine.frontier(), |off, size, _, allocated| {
-            if allocated {
-                visit(off + BLOCK_HEADER, size - BLOCK_HEADER);
-            }
-        })
     }
 }
 
@@ -1310,6 +1295,20 @@ impl Inner {
         Ok((report, allocated))
     }
 
+    /// A fresh read-only walk's allocated-block bitmap, for a
+    /// [`Pool::collect`] whose inventory is gone.
+    fn walk_allocated(&self) -> gc::Bitmap {
+        let frontier = self.engine.frontier();
+        let mut allocated = gc::Bitmap::new(frontier);
+        walk_heap(self.mem, frontier, |off, _, _, is_allocated| {
+            if is_allocated {
+                allocated.set(off);
+            }
+        })
+        .expect("the heap Pool::open verified no longer verifies");
+        allocated
+    }
+
     /// Takes the open's block inventory; `None` once consumed.
     fn take_inventory(&self) -> Option<Box<gc::Bitmap>> {
         let p = self.inventory.swap(std::ptr::null_mut(), Ordering::AcqRel);
@@ -1329,16 +1328,16 @@ impl Inner {
         }
     }
 
-    /// The `(name, offset, tracer)` triples of every root — or `None` when
-    /// the recovery GC must be skipped because reachability is not
-    /// provable: no roots at all, a torn slot (offset 0), or a root without
-    /// a tracer in `tracers`. One unknown root disables the whole
+    /// Every root with the tracer that traces it (see [`gc::Root`]) — or
+    /// `None` when the recovery GC must be skipped because reachability is
+    /// not provable: no roots at all, a torn slot (offset 0), or a root
+    /// without a tracer in `tracers`. One unknown root disables the whole
     /// collection — its blocks' reachability cannot be established, and
-    /// sweeping them could destroy live data.
-    fn traceable_roots(
-        &self,
-        tracers: &[(&str, gc::TraceFn)],
-    ) -> Option<Vec<(String, u64, gc::TraceFn)>> {
+    /// sweeping them could destroy live data. The reserved ops-table root
+    /// has a built-in tracer (a single block, no outgoing pointers):
+    /// detectable pools must not lose the GC because no structure tracer
+    /// mentions it.
+    fn traceable_roots(&self, tracers: &[(&str, gc::TraceFn<'_>)]) -> Option<Vec<gc::Root>> {
         let roots = self.roots();
         if roots.is_empty() {
             return None;
@@ -1349,15 +1348,12 @@ impl Inner {
                 if off == 0 {
                     return None; // torn slot: its structure cannot be traced
                 }
-                // The reserved ops-table root has a built-in tracer (a single
-                // block, no outgoing pointers) — detectable pools must not
-                // lose the GC just because no structure tracer mentions it.
-                let trace = if name == optable::OPS_ROOT {
-                    optable::ops_trace as gc::TraceFn
+                let tracer = if name == optable::OPS_ROOT {
+                    None
                 } else {
-                    tracers.iter().find(|(n, _)| *n == name)?.1
+                    Some(tracers.iter().position(|(n, _)| *n == name)?)
                 };
-                Some((name, off, trace))
+                Some((name, off, tracer))
             })
             .collect()
     }
@@ -1418,8 +1414,8 @@ impl Drop for Inner {
 /// The one pass over the block headers in `[HEAP_START, frontier)`: checks
 /// every header against the heap invariants and calls `block(offset, size,
 /// class, allocated)` for each, in address order. Every consumer of the
-/// heap's block inventory — open-time recovery,
-/// [`Pool::verify_heap`], [`Pool::for_each_live_payload`] — is this loop, so a
+/// heap's block inventory — open-time recovery, [`Pool::verify_heap`] and
+/// a [`Pool::collect`] whose inventory is gone — is this loop, so a
 /// block that passed a weaker check somewhere can never poison a free list
 /// and later be handed out at its class size, overlapping a neighbour.
 ///

@@ -16,6 +16,16 @@ fn cleanup(p: &Path) {
     let _ = std::fs::remove_file(p);
 }
 
+/// [`Pool::collect`] with `trace` as the tracer of root `name`.
+///
+/// # Safety
+///
+/// As for [`Pool::collect`].
+unsafe fn collect(pool: &Pool, name: &str, trace: unsafe fn(*mut u8, &mut gc::Marker<'_>)) -> bool {
+    // SAFETY: forwarded.
+    unsafe { pool.collect(&mut [(name, &mut |root, marker| trace(root, marker))]) }
+}
+
 #[test]
 fn create_rejects_tiny_and_duplicate() {
     let path = tmp("tiny");
@@ -570,8 +580,8 @@ fn only_the_first_collect_before_any_alloc_or_free_runs() {
     // A missing tracer sweeps nothing, and ends the open's collection.
     let pool = open();
     assert!(!pool.recovery_report().gc_ran, "the open ran a collection");
-    assert!(!unsafe { pool.collect(&[]) }, "no tracer: nothing to prove");
-    assert!(!unsafe { pool.collect(&[("r", mark_root)]) }, "a second collect ran");
+    assert!(!unsafe { pool.collect(&mut []) }, "no tracer: nothing to prove");
+    assert!(!unsafe { collect(&pool, "r", mark_root) }, "a second collect ran");
     let report = pool.recovery_report();
     assert!(!report.gc_ran);
     assert_eq!((report.reclaimed_blocks, report.live_blocks), (0, 3));
@@ -582,14 +592,14 @@ fn only_the_first_collect_before_any_alloc_or_free_runs() {
     let pool = open();
     // SAFETY: an orphan nothing references.
     unsafe { pool.dealloc(pool.at(orphans[0])) };
-    assert!(!unsafe { pool.collect(&[("r", mark_root)]) }, "a free left the inventory");
+    assert!(!unsafe { collect(&pool, "r", mark_root) }, "a free left the inventory");
     assert!(!pool.recovery_report().gc_ran);
     drop(pool);
 
     // So does an allocation.
     let pool = open();
     let fresh = pool.alloc(64, 8).unwrap();
-    assert!(!unsafe { pool.collect(&[("r", mark_root)]) }, "an allocation left the inventory");
+    assert!(!unsafe { collect(&pool, "r", mark_root) }, "an allocation left the inventory");
     assert!(!pool.recovery_report().gc_ran);
     // SAFETY: just allocated, referenced by nobody.
     unsafe { pool.dealloc(fresh) };
@@ -597,12 +607,12 @@ fn only_the_first_collect_before_any_alloc_or_free_runs() {
 
     // Every tracer, nothing allocated or freed: exactly the orphan goes.
     let pool = open();
-    assert!(unsafe { pool.collect(&[("r", mark_root)]) }, "tracer given, nothing attached: collect");
+    assert!(unsafe { collect(&pool, "r", mark_root) }, "tracer given, nothing attached: collect");
     let report = pool.recovery_report();
     assert!(report.gc_ran);
     assert_eq!(report.reclaimed_blocks, 1, "exactly the orphan");
     assert_eq!(pool.live_offsets(), vec![root_off - BLOCK_HEADER]);
-    assert!(!unsafe { pool.collect(&[("r", mark_root)]) }, "a second collect ran");
+    assert!(!unsafe { collect(&pool, "r", mark_root) }, "a second collect ran");
     assert_eq!(pool.recovery_report(), report, "a second collect changed the report");
     drop(pool);
     cleanup(&path);
@@ -624,13 +634,13 @@ fn a_refusing_tracer_sweeps_nothing() {
     }
     let pool = Pool::builder().path(&path).open().unwrap();
     // SAFETY: the tracer reads nothing; it refuses every root.
-    assert!(!unsafe { pool.collect(&[("r", mark_then_refuse)]) });
+    assert!(!unsafe { collect(&pool, "r", mark_then_refuse) });
     let report = pool.recovery_report();
     assert!(!report.gc_ran, "a refused collection must not count as run");
     assert_eq!((report.reclaimed_blocks, report.live_blocks), (0, 2));
     assert!(report.root_marks.is_empty());
     // SAFETY: as above.
-    assert!(!unsafe { pool.collect(&[("r", mark_then_refuse)]) }, "a second collect ran");
+    assert!(!unsafe { collect(&pool, "r", mark_then_refuse) }, "a second collect ran");
     assert_eq!(pool.live_offsets().len(), 2, "nothing was swept");
     pool.verify_heap().unwrap();
     drop(pool);
@@ -700,7 +710,7 @@ fn op_table_registers_slots_and_survives_reopen() {
 
     let pool = Pool::builder().path(&path).open().unwrap();
     // SAFETY: the pool's one root is the ops table, which brings its own.
-    assert!(unsafe { pool.collect(&[]) }, "ops root has a built-in tracer");
+    assert!(unsafe { pool.collect(&mut []) }, "ops root has a built-in tracer");
     let report = pool.recovery_report();
     assert_eq!(report.ops_descriptors, 1);
     assert_eq!(report.ops_not_applied, 1, "published no-op is decided");
@@ -840,7 +850,7 @@ fn marker_refuses_payload_bytes_that_mimic_a_header() {
     }
     let pool = Pool::builder().path(&path).open().unwrap();
     // SAFETY: the root is one self-contained block; the tracer marks it.
-    assert!(unsafe { pool.collect(&[("r", probe_inside)]) });
+    assert!(unsafe { collect(&pool, "r", probe_inside) });
     let report = pool.recovery_report();
     assert_eq!(MARKED.load(Ordering::SeqCst), 1, "mark() accepted a pointer into the middle of a block");
     assert_eq!(RESOLVED.load(Ordering::SeqCst), 1, "at() resolved an offset into the middle of a block");
@@ -923,7 +933,7 @@ fn recovery_gc_reclaims_exactly_the_garbage_and_allocates_in_address_order() {
     }
     let pool = Pool::builder().path(&path).open().unwrap();
     // SAFETY: `trace_listed` reads the layout written above.
-    assert!(unsafe { pool.collect(&[("r", trace_listed)]) });
+    assert!(unsafe { collect(&pool, "r", trace_listed) });
     let report = pool.recovery_report();
 
     // The reclaimed set is exactly the garbage.
@@ -1052,73 +1062,6 @@ fn concurrent_claims_are_exact_and_come_before_the_frontier() {
     // Every recovered block is claimed: the next allocation carves.
     pool.alloc(SIZES[0], 8).unwrap();
     assert!(pool.inner.engine.frontier() > frontier, "nothing left to claim, yet no carve");
-    drop(pool);
-    cleanup(&path);
-}
-
-#[test]
-fn clean_trace_verdict_is_handed_out_once_and_only_after_a_clean_collection() {
-    use std::os::unix::fs::FileExt;
-    // The root's first word scripts the trace: 0 finds nothing, 1 crosses a
-    // marked link, 2 meets another layout.
-    unsafe fn scripted(root: *mut u8, marker: &mut gc::Marker<'_>) {
-        marker.mark(root);
-        // SAFETY: the first payload word of the root block.
-        match unsafe { (root as *const u64).read() } {
-            1 => marker.note_marked_link(),
-            2 => marker.refuse(),
-            _ => {}
-        }
-    }
-    let path = tmp("clean-trace");
-    let root_off = {
-        let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
-        let root = pool.alloc(64, 8).unwrap();
-        // SAFETY: a fresh 64-byte payload.
-        unsafe { (root as *mut u64).write(0) };
-        let off = pool.offset_of(root);
-        pool.set_root_offset("r", off).unwrap();
-        off
-    };
-    let script = |word: u64| {
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.write_all_at(&word.to_le_bytes(), root_off).unwrap();
-    };
-    let open = || Pool::builder().path(&path).open().unwrap();
-    // SAFETY (every `collect` below): the root is one self-contained block;
-    // `scripted` marks it, and nothing attaches to this pool.
-
-    // No tracer: the GC cannot run, so there is no verdict.
-    let pool = open();
-    assert!(!unsafe { pool.collect(&[]) });
-    assert!(!pool.take_clean_trace(), "a GC that did not run left a verdict");
-    drop(pool);
-
-    // A clean collection: true exactly once.
-    let pool = open();
-    assert!(!pool.take_clean_trace(), "a verdict before the collection");
-    assert!(unsafe { pool.collect(&[("r", scripted)]) });
-    assert!(pool.take_clean_trace(), "a clean collection left no verdict");
-    assert!(!pool.take_clean_trace(), "the verdict was handed out twice");
-    // Nor does a second collect hand it out again.
-    assert!(!unsafe { pool.collect(&[("r", scripted)]) });
-    assert!(!pool.take_clean_trace(), "a second collect left a verdict");
-    drop(pool);
-
-    // A tracer noted a marked link.
-    script(1);
-    let pool = open();
-    assert!(unsafe { pool.collect(&[("r", scripted)]) });
-    assert!(pool.recovery_report().gc_ran);
-    assert!(!pool.take_clean_trace(), "a noted marked link left a clean verdict");
-    drop(pool);
-
-    // A tracer refused: no collection, no verdict.
-    script(2);
-    let pool = open();
-    assert!(!unsafe { pool.collect(&[("r", scripted)]) });
-    assert!(!pool.recovery_report().gc_ran);
-    assert!(!pool.take_clean_trace(), "a refused collection left a verdict");
     drop(pool);
     cleanup(&path);
 }

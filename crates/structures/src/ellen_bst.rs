@@ -813,10 +813,6 @@ where
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         Some(unsafe { Self::attach_at(root, pool.collector().clone()) })
     }
-
-    fn recover_attached(&self, _pool: &Pool) {
-        self.recover_tree();
-    }
 }
 
 // SAFETY: the walk covers everything `recover_tree`'s helping can touch.
@@ -838,6 +834,8 @@ where
     V: Word,
     D: Durability,
 {
+    type Plan = ();
+
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
         let mut work: Vec<NodePtr<K, V, D::B>> = vec![root as NodePtr<K, V, D::B>];
         while let Some(node) = work.pop() {
@@ -865,6 +863,10 @@ where
                 // nvt-lint: end-allow(raw-pcell-access)
             }
         }
+    }
+
+    fn recover_attached(&self, (): ()) {
+        self.recover_tree();
     }
 }
 

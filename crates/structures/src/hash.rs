@@ -22,26 +22,25 @@
 //!
 //! # Recovery
 //!
-//! The table recovers (and is traced for the recovery GC) as a whole, not
-//! bucket by bucket, through two [`BucketList`] hooks. Harris buckets are
-//! `n` independent pointer chains, so both their GC mark
-//! ([`BucketList::trace_buckets`]) and their recovery
-//! ([`BucketList::recover_buckets`]) advance all `n` chains as one
-//! wavefront (the crate's `walk_chains`) whose cache misses
-//! overlap; recovery's wavefront is read-only and only flags the buckets
-//! that hold a marked link, on which the list's own `disconnect` pass then
-//! runs — any other bucket is one it would not write to. The GC's mark
-//! wavefront has already read every one of those links and notes each
-//! marked one, so a pooled table attaching right after a trace that noted
-//! none skips the recovery wavefront altogether. SOFT buckets have
-//! no persistent links to chase: a pooled table's one recovery pass takes
-//! every bucket's sealed nodes from the pool's block inventory.
+//! The table is traced for the recovery GC as a whole, not bucket by
+//! bucket, through one [`BucketList`] hook,
+//! [`trace_table`](BucketList::trace_table), which returns each
+//! bucket's own [`PoolTrace`] plan; the table's recovery hands every bucket
+//! its plan. Harris buckets are `n` independent pointer chains, so their
+//! mark advances all `n` chains as one wavefront (the crate's
+//! `walk_chains`) whose cache misses overlap, and a bucket's plan is
+//! whether its chain crossed a marked link: the list's own `disconnect`
+//! pass runs on those buckets alone, and any other bucket is one it would
+//! not write to. SOFT buckets have no persistent links to chase: one pass
+//! over the heap's allocated blocks hands each bucket its sealed nodes,
+//! and the bucket relinks from them. An in-process
+//! [`recover`](DurableSet::recover) recovers bucket by bucket.
 
 use crate::list::HarrisList;
 use nvtraverse::alloc::PoolCtx;
 use nvtraverse::detect::{OpError, OpToken};
 use nvtraverse::policy::Durability;
-use nvtraverse::set::{DurableSet, PoolAttach};
+use nvtraverse::set::{DurableSet, PoolAttach, PoolTrace};
 use nvtraverse_ebr::Collector;
 use nvtraverse_pmem::{Backend, MmapBackend, Word};
 use nvtraverse_pool::{Marker, OpId, OpOutcome, Pool, RawOp};
@@ -49,12 +48,13 @@ use std::fmt;
 use std::io;
 
 /// A sorted-list type that can serve as the buckets of a [`BucketTable`]:
-/// the list's own set operations (through [`DurableSet`]) plus what the
-/// table needs to build, persist, re-attach, trace and inspect an array of
-/// them. Everything a table does that is the same for every list discipline
-/// lives in [`BucketTable`]; the three hooks at the end are the places where
-/// the disciplines genuinely differ.
-pub trait BucketList: DurableSet<Self::Key, Self::Value> + Sized {
+/// the list's own set operations (through [`DurableSet`]) and recovery
+/// (through [`PoolTrace`]) plus what the table needs to build, persist,
+/// re-attach, trace and inspect an array of them. Everything a table does
+/// that is the same for every list discipline lives in [`BucketTable`]; the
+/// three hooks at the end are the places where the disciplines genuinely
+/// differ.
+pub trait BucketList: DurableSet<Self::Key, Self::Value> + PoolTrace + Sized {
     /// Key type of the list (and the table over it).
     type Key: Word + Ord;
     /// Value type of the list (and the table over it).
@@ -88,23 +88,16 @@ pub trait BucketList: DurableSet<Self::Key, Self::Value> + Sized {
     /// Quiescent: the list's `(key, value)` pairs in key order.
     fn iter_snapshot(&self) -> Vec<(Self::Key, Self::Value)>;
 
-    /// Recovery of all of a table's `buckets` at once (they share
-    /// `collector`) — the table-level hook behind both
-    /// [`DurableSet::recover`] (`pool` is `None`) and
-    /// [`PoolAttach::recover_attached`] (the pool just attached to). Harris
-    /// buckets scan every chain as one wavefront and recover only the ones
-    /// holding a marked link; SOFT buckets of a pooled table take their
-    /// candidate nodes from **one** pass over the pool's block inventory.
-    fn recover_buckets(buckets: &[Self], collector: &Collector, pool: Option<&Pool>);
-
-    /// Marks every block reachable from the validated bucket `heads` —
-    /// the per-bucket half of the table's `PoolTrace`.
+    /// Marks every block reachable from the validated bucket `heads`, all
+    /// chains at once — the per-bucket half of the table's `PoolTrace` —
+    /// and returns each bucket's [plan](PoolTrace::Plan), in `heads` order,
+    /// for that bucket's [`recover_attached`](PoolTrace::recover_attached).
     ///
     /// # Safety
     ///
-    /// Same contract as [`nvtraverse::PoolTrace::trace`], with every
-    /// element of `heads` a head sentinel of this list type.
-    unsafe fn trace_buckets(heads: &[*mut u8], marker: &mut Marker<'_>);
+    /// Same contract as [`PoolTrace::trace`], with every element of `heads`
+    /// a head sentinel of this list type.
+    unsafe fn trace_table(heads: &[*mut u8], marker: &mut Marker<'_>) -> Vec<Self::Plan>;
 
     /// Whether `head`, an allocated block of `capacity` payload bytes that
     /// the persistent bucket table names, is a head sentinel of this list
@@ -304,11 +297,10 @@ impl<L: BucketList> DurableSet<L::Key, L::Value> for BucketTable<L> {
         self.buckets.iter().map(|b| b.len()).sum()
     }
 
-    /// Recovery is the list discipline's
-    /// [`recover_buckets`](BucketList::recover_buckets). The bucket array
-    /// itself is immutable and was persisted at construction.
+    /// Recovers every bucket list. The bucket array itself is immutable
+    /// and was persisted at construction.
     fn recover(&self) {
-        L::recover_buckets(&self.buckets, &self.collector, None);
+        self.buckets.iter().for_each(L::recover);
     }
 
     fn try_insert(&self, key: L::Key, value: L::Value) -> Result<bool, OpError> {
@@ -377,12 +369,8 @@ impl<L: BucketList> PoolAttach for BucketTable<L> {
         Some(BucketTable { buckets, collector })
     }
 
-    fn recover_attached(&self, pool: &Pool) {
-        L::recover_buckets(&self.buckets, &self.collector, Some(pool));
-    }
-
     fn resolve_detectable(&self, pool: &Pool) {
-        L::resolve_detectable(self, pool);
+        <L as BucketList>::resolve_detectable(self, pool);
     }
 }
 
@@ -392,27 +380,36 @@ impl<L: BucketList> PoolAttach for BucketTable<L> {
 // SAFETY: the root is the persistent bucket table `[n, head_off…]`; marking
 // it and handing its validated bucket heads to the list type's own walk
 // covers every block the table's recovery (each bucket's) can reach.
-unsafe impl<L: BucketList> nvtraverse::PoolTrace for BucketTable<L> {
+unsafe impl<L: BucketList> PoolTrace for BucketTable<L> {
+    /// Each bucket's plan, in bucket order.
+    type Plan = Vec<L::Plan>;
+
     // SAFETY: see `PoolTrace::trace` — `root` is a root this type created, on the quiescent, header-verified heap of `Pool::open` recovery.
-    unsafe fn trace(root: *mut u8, marker: &mut Marker<'_>) {
-        if !marker.mark(root) {
-            return;
-        }
-        let Some(capacity) = marker.capacity_of(root) else {
-            return;
+    unsafe fn trace(root: *mut u8, marker: &mut Marker<'_>) -> Vec<L::Plan> {
+        let Some(capacity) = marker.capacity_of(root).filter(|_| marker.mark(root)) else {
+            return Vec::new();
         };
         // SAFETY: `mark` vouched for `root` as an allocated payload of `capacity` bytes; the heap is quiescent during recovery.
         let heads = unsafe { decode_root(root as *const u64, capacity, |off| marker.at(off)) };
         let Some(heads) = heads else {
-            return;
+            return Vec::new();
         };
         // SAFETY: every head passed `Marker::at`, so `capacity_of` knows its payload; the heap is quiescent.
         if !heads.iter().all(|&h| marker.capacity_of(h).is_some_and(|cap| unsafe { L::is_own_head(h, cap) })) {
             marker.refuse();
-            return;
+            return Vec::new();
         }
         // SAFETY: every head passed `Marker::at`; the registry's type contract vouches for the list type.
-        unsafe { L::trace_buckets(&heads, marker) };
+        unsafe { L::trace_table(&heads, marker) }
+    }
+
+    /// Hands every bucket its plan. The table attached from the block the
+    /// trace decoded, so there is one plan per bucket.
+    fn recover_attached(&self, plans: Vec<L::Plan>) {
+        debug_assert_eq!(plans.len(), self.buckets.len());
+        for (bucket, plan) in self.buckets.iter().zip(plans) {
+            bucket.recover_attached(plan);
+        }
     }
 }
 
@@ -452,21 +449,11 @@ impl<K: Word + Ord, V: Word, D: Durability> BucketList for HarrisList<K, V, D> {
         self.iter_snapshot()
     }
 
-    /// The wavefront recovery scan over every bucket, skipped when the
-    /// pool just attached to hands over a clean verdict
-    /// ([`Pool::take_clean_trace`]): its GC's tracer read every link the
-    /// scan would read and found none marked.
-    fn recover_buckets(buckets: &[Self], collector: &Collector, pool: Option<&Pool>) {
-        if !pool.is_some_and(Pool::take_clean_trace) {
-            Self::recover_lists(buckets, collector);
-        }
-    }
-
-    // SAFETY: see `BucketList::trace_buckets` — every head is a validated Harris head sentinel on a quiescent heap.
-    unsafe fn trace_buckets(heads: &[*mut u8], marker: &mut Marker<'_>) {
+    // SAFETY: see `BucketList::trace_table` — every head is a validated Harris head sentinel on a quiescent heap.
+    unsafe fn trace_table(heads: &[*mut u8], marker: &mut Marker<'_>) -> Vec<bool> {
         let mut heads: Vec<_> = heads.iter().map(|&h| h as *mut crate::list::Node<K, V, D::B>).collect();
         // SAFETY: forwarded — each head roots one Harris chain; the chains advance as one wavefront.
-        unsafe { Self::trace_heads(&mut heads, marker) };
+        unsafe { Self::trace_heads(&mut heads, marker) }
     }
 
     fn resolve_detectable(table: &HashMapDs<K, V, D>, pool: &Pool) {
@@ -833,5 +820,229 @@ mod tests {
             }
         }
         assert_eq!(m.check_consistency(false).unwrap(), 199);
+    }
+
+    #[test]
+    fn a_pooled_open_rewrites_only_the_bucket_holding_a_marked_link() {
+        type Map = HashMapDs<u64, u64, NvTraverse<MmapBackend>>;
+        let path = std::env::temp_dir().join(format!("nvt-hash-one-marked-{}.pool", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let victim_bucket = 5;
+        let (victim, before) = {
+            let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
+            let map = pool.create_root::<Map>("kv").unwrap();
+            for k in 0..400u64 {
+                assert!(map.insert(k, k * 3));
+            }
+            let nodes = chain(&map.buckets[victim_bucket]);
+            let victim = nodes[nodes.len() / 2];
+            mark_in_place(victim);
+            let before = map.buckets.iter().map(words).collect::<Vec<_>>();
+            map.close().unwrap();
+            (victim, before)
+        };
+        let pool = Pool::builder().path(&path).open().unwrap();
+        let map = pool.root::<Map>("kv").unwrap();
+        assert!(pool.recovery_report().gc_ran);
+        assert_eq!(map.collector().local_garbage(), 1, "exactly the marked node is retired");
+        for (i, (b, bucket)) in before.iter().zip(map.buckets.iter()).enumerate() {
+            let a = words(bucket);
+            if i == victim_bucket {
+                let survivors: Vec<_> = b.iter().filter(|w| w.0 != victim as usize).map(|w| w.0).collect();
+                assert_eq!(a.iter().map(|w| w.0).collect::<Vec<_>>(), survivors);
+            } else {
+                assert_eq!(&a, b, "bucket {i} holds no marked link but was written");
+            }
+        }
+        assert_eq!(map.check_consistency(false).unwrap(), 399);
+        map.close().unwrap();
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Attaching to a cleanly closed pooled table persists nothing: its
+    /// trace crossed no marked link, so no bucket recovers.
+    #[test]
+    fn a_clean_pooled_open_flushes_and_fences_nothing() {
+        type Map = HashMapDs<u64, u64, NvTraverse<MmapBackend>>;
+        if !obs::enabled() {
+            return; // NVT_OBS=off: nothing is counted
+        }
+        let path = std::env::temp_dir().join(format!("nvt-hash-clean-open-{}.pool", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        {
+            let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
+            let map = pool.create_root::<Map>("kv").unwrap();
+            for k in 0..2000u64 {
+                assert!(map.insert(k, k + 1));
+            }
+            map.close().unwrap();
+        }
+        let pool = Pool::builder().path(&path).open().unwrap();
+        let set: &'static obs::MetricSet = Box::leak(Box::new(obs::MetricSet::new(1)));
+        let map = {
+            let _t = obs::attribute_to(Some(set));
+            pool.root::<Map>("kv").unwrap()
+        };
+        let s = set.snapshot();
+        assert_eq!((s.total_flushes(), s.total_fences()), (0, 0), "a clean table's recovery persisted something");
+        assert_eq!(map.len(), 2000);
+        map.close().unwrap();
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    // ---- opens whose collection cannot run ----
+
+    use std::path::PathBuf;
+
+    /// How an open reaches `root::<S>`.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Open {
+        /// Straight away: the collection runs, and its mark is the plan.
+        Collecting,
+        /// After an allocation consumed the open's inventory: the tracer
+        /// runs read-only over a fresh heap walk.
+        AfterAlloc,
+        /// On the image that also holds a root no tracer names: the tracer
+        /// runs read-only over the open's inventory.
+        UntracedRoot,
+    }
+
+    /// Crash images of a pooled table holding keys `0..keys` that `dirty`
+    /// then left half-done: copies of the file taken while the table is
+    /// still open, which is what a SIGKILL leaves behind. The second image
+    /// also holds a root no structure type describes.
+    fn crash_images<L: BucketList<Key = u64, Value = u64>>(
+        tag: &str,
+        keys: u64,
+        dirty: impl FnOnce(&BucketTable<L>),
+    ) -> [PathBuf; 2] {
+        let at = |s: &str| std::env::temp_dir().join(format!("nvt-hash-nocollect-{tag}-{s}-{}.pool", std::process::id()));
+        let (live, images) = (at("live"), [at("image"), at("raw")]);
+        for p in [&live, &images[0], &images[1]] {
+            let _ = std::fs::remove_file(p);
+        }
+        let pool = Pool::builder().path(&live).capacity(8 << 20).create().unwrap();
+        let map = pool.create_root::<BucketTable<L>>("kv").unwrap();
+        for k in 0..keys {
+            assert!(map.insert(k, k * 7));
+        }
+        dirty(&map);
+        std::fs::copy(&live, &images[0]).unwrap();
+        let raw = pool.alloc(64, 8).unwrap();
+        // SAFETY: a fresh 64-byte payload.
+        unsafe { std::ptr::write_bytes(raw, 0, 64) };
+        pool.set_root_offset("raw", pool.offset_of(raw)).unwrap();
+        std::fs::copy(&live, &images[1]).unwrap();
+        drop(map);
+        drop(pool);
+        std::fs::remove_file(&live).unwrap();
+        images
+    }
+
+    /// Opens a copy of one of `images` the way `how` says, lets `check`
+    /// see the recovered table, and returns its sorted pairs.
+    fn open_image<L: BucketList<Key = u64, Value = u64>>(
+        images: &[PathBuf; 2],
+        how: Open,
+        check: impl FnOnce(&BucketTable<L>),
+    ) -> Vec<(u64, u64)> {
+        let image = &images[usize::from(how == Open::UntracedRoot)];
+        let path = image.with_extension("open");
+        std::fs::copy(image, &path).unwrap();
+        let pool = Pool::builder().path(&path).open().unwrap();
+        if how == Open::AfterAlloc {
+            // SAFETY: just allocated, referenced by nobody.
+            unsafe { pool.dealloc(pool.alloc(64, 8).unwrap()) };
+        }
+        let map = pool.root::<BucketTable<L>>("kv").unwrap();
+        assert_eq!(pool.recovery_report().gc_ran, how == Open::Collecting, "{how:?}");
+        map.check_consistency(false).unwrap();
+        check(&map);
+        let mut pairs = map.iter_snapshot();
+        pairs.sort_unstable();
+        drop(map);
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
+        pairs
+    }
+
+    #[test]
+    fn a_harris_open_that_cannot_collect_recovers_what_a_collecting_open_does() {
+        type L = Harris<NvTraverse<MmapBackend>>;
+        let mut marked = Vec::new();
+        let images = crash_images::<L>("harris", 600, |map| {
+            // Marked-but-linked nodes, the state a crash between a remove's
+            // mark and its unlink leaves, in a few buckets.
+            for bucket in map.buckets.iter().step_by(9) {
+                let nodes = chain(bucket);
+                for &n in nodes.iter().step_by(3) {
+                    // SAFETY: quiescent test heap.
+                    marked.push(unsafe { (*n).key.load() });
+                    mark_in_place(n);
+                }
+            }
+        });
+        assert!(marked.len() >= 10);
+        let want: Vec<(u64, u64)> = (0..600u64).filter(|k| !marked.contains(k)).map(|k| (k, k * 7)).collect();
+        for how in [Open::Collecting, Open::AfterAlloc, Open::UntracedRoot] {
+            assert_eq!(open_image::<L>(&images, how, |_| {}), want, "{how:?}");
+        }
+        images.iter().for_each(|p| std::fs::remove_file(p).unwrap());
+    }
+
+    #[test]
+    fn a_soft_open_that_cannot_collect_recovers_what_a_collecting_open_does() {
+        type L = SoftL<Soft<MmapBackend>>;
+        /// Each bucket's nodes as `(key, seq)`, in chain order.
+        fn seqs(map: &BucketTable<L>) -> Vec<Vec<(u64, u64)>> {
+            let node = |n: *mut crate::soft_list::SoftNode<u64, u64, MmapBackend>| {
+                // SAFETY: quiescent test heap; `n` is a linked node.
+                unsafe { ((*n).key.load(), (*n).seq.load()) }
+            };
+            let chain = |b: &L| {
+                let mut out = Vec::new();
+                crate::chain::walk::<_, ()>(b.head, |n, _| {
+                    out.push(node(n));
+                    std::ops::ControlFlow::Continue(())
+                });
+                out
+            };
+            map.buckets.iter().map(chain).collect()
+        }
+        const KEYS: u64 = 400;
+        const REMOVED: u64 = 48; // fewer than EBR's retires per epoch advance: the nodes stay allocated
+        // The highest `seq` each bucket tombstones: the removed keys were
+        // inserted last, so no live node of their bucket carries one as high.
+        let mut tombs = Vec::new();
+        let images = crash_images::<L>("soft", KEYS, |map| {
+            tombs = seqs(map)
+                .iter()
+                .map(|b| b.iter().filter(|n| n.0 >= KEYS - REMOVED).map(|n| n.1).max().unwrap_or(0))
+                .collect();
+            for k in KEYS - REMOVED..KEYS {
+                assert!(map.remove(k));
+            }
+        });
+        assert!(tombs.iter().filter(|&&t| t > 0).count() >= 20);
+        let want: Vec<(u64, u64)> = (0..KEYS - REMOVED).map(|k| (k, k * 7)).collect();
+        for how in [Open::Collecting, Open::AfterAlloc, Open::UntracedRoot] {
+            let fresh_seqs_clear_the_tombs = |map: &BucketTable<L>| {
+                for k in 10_000..10_000 + 4 * KEYS {
+                    assert!(map.insert(k, k));
+                }
+                for (i, bucket) in seqs(map).iter().enumerate() {
+                    for &(key, seq) in bucket.iter().filter(|n| n.0 >= 10_000) {
+                        assert!(seq > tombs[i], "{how:?}: key {key} in bucket {i} reused seq {seq} <= {}", tombs[i]);
+                    }
+                }
+                for k in 10_000..10_000 + 4 * KEYS {
+                    assert!(map.remove(k));
+                }
+            };
+            assert_eq!(open_image::<L>(&images, how, fresh_seqs_clear_the_tombs), want, "{how:?}");
+        }
+        images.iter().for_each(|p| std::fs::remove_file(p).unwrap());
     }
 }

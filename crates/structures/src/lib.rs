@@ -32,14 +32,15 @@
 //! recovered — see `nvtraverse::PooledHandle` for the packaged lifecycle
 //! and the repository's `ARCHITECTURE.md` for the per-structure recovery
 //! table (what each root encodes and what is rebuilt volatile-side).
-//! Each also implements [`PoolTrace`](nvtraverse::PoolTrace) — the
-//! reachability walk the recovery mark-sweep GC of `root::<S>` uses to sweep
-//! crash-stranded blocks; the table's *reachability contract* column
-//! documents exactly which links each walk follows. Every walk over
-//! next-pointer chains — the tracers of the list, hash table, skiplist
-//! bottom level, queue and stack, and the hash table's recovery scan — is
-//! the crate's one `walk_chains` wavefront helper, which overlaps the cache
-//! misses of independent chains (a single chain is its one-lane case).
+//! Each also implements [`PoolTrace`](nvtraverse::PoolTrace) — the one
+//! read of its graph on an open: the reachability walk the recovery
+//! mark-sweep GC of `root::<S>` uses to sweep crash-stranded blocks, whose
+//! findings are the plan the structure's recovery then runs; the table's
+//! *reachability contract* column documents exactly which links each walk
+//! follows. Every walk over next-pointer chains — the tracers of the list,
+//! hash table, skiplist bottom level, queue and stack — is the crate's one
+//! `walk_chains` wavefront helper, which overlaps the cache misses of
+//! independent chains (a single chain is its one-lane case).
 //!
 //! # Example
 //!
@@ -109,8 +110,8 @@ pub(crate) unsafe fn walk_chains<N>(
 /// already-marked node (a shared suffix needs walking only once).
 /// Marked/logically-deleted links are followed like any other — a
 /// reachable-but-marked node must survive the sweep so `recover()` can trim
-/// it through the collector. `next` gets the marker too, so a structure
-/// that reads the GC's clean verdict can note each marked link it crosses.
+/// it through the collector. `next(lane, node)` gets the chain's index too,
+/// so a tracer can note per chain what recovery needs to know.
 ///
 /// # Safety
 ///
@@ -120,15 +121,15 @@ pub(crate) unsafe fn walk_chains<N>(
 pub(crate) unsafe fn trace_chains<N>(
     marker: &mut nvtraverse_pool::Marker<'_>,
     heads: &mut [*mut N],
-    next: impl Fn(&mut nvtraverse_pool::Marker<'_>, *mut N) -> *mut N,
+    mut next: impl FnMut(usize, *mut N) -> *mut N,
 ) {
     // SAFETY: forwarded — `mark` refuses whatever is not an allocated
     // block's payload, so `next` only ever reads nodes the heap walk vouched
     // for.
     unsafe {
-        walk_chains(heads, |_, node| {
+        walk_chains(heads, |lane, node| {
             if marker.mark(node as *const u8) {
-                next(marker, node)
+                next(lane, node)
             } else {
                 std::ptr::null_mut()
             }

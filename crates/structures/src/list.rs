@@ -196,7 +196,9 @@ where
     }
 
     /// The recovery procedure (paper §4 "Recovery"): run `disconnect(root)`
-    /// (Supplement 1) — one pass that physically deletes every marked node.
+    /// (Supplement 1) — one pass that physically deletes every marked node,
+    /// then fences if it disconnected any. A chain with no marked link is
+    /// read and left unwritten.
     ///
     /// May run concurrently with other operations (Supplement 1 requires
     /// this), though it is normally called once, quiescently, after a crash.
@@ -205,70 +207,42 @@ where
             return;
         }
         let guard = self.collector.pin();
-        // SAFETY: the node is disconnected for good; EBR defers the free until all pre-retire guards drop.
-        chain::disconnect::<_, D>(self.head, |dead| unsafe { guard.retire(dead) }, |_| {});
-        D::before_return();
-    }
-
-    /// Recovery of many lists at once — the buckets of a hash table. A
-    /// list with no marked link is one on which [`recover_list`] performs
-    /// no CAS, retire or flush, so one read-only wavefront over all the
-    /// chains ([`walk_chains`](crate::walk_chains): their misses overlap)
-    /// first flags the lists that contain a marked link, and
-    /// [`recover_list`] then runs on those alone.
-    ///
-    /// `collector` is the one the lists share (a table's buckets do).
-    ///
-    /// [`recover_list`]: HarrisList::recover_list
-    pub(crate) fn recover_lists(lists: &[Self], collector: &Collector) {
-        if !D::DURABLE {
-            return;
-        }
-        let mut lanes: Vec<NodePtr<K, V, D::B>> = lists.iter().map(|l| l.head).collect();
-        let mut marked = vec![false; lists.len()];
-        // Recovery may run beside other operations (Supplement 1): the
-        // scan reads nodes a concurrent trim could retire.
-        let guard = collector.pin();
-        // SAFETY: every lane starts at a head sentinel and follows links read under the guard above.
-        unsafe {
-            crate::walk_chains(&mut lanes, |lane, node| {
-                // nvt-lint: allow(raw-pcell-access): read-only recovery scan reads raw mark bits by design
-                let word = (*node).next.load();
-                if word.is_marked() {
-                    marked[lane] = true;
-                    return std::ptr::null_mut();
-                }
-                word.ptr()
-            });
-        }
-        drop(guard);
-        for (list, _) in lists.iter().zip(&marked).filter(|(_, &m)| m) {
-            list.recover_list();
+        let mut trimmed = false;
+        let retire = |dead| {
+            trimmed = true;
+            // SAFETY: the node is disconnected for good; EBR defers the free until all pre-retire guards drop.
+            unsafe { guard.retire(dead) }
+        };
+        chain::disconnect::<_, D>(self.head, retire, |_| {});
+        if trimmed {
+            D::before_return();
         }
     }
 
     /// The GC mark walk over the chains rooted at `heads` (one list's head
-    /// sentinel, or every bucket's), as one wavefront. It reads every link
-    /// the recovery scan would read and
-    /// [notes](Marker::note_marked_link) each marked one, which is what
-    /// lets recovery skip that scan on the pool's clean verdict.
+    /// sentinel, or every bucket's), as one wavefront. Returns, per chain,
+    /// whether it crossed a marked link: the plan recovery runs
+    /// [`recover_list`](HarrisList::recover_list) on, since a chain
+    /// without one is one it would not write to.
     ///
     /// # Safety
     ///
     /// Same contract as [`nvtraverse::PoolTrace::trace`], with every
     /// element of `heads` a head sentinel of this list type.
-    pub(crate) unsafe fn trace_heads(heads: &mut [NodePtr<K, V, D::B>], marker: &mut Marker<'_>) {
+    pub(crate) unsafe fn trace_heads(heads: &mut [NodePtr<K, V, D::B>], marker: &mut Marker<'_>) -> Vec<bool> {
+        let mut marked = vec![false; heads.len()];
         // SAFETY: forwarded; `Marker` vouches for every node whose link is read.
         unsafe {
-            crate::trace_chains(marker, heads, |marker, n| {
+            crate::trace_chains(marker, heads, |lane, n| {
                 // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
                 let word = (*n).next.load();
                 if word.is_marked() {
-                    marker.note_marked_link();
+                    marked[lane] = true;
                 }
                 word.ptr()
             });
         }
+        marked
     }
 
     /// Classifies one recovered operation descriptor against this list's
@@ -568,15 +542,6 @@ where
         Some(unsafe { Self::attach_at(head, pool.collector().clone()) })
     }
 
-    /// [`recover_list`](HarrisList::recover_list), unless the pool's GC
-    /// just traced this chain and crossed no marked link
-    /// ([`Pool::take_clean_trace`]): then there is nothing to disconnect.
-    fn recover_attached(&self, pool: &Pool) {
-        if !pool.take_clean_trace() {
-            self.recover_list();
-        }
-    }
-
     fn resolve_detectable(&self, pool: &Pool) {
         for raw in pool.unresolved_ops() {
             pool.resolve_op(raw.id(), self.classify_op(&raw));
@@ -588,7 +553,7 @@ where
 // along `next` pointers, straight *through* marked nodes (a reachable
 // marked node is trimmed by recovery, so it must survive the sweep). The
 // only other blocks a list ever reaches are its nodes' own fields.
-// SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
+// SAFETY: the trace only reads; the plan is the one flag `recover_attached` acts on.
 unsafe impl<K, V, D, const ORIG_PARENT: bool> nvtraverse::PoolTrace
     for HarrisList<K, V, D, ORIG_PARENT>
 where
@@ -596,9 +561,21 @@ where
     V: Word,
     D: Durability,
 {
-    unsafe fn trace(root: *mut u8, marker: &mut Marker<'_>) {
+    /// Whether the chain crossed a marked link.
+    type Plan = bool;
+
+    // SAFETY: see `PoolTrace::trace` — `root` is this type's head sentinel, on the quiescent, header-verified heap of `Pool::open` recovery.
+    unsafe fn trace(root: *mut u8, marker: &mut Marker<'_>) -> bool {
         // SAFETY: forwarded — one chain, rooted at this list's head sentinel.
-        unsafe { Self::trace_heads(&mut [root as NodePtr<K, V, D::B>], marker) };
+        unsafe { Self::trace_heads(&mut [root as NodePtr<K, V, D::B>], marker)[0] }
+    }
+
+    /// [`recover_list`](HarrisList::recover_list), if the trace crossed a
+    /// marked link: otherwise there is nothing to disconnect.
+    fn recover_attached(&self, marked: bool) {
+        if marked {
+            self.recover_list();
+        }
     }
 }
 

@@ -135,10 +135,6 @@ where
         let inner = unsafe { SkipList::attach_to_pool(pool, name) }?;
         Some(PriorityQueue { inner })
     }
-
-    fn recover_attached(&self, pool: &Pool) {
-        self.inner.recover_attached(pool);
-    }
 }
 
 // SAFETY: the registered root *is* the inner skiplist's head tower, so the
@@ -150,9 +146,16 @@ where
     V: Word,
     D: Durability,
 {
+    type Plan = ();
+
+    // SAFETY: see `PoolTrace::trace` — the root is the inner skiplist's head tower.
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         unsafe { <SkipList<K, V, D> as nvtraverse::PoolTrace>::trace(root, marker) }
+    }
+
+    fn recover_attached(&self, (): ()) {
+        self.inner.recover_attached(());
     }
 }
 

@@ -405,10 +405,6 @@ where
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         Some(unsafe { Self::attach_at(anchor, pool.collector().clone()) })
     }
-
-    fn recover_attached(&self, _pool: &Pool) {
-        self.recover();
-    }
 }
 
 // SAFETY: mirrors `recover`'s adoption walk — the anchor block, then the
@@ -423,6 +419,8 @@ where
     V: Word,
     D: Durability,
 {
+    type Plan = ();
+
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
         if !marker.mark(root) {
             return;
@@ -436,6 +434,10 @@ where
                 // nvt-lint: end-allow(raw-pcell-access)
             });
         }
+    }
+
+    fn recover_attached(&self, (): ()) {
+        self.recover();
     }
 }
 

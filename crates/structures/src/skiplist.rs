@@ -963,10 +963,6 @@ where
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         Some(unsafe { Self::attach_at(head, pool.collector().clone()) })
     }
-
-    fn recover_attached(&self, _pool: &Pool) {
-        self.recover_skiplist();
-    }
 }
 
 // SAFETY: the persistent core is exactly the bottom list (`next[0]`), so
@@ -984,6 +980,8 @@ where
     V: Word,
     D: Durability,
 {
+    type Plan = ();
+
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         unsafe {
@@ -997,6 +995,10 @@ where
                 link(n, 0).load().ptr()
             });
         }
+    }
+
+    fn recover_attached(&self, (): ()) {
+        self.recover_skiplist();
     }
 }
 

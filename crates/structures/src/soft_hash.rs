@@ -9,21 +9,21 @@
 //!
 //! Recovery cost note: because links are volatile, recovering after a
 //! restart takes **one** pass over the pool's allocated blocks (shared by
-//! all buckets), probing each header once and handing each sealed node's
-//! `(key, seq, node)` to the bucket its `owner` word names; each bucket then
-//! relinks from that list, storing only the links that differ. With the
-//! GC's mark, an open reads each node header twice and, after a clean
-//! close, writes none; a node is one 64-byte pool block. Every bucket head
-//! carries the SOFT layout tag, so a table of another node layout is
-//! refused as a whole. See [`crate::soft_list`] for the node-level
-//! contract.
+//! all buckets) — the GC's mark itself — probing each header once and
+//! handing each sealed node's `(key, seq, node)` to the bucket its `owner`
+//! word names, found with one hashed lookup; each bucket then relinks from
+//! that list, storing only the links that differ. An open reads each node
+//! header once and, after a clean close, writes none; a node is one
+//! 64-byte pool block. Every bucket head carries the SOFT layout tag, so a
+//! table of another node layout is refused as a whole. See
+//! [`crate::soft_list`] for the node-level contract.
 
 use crate::hash::{BucketList, BucketTable};
-use crate::soft_list::{is_soft_head, recover_from_pool, soft_mark_owned, SoftList, SoftNode};
+use crate::soft_list::{is_soft_head, trace_owned, RelinkPlan, SoftList, SoftNode};
 use nvtraverse::policy::Durability;
 use nvtraverse_ebr::Collector;
 use nvtraverse_pmem::Word;
-use nvtraverse_pool::{Marker, Pool};
+use nvtraverse_pool::Marker;
 
 /// A fixed-capacity lock-free hash map with per-bucket SOFT lists.
 ///
@@ -74,31 +74,15 @@ impl<K: Word + Ord, V: Word, D: Durability> BucketList for SoftList<K, V, D> {
         self.iter_snapshot()
     }
 
-    /// A pooled table's buckets keep no node inventory: one shared pass
-    /// over the pool's hands every sealed node to the bucket that owns it.
-    /// Without a pool each bucket recovers from what it has itself.
-    fn recover_buckets(buckets: &[Self], _collector: &Collector, pool: Option<&Pool>) {
-        match pool {
-            Some(pool) => recover_from_pool(pool, buckets),
-            None => buckets.iter().for_each(Self::recover_soft),
-        }
-    }
-
     // SOFT reachability is header-proved, not link-based: after marking
     // every bucket head, one pass over the heap's allocated blocks keeps
     // each sealed node owned by any of them — linked or not (the
-    // recovery-rebuild contract of `soft_list`).
-    // SAFETY: see `BucketList::trace_buckets` — every head is a validated SOFT head sentinel on a quiescent heap.
-    unsafe fn trace_buckets(heads: &[*mut u8], marker: &mut Marker<'_>) {
-        let owners: Vec<u64> = heads
-            .iter()
-            .map(|&head| {
-                marker.mark(head);
-                head as u64
-            })
-            .collect();
-        // SAFETY: forwarded — quiescent, validated heap; `soft_mark_owned` only peeks headers `Marker::at` vouches for.
-        unsafe { soft_mark_owned::<K, V, D::B>(marker, &owners) };
+    // recovery-rebuild contract of `soft_list`) — and files it into its
+    // bucket's plan.
+    // SAFETY: see `BucketList::trace_table` — every head is a validated SOFT head sentinel on a quiescent heap.
+    unsafe fn trace_table(heads: &[*mut u8], marker: &mut Marker<'_>) -> Vec<RelinkPlan> {
+        // SAFETY: forwarded — quiescent, validated heap; `trace_owned` only peeks headers the marker enumerates.
+        unsafe { trace_owned::<K, V, D::B>(heads, marker) }
     }
 }
 
@@ -141,6 +125,7 @@ mod tests {
     #[test]
     fn clean_pooled_recovery_flushes_and_fences_nothing() {
         use nvtraverse::TypedRoots;
+        use nvtraverse_pool::Pool;
         use nvtraverse_obs as obs;
         use nvtraverse_pmem::MmapBackend;
         type Map = SoftHash<u64, u64, Soft<MmapBackend>>;

@@ -77,23 +77,24 @@
 //! list's nodes. Where they come from depends on where the nodes live:
 //!
 //! * a **pooled** list keeps no inventory at all — the pool already knows
-//!   its blocks, so the open-time recovery (`recover_from_pool`: one pass
-//!   over `Pool::for_each_live_payload` for a whole table of lists) takes
-//!   every allocated block whose header is sealed with this list's `owner`
-//!   word. Insert and remove therefore touch no lock and no side table, and
-//!   nothing volatile outlives a `PooledHandle`;
+//!   its blocks. The list's `PoolTrace` tracer is the open's one pass over
+//!   them: the GC's mark enumerates every allocated block, probes its
+//!   header, and looks its `owner` word up once among the heads it traces
+//!   (one list's, or a whole table's). A sealed node is marked and its
+//!   `(key, seq, node)` goes into its owner's plan; a tombstone raises its
+//!   owner's `seq` floor. Insert and remove therefore touch no lock and no
+//!   side table, and nothing volatile outlives a `PooledHandle`;
 //! * a **`Box`-backed** list (unit tests, the `Sim` crash sweeps) has no
 //!   allocator to ask, so it keeps a volatile *registry* of its allocated
 //!   nodes (maintained at allocate/retire time), which is also what its
 //!   `Drop` frees.
 //!
-//! Each candidate's header is probed (`probe_header`) **once**: the probe
-//! hands every live node's `(key, seq, node)` to the relink, which sorts
-//! them by key and links the chain from that list without reading a header
-//! again. An open therefore probes each header twice — the GC's mark, then
-//! this inventory. The relink reads each `next` word and stores only the
-//! ones that differ, so after a clean close (or a SIGKILL whose page cache
-//! kept the links) it writes no node at all. A
+//! Either way each candidate's header is probed (`probe_header`) **once**,
+//! and an open reads each header once: the relink sorts the plan's live
+//! nodes by key and links the chain from that list without reading a
+//! header again. It reads each `next` word and stores only the ones that
+//! differ, so after a clean close (or a SIGKILL whose page cache kept the
+//! links) it writes no node at all. A
 //! node whose seal never became durable was an in-flight insert (its
 //! operation had not fenced, hence had not returned): dropping it is
 //! durably linearizable. A sealed node that was never linked (crash between
@@ -137,11 +138,12 @@ use nvtraverse_pool::Pool;
 use std::fmt;
 use std::io;
 use std::marker::PhantomData;
-use std::cmp::Reverse;
 use std::mem::offset_of;
 use std::ops::ControlFlow;
 use std::ptr::addr_of_mut;
 use std::sync::atomic::{AtomicU64, Ordering};
+#[cfg(test)]
+use std::cell::Cell;
 use std::sync::Mutex;
 
 /// The tombstone bit of `vstart`: a durably removed node's `vstart` is its
@@ -200,6 +202,12 @@ pub(crate) enum HdrProbe {
     Invalid,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Headers this thread has probed: pins how often an open reads each.
+    static PROBES: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Classifies a candidate header from raw (never-faulting) word peeks.
 ///
 /// # Safety
@@ -210,6 +218,8 @@ pub(crate) enum HdrProbe {
 pub(crate) unsafe fn probe_header<K: Word, V: Word, B: Backend>(
     n: *const SoftNode<K, V, B>,
 ) -> HdrProbe {
+    #[cfg(test)]
+    PROBES.with(|p| p.set(p.get() + 1));
     // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
     let (vstart, key, value, owner, seq) = unsafe {
         (
@@ -294,9 +304,38 @@ const VOLATILE_ALIGN: usize = 64;
 
 type NodePtr<K, V, B> = *mut SoftNode<K, V, B>;
 
-/// A node recovery found live: its key, its `seq` and where it is — all
-/// the relink needs, so no header is read twice by one recovery.
-type LiveNode<K, V, B> = (K, u64, NodePtr<K, V, B>);
+/// What a SOFT list's recovery found, for the relink: each live node's
+/// `(key bits, seq, node)` — all the relink needs, so no header is read
+/// twice by one recovery — and the floor its `seq` counter resumes from.
+/// Built by the list's `PoolTrace` tracer on a pooled open, or from the
+/// list's own candidates by [`SoftList::recover_soft`].
+#[derive(Debug, Default)]
+pub struct RelinkPlan {
+    live: Vec<(u64, u64, *mut u8)>,
+    /// One past every `seq` a durable header of this list holds, live or
+    /// tombstoned, so fresh nodes never repeat a generation on the heap.
+    seq_floor: u64,
+}
+
+impl RelinkPlan {
+    /// Files candidate `node` by its `probe`: a live node joins the
+    /// relink, and a live or tombstoned one raises the `seq` floor past its
+    /// own. Returns whether `node` is live.
+    fn file(&mut self, node: *mut u8, probe: HdrProbe) -> bool {
+        match probe {
+            HdrProbe::Live { key, seq, .. } => {
+                self.live.push((key, seq, node));
+                self.seq_floor = self.seq_floor.max(seq + 1);
+                true
+            }
+            HdrProbe::Tomb { seq, .. } => {
+                self.seq_floor = self.seq_floor.max(seq + 1);
+                false
+            }
+            HdrProbe::Invalid => false,
+        }
+    }
+}
 
 /// Returns a node to whichever heap issued it — the one free path, both
 /// for teardown and (as the function [`Guard::retire_with`] calls) for EBR
@@ -403,14 +442,6 @@ impl<K: Word, V: Word, D: Durability> SoftList<K, V, D> {
             }
         }
     }
-
-    /// Advances the allocation counter past a `seq` recovered from a
-    /// durable header, so fresh nodes never repeat a generation already on
-    /// the heap (called by recovery for a tombstone's `seq` and for the
-    /// highest live one).
-    fn note_seq(&self, seq: u64) {
-        self.next_seq.fetch_max(seq + 1, Ordering::Relaxed);
-    }
 }
 
 impl<K, V, D> SoftList<K, V, D>
@@ -453,8 +484,8 @@ where
 
     /// Builds the list handle around a head sentinel allocated from the
     /// current allocation scope — a fresh one, or (the attach half of the
-    /// pool lifecycle) one found again in a pool, whose nodes
-    /// [`recover_from_pool`] then finds in the pool's block inventory.
+    /// pool lifecycle) one found again in a pool, whose nodes its
+    /// `PoolTrace` tracer finds among the pool's allocated blocks.
     ///
     /// # Safety
     ///
@@ -506,17 +537,13 @@ where
         if !D::DURABLE {
             return;
         }
-        let mut live = Vec::new();
+        let mut plan = RelinkPlan::default();
         let mut take = |n: NodePtr<K, V, D::B>| {
             // Raw peeks: any of these words may have rolled back to poison
             // (never persisted) under the simulator; the seal checksum
             // rejects every such header without key-filtering real data.
             // SAFETY: recovery runs single-threaded on a quiescent structure; every candidate is a node this list allocated.
-            match unsafe { probe_header(n) } {
-                HdrProbe::Live { key, seq, .. } => live.push((K::from_bits(key), seq, n)),
-                HdrProbe::Tomb { seq, .. } => self.note_seq(seq),
-                HdrProbe::Invalid => {}
-            }
+            plan.file(n.cast(), unsafe { probe_header(n) });
         };
         match self.registry() {
             Some(reg) => reg.iter().for_each(|&a| take(a as NodePtr<K, V, D::B>)),
@@ -527,25 +554,19 @@ where
                 });
             }
         }
-        self.relink(live);
+        self.relink(plan);
     }
 
-    /// The rebuild behind [`recover_soft`](Self::recover_soft) and
-    /// [`recover_from_pool`]: links the `live` nodes their probe found in
-    /// key order, reading no header again. Each link word is read first and
+    /// The rebuild behind [`recover_soft`](Self::recover_soft) and a pooled
+    /// open's recovery: links the `plan`'s live nodes in key order, reading
+    /// no header again. Each link word is read first and
     /// stored only when it changes, so a chain that is already right — after
     /// a clean close, or a SIGKILL whose page cache kept the links — is left
     /// unwritten, and nothing is fenced unless a stale twin was tombstoned.
-    fn relink(&self, mut live: Vec<LiveNode<K, V, D::B>>) {
-        if let Some(max_seq) = live.iter().map(|l| l.1).max() {
-            self.note_seq(max_seq);
-        }
-        // Newest generation first within each key: duplicate sealed nodes
-        // only arise from crashed concurrent writers (e.g. a remove whose
-        // tombstone flush never drained racing a completed reinsert), and
-        // the newest insert is the one whose effect a caller could have
-        // been told about. `seq` is unique within a list.
-        live.sort_unstable_by_key(|&(key, seq, _)| (key, Reverse(seq)));
+    fn relink(&self, plan: RelinkPlan) {
+        let RelinkPlan { mut live, seq_floor } = plan;
+        self.next_seq.fetch_max(seq_floor, Ordering::Relaxed);
+        live.sort_unstable_by_key(|&(key, ..)| K::from_bits(key));
         // SAFETY: recovery runs single-threaded on a quiescent structure; every node is a live one of this list.
         let link = |pred: NodePtr<K, V, D::B>, succ: MarkedPtr<SoftNode<K, V, D::B>>| unsafe {
             // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery compares and rewrites volatile links by design
@@ -562,15 +583,21 @@ where
         };
         let mut stale: Vec<NodePtr<K, V, D::B>> = Vec::new();
         let mut pred = self.head;
-        let mut i = 0;
-        while i < live.len() {
-            let (key, _, n) = live[i];
-            link(pred, MarkedPtr::new(n));
-            pred = n;
-            i += 1;
-            while i < live.len() && live[i].0 == key {
-                stale.push(live[i].2);
-                i += 1;
+        // The newest generation of each key is linked: duplicate sealed
+        // nodes only arise from crashed concurrent writers (e.g. a remove
+        // whose tombstone flush never drained racing a completed reinsert),
+        // and the newest insert is the one whose effect a caller could have
+        // been told about. `seq` is unique within a list.
+        for twins in live.chunk_by(|a, b| a.0 == b.0) {
+            let newest = twins.iter().map(|t| t.1).max().unwrap_or_default();
+            for &(_, seq, n) in twins {
+                let n = n.cast::<SoftNode<K, V, D::B>>();
+                if seq == newest {
+                    link(pred, MarkedPtr::new(n));
+                    pred = n;
+                } else {
+                    stale.push(n);
+                }
             }
         }
         link(pred, MarkedPtr::null());
@@ -813,141 +840,127 @@ where
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         Some(unsafe { Self::attach_at(head, pool.collector().clone()) })
     }
-
-    fn recover_attached(&self, pool: &Pool) {
-        recover_from_pool(pool, std::slice::from_ref(self));
-    }
 }
 
 // SAFETY: SOFT reachability is not link-based — recovery keeps exactly the
 // sealed nodes owned by this list, linked or not — so the walk enumerates
 // the heap's allocated blocks and marks the ones whose persistent header
-// probes as live ([`probe_header`]) with `owner` = this root. A
-// valid-but-unlinked node (crash between the header flush and the link CAS)
-// is therefore kept, as the recovery-rebuild contract requires; in-flight
-// (unsealed) and tombstoned nodes are left for the sweep. Every candidate
-// pointer comes from `Marker::at`, which validates it first. A head without
-// this layout's tag was written under another node layout: the tracer
-// refuses the collection rather than probe its nodes as this layout.
-// SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+// probes as live ([`probe_header`]) with `owner` = this root
+// ([`trace_owned`]). A valid-but-unlinked node (crash between the header
+// flush and the link CAS) is therefore kept, as the recovery-rebuild
+// contract requires; in-flight (unsealed) and tombstoned nodes are left for
+// the sweep. Every candidate pointer comes from `Marker::mark_allocated_if`,
+// which enumerates only allocated blocks. A head without this layout's tag
+// was written under another node layout: the tracer refuses the collection
+// rather than probe its nodes as this layout.
+// SAFETY: the trace only reads; the relink is `recover_attached`'s, on the plan.
 unsafe impl<K, V, D> nvtraverse::PoolTrace for SoftList<K, V, D>
 where
     K: Word + Ord,
     V: Word,
     D: Durability,
 {
-    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
+    type Plan = RelinkPlan;
+
+    // SAFETY: see `PoolTrace::trace` — `root` is a root this type created, on the quiescent, header-verified heap of `Pool::open` recovery.
+    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) -> Self::Plan {
         // SAFETY: `capacity_of` vouches for `root` as an allocated payload of that many bytes; the heap is quiescent.
         if !marker.capacity_of(root).is_some_and(|cap| unsafe { is_soft_head::<K, V, D::B>(root, cap) }) {
             marker.refuse();
-            return;
+            return RelinkPlan::default();
         }
-        if !marker.mark(root) {
-            return;
-        }
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        unsafe {
-            soft_mark_owned::<K, V, D::B>(marker, &[root as u64]);
+        // SAFETY: forwarded — quiescent, validated heap; `root` is a SOFT head of this layout.
+        unsafe { trace_owned::<K, V, D::B>(&[root], marker) }.pop().unwrap_or_default()
+    }
+
+    fn recover_attached(&self, plan: Self::Plan) {
+        if D::DURABLE {
+            self.relink(plan);
         }
     }
 }
 
-/// Which of a set of SOFT lists an `owner` word names: the head-sentinel
-/// addresses, sorted for a binary search (a table has one per bucket, and
-/// every allocated block of the pool is looked up).
-struct Owners(Vec<(u64, usize)>);
+/// Which of a set of SOFT lists an `owner` word names: an open-addressed
+/// hash of the head-sentinel addresses (a table has one per bucket), so
+/// each allocated block of the pool costs one lookup. No head is at
+/// address 0, so 0 marks an empty slot — and a head's own `owner` word,
+/// 0, names no list.
+struct Owners {
+    slots: Box<[(u64, usize)]>,
+    shift: u32,
+}
 
 impl Owners {
-    fn new(heads: impl Iterator<Item = u64>) -> Self {
-        let mut tags: Vec<(u64, usize)> = heads.enumerate().map(|(i, tag)| (tag, i)).collect();
-        tags.sort_unstable();
-        Owners(tags)
+    fn new(heads: &[u64]) -> Self {
+        let bits = (2 * heads.len()).next_power_of_two().trailing_zeros().max(1);
+        let mut owners = Owners {
+            slots: vec![(0, 0); 1 << bits].into_boxed_slice(),
+            shift: u64::BITS - bits,
+        };
+        for (i, &tag) in heads.iter().enumerate() {
+            let slot = owners.probe(tag);
+            owners.slots[slot] = (tag, i);
+        }
+        owners
+    }
+
+    /// The slot holding `tag`, or the empty one a lookup of it stops at.
+    fn probe(&self, tag: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        while self.slots[slot].0 != 0 && self.slots[slot].0 != tag {
+            slot = (slot + 1) & mask;
+        }
+        slot
     }
 
     /// Index (in construction order) of the list whose head is at `tag`.
     fn owned_by(&self, tag: u64) -> Option<usize> {
-        let i = self.0.binary_search_by_key(&tag, |t| t.0).ok()?;
-        Some(self.0[i].1)
+        let (found, i) = self.slots[self.probe(tag)];
+        (found != 0 && found == tag).then_some(i)
     }
 }
 
-/// Open-time recovery of freshly attached pooled `lists` (one list, or all
-/// buckets of a hash table): **one** pass over the pool's allocated blocks
-/// probes each header once and hands every sealed node's `(key, seq,
-/// node)` to the list its `owner` word names — links are volatile, so
-/// membership is proved by each candidate's persistent header — and each
-/// list then relinks its chain from its share without reading a header
-/// again. A durably removed (tombstoned) node is no candidate, but still
-/// keeps its owner's `seq` counter ahead of it.
-///
-/// # Panics
-///
-/// Panics when the heap `Pool::open` verified moments ago no longer
-/// verifies: recovery must fail loudly rather than present a corrupt pool
-/// as an empty list.
-pub(crate) fn recover_from_pool<K: Word + Ord, V: Word, D: Durability>(
-    pool: &Pool,
-    lists: &[SoftList<K, V, D>],
-) {
-    if !D::DURABLE {
-        return;
-    }
-    let owners = Owners::new(lists.iter().map(|l| l.owner_tag));
-    let mut live: Vec<Vec<LiveNode<K, V, D::B>>> = lists.iter().map(|_| Vec::new()).collect();
-    let node_size = std::mem::size_of::<SoftNode<K, V, D::B>>() as u64;
-    pool.for_each_live_payload(|off, cap| {
-        let p = pool.at(off) as NodePtr<K, V, D::B>;
-        if cap < node_size || owners.owned_by(p as u64).is_some() {
-            return; // too small for a node, or a head sentinel itself
-        }
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        match unsafe { probe_header(p) } {
-            HdrProbe::Live { key, owner, seq } => {
-                if let Some(i) = owners.owned_by(owner) {
-                    live[i].push((K::from_bits(key), seq, p));
-                }
-            }
-            HdrProbe::Tomb { owner, seq } => {
-                if let Some(i) = owners.owned_by(owner) {
-                    lists[i].note_seq(seq);
-                }
-            }
-            HdrProbe::Invalid => {}
-        }
-    })
-    .expect("the heap Pool::open verified no longer verifies");
-    for (list, live) in lists.iter().zip(live) {
-        list.relink(live);
-    }
-}
-
-/// Shared SOFT mark helper: marks every allocated block whose persistent
-/// header probes as [`HdrProbe::Live`] with an `owner` word in `owners`
-/// (one head for the list tracer, a bucket-head array for the hash tracer).
+/// The SOFT tracer of `heads` (one list's head sentinel, or every bucket's
+/// of a table): marks each head, then one pass over the heap's allocated
+/// blocks probes each header once and looks its `owner` word up once. A
+/// sealed node owned by one of `heads` is marked and filed into that
+/// list's plan; a tombstone only raises its owner's `seq` floor and is left,
+/// like every torn or in-flight header, for the sweep. Returns one plan per
+/// head, in `heads` order.
 ///
 /// # Safety
 ///
-/// Same contract as [`nvtraverse_pool::gc::TraceFn`]: called on a validated
-/// quiescent heap; only peeks header words of allocated blocks the marker
+/// Same contract as [`nvtraverse_pool::TraceFn`]: called on a validated
+/// quiescent heap, with every element of `heads` a SOFT head of this
+/// layout; only peeks header words of allocated blocks the marker
 /// enumerates.
-pub(crate) unsafe fn soft_mark_owned<K: Word, V: Word, B: Backend>(
+pub(crate) unsafe fn trace_owned<K: Word, V: Word, B: Backend>(
+    heads: &[*mut u8],
     marker: &mut nvtraverse_pool::Marker<'_>,
-    owners: &[u64],
-) {
-    let owners = Owners::new(owners.iter().copied());
+) -> Vec<RelinkPlan> {
+    let tags: Vec<u64> = heads
+        .iter()
+        .map(|&head| {
+            marker.mark(head);
+            head as u64
+        })
+        .collect();
+    let owners = Owners::new(&tags);
+    let mut plans: Vec<RelinkPlan> = heads.iter().map(|_| RelinkPlan::default()).collect();
     let node_size = std::mem::size_of::<SoftNode<K, V, B>>() as u64;
     marker.mark_allocated_if(|p, cap| {
-        if cap < node_size || owners.owned_by(p as u64).is_some() {
-            return false; // too small for a node, or a head sentinel itself
+        if cap < node_size {
+            return false;
         }
-        // Tombstoned nodes are durably removed: sweeping them is what GC is
-        // for. Invalid headers are torn/in-flight: also swept.
         // SAFETY: `p` is an allocated payload of at least node size.
-        matches!(
-            unsafe { probe_header(p as *const SoftNode<K, V, B>) },
-            HdrProbe::Live { owner, .. } if owners.owned_by(owner).is_some()
-        )
+        let probe = unsafe { probe_header(p as *const SoftNode<K, V, B>) };
+        let (HdrProbe::Live { owner, .. } | HdrProbe::Tomb { owner, .. }) = probe else {
+            return false;
+        };
+        owners.owned_by(owner).is_some_and(|i| plans[i].file(p, probe))
     });
+    plans
 }
 
 impl<K, V, D> Default for SoftList<K, V, D>
@@ -1200,6 +1213,42 @@ mod tests {
             "sealed-but-unlinked must be resurrected; torn must be dropped"
         );
         assert_eq!(list.check_consistency(false).unwrap(), 3);
+        drop(list);
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A pooled open reads each header once: the probe of the trace (the
+    /// GC's mark) is the only one, and the relink works from its plan.
+    #[test]
+    fn a_pooled_open_probes_each_header_once() {
+        use nvtraverse::TypedRoots;
+        use nvtraverse_pmem::MmapBackend;
+        type L = SoftList<u64, u64, Soft<MmapBackend>>;
+        let path = std::env::temp_dir().join(format!("nvt-soft-probes-{}.pool", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        {
+            let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
+            let list = pool.create_root::<L>("s").unwrap();
+            for k in 0..500u64 {
+                assert!(list.insert(k, k));
+            }
+            for k in 0..100u64 {
+                assert!(list.remove(k));
+            }
+            list.close().unwrap();
+        }
+        let pool = Pool::builder().path(&path).open().unwrap();
+        PROBES.with(|p| p.set(0));
+        let list = pool.root::<L>("s").unwrap();
+        let probes = PROBES.with(Cell::get);
+        let report = pool.recovery_report();
+        assert!(report.gc_ran);
+        // The head and 400 nodes: the head is probed too, and its `owner`
+        // word, 0, names no list.
+        assert_eq!(report.live_blocks + report.reclaimed_blocks, 401);
+        assert_eq!(probes, 401, "an open probed a header more than once");
+        assert_eq!(list.len(), 400);
         drop(list);
         drop(pool);
         std::fs::remove_file(&path).unwrap();

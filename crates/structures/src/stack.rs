@@ -294,10 +294,6 @@ where
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         Some(unsafe { Self::attach_at(top, pool.collector().clone()) })
     }
-
-    fn recover_attached(&self, _pool: &Pool) {
-        self.recover();
-    }
 }
 
 // SAFETY: the durable state is exactly the top cell plus the immutable
@@ -310,6 +306,8 @@ where
     V: Word,
     D: Durability,
 {
+    type Plan = ();
+
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
         if !marker.mark(root) {
             return;
@@ -322,6 +320,10 @@ where
             // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
             crate::trace_chains(marker, &mut [(*top).load().ptr()], |_, n| (*n).next.load().ptr());
         }
+    }
+
+    fn recover_attached(&self, (): ()) {
+        self.recover();
     }
 }
 

@@ -93,14 +93,16 @@ fn main() {
         // The recovery GC needs a tracer for *every* root, and only the
         // first collection after the open can run, so hand it all three
         // before the first `root::<S>()` (a single-root pool skips this —
-        // `root::<S>()` collects with its own tracer).
+        // `root::<S>()` collects with its own tracer). Their recovery plans
+        // are dropped here: each `root::<S>()` below traces its root again,
+        // read-only, for its own.
         // SAFETY: these roots were created by these exact types above, and
         // nothing has attached yet.
         let collected = unsafe {
-            pool.collect(&[
-                ("demo-list", PooledList::trace),
-                ("demo-queue", PooledQueue::trace),
-                ("demo-skip", PooledSkip::trace),
+            pool.collect(&mut [
+                ("demo-list", &mut |root, marker| _ = PooledList::trace(root, marker)),
+                ("demo-queue", &mut |root, marker| PooledQueue::trace(root, marker)),
+                ("demo-skip", &mut |root, marker| PooledSkip::trace(root, marker)),
             ])
         };
         assert!(

@@ -78,9 +78,8 @@ fn a_retire_outstanding_at_close_is_swept_by_the_next_open_and_never_freed_again
     for k in 0..REMOVED {
         assert!(list.insert(k, k * 10 + 1));
     }
-    let mut reachable = Vec::new();
-    pool.for_each_live_payload(|off, _| reachable.push(off))
-        .unwrap();
+    // A payload starts 16 bytes past its block's header.
+    let reachable: Vec<u64> = pool.verify_heap().unwrap().live.iter().map(|&(block, _)| block + 16).collect();
     assert_eq!(reachable.len(), 1 + list.len());
 
     // The remover's exit must not free its bag into the new mapping.

@@ -423,7 +423,7 @@ fn gc_skips_pools_with_untraceable_roots() {
 
     let pool = nvtraverse::pool::Pool::builder().path(&path).open().unwrap();
     // SAFETY: no tracer is given, so nothing is traced.
-    assert!(!unsafe { pool.collect(&[]) }, "an untraceable root was collected");
+    assert!(!unsafe { pool.collect(&mut []) }, "an untraceable root was collected");
     let report = pool.recovery_report();
     assert!(!report.gc_ran, "an untraceable root must disable the GC");
     assert_eq!(report.reclaimed_blocks, 0);
@@ -525,7 +525,12 @@ fn two_structures_share_one_pool() {
     // first attach.
     // SAFETY: both roots were created as `PooledList` above; nothing has
     // attached yet.
-    assert!(unsafe { pool.collect(&[("a", PooledList::trace), ("b", PooledList::trace)]) });
+    assert!(unsafe {
+        pool.collect(&mut [
+            ("a", &mut |root, marker| _ = PooledList::trace(root, marker)),
+            ("b", &mut |root, marker| _ = PooledList::trace(root, marker)),
+        ])
+    });
     assert!(pool.recovery_report().gc_ran);
     assert_eq!(pool.recovery_report().reclaimed_blocks, 0);
     // Multi-root attribution: each root reports its own mark count
@@ -775,8 +780,8 @@ fn churned_image(path: &std::path::Path) -> (usize, u64) {
 }
 
 /// The allocator's recovery only reads: free blocks wait in a volatile
-/// bitmap until an allocation claims them, and the table's recovery scan
-/// is skipped on the GC's clean verdict. So a clean open, a read-only
+/// bitmap until an allocation claims them, and the table's recovery runs
+/// only on chains whose trace crossed a marked link. So a clean open, a read-only
 /// session and a close leave the file exactly as they found it.
 #[test]
 fn a_clean_open_and_close_leave_the_file_byte_identical() {
