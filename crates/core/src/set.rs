@@ -294,12 +294,15 @@ pub trait PoolAttach: Sized {
 ///   retire it through the collector, so the sweep must not free it first.
 ///   Walk exactly the links recovery walks.
 /// * **Do not follow volatile auxiliary state.** Links that recovery
-///   rebuilds without reading (skiplist tower levels, the queue's tail
-///   shortcut) may be stale after a crash; tracing through them would at
-///   best mark garbage and at worst chase dangling pointers. The
-///   [`Marker`](nvtraverse_pool::Marker) validates every pointer against
-///   the block headers, but validation cannot turn a wrong walk into a
-///   right one.
+///   can rebuild from the persistent core (skiplist tower levels, the
+///   queue's tail shortcut) may be stale after a crash; tracing through
+///   them would at best mark garbage and at worst chase dangling pointers.
+///   The [`Marker`](nvtraverse_pool::Marker) validates every pointer
+///   against the block headers, but validation cannot turn a wrong walk
+///   into a right one. A tracer **may compare** such a word with what
+///   recovery would store there — that is how the skiplist's trace proves
+///   its towers intact, so its recovery stores nothing — but it never
+///   dereferences it.
 /// * **Keep operation descriptors recovery dereferences.** The Ellen BST's
 ///   helping recovery reads `Info` records out of non-`CLEAN` update words
 ///   and then dereferences the nodes they name (including a pending
@@ -310,7 +313,9 @@ pub trait PoolAttach: Sized {
 ///   ends without sweeping anything.
 /// * **Plan only from what was read.** The plan may name only blocks the
 ///   trace marked or (SOFT) enumerated: recovery acts on it without
-///   reading the graph again.
+///   reading the graph again. A plan may be a verdict — the trace checked
+///   that the state recovery would produce is already there — and then
+///   recovery writes nothing; any failed check plans the full recovery.
 ///
 /// Everything allocated but unmarked after all roots are traced is swept.
 /// An implementation that under-marks therefore frees live data — which is
@@ -362,8 +367,10 @@ pub trait PoolAttach: Sized {
 /// ```
 pub unsafe trait PoolTrace: PoolAttach {
     /// What the trace found that recovery acts on: the chains that cross a
-    /// marked link (Harris), each list's sealed nodes (SOFT), or nothing
-    /// (`()`) for a structure whose recovery walks its graph itself.
+    /// marked link (Harris), whether the towers are intact (skiplist), each
+    /// list's `seq` floor and, for a list whose chain failed a check, its
+    /// sealed nodes (SOFT), or nothing (`()`) for a structure whose
+    /// recovery walks its graph itself.
     type Plan;
 
     /// Marks every block reachable from `root` (a payload pointer to this

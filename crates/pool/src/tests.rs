@@ -647,6 +647,33 @@ fn a_refusing_tracer_sweeps_nothing() {
     cleanup(&path);
 }
 
+/// `mark_allocated_if` offers only the blocks no tracer has marked yet:
+/// a tracer that marked its chain first enumerates just the rest.
+#[test]
+fn mark_allocated_if_skips_marked_blocks() {
+    let path = tmp("mark-unmarked");
+    let blocks: Vec<u64> = {
+        let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
+        let blocks: Vec<_> = (0..4).map(|_| pool.offset_of(pool.alloc(64, 8).unwrap())).collect();
+        pool.set_root_offset("r", blocks[0]).unwrap();
+        blocks
+    };
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let mut offered = Vec::new();
+    let mut trace = |root: *mut u8, marker: &mut gc::Marker<'_>| {
+        assert!(marker.mark(root));
+        marker.mark_allocated_if(|p, _| {
+            offered.push(pool.offset_of(p));
+            false
+        });
+    };
+    // SAFETY: the tracer marks the root and reads nothing.
+    assert!(unsafe { pool.collect(&mut [("r", &mut trace)]) });
+    assert_eq!(offered, blocks[1..], "a marked block was offered");
+    drop(pool);
+    cleanup(&path);
+}
+
 #[test]
 fn poff_resolve_validates_allocated_payloads() {
     let path = tmp("poff-validate");

@@ -10,9 +10,8 @@
 //!
 //! * Bottom-level `next` words go through the [`Durability`] policy (the
 //!   paper's flushes); tower words use **raw** cell operations — they are
-//!   never flushed under any policy, because they are recomputed after a
-//!   crash ([`SkipList::recover_skiplist`] rebuilds every tower from the
-//!   bottom list with write-only passes).
+//!   never flushed under any policy, because recovery can recompute them
+//!   from the bottom list (see "Recovery-rebuild contract" below).
 //! * `findEntry` descends the towers (it may snip marked tower links — the
 //!   auxiliary structure is not subject to the traverse method's no-write
 //!   rule), returning a bottom-level entry node; `traverse` is then exactly
@@ -87,6 +86,24 @@
 //!    cleaning descent and retires, so the node is retired only once it is
 //!    unreachable for good. Recovery resets the word to `LINKED` (no
 //!    inserter survives a crash).
+//!
+//! # Recovery-rebuild contract
+//!
+//! The recovered state is a function of the bottom list alone: every
+//! marked bottom node disconnected and retired, every live node's
+//! `link_state` at `LINKED`, and each tower level linking, in bottom
+//! order, exactly the live nodes tall enough for it, ending in null. The
+//! open's trace (the GC's mark of the bottom list) **checks** whether the
+//! pool already holds that state: as it reaches each live node it compares
+//! the node's tower words with the running per-level predecessors' — it
+//! compares them and never follows them — and its `link_state` with
+//! `LINKED`, and it sees every bottom link's mark. If everything matches
+//! (a clean close, or a SIGKILL whose page cache kept the towers), its plan
+//! is [`SkipPlan::Intact`] and recovery only reseeds the height source: no
+//! second walk and no store. Any mismatch, or a walk cut short, plans
+//! [`SkipPlan::Rebuild`]: [`SkipList::recover_skiplist`], one walk that
+//! disconnects the marked runs and threads the towers, storing each word
+//! only where it differs.
 
 use crate::chain::{self, ChainNode, Window};
 use nvtraverse::alloc::{free_bytes, try_alloc_bytes, PoolCtx};
@@ -356,9 +373,10 @@ where
 
     /// Rebuilds a skiplist handle around an existing head tower — the attach
     /// half of the pool lifecycle. The caller must run recovery before any
-    /// operation: the persisted tower words are stale (they are volatile
-    /// shortcuts that happen to live in pool memory) until
-    /// [`SkipList::recover_skiplist`] rebuilds them from the bottom list.
+    /// operation: the persisted tower words may be stale (they are volatile
+    /// shortcuts that happen to live in pool memory) until the trace has
+    /// verified them or [`SkipList::recover_skiplist`] has rebuilt them
+    /// from the bottom list.
     ///
     /// # Safety
     ///
@@ -371,7 +389,7 @@ where
             head,
             collector,
             ctx: PoolCtx::current(),
-            // recover_skiplist reseeds this past the live node count.
+            // Recovery reseeds this past the live node count.
             height_seq: AtomicU64::new(1),
             _marker: PhantomData,
         }
@@ -682,49 +700,145 @@ where
     /// Recovery (paper §4 + Property 2) in one walk of the bottom list: the
     /// chain's `disconnect` (Supplement 1) retires each run of marked nodes,
     /// and its live-node hook threads each live node into every volatile
-    /// tower level it has. The towers are rebuilt store-only, left to right
-    /// — no tower word is read, so poisoned towers are safe.
+    /// tower level it has. Each tower and `link_state` word is compared
+    /// (raw bits, so poison is just a mismatch) and stored only where it
+    /// differs, so an image whose towers are mostly right dirties only the
+    /// lines that change.
     pub fn recover_skiplist(&self) {
         if !D::DURABLE {
             return;
         }
         let guard = self.collector.pin();
-        let mut prevs: Preds<K, V, D::B> = [self.head; MAX_HEIGHT];
+        // SAFETY: recovery runs single-threaded on a quiescent structure; the head is live.
+        let mut towers = unsafe { Threading::new(self.head) };
         let mut count: u64 = 0;
         chain::disconnect::<_, D>(
             self.head,
-            // SAFETY: the run is disconnected for good, and its towers are never read again (they are rebuilt below); EBR defers the free.
+            // SAFETY: the run is disconnected for good, and its towers are never read again; EBR defers the free.
             |dead| unsafe { guard.retire_with(dead.cast(), free_tower::<K, V, D::B>) },
             |cur| {
                 count += 1;
-                // SAFETY: recovery runs single-threaded on a quiescent structure; `cur` and every `prevs` entry are live nodes of it.
+                // SAFETY: recovery runs single-threaded on a quiescent structure; `cur` and every node `towers` holds are live nodes of it.
                 unsafe {
-                    // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery rebuilds volatile towers by design
                     // No inserter survives a crash: the handshake word
                     // restarts at LINKED (its persisted copy is stale or
                     // poison).
-                    (*cur).link_state.store(LINKED);
-                    // Indexing two arrays in lockstep; an iterator form obscures it.
-                    #[allow(clippy::needless_range_loop)]
-                    for level in 1..height_of((*cur).meta.load()) {
-                        link(prevs[level], level).store(MarkedPtr::new(cur));
-                        prevs[level] = cur;
+                    // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery rebuilds volatile towers by design
+                    if (*cur).link_state.peek_bits() != LINKED {
+                        (*cur).link_state.store(LINKED);
                     }
+                    towers.thread(cur, height_of((*cur).meta.load()), true);
+                    // nvt-lint: end-allow(raw-pcell-access)
                 }
             },
         );
-        for (level, prev) in prevs.iter().enumerate().skip(1) {
-            // SAFETY: as above; `prev` is the last live node at `level`.
-            unsafe { link(*prev, level).store(MarkedPtr::null()) };
-            // nvt-lint: end-allow(raw-pcell-access)
-        }
-        // Reseed the deterministic height source past the surviving
-        // population, so a reattached list keeps drawing fresh heights
-        // (correctness never depends on this; tower balance across reopen
-        // cycles does).
-        self.height_seq.store(count + 1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { towers.finish(true) };
+        self.reseed(count);
         D::before_return();
     }
+
+    /// Reseeds the deterministic height source past the `live` surviving
+    /// nodes, so a reattached list keeps drawing fresh heights (correctness
+    /// never depends on this; tower balance across reopen cycles does).
+    fn reseed(&self, live: u64) {
+        self.height_seq.store(live + 1, Ordering::Relaxed);
+    }
+}
+
+/// The volatile tower links of recovery, threaded level by level behind
+/// the live nodes of the bottom list: for each level, the last node reached
+/// there (the head at first) and the word its tower holds at that level,
+/// read while that node was being visited. The trace uses it to **compare**
+/// — is every tower word already what recovery would store? — and
+/// [`SkipList::recover_skiplist`] to store the words that differ. Nothing
+/// is ever followed through a tower word.
+struct Threading<K: Word, V: Word, B: Backend> {
+    last: Preds<K, V, B>,
+    word: [u64; MAX_HEIGHT],
+}
+
+impl<K: Word, V: Word, B: Backend> Threading<K, V, B> {
+    /// Starts every level at `head`.
+    ///
+    /// # Safety
+    ///
+    /// `head` is a live head tower ([`MAX_HEIGHT`] levels) of a quiescent
+    /// skiplist.
+    unsafe fn new(head: NodePtr<K, V, B>) -> Self {
+        let mut word = [0; MAX_HEIGHT];
+        for (level, w) in word.iter_mut().enumerate().skip(1) {
+            // SAFETY: the head has every level (the contract).
+            // nvt-lint: allow(raw-pcell-access): recovery compares volatile tower words as raw bits
+            *w = unsafe { link(head, level).peek_bits() };
+        }
+        Threading { last: [head; MAX_HEIGHT], word }
+    }
+
+    /// Threads `node`, the next live node of the bottom list, of `height`
+    /// levels, behind each level's last node. Returns whether every word
+    /// already named it; when `fix`, stores it into each that did not.
+    ///
+    /// # Safety
+    ///
+    /// `node` is a live node of the same quiescent skiplist, really
+    /// `height` (at most [`MAX_HEIGHT`]) levels tall.
+    unsafe fn thread(&mut self, node: NodePtr<K, V, B>, height: usize, fix: bool) -> bool {
+        let want = MarkedPtr::new(node);
+        let mut same = true;
+        for level in 1..height {
+            if self.word[level] != want.to_bits() {
+                same = false;
+                if fix {
+                    // SAFETY: `last[level]` is a live node at least `level + 1` tall (the contract, for an earlier call, or the head).
+                    // nvt-lint: allow(raw-pcell-access): single-threaded recovery rebuilds volatile towers by design
+                    unsafe { link(self.last[level], level).store(want) };
+                }
+            }
+            self.last[level] = node;
+            // SAFETY: `node` is `height` levels tall (the contract).
+            // nvt-lint: allow(raw-pcell-access): recovery compares volatile tower words as raw bits
+            self.word[level] = unsafe { link(node, level).peek_bits() };
+        }
+        same
+    }
+
+    /// Ends every level: returns whether each last word was already null;
+    /// when `fix`, stores null into each that was not.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Threading::thread`]: every node threaded is still live.
+    unsafe fn finish(&self, fix: bool) -> bool {
+        let mut same = true;
+        for level in 1..MAX_HEIGHT {
+            if self.word[level] != MarkedPtr::<SkipNode<K, V, B>>::null().to_bits() {
+                same = false;
+                if fix {
+                    // SAFETY: `last[level]` is live and at least `level + 1` tall.
+                    // nvt-lint: allow(raw-pcell-access): single-threaded recovery rebuilds volatile towers by design
+                    unsafe { link(self.last[level], level).store(MarkedPtr::null()) };
+                }
+            }
+        }
+        same
+    }
+}
+
+/// What a skiplist's trace found. `Intact` means the walk proved the
+/// structure already is what [`SkipList::recover_skiplist`] would make of
+/// it: no marked bottom link, every live node's `link_state` at
+/// [`LINKED`], and every tower word naming the next live node of its level
+/// (null at the end). Recovery then only reseeds the height source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SkipPlan {
+    /// Nothing to store; `live` nodes on the bottom level.
+    Intact {
+        /// The live nodes the trace counted.
+        live: u64,
+    },
+    /// A check failed: run the full recovery.
+    Rebuild,
 }
 
 impl<K, V, D> TraversalOps for SkipList<K, V, D>
@@ -967,38 +1081,68 @@ where
 
 // SAFETY: the persistent core is exactly the bottom list (`next[0]`), so
 // the walk is the Harris-list chain from the head tower through marked
-// nodes. Tower levels (`next[1..]`) are volatile shortcuts that
-// `recover_skiplist` rebuilds with write-only passes — they are never read
-// by recovery and may be stale after a crash, so the trace must not (and
-// does not) follow them; every node they could name is on the bottom list.
-// A head without this layout's tag was written under another node layout,
-// where `next[0]` is another word: the tracer refuses it instead.
-// SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
+// nodes. Tower levels (`next[1..]`) are volatile shortcuts that may be
+// stale after a crash: the trace only compares each live node's tower
+// words with what `recover_skiplist` would store there and never follows
+// one; every node they could name is on the bottom list. A head without
+// this layout's tag was written under another node layout, where `next[0]`
+// is another word: the tracer refuses it instead.
+// SAFETY: the trace only reads and compares; every store is `recover_attached`'s.
 unsafe impl<K, V, D> nvtraverse::PoolTrace for SkipList<K, V, D>
 where
     K: Word + Ord,
     V: Word,
     D: Durability,
 {
-    type Plan = ();
+    type Plan = SkipPlan;
 
-    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
-        // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
+    // SAFETY: see `PoolTrace::trace` — `root` is a root this type created, on the quiescent, header-verified heap of `Pool::open` recovery.
+    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) -> SkipPlan {
+        let head = root as NodePtr<K, V, D::B>;
+        // SAFETY: `capacity_of` vouches for `root` as an allocated payload; the heap is quiescent.
+        if marker.capacity_of(root).is_none() || unsafe { !has_layout_tag(head) } {
+            marker.refuse();
+            return SkipPlan::Rebuild;
+        }
+        // SAFETY: the head is a head tower of this layout.
+        let mut towers = unsafe { Threading::new(head) };
+        let (mut intact, mut live, mut end) = (true, 0u64, head);
+        // SAFETY: `trace_chains` hands over only nodes `Marker::mark` vouched for, on a quiescent heap; tower words are compared, never followed.
         unsafe {
-            let head = root as NodePtr<K, V, D::B>;
-            if marker.capacity_of(root).is_none() || !has_layout_tag(head) {
-                marker.refuse();
-                return;
-            }
             crate::trace_chains(marker, &mut [head], |_, n| {
-                // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
-                link(n, 0).load().ptr()
+                // nvt-lint: begin-allow(raw-pcell-access): GC tracer reads raw words on a quiescent heap
+                let next = link(n, 0).load();
+                if n != head {
+                    live += 1;
+                    let height = height_of((*n).meta.peek_bits());
+                    intact = intact
+                        && !next.is_marked()
+                        && (*n).link_state.peek_bits() == LINKED
+                        && (1..=MAX_HEIGHT).contains(&height)
+                        && towers.thread(n, height, false);
+                }
+                // nvt-lint: end-allow(raw-pcell-access)
+                end = next.ptr();
+                end
             });
+        }
+        // A walk cut short — a pointer `mark` refused — proves nothing.
+        // SAFETY: read-only, as above.
+        if intact && end.is_null() && unsafe { towers.finish(false) } {
+            SkipPlan::Intact { live }
+        } else {
+            SkipPlan::Rebuild
         }
     }
 
-    fn recover_attached(&self, (): ()) {
-        self.recover_skiplist();
+    /// Reseeds the height source of an intact skiplist; runs
+    /// [`recover_skiplist`](SkipList::recover_skiplist) on any other.
+    fn recover_attached(&self, plan: SkipPlan) {
+        match plan {
+            SkipPlan::Intact { live } if D::DURABLE => self.reseed(live),
+            SkipPlan::Intact { .. } => {}
+            SkipPlan::Rebuild => self.recover_skiplist(),
+        }
     }
 }
 

@@ -73,28 +73,38 @@
 //!
 //! # Recovery-rebuild contract
 //!
+//! The recovered state is a function of the headers alone: this list's
+//! sealed nodes, linked in key order (newest generation of each key, see
+//! below), and a `seq` counter past every generation its headers hold.
 //! Recovery needs *candidates*: every block that might be one of this
 //! list's nodes. Where they come from depends on where the nodes live:
 //!
 //! * a **pooled** list keeps no inventory at all — the pool already knows
 //!   its blocks. The list's `PoolTrace` tracer is the open's one pass over
-//!   them: the GC's mark enumerates every allocated block, probes its
-//!   header, and looks its `owner` word up once among the heads it traces
-//!   (one list's, or a whole table's). A sealed node is marked and its
-//!   `(key, seq, node)` goes into its owner's plan; a tombstone raises its
-//!   owner's `seq` floor. Insert and remove therefore touch no lock and no
-//!   side table, and nothing volatile outlives a `PooledHandle`;
+//!   them, and it **checks** before it plans a rebuild. It walks the
+//!   chains of the lists it traces (one list's, or a whole table's) as one
+//!   wavefront, probing each reached node's header once: a node is
+//!   accepted — marked — only if it is sealed and live, owned by that
+//!   list, after the previous key, and reached through an unmarked link.
+//!   Then one pass over the blocks no tracer has marked probes each header
+//!   and looks its `owner` word up once: a tombstone raises its owner's
+//!   `seq` floor, and a sealed node there is a *straggler* the chain missed.
+//!   A list whose chain ended in null with no failed check and no
+//!   straggler is already exactly what the relink would build: its plan
+//!   holds only the `seq` floor, and recovery sorts, reads and stores
+//!   nothing. Any other list's plan holds every sealed node it owns, and
+//!   recovery relinks it. Insert and remove touch no lock and no side
+//!   table, and nothing volatile outlives a `PooledHandle`;
 //! * a **`Box`-backed** list (unit tests, the `Sim` crash sweeps) has no
 //!   allocator to ask, so it keeps a volatile *registry* of its allocated
 //!   nodes (maintained at allocate/retire time), which is also what its
 //!   `Drop` frees.
 //!
 //! Either way each candidate's header is probed (`probe_header`) **once**,
-//! and an open reads each header once: the relink sorts the plan's live
-//! nodes by key and links the chain from that list without reading a
+//! and an open reads each node header once: the relink sorts the plan's
+//! live nodes by key and links the chain from that list without reading a
 //! header again. It reads each `next` word and stores only the ones that
-//! differ, so after a clean close (or a SIGKILL whose page cache kept the
-//! links) it writes no node at all. A
+//! differ, so a chain that is mostly right is mostly left unwritten. A
 //! node whose seal never became durable was an in-flight insert (its
 //! operation had not fenced, hence had not returned): dropping it is
 //! durably linearizable. A sealed node that was never linked (crash between
@@ -304,32 +314,40 @@ const VOLATILE_ALIGN: usize = 64;
 
 type NodePtr<K, V, B> = *mut SoftNode<K, V, B>;
 
-/// What a SOFT list's recovery found, for the relink: each live node's
-/// `(key bits, seq, node)` — all the relink needs, so no header is read
-/// twice by one recovery — and the floor its `seq` counter resumes from.
-/// Built by the list's `PoolTrace` tracer on a pooled open, or from the
-/// list's own candidates by [`SoftList::recover_soft`].
+/// What a SOFT list's recovery found, for the relink: the floor its `seq`
+/// counter resumes from and, unless the trace verified the chain, each
+/// live node's `(key bits, seq, node)` — all the relink needs, so no header
+/// is read twice by one recovery. Built by the list's `PoolTrace` tracer on
+/// a pooled open, or from the list's own candidates by
+/// [`SoftList::recover_soft`].
 #[derive(Debug, Default)]
 pub struct RelinkPlan {
-    live: Vec<(u64, u64, *mut u8)>,
+    /// The live nodes to link in key order; `None` when the trace proved
+    /// the chain already is exactly what the relink would build.
+    rebuild: Option<Vec<(u64, u64, *mut u8)>>,
     /// One past every `seq` a durable header of this list holds, live or
     /// tombstoned, so fresh nodes never repeat a generation on the heap.
     seq_floor: u64,
 }
 
 impl RelinkPlan {
+    /// Raises the `seq` floor past `seq`.
+    fn saw(&mut self, seq: u64) {
+        self.seq_floor = self.seq_floor.max(seq + 1);
+    }
+
     /// Files candidate `node` by its `probe`: a live node joins the
-    /// relink, and a live or tombstoned one raises the `seq` floor past its
-    /// own. Returns whether `node` is live.
+    /// relink (which the plan then runs), and a live or tombstoned one
+    /// raises the `seq` floor past its own. Returns whether `node` is live.
     fn file(&mut self, node: *mut u8, probe: HdrProbe) -> bool {
         match probe {
             HdrProbe::Live { key, seq, .. } => {
-                self.live.push((key, seq, node));
-                self.seq_floor = self.seq_floor.max(seq + 1);
+                self.rebuild.get_or_insert_with(Vec::new).push((key, seq, node));
+                self.saw(seq);
                 true
             }
             HdrProbe::Tomb { seq, .. } => {
-                self.seq_floor = self.seq_floor.max(seq + 1);
+                self.saw(seq);
                 false
             }
             HdrProbe::Invalid => false,
@@ -537,7 +555,7 @@ where
         if !D::DURABLE {
             return;
         }
-        let mut plan = RelinkPlan::default();
+        let mut plan = RelinkPlan { rebuild: Some(Vec::new()), seq_floor: 0 };
         let mut take = |n: NodePtr<K, V, D::B>| {
             // Raw peeks: any of these words may have rolled back to poison
             // (never persisted) under the simulator; the seal checksum
@@ -558,14 +576,18 @@ where
     }
 
     /// The rebuild behind [`recover_soft`](Self::recover_soft) and a pooled
-    /// open's recovery: links the `plan`'s live nodes in key order, reading
-    /// no header again. Each link word is read first and
-    /// stored only when it changes, so a chain that is already right — after
-    /// a clean close, or a SIGKILL whose page cache kept the links — is left
-    /// unwritten, and nothing is fenced unless a stale twin was tombstoned.
+    /// open's recovery: resumes the `seq` counter past the plan's floor and
+    /// links the `plan`'s live nodes in key order, reading no header again.
+    /// A plan the trace verified has no nodes: its chain is left as it is.
+    /// Each link word is read first and stored only when it changes, so a
+    /// chain that is mostly right is mostly left unwritten, and nothing is
+    /// fenced unless a stale twin was tombstoned.
     fn relink(&self, plan: RelinkPlan) {
-        let RelinkPlan { mut live, seq_floor } = plan;
+        let RelinkPlan { rebuild, seq_floor } = plan;
         self.next_seq.fetch_max(seq_floor, Ordering::Relaxed);
+        let Some(mut live) = rebuild else {
+            return;
+        };
         live.sort_unstable_by_key(|&(key, ..)| K::from_bits(key));
         // SAFETY: recovery runs single-threaded on a quiescent structure; every node is a live one of this list.
         let link = |pred: NodePtr<K, V, D::B>, succ: MarkedPtr<SoftNode<K, V, D::B>>| unsafe {
@@ -843,16 +865,17 @@ where
 }
 
 // SAFETY: SOFT reachability is not link-based — recovery keeps exactly the
-// sealed nodes owned by this list, linked or not — so the walk enumerates
-// the heap's allocated blocks and marks the ones whose persistent header
-// probes as live ([`probe_header`]) with `owner` = this root
-// ([`trace_owned`]). A valid-but-unlinked node (crash between the header
-// flush and the link CAS) is therefore kept, as the recovery-rebuild
-// contract requires; in-flight (unsealed) and tombstoned nodes are left for
-// the sweep. Every candidate pointer comes from `Marker::mark_allocated_if`,
-// which enumerates only allocated blocks. A head without this layout's tag
-// was written under another node layout: the tracer refuses the collection
-// rather than probe its nodes as this layout.
+// sealed nodes owned by this list, linked or not. The tracer
+// ([`trace_owned`]) marks the chain nodes it verified (sealed, owned,
+// ascending, behind unmarked links — each an allocated block `Marker`
+// vouched for before its header was read), then enumerates the blocks no
+// tracer marked through `Marker::mark_allocated_if` and marks every other
+// sealed node this list owns. So a valid-but-unlinked node (crash between
+// the header flush and the link CAS) is kept, as the recovery-rebuild
+// contract requires; in-flight (unsealed) and tombstoned nodes are left
+// for the sweep. A head without this layout's tag was written under
+// another node layout: the tracer refuses the collection rather than probe
+// its nodes as this layout.
 // SAFETY: the trace only reads; the relink is `recover_attached`'s, on the plan.
 unsafe impl<K, V, D> nvtraverse::PoolTrace for SoftList<K, V, D>
 where
@@ -922,33 +945,84 @@ impl Owners {
 }
 
 /// The SOFT tracer of `heads` (one list's head sentinel, or every bucket's
-/// of a table): marks each head, then one pass over the heap's allocated
-/// blocks probes each header once and looks its `owner` word up once. A
-/// sealed node owned by one of `heads` is marked and filed into that
-/// list's plan; a tombstone only raises its owner's `seq` floor and is left,
-/// like every torn or in-flight header, for the sweep. Returns one plan per
-/// head, in `heads` order.
+/// of a table). It marks each head, then:
+///
+/// 1. **Verifies the chains.** The chains behind `heads` advance as one
+///    [`walk_chains`](crate::walk_chains) wavefront. Each node reached is
+///    probed once and accepted — marked, its `seq` raising its list's
+///    floor — only if it is an allocated block of node size, sealed and
+///    live, owned by that lane's list, after the lane's last key, and
+///    reached through an unmarked link. The first failure ends the lane
+///    and sends its list to the relink; a marked link fails only after
+///    the node holding it was accepted, so that node is still filed.
+/// 2. **Finds the rest.** One pass over the blocks no tracer has marked
+///    probes each header once and looks its `owner` word up once among
+///    `heads`. A tombstone raises its owner's `seq` floor and is left, like
+///    every torn or in-flight header, for the sweep. A sealed node there is
+///    not on its chain (a straggler): it is marked and filed, and its list
+///    goes to the relink.
+///
+/// A list that goes to the relink gets the full plan — its verified prefix
+/// is walked again and filed beside the stragglers, so the plan names every
+/// sealed node the list owns. Any other list's plan holds only its `seq`
+/// floor: its chain is already exactly what the relink would build.
+/// Returns one plan per head, in `heads` order.
 ///
 /// # Safety
 ///
 /// Same contract as [`nvtraverse_pool::TraceFn`]: called on a validated
 /// quiescent heap, with every element of `heads` a SOFT head of this
-/// layout; only peeks header words of allocated blocks the marker
-/// enumerates.
-pub(crate) unsafe fn trace_owned<K: Word, V: Word, B: Backend>(
+/// layout; reads only words of allocated blocks the marker vouches for.
+pub(crate) unsafe fn trace_owned<K: Word + Ord, V: Word, B: Backend>(
     heads: &[*mut u8],
     marker: &mut nvtraverse_pool::Marker<'_>,
 ) -> Vec<RelinkPlan> {
-    let tags: Vec<u64> = heads
-        .iter()
-        .map(|&head| {
+    let node_size = std::mem::size_of::<SoftNode<K, V, B>>() as u64;
+    let mut plans: Vec<RelinkPlan> = heads.iter().map(|_| RelinkPlan::default()).collect();
+    let mut last: Vec<Option<K>> = vec![None; heads.len()];
+    let mut verified = vec![0usize; heads.len()];
+    // nvt-lint: begin-allow(raw-pcell-access): the GC tracer reads raw link and header words on a quiescent heap
+    // SAFETY: `n` is a node this walk vouched for (a head, or a block `mark` accepted).
+    let next_of = |n: NodePtr<K, V, B>| MarkedPtr::from_bits_raw(unsafe { (*n).next.peek_bits() });
+    let mut lanes: Vec<NodePtr<K, V, B>> = (heads.iter().zip(&mut plans))
+        .map(|(&head, plan)| {
             marker.mark(head);
-            head as u64
+            let first = next_of(head.cast());
+            if first.is_marked() {
+                plan.rebuild = Some(Vec::new());
+                return std::ptr::null_mut();
+            }
+            first.ptr()
         })
         .collect();
-    let owners = Owners::new(&tags);
-    let mut plans: Vec<RelinkPlan> = heads.iter().map(|_| RelinkPlan::default()).collect();
-    let node_size = std::mem::size_of::<SoftNode<K, V, B>>() as u64;
+    // SAFETY: every node is probed only once `capacity_of` vouched for it as an allocated payload of node size.
+    unsafe {
+        crate::walk_chains(&mut lanes, |lane, n| {
+            let plan = &mut plans[lane];
+            let accepted = marker.capacity_of(n as *const u8).is_some_and(|cap| cap >= node_size)
+                && match probe_header(n) {
+                    HdrProbe::Live { key, owner, seq }
+                        if owner == heads[lane] as u64
+                            && last[lane].is_none_or(|k| k < K::from_bits(key)) =>
+                    {
+                        last[lane] = Some(K::from_bits(key));
+                        plan.saw(seq);
+                        true
+                    }
+                    _ => false,
+                }
+                && marker.mark(n as *const u8);
+            // A marked node is counted before its own link is checked: the
+            // re-walk below must file it, since no later pass sees it.
+            verified[lane] += usize::from(accepted);
+            let Some(next) = accepted.then(|| next_of(n)).filter(|next| !next.is_marked()) else {
+                plan.rebuild.get_or_insert_with(Vec::new);
+                return std::ptr::null_mut();
+            };
+            next.ptr()
+        });
+    }
+    let owners = Owners::new(&heads.iter().map(|&head| head as u64).collect::<Vec<_>>());
     marker.mark_allocated_if(|p, cap| {
         if cap < node_size {
             return false;
@@ -960,6 +1034,18 @@ pub(crate) unsafe fn trace_owned<K: Word, V: Word, B: Backend>(
         };
         owners.owned_by(owner).is_some_and(|i| plans[i].file(p, probe))
     });
+    for ((plan, &head), &count) in plans.iter_mut().zip(heads).zip(&verified) {
+        let Some(live) = plan.rebuild.as_mut() else {
+            continue;
+        };
+        let mut n = head.cast::<SoftNode<K, V, B>>();
+        for _ in 0..count {
+            n = next_of(n).ptr();
+            // SAFETY: `n` is one of the `count` nodes the walk accepted behind `head`.
+            live.push(unsafe { ((*n).key.peek_bits(), (*n).seq.peek_bits(), n.cast()) });
+        }
+    }
+    // nvt-lint: end-allow(raw-pcell-access)
     plans
 }
 
@@ -1218,8 +1304,9 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A pooled open reads each header once: the probe of the trace (the
-    /// GC's mark) is the only one, and the relink works from its plan.
+    /// A pooled open reads each node header once: the probe of the trace
+    /// (the GC's mark) is the only one, and the relink works from its plan.
+    /// The head is known by its layout tag and is not probed.
     #[test]
     fn a_pooled_open_probes_each_header_once() {
         use nvtraverse::TypedRoots;
@@ -1244,12 +1331,80 @@ mod tests {
         let probes = PROBES.with(Cell::get);
         let report = pool.recovery_report();
         assert!(report.gc_ran);
-        // The head and 400 nodes: the head is probed too, and its `owner`
-        // word, 0, names no list.
+        // The head and 400 nodes; only the nodes are probed.
         assert_eq!(report.live_blocks + report.reclaimed_blocks, 401);
-        assert_eq!(probes, 401, "an open probed a header more than once");
+        assert_eq!(probes, 400, "an open probed a header more than once");
         assert_eq!(list.len(), 400);
         drop(list);
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The trace's verdict, bucket by bucket: a clean pooled `SoftHash`
+    /// open finds every chain intact (no plan files a node), and one
+    /// straggler — a sealed node its bucket's chain does not reach — sends
+    /// exactly that bucket to the relink, with every node it owns.
+    #[test]
+    fn a_straggler_sends_only_its_own_bucket_to_the_relink() {
+        use crate::soft_hash::SoftHash;
+        use nvtraverse::{PoolTrace, TypedRoots};
+        use nvtraverse_pmem::MmapBackend;
+        type Map = SoftHash<u64, u64, Soft<MmapBackend>>;
+        type L = SoftList<u64, u64, Soft<MmapBackend>>;
+        // A key outside the map, and the bucket `BucketTable` routes it to.
+        const KEY: u64 = 1 << 40;
+        let bucket = (KEY.wrapping_mul(0x9E37_79B9_7F4A_7C15) % Map::DEFAULT_POOL_BUCKETS as u64) as usize;
+        let path = std::env::temp_dir().join(format!("nvt-soft-verdict-{}.pool", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        // Each bucket's plan from a trace of the closed image; nothing attaches.
+        let plans = || {
+            let pool = Pool::builder().path(&path).open().unwrap();
+            let mut plans = Vec::new();
+            // SAFETY: the root was created as a `Map`.
+            unsafe { pool.collect(&mut [("kv", &mut |root, marker| plans = Map::trace(root, marker))]) };
+            plans.iter().map(|p: &RelinkPlan| p.rebuild.as_ref().map(Vec::len)).collect::<Vec<_>>()
+        };
+        {
+            let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
+            let map = pool.create_root::<Map>("kv").unwrap();
+            for k in 0..2000u64 {
+                assert!(map.insert(k, k + 1));
+            }
+            map.close().unwrap();
+        }
+        assert_eq!(plans(), vec![None; Map::DEFAULT_POOL_BUCKETS], "a clean bucket went to the relink");
+
+        let owned = {
+            let pool = Pool::builder().path(&path).open().unwrap();
+            let map = pool.root::<Map>("kv").unwrap();
+            // The bucket's head, from the persistent `[n, head_off…]` table.
+            let table = pool.at(pool.root_offset("kv").unwrap()) as *const u64;
+            let head = pool.at(unsafe { table.add(1 + bucket).read() }).cast::<SoftNode<u64, u64, MmapBackend>>();
+            let owned = chain::len(head);
+            let _scope = PoolCtx::of(&pool).enter();
+            let owner = head as u64;
+            L::alloc_soft(SoftNode {
+                vstart: PCell::new(hdr_seal(KEY, 7, owner, 1 << 40)),
+                key: PCell::new(KEY),
+                value: PCell::new(7),
+                owner: PCell::new(owner),
+                seq: PCell::new(1 << 40),
+                next: PCell::new(MarkedPtr::null()),
+            })
+            .unwrap();
+            map.close().unwrap();
+            owned
+        };
+        let mut want = vec![None; Map::DEFAULT_POOL_BUCKETS];
+        want[bucket] = Some(owned + 1);
+        assert_eq!(plans(), want, "the straggler's bucket alone must relink, with every node it owns");
+
+        let pool = Pool::builder().path(&path).open().unwrap();
+        let map = pool.root::<Map>("kv").unwrap();
+        assert_eq!(map.check_consistency(false).unwrap(), 2001);
+        assert_eq!(map.get(KEY), Some(7), "the straggler was not linked");
+        assert!((0..2000u64).all(|k| map.get(k) == Some(k + 1)));
+        map.close().unwrap();
         drop(pool);
         std::fs::remove_file(&path).unwrap();
     }

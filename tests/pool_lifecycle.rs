@@ -829,6 +829,35 @@ fn a_clean_soft_open_dirties_no_node_page() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// The skiplist twin of `a_clean_soft_open_dirties_no_node_page`: the
+/// trace verifies every tower word and `link_state` against what recovery
+/// would store, so a clean open stores into no node.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_clean_skiplist_open_dirties_no_node_page() {
+    const KEYS: u64 = 1 << 15;
+    let path = tmp("skiplist-open-writes-nothing");
+    {
+        let s = create_pooled::<PooledSkip>(&path, 8 << 20, "skip").unwrap();
+        for i in 0..KEYS {
+            let k = i * 2_654_435_761 % KEYS;
+            assert!(s.insert(k, k ^ 0x5A));
+        }
+        s.close().unwrap();
+    }
+    let before = std::fs::read(&path).unwrap();
+    let s = open_pooled::<PooledSkip>(&path, "skip").unwrap();
+    let report = s.pool().recovery_report();
+    assert!(report.gc_ran && report.clean_shutdown);
+    let dirty = dirty_kib(s.pool().base(), s.pool().capacity());
+    assert!(dirty <= 64, "a clean open dirtied {dirty} KiB of the pool");
+    assert_eq!(s.len(), KEYS as usize);
+    assert!((0..KEYS).all(|k| s.get(k) == Some(k ^ 0x5A)));
+    s.close().unwrap();
+    assert!(std::fs::read(&path).unwrap() == before, "a clean open and close changed the file");
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// `Private_Dirty + Shared_Dirty`, in KiB, of this process's mappings that
 /// overlap `[base, base + len)`, from `/proc/self/smaps`.
 #[cfg(target_os = "linux")]
@@ -953,4 +982,197 @@ fn soft_hash_survives_close_and_reopen() {
     assert_eq!(map.get(10_000), Some(1));
     drop(map);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A cleanly closed pool image, addressed word by word: where its blocks
+/// lie, recorded before the close. Pool offsets are file offsets, and a
+/// link holds an absolute address, `base + offset`.
+struct Image {
+    path: PathBuf,
+    base: u64,
+    /// Payload offsets of the allocated blocks, the root's excepted.
+    blocks: Vec<u64>,
+}
+
+impl Image {
+    /// Closes `set`, the root named `name` of the pool at `path`.
+    fn close<S: nvtraverse::PoolTrace>(set: nvtraverse::PooledHandle<S>, name: &str, path: &std::path::Path) -> Self {
+        let pool = set.pool();
+        let root = pool.root_offset(name).unwrap();
+        let heap = pool.verify_heap().unwrap();
+        let blocks = heap.live.iter().map(|&(off, _)| off + 16).filter(|&p| p != root).collect();
+        let base = pool.base() as u64;
+        set.close().unwrap();
+        Image { path: path.to_path_buf(), base, blocks }
+    }
+
+    /// Word `i` of the payload at `block`.
+    fn word(&self, block: u64, i: u64) -> u64 {
+        use std::os::unix::fs::FileExt;
+        let mut word = [0u8; 8];
+        std::fs::File::open(&self.path).unwrap().read_exact_at(&mut word, block + 8 * i).unwrap();
+        u64::from_le_bytes(word)
+    }
+
+    /// Rewrites word `i` of the payload at `block`: the one-word tamper.
+    fn set_word(&self, block: u64, i: u64, value: u64) {
+        use std::os::unix::fs::FileExt;
+        let file = std::fs::OpenOptions::new().write(true).open(&self.path).unwrap();
+        file.write_all_at(&value.to_le_bytes(), block + 8 * i).unwrap();
+    }
+
+    /// The address a link to `block` holds.
+    fn addr(&self, block: u64) -> u64 {
+        self.base + block
+    }
+}
+
+/// Skiplist node words: `key, value, meta (height << 56 | parent),
+/// link_state, next[0], next[1], …`.
+const SKIP_LINK_STATE: u64 = 3;
+const SKIP_NEXT: u64 = 4;
+
+/// 600 keys (value `3k`) in a skiplist, closed cleanly; and the file's
+/// bytes, untampered.
+fn closed_skiplist(path: &std::path::Path) -> (Image, Vec<u8>) {
+    let s = create_pooled::<PooledSkip>(path, 4 << 20, "skip").unwrap();
+    for i in 0..600u64 {
+        assert!(s.insert(i * 7 % 600, i * 7 % 600 * 3));
+    }
+    let image = Image::close(s, "skip", path);
+    let bytes = std::fs::read(path).unwrap();
+    (image, bytes)
+}
+
+/// Opens a tampered image, which the open must rebuild: every key but
+/// `gone` (the one the tamper deleted) is there, the structure is
+/// consistent, and — when the tamper deleted nothing — the rebuild restored
+/// the word, so after the close the file is the untampered one again.
+fn rebuilt<S: nvtraverse::PoolTrace + DurableSet<u64, u64>>(
+    image: &Image,
+    name: &str,
+    untampered: &[u8],
+    keys: std::ops::Range<u64>,
+    value: impl Fn(u64) -> u64,
+    gone: Option<u64>,
+    consistent: impl Fn(&S) -> Result<usize, String>,
+) {
+    let set = open_pooled::<S>(&image.path, name).unwrap();
+    let want = keys.end - keys.start - u64::from(gone.is_some());
+    assert_eq!(consistent(&set), Ok(want as usize), "not rebuilt");
+    for k in keys {
+        assert_eq!(set.get(k), (Some(k) != gone).then(|| value(k)), "key {k}");
+    }
+    set.close().unwrap();
+    if gone.is_none() {
+        assert!(std::fs::read(&image.path).unwrap() == untampered, "the open left the tampered word");
+    }
+    std::fs::remove_file(&image.path).unwrap();
+}
+
+/// A tower word naming its own node — a stale shortcut the trace must
+/// compare, not follow — sends the open to the rebuild.
+#[test]
+fn a_wrong_tower_word_rebuilds_the_skiplist() {
+    let path = tmp("tamper-skip-tower");
+    let (image, untampered) = closed_skiplist(&path);
+    let node = *image.blocks.iter().find(|&&b| image.word(b, 2) >> 56 >= 2).unwrap();
+    image.set_word(node, SKIP_NEXT + 1, image.addr(node));
+    rebuilt::<PooledSkip>(&image, "skip", &untampered, 0..600, |k| k * 3, None, |s| s.check_consistency(false));
+}
+
+/// A `link_state` left at `THREADING` (0) — an inserter that never
+/// finished, as a crash leaves it — is reset by the rebuild.
+#[test]
+fn a_threading_link_state_rebuilds_the_skiplist() {
+    let path = tmp("tamper-skip-threading");
+    let (image, untampered) = closed_skiplist(&path);
+    let node = image.blocks[image.blocks.len() / 2];
+    assert_eq!(image.word(node, SKIP_LINK_STATE), 1, "not LINKED");
+    image.set_word(node, SKIP_LINK_STATE, 0);
+    rebuilt::<PooledSkip>(&image, "skip", &untampered, 0..600, |k| k * 3, None, |s| s.check_consistency(false));
+}
+
+/// A marked bottom link — a remove that crashed between its mark and its
+/// unlink — is a deletion the rebuild completes.
+#[test]
+fn a_marked_bottom_link_rebuilds_the_skiplist() {
+    let path = tmp("tamper-skip-marked");
+    let (image, untampered) = closed_skiplist(&path);
+    let node = image.blocks[image.blocks.len() / 3];
+    image.set_word(node, SKIP_NEXT, image.word(node, SKIP_NEXT) | 1);
+    let key = image.word(node, 0);
+    rebuilt::<PooledSkip>(&image, "skip", &untampered, 0..600, |k| k * 3, Some(key), |s| s.check_consistency(false));
+}
+
+/// SOFT node words: `vstart, key, value, owner, seq, next`.
+const SOFT_OWNER: u64 = 3;
+const SOFT_NEXT: u64 = 5;
+
+/// 2 000 keys (value `k ^ 0x5A`) in a SOFT table, closed cleanly; each
+/// bucket's chain in link order (key order, on a clean image); and the
+/// file's bytes, untampered.
+fn closed_soft_hash(path: &std::path::Path) -> (Image, Vec<Vec<u64>>, Vec<u8>) {
+    let map = create_pooled::<PooledSoftHash>(path, 4 << 20, "kv").unwrap();
+    for k in 0..2000u64 {
+        assert!(map.insert(k, k ^ 0x5A));
+    }
+    let image = Image::close(map, "kv", path);
+    let mut chains = std::collections::BTreeMap::<u64, Vec<(u64, u64)>>::new();
+    // Heads own nothing (owner 0).
+    for &b in image.blocks.iter().filter(|&&b| image.word(b, SOFT_OWNER) != 0) {
+        chains.entry(image.word(b, SOFT_OWNER)).or_default().push((image.word(b, 1), b));
+    }
+    let chains = chains
+        .into_values()
+        .map(|mut chain| {
+            chain.sort_unstable();
+            chain.into_iter().map(|(_, b)| b).collect()
+        })
+        .collect();
+    let bytes = std::fs::read(path).unwrap();
+    (image, chains, bytes)
+}
+
+/// A bucket link that skips one sealed node leaves a straggler: the
+/// trace finds it among the unmarked blocks, and its bucket relinks.
+#[test]
+fn a_soft_link_skipping_a_sealed_node_rebuilds_its_bucket() {
+    let path = tmp("tamper-soft-skip");
+    let (image, chains, untampered) = closed_soft_hash(&path);
+    let chain = &chains[0];
+    image.set_word(chain[0], SOFT_NEXT, image.addr(chain[2]));
+    rebuilt::<PooledSoftHash>(&image, "kv", &untampered, 0..2000, |k| k ^ 0x5A, None, |m| m.check_consistency(false));
+}
+
+/// A bucket link into another bucket's node: that node's `owner` names
+/// the other list.
+#[test]
+fn a_soft_link_into_another_bucket_rebuilds_its_bucket() {
+    let path = tmp("tamper-soft-foreign");
+    let (image, chains, untampered) = closed_soft_hash(&path);
+    image.set_word(chains[0][0], SOFT_NEXT, image.addr(chains[1][1]));
+    rebuilt::<PooledSoftHash>(&image, "kv", &untampered, 0..2000, |k| k ^ 0x5A, None, |m| m.check_consistency(false));
+}
+
+/// A marked link out of a live node — a remove's tombstone store lost
+/// while its mark reached the media. The seal is live, so the key stays:
+/// the node that holds the link is relinked, the mark cleared.
+#[test]
+fn a_soft_marked_link_rebuilds_its_bucket() {
+    let path = tmp("tamper-soft-marked");
+    let (image, chains, untampered) = closed_soft_hash(&path);
+    let chain = &chains[3];
+    image.set_word(chain[1], SOFT_NEXT, image.word(chain[1], SOFT_NEXT) | 1);
+    rebuilt::<PooledSoftHash>(&image, "kv", &untampered, 0..2000, |k| k ^ 0x5A, None, |m| m.check_consistency(false));
+}
+
+/// A link back to a smaller key: the chain's keys descend there.
+#[test]
+fn a_soft_descending_pair_rebuilds_its_bucket() {
+    let path = tmp("tamper-soft-descending");
+    let (image, chains, untampered) = closed_soft_hash(&path);
+    let chain = &chains[2];
+    image.set_word(chain[2], SOFT_NEXT, image.addr(chain[0]));
+    rebuilt::<PooledSoftHash>(&image, "kv", &untampered, 0..2000, |k| k ^ 0x5A, None, |m| m.check_consistency(false));
 }
