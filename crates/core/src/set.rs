@@ -352,10 +352,15 @@ pub trait PoolAttach: Sized {
 /// let _orphan = pool.alloc(64, 8).unwrap();
 /// list.close()?;
 /// drop(pool);
+/// // A clean close seals the pool, and root::<List> on a sealed open
+/// // collects nothing. A crash leaves the clean flag (header byte 40)
+/// // cleared: clear it here.
+/// std::os::unix::fs::FileExt::write_all_at(
+///     &std::fs::OpenOptions::new().write(true).open(&path)?, &[0; 8], 40)?;
 ///
 /// // root::<List> hands List's tracer for "gc-demo" to the collection, so
 /// // the mark-sweep runs before the structure attaches and reclaims exactly
-/// // the orphan (the clean close already drained every retired node).
+/// // the orphan (the close had already drained every retired node).
 /// let pool = Pool::builder().path(&path).open()?;
 /// let list = pool.root::<List>("gc-demo")?;
 /// let report = pool.recovery_report();
@@ -389,7 +394,15 @@ pub unsafe trait PoolTrace: PoolAttach {
     /// of paper §4, plus any volatile-auxiliary rebuild) on the structure
     /// just attached, with the `plan` its own [`trace`](PoolTrace::trace)
     /// returned for this open. Quiescent.
-    fn recover_attached(&self, plan: Self::Plan);
+    ///
+    /// `None` means the pool was opened
+    /// [sealed](nvtraverse_pool::RecoveryReport::sealed): the last close
+    /// was clean, drained every retired node and left the structure
+    /// exactly as its last operation did, so no tracer ran and there is
+    /// nothing to disconnect or rebuild. Only volatile state a
+    /// session must not repeat (a counter that names node generations)
+    /// needs restoring, from what the structure itself persisted.
+    fn recover_attached(&self, plan: Option<Self::Plan>);
 }
 
 /// **Typed roots** — the extension of [`Pool`] that turns a root *name*
@@ -423,7 +436,9 @@ pub unsafe trait PoolTrace: PoolAttach {
 ///
 /// [`TypedRoots::root`] first runs the open's recovery collection with
 /// `S`'s [`PoolTrace`] tracer ([`Pool::collect`]), then attaches and runs
-/// the structure's recovery on the tracer's plan; every method returns a
+/// the structure's recovery on the tracer's plan (on a
+/// [sealed](nvtraverse_pool::RecoveryReport::sealed) open it runs no
+/// tracer and passes `None`); every method returns a
 /// [`PooledHandle`] that shares the pool: call the methods as many times
 /// as there are roots, on as many pools as are open (`Pool::collect` →
 /// `attach_to_pool` → `recover_attached` remain the low-level layer
@@ -443,7 +458,9 @@ pub trait TypedRoots {
     /// tracer for `name`: the first attach after the open collects a pool
     /// whose only root (besides the ops table) is `name`, and ends the
     /// open's collection either way. The tracer's plan is what
-    /// [`PoolTrace::recover_attached`] then runs.
+    /// [`PoolTrace::recover_attached`] then runs. A pool opened
+    /// [sealed](nvtraverse_pool::RecoveryReport::sealed) needs no
+    /// recovery: no tracer runs, and `recover_attached` gets `None`.
     ///
     /// # Errors
     ///
@@ -474,14 +491,25 @@ pub trait TypedRoots {
 impl TypedRoots for Pool {
     fn root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>> {
         let mut plan = None;
+        let sealed = self.recovery_report().sealed;
         // SAFETY: attach_to_pool below requires the root to be of type `S`;
         // tracing it as `S` is the same assertion. This is the attach, so
         // nothing attached before it through this API.
-        unsafe { self.collect(&mut [(name, &mut |root, marker| plan = Some(S::trace(root, marker)))]) };
+        unsafe {
+            if sealed {
+                // Nothing to recover: with no tracer the call only ends the
+                // open's collection, so no later one sweeps a node the
+                // attached structure retired.
+                self.collect(&mut []);
+            } else {
+                self.collect(&mut [(name, &mut |root, marker| plan = Some(S::trace(root, marker)))]);
+            }
+        }
         // SAFETY: deferred to the caller's choice of `S` — see the
-        // trait-level type contract. No plan: no root, or a rebased pool.
-        let attached = plan.and_then(|plan| Some((unsafe { S::attach_to_pool(self, name) }?, plan)));
-        let (inner, plan) = attached.ok_or_else(|| {
+        // trait-level type contract. No plan on an unsealed open: no root,
+        // or a rebased pool.
+        let attached = (sealed || plan.is_some()).then(|| unsafe { S::attach_to_pool(self, name) });
+        let inner = attached.flatten().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotFound,
                 if self.is_rebased() {
@@ -492,6 +520,7 @@ impl TypedRoots for Pool {
             )
         })?;
         inner.recover_attached(plan);
+        self.note_recovered(name);
         // Recovery done and quiescent: let the structure answer the
         // descriptors the descriptor table alone could not classify.
         inner.resolve_detectable(self);

@@ -80,7 +80,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How many retires between attempts to advance the global epoch.
@@ -143,6 +143,9 @@ struct Bag {
 struct Record {
     /// `epoch << 1 | pinned`.
     state: CachePadded<AtomicU64>,
+    /// Objects this participant retired and has not reclaimed. Written
+    /// only by its own thread, read by [`Collector::unreclaimed`].
+    held: AtomicUsize,
 }
 
 impl Record {
@@ -188,6 +191,11 @@ impl Inner {
 
     fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
+    }
+
+    fn orphaned(&self) -> usize {
+        let orphans = self.orphans.lock().unwrap_or_else(|e| e.into_inner());
+        orphans.iter().map(|bag| bag.items.len()).sum()
     }
 
     /// Reclaims orphan bags that are at least two epochs old.
@@ -340,6 +348,19 @@ impl Collector {
         });
     }
 
+    /// Number of retired objects no [`drain`](Self::drain) on this thread
+    /// reached: every live participant's bags plus the orphans of exited
+    /// threads. After [`close`](Self::close) the count no longer falls —
+    /// nothing is reclaimed — so it is exactly what the close stranded; a
+    /// persistent pool writes its sealed summary only when it is 0. A
+    /// thread exiting concurrently may be counted twice, never missed.
+    pub fn unreclaimed(&self) -> usize {
+        let records = self.inner.records.lock().unwrap_or_else(|e| e.into_inner());
+        let held: usize = records.iter().map(|r| r.held.load(Ordering::Relaxed)).sum();
+        drop(records);
+        held + self.inner.orphaned()
+    }
+
     /// Number of objects this thread has retired that are not yet reclaimed.
     pub fn local_garbage(&self) -> usize {
         let handle = local_handle(self, true).expect("registered");
@@ -425,6 +446,7 @@ impl HandleInner {
             };
             match bag {
                 Some(bag) => {
+                    self.hold(-(bag.items.len() as isize));
                     for item in bag.items {
                         unsafe { item.reclaim() };
                     }
@@ -435,11 +457,19 @@ impl HandleInner {
         self.collector.collect_orphans(global);
     }
 
+    /// Adjusts this participant's [`Record::held`] count; only its own
+    /// thread writes it, so a load and a store suffice.
+    fn hold(&self, delta: isize) {
+        let held = &self.record.held;
+        held.store(held.load(Ordering::Relaxed).wrapping_add_signed(delta), Ordering::Relaxed);
+    }
+
     fn retire(&self, item: Retired) {
         if self.collector.is_closed() {
             return; // `Retired` has no `Drop`: the object stays valid forever.
         }
         self.current.borrow_mut().push(item);
+        self.hold(1);
         let n = self.retires_since_advance.get() + 1;
         if n >= ADVANCE_EVERY {
             self.retires_since_advance.set(0);
@@ -455,9 +485,8 @@ impl HandleInner {
 
 impl Drop for HandleInner {
     fn drop(&mut self) {
-        let mut records = self.collector.records.lock().unwrap_or_else(|e| e.into_inner());
-        records.retain(|r| !Arc::ptr_eq(r, &self.record));
-        drop(records);
+        // Bags first, record second: a concurrent `unreclaimed` may count
+        // them twice, but never misses them.
         self.seal_current();
         let bags: Vec<Bag> = self.bags.borrow_mut().drain(..).collect();
         if !bags.is_empty() {
@@ -465,6 +494,8 @@ impl Drop for HandleInner {
             orphans.extend(bags);
             self.collector.orphans_present.store(true, Ordering::Release);
         }
+        let mut records = self.collector.records.lock().unwrap_or_else(|e| e.into_inner());
+        records.retain(|r| !Arc::ptr_eq(r, &self.record));
     }
 }
 
@@ -508,6 +539,7 @@ fn local_handle(collector: &Collector, join: bool) -> Option<Rc<HandleInner>> {
 fn register(collector: &Collector) -> Rc<HandleInner> {
     let record = Arc::new(Record {
         state: CachePadded::new(AtomicU64::new(0)),
+        held: AtomicUsize::new(0),
     });
     collector
         .inner
@@ -761,6 +793,39 @@ mod tests {
         }
         drop(c);
         assert_eq!(n.load(Ordering::SeqCst), 1, "a closed collector reclaimed");
+    }
+
+    #[test]
+    fn unreclaimed_counts_what_a_drain_cannot_reach() {
+        let c = Collector::new();
+        let n = counter();
+        let g = c.pin();
+        unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&n))))) };
+        drop(g);
+        assert_eq!(c.unreclaimed(), 1);
+        c.drain();
+        assert_eq!(c.unreclaimed(), 0, "this thread's drained bag is still counted");
+        // Another live thread's bag, then the same bag as an orphan.
+        let (c2, n2) = (c.clone(), Arc::clone(&n));
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let t = std::thread::spawn(move || {
+            let g = c2.pin();
+            for _ in 0..3 {
+                unsafe { g.retire(Box::into_raw(Box::new(Counted(Arc::clone(&n2))))) };
+            }
+            drop(g);
+            ready_tx.send(()).unwrap();
+            go_rx.recv().unwrap();
+        });
+        ready_rx.recv().unwrap();
+        c.drain();
+        assert_eq!(c.unreclaimed(), 3, "another thread's bag was missed");
+        c.close();
+        go_tx.send(()).unwrap();
+        t.join().unwrap();
+        assert_eq!(c.unreclaimed(), 3, "the exited thread's orphans were missed");
+        assert_eq!(n.load(Ordering::SeqCst), 1);
     }
 
     #[test]

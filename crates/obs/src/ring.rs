@@ -28,12 +28,15 @@ pub const LABEL_BYTES: usize = 24;
 pub enum EventKind {
     /// A pool file was created and formatted.
     Create = 1,
-    /// An existing pool file was opened (after recovery finished).
+    /// An existing pool file was opened (after recovery finished). `a` =
+    /// live blocks, `b` = which path the open took: 1 when it read the
+    /// sealed summary of a clean close, 0 when it walked the heap.
     Open = 2,
     /// A pool's recovery collection ran. `a` = blocks reclaimed, `b` =
     /// bytes.
     Gc = 3,
-    /// A pool was cleanly closed (last handle dropped).
+    /// A pool was cleanly closed (last handle dropped). `a` = 1 when the
+    /// close sealed a summary for the next open, 0 when it could not.
     Close = 5,
 }
 

@@ -3,7 +3,9 @@
 //!
 //! The persistent format is 16-byte block headers, size-classed blocks and a
 //! persisted frontier word in the pool header; everything in this module is
-//! volatile state rebuilt from those by the recovery heap walk at every open.
+//! volatile state rebuilt from those by the recovery heap walk of an open
+//! after a crash, or restored from the summary a clean close sealed
+//! ([`Engine::seal`], [`Engine::restore`]).
 //! The walk only *reads*: it writes no link word into the free blocks it
 //! finds (tier 2 below). The only heap store an open makes is the links
 //! of oversize free blocks; the recovery collection that may follow
@@ -68,17 +70,19 @@
 //!   caller fence can restore it.
 //!
 //! Magazines and the free bitmaps are volatile and rebuilt by the recovery
-//! walk on open; the allocated bit is the only persistent free/live fact.
+//! walk on open (or restored from a clean close's sealed summary, which the
+//! close writes only once every magazine is back in the bitmaps); the
+//! allocated bit is the only persistent free/live fact the walk trusts.
 
 use crate::{
-    gc, make_allocated, Mem, CLASS_SIZES, HEAP_START, OFF_FRONTIER, OVERSIZE, W0_ALLOCATED,
+    gc, make_allocated, seal, Mem, CLASS_SIZES, HEAP_START, OFF_FRONTIER, OVERSIZE, W0_ALLOCATED,
     W0_CLASS_SHIFT, W0_SIZE_MASK,
 };
 use nvtraverse_obs as obs;
 use nvtraverse_pmem::{Backend, MmapBackend};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Capacity of one per-thread magazine (blocks per size class).
@@ -153,6 +157,14 @@ pub(crate) struct Engine {
     /// Per small class, its free blocks outside every magazine (tier 2 of
     /// the module docs), each class behind its own lock.
     free: [Mutex<FreeBits>; CLASS_SIZES.len()],
+    /// Blocks below the published frontier, allocated or free: set by a
+    /// recovery, raised by each carve. A close's summary derives the live
+    /// count from it.
+    blocks: AtomicU64,
+    /// Threads holding a magazine set of this engine. A close seals a
+    /// summary only when none but its own does: another thread's magazine
+    /// may hold free blocks the class bitmaps do not.
+    holders: AtomicUsize,
     /// The owning pool's metric set (allocator-domain counters land here).
     obs: &'static obs::MetricSet,
 }
@@ -196,6 +208,8 @@ impl Engine {
             published: AtomicU64::new(HEAP_START),
             oversize: Mutex::new(0),
             free: std::array::from_fn(|_| Mutex::default()),
+            blocks: AtomicU64::new(0),
+            holders: AtomicUsize::new(0),
             obs: metrics,
         }
     }
@@ -238,7 +252,7 @@ impl Engine {
     // -- small classes: magazine → class bitmap → slab carve --
 
     fn alloc_small(&self, mem: Mem, class: usize) -> Option<u64> {
-        if let Some(Some(off)) = with_cache(self.instance, |mags| mags[class].pop()) {
+        if let Some(Some(off)) = with_cache(self, |mags| mags[class].pop()) {
             self.obs.add(obs::Counter::MagHit, 1);
             return Some(off);
         }
@@ -253,7 +267,7 @@ impl Engine {
         let ret = *got.first()?;
         let rest = &got[1..];
         if !rest.is_empty() {
-            let cached = with_cache(self.instance, |mags| {
+            let cached = with_cache(self, |mags| {
                 let mag = &mut mags[class];
                 // Reverse so got[1] (the hottest leftover) ends on top.
                 mag.extend(rest.iter().rev());
@@ -342,6 +356,7 @@ impl Engine {
         };
         self.obs.add(obs::Counter::SlabCarve, 1);
         self.obs.add(obs::Counter::SlabBlocks, n as u64);
+        self.blocks.fetch_add(n as u64, Ordering::Relaxed);
         let free_w0 = bs | (class as u64) << W0_CLASS_SHIFT;
         for i in 0..n {
             let off = start + i as u64 * bs;
@@ -371,7 +386,7 @@ impl Engine {
         // load-bearing for blocks that stay free, and those reach a drain
         // or a clean close, both of which persist the bit.
         if class < OVERSIZE {
-            let overflow = with_cache(self.instance, |mags| {
+            let overflow = with_cache(self, |mags| {
                 let mag = &mut mags[class];
                 mag.push(off);
                 if mag.len() > MAG_CAP {
@@ -436,6 +451,7 @@ impl Engine {
         // it, caller flushes cannot stand in), then the frontier publish
         // that makes it recoverable, then hand it out.
         let (start, _) = self.reserve(mem, want, 1)?;
+        self.blocks.fetch_add(1, Ordering::Relaxed);
         make_allocated(mem, start, want, OVERSIZE, payload);
         MmapBackend::flush(mem.ptr(start));
         MmapBackend::fence();
@@ -484,18 +500,102 @@ impl Engine {
         free.put(off, frontier);
     }
 
-    /// Ends a recovery: links the `oversize` free blocks onto their
-    /// first-fit list — the one write an open makes to a free block, and
+    /// Ends a recovery that found `blocks` blocks below the frontier: links
+    /// the `oversize` free blocks onto their first-fit list — the one write an open makes to a free block, and
     /// only to one of more than 64 KiB. Blocks are linked in the order
     /// given (the walk's address order) onto a LIFO list, so first-fit
     /// tries the last one first — after any a later [sweep](Self::sweep)
     /// pushes.
-    pub(crate) fn finish_recovery(&mut self, mem: Mem, oversize: &[u64]) {
+    pub(crate) fn finish_recovery(&mut self, mem: Mem, oversize: &[u64], blocks: u64) {
+        *self.blocks.get_mut() = blocks;
         let head = self.oversize.get_mut().unwrap_or_else(|p| p.into_inner());
         for &off in oversize {
             mem.store(off + 8, *head);
             *head = off;
         }
+    }
+
+    /// Fills a fresh engine from a sealed record instead of a heap walk,
+    /// for a heap ending at `frontier`: the state a walk of the same heap
+    /// would build.
+    pub(crate) fn restore(&mut self, mem: Mem, frontier: u64, record: &seal::Record) {
+        self.reset(frontier);
+        let mut oversize = Vec::new();
+        for (class, off) in record.blocks(mem) {
+            match class {
+                OVERSIZE => oversize.push(off),
+                _ => self.recover_free(off, class),
+            }
+        }
+        self.finish_recovery(mem, &oversize, record.live + record.free_blocks());
+    }
+
+    /// Returns this thread's magazines of this engine to the class bitmaps
+    /// (the close's own: a closing thread's cached frees belong in the
+    /// summary). Other threads' magazines are theirs to drain on exit.
+    pub(crate) fn drain_own(&self, mem: Mem) {
+        let _ = FAST_MAG.try_with(|fast| {
+            if fast.get().0 == self.instance {
+                fast.set((0, std::ptr::null_mut()));
+            }
+        });
+        let Ok(Some(mags)) = CACHES.try_with(|c| c.borrow_mut().0.remove(&self.instance)) else {
+            return;
+        };
+        for (class, blocks) in mags.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+            self.drain(mem, class, blocks);
+        }
+        self.holders.fetch_sub(1, Ordering::Release);
+    }
+
+    /// Threads still holding a magazine set of this engine.
+    pub(crate) fn magazines_held(&self) -> usize {
+        self.holders.load(Ordering::Acquire)
+    }
+
+    /// Writes a quiescent engine's sealed record (see [`seal`]): the
+    /// frontier, the live count and every free block outside the
+    /// magazines, so exact only once every magazine has drained. The
+    /// offsets stream from the class bitmaps into the mapping. Returns
+    /// whether the record was written.
+    pub(crate) fn seal(&self, mem: Mem, at_field: u64) -> bool {
+        let classes: Vec<_> = self.free.iter().map(|f| f.lock().unwrap_or_else(|p| p.into_inner())).collect();
+        let oversize = self.oversize_blocks(mem);
+        let mut counts = [0u64; OVERSIZE + 1];
+        classes.iter().zip(&mut counts).for_each(|(free, count)| *count = free.left as u64);
+        counts[OVERSIZE] = oversize.len() as u64;
+        let live = self.blocks.load(Ordering::Relaxed) - counts.iter().sum::<u64>();
+        let small = (classes.iter().enumerate())
+            .flat_map(|(class, free)| free.bits.blocks_from(free.cursor).map(move |off| (class, off)));
+        let oversize = oversize.into_iter().map(|off| (OVERSIZE, off));
+        seal::write_record(mem, at_field, self.frontier(), live, &counts, small.chain(oversize))
+    }
+
+    /// The oversize free list, in address order.
+    fn oversize_blocks(&self, mem: Mem) -> Vec<u64> {
+        let mut blocks = Vec::new();
+        let mut cur = *self.oversize.lock().unwrap_or_else(|p| p.into_inner());
+        while cur != 0 {
+            blocks.push(cur);
+            cur = mem.load(cur + 8);
+        }
+        blocks.sort_unstable();
+        blocks
+    }
+
+    /// What the engine holds, for a test to compare with a heap walk.
+    #[cfg(test)]
+    pub(crate) fn summary(&self, mem: Mem) -> seal::Summary {
+        let mut summary = seal::Summary { frontier: self.frontier(), ..seal::Summary::default() };
+        for (class, free) in self.free.iter().enumerate() {
+            let free = free.lock().unwrap_or_else(|p| p.into_inner());
+            summary.free[class] = free.bits.blocks_from(free.cursor).collect();
+            assert_eq!(summary.free[class].len(), free.left);
+        }
+        summary.free[OVERSIZE] = self.oversize_blocks(mem);
+        let free: usize = summary.free.iter().map(Vec::len).sum();
+        summary.live = self.blocks.load(Ordering::Relaxed) - free as u64;
+        summary
     }
 }
 
@@ -545,6 +645,7 @@ impl Drop for Caches {
                 if drained {
                     engine.obs.add(obs::Counter::ThreadDrain, 1);
                 }
+                engine.holders.fetch_sub(1, Ordering::Release);
             }
         }
     }
@@ -562,10 +663,11 @@ thread_local! {
         const { std::cell::Cell::new((0, std::ptr::null_mut())) };
 }
 
-/// Runs `f` on this thread's magazine set for `instance`. Returns `None`
+/// Runs `f` on this thread's magazine set for `engine`. Returns `None`
 /// when the thread's TLS is already torn down (callers fall back to the
 /// class bitmaps directly).
-fn with_cache<R>(instance: u64, f: impl FnOnce(&mut MagSet) -> R) -> Option<R> {
+fn with_cache<R>(engine: &Engine, f: impl FnOnce(&mut MagSet) -> R) -> Option<R> {
+    let instance = engine.instance;
     if let Ok((id, ptr)) = FAST_MAG.try_with(|fast| fast.get()) {
         if id == instance && !ptr.is_null() {
             // SAFETY: FAST_MAG only holds entries of this thread's live
@@ -588,10 +690,10 @@ fn with_cache<R>(instance: u64, f: impl FnOnce(&mut MagSet) -> R) -> Option<R> {
                     .0
                     .retain(|id, _| alive.iter().any(|a| a.instance == *id));
             }
-            let mags = caches
-                .0
-                .entry(instance)
-                .or_insert_with(|| Box::new(std::array::from_fn(|_| Vec::new())));
+            let mags = caches.0.entry(instance).or_insert_with(|| {
+                engine.holders.fetch_add(1, Ordering::Relaxed);
+                Box::new(std::array::from_fn(|_| Vec::new()))
+            });
             let _ = FAST_MAG.try_with(|fast| fast.set((instance, &mut **mags as *mut MagSet)));
             f(mags)
         })

@@ -8,9 +8,10 @@
 //! block headers know — so without a collector the pool file only ever
 //! grows under crash-churn workloads.
 //!
-//! This module supplies the missing half of the recovery contract. The
-//! open's one heap walk records every allocated block's start and keeps
-//! that inventory; the open runs no tracer, because only the caller knows
+//! This module supplies the missing half of the recovery contract. After a
+//! crash, the open's one heap walk records every allocated block's start
+//! and keeps that inventory (an open that reads a clean close's sealed
+//! summary walks nothing and has nothing to collect); the open runs no tracer, because only the caller knows
 //! which type each root holds. The first
 //! [`Pool::collect`](crate::Pool::collect) — which
 //! `TypedRoots::root::<S>` calls with `S`'s tracer before `S` attaches —
@@ -186,6 +187,13 @@ impl Bitmap {
             }
             *cursor += 1;
         }
+    }
+
+    /// Heap offsets of the set blocks from word `cursor` on, in address
+    /// order, without clearing them.
+    pub(crate) fn blocks_from(&self, cursor: usize) -> impl Iterator<Item = u64> + '_ {
+        let words = self.0.get(cursor..).unwrap_or_default();
+        (words.iter().enumerate()).flat_map(move |(i, &bits)| Self::blocks_in(cursor + i, bits))
     }
 
     /// Heap offsets of the blocks whose bits are set in `bits`, the

@@ -19,12 +19,15 @@
 //!   The persist ordering guarantees that **no crash point corrupts the
 //!   heap**: a crash never double-allocates or tears metadata, and blocks
 //!   it strands (in-flight allocations, EBR-retired-but-unreclaimed nodes)
-//!   stay allocated only until the next open — reopening rebuilds all
-//!   volatile allocator state from one read-only heap walk, and the first
-//!   [`Pool::collect`] after it (the typed `root::<S>()` attach calls it
-//!   with `S`'s tracer) runs a **root-driven mark-sweep GC** (the [`gc`]
-//!   module) that returns every allocated block unreachable from the roots
-//!   to the free lists, reporting the reclaim in [`RecoveryReport`].
+//!   stay allocated only until the next open — reopening after a crash
+//!   rebuilds all volatile allocator state from one read-only heap walk,
+//!   and the first [`Pool::collect`] after it (the typed `root::<S>()`
+//!   attach calls it with `S`'s tracer) runs a **root-driven mark-sweep
+//!   GC** (the [`gc`] module) that returns every allocated block
+//!   unreachable from the roots to the free lists, reporting the reclaim
+//!   in [`RecoveryReport`]. A clean close instead **seals** a summary of
+//!   the allocator's state, and the next open reads it: no walk, no
+//!   collection ([`RecoveryReport::sealed`]; the private `seal` module).
 //! * [`POff`] — typed offset pointers, stable across rebased mappings.
 //! * A **root registry** — up to [`MAX_ROOTS`] named offsets in the pool
 //!   header, so a structure can be found again after reopen
@@ -87,6 +90,7 @@ pub mod gc;
 mod mmap;
 pub mod optable;
 mod poff;
+mod seal;
 
 pub use gc::{Marker, TraceFn};
 pub use optable::{OpId, OpOutcome, RawOp, OPS_ROOT};
@@ -100,7 +104,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -140,6 +144,11 @@ const OFF_CAPACITY: u64 = 16;
 const OFF_PREFERRED_BASE: u64 = 24;
 pub(crate) const OFF_FRONTIER: u64 = 32;
 const OFF_CLEAN: u64 = 40;
+/// The sealed summary's signature, poisoned while the pool is open; it
+/// shares `OFF_CLEAN`'s cache line, so the open's one persist covers both.
+const OFF_SEAL_SIG: u64 = 48;
+/// Offset of the sealed summary record (see the `seal` module).
+const OFF_SEAL_AT: u64 = 56;
 const OFF_ROOTS: u64 = 256;
 const ROOT_SLOT_SIZE: u64 = 32;
 
@@ -168,9 +177,27 @@ pub struct RecoveryReport {
     pub free_blocks: usize,
     /// Bytes between the heap start and the persisted frontier.
     pub heap_bytes: u64,
-    /// Whether the previous session closed cleanly (diagnostic only —
-    /// recovery never depends on it).
+    /// Whether the previous session closed cleanly. Recovery trusts it
+    /// only together with a sealed summary (see
+    /// [`sealed`](RecoveryReport::sealed)); a clean close that could not
+    /// seal is recovered like a crash.
     pub clean_shutdown: bool,
+    /// Whether this open read the sealed summary a clean close left
+    /// instead of walking the heap. A sealed open runs no heap walk, keeps
+    /// no inventory, and the typed attach runs no collection on it
+    /// (`gc_ran` stays false): the close had drained every retired node
+    /// and stranded nothing. It is false — and the open walks — after a
+    /// crash, after a close that left a retired node in another thread's
+    /// bag or a magazine in another thread, after a close of a walked
+    /// session that never collected (its heap may hold crash garbage) or
+    /// never recovered every root's structure ([`Pool::note_recovered`]),
+    /// after a session that removed or repointed a root (its old graph may
+    /// be garbage), and when the record does not verify. A block a session allocates and neither
+    /// frees nor links is not garbage to a sealed close: it stays
+    /// allocated until an explicit [`Pool::collect`] (the first call after
+    /// a sealed open walks the heap for it) or an open after a crash
+    /// collects it.
+    pub sealed: bool,
     /// Whether the root-driven mark-sweep GC ran for this open: `false`
     /// until [`Pool::collect`] (or the typed `root::<S>()` attach that
     /// calls it) collects. It runs only when the pool mapped at its
@@ -220,7 +247,8 @@ pub struct RecoveryReport {
 pub struct GcPhases {
     /// The one read-only pass over the block headers: validating each and
     /// recording it in the block-start bitmap (allocated) or its class's
-    /// free bitmap in the engine (free).
+    /// free bitmap in the engine (free). On a [sealed](RecoveryReport::sealed)
+    /// open, the read of the summary record that replaces it.
     pub heap_walk_nanos: u64,
     /// Tracing every root's reachable graph into the mark bitmap.
     pub mark_nanos: u64,
@@ -300,6 +328,15 @@ impl Mem {
         MmapBackend::flush_range((self.base + off) as *const u8, len);
         MmapBackend::fence();
     }
+
+    /// `msync` of the pages holding `[off, off + len)`: the range reaches
+    /// the file.
+    pub(crate) fn sync_range(&self, off: usize, len: usize) {
+        const PAGE: usize = 4096;
+        let start = off / PAGE * PAGE;
+        let end = (off + len).next_multiple_of(PAGE).min(self.len);
+        let _ = mmap::sync(self.base + start, end - start);
+    }
 }
 
 /// Writes an allocated block header (stores only — the engine decides how
@@ -323,6 +360,16 @@ struct Inner {
     /// Set by `finish_open`: a half-built Inner from a failed open must not
     /// stamp the file as cleanly shut down on drop.
     ready: bool,
+    /// Whether this handle created the pool: a fresh heap holds no crash
+    /// garbage, so its close may seal without a collection.
+    created: bool,
+    /// The roots a walked open found whose structures have not run their
+    /// recovery this session ([`Pool::note_recovered`]); a close seals only
+    /// once it is empty. Always empty after a sealed open or a create.
+    unrecovered: Mutex<Vec<String>>,
+    /// Set when a root is removed or repointed: the graph it named may now
+    /// be garbage only a collection finds, so the close must not seal.
+    orphaned: AtomicBool,
     engine: Engine,
     /// Serializes root-registry reads and writes (slot names are multi-word,
     /// so their publication is not atomic). Rare operations only.
@@ -333,7 +380,9 @@ struct Inner {
     /// The open's allocated-block bitmap, kept for the first
     /// [`Pool::collect`]; null when there is nothing to collect (a fresh,
     /// rootless or rebased pool) or once a collection, an allocation or a
-    /// free consumed it. Owned: a non-null value came from `Box::into_raw`.
+    /// free consumed it; [`UNWALKED`] after a sealed open, whose first
+    /// collection walks the heap it left untouched. Owned: any other value
+    /// came from `Box::into_raw`.
     inventory: AtomicPtr<gc::Bitmap>,
     /// This pool's telemetry (`nvtraverse-obs`), resolved from the pool's
     /// normalized path — so a reopened pool keeps accumulating into the
@@ -346,6 +395,20 @@ struct Inner {
     ops: Mutex<optable::OpsState>,
     /// The epoch collector of [`Pool::collector`].
     collector: Collector,
+}
+
+/// The inventory of a sealed open: the heap is the one the close left, not
+/// yet walked. A dangling pointer, so no `Box` ever has it.
+const UNWALKED: *mut gc::Bitmap = std::ptr::NonNull::dangling().as_ptr();
+
+/// What [`Inner::take_inventory`] hands a collection.
+enum Inventory {
+    /// Consumed, or never kept: no collection can run.
+    Gone,
+    /// A sealed open's untouched heap, to walk if a collection runs.
+    Unwalked,
+    /// The open's walk.
+    Walked(Box<gc::Bitmap>),
 }
 
 // SAFETY: the mapping is plain shared memory; mutation happens through the engine's
@@ -427,11 +490,13 @@ impl PoolBuilder {
     }
 
     /// Opens the existing pool file, verifies its header, and rebuilds the
-    /// allocator's volatile state from one read-only heap walk. The open
-    /// runs no tracer: it keeps the walk's allocated-block inventory for the
-    /// root-driven mark-sweep recovery GC (see the [`gc`] module) of the
-    /// first [`Pool::collect`] — which the typed `root::<S>()` attach calls
-    /// with `S`'s tracer before `S` attaches.
+    /// allocator's volatile state from one read-only heap walk — or, after
+    /// a close that sealed, from the sealed summary with no walk
+    /// ([`RecoveryReport::sealed`]). The open runs no tracer: it keeps the
+    /// walk's allocated-block inventory for the root-driven mark-sweep
+    /// recovery GC (see the [`gc`] module) of the first [`Pool::collect`] —
+    /// which the typed `root::<S>()` attach calls with `S`'s tracer before
+    /// `S` attaches.
     ///
     /// The file is mapped at its recorded preferred base when that range is
     /// still free (embedded absolute pointers stay valid); otherwise it is
@@ -551,6 +616,9 @@ impl Pool {
             _file: file,
             rebased: false,
             ready: false,
+            created: true,
+            unrecovered: Mutex::default(),
+            orphaned: AtomicBool::new(false),
             engine: Engine::new(metrics),
             roots: Mutex::new(()),
             report: Mutex::new(RecoveryReport {
@@ -593,7 +661,7 @@ impl Pool {
         // Probe the header from a throwaway mapping to learn the base.
         let probe = mmap::map_shared(&file, HEAP_START as usize, None, false)?;
         // SAFETY: the offset/address was produced by this pool's allocator or recovery walk and stays within the mapping; layout invariants are documented on the enclosing type.
-        let (magic, version, capacity, preferred, clean) = unsafe {
+        let (magic, version, capacity, preferred, clean, signature) = unsafe {
             let at = |off: u64| ((probe + off as usize) as *const u64).read_volatile();
             (
                 at(OFF_MAGIC),
@@ -601,6 +669,7 @@ impl Pool {
                 at(OFF_CAPACITY),
                 at(OFF_PREFERRED_BASE),
                 at(OFF_CLEAN),
+                at(OFF_SEAL_SIG),
             )
         };
         mmap::unmap(probe, HEAP_START as usize);
@@ -640,6 +709,9 @@ impl Pool {
             _file: file,
             rebased,
             ready: false,
+            created: false,
+            unrecovered: Mutex::default(),
+            orphaned: AtomicBool::new(false),
             engine: Engine::new(metrics),
             roots: Mutex::new(()),
             report: Mutex::new(RecoveryReport::default()),
@@ -653,7 +725,11 @@ impl Pool {
             // spending.
             let _t = obs::attribute_to(Some(metrics));
             let _p = obs::phase(obs::Phase::Gc);
-            inner.recover_allocator(clean == 1)?
+            let sealed = clean == seal::CLEAN_SEALED && signature == seal::SIGNATURE;
+            match sealed.then(|| inner.restore_allocator()).flatten() {
+                Some(report) => (report, None),
+                None => inner.recover_allocator(clean != 0).map(|(report, walked)| (report, Some(walked)))?,
+            }
         };
         // Snapshot the operation-descriptor table (if present) while the
         // heap is still quiescent: `Pool::op_outcome` answers the crash
@@ -668,9 +744,20 @@ impl Pool {
             .unwrap_or_default();
         *inner.ops.get_mut().unwrap_or_else(|e| e.into_inner()) = ops_state;
         // Keep the walk's inventory for the first `collect`. Rebased
-        // mappings and rootless pools can never be collected.
-        if !rebased && !inner.roots().is_empty() {
-            *inner.inventory.get_mut() = Box::into_raw(Box::new(allocated));
+        // mappings and rootless pools can never be collected. A sealed open
+        // has nothing to recover, and only an explicit collection walks.
+        let roots = inner.roots();
+        let collectable = !rebased && !roots.is_empty();
+        match allocated {
+            None if collectable => *inner.inventory.get_mut() = UNWALKED,
+            None => {}
+            Some(allocated) => {
+                if collectable {
+                    *inner.inventory.get_mut() = Box::into_raw(Box::new(allocated));
+                }
+                *inner.unrecovered.get_mut().unwrap_or_else(|e| e.into_inner()) =
+                    roots.into_iter().map(|(name, _)| name).filter(|name| name != optable::OPS_ROOT).collect();
+            }
         }
         // Mark the pool dirty until a clean close. The preferred base is
         // only re-recorded for a NON-rebased mapping: on a rebased one,
@@ -681,13 +768,16 @@ impl Pool {
             mem.store(OFF_PREFERRED_BASE, base as u64);
             mem.persist_u64(OFF_PREFERRED_BASE);
         }
+        // Dirty until a clean close, and the signature poisoned until a
+        // close seals again: one line, one persist.
         mem.store(OFF_CLEAN, 0);
+        mem.store(OFF_SEAL_SIG, seal::SIGNATURE ^ seal::POISON);
         mem.persist_u64(OFF_CLEAN);
         obs::ring::record(
             obs::ring::EventKind::Open,
             &pool_label(path),
             report.live_blocks as u64,
-            report.heap_bytes,
+            u64::from(report.sealed),
         );
         *inner.report.get_mut().unwrap_or_else(|e| e.into_inner()) = report;
         Ok(Pool::finish_open(inner))
@@ -854,7 +944,9 @@ impl Pool {
 
     /// Durably associates `name` (≤ [`MAX_ROOT_NAME`] bytes) with `off`.
     ///
-    /// Overwrites the previous value of an existing name. For a new name the
+    /// Overwrites the previous value of an existing name; repointing a
+    /// root may leave its old graph as garbage only a collection finds,
+    /// so this session's close then writes no sealed summary. For a new name the
     /// offset is persisted before the name, so a torn update can only
     /// produce an unnamed slot, never a named slot pointing at garbage.
     ///
@@ -875,6 +967,9 @@ impl Pool {
         for slot in 0..MAX_ROOTS {
             let (slot_name, _) = inner.read_root_slot(slot);
             if slot_name.as_deref() == Some(bytes) {
+                if inner.mem.load(root_off_field(slot)) != off {
+                    inner.orphaned.store(true, Ordering::Relaxed);
+                }
                 inner.mem.store(root_off_field(slot), off);
                 inner.mem.persist_u64(root_off_field(slot));
                 return Ok(());
@@ -905,6 +1000,17 @@ impl Pool {
         Ok(())
     }
 
+    /// Records that the structure at root `name` ran its recovery this
+    /// session — the typed `root::<S>()` attach calls it after
+    /// `recover_attached`. After an open that walked the heap, a close
+    /// seals a summary only once every root the open found has recovered
+    /// (and a collection ran): a structure a crash left unrecovered must
+    /// not be sealed as it is.
+    pub fn note_recovered(&self, name: &str) {
+        let mut unrecovered = self.inner.unrecovered.lock().unwrap_or_else(|e| e.into_inner());
+        unrecovered.retain(|root| root != name);
+    }
+
     /// Looks up the raw offset registered under `name`.
     ///
     /// (The typed counterpart — `pool.root::<S>(name)` returning an
@@ -922,13 +1028,17 @@ impl Pool {
         None
     }
 
-    /// Removes `name` from the registry, returning its offset.
+    /// Removes `name` from the registry, returning its offset. The graph
+    /// it named may now be garbage only a collection finds, so this
+    /// session's close writes no sealed summary.
     pub fn remove_root(&self, name: &str) -> Option<u64> {
+        self.note_recovered(name);
         let inner = &*self.inner;
         let _guard = inner.roots.lock().unwrap_or_else(|e| e.into_inner());
         for slot in 0..MAX_ROOTS {
             let (slot_name, off) = inner.read_root_slot(slot);
             if slot_name.as_deref() == Some(name.as_bytes()) {
+                inner.orphaned.store(true, Ordering::Relaxed);
                 // SAFETY: the offset/address was produced by this pool's allocator or recovery walk and stays within the mapping; layout invariants are documented on the enclosing type.
                 unsafe {
                     let dst = inner.mem.ptr(OFF_ROOTS + slot as u64 * ROOT_SLOT_SIZE);
@@ -1050,6 +1160,14 @@ impl Pool {
     /// tracer. Nothing runs on a rebased pool, whose absolute pointers no
     /// tracer may follow.
     ///
+    /// A [sealed](RecoveryReport::sealed) open keeps no inventory and has
+    /// nothing to recover, so the typed attach runs no tracer there and
+    /// calls this with none, which only ends the open's collection. An
+    /// explicit first call with every root's tracer still collects: it
+    /// walks the heap the close left and sweeps what no root reaches — a
+    /// block a session allocated and never linked or freed, which a clean
+    /// close keeps.
+    ///
     /// # Safety
     ///
     /// Each tracer must trace the root it names as the type that created
@@ -1074,8 +1192,15 @@ impl Pool {
         let inventory = inner.take_inventory();
         let _t = obs::attribute_to(Some(inner.metrics));
         let _p = obs::phase(obs::Phase::Gc);
-        let roots = inventory.as_ref().and_then(|_| inner.traceable_roots(tracers));
-        let (Some(allocated), Some(roots)) = (&inventory, roots) else {
+        let roots = match inventory {
+            Inventory::Gone => None,
+            _ => inner.traceable_roots(tracers),
+        };
+        let allocated = |inventory| match inventory {
+            Inventory::Walked(allocated) => *allocated,
+            _ => inner.walk_allocated(),
+        };
+        let Some(roots) = roots else {
             let named: Vec<gc::Root> = (tracers.iter().enumerate())
                 .filter_map(|(i, (name, _))| {
                     let off = self.root_offset(name).filter(|&off| off != 0)?;
@@ -1083,14 +1208,14 @@ impl Pool {
                 })
                 .collect();
             if !named.is_empty() {
-                let allocated = inventory.map_or_else(|| inner.walk_allocated(), |inv| *inv);
-                gc::mark(inner.mem, &allocated, &named, tracers);
+                gc::mark(inner.mem, &allocated(inventory), &named, tracers);
             }
             return false;
         };
+        let allocated = allocated(inventory);
         let Some((swept, bytes)) = gc::collect(
             inner.mem,
-            allocated,
+            &allocated,
             &roots,
             tracers,
             &inner.engine,
@@ -1291,8 +1416,34 @@ impl Inner {
         })
         .map_err(|e| bad_pool(format!("corrupt {e}")))?;
         report.phases.heap_walk_nanos = walk_start.elapsed().as_nanos() as u64;
-        engine.finish_recovery(mem, &oversize);
+        let blocks = (report.live_blocks + report.free_blocks) as u64;
+        engine.finish_recovery(mem, &oversize, blocks);
         Ok((report, allocated))
+    }
+
+    /// Fills the engine from the sealed record a clean close left, with no
+    /// heap walk — or `None`, having written nothing, when the record does
+    /// not verify against the header's frontier. The report and the engine
+    /// are what a walk of the same heap would produce.
+    fn restore_allocator(&mut self) -> Option<RecoveryReport> {
+        let (mem, frontier) = (self.mem, self.mem.load(OFF_FRONTIER));
+        if frontier < HEAP_START || frontier > mem.len() as u64 {
+            return None;
+        }
+        // nvt-lint: allow(wall-clock): recovery/GC telemetry only; never reaches durable state
+        let start = Instant::now();
+        let record = seal::read_record(mem, OFF_SEAL_AT, frontier)?;
+        self.engine.restore(mem, frontier, &record);
+        let mut report = RecoveryReport {
+            live_blocks: record.live as usize,
+            free_blocks: record.free_blocks() as usize,
+            heap_bytes: frontier - HEAP_START,
+            clean_shutdown: true,
+            sealed: true,
+            ..Default::default()
+        };
+        report.phases.heap_walk_nanos = start.elapsed().as_nanos() as u64;
+        Some(report)
     }
 
     /// A fresh read-only walk's allocated-block bitmap, for a
@@ -1309,12 +1460,18 @@ impl Inner {
         allocated
     }
 
-    /// Takes the open's block inventory; `None` once consumed.
-    fn take_inventory(&self) -> Option<Box<gc::Bitmap>> {
+    /// Takes the open's block inventory, leaving it [`Inventory::Gone`].
+    fn take_inventory(&self) -> Inventory {
         let p = self.inventory.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        // SAFETY: a non-null inventory came from `Box::into_raw` at open,
-        // and the swap hands it to exactly one caller.
-        (!p.is_null()).then(|| unsafe { Box::from_raw(p) })
+        if p.is_null() {
+            Inventory::Gone
+        } else if p == UNWALKED {
+            Inventory::Unwalked
+        } else {
+            // SAFETY: any other inventory came from `Box::into_raw` at
+            // open, and the swap hands it to exactly one caller.
+            Inventory::Walked(unsafe { Box::from_raw(p) })
+        }
     }
 
     /// Consumes the open's inventory, if still held: the heap is about to
@@ -1391,23 +1548,59 @@ impl Drop for Inner {
         // other threads still hold is left for the next open's GC.
         self.collector.drain();
         self.collector.close();
+        let stranded = self.collector.unreclaimed();
         drop(self.take_inventory());
-        // Stop routing new work here before the mapping goes away. The
-        // engine unregisters first so no exiting thread can drain magazines
-        // into a dying engine.
+        // This thread's cached frees join the class bitmaps. Then stop
+        // routing new work here before the mapping goes away: the engine
+        // unregisters first so no exiting thread can drain magazines into
+        // a dying engine.
+        self.engine.drain_own(self.mem);
         self.engine.unregister();
         heap::unregister_region(self.mem.base());
-        MmapBackend::unregister_region(self.mem.base());
         // Clean-close marker only for a pool that actually opened: a
         // half-built Inner from a rejected open must not mutate the file,
         // or it would overwrite the crash diagnostic it just refused.
         if self.ready {
-            self.mem.store(OFF_CLEAN, 1);
-            self.mem.persist_u64(OFF_CLEAN);
-            let _ = mmap::sync(self.mem.base(), self.mem.len());
-            obs::ring::record(obs::ring::EventKind::Close, &pool_label(&self.path), 0, 0);
+            // A heap an open walked may hold crash garbage until a
+            // collection proves it has none, and structures a crash left to
+            // recover until each has: a seal would hide both.
+            let report = self.report.get_mut().unwrap_or_else(|e| e.into_inner());
+            let recovered = self.unrecovered.get_mut().unwrap_or_else(|e| e.into_inner()).is_empty();
+            let proven = self.created || report.sealed || (report.gc_ran && recovered);
+            let sealable = proven
+                && !*self.orphaned.get_mut()
+                && stranded == 0
+                && self.engine.magazines_held() == 0;
+            let sealed = self.close_cleanly(sealable);
+            obs::ring::record(obs::ring::EventKind::Close, &pool_label(&self.path), u64::from(sealed), 0);
         }
+        MmapBackend::unregister_region(self.mem.base());
         mmap::unmap(self.mem.base(), self.mem.len());
+    }
+}
+
+impl Inner {
+    /// The clean close's writes, in `nvdata.c`'s order (see the `seal`
+    /// module): the heap state reaches the file, then — when `sealable`
+    /// (no unproven garbage, nothing stranded, every magazine drained) and
+    /// the record fits above the frontier — the summary record and its
+    /// CRC, then the signature, then the clean flag, each persisted before
+    /// the next. Returns whether the close sealed.
+    fn close_cleanly(&self, sealable: bool) -> bool {
+        let mem = self.mem;
+        let _ = mmap::sync(mem.base(), mem.len());
+        seal::step("state");
+        let sealed = sealable && self.engine.seal(mem, OFF_SEAL_AT);
+        if sealed {
+            mem.store(OFF_SEAL_SIG, seal::SIGNATURE);
+            mem.persist_u64(OFF_SEAL_SIG);
+            seal::step("signature");
+        }
+        mem.store(OFF_CLEAN, if sealed { seal::CLEAN_SEALED } else { 1 });
+        mem.persist_u64(OFF_CLEAN);
+        seal::step("clean");
+        mem.sync_range(0, HEAP_START as usize);
+        sealed
     }
 }
 

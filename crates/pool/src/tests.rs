@@ -16,6 +16,15 @@ fn cleanup(p: &Path) {
     let _ = std::fs::remove_file(p);
 }
 
+/// Clears a closed pool file's clean flag, as a crash would leave it: the
+/// next open walks the heap and keeps the inventory a collection needs,
+/// instead of reading the sealed summary.
+fn unseal(p: &Path) {
+    use std::os::unix::fs::FileExt;
+    let file = OpenOptions::new().write(true).open(p).unwrap();
+    file.write_all_at(&0u64.to_le_bytes(), OFF_CLEAN).unwrap();
+}
+
 /// [`Pool::collect`] with `trace` as the tracer of root `name`.
 ///
 /// # Safety
@@ -555,12 +564,22 @@ fn builder_requires_path_and_capacity() {
     cleanup(&path);
 }
 
+unsafe fn mark_root(root: *mut u8, marker: &mut gc::Marker<'_>) {
+    marker.mark(root);
+}
+
+/// The same rules hold on walked opens and on sealed ones, whose first
+/// collection walks the heap the close left.
 #[test]
 fn only_the_first_collect_before_any_alloc_or_free_runs() {
-    unsafe fn mark_root(root: *mut u8, marker: &mut gc::Marker<'_>) {
-        marker.mark(root);
-    }
-    let path = tmp("first-collect");
+    first_collect_rules(true);
+    first_collect_rules(false);
+}
+
+/// [`only_the_first_collect_before_any_alloc_or_free_runs`], with every
+/// open walked (`walk`) or sealed.
+fn first_collect_rules(walk: bool) {
+    let path = tmp(if walk { "first-collect-walked" } else { "first-collect-sealed" });
     let (root_off, orphans);
     {
         let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
@@ -573,7 +592,15 @@ fn only_the_first_collect_before_any_alloc_or_free_runs() {
             pool.offset_of(pool.alloc(64, 8).unwrap()),
         ];
     }
-    let open = || Pool::builder().path(&path).open().unwrap();
+    // Every close below seals: to walk, unseal before each open.
+    let open = || {
+        if walk {
+            unseal(&path);
+        }
+        let pool = Pool::builder().path(&path).open().unwrap();
+        assert_eq!(pool.recovery_report().sealed, !walk);
+        pool
+    };
     // SAFETY (every `collect` below): the root is a single self-contained
     // block; `mark_root` covers it, and nothing attaches to this pool.
 
@@ -618,6 +645,40 @@ fn only_the_first_collect_before_any_alloc_or_free_runs() {
     cleanup(&path);
 }
 
+/// A block a session allocated and never linked survives a sealed close as
+/// live; an explicit collection on the sealed open walks the heap and
+/// reclaims exactly it, and the next close seals the swept heap.
+#[test]
+fn an_explicit_collect_on_a_sealed_open_sweeps_an_orphan() {
+    let path = tmp("sealed-collect");
+    let (root_off, orphan) = {
+        let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
+        let keep = pool.alloc(64, 8).unwrap();
+        pool.set_root_offset("r", pool.offset_of(keep)).unwrap();
+        (pool.offset_of(keep), pool.offset_of(pool.alloc(64, 8).unwrap()))
+    };
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let report = pool.recovery_report();
+    assert!(report.sealed && !report.gc_ran);
+    assert_eq!(report.live_blocks, 2, "the sealed close kept the orphan as live");
+    // SAFETY: the root is a single self-contained block `mark_root` covers,
+    // and nothing attaches to this pool.
+    assert!(unsafe { collect(&pool, "r", mark_root) }, "a sealed open's explicit collect did not run");
+    let report = pool.recovery_report();
+    assert!(report.gc_ran);
+    assert_eq!((report.reclaimed_blocks, report.live_blocks), (1, 1));
+    assert_eq!(pool.live_offsets(), vec![root_off - BLOCK_HEADER]);
+    assert!(!pool.is_allocated_payload(orphan));
+    assert_eq!(pool.inner.engine.summary(pool.inner.mem), walked_summary(&pool));
+    drop(pool);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let report = pool.recovery_report();
+    assert!(report.sealed, "the swept session's close did not seal");
+    assert_eq!(report.live_blocks, 1);
+    drop(pool);
+    cleanup(&path);
+}
+
 #[test]
 fn a_refusing_tracer_sweeps_nothing() {
     unsafe fn mark_then_refuse(root: *mut u8, marker: &mut gc::Marker<'_>) {
@@ -632,6 +693,7 @@ fn a_refusing_tracer_sweeps_nothing() {
         // An orphan a collection would sweep.
         pool.alloc(64, 8).unwrap();
     }
+    unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
     // SAFETY: the tracer reads nothing; it refuses every root.
     assert!(!unsafe { collect(&pool, "r", mark_then_refuse) });
@@ -658,6 +720,7 @@ fn mark_allocated_if_skips_marked_blocks() {
         pool.set_root_offset("r", blocks[0]).unwrap();
         blocks
     };
+    unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
     let mut offered = Vec::new();
     let mut trace = |root: *mut u8, marker: &mut gc::Marker<'_>| {
@@ -735,6 +798,7 @@ fn op_table_registers_slots_and_survives_reopen() {
     };
     drop(pool);
 
+    unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
     // SAFETY: the pool's one root is the ops table, which brings its own.
     assert!(unsafe { pool.collect(&mut []) }, "ops root has a built-in tracer");
@@ -875,6 +939,7 @@ fn marker_refuses_payload_bytes_that_mimic_a_header() {
         }
         pool.set_root_offset("r", a_off).unwrap();
     }
+    unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
     // SAFETY: the root is one self-contained block; the tracer marks it.
     assert!(unsafe { collect(&pool, "r", probe_inside) });
@@ -958,6 +1023,7 @@ fn recovery_gc_reclaims_exactly_the_garbage_and_allocates_in_address_order() {
         frontier = pool.inner.engine.frontier();
         kept = keep;
     }
+    unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
     // SAFETY: `trace_listed` reads the layout written above.
     assert!(unsafe { collect(&pool, "r", trace_listed) });
@@ -1089,6 +1155,240 @@ fn concurrent_claims_are_exact_and_come_before_the_frontier() {
     // Every recovered block is claimed: the next allocation carves.
     pool.alloc(SIZES[0], 8).unwrap();
     assert!(pool.inner.engine.frontier() > frontier, "nothing left to claim, yet no carve");
+    drop(pool);
+    cleanup(&path);
+}
+
+// ---- the sealed summary ------------------------------------------------------
+
+/// The summary a heap walk of `pool` derives: what a sealed open must
+/// restore.
+fn walked_summary(pool: &Pool) -> seal::Summary {
+    let mut summary = seal::Summary { frontier: pool.inner.engine.frontier(), ..seal::Summary::default() };
+    for (off, _, class, allocated) in inventory(pool) {
+        if allocated {
+            summary.live += 1;
+        } else {
+            summary.free[class].push(off);
+        }
+    }
+    summary
+}
+
+/// A closed image holding every kind of free block: a root listing `KEYS`
+/// blocks that each hold their key, frees of several classes on this thread
+/// (some still in its magazine at the close, some drained), frees on a
+/// thread that exits, and two oversize frees. Returns the root's offset.
+fn mixed_image(path: &Path) -> u64 {
+    const KEYS: usize = 40;
+    let pool = Pool::builder().path(path).capacity(2 << 20).create().unwrap();
+    let root = pool.alloc(8 * (KEYS + 1), 8).unwrap() as *mut u64;
+    let mut freed = Vec::new();
+    for i in 0..KEYS {
+        let p = pool.alloc(24 + 40 * (i % 5), 8).unwrap();
+        // SAFETY: fresh blocks of at least 24 bytes; the root holds KEYS + 1 words.
+        unsafe {
+            (p as *mut u64).write(1000 + i as u64);
+            root.add(1 + i).write(pool.offset_of(p));
+        }
+        freed.extend((0..3).map(|_| pool.alloc(24 + 40 * (i % 5), 8).unwrap()));
+    }
+    // SAFETY: as above.
+    unsafe { root.write(KEYS as u64) };
+    pool.set_root_offset("r", pool.offset_of(root as *const u8)).unwrap();
+    for p in freed {
+        // SAFETY: allocated above, referenced by nobody.
+        unsafe { pool.dealloc(p) };
+    }
+    let big: Vec<_> = (0..3).map(|i| pool.alloc(70_000 + 4096 * i, 8).unwrap()).collect();
+    // SAFETY: as above.
+    unsafe {
+        pool.dealloc(big[2]);
+        pool.dealloc(big[0]);
+    }
+    let other = pool.clone();
+    std::thread::spawn(move || {
+        let blocks: Vec<usize> = (0..200).map(|_| other.alloc(40, 8).unwrap() as usize).collect();
+        for p in blocks.into_iter().rev() {
+            // SAFETY: allocated above, referenced by nobody.
+            unsafe { other.dealloc(p as *mut u8) };
+        }
+    })
+    .join()
+    .unwrap();
+    let root = pool.offset_of(root as *const u8);
+    drop(pool);
+    root
+}
+
+/// The keys `mixed_image` left behind its root, read back through `pool`.
+fn mixed_keys(pool: &Pool, root: u64) -> Vec<u64> {
+    let root = pool.at(root) as *const u64;
+    // SAFETY: the root block `[n, off…]` written by `mixed_image`.
+    unsafe { (1..=root.read() as usize).map(|i| (pool.at(root.add(i).read()) as *const u64).read()).collect() }
+}
+
+#[test]
+fn a_sealed_open_agrees_with_verify_heap() {
+    let path = tmp("sealed-agrees");
+    let root = mixed_image(&path);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let report = pool.recovery_report();
+    assert!(report.sealed && report.clean_shutdown && !report.gc_ran, "{report:?}");
+    let walked = walked_summary(&pool);
+    let free: usize = walked.free.iter().map(Vec::len).sum();
+    assert!(free > 200 && walked.free[OVERSIZE].len() == 2, "too few free blocks to tell");
+    assert_eq!(pool.inner.engine.summary(pool.inner.mem), walked, "the engine's free blocks are not the heap's");
+    let heap = pool.verify_heap().unwrap();
+    assert_eq!((report.live_blocks, report.free_blocks), (heap.live.len(), heap.free_blocks));
+    assert_eq!(mixed_keys(&pool, root), (1000..1040).collect::<Vec<_>>());
+    drop(pool);
+    // The same image walked reports the same heap.
+    unseal(&path);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let walked_report = pool.recovery_report();
+    assert!(!walked_report.sealed);
+    assert_eq!((walked_report.live_blocks, walked_report.free_blocks, walked_report.heap_bytes), (report.live_blocks, report.free_blocks, report.heap_bytes));
+    drop(pool);
+    cleanup(&path);
+}
+
+#[test]
+fn a_thousand_blocks_freed_before_a_sealed_close_come_back_after_it() {
+    let path = tmp("sealed-reuse");
+    let freed: Vec<u64> = {
+        let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
+        let blocks: Vec<*mut u8> = (0..1000).map(|_| pool.alloc(40, 8).unwrap()).collect();
+        let keep = pool.alloc(40, 8).unwrap();
+        pool.set_root_offset("r", pool.offset_of(keep)).unwrap();
+        let offsets = blocks.iter().map(|&p| pool.offset_of(p)).collect();
+        for p in blocks {
+            // SAFETY: allocated above, referenced by nobody.
+            unsafe { pool.dealloc(p) };
+        }
+        offsets
+    };
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(pool.recovery_report().sealed);
+    let frontier = pool.inner.engine.frontier();
+    let got: std::collections::BTreeSet<u64> = (0..1000).map(|_| pool.offset_of(pool.alloc(40, 8).unwrap())).collect();
+    assert_eq!(pool.inner.engine.frontier(), frontier, "a slab was carved while freed blocks waited");
+    assert_eq!(got, freed.into_iter().collect(), "the reallocated blocks are not the freed ones");
+    pool.verify_heap().unwrap();
+    drop(pool);
+    cleanup(&path);
+}
+
+/// Every word of the record, and the header words that seal it, flipped,
+/// zeroed or cut off: each such open walks the heap, finds every key, and
+/// leaves the engine holding exactly the heap's free blocks.
+#[test]
+fn every_damaged_seal_takes_the_full_walk() {
+    let path = tmp("sealed-fuzz");
+    let root = mixed_image(&path);
+    let sealed = std::fs::read(&path).unwrap();
+    let word = |at: u64| u64::from_le_bytes(sealed[at as usize..at as usize + 8].try_into().unwrap());
+    let at = word(OFF_SEAL_AT);
+    let words = word(at + 8);
+    assert!(words > 200, "record of {words} words");
+    let (live, free) = {
+        let pool = Pool::builder().path(&path).open().unwrap();
+        assert!(pool.recovery_report().sealed);
+        let report = pool.recovery_report();
+        (report.live_blocks, report.free_blocks)
+    };
+    let mut damaged = Vec::new();
+    for off in [OFF_SEAL_SIG, OFF_SEAL_AT] {
+        damaged.push(vec![(off, word(off) ^ 1)]);
+        damaged.push(vec![(off, 0)]);
+    }
+    for i in 0..words {
+        let w = at + 8 * i;
+        damaged.push(vec![(w, word(w) ^ (1 << (i % 64)))]);
+        damaged.push(vec![(w, 0)]);
+        // The record cut short at word `i`: its length says so, and the
+        // words past it are gone.
+        damaged.push((i..words).map(|j| (at + 8 * j, 0)).chain([(at + 8, i)]).collect());
+    }
+    let mut opened = 0;
+    for patch in damaged {
+        let mut image = sealed.clone();
+        for &(off, value) in &patch {
+            image[off as usize..off as usize + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        if image == sealed {
+            continue;
+        }
+        std::fs::write(&path, &image).unwrap();
+        let pool = Pool::builder().path(&path).open().unwrap();
+        let report = pool.recovery_report();
+        assert!(!report.sealed, "a damaged seal was trusted: {patch:x?}");
+        assert_eq!((report.live_blocks, report.free_blocks), (live, free), "{patch:x?}");
+        assert_eq!(pool.inner.engine.summary(pool.inner.mem), walked_summary(&pool), "{patch:x?}");
+        assert_eq!(mixed_keys(&pool, root), (1000..1040).collect::<Vec<_>>(), "{patch:x?}");
+        drop(pool);
+        opened += 1;
+    }
+    assert!(opened as u64 > 2 * words, "only {opened} damaged images");
+    cleanup(&path);
+}
+
+/// The close writes in `nvdata.c`'s order: the state, then the record and
+/// its CRC, then the signature, then the clean flag. A close that cannot
+/// seal — here a walked session that never collected — writes only the
+/// state and the clean flag.
+#[test]
+fn a_close_seals_in_nvdata_order() {
+    let path = tmp("seal-order");
+    let steps = || seal::STEPS.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    steps();
+    let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
+    let p = pool.alloc(64, 8).unwrap();
+    pool.set_root_offset("r", pool.offset_of(p)).unwrap();
+    drop(pool);
+    assert_eq!(steps(), ["state", "record", "signature", "clean"]);
+    unseal(&path);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(!pool.recovery_report().sealed);
+    drop(pool);
+    assert_eq!(steps(), ["state", "clean"], "a session that never collected sealed");
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(!pool.recovery_report().sealed, "an unsealed close was trusted");
+    drop(pool);
+    cleanup(&path);
+}
+
+/// A root removed or repointed may leave its old graph as garbage that only
+/// a collection finds, so that session's close writes no seal.
+#[test]
+fn a_session_that_drops_a_root_writes_no_seal() {
+    let path = tmp("seal-orphan");
+    let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
+    for name in ["a", "b"] {
+        pool.set_root_offset(name, pool.offset_of(pool.alloc(64, 8).unwrap())).unwrap();
+    }
+    pool.set_root_offset("a", pool.root_offset("a").unwrap()).unwrap();
+    drop(pool);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(pool.recovery_report().sealed, "rewriting a root's own offset orphans nothing");
+    pool.remove_root("b").unwrap();
+    drop(pool);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(!pool.recovery_report().sealed, "a session that removed a root sealed");
+    drop(pool);
+    // SAFETY: the one root is a single block; a collection seals again.
+    unseal(&path);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(unsafe { collect(&pool, "a", |root, marker| _ = marker.mark(root)) });
+    pool.note_recovered("a");
+    drop(pool);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(pool.recovery_report().sealed);
+    let fresh = pool.offset_of(pool.alloc(64, 8).unwrap());
+    pool.set_root_offset("a", fresh).unwrap();
+    drop(pool);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(!pool.recovery_report().sealed, "a session that repointed a root sealed");
     drop(pool);
     cleanup(&path);
 }

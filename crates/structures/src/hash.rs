@@ -404,11 +404,16 @@ unsafe impl<L: BucketList> PoolTrace for BucketTable<L> {
     }
 
     /// Hands every bucket its plan. The table attached from the block the
-    /// trace decoded, so there is one plan per bucket.
-    fn recover_attached(&self, plans: Vec<L::Plan>) {
+    /// trace decoded, so there is one plan per bucket; a sealed open
+    /// (`None`) hands every bucket `None`.
+    fn recover_attached(&self, plans: Option<Vec<L::Plan>>) {
+        let Some(plans) = plans else {
+            self.buckets.iter().for_each(|bucket| bucket.recover_attached(None));
+            return;
+        };
         debug_assert_eq!(plans.len(), self.buckets.len());
         for (bucket, plan) in self.buckets.iter().zip(plans) {
-            bucket.recover_attached(plan);
+            bucket.recover_attached(Some(plan));
         }
     }
 }
@@ -740,6 +745,8 @@ mod tests {
                 pool.sync().unwrap();
             }
 
+            // As a crash leaves it: the clean close sealed the image.
+            crate::unseal(&path);
             let pool = Pool::builder().path(&path).open().unwrap();
             let map = pool.root::<Map>(name).unwrap();
             let report = pool.recovery_report();
@@ -758,6 +765,7 @@ mod tests {
 
             // A second open finds nothing to reclaim: the marked nodes were
             // trimmed by recover(), retired, and freed by the close's drain.
+            crate::unseal(&path);
             let pool = Pool::builder().path(&path).open().unwrap();
             let map = pool.root::<Map>(name).unwrap();
             let report = pool.recovery_report();
@@ -841,6 +849,7 @@ mod tests {
             map.close().unwrap();
             (victim, before)
         };
+        crate::unseal(&path);
         let pool = Pool::builder().path(&path).open().unwrap();
         let map = pool.root::<Map>("kv").unwrap();
         assert!(pool.recovery_report().gc_ran);

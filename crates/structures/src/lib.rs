@@ -138,6 +138,16 @@ pub(crate) unsafe fn trace_chains<N>(
 }
 
 mod chain;
+
+/// Clears a closed pool file's clean flag (header byte 40), as a crash
+/// leaves it: the next open ignores the sealed summary, walks the heap and
+/// runs the recovery collection and the structures' recovery.
+#[cfg(test)]
+pub(crate) fn unseal(path: &std::path::Path) {
+    use std::os::unix::fs::FileExt;
+    let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    file.write_all_at(&0u64.to_le_bytes(), 40).unwrap();
+}
 pub mod ellen_bst;
 pub mod hash;
 pub mod list;

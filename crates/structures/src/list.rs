@@ -571,9 +571,10 @@ where
     }
 
     /// [`recover_list`](HarrisList::recover_list), if the trace crossed a
-    /// marked link: otherwise there is nothing to disconnect.
-    fn recover_attached(&self, marked: bool) {
-        if marked {
+    /// marked link: otherwise — and after a sealed close — there is nothing
+    /// to disconnect.
+    fn recover_attached(&self, marked: Option<bool>) {
+        if marked == Some(true) {
             self.recover_list();
         }
     }

@@ -154,7 +154,7 @@ where
         unsafe { <SkipList<K, V, D> as nvtraverse::PoolTrace>::trace(root, marker) }
     }
 
-    fn recover_attached(&self, plan: SkipPlan) {
+    fn recover_attached(&self, plan: Option<SkipPlan>) {
         self.inner.recover_attached(plan);
     }
 }

@@ -12,10 +12,11 @@
 //!   not even lock-free shard heads — and no structure memory. Contention
 //!   drops with shard count, and each shard file can later live on a
 //!   different device.
-//! * **Independent recovery**: every shard is opened, heap-walked,
-//!   mark-sweep-collected and `recover()`ed on its own — concurrently, one
-//!   thread per shard at [`ShardedSet::open`] — and each reports its own
-//!   [`RecoveryReport`] ([`ShardedSet::recovery_reports`]). A crash is
+//! * **Independent recovery**: every shard is opened and recovered on its
+//!   own — concurrently, one thread per shard at [`ShardedSet::open`]: from
+//!   its sealed summary after a clean close, heap-walked,
+//!   mark-sweep-collected and `recover()`ed after a crash — and each
+//!   reports its own [`RecoveryReport`] ([`ShardedSet::recovery_reports`]). A crash is
 //!   repaired shard by shard; a corrupt shard file fails *its* open without
 //!   touching the others' data.
 //! * **Uniform interface**: [`ShardedSet`] implements [`DurableSet`] by
@@ -47,11 +48,12 @@
 //! for k in 0..100u64 { set.insert(k, k * 2); }
 //! set.close()?;
 //!
-//! // Reopen: all 4 pools open concurrently, each recovers independently.
+//! // Reopen: all 4 pools open concurrently, each from the summary its
+//! // clean close sealed — no heap walk, nothing to collect.
 //! let set = ShardedSet::<List>::open(&dir)?;
 //! assert_eq!(set.shard_count(), 4);
 //! assert_eq!(set.len(), 100);
-//! assert!(set.recovery_reports().iter().all(|r| r.gc_ran));
+//! assert!(set.recovery_reports().iter().all(|r| r.sealed));
 //! # set.close()?; std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), std::io::Error>(())
 //! ```

@@ -828,7 +828,7 @@ impl<K: Word, V: Word, B: Backend> Threading<K, V, B> {
 /// What a skiplist's trace found. `Intact` means the walk proved the
 /// structure already is what [`SkipList::recover_skiplist`] would make of
 /// it: no marked bottom link, every live node's `link_state` at
-/// [`LINKED`], and every tower word naming the next live node of its level
+/// `LINKED`, and every tower word naming the next live node of its level
 /// (null at the end). Recovery then only reseeds the height source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipPlan {
@@ -1136,12 +1136,14 @@ where
     }
 
     /// Reseeds the height source of an intact skiplist; runs
-    /// [`recover_skiplist`](SkipList::recover_skiplist) on any other.
-    fn recover_attached(&self, plan: SkipPlan) {
+    /// [`recover_skiplist`](SkipList::recover_skiplist) on any other. A
+    /// sealed open (`None`) walks nothing: the height source restarts at
+    /// its first draw, which correctness never depends on.
+    fn recover_attached(&self, plan: Option<SkipPlan>) {
         match plan {
-            SkipPlan::Intact { live } if D::DURABLE => self.reseed(live),
-            SkipPlan::Intact { .. } => {}
-            SkipPlan::Rebuild => self.recover_skiplist(),
+            Some(SkipPlan::Intact { live }) if D::DURABLE => self.reseed(live),
+            None | Some(SkipPlan::Intact { .. }) => {}
+            Some(SkipPlan::Rebuild) => self.recover_skiplist(),
         }
     }
 }
@@ -1742,6 +1744,8 @@ mod tests {
             MmapBackend::fence();
             s.close().unwrap();
         }
+        // As a crash leaves it: the clean close sealed the image.
+        crate::unseal(&path);
         let image = std::fs::read(&path).unwrap();
 
         // The reference, on the image as closed.

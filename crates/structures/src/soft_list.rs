@@ -169,6 +169,13 @@ pub(crate) const PERSIST_HDR: usize = 5 * 8;
 /// refused.
 const LAYOUT_TAG: u64 = u64::from_le_bytes(*b"SOFTv002");
 
+/// How far one `seq` lease reaches. A head sentinel's `seq` word holds the
+/// list's lease: every `seq` the list has issued lies below it, and it is
+/// durable before any header that holds such a `seq` can be, so an open
+/// resumes the counter from it without reading a node header. Raising it
+/// by this much at a time costs one flush and one fence per `LEASE` seqs.
+const LEASE: u64 = 1 << 16;
+
 /// SplitMix64 finalizer (same mixer as the op-descriptor checksum in
 /// `nvtraverse_pool::optable`).
 fn mix64(mut x: u64) -> u64 {
@@ -393,6 +400,9 @@ pub struct SoftList<K: Word, V: Word, D: Durability> {
     /// highest durable `seq` on attach/recovery so node generations never
     /// repeat within one list (the seal-uniqueness invariant).
     next_seq: AtomicU64,
+    /// The durable lease ([`LEASE`]) as this handle last read or raised it
+    /// in the head's `seq` word: `next_seq` may issue below it freely.
+    lease: AtomicU64,
     _marker: PhantomData<fn() -> D>,
 }
 
@@ -480,15 +490,15 @@ where
             key: PCell::new(K::from_bits(0)),
             value: PCell::new(V::from_bits(0)),
             owner: PCell::new(0),
-            seq: PCell::new(0),
+            seq: PCell::new(LEASE),
             next: PCell::new(MarkedPtr::null()),
         })
         .expect("persistent pool exhausted while allocating list head");
         // SAFETY: a fresh head nothing else can see; the value word is
         // written raw, since `V` may not hold all 64 bits of the tag.
         unsafe { addr_of_mut!((*head).value).cast::<PCell<u64, D::B>>().write(PCell::new(LAYOUT_TAG)) };
-        // Persist the empty list, tag included, so it survives a crash at
-        // time zero.
+        // Persist the empty list, tag and first lease included, so it
+        // survives a crash at time zero.
         D::persist_new_node(head as *const u8, PERSIST_HDR);
         D::before_return();
         // SAFETY: `head` was just allocated by this type, in the current scope.
@@ -519,7 +529,54 @@ where
             ctx,
             owner_tag: head as u64,
             next_seq: AtomicU64::new(1),
+            // SAFETY: the head is live (the contract); its `seq` word is
+            // the lease, read raw like every header word recovery reads.
+            // nvt-lint: allow(raw-pcell-access): the lease is read once, raw, on a quiescent head
+            lease: AtomicU64::new(unsafe { (*head).seq.peek_bits() }),
             _marker: PhantomData,
+        }
+    }
+
+    /// The next node generation: a fresh `seq`, under the durable lease.
+    fn issue_seq(&self) -> u64 {
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        if seq >= self.lease.load(Ordering::Acquire) {
+            self.extend_lease(seq);
+        }
+        seq
+    }
+
+    /// Raises the head's lease past `seq` and makes it durable (one flush,
+    /// one fence) before `seq` can reach any header. A thread that finds it
+    /// already raised flushes and fences it too, since the raiser's flush
+    /// may still be in flight.
+    #[cold]
+    fn extend_lease(&self, seq: u64) {
+        // SAFETY: the head sentinel lives as long as the list.
+        let word = unsafe { &(*self.head).seq };
+        // nvt-lint: begin-allow(raw-pcell-access): SOFT places its own flushes: the lease is flushed and fenced right here
+        let mut lease = word.peek_bits();
+        while lease <= seq {
+            match word.compare_exchange(lease, seq + LEASE) {
+                Ok(_) => lease = seq + LEASE,
+                Err(now) => lease = now,
+            }
+        }
+        // nvt-lint: end-allow(raw-pcell-access)
+        D::B::flush(word.addr());
+        D::B::fence();
+        self.lease.fetch_max(lease, Ordering::Release);
+    }
+
+    /// Resumes the `seq` counter past `floor`, the highest generation a
+    /// recovery read plus one, and past the lease. A lease that does not
+    /// cover `floor` (an image written before leases existed) is raised at
+    /// once, or a later sealed open would resume below a header's `seq`.
+    fn resume_seq(&self, floor: u64) {
+        let lease = self.lease.load(Ordering::Acquire);
+        self.next_seq.fetch_max(floor.max(lease), Ordering::Relaxed);
+        if floor > lease {
+            self.extend_lease(floor);
         }
     }
 
@@ -584,7 +641,7 @@ where
     /// fenced unless a stale twin was tombstoned.
     fn relink(&self, plan: RelinkPlan) {
         let RelinkPlan { rebuild, seq_floor } = plan;
-        self.next_seq.fetch_max(seq_floor, Ordering::Relaxed);
+        self.resume_seq(seq_floor);
         let Some(mut live) = rebuild else {
             return;
         };
@@ -708,7 +765,7 @@ where
                     }
                     return Critical::Restart;
                 }
-                let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+                let seq = self.issue_seq();
                 let seal = hdr_seal(key.to_bits(), value.to_bits(), self.owner_tag, seq);
                 let Some(node) = Self::alloc_soft(SoftNode {
                     vstart: PCell::new(seal),
@@ -896,9 +953,13 @@ where
         unsafe { trace_owned::<K, V, D::B>(&[root], marker) }.pop().unwrap_or_default()
     }
 
-    fn recover_attached(&self, plan: Self::Plan) {
-        if D::DURABLE {
-            self.relink(plan);
+    /// Relinks on the plan. A sealed open (`None`) only resumes the `seq`
+    /// counter from the head's lease: no header is read.
+    fn recover_attached(&self, plan: Option<Self::Plan>) {
+        match plan {
+            Some(plan) if D::DURABLE => self.relink(plan),
+            None if D::DURABLE => self.resume_seq(0),
+            _ => {}
         }
     }
 }
@@ -1288,6 +1349,8 @@ mod tests {
             list.close().unwrap();
         }
 
+        // As a crash leaves it: the clean close sealed the image.
+        crate::unseal(&path);
         let pool = Pool::builder().path(&path).open().unwrap();
         let list = pool.root::<L>("s").unwrap();
         let report = pool.recovery_report();
@@ -1325,6 +1388,7 @@ mod tests {
             }
             list.close().unwrap();
         }
+        crate::unseal(&path);
         let pool = Pool::builder().path(&path).open().unwrap();
         PROBES.with(|p| p.set(0));
         let list = pool.root::<L>("s").unwrap();
@@ -1358,6 +1422,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         // Each bucket's plan from a trace of the closed image; nothing attaches.
         let plans = || {
+            crate::unseal(&path);
             let pool = Pool::builder().path(&path).open().unwrap();
             let mut plans = Vec::new();
             // SAFETY: the root was created as a `Map`.
@@ -1548,5 +1613,58 @@ mod tests {
         assert_eq!(l.get(BITS), Some(BITS), "recovery dropped poison-shaped data");
         assert_eq!(l.get(1), Some(10));
         assert_eq!(l.check_consistency(false).unwrap(), 2);
+    }
+
+    /// A sealed open reads no node header, so SOFT resumes its `seq`
+    /// counter from the lease in the head: every `seq` issued after the
+    /// open exceeds every `seq` issued before the close, over two cycles.
+    #[test]
+    fn a_sealed_open_resumes_seq_past_every_generation() {
+        use nvtraverse::TypedRoots;
+        use nvtraverse_pmem::MmapBackend;
+        type L = SoftList<u64, u64, Soft<MmapBackend>>;
+        let path = std::env::temp_dir().join(format!("nvt-soft-lease-{}.pool", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        // The `seq` of every linked node whose key is in `keys`.
+        let seqs = |list: &L, keys: std::ops::Range<u64>| {
+            let mut out = Vec::new();
+            chain::walk::<_, ()>(list.head, |n, _| {
+                // SAFETY: quiescent; `n` is a linked node.
+                let (key, seq) = unsafe { ((*n).key.peek_bits(), (*n).seq.peek_bits()) };
+                if keys.contains(&key) {
+                    out.push(seq);
+                }
+                ControlFlow::Continue(())
+            });
+            out
+        };
+        let mut issued = {
+            let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
+            let list = pool.create_root::<L>("s").unwrap();
+            for k in 0..300u64 {
+                assert!(list.insert(k, k));
+            }
+            for k in (0..300u64).step_by(3) {
+                assert!(list.remove(k));
+            }
+            let issued = list.next_seq.load(Ordering::Relaxed);
+            list.close().unwrap();
+            issued
+        };
+        for round in 1..=2u64 {
+            let pool = Pool::builder().path(&path).open().unwrap();
+            assert!(pool.recovery_report().sealed, "round {round}");
+            let list = pool.root::<L>("s").unwrap();
+            let keys = 1000 * round..1000 * round + 300;
+            for k in keys.clone() {
+                assert!(list.insert(k, k));
+            }
+            let fresh = seqs(&list, keys);
+            assert_eq!(fresh.len(), 300);
+            assert!(fresh.iter().all(|&seq| seq >= issued), "round {round}: a seq below {issued} was issued again");
+            issued = list.next_seq.load(Ordering::Relaxed);
+            list.close().unwrap();
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -322,7 +322,7 @@ where
         }
     }
 
-    fn recover_attached(&self, (): ()) {
+    fn recover_attached(&self, _: Option<()>) {
         self.recover();
     }
 }

@@ -19,6 +19,11 @@
 //! FIFO contents and that the rebuilt tail shortcut appends at the real
 //! end, the skiplist checks lookups through its freshly rebuilt towers.
 //!
+//! Each run after the first also prints which path the open took: `sealed`
+//! when the previous run closed cleanly and left a summary (no heap walk,
+//! nothing to collect), `walked` after a crash — kill the second run with
+//! SIGKILL between open and close to see one.
+//!
 //! Pass a path argument to choose the pool file; pass `--reset` to delete it
 //! first.
 
@@ -90,25 +95,34 @@ fn main() {
     } else {
         // ---- second run: reopen, recover each root, verify -------------
         let pool = Pool::builder().path(&path).open().unwrap();
-        // The recovery GC needs a tracer for *every* root, and only the
-        // first collection after the open can run, so hand it all three
-        // before the first `root::<S>()` (a single-root pool skips this —
-        // `root::<S>()` collects with its own tracer). Their recovery plans
-        // are dropped here: each `root::<S>()` below traces its root again,
-        // read-only, for its own.
-        // SAFETY: these roots were created by these exact types above, and
-        // nothing has attached yet.
-        let collected = unsafe {
-            pool.collect(&mut [
-                ("demo-list", &mut |root, marker| _ = PooledList::trace(root, marker)),
-                ("demo-queue", &mut |root, marker| PooledQueue::trace(root, marker)),
-                ("demo-skip", &mut |root, marker| _ = PooledSkip::trace(root, marker)),
-            ])
-        };
-        assert!(
-            collected,
-            "all three roots have tracers, so the recovery GC must run"
-        );
+        // The ring's `Open` event names the path this open took.
+        let open_path = nvtraverse_suite::obs::ring::recent()
+            .into_iter()
+            .rev()
+            .find(|e| e.kind == nvtraverse_suite::obs::ring::EventKind::Open)
+            .map_or("unrecorded", |e| if e.b == 1 { "sealed" } else { "walked" });
+        // A walked open (after a crash) must collect: the recovery GC
+        // needs a tracer for *every* root, and only the first collection
+        // after the open can run, so hand it all three before the first
+        // `root::<S>()` (a single-root pool skips this — `root::<S>()`
+        // collects with its own tracer). Their recovery plans are dropped
+        // here: each `root::<S>()` below traces its root again, read-only,
+        // for its own. A sealed open has nothing to collect or recover.
+        if !pool.recovery_report().sealed {
+            // SAFETY: these roots were created by these exact types above,
+            // and nothing has attached yet.
+            let collected = unsafe {
+                pool.collect(&mut [
+                    ("demo-list", &mut |root, marker| _ = PooledList::trace(root, marker)),
+                    ("demo-queue", &mut |root, marker| PooledQueue::trace(root, marker)),
+                    ("demo-skip", &mut |root, marker| _ = PooledSkip::trace(root, marker)),
+                ])
+            };
+            assert!(
+                collected,
+                "all three roots have tracers, so the recovery GC must run"
+            );
+        }
 
         let list = pool.root::<PooledList>("demo-list").unwrap();
         let mut recovered = 0;
@@ -142,13 +156,14 @@ fn main() {
         let report = pool.recovery_report();
 
         println!(
-            "reopened pool {path}: {recovered} list keys, {} queued values, \
-             {} skiplist keys ({} live blocks, clean_shutdown={}, gc_ran={}, \
-             gc reclaimed {} blocks / {} bytes in {} µs) — all verified",
+            "reopened pool {path} (open path: {open_path}): {recovered} list keys, \
+             {} queued values, {} skiplist keys ({} live blocks, clean_shutdown={}, \
+             sealed={}, gc_ran={}, gc reclaimed {} blocks / {} bytes in {} µs) — all verified",
             queue.len(),
             skip.len(),
             report.live_blocks,
             report.clean_shutdown,
+            report.sealed,
             report.gc_ran,
             report.reclaimed_blocks,
             report.reclaimed_bytes,

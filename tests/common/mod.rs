@@ -297,3 +297,13 @@ pub fn open_or_create_pooled<S: nvtraverse::PoolTrace>(
         .open_or_create()?
         .root_or_create::<S>(name)
 }
+
+/// Clears a closed pool file's clean flag (header byte 40), as a crash
+/// leaves it: the next open ignores the sealed summary, walks the heap and
+/// runs the recovery collection.
+#[allow(dead_code)]
+pub fn unseal(path: impl AsRef<std::path::Path>) {
+    use std::os::unix::fs::FileExt;
+    let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    file.write_all_at(&0u64.to_le_bytes(), 40).unwrap();
+}

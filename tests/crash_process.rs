@@ -85,7 +85,7 @@ const SHARD_CAP: u64 = 8 << 20;
 // run concurrently, each on its own pool file(s).
 
 mod common;
-use common::{create_pooled, open_pooled};
+use common::{create_pooled, open_pooled, unseal};
 
 fn paths(tag: &str) -> (PathBuf, PathBuf) {
     let dir = std::env::temp_dir();
@@ -757,7 +757,10 @@ fn sigkill_churn_reclaims_leaked_blocks() {
     }
 
     // validate_churn closed cleanly (collector drained): the sweep of a
-    // clean close/reopen must find exactly nothing.
+    // clean close/reopen must find exactly nothing. The close sealed the
+    // pool, and the typed attach collects nothing on a sealed open: open
+    // it unsealed.
+    unseal(&pool_path);
     let set = open_pooled::<PooledList>(&pool_path, ROOT).unwrap();
     let report = set.pool().recovery_report();
     assert!(report.gc_ran);

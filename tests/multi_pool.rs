@@ -14,6 +14,9 @@ use nvtraverse_structures::list::HarrisList;
 use nvtraverse_structures::queue::MsQueue;
 use std::path::PathBuf;
 
+mod common;
+use common::unseal;
+
 type PooledList = HarrisList<u64, u64, NvTraverse<MmapBackend>>;
 type PooledQueue = MsQueue<u64, NvTraverse<MmapBackend>>;
 
@@ -171,6 +174,9 @@ fn per_pool_gc_runs_independently() {
         drop(pool_b);
     }
 
+    // Both closes sealed; open the images as a crash leaves them.
+    unseal(&path_a);
+    unseal(&path_b);
     let pool_a = Pool::builder().path(&path_a).open().unwrap();
     let pool_b = Pool::builder().path(&path_b).open().unwrap();
     let list_a = pool_a.root::<PooledList>("set").unwrap();

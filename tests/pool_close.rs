@@ -8,6 +8,11 @@
 //! unmapped range, and not, after a reopen at the same base, into a heap
 //! whose GC already took the block back and may have handed it out again
 //! (a double free).
+//!
+//! Such a close writes no sealed summary: the next open must walk the heap
+//! and collect. Neither does a close while another thread still holds a
+//! magazine of the pool's allocator, whose cached free blocks the summary
+//! could not name.
 
 use nvtraverse::policy::NvTraverse;
 use nvtraverse::pool::Pool;
@@ -63,11 +68,13 @@ fn a_retire_outstanding_at_close_is_swept_by_the_next_open_and_never_freed_again
     drop(pool);
 
     // Reopen the same file at the same base: the remover's nodes were still
-    // allocated at the close, so this open's GC reclaims exactly them.
+    // allocated at the close, so the close sealed nothing and this open's
+    // GC reclaims exactly them.
     let pool = Pool::builder().path(&path).open().unwrap();
     assert_eq!(pool.base(), base, "the reopen must map at the old base");
     let list = pool.root::<List>("l").unwrap();
     let report = pool.recovery_report();
+    assert!(!report.sealed, "a close with a stranded bag sealed");
     assert!(report.gc_ran);
     assert_eq!(report.reclaimed_blocks, REMOVED as usize);
     let after: BTreeSet<u64> = pool.live_offsets().into_iter().collect();
@@ -105,6 +112,58 @@ fn a_retire_outstanding_at_close_is_swept_by_the_next_open_and_never_freed_again
     list.check_consistency(false).unwrap();
     pool.verify_heap().unwrap();
     list.close().unwrap();
+    drop(pool);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_close_while_another_thread_holds_a_magazine_writes_no_seal() {
+    let path = std::env::temp_dir().join(format!("nvt-pool-close-mag-{}.pool", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
+    let list = Arc::new(pool.create_root::<List>("l").unwrap());
+    for k in 0..KEYS {
+        assert!(list.insert(k, k * 10));
+    }
+
+    // The inserter carves a slab for its nodes and keeps the spare blocks
+    // in its magazine; it inserts only, so no bag of it holds anything.
+    let (done_tx, done_rx) = mpsc::channel();
+    let (exit_tx, exit_rx) = mpsc::channel::<()>();
+    let inserter = {
+        let list = Arc::clone(&list);
+        std::thread::spawn(move || {
+            for k in KEYS..KEYS + REMOVED {
+                assert!(list.insert(k, k * 10));
+            }
+            drop(list);
+            done_tx.send(()).unwrap();
+            exit_rx.recv().unwrap();
+        })
+    };
+    done_rx.recv().unwrap();
+    Arc::into_inner(list).expect("the inserter let go").close().unwrap();
+    drop(pool);
+
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let list = pool.root::<List>("l").unwrap();
+    let report = pool.recovery_report();
+    assert!(!report.sealed, "a close with another thread's magazine sealed");
+    assert!(report.gc_ran);
+    assert_eq!(report.reclaimed_blocks, 0, "inserts strand nothing");
+    // The walk found the magazine's blocks free.
+    assert_eq!(report.free_blocks, pool.verify_heap().unwrap().free_blocks);
+    assert!((0..KEYS + REMOVED).all(|k| list.get(k) == Some(k * 10)));
+    exit_tx.send(()).unwrap();
+    inserter.join().unwrap();
+    list.check_consistency(false).unwrap();
+    pool.verify_heap().unwrap();
+    list.close().unwrap();
+    drop(pool);
+
+    // With every thread gone, the next close seals.
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(pool.recovery_report().sealed, "a close with no other thread left did not seal");
     drop(pool);
     std::fs::remove_file(&path).unwrap();
 }

@@ -25,7 +25,7 @@ use nvtraverse_structures::stack::TreiberStack;
 use std::path::PathBuf;
 
 mod common;
-use common::{create_pooled, open_or_create_pooled, open_pooled};
+use common::{create_pooled, open_or_create_pooled, open_pooled, unseal};
 
 type PooledList = HarrisList<u64, u64, NvTraverse<MmapBackend>>;
 type PooledMap = HashMapDs<u64, u64, NvTraverse<MmapBackend>>;
@@ -362,6 +362,10 @@ fn deliberately_orphaned_allocation_is_swept_on_reopen() {
         list.close().unwrap();
     }
 
+    // The clean close sealed the pool; the typed attach collects nothing
+    // on a sealed open, so
+    // open the image as a crash leaves it.
+    unseal(&path);
     let list = open_pooled::<PooledList>(&path, "set").unwrap();
     let report = list.pool().recovery_report();
     assert!(report.gc_ran, "single traced root: the GC must run");
@@ -421,6 +425,7 @@ fn gc_skips_pools_with_untraceable_roots() {
         pool.set_root_offset("raw-root", off).unwrap();
     }
 
+    unseal(&path);
     let pool = nvtraverse::pool::Pool::builder().path(&path).open().unwrap();
     // SAFETY: no tracer is given, so nothing is traced.
     assert!(!unsafe { pool.collect(&mut []) }, "an untraceable root was collected");
@@ -456,6 +461,7 @@ fn a_failed_create_leaves_the_next_collection_intact() {
 
     // The reopen GCs with the queue's own tracer, and the queue's data is
     // intact.
+    unseal(&path);
     let q = open_pooled::<PooledQueue>(&path, "r").unwrap();
     assert!(q.pool().recovery_report().gc_ran);
     assert_eq!(q.pool().recovery_report().reclaimed_blocks, 0);
@@ -488,6 +494,7 @@ fn a_reused_pool_path_never_traces_with_the_old_files_type() {
         drop(list);
     }
 
+    unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
     let list = pool.root::<PooledList>("x").unwrap();
     for k in 1000..1100u64 {
@@ -520,6 +527,7 @@ fn two_structures_share_one_pool() {
         b.close().unwrap();
         a.close().unwrap();
     }
+    unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
     // Multi-root GC: both roots' tracers go to the collection before the
     // first attach.
@@ -602,6 +610,7 @@ fn corrupt_bucket_table_root_is_rejected_not_trusted() {
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.write_all_at(&word.to_le_bytes(), at).unwrap();
         drop(file);
+        unseal(&path);
 
         // root::<S> traces the corrupt root before attach ever sees it.
         let pool = Pool::builder().path(&path).open().unwrap();
@@ -656,13 +665,7 @@ fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
     let before = std::fs::read(&path).unwrap();
 
     fn refused<S: PoolTrace>(path: &std::path::Path, before: &[u8]) {
-        let pool = Pool::builder().path(path).open().unwrap();
-        assert!(pool.root::<S>("skip").is_err(), "an old-layout head attached");
-        let report = pool.recovery_report();
-        assert!(!report.gc_ran && report.reclaimed_blocks == 0, "a refusing tracer must not sweep");
-        pool.verify_heap().unwrap();
-        drop(pool);
-        assert!(std::fs::read(path).unwrap() == before, "the refused open changed the file");
+        refused_sealed_and_walked(path, before, |pool| pool.root::<S>("skip").is_err());
     }
     refused::<PooledSkip>(&path, &before);
     refused::<PooledPq>(&path, &before);
@@ -674,6 +677,37 @@ fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
     assert!((0..300u64).all(|k| s.get(k) == (k % 3 != 0).then_some(k * 3)));
     s.close().unwrap();
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Opens the image `before` (a sealed close's, one word stamped) twice and
+/// requires `refuses(pool)` each time. Sealed, no tracer runs and the attach
+/// alone refuses; the file keeps every byte. With its clean flag cleared,
+/// as a crash leaves it, the open walks and the tracer refuses the
+/// collection: nothing is swept, the heap verifies, and the close — of a
+/// session that never collected — writes no seal, so only the header's
+/// clean flag (1) and signature (poisoned) differ. The sealed image is put
+/// back at the end.
+fn refused_sealed_and_walked(path: &std::path::Path, before: &[u8], refuses: impl Fn(&Pool) -> bool) {
+    for sealed in [true, false] {
+        if !sealed {
+            unseal(path);
+        }
+        let pool = Pool::builder().path(path).open().unwrap();
+        assert_eq!(pool.recovery_report().sealed, sealed);
+        assert!(refuses(&pool), "an old-layout head attached (sealed: {sealed})");
+        let report = pool.recovery_report();
+        assert!(!report.gc_ran && report.reclaimed_blocks == 0, "a refusing tracer must not sweep");
+        pool.verify_heap().unwrap();
+        drop(pool);
+        let after = std::fs::read(path).unwrap();
+        if sealed {
+            assert!(after == before, "the refused sealed open changed the file");
+        } else {
+            assert!(after[..40] == before[..40] && after[56..] == before[56..], "the refused open changed the file");
+            assert_eq!(after[40..48], 1u64.to_le_bytes(), "a walk that never collected sealed");
+        }
+    }
+    std::fs::write(path, before).unwrap();
 }
 
 /// A SOFT pool written under another node layout — a head sentinel whose
@@ -714,18 +748,12 @@ fn soft_pool_of_another_layout_is_refused_not_destroyed() {
         assert_eq!(&saved, b"SOFTv002", "{tag}: the head carries no layout tag");
         file.write_all_at(&[0; 8], tag_at).unwrap();
         let before = std::fs::read(&path).unwrap();
-        {
-            let pool = Pool::builder().path(&path).open().unwrap();
-            assert!(pool.root::<S>("soft").is_err(), "{tag}: an old-layout head attached");
-            let report = pool.recovery_report();
-            assert!(!report.gc_ran && report.reclaimed_blocks == 0, "{tag}: a refusing tracer must not sweep");
-            pool.verify_heap().unwrap();
-        }
-        assert!(std::fs::read(&path).unwrap() == before, "{tag}: the refused open changed the file");
+        refused_sealed_and_walked(&path, &before, |pool| pool.root::<S>("soft").is_err());
 
         // Nothing was lost: with its tag back, the set opens with every key.
         file.write_all_at(&saved, tag_at).unwrap();
         drop(file);
+        unseal(&path);
         let s = open_pooled::<S>(&path, "soft").unwrap();
         assert!(s.pool().recovery_report().gc_ran, "{tag}");
         assert_eq!(s.len(), 200, "{tag}");
@@ -790,7 +818,7 @@ fn a_clean_open_and_close_leave_the_file_byte_identical() {
     let before = std::fs::read(&path).unwrap();
     let map = open_pooled::<PooledMap>(&path, "set").unwrap();
     let report = map.pool().recovery_report();
-    assert!(report.gc_ran && report.clean_shutdown);
+    assert!(report.sealed && report.clean_shutdown);
     assert!(report.free_blocks > 64, "too few free blocks to tell: {report:?}");
     assert_eq!(map.len(), keys);
     assert!((0..600u64).all(|k| map.get(k) == (k % 3 != 0).then_some(k * 7)));
@@ -819,7 +847,7 @@ fn a_clean_soft_open_dirties_no_node_page() {
     let before = std::fs::read(&path).unwrap();
     let map = open_pooled::<PooledSoftHash>(&path, "kv").unwrap();
     let report = map.pool().recovery_report();
-    assert!(report.gc_ran && report.clean_shutdown);
+    assert!(report.sealed && report.clean_shutdown);
     let dirty = dirty_kib(map.pool().base(), map.pool().capacity());
     assert!(dirty <= 64, "a clean open dirtied {dirty} KiB of the pool");
     assert_eq!(map.len(), KEYS as usize);
@@ -848,7 +876,7 @@ fn a_clean_skiplist_open_dirties_no_node_page() {
     let before = std::fs::read(&path).unwrap();
     let s = open_pooled::<PooledSkip>(&path, "skip").unwrap();
     let report = s.pool().recovery_report();
-    assert!(report.gc_ran && report.clean_shutdown);
+    assert!(report.sealed && report.clean_shutdown);
     let dirty = dirty_kib(s.pool().base(), s.pool().capacity());
     assert!(dirty <= 64, "a clean open dirtied {dirty} KiB of the pool");
     assert_eq!(s.len(), KEYS as usize);
@@ -892,6 +920,8 @@ fn an_open_rejected_by_a_corrupt_header_leaves_the_file_byte_identical() {
     let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
     file.write_all_at(&0u64.to_le_bytes(), victim).unwrap();
     drop(file);
+    // Cleared as a crash leaves it: a sealed open would not walk at all.
+    unseal(&path);
     let before = std::fs::read(&path).unwrap();
     let err = Pool::builder().path(&path).open().unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
@@ -919,6 +949,7 @@ fn soft_list_survives_close_and_reopen() {
         list.close().unwrap();
     }
 
+    unseal(&path);
     {
         let list = open_pooled::<PooledSoftList>(&path, "set").unwrap();
         // GC ran, and the marks from this root are exactly the head
@@ -967,6 +998,7 @@ fn soft_hash_survives_close_and_reopen() {
         map.close().unwrap();
     }
 
+    unseal(&path);
     let map = open_pooled::<PooledSoftHash>(&path, "kv").unwrap();
     assert!(map.pool().recovery_report().gc_ran);
     map.check_consistency(false).unwrap();
@@ -1015,10 +1047,13 @@ impl Image {
     }
 
     /// Rewrites word `i` of the payload at `block`: the one-word tamper.
+    /// The clean flag goes with it, so the open verifies the structure
+    /// instead of trusting the close's seal.
     fn set_word(&self, block: u64, i: u64, value: u64) {
         use std::os::unix::fs::FileExt;
         let file = std::fs::OpenOptions::new().write(true).open(&self.path).unwrap();
         file.write_all_at(&value.to_le_bytes(), block + 8 * i).unwrap();
+        unseal(&self.path);
     }
 
     /// The address a link to `block` holds.
