@@ -294,15 +294,12 @@ pub trait PoolAttach: Sized {
 ///   retire it through the collector, so the sweep must not free it first.
 ///   Walk exactly the links recovery walks.
 /// * **Do not follow volatile auxiliary state.** Links that recovery
-///   can rebuild from the persistent core (skiplist tower levels, the
+///   rebuilds from the persistent core (skiplist tower levels, the
 ///   queue's tail shortcut) may be stale after a crash; tracing through
 ///   them would at best mark garbage and at worst chase dangling pointers.
 ///   The [`Marker`](nvtraverse_pool::Marker) validates every pointer
 ///   against the block headers, but validation cannot turn a wrong walk
-///   into a right one. A tracer **may compare** such a word with what
-///   recovery would store there — that is how the skiplist's trace proves
-///   its towers intact, so its recovery stores nothing — but it never
-///   dereferences it.
+///   into a right one.
 /// * **Keep operation descriptors recovery dereferences.** The Ellen BST's
 ///   helping recovery reads `Info` records out of non-`CLEAN` update words
 ///   and then dereferences the nodes they name (including a pending
@@ -313,9 +310,7 @@ pub trait PoolAttach: Sized {
 ///   ends without sweeping anything.
 /// * **Plan only from what was read.** The plan may name only blocks the
 ///   trace marked or (SOFT) enumerated: recovery acts on it without
-///   reading the graph again. A plan may be a verdict — the trace checked
-///   that the state recovery would produce is already there — and then
-///   recovery writes nothing; any failed check plans the full recovery.
+///   reading the graph again.
 ///
 /// Everything allocated but unmarked after all roots are traced is swept.
 /// An implementation that under-marks therefore frees live data — which is
@@ -372,10 +367,8 @@ pub trait PoolAttach: Sized {
 /// ```
 pub unsafe trait PoolTrace: PoolAttach {
     /// What the trace found that recovery acts on: the chains that cross a
-    /// marked link (Harris), whether the towers are intact (skiplist), each
-    /// list's `seq` floor and, for a list whose chain failed a check, its
-    /// sealed nodes (SOFT), or nothing (`()`) for a structure whose
-    /// recovery walks its graph itself.
+    /// marked link (Harris), each list's sealed nodes (SOFT), or nothing
+    /// (`()`) for a structure whose recovery walks its graph itself.
     type Plan;
 
     /// Marks every block reachable from `root` (a payload pointer to this
@@ -395,14 +388,14 @@ pub unsafe trait PoolTrace: PoolAttach {
     /// just attached, with the `plan` its own [`trace`](PoolTrace::trace)
     /// returned for this open. Quiescent.
     ///
-    /// `None` means the pool was opened
-    /// [sealed](nvtraverse_pool::RecoveryReport::sealed): the last close
-    /// was clean, drained every retired node and left the structure
-    /// exactly as its last operation did, so no tracer ran and there is
-    /// nothing to disconnect or rebuild. Only volatile state a
-    /// session must not repeat (a counter that names node generations)
-    /// needs restoring, from what the structure itself persisted.
-    fn recover_attached(&self, plan: Option<Self::Plan>);
+    /// It runs only after a trace, so never on a pool opened
+    /// [sealed](nvtraverse_pool::RecoveryReport::sealed): that close was
+    /// clean, drained every retired node and left the structure exactly as
+    /// its last operation did. Volatile state a session must not repeat is
+    /// therefore restored by the attach, on every open: SOFT's `seq`
+    /// counter from the lease in its head, the skiplist's height source
+    /// from the pool's live block count.
+    fn recover_attached(&self, plan: Self::Plan);
 }
 
 /// **Typed roots** — the extension of [`Pool`] that turns a root *name*
@@ -437,8 +430,8 @@ pub unsafe trait PoolTrace: PoolAttach {
 /// [`TypedRoots::root`] first runs the open's recovery collection with
 /// `S`'s [`PoolTrace`] tracer ([`Pool::collect`]), then attaches and runs
 /// the structure's recovery on the tracer's plan (on a
-/// [sealed](nvtraverse_pool::RecoveryReport::sealed) open it runs no
-/// tracer and passes `None`); every method returns a
+/// [sealed](nvtraverse_pool::RecoveryReport::sealed) open it runs neither);
+/// every method returns a
 /// [`PooledHandle`] that shares the pool: call the methods as many times
 /// as there are roots, on as many pools as are open (`Pool::collect` →
 /// `attach_to_pool` → `recover_attached` remain the low-level layer
@@ -460,7 +453,7 @@ pub trait TypedRoots {
     /// open's collection either way. The tracer's plan is what
     /// [`PoolTrace::recover_attached`] then runs. A pool opened
     /// [sealed](nvtraverse_pool::RecoveryReport::sealed) needs no
-    /// recovery: no tracer runs, and `recover_attached` gets `None`.
+    /// recovery: no tracer runs, and neither does `recover_attached`.
     ///
     /// # Errors
     ///
@@ -519,7 +512,9 @@ impl TypedRoots for Pool {
                 },
             )
         })?;
-        inner.recover_attached(plan);
+        if let Some(plan) = plan {
+            inner.recover_attached(plan);
+        }
         self.note_recovered(name);
         // Recovery done and quiescent: let the structure answer the
         // descriptors the descriptor table alone could not classify.

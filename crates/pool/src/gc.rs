@@ -44,10 +44,10 @@
 //!
 //! The mark phase is also the structures' recovery read. A tracer returns
 //! what it found to the caller that named its type — the chains that cross
-//! a marked link, whether a skiplist's towers or a SOFT chain already are
-//! what recovery would build, the sealed nodes of a SOFT list that is not —
-//! and the structure's recovery acts on that plan alone, so an open reads
-//! each structure's graph once. When no collection can run (the inventory
+//! a marked link, the sealed nodes of a SOFT list — and the structure's
+//! recovery acts on that plan alone, so an open reads each structure's
+//! graph once. On a sealed open the typed attach runs neither: the clean
+//! close left nothing to recover. When no collection can run (the inventory
 //! is gone, or a root has no tracer), [`Pool::collect`](crate::Pool::collect)
 //! still runs the tracers it was given, read-only, over the inventory or a
 //! fresh walk, and sweeps nothing: the plan always comes from the tracer.
@@ -75,9 +75,8 @@ use std::time::Instant;
 /// the structure's recovery may reach — following marked/logically-deleted
 /// links (a reachable-but-marked node is kept so recovery can trim it into
 /// the collector), and never following volatile auxiliary links that
-/// recovery can rebuild (skiplist towers, the queue's tail shortcut), though
-/// it may compare them with what recovery would store — and it may keep
-/// whatever it reads for that recovery. It must write nothing: a
+/// recovery rebuilds (skiplist towers, the queue's tail shortcut) — and it
+/// may keep whatever it reads for that recovery. It must write nothing: a
 /// collection a tracer [refuses](Marker::refuse), or an open whose attach
 /// then fails, leaves the file as it found it.
 ///
@@ -326,9 +325,9 @@ impl<'a> Marker<'a> {
     /// address order — `keep(payload, capacity)` — and marks the ones it
     /// returns `true` for: the mark phase of structures whose reachability
     /// is not encoded in link words alone. The SOFT structures use this:
-    /// their links are volatile (recovery may rebuild them from per-node
-    /// validity bits), so after marking the chains they verified their
-    /// tracers *enumerate* the remaining candidates and keep the ones whose
+    /// their links are volatile (recovery rebuilds them from per-node
+    /// validity bits), so after marking their heads their tracers
+    /// *enumerate* the remaining candidates and keep the ones whose
     /// persistent header proves membership.
     pub fn mark_allocated_if(&mut self, mut keep: impl FnMut(*mut u8, u64) -> bool) {
         for word in 0..self.allocated.0.len() {

@@ -865,7 +865,7 @@ where
         }
     }
 
-    fn recover_attached(&self, _: Option<()>) {
+    fn recover_attached(&self, (): ()) {
         self.recover_tree();
     }
 }

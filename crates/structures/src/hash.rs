@@ -404,16 +404,11 @@ unsafe impl<L: BucketList> PoolTrace for BucketTable<L> {
     }
 
     /// Hands every bucket its plan. The table attached from the block the
-    /// trace decoded, so there is one plan per bucket; a sealed open
-    /// (`None`) hands every bucket `None`.
-    fn recover_attached(&self, plans: Option<Vec<L::Plan>>) {
-        let Some(plans) = plans else {
-            self.buckets.iter().for_each(|bucket| bucket.recover_attached(None));
-            return;
-        };
+    /// trace decoded, so there is one plan per bucket.
+    fn recover_attached(&self, plans: Vec<L::Plan>) {
         debug_assert_eq!(plans.len(), self.buckets.len());
         for (bucket, plan) in self.buckets.iter().zip(plans) {
-            bucket.recover_attached(Some(plan));
+            bucket.recover_attached(plan);
         }
     }
 }

@@ -571,10 +571,9 @@ where
     }
 
     /// [`recover_list`](HarrisList::recover_list), if the trace crossed a
-    /// marked link: otherwise — and after a sealed close — there is nothing
-    /// to disconnect.
-    fn recover_attached(&self, marked: Option<bool>) {
-        if marked == Some(true) {
+    /// marked link: otherwise there is nothing to disconnect.
+    fn recover_attached(&self, marked: bool) {
+        if marked {
             self.recover_list();
         }
     }

@@ -740,7 +740,7 @@ where
         }
     }
 
-    fn recover_attached(&self, _: Option<()>) {
+    fn recover_attached(&self, (): ()) {
         self.recover_tree();
     }
 }

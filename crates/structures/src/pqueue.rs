@@ -9,7 +9,7 @@
 //! unlink. Recovery is the skiplist's: trim bottom-marked nodes, rebuild the
 //! volatile towers.
 
-use crate::skiplist::{SkipList, SkipPlan};
+use crate::skiplist::SkipList;
 use nvtraverse::policy::Durability;
 use nvtraverse::set::{DurableSet, PoolAttach};
 use nvtraverse_ebr::Collector;
@@ -146,16 +146,16 @@ where
     V: Word,
     D: Durability,
 {
-    type Plan = SkipPlan;
+    type Plan = ();
 
     // SAFETY: see `PoolTrace::trace` — the root is the inner skiplist's head tower.
-    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) -> SkipPlan {
+    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
         unsafe { <SkipList<K, V, D> as nvtraverse::PoolTrace>::trace(root, marker) }
     }
 
-    fn recover_attached(&self, plan: Option<SkipPlan>) {
-        self.inner.recover_attached(plan);
+    fn recover_attached(&self, (): ()) {
+        self.inner.recover_attached(());
     }
 }
 

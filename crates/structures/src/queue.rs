@@ -436,7 +436,7 @@ where
         }
     }
 
-    fn recover_attached(&self, _: Option<()>) {
+    fn recover_attached(&self, (): ()) {
         self.recover();
     }
 }

@@ -93,17 +93,14 @@
 //! marked bottom node disconnected and retired, every live node's
 //! `link_state` at `LINKED`, and each tower level linking, in bottom
 //! order, exactly the live nodes tall enough for it, ending in null. The
-//! open's trace (the GC's mark of the bottom list) **checks** whether the
-//! pool already holds that state: as it reaches each live node it compares
-//! the node's tower words with the running per-level predecessors' — it
-//! compares them and never follows them — and its `link_state` with
-//! `LINKED`, and it sees every bottom link's mark. If everything matches
-//! (a clean close, or a SIGKILL whose page cache kept the towers), its plan
-//! is [`SkipPlan::Intact`] and recovery only reseeds the height source: no
-//! second walk and no store. Any mismatch, or a walk cut short, plans
-//! [`SkipPlan::Rebuild`]: [`SkipList::recover_skiplist`], one walk that
+//! open's trace is the GC's mark of the bottom list alone; after a crash,
+//! [`SkipList::recover_skiplist`] builds that state in one walk that
 //! disconnects the marked runs and threads the towers, storing each word
-//! only where it differs.
+//! only where it differs. A clean close seals the pool, and a sealed open
+//! runs neither: the towers are as the last operation left them. Every
+//! attach seeds the height source past the blocks the pool holds, so a
+//! reopened list draws on from its population instead of redrawing the
+//! first session's heights.
 
 use crate::chain::{self, ChainNode, Window};
 use nvtraverse::alloc::{free_bytes, try_alloc_bytes, PoolCtx};
@@ -319,7 +316,7 @@ where
         D::before_return();
         // SAFETY: a fresh head, owned by this handle alone; it has no tower
         // for a recovery to rebuild.
-        unsafe { Self::attach_at(head, collector) }
+        unsafe { Self::attach_at(head, collector, 1) }
     }
 
     /// The collector nodes are retired into.
@@ -372,11 +369,11 @@ where
     }
 
     /// Rebuilds a skiplist handle around an existing head tower — the attach
-    /// half of the pool lifecycle. The caller must run recovery before any
-    /// operation: the persisted tower words may be stale (they are volatile
-    /// shortcuts that happen to live in pool memory) until the trace has
-    /// verified them or [`SkipList::recover_skiplist`] has rebuilt them
-    /// from the bottom list.
+    /// half of the pool lifecycle — whose height source starts at
+    /// `first_draw`. After a crash the caller must run
+    /// [`SkipList::recover_skiplist`] before any operation: the persisted
+    /// tower words may be stale (they are volatile shortcuts that happen to
+    /// live in pool memory).
     ///
     /// # Safety
     ///
@@ -384,13 +381,12 @@ where
     /// `K`/`V`/`D` parameters, reachable and quiescent, and the caller must
     /// not drop two handles to the same `Box`-backed structure (a pooled
     /// handle's drop frees no node — see `nvtraverse::PooledHandle`).
-    pub(crate) unsafe fn attach_at(head: NodePtr<K, V, D::B>, collector: Collector) -> Self {
+    pub(crate) unsafe fn attach_at(head: NodePtr<K, V, D::B>, collector: Collector, first_draw: u64) -> Self {
         SkipList {
             head,
             collector,
             ctx: PoolCtx::current(),
-            // Recovery reseeds this past the live node count.
-            height_seq: AtomicU64::new(1),
+            height_seq: AtomicU64::new(first_draw),
             _marker: PhantomData,
         }
     }
@@ -700,145 +696,50 @@ where
     /// Recovery (paper §4 + Property 2) in one walk of the bottom list: the
     /// chain's `disconnect` (Supplement 1) retires each run of marked nodes,
     /// and its live-node hook threads each live node into every volatile
-    /// tower level it has. Each tower and `link_state` word is compared
-    /// (raw bits, so poison is just a mismatch) and stored only where it
-    /// differs, so an image whose towers are mostly right dirties only the
-    /// lines that change.
+    /// tower level it has, behind that level's last live node. Each tower
+    /// and `link_state` word is compared (raw bits, so poison is just a
+    /// mismatch) and stored only where it differs, so an image whose towers
+    /// are mostly right dirties only the lines that change.
     pub fn recover_skiplist(&self) {
         if !D::DURABLE {
             return;
         }
         let guard = self.collector.pin();
-        // SAFETY: recovery runs single-threaded on a quiescent structure; the head is live.
-        let mut towers = unsafe { Threading::new(self.head) };
-        let mut count: u64 = 0;
+        // SAFETY: recovery runs single-threaded on a quiescent structure; `node` is a live node of it, taller than `level`.
+        let set = |node: NodePtr<K, V, D::B>, level: usize, want: MarkedPtr<SkipNode<K, V, D::B>>| unsafe {
+            // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery rebuilds volatile towers by design
+            let word = link(node, level);
+            if word.peek_bits() != want.to_bits() {
+                word.store(want);
+            }
+        };
+        let mut last: Preds<K, V, D::B> = [self.head; MAX_HEIGHT];
         chain::disconnect::<_, D>(
             self.head,
             // SAFETY: the run is disconnected for good, and its towers are never read again; EBR defers the free.
             |dead| unsafe { guard.retire_with(dead.cast(), free_tower::<K, V, D::B>) },
             |cur| {
-                count += 1;
-                // SAFETY: recovery runs single-threaded on a quiescent structure; `cur` and every node `towers` holds are live nodes of it.
+                // SAFETY: as for `set`; `cur` is the next live node.
                 unsafe {
                     // No inserter survives a crash: the handshake word
                     // restarts at LINKED (its persisted copy is stale or
                     // poison).
-                    // nvt-lint: begin-allow(raw-pcell-access): single-threaded recovery rebuilds volatile towers by design
                     if (*cur).link_state.peek_bits() != LINKED {
                         (*cur).link_state.store(LINKED);
                     }
-                    towers.thread(cur, height_of((*cur).meta.load()), true);
-                    // nvt-lint: end-allow(raw-pcell-access)
+                    for (level, prev) in last.iter_mut().enumerate().take(height_of((*cur).meta.load())).skip(1) {
+                        set(*prev, level, MarkedPtr::new(cur));
+                        *prev = cur;
+                    }
                 }
             },
         );
-        // SAFETY: as above.
-        unsafe { towers.finish(true) };
-        self.reseed(count);
+        for (level, &prev) in last.iter().enumerate().skip(1) {
+            set(prev, level, MarkedPtr::null());
+            // nvt-lint: end-allow(raw-pcell-access)
+        }
         D::before_return();
     }
-
-    /// Reseeds the deterministic height source past the `live` surviving
-    /// nodes, so a reattached list keeps drawing fresh heights (correctness
-    /// never depends on this; tower balance across reopen cycles does).
-    fn reseed(&self, live: u64) {
-        self.height_seq.store(live + 1, Ordering::Relaxed);
-    }
-}
-
-/// The volatile tower links of recovery, threaded level by level behind
-/// the live nodes of the bottom list: for each level, the last node reached
-/// there (the head at first) and the word its tower holds at that level,
-/// read while that node was being visited. The trace uses it to **compare**
-/// — is every tower word already what recovery would store? — and
-/// [`SkipList::recover_skiplist`] to store the words that differ. Nothing
-/// is ever followed through a tower word.
-struct Threading<K: Word, V: Word, B: Backend> {
-    last: Preds<K, V, B>,
-    word: [u64; MAX_HEIGHT],
-}
-
-impl<K: Word, V: Word, B: Backend> Threading<K, V, B> {
-    /// Starts every level at `head`.
-    ///
-    /// # Safety
-    ///
-    /// `head` is a live head tower ([`MAX_HEIGHT`] levels) of a quiescent
-    /// skiplist.
-    unsafe fn new(head: NodePtr<K, V, B>) -> Self {
-        let mut word = [0; MAX_HEIGHT];
-        for (level, w) in word.iter_mut().enumerate().skip(1) {
-            // SAFETY: the head has every level (the contract).
-            // nvt-lint: allow(raw-pcell-access): recovery compares volatile tower words as raw bits
-            *w = unsafe { link(head, level).peek_bits() };
-        }
-        Threading { last: [head; MAX_HEIGHT], word }
-    }
-
-    /// Threads `node`, the next live node of the bottom list, of `height`
-    /// levels, behind each level's last node. Returns whether every word
-    /// already named it; when `fix`, stores it into each that did not.
-    ///
-    /// # Safety
-    ///
-    /// `node` is a live node of the same quiescent skiplist, really
-    /// `height` (at most [`MAX_HEIGHT`]) levels tall.
-    unsafe fn thread(&mut self, node: NodePtr<K, V, B>, height: usize, fix: bool) -> bool {
-        let want = MarkedPtr::new(node);
-        let mut same = true;
-        for level in 1..height {
-            if self.word[level] != want.to_bits() {
-                same = false;
-                if fix {
-                    // SAFETY: `last[level]` is a live node at least `level + 1` tall (the contract, for an earlier call, or the head).
-                    // nvt-lint: allow(raw-pcell-access): single-threaded recovery rebuilds volatile towers by design
-                    unsafe { link(self.last[level], level).store(want) };
-                }
-            }
-            self.last[level] = node;
-            // SAFETY: `node` is `height` levels tall (the contract).
-            // nvt-lint: allow(raw-pcell-access): recovery compares volatile tower words as raw bits
-            self.word[level] = unsafe { link(node, level).peek_bits() };
-        }
-        same
-    }
-
-    /// Ends every level: returns whether each last word was already null;
-    /// when `fix`, stores null into each that was not.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Threading::thread`]: every node threaded is still live.
-    unsafe fn finish(&self, fix: bool) -> bool {
-        let mut same = true;
-        for level in 1..MAX_HEIGHT {
-            if self.word[level] != MarkedPtr::<SkipNode<K, V, B>>::null().to_bits() {
-                same = false;
-                if fix {
-                    // SAFETY: `last[level]` is live and at least `level + 1` tall.
-                    // nvt-lint: allow(raw-pcell-access): single-threaded recovery rebuilds volatile towers by design
-                    unsafe { link(self.last[level], level).store(MarkedPtr::null()) };
-                }
-            }
-        }
-        same
-    }
-}
-
-/// What a skiplist's trace found. `Intact` means the walk proved the
-/// structure already is what [`SkipList::recover_skiplist`] would make of
-/// it: no marked bottom link, every live node's `link_state` at
-/// `LINKED`, and every tower word naming the next live node of its level
-/// (null at the end). Recovery then only reseeds the height source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipPlan {
-    /// Nothing to store; `live` nodes on the bottom level.
-    Intact {
-        /// The live nodes the trace counted.
-        live: u64,
-    },
-    /// A check failed: run the full recovery.
-    Rebuild,
 }
 
 impl<K, V, D> TraversalOps for SkipList<K, V, D>
@@ -1074,77 +975,48 @@ where
         }
         // Entered so `attach_at`'s context snapshot captures this pool.
         let _scope = PoolCtx::of(pool).enter();
+        // Past the blocks the pool holds: the list draws on from its
+        // population, not from the first session's heights again.
+        let first_draw = pool.recovery_report().live_blocks as u64 + 1;
         // SAFETY: recovery/attach runs single-threaded on a quiescent structure; every pointer read comes from the durable heap being rebuilt.
-        Some(unsafe { Self::attach_at(head, pool.collector().clone()) })
+        Some(unsafe { Self::attach_at(head, pool.collector().clone(), first_draw) })
     }
 }
 
 // SAFETY: the persistent core is exactly the bottom list (`next[0]`), so
 // the walk is the Harris-list chain from the head tower through marked
 // nodes. Tower levels (`next[1..]`) are volatile shortcuts that may be
-// stale after a crash: the trace only compares each live node's tower
-// words with what `recover_skiplist` would store there and never follows
-// one; every node they could name is on the bottom list. A head without
-// this layout's tag was written under another node layout, where `next[0]`
-// is another word: the tracer refuses it instead.
-// SAFETY: the trace only reads and compares; every store is `recover_attached`'s.
+// stale after a crash: the trace never reads them, and `recover_skiplist`
+// rebuilds them from the bottom list; every node they could name is on
+// the bottom list. A head without this layout's tag was written under
+// another node layout, where `next[0]` is another word: the tracer refuses
+// it instead.
+// SAFETY: the trace only reads; every store is `recover_attached`'s.
 unsafe impl<K, V, D> nvtraverse::PoolTrace for SkipList<K, V, D>
 where
     K: Word + Ord,
     V: Word,
     D: Durability,
 {
-    type Plan = SkipPlan;
+    type Plan = ();
 
     // SAFETY: see `PoolTrace::trace` — `root` is a root this type created, on the quiescent, header-verified heap of `Pool::open` recovery.
-    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) -> SkipPlan {
+    unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) {
         let head = root as NodePtr<K, V, D::B>;
         // SAFETY: `capacity_of` vouches for `root` as an allocated payload; the heap is quiescent.
         if marker.capacity_of(root).is_none() || unsafe { !has_layout_tag(head) } {
             marker.refuse();
-            return SkipPlan::Rebuild;
+            return;
         }
-        // SAFETY: the head is a head tower of this layout.
-        let mut towers = unsafe { Threading::new(head) };
-        let (mut intact, mut live, mut end) = (true, 0u64, head);
-        // SAFETY: `trace_chains` hands over only nodes `Marker::mark` vouched for, on a quiescent heap; tower words are compared, never followed.
+        // SAFETY: `trace_chains` hands over only nodes `Marker::mark` vouched for, on a quiescent heap.
         unsafe {
-            crate::trace_chains(marker, &mut [head], |_, n| {
-                // nvt-lint: begin-allow(raw-pcell-access): GC tracer reads raw words on a quiescent heap
-                let next = link(n, 0).load();
-                if n != head {
-                    live += 1;
-                    let height = height_of((*n).meta.peek_bits());
-                    intact = intact
-                        && !next.is_marked()
-                        && (*n).link_state.peek_bits() == LINKED
-                        && (1..=MAX_HEIGHT).contains(&height)
-                        && towers.thread(n, height, false);
-                }
-                // nvt-lint: end-allow(raw-pcell-access)
-                end = next.ptr();
-                end
-            });
-        }
-        // A walk cut short — a pointer `mark` refused — proves nothing.
-        // SAFETY: read-only, as above.
-        if intact && end.is_null() && unsafe { towers.finish(false) } {
-            SkipPlan::Intact { live }
-        } else {
-            SkipPlan::Rebuild
+            // nvt-lint: allow(raw-pcell-access): GC tracer follows raw pointers on a quiescent heap
+            crate::trace_chains(marker, &mut [head], |_, n| link(n, 0).load().ptr());
         }
     }
 
-    /// Reseeds the height source of an intact skiplist; runs
-    /// [`recover_skiplist`](SkipList::recover_skiplist) on any other. A
-    /// sealed open (`None`) walks nothing: the height source restarts at
-    /// its first draw, which correctness never depends on.
-    fn recover_attached(&self, plan: Option<SkipPlan>) {
-        match plan {
-            Some(SkipPlan::Intact { live }) if D::DURABLE => self.reseed(live),
-            None | Some(SkipPlan::Intact { .. }) => {}
-            Some(SkipPlan::Rebuild) => self.recover_skiplist(),
-        }
+    fn recover_attached(&self, (): ()) {
+        self.recover_skiplist();
     }
 }
 
@@ -1648,7 +1520,7 @@ mod tests {
     }
 
     /// What a recovery leaves behind: the live pairs, each tower level's
-    /// keys, the nodes it retired and the reseeded height source.
+    /// keys, the nodes it retired and the height source.
     type Outcome = (Vec<(u64, u64)>, Vec<Vec<u64>>, usize, u64);
 
     fn outcome<D: Durability>(s: &SkipList<u64, u64, D>) -> Outcome {
@@ -1696,10 +1568,8 @@ mod tests {
                 pred = cur;
             }
             let mut prevs = [s.head; MAX_HEIGHT];
-            let mut count = 0;
             let mut cur = link(s.head, 0).load().ptr();
             while !cur.is_null() {
-                count += 1;
                 (*cur).link_state.store(LINKED);
                 for (level, prev) in prevs.iter_mut().enumerate().take(height_of((*cur).meta.load())).skip(1) {
                     link(*prev, level).store(MarkedPtr::new(cur));
@@ -1710,7 +1580,6 @@ mod tests {
             for (level, prev) in prevs.iter().enumerate().skip(1) {
                 link(*prev, level).store(MarkedPtr::null());
             }
-            s.height_seq.store(count + 1, Ordering::Relaxed);
         }
         D::before_return();
     }
@@ -1768,6 +1637,46 @@ mod tests {
         let s = pool.root::<Pooled>(name).unwrap();
         assert_eq!(outcome(&*s), want);
         assert_eq!(s.check_consistency(false).unwrap(), 320 - 4);
+        s.close().unwrap();
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The heights of the bottom list's nodes whose keys lie in `keys`, in
+    /// key order (quiescent).
+    fn heights<D: Durability>(s: &SkipList<u64, u64, D>, keys: std::ops::Range<u64>) -> Vec<usize> {
+        chain(s)
+            .into_iter()
+            .filter(|&n| keys.contains(&unsafe { (*n).key.load() }))
+            .map(|n| height_of(unsafe { (*n).meta.load() }))
+            .collect()
+    }
+
+    /// A sealed open seeds the height source past the blocks the pool
+    /// holds: keys inserted in ascending order draw heights in key order,
+    /// so the second session's heights must not be the first session's
+    /// again.
+    #[test]
+    fn a_sealed_reopen_draws_fresh_heights() {
+        use nvtraverse::TypedRoots;
+        const K: u64 = 64;
+        let path = pool_path("fresh-heights");
+        let first = {
+            let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
+            let s = pool.create_root::<Pooled>("skip").unwrap();
+            (0..K).for_each(|k| assert!(s.insert(k, k)));
+            let first = heights(&*s, 0..K);
+            s.close().unwrap();
+            first
+        };
+        let pool = Pool::builder().path(&path).open().unwrap();
+        assert!(pool.recovery_report().sealed);
+        let s = pool.root::<Pooled>("skip").unwrap();
+        (K..2 * K).for_each(|k| assert!(s.insert(k, k)));
+        let second = heights(&*s, K..2 * K);
+        assert_eq!(second.len(), first.len());
+        assert_ne!(second, first, "the sealed open redrew the first session's heights");
+        assert_eq!(s.check_consistency(false).unwrap(), 2 * K as usize);
         s.close().unwrap();
         drop(pool);
         std::fs::remove_file(&path).unwrap();

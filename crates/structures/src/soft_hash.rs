@@ -7,18 +7,15 @@
 //! flush per update, recovery that rebuilds every bucket chain from the
 //! sealed nodes. Only what SOFT does differently lives here.
 //!
-//! Recovery cost note: because links are volatile, an open must prove each
-//! bucket chain from the headers. The GC's mark does it in one pass: it
-//! walks all bucket chains as one wavefront, probing each reached header
-//! once, then probes only the blocks no tracer marked, looking each
-//! `owner` word up once. A bucket whose chain checked out — sealed, owned,
-//! ascending, no straggler — keeps its links untouched; only a bucket that
-//! failed a check is sorted and relinked, storing only the links that
-//! differ. An open reads each node header once and, after a clean close,
-//! writes none; a node is one 64-byte pool block. Every bucket head
-//! carries the SOFT layout tag, so a table of another node layout is
-//! refused as a whole. See [`crate::soft_list`] for the node-level
-//! contract.
+//! Recovery cost note: because links are volatile, an open after a crash
+//! rebuilds each bucket chain from the headers. The GC's mark finds them
+//! in one pass over the blocks no tracer marked, probing each header once
+//! and looking its `owner` word up once, and hands each bucket its sealed
+//! nodes; each bucket is then sorted and relinked, storing only the links
+//! that differ. A crashed open reads each node header once; a sealed open
+//! reads none. A node is one 64-byte pool block. Every bucket head carries
+//! the SOFT layout tag, so a table of another node layout is refused as a
+//! whole. See [`crate::soft_list`] for the node-level contract.
 
 use crate::hash::{BucketList, BucketTable};
 use crate::soft_list::{is_soft_head, trace_owned, RelinkPlan, SoftList, SoftNode};
@@ -76,11 +73,10 @@ impl<K: Word + Ord, V: Word, D: Durability> BucketList for SoftList<K, V, D> {
         self.iter_snapshot()
     }
 
-    // SOFT reachability is header-proved, not link-based: the bucket
-    // chains are verified as one wavefront, then one pass over the blocks
-    // still unmarked keeps each sealed node any bucket owns — linked or not
-    // (the recovery-rebuild contract of `soft_list`) — and sends its bucket
-    // to the relink.
+    // SOFT reachability is header-proved, not link-based: one pass over the
+    // blocks still unmarked keeps each sealed node any bucket owns — linked
+    // or not (the recovery-rebuild contract of `soft_list`) — and files it
+    // in its bucket's plan.
     // SAFETY: see `BucketList::trace_table` — every head is a validated SOFT head sentinel on a quiescent heap.
     unsafe fn trace_table(heads: &[*mut u8], marker: &mut Marker<'_>) -> Vec<RelinkPlan> {
         // SAFETY: forwarded — quiescent, validated heap; `trace_owned` only peeks headers the marker enumerates.

@@ -59,11 +59,13 @@
 //!   node to the right one.
 //!
 //! The head sentinel's value word, never read as a value, holds the layout
-//! tag `"SOFTv002"`. A pool whose SOFT head carries any other tag — every
-//! pool written under the earlier seven-word layout holds 0 there — is
+//! tag `"SOFTv003"`. A pool whose SOFT head carries any other tag is
 //! refused: its GC tracer refuses the collection (nothing is swept) and
-//! attaching returns `None`. Probed as this layout, about half of an old
-//! pool's live nodes would read as tombstones and be destroyed.
+//! attaching returns `None`. Every pool written under the earlier
+//! seven-word layout holds 0 there, and probed as this layout about half of
+//! its live nodes would read as tombstones and be destroyed; a `"SOFTv002"`
+//! head may hold no `seq` lease (below), and resuming from it would issue
+//! generations its headers already hold.
 //!
 //! The volatile chain is the crate's shared Harris chain (`chain.rs`), the
 //! one [`HarrisList`](crate::list::HarrisList) walks and trims; SOFT keeps
@@ -75,26 +77,20 @@
 //!
 //! The recovered state is a function of the headers alone: this list's
 //! sealed nodes, linked in key order (newest generation of each key, see
-//! below), and a `seq` counter past every generation its headers hold.
-//! Recovery needs *candidates*: every block that might be one of this
-//! list's nodes. Where they come from depends on where the nodes live:
+//! below). The `seq` counter is not recovered from them: the head's `seq`
+//! word holds a durable *lease* above every `seq` the list has issued, and
+//! every attach — after a crash or a clean close — resumes the counter
+//! there. Recovery needs *candidates*: every block that might be one of
+//! this list's nodes. Where they come from depends on where the nodes live:
 //!
 //! * a **pooled** list keeps no inventory at all — the pool already knows
 //!   its blocks. The list's `PoolTrace` tracer is the open's one pass over
-//!   them, and it **checks** before it plans a rebuild. It walks the
-//!   chains of the lists it traces (one list's, or a whole table's) as one
-//!   wavefront, probing each reached node's header once: a node is
-//!   accepted — marked — only if it is sealed and live, owned by that
-//!   list, after the previous key, and reached through an unmarked link.
-//!   Then one pass over the blocks no tracer has marked probes each header
-//!   and looks its `owner` word up once: a tombstone raises its owner's
-//!   `seq` floor, and a sealed node there is a *straggler* the chain missed.
-//!   A list whose chain ended in null with no failed check and no
-//!   straggler is already exactly what the relink would build: its plan
-//!   holds only the `seq` floor, and recovery sorts, reads and stores
-//!   nothing. Any other list's plan holds every sealed node it owns, and
-//!   recovery relinks it. Insert and remove touch no lock and no side
-//!   table, and nothing volatile outlives a `PooledHandle`;
+//!   them: it marks the heads of the lists it traces (one list's, or a
+//!   whole table's), then probes each block no tracer has marked once and
+//!   looks its `owner` word up once; a sealed node a traced list owns is
+//!   marked and filed in that list's plan, and recovery relinks every list
+//!   from its plan. Insert and remove touch no lock and no side table, and
+//!   nothing volatile outlives a `PooledHandle`;
 //! * a **`Box`-backed** list (unit tests, the `Sim` crash sweeps) has no
 //!   allocator to ask, so it keeps a volatile *registry* of its allocated
 //!   nodes (maintained at allocate/retire time), which is also what its
@@ -165,9 +161,9 @@ pub(crate) const TOMB: u64 = 1 << 63;
 pub(crate) const PERSIST_HDR: usize = 5 * 8;
 
 /// The head sentinel's value word in a SOFT list of this node layout. Heads
-/// written under the earlier seven-word layout hold 0 there, so they are
-/// refused.
-const LAYOUT_TAG: u64 = u64::from_le_bytes(*b"SOFTv002");
+/// written under an earlier layout hold 0 or `"SOFTv002"` there, so they
+/// are refused.
+const LAYOUT_TAG: u64 = u64::from_le_bytes(*b"SOFTv003");
 
 /// How far one `seq` lease reaches. A head sentinel's `seq` word holds the
 /// list's lease: every `seq` the list has issued lies below it, and it is
@@ -321,44 +317,25 @@ const VOLATILE_ALIGN: usize = 64;
 
 type NodePtr<K, V, B> = *mut SoftNode<K, V, B>;
 
-/// What a SOFT list's recovery found, for the relink: the floor its `seq`
-/// counter resumes from and, unless the trace verified the chain, each
-/// live node's `(key bits, seq, node)` — all the relink needs, so no header
-/// is read twice by one recovery. Built by the list's `PoolTrace` tracer on
-/// a pooled open, or from the list's own candidates by
+/// What a SOFT list's recovery found, for the relink: each live node's
+/// `(key bits, seq, node)` — all the relink needs, so no header is read
+/// twice by one recovery. Built by the list's `PoolTrace` tracer on a
+/// pooled open, or from the list's own candidates by
 /// [`SoftList::recover_soft`].
 #[derive(Debug, Default)]
 pub struct RelinkPlan {
-    /// The live nodes to link in key order; `None` when the trace proved
-    /// the chain already is exactly what the relink would build.
-    rebuild: Option<Vec<(u64, u64, *mut u8)>>,
-    /// One past every `seq` a durable header of this list holds, live or
-    /// tombstoned, so fresh nodes never repeat a generation on the heap.
-    seq_floor: u64,
+    live: Vec<(u64, u64, *mut u8)>,
 }
 
 impl RelinkPlan {
-    /// Raises the `seq` floor past `seq`.
-    fn saw(&mut self, seq: u64) {
-        self.seq_floor = self.seq_floor.max(seq + 1);
-    }
-
     /// Files candidate `node` by its `probe`: a live node joins the
-    /// relink (which the plan then runs), and a live or tombstoned one
-    /// raises the `seq` floor past its own. Returns whether `node` is live.
+    /// relink. Returns whether `node` is live.
     fn file(&mut self, node: *mut u8, probe: HdrProbe) -> bool {
-        match probe {
-            HdrProbe::Live { key, seq, .. } => {
-                self.rebuild.get_or_insert_with(Vec::new).push((key, seq, node));
-                self.saw(seq);
-                true
-            }
-            HdrProbe::Tomb { seq, .. } => {
-                self.saw(seq);
-                false
-            }
-            HdrProbe::Invalid => false,
-        }
+        let HdrProbe::Live { key, seq, .. } = probe else {
+            return false;
+        };
+        self.live.push((key, seq, node));
+        true
     }
 }
 
@@ -396,9 +373,9 @@ pub struct SoftList<K: Word, V: Word, D: Durability> {
     registry: Option<Mutex<Vec<usize>>>,
     /// `head as u64` — the value written into every node's `owner` word.
     owner_tag: u64,
-    /// Allocation counter feeding each node's `seq` word. Resumed past the
-    /// highest durable `seq` on attach/recovery so node generations never
-    /// repeat within one list (the seal-uniqueness invariant).
+    /// Allocation counter feeding each node's `seq` word. An attach starts
+    /// it at the lease, so node generations never repeat within one list
+    /// (the seal-uniqueness invariant).
     next_seq: AtomicU64,
     /// The durable lease ([`LEASE`]) as this handle last read or raised it
     /// in the head's `seq` word: `next_seq` may issue below it freely.
@@ -502,7 +479,10 @@ where
         D::persist_new_node(head as *const u8, PERSIST_HDR);
         D::before_return();
         // SAFETY: `head` was just allocated by this type, in the current scope.
-        unsafe { Self::attach_at(head, collector) }
+        let list = unsafe { Self::attach_at(head, collector) };
+        // Nothing issued yet: the first lease covers the `seq`s from 1.
+        list.next_seq.store(1, Ordering::Relaxed);
+        list
     }
 
     /// The collector nodes are retired into.
@@ -513,7 +493,8 @@ where
     /// Builds the list handle around a head sentinel allocated from the
     /// current allocation scope — a fresh one, or (the attach half of the
     /// pool lifecycle) one found again in a pool, whose nodes its
-    /// `PoolTrace` tracer finds among the pool's allocated blocks.
+    /// `PoolTrace` tracer finds among the pool's allocated blocks. The
+    /// `seq` counter starts at the head's lease: no header is read.
     ///
     /// # Safety
     ///
@@ -522,17 +503,18 @@ where
     /// not create two dropping handles to the same list.
     pub(crate) unsafe fn attach_at(head: NodePtr<K, V, D::B>, collector: Collector) -> Self {
         let ctx = PoolCtx::current();
+        // SAFETY: the head is live (the contract); its `seq` word is the
+        // lease, read raw like every header word recovery reads.
+        // nvt-lint: allow(raw-pcell-access): the lease is read once, raw, on a quiescent head
+        let lease = unsafe { (*head).seq.peek_bits() };
         SoftList {
             head,
             collector,
             registry: (!ctx.is_pooled()).then(|| Mutex::new(Vec::new())),
             ctx,
             owner_tag: head as u64,
-            next_seq: AtomicU64::new(1),
-            // SAFETY: the head is live (the contract); its `seq` word is
-            // the lease, read raw like every header word recovery reads.
-            // nvt-lint: allow(raw-pcell-access): the lease is read once, raw, on a quiescent head
-            lease: AtomicU64::new(unsafe { (*head).seq.peek_bits() }),
+            next_seq: AtomicU64::new(lease),
+            lease: AtomicU64::new(lease),
             _marker: PhantomData,
         }
     }
@@ -568,18 +550,6 @@ where
         self.lease.fetch_max(lease, Ordering::Release);
     }
 
-    /// Resumes the `seq` counter past `floor`, the highest generation a
-    /// recovery read plus one, and past the lease. A lease that does not
-    /// cover `floor` (an image written before leases existed) is raised at
-    /// once, or a later sealed open would resume below a header's `seq`.
-    fn resume_seq(&self, floor: u64) {
-        let lease = self.lease.load(Ordering::Acquire);
-        self.next_seq.fetch_max(floor.max(lease), Ordering::Relaxed);
-        if floor > lease {
-            self.extend_lease(floor);
-        }
-    }
-
     /// Quiescent: collects the unmarked `(key, value)` pairs in list order.
     pub fn iter_snapshot(&self) -> Vec<(K, V)> {
         chain::snapshot(self.head)
@@ -612,7 +582,7 @@ where
         if !D::DURABLE {
             return;
         }
-        let mut plan = RelinkPlan { rebuild: Some(Vec::new()), seq_floor: 0 };
+        let mut plan = RelinkPlan::default();
         let mut take = |n: NodePtr<K, V, D::B>| {
             // Raw peeks: any of these words may have rolled back to poison
             // (never persisted) under the simulator; the seal checksum
@@ -633,18 +603,12 @@ where
     }
 
     /// The rebuild behind [`recover_soft`](Self::recover_soft) and a pooled
-    /// open's recovery: resumes the `seq` counter past the plan's floor and
-    /// links the `plan`'s live nodes in key order, reading no header again.
-    /// A plan the trace verified has no nodes: its chain is left as it is.
-    /// Each link word is read first and stored only when it changes, so a
-    /// chain that is mostly right is mostly left unwritten, and nothing is
-    /// fenced unless a stale twin was tombstoned.
+    /// open's recovery: links the `plan`'s live nodes in key order, reading
+    /// no header again. Each link word is read first and stored only when it
+    /// changes, so a chain that is mostly right is mostly left unwritten,
+    /// and nothing is fenced unless a stale twin was tombstoned.
     fn relink(&self, plan: RelinkPlan) {
-        let RelinkPlan { rebuild, seq_floor } = plan;
-        self.resume_seq(seq_floor);
-        let Some(mut live) = rebuild else {
-            return;
-        };
+        let RelinkPlan { mut live } = plan;
         live.sort_unstable_by_key(|&(key, ..)| K::from_bits(key));
         // SAFETY: recovery runs single-threaded on a quiescent structure; every node is a live one of this list.
         let link = |pred: NodePtr<K, V, D::B>, succ: MarkedPtr<SoftNode<K, V, D::B>>| unsafe {
@@ -923,14 +887,11 @@ where
 
 // SAFETY: SOFT reachability is not link-based — recovery keeps exactly the
 // sealed nodes owned by this list, linked or not. The tracer
-// ([`trace_owned`]) marks the chain nodes it verified (sealed, owned,
-// ascending, behind unmarked links — each an allocated block `Marker`
-// vouched for before its header was read), then enumerates the blocks no
-// tracer marked through `Marker::mark_allocated_if` and marks every other
-// sealed node this list owns. So a valid-but-unlinked node (crash between
-// the header flush and the link CAS) is kept, as the recovery-rebuild
-// contract requires; in-flight (unsealed) and tombstoned nodes are left
-// for the sweep. A head without this layout's tag was written under
+// ([`trace_owned`]) enumerates the blocks no tracer marked through
+// `Marker::mark_allocated_if` and marks every sealed node this list owns.
+// So a valid-but-unlinked node (crash between the header flush and the
+// link CAS) is kept, as the recovery-rebuild contract requires; in-flight
+// (unsealed) and tombstoned nodes are left for the sweep. A head without this layout's tag was written under
 // another node layout: the tracer refuses the collection rather than probe
 // its nodes as this layout.
 // SAFETY: the trace only reads; the relink is `recover_attached`'s, on the plan.
@@ -953,13 +914,9 @@ where
         unsafe { trace_owned::<K, V, D::B>(&[root], marker) }.pop().unwrap_or_default()
     }
 
-    /// Relinks on the plan. A sealed open (`None`) only resumes the `seq`
-    /// counter from the head's lease: no header is read.
-    fn recover_attached(&self, plan: Option<Self::Plan>) {
-        match plan {
-            Some(plan) if D::DURABLE => self.relink(plan),
-            None if D::DURABLE => self.resume_seq(0),
-            _ => {}
+    fn recover_attached(&self, plan: Self::Plan) {
+        if D::DURABLE {
+            self.relink(plan);
         }
     }
 }
@@ -1006,107 +963,42 @@ impl Owners {
 }
 
 /// The SOFT tracer of `heads` (one list's head sentinel, or every bucket's
-/// of a table). It marks each head, then:
-///
-/// 1. **Verifies the chains.** The chains behind `heads` advance as one
-///    [`walk_chains`](crate::walk_chains) wavefront. Each node reached is
-///    probed once and accepted — marked, its `seq` raising its list's
-///    floor — only if it is an allocated block of node size, sealed and
-///    live, owned by that lane's list, after the lane's last key, and
-///    reached through an unmarked link. The first failure ends the lane
-///    and sends its list to the relink; a marked link fails only after
-///    the node holding it was accepted, so that node is still filed.
-/// 2. **Finds the rest.** One pass over the blocks no tracer has marked
-///    probes each header once and looks its `owner` word up once among
-///    `heads`. A tombstone raises its owner's `seq` floor and is left, like
-///    every torn or in-flight header, for the sweep. A sealed node there is
-///    not on its chain (a straggler): it is marked and filed, and its list
-///    goes to the relink.
-///
-/// A list that goes to the relink gets the full plan — its verified prefix
-/// is walked again and filed beside the stragglers, so the plan names every
-/// sealed node the list owns. Any other list's plan holds only its `seq`
-/// floor: its chain is already exactly what the relink would build.
-/// Returns one plan per head, in `heads` order.
+/// of a table). It marks each head, then makes one pass over the blocks no
+/// tracer has marked: it probes each header once and looks its `owner`
+/// word up once among `heads`, and marks and files every sealed, live node
+/// a head owns. Tombstones, torn and in-flight headers are left for the
+/// sweep. Returns one plan per head, in `heads` order.
 ///
 /// # Safety
 ///
 /// Same contract as [`nvtraverse_pool::TraceFn`]: called on a validated
 /// quiescent heap, with every element of `heads` a SOFT head of this
 /// layout; reads only words of allocated blocks the marker vouches for.
-pub(crate) unsafe fn trace_owned<K: Word + Ord, V: Word, B: Backend>(
+pub(crate) unsafe fn trace_owned<K: Word, V: Word, B: Backend>(
     heads: &[*mut u8],
     marker: &mut nvtraverse_pool::Marker<'_>,
 ) -> Vec<RelinkPlan> {
-    let node_size = std::mem::size_of::<SoftNode<K, V, B>>() as u64;
-    let mut plans: Vec<RelinkPlan> = heads.iter().map(|_| RelinkPlan::default()).collect();
-    let mut last: Vec<Option<K>> = vec![None; heads.len()];
-    let mut verified = vec![0usize; heads.len()];
-    // nvt-lint: begin-allow(raw-pcell-access): the GC tracer reads raw link and header words on a quiescent heap
-    // SAFETY: `n` is a node this walk vouched for (a head, or a block `mark` accepted).
-    let next_of = |n: NodePtr<K, V, B>| MarkedPtr::from_bits_raw(unsafe { (*n).next.peek_bits() });
-    let mut lanes: Vec<NodePtr<K, V, B>> = (heads.iter().zip(&mut plans))
-        .map(|(&head, plan)| {
+    let tags: Vec<u64> = heads
+        .iter()
+        .map(|&head| {
             marker.mark(head);
-            let first = next_of(head.cast());
-            if first.is_marked() {
-                plan.rebuild = Some(Vec::new());
-                return std::ptr::null_mut();
-            }
-            first.ptr()
+            head as u64
         })
         .collect();
-    // SAFETY: every node is probed only once `capacity_of` vouched for it as an allocated payload of node size.
-    unsafe {
-        crate::walk_chains(&mut lanes, |lane, n| {
-            let plan = &mut plans[lane];
-            let accepted = marker.capacity_of(n as *const u8).is_some_and(|cap| cap >= node_size)
-                && match probe_header(n) {
-                    HdrProbe::Live { key, owner, seq }
-                        if owner == heads[lane] as u64
-                            && last[lane].is_none_or(|k| k < K::from_bits(key)) =>
-                    {
-                        last[lane] = Some(K::from_bits(key));
-                        plan.saw(seq);
-                        true
-                    }
-                    _ => false,
-                }
-                && marker.mark(n as *const u8);
-            // A marked node is counted before its own link is checked: the
-            // re-walk below must file it, since no later pass sees it.
-            verified[lane] += usize::from(accepted);
-            let Some(next) = accepted.then(|| next_of(n)).filter(|next| !next.is_marked()) else {
-                plan.rebuild.get_or_insert_with(Vec::new);
-                return std::ptr::null_mut();
-            };
-            next.ptr()
-        });
-    }
-    let owners = Owners::new(&heads.iter().map(|&head| head as u64).collect::<Vec<_>>());
+    let owners = Owners::new(&tags);
+    let mut plans: Vec<RelinkPlan> = heads.iter().map(|_| RelinkPlan::default()).collect();
+    let node_size = std::mem::size_of::<SoftNode<K, V, B>>() as u64;
     marker.mark_allocated_if(|p, cap| {
         if cap < node_size {
             return false;
         }
         // SAFETY: `p` is an allocated payload of at least node size.
         let probe = unsafe { probe_header(p as *const SoftNode<K, V, B>) };
-        let (HdrProbe::Live { owner, .. } | HdrProbe::Tomb { owner, .. }) = probe else {
+        let HdrProbe::Live { owner, .. } = probe else {
             return false;
         };
         owners.owned_by(owner).is_some_and(|i| plans[i].file(p, probe))
     });
-    for ((plan, &head), &count) in plans.iter_mut().zip(heads).zip(&verified) {
-        let Some(live) = plan.rebuild.as_mut() else {
-            continue;
-        };
-        let mut n = head.cast::<SoftNode<K, V, B>>();
-        for _ in 0..count {
-            n = next_of(n).ptr();
-            // SAFETY: `n` is one of the `count` nodes the walk accepted behind `head`.
-            live.push(unsafe { ((*n).key.peek_bits(), (*n).seq.peek_bits(), n.cast()) });
-        }
-    }
-    // nvt-lint: end-allow(raw-pcell-access)
     plans
 }
 
@@ -1404,76 +1296,6 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The trace's verdict, bucket by bucket: a clean pooled `SoftHash`
-    /// open finds every chain intact (no plan files a node), and one
-    /// straggler — a sealed node its bucket's chain does not reach — sends
-    /// exactly that bucket to the relink, with every node it owns.
-    #[test]
-    fn a_straggler_sends_only_its_own_bucket_to_the_relink() {
-        use crate::soft_hash::SoftHash;
-        use nvtraverse::{PoolTrace, TypedRoots};
-        use nvtraverse_pmem::MmapBackend;
-        type Map = SoftHash<u64, u64, Soft<MmapBackend>>;
-        type L = SoftList<u64, u64, Soft<MmapBackend>>;
-        // A key outside the map, and the bucket `BucketTable` routes it to.
-        const KEY: u64 = 1 << 40;
-        let bucket = (KEY.wrapping_mul(0x9E37_79B9_7F4A_7C15) % Map::DEFAULT_POOL_BUCKETS as u64) as usize;
-        let path = std::env::temp_dir().join(format!("nvt-soft-verdict-{}.pool", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        // Each bucket's plan from a trace of the closed image; nothing attaches.
-        let plans = || {
-            crate::unseal(&path);
-            let pool = Pool::builder().path(&path).open().unwrap();
-            let mut plans = Vec::new();
-            // SAFETY: the root was created as a `Map`.
-            unsafe { pool.collect(&mut [("kv", &mut |root, marker| plans = Map::trace(root, marker))]) };
-            plans.iter().map(|p: &RelinkPlan| p.rebuild.as_ref().map(Vec::len)).collect::<Vec<_>>()
-        };
-        {
-            let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
-            let map = pool.create_root::<Map>("kv").unwrap();
-            for k in 0..2000u64 {
-                assert!(map.insert(k, k + 1));
-            }
-            map.close().unwrap();
-        }
-        assert_eq!(plans(), vec![None; Map::DEFAULT_POOL_BUCKETS], "a clean bucket went to the relink");
-
-        let owned = {
-            let pool = Pool::builder().path(&path).open().unwrap();
-            let map = pool.root::<Map>("kv").unwrap();
-            // The bucket's head, from the persistent `[n, head_off…]` table.
-            let table = pool.at(pool.root_offset("kv").unwrap()) as *const u64;
-            let head = pool.at(unsafe { table.add(1 + bucket).read() }).cast::<SoftNode<u64, u64, MmapBackend>>();
-            let owned = chain::len(head);
-            let _scope = PoolCtx::of(&pool).enter();
-            let owner = head as u64;
-            L::alloc_soft(SoftNode {
-                vstart: PCell::new(hdr_seal(KEY, 7, owner, 1 << 40)),
-                key: PCell::new(KEY),
-                value: PCell::new(7),
-                owner: PCell::new(owner),
-                seq: PCell::new(1 << 40),
-                next: PCell::new(MarkedPtr::null()),
-            })
-            .unwrap();
-            map.close().unwrap();
-            owned
-        };
-        let mut want = vec![None; Map::DEFAULT_POOL_BUCKETS];
-        want[bucket] = Some(owned + 1);
-        assert_eq!(plans(), want, "the straggler's bucket alone must relink, with every node it owns");
-
-        let pool = Pool::builder().path(&path).open().unwrap();
-        let map = pool.root::<Map>("kv").unwrap();
-        assert_eq!(map.check_consistency(false).unwrap(), 2001);
-        assert_eq!(map.get(KEY), Some(7), "the straggler was not linked");
-        assert!((0..2000u64).all(|k| map.get(k) == Some(k + 1)));
-        map.close().unwrap();
-        drop(pool);
-        std::fs::remove_file(&path).unwrap();
-    }
-
     /// The block-reuse hazard, word-level: a freed node's persisted words
     /// (tombstoned generation A) overlaid with any *partial* persist of the
     /// reusing generation B must classify as garbage — never as a live
@@ -1587,8 +1409,9 @@ mod tests {
         l.recover_soft();
         assert_eq!(l.get(1), Some(20), "keep-newest: the reinsert's value wins");
         assert_eq!(l.check_consistency(false).unwrap(), 1);
-        // The seq counter must have resumed past both generations.
-        assert!(l.next_seq.load(Ordering::Relaxed) > 9);
+        // The durable lease an attach would resume from covers both
+        // generations.
+        assert!(unsafe { (*l.head).seq.peek_bits() } > 9);
         // Remove the survivor, crash, recover: the stale (1, 10) twin must
         // not come back from the dead.
         assert!(l.remove(1));

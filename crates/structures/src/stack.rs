@@ -322,7 +322,7 @@ where
         }
     }
 
-    fn recover_attached(&self, _: Option<()>) {
+    fn recover_attached(&self, (): ()) {
         self.recover();
     }
 }

@@ -115,7 +115,7 @@ fn main() {
                 pool.collect(&mut [
                     ("demo-list", &mut |root, marker| _ = PooledList::trace(root, marker)),
                     ("demo-queue", &mut |root, marker| PooledQueue::trace(root, marker)),
-                    ("demo-skip", &mut |root, marker| _ = PooledSkip::trace(root, marker)),
+                    ("demo-skip", &mut |root, marker| PooledSkip::trace(root, marker)),
                 ])
             };
             assert!(

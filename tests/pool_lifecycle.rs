@@ -711,10 +711,12 @@ fn refused_sealed_and_walked(path: &std::path::Path, before: &[u8], refuses: imp
 }
 
 /// A SOFT pool written under another node layout — a head sentinel whose
-/// value word holds 0 where this layout keeps its `"SOFTv002"` tag, as
-/// every pool written under the seven-word layout does — is refused, not
-/// destroyed. Probed as this layout, about half of its live nodes would
-/// read as tombstones and be swept. Instead the tracer refuses (no sweep,
+/// value word holds 0 where this layout keeps its `"SOFTv003"` tag, as
+/// every pool written under the seven-word layout does, or `"SOFTv002"`,
+/// whose head may hold no `seq` lease — is refused, not destroyed. Probed
+/// as this layout, about half of a seven-word pool's live nodes would read
+/// as tombstones and be swept, and a lease of 0 would issue generations
+/// its headers already hold. Instead the tracer refuses (no sweep,
 /// `gc_ran` false) and the attach fails, for a list and for a table with
 /// one such bucket head, and the file keeps every byte.
 #[test]
@@ -745,10 +747,12 @@ fn soft_pool_of_another_layout_is_refused_not_destroyed() {
         let tag_at = head_of(&file, root) + 16;
         let mut saved = [0u8; 8];
         file.read_exact_at(&mut saved, tag_at).unwrap();
-        assert_eq!(&saved, b"SOFTv002", "{tag}: the head carries no layout tag");
-        file.write_all_at(&[0; 8], tag_at).unwrap();
-        let before = std::fs::read(&path).unwrap();
-        refused_sealed_and_walked(&path, &before, |pool| pool.root::<S>("soft").is_err());
+        assert_eq!(&saved, b"SOFTv003", "{tag}: the head carries no layout tag");
+        for old in [[0; 8], *b"SOFTv002"] {
+            file.write_all_at(&old, tag_at).unwrap();
+            let before = std::fs::read(&path).unwrap();
+            refused_sealed_and_walked(&path, &before, |pool| pool.root::<S>("soft").is_err());
+        }
 
         // Nothing was lost: with its tag back, the set opens with every key.
         file.write_all_at(&saved, tag_at).unwrap();
@@ -768,6 +772,91 @@ fn soft_pool_of_another_layout_is_refused_not_destroyed() {
         file.read_exact_at(&mut word, root + 8).unwrap();
         u64::from_le_bytes(word)
     });
+}
+
+/// A sealed open runs no tracer and no recovery, for any pooled type: the
+/// attach to a cleanly closed structure flushes and fences nothing (a
+/// queue whose adoption walk re-flushed every link, or a stack that
+/// re-flushed `top`, would) and finds the contents the close left.
+#[test]
+fn a_sealed_open_persists_nothing_for_any_pooled_type() {
+    use nvtraverse::PoolTrace;
+    use nvtraverse_obs as obs;
+    if !obs::enabled() {
+        return; // NVT_OBS=off: nothing is counted
+    }
+
+    /// Fills a fresh `S` with `fill`, closes it cleanly, and attaches to it
+    /// from a sealed open under an attributed metric set: nothing persisted,
+    /// and `contents` (with the type's consistency check, where it has one)
+    /// reads what it read before the close.
+    fn check<S: PoolTrace, T: PartialEq + std::fmt::Debug>(
+        tag: &str,
+        fill: impl Fn(&S),
+        contents: impl Fn(&S) -> T,
+    ) {
+        let path = tmp(tag);
+        let want = {
+            let s = create_pooled::<S>(&path, 4 << 20, "s").unwrap();
+            fill(&s);
+            let want = contents(&s);
+            s.close().unwrap();
+            want
+        };
+        let pool = Pool::builder().path(&path).open().unwrap();
+        assert!(pool.recovery_report().sealed, "{tag}: the close did not seal");
+        let set: &'static obs::MetricSet = Box::leak(Box::new(obs::MetricSet::new(1)));
+        let s = {
+            let _t = obs::attribute_to(Some(set));
+            pool.root::<S>("s").unwrap()
+        };
+        let m = set.snapshot();
+        assert_eq!((m.total_flushes(), m.total_fences()), (0, 0), "{tag}: a sealed open persisted something");
+        assert_eq!(contents(&s), want, "{tag}");
+        s.close().unwrap();
+        drop(pool);
+        std::fs::remove_file(&path).unwrap();
+    }
+    fn fill_set<S: DurableSet<u64, u64>>(s: &S) {
+        for k in 0..300u64 {
+            assert!(s.insert(k * 7 % 300, k));
+        }
+        for k in (0..300u64).step_by(4) {
+            assert!(s.remove(k));
+        }
+    }
+
+    check::<PooledList, _>("sealed-list", fill_set, |s| (s.check_consistency(false), s.iter_snapshot()));
+    check::<PooledMap, _>("sealed-map", fill_set, |s| (s.check_consistency(false), s.iter_snapshot()));
+    check::<PooledSkip, _>("sealed-skip", fill_set, |s| (s.check_consistency(false), s.iter_snapshot()));
+    check::<PooledEllen, _>("sealed-ellen", fill_set, |s| (s.check_consistency(true), s.iter_snapshot()));
+    check::<PooledNm, _>("sealed-nm", fill_set, |s| (s.check_consistency(true), s.iter_snapshot()));
+    check::<PooledSoftList, _>("sealed-soft-list", fill_set, |s| (s.check_consistency(false), s.iter_snapshot()));
+    check::<PooledSoftHash, _>("sealed-soft-hash", fill_set, |s| (s.check_consistency(false), s.iter_snapshot()));
+    check::<PooledPq, _>(
+        "sealed-pq",
+        |pq| {
+            (0..300u64).for_each(|p| assert!(pq.push(p * 7 % 300, p)));
+            (0..75).for_each(|_| assert!(pq.pop_min().is_some()));
+        },
+        |pq| (pq.check_consistency(false), pq.peek_min()),
+    );
+    check::<PooledQueue, _>(
+        "sealed-queue",
+        |q| {
+            (0..300u64).for_each(|v| q.enqueue(v));
+            (0..75u64).for_each(|v| assert_eq!(q.dequeue(), Some(v)));
+        },
+        |q| q.iter_snapshot(),
+    );
+    check::<PooledStack, _>(
+        "sealed-stack",
+        |st| {
+            (0..300u64).for_each(|v| st.push(v));
+            (0..75u64).for_each(|_| assert!(st.pop().is_some()));
+        },
+        |st| st.iter_snapshot(),
+    );
 }
 
 /// Builds a pool whose free blocks' link words follow no address order: a
