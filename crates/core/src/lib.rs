@@ -52,8 +52,9 @@
 //! **first-class**: open as many as you like in one process. Build a pool
 //! with `Pool::builder()`, then use the typed-root API ([`TypedRoots`]):
 //! `pool.create_root::<S>("name")` to create a named structure inside it,
-//! `pool.root::<S>("name")` to attach + recover it after a restart — each
-//! returns a [`PooledHandle`]. Every structure carries its own allocation
+//! `pool.open_roots::<(A, B)>(["a", "b"])` — or `pool.root::<S>("name")`
+//! for a pool of one root — to attach + recover them after a restart; each
+//! returns [`PooledHandle`]s. Every structure carries its own allocation
 //! context ([`alloc::PoolCtx`]), so [`alloc::alloc_node`]/[`alloc::free`]
 //! route each structure's node memory to *its* pool with no process-global
 //! state (where the paper's `libvmmalloc`, §5.1, takes over one heap for
@@ -99,7 +100,7 @@ pub use marked::MarkedPtr;
 pub use pool::{OpId, OpOutcome};
 pub use ops::{persist_window, run_operation, Critical, PersistSet, TraversalOps};
 pub use policy::{Durability, Izraelevitz, LinkPersist, NvTraverse, Soft, Volatile};
-pub use set::{DurableSet, PoolAttach, PoolTrace, PooledHandle, TypedRoots};
+pub use set::{DurableSet, PoolAttach, PoolTrace, PooledHandle, Schema, TypedRoots};
 
 /// What [`counted`] saw.
 #[cfg(test)]

@@ -15,11 +15,13 @@
 //!
 //! The entry point is the **typed-root API** ([`TypedRoots`], implemented
 //! for [`Pool`]): build a pool with `Pool::builder()`, then
-//! `pool.root::<S>("name")` / `pool.create_root::<S>("name")` /
-//! `pool.root_or_create::<S>("name")` — each returns a ready
-//! [`PooledHandle<S>`] with the structure attached and recovered — `root`
-//! first runs the pool's recovery GC with `S`'s [`PoolTrace`] tracer, whose
-//! plan the structure's recovery then carries out.
+//! `pool.open_roots::<(A, B)>(["a", "b"])` / `pool.root::<S>("name")` /
+//! `pool.create_root::<S>("name")` / `pool.root_or_create::<S>("name")` —
+//! each returns ready [`PooledHandle`]s with the structures attached and
+//! recovered. After a crash, `open_roots` (of which `root` is the one-root
+//! case) names the pool's [`Schema`] — every root with its type — so the
+//! pool's recovery GC runs with every root's [`PoolTrace`] tracer, and each
+//! tracer's plan is what its structure's recovery then carries out.
 //! Because the handle just holds a clone of the (first-class,
 //! multi-instance) pool, any number of roots and any number of pools
 //! coexist in one process.
@@ -30,7 +32,8 @@
 //! is the plan the attached structure's recovery runs.
 
 use crate::detect::{OpError, OpToken};
-use nvtraverse_pool::{OpId, Pool};
+use nvtraverse_pool::{Marker, OpId, Pool, TraceFn};
+use std::cell::Cell;
 use std::io;
 use std::ops::Deref;
 
@@ -232,10 +235,11 @@ pub trait PoolAttach: Sized {
     /// invalid), or the implementation finds the root block malformed or
     /// stamped with another node layout. Like `create_in_pool`, the
     /// attached instance captures a
-    /// [`PoolCtx`](crate::alloc::PoolCtx) for `pool`. An attach by hand
-    /// runs no recovery collection: call [`Pool::collect`] before it, as
-    /// [`TypedRoots::root`] does, never after. It writes nothing: recovery
-    /// is [`PoolTrace::recover_attached`], run on the trace's plan.
+    /// [`PoolCtx`](crate::alloc::PoolCtx) for `pool`. It writes nothing:
+    /// recovery is [`PoolTrace::recover_attached`], run on the trace's
+    /// plan. An attach by hand runs no recovery, and after a crash it ends
+    /// the open's chance to collect ([`Pool::attach_root_ptr`]): open
+    /// through [`TypedRoots::open_roots`], which collects first.
     ///
     /// # Safety
     ///
@@ -270,13 +274,13 @@ pub trait PoolAttach: Sized {
 /// that walk, so an open reads each structure's graph once.
 ///
 /// `Pool::open` cannot know which concrete structure type each registered
-/// root belongs to: the root registry stores untyped offsets. The attach
-/// does — [`TypedRoots::root`] hands [`PoolTrace::trace`] for the root's
-/// name to [`Pool::collect`] before `S` attaches (pass every root's tracer
-/// to `Pool::collect` yourself for a pool of several roots), so recovery
-/// can prove which allocated blocks are reachable and sweep the rest back
-/// to the free lists. When no collection can run, `Pool::collect` still
-/// runs the tracer, read-only, so the plan always comes from `trace`.
+/// root belongs to: the root registry stores untyped offsets. The typed
+/// open does — [`TypedRoots::open_roots`] names every root with its type
+/// and hands each root's [`PoolTrace::trace`] to [`Pool::collect`] before
+/// any structure attaches, so recovery can prove which allocated blocks
+/// are reachable and sweep the rest back to the free lists. An open that
+/// cannot collect fails, so the plan always comes from a collecting
+/// `trace`.
 ///
 /// # Contract for implementations
 ///
@@ -297,9 +301,8 @@ pub trait PoolAttach: Sized {
 ///   rebuilds from the persistent core (skiplist tower levels, the
 ///   queue's tail shortcut) may be stale after a crash; tracing through
 ///   them would at best mark garbage and at worst chase dangling pointers.
-///   The [`Marker`](nvtraverse_pool::Marker) validates every pointer
-///   against the block headers, but validation cannot turn a wrong walk
-///   into a right one.
+///   The [`Marker`] validates every pointer against the block headers,
+///   but validation cannot turn a wrong walk into a right one.
 /// * **Keep operation descriptors recovery dereferences.** The Ellen BST's
 ///   helping recovery reads `Info` records out of non-`CLEAN` update words
 ///   and then dereferences the nodes they name (including a pending
@@ -388,18 +391,18 @@ pub unsafe trait PoolTrace: PoolAttach {
     /// just attached, with the `plan` its own [`trace`](PoolTrace::trace)
     /// returned for this open. Quiescent.
     ///
-    /// It runs only after a trace, so never on a pool opened
-    /// [sealed](nvtraverse_pool::RecoveryReport::sealed): that close was
-    /// clean, drained every retired node and left the structure exactly as
-    /// its last operation did. Volatile state a session must not repeat is
-    /// therefore restored by the attach, on every open: SOFT's `seq`
-    /// counter from the lease in its head, the skiplist's height source
-    /// from the pool's live block count.
+    /// It runs only after the collection of a crashed open, so never on a
+    /// pool opened [sealed](nvtraverse_pool::RecoveryReport::sealed): that
+    /// close was clean, drained every retired node and left the structure
+    /// exactly as its last operation did. Volatile state a session must
+    /// not repeat is therefore restored by the attach, on every open:
+    /// SOFT's `seq` counter from the lease in its head, the skiplist's
+    /// height source from the pool's live block count.
     fn recover_attached(&self, plan: Self::Plan);
 }
 
-/// **Typed roots** — the extension of [`Pool`] that turns a root *name*
-/// into a ready, attached structure handle in one call:
+/// **Typed roots** — the extension of [`Pool`] that turns root *names*
+/// into ready, attached structure handles in one call:
 ///
 /// ```
 /// use nvtraverse::policy::NvTraverse;
@@ -407,59 +410,80 @@ pub unsafe trait PoolTrace: PoolAttach {
 /// use nvtraverse::pool::Pool;
 /// use nvtraverse::{DurableSet, TypedRoots};
 /// use nvtraverse_structures::list::HarrisList;
+/// use nvtraverse_structures::queue::MsQueue;
 ///
 /// type List = HarrisList<u64, u64, NvTraverse<MmapBackend>>;
+/// type Queue = MsQueue<u64, NvTraverse<MmapBackend>>;
 /// let path = std::env::temp_dir().join(format!("doc-typed-{}.pool", std::process::id()));
 /// # let _ = std::fs::remove_file(&path);
 ///
-/// // First process: build the pool, create a named root in it.
+/// // First process: build the pool, create two named roots in it.
 /// let pool = Pool::builder().path(&path).capacity(4 << 20).create()?;
 /// let list = pool.create_root::<List>("accounts")?;
+/// let queue = pool.create_root::<Queue>("audit")?;
 /// list.insert(7, 700);
-/// list.close()?;
-/// drop(pool);
+/// queue.enqueue(7);
+/// drop((list, queue, pool));
 ///
-/// // Any later process: open the pool, ask for the root by name + type.
+/// // Any later process: open the pool, name every root with its type.
 /// let pool = Pool::builder().path(&path).open()?;
-/// let list = pool.root::<List>("accounts")?;
+/// let (list, queue) = pool.open_roots::<(List, Queue)>(["accounts", "audit"])?;
 /// assert_eq!(list.get(7), Some(700));
-/// # list.close()?; drop(pool); std::fs::remove_file(&path)?;
+/// assert_eq!(queue.dequeue(), Some(7));
+/// # drop((list, queue, pool)); std::fs::remove_file(&path)?;
 /// # Ok::<(), std::io::Error>(())
 /// ```
 ///
-/// [`TypedRoots::root`] first runs the open's recovery collection with
-/// `S`'s [`PoolTrace`] tracer ([`Pool::collect`]), then attaches and runs
-/// the structure's recovery on the tracer's plan (on a
-/// [sealed](nvtraverse_pool::RecoveryReport::sealed) open it runs neither);
-/// every method returns a
-/// [`PooledHandle`] that shares the pool: call the methods as many times
-/// as there are roots, on as many pools as are open (`Pool::collect` →
-/// `attach_to_pool` → `recover_attached` remain the low-level layer
-/// underneath).
+/// [`TypedRoots::open_roots`] is the one open: after a crash it runs the
+/// pool's recovery collection with every root's [`PoolTrace`] tracer
+/// ([`Pool::collect`]), then attaches each root and runs each structure's
+/// recovery on its tracer's plan; on a
+/// [sealed](nvtraverse_pool::RecoveryReport::sealed) or already recovered
+/// pool it only attaches. [`TypedRoots::root`] is its one-root case. Every
+/// method returns [`PooledHandle`]s that share the pool, on as many pools
+/// as are open.
 ///
 /// # Type contract
 ///
-/// `root::<S>` trusts the caller
-/// that the root named `name` **was created as `S`** (same key/value/policy
-/// parameters): the pool's root registry stores untyped offsets, so a wrong
-/// `S` misreads pool memory — the same contract
-/// [`PoolAttach::attach_to_pool`] states. Creating and opening through this
-/// API keeps the assertion in exactly one place per root name.
+/// `open_roots::<S>` trusts the caller that each root **was created as
+/// its type in `S`** (same key/value/policy parameters): the pool's root
+/// registry stores untyped offsets, so a wrong type misreads pool memory —
+/// the same contract [`PoolAttach::attach_to_pool`] states. Creating and
+/// opening through this API keeps the assertion in exactly one place per
+/// root name.
 pub trait TypedRoots {
-    /// Attaches to the root named `name` as an `S`, runs its recovery, and
-    /// returns the owning handle. First calls [`Pool::collect`] with `S`'s
-    /// tracer for `name`: the first attach after the open collects a pool
-    /// whose only root (besides the ops table) is `name`, and ends the
-    /// open's collection either way. The tracer's plan is what
-    /// [`PoolTrace::recover_attached`] then runs. A pool opened
-    /// [sealed](nvtraverse_pool::RecoveryReport::sealed) needs no
-    /// recovery: no tracer runs, and neither does `recover_attached`.
+    /// Attaches to the roots `names` as the types of schema `S`, one name
+    /// per type in tuple order, runs their recovery, and returns the owning
+    /// handles. After a crash — an open that walked the heap — the first
+    /// call runs the open's one collection with every root's tracer, then
+    /// attaches every root, runs each structure's
+    /// [`recover_attached`](PoolTrace::recover_attached) on its tracer's
+    /// plan, then each one's
+    /// [`resolve_detectable`](PoolAttach::resolve_detectable), and only
+    /// then marks the pool recovered, so its close may seal. On a
+    /// [sealed](nvtraverse_pool::RecoveryReport::sealed), created or
+    /// already recovered pool it only attaches: no trace, no walk, no
+    /// recovery. The operation-descriptor table's root is traced by the
+    /// pool itself, so a schema never names it.
     ///
     /// # Errors
     ///
-    /// Fails when the pool has no root named `name`, the root does not
-    /// attach as `S` (a torn slot, or a block written under another node
-    /// layout), or the pool was [rebased](Pool::is_rebased).
+    /// Fails when a root in `names` is missing or does not attach as its
+    /// type (a torn slot, or a block written under another node layout),
+    /// or the pool was [rebased](Pool::is_rebased). After a crash it also
+    /// fails, sweeping nothing, when the pool holds a root `names` leaves
+    /// out, or the heap changed before recovery (an allocation, free or
+    /// attach came first); the file then differs only in its header's open
+    /// and close words.
+    fn open_roots<S: Schema>(&self, names: S::Names<'_>) -> io::Result<S::Handles>;
+
+    /// [`TypedRoots::open_roots`] for a pool whose only root is `name`:
+    /// attaches to it as an `S`, runs its recovery, and returns the owning
+    /// handle.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TypedRoots::open_roots`] with the one-root schema `(S,)`.
     fn root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>>;
 
     /// Creates a fresh `S` whose nodes live in this pool, registered under
@@ -482,46 +506,13 @@ pub trait TypedRoots {
 }
 
 impl TypedRoots for Pool {
-    fn root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>> {
-        let mut plan = None;
-        let sealed = self.recovery_report().sealed;
-        // SAFETY: attach_to_pool below requires the root to be of type `S`;
-        // tracing it as `S` is the same assertion. This is the attach, so
-        // nothing attached before it through this API.
-        unsafe {
-            if sealed {
-                // Nothing to recover: with no tracer the call only ends the
-                // open's collection, so no later one sweeps a node the
-                // attached structure retired.
-                self.collect(&mut []);
-            } else {
-                self.collect(&mut [(name, &mut |root, marker| plan = Some(S::trace(root, marker)))]);
-            }
-        }
-        // SAFETY: deferred to the caller's choice of `S` — see the
-        // trait-level type contract. No plan on an unsealed open: no root,
-        // or a rebased pool.
-        let attached = (sealed || plan.is_some()).then(|| unsafe { S::attach_to_pool(self, name) });
-        let inner = attached.flatten().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                if self.is_rebased() {
-                    format!("pool was rebased; absolute pointers for root {name:?} are invalid")
-                } else {
-                    format!("pool has no root named {name:?} that attaches as this type")
-                },
-            )
-        })?;
-        if let Some(plan) = plan {
-            inner.recover_attached(plan);
-        }
-        self.note_recovered(name);
-        // Recovery done and quiescent: let the structure answer the
-        // descriptors the descriptor table alone could not classify.
-        inner.resolve_detectable(self);
-        Ok(PooledHandle::from_attached(self.clone(), inner))
+    fn open_roots<S: Schema>(&self, names: S::Names<'_>) -> io::Result<S::Handles> {
+        S::open(self, names)
     }
 
+    fn root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>> {
+        self.open_roots::<(S,)>([name]).map(|(handle,)| handle)
+    }
     fn create_root<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>> {
         // Refuse to overwrite a live root: the raw registry's
         // `set_root_offset` replaces an existing slot, which would orphan
@@ -556,6 +547,97 @@ impl TypedRoots for Pool {
         }
     }
 }
+
+/// A pool's **schema**: the structure type of each root that
+/// [`TypedRoots::open_roots`] opens, as a tuple `(A, B, …)` of
+/// [`PoolTrace`] types (one to six), one per root name.
+///
+/// Naming every root at once is what lets a crashed pool be recovered as
+/// the paper's model (§2) requires, before any other operation: the open
+/// traces every root, sweeps what none reaches, and only then attaches
+/// and recovers each structure.
+pub trait Schema: schema::Open + Sized {
+    /// The root names, `[&str; N]`, in tuple order.
+    type Names<'n>;
+    /// The handles, `(PooledHandle<A>, PooledHandle<B>, …)`, in tuple order.
+    type Handles;
+}
+
+mod schema {
+    use super::*;
+
+    /// The open of a [`Schema`], out of reach of other crates.
+    pub trait Open {
+        /// [`TypedRoots::open_roots`].
+        fn open(pool: &Pool, names: <Self as Schema>::Names<'_>) -> io::Result<<Self as Schema>::Handles>
+        where
+            Self: Schema;
+    }
+
+    /// Attaches the root `name` as an `S`, recovering nothing.
+    pub(super) fn attach<S: PoolTrace>(pool: &Pool, name: &str) -> io::Result<PooledHandle<S>> {
+        // SAFETY: deferred to the caller's choice of `S` — see the
+        // `TypedRoots` type contract.
+        let inner = unsafe { S::attach_to_pool(pool, name) }.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                if pool.is_rebased() {
+                    format!("pool was rebased; absolute pointers for root {name:?} are invalid")
+                } else {
+                    format!("pool has no root named {name:?} that attaches as this type")
+                },
+            )
+        })?;
+        Ok(PooledHandle::from_attached(pool.clone(), inner))
+    }
+}
+
+/// Implements [`Schema`] for the tuple of `$S`, whose `$i`-th element is
+/// the type of root `names[$i]`.
+macro_rules! schema {
+    ($n:literal: $($S:ident $i:tt),+) => {
+        impl<$($S: PoolTrace),+> Schema for ($($S,)+) {
+            type Names<'n> = [&'n str; $n];
+            type Handles = ($(PooledHandle<$S>,)+);
+        }
+
+        impl<$($S: PoolTrace),+> schema::Open for ($($S,)+) {
+            fn open(pool: &Pool, names: <Self as Schema>::Names<'_>) -> io::Result<<Self as Schema>::Handles> {
+                let plans = ($(Cell::new(None::<$S::Plan>),)+);
+                let tracers: &mut [(&str, TraceFn<'_>)] = &mut [$(
+                    (names[$i], &mut |root: *mut u8, marker: &mut Marker<'_>| {
+                        // SAFETY: the root was created as `$S` — the
+                        // caller's type contract, which attach asserts too.
+                        plans.$i.set(Some(unsafe { $S::trace(root, marker) }));
+                    }),
+                )+];
+                // SAFETY: each tracer traces its root as the type the
+                // schema names for it, and nothing attaches before the
+                // collection: the attaches are the recovery it runs.
+                unsafe {
+                    pool.collect(tracers, || {
+                        let handles = ($(schema::attach::<$S>(pool, names[$i])?,)+);
+                        $(if let Some(plan) = plans.$i.take() {
+                            handles.$i.recover_attached(plan);
+                        })+
+                        // Recovery done and quiescent: let each structure
+                        // answer the descriptors the table alone could not
+                        // classify.
+                        $(handles.$i.resolve_detectable(pool);)+
+                        Ok(handles)
+                    })
+                }
+            }
+        }
+    };
+}
+
+schema!(1: A 0);
+schema!(2: A 0, B 1);
+schema!(3: A 0, B 1, C 2);
+schema!(4: A 0, B 1, C 2, D 3);
+schema!(5: A 0, B 1, C 2, D 3, E 4);
+schema!(6: A 0, B 1, C 2, D 3, E 4, F 5);
 
 /// Owning handle for a pool-resident structure: the attached structure plus
 /// a handle on the pool it lives in, dropped in that order.

@@ -11,18 +11,20 @@
 //! This module supplies the missing half of the recovery contract. After a
 //! crash, the open's one heap walk records every allocated block's start
 //! and keeps that inventory (an open that reads a clean close's sealed
-//! summary walks nothing and has nothing to collect); the open runs no tracer, because only the caller knows
-//! which type each root holds. The first
-//! [`Pool::collect`](crate::Pool::collect) — which
-//! `TypedRoots::root::<S>` calls with `S`'s tracer before `S` attaches —
-//! consumes the inventory: a mark phase walks each root's persistent node
-//! graph (via the [`TraceFn`] the caller passed for that root's name) into
-//! a volatile [`Marker`], and the sweep hands every allocated-but-unmarked
-//! block to the allocation engine's free path, into the class bitmaps
-//! where the walk's free blocks already wait and allocations claim both in
-//! address order. The first allocation or free after the open consumes the
-//! inventory too, so a block the session itself allocated or freed is
-//! never taken for crash garbage.
+//! summary walks nothing and never collects); the open runs no tracer,
+//! because only the caller knows which type each root holds. The typed
+//! open — `TypedRoots::open_roots`, of which `root::<S>` is the one-root
+//! case — names every root with its type and hands their tracers to
+//! [`Pool::collect`](crate::Pool::collect), which consumes the inventory: a
+//! mark phase walks each root's persistent node graph (via the [`TraceFn`]
+//! for that root's name) into a volatile [`Marker`], and the sweep hands
+//! every allocated-but-unmarked block to the allocation engine's free path,
+//! into the class bitmaps where the walk's free blocks already wait and
+//! allocations claim both in address order. Only then does any structure
+//! attach. The first allocation, free or attach after the open consumes
+//! the inventory too, so a block the session itself allocated, freed or
+//! retired is never taken for crash garbage — and the typed open then
+//! fails instead of collecting.
 //!
 //! Both sets are **bitmaps** with one bit per 16-byte heap unit, a block
 //! named by its header's unit: the heap walk fills the *allocated* bitmap
@@ -46,20 +48,18 @@
 //! what it found to the caller that named its type — the chains that cross
 //! a marked link, the sealed nodes of a SOFT list — and the structure's
 //! recovery acts on that plan alone, so an open reads each structure's
-//! graph once. On a sealed open the typed attach runs neither: the clean
-//! close left nothing to recover. When no collection can run (the inventory
-//! is gone, or a root has no tracer), [`Pool::collect`](crate::Pool::collect)
-//! still runs the tracers it was given, read-only, over the inventory or a
-//! fresh walk, and sweeps nothing: the plan always comes from the tracer.
+//! graph once. On a sealed open the typed open runs neither: the clean
+//! close left nothing to recover.
 //!
 //! The GC is conservative about what it cannot prove: it runs only when the
 //! pool is mapped at its preferred base (tracers chase embedded absolute
-//! pointers, exactly like `recover()`) and **every** root has a tracer. One
-//! unknown root disables the whole collection — reachability of its blocks
-//! cannot be established, and sweeping them would destroy live data — and
-//! so does a tracer that [refuses](Marker::refuse) its root (one written
-//! under another node layout). See `ARCHITECTURE.md` § "Recovery GC" for
-//! the per-structure reachability contract.
+//! pointers, exactly like `recover()`) and **every** root has a tracer. A
+//! root the open does not name fails the typed open — reachability of its
+//! blocks cannot be established, and sweeping them would destroy live
+//! data — and so does a tracer that [refuses](Marker::refuse) its root
+//! (one written under another node layout); nothing is swept either way.
+//! See `ARCHITECTURE.md` § "Recovery GC" for the per-structure
+//! reachability contract.
 
 use crate::engine::Engine;
 use crate::{
@@ -81,8 +81,9 @@ use std::time::Instant;
 /// then fails, leaves the file as it found it.
 ///
 /// [`Pool::collect`](crate::Pool::collect) calls it single-threaded, on a
-/// quiescent heap whose every block header was validated; its `unsafe`
-/// contract is what vouches that each tracer matches its root's type.
+/// quiescent heap whose every block header was validated, before any
+/// structure attaches; its `unsafe` contract is what vouches that each
+/// tracer matches its root's type.
 pub type TraceFn<'t> = &'t mut dyn FnMut(*mut u8, &mut Marker<'_>);
 
 /// A root the mark phase traces: its name, its payload offset, and the
@@ -246,8 +247,9 @@ impl<'a> Marker<'a> {
     /// trace — one whose on-media layout stamp names a different node
     /// layout than the tracer's — so no block's reachability is provable.
     /// The collection then ends before its sweep with
-    /// [`RecoveryReport::gc_ran`] false, the same conservative outcome as
-    /// a root with no tracer at all: nothing is freed.
+    /// [`RecoveryReport::gc_ran`] false and the typed open fails, the same
+    /// conservative outcome as a root with no tracer at all: nothing is
+    /// freed.
     pub fn refuse(&mut self) {
         self.refused = true;
     }
@@ -353,7 +355,7 @@ impl<'a> Marker<'a> {
 /// `allocated`, calling `tracers[i]` for a root whose tracer is `Some(i)`.
 /// Returns the marker and each root's newly marked block count, or `None`
 /// as soon as a tracer [refuses](Marker::refuse).
-pub(crate) fn mark<'a>(
+fn mark<'a>(
     mem: Mem,
     allocated: &'a Bitmap,
     roots: &[Root],

@@ -21,11 +21,12 @@
 //!   it strands (in-flight allocations, EBR-retired-but-unreclaimed nodes)
 //!   stay allocated only until the next open — reopening after a crash
 //!   rebuilds all volatile allocator state from one read-only heap walk,
-//!   and the first [`Pool::collect`] after it (the typed `root::<S>()`
-//!   attach calls it with `S`'s tracer) runs a **root-driven mark-sweep
-//!   GC** (the [`gc`] module) that returns every allocated block
-//!   unreachable from the roots to the free lists, reporting the reclaim
-//!   in [`RecoveryReport`]. A clean close instead **seals** a summary of
+//!   and the typed open of every root ([`Pool::collect`], which the
+//!   `open_roots`/`root::<S>()` calls of the `nvtraverse` crate run with
+//!   each root's tracer) runs a **root-driven mark-sweep GC** (the [`gc`]
+//!   module) that returns every allocated block unreachable from the roots
+//!   to the free lists, reporting the reclaim in [`RecoveryReport`], before
+//!   any structure attaches. A clean close instead **seals** a summary of
 //!   the allocator's state, and the next open reads it: no walk, no
 //!   collection ([`RecoveryReport::sealed`]; the private `seal` module).
 //! * [`POff`] — typed offset pointers, stable across rebased mappings.
@@ -159,7 +160,7 @@ pub(crate) const W0_CLASS_MASK: u64 = 0xFF;
 pub(crate) const W0_ALLOCATED: u64 = 1 << 63;
 
 /// What recovery found: [`PoolBuilder::open`]'s heap walk, plus the
-/// mark-sweep GC of the first [`Pool::collect`] once it ran.
+/// mark-sweep GC of the typed open ([`Pool::collect`]) once it ran.
 ///
 /// The block counts describe the heap **after** the recovery GC: a block
 /// the sweep reclaimed is counted in `free_blocks` (and `reclaimed_blocks`),
@@ -184,25 +185,24 @@ pub struct RecoveryReport {
     pub clean_shutdown: bool,
     /// Whether this open read the sealed summary a clean close left
     /// instead of walking the heap. A sealed open runs no heap walk, keeps
-    /// no inventory, and the typed attach runs no collection on it
-    /// (`gc_ran` stays false): the close had drained every retired node
-    /// and stranded nothing. It is false — and the open walks — after a
+    /// no inventory and never collects (`gc_ran` stays false): the close
+    /// had drained every retired node and stranded nothing, so the typed
+    /// open only attaches. It is false — and the open walks — after a
     /// crash, after a close that left a retired node in another thread's
     /// bag or a magazine in another thread, after a close of a walked
-    /// session that never collected (its heap may hold crash garbage) or
-    /// never recovered every root's structure ([`Pool::note_recovered`]),
+    /// session whose typed open did not collect and recover every root
+    /// (its heap may hold crash garbage, its structures crash state),
     /// after a session that removed or repointed a root (its old graph may
-    /// be garbage), and when the record does not verify. A block a session allocates and neither
-    /// frees nor links is not garbage to a sealed close: it stays
-    /// allocated until an explicit [`Pool::collect`] (the first call after
-    /// a sealed open walks the heap for it) or an open after a crash
-    /// collects it.
+    /// be garbage), and when the record does not verify. A block a session
+    /// allocates and neither frees nor links is not garbage to a sealed
+    /// close: it stays allocated until an open after a crash collects it.
     pub sealed: bool,
     /// Whether the root-driven mark-sweep GC ran for this open: `false`
-    /// until [`Pool::collect`] (or the typed `root::<S>()` attach that
-    /// calls it) collects. It runs only when the pool mapped at its
-    /// preferred base and the caller passed a tracer for **every** root;
-    /// otherwise reachability cannot be proved and nothing is swept.
+    /// until the typed open of a walked pool ([`Pool::collect`]) collects.
+    /// It runs only when the pool mapped at its preferred base, the open
+    /// names **every** root with its tracer, and nothing allocated, freed
+    /// or attached since the open; otherwise the typed open fails and
+    /// nothing is swept.
     pub gc_ran: bool,
     /// Allocated blocks the sweep proved unreachable from every root and
     /// returned to the free lists. `0` after a clean close (the EBR drain
@@ -360,13 +360,14 @@ struct Inner {
     /// Set by `finish_open`: a half-built Inner from a failed open must not
     /// stamp the file as cleanly shut down on drop.
     ready: bool,
-    /// Whether this handle created the pool: a fresh heap holds no crash
-    /// garbage, so its close may seal without a collection.
-    created: bool,
-    /// The roots a walked open found whose structures have not run their
-    /// recovery this session ([`Pool::note_recovered`]); a close seals only
-    /// once it is empty. Always empty after a sealed open or a create.
-    unrecovered: Mutex<Vec<String>>,
+    /// Whether the heap holds no crash garbage and no structure crash
+    /// state: set by a create and a sealed open, and after a walked open by
+    /// the typed open once every root collected and recovered
+    /// ([`Pool::collect`]). A close seals only with it set. Stored
+    /// `Release` after the recovery and loaded `Acquire` by
+    /// [`Pool::collect`], so an open that finds it set and only attaches
+    /// sees every store the recovery made.
+    recovered: AtomicBool,
     /// Set when a root is removed or repointed: the graph it named may now
     /// be garbage only a collection finds, so the close must not seal.
     orphaned: AtomicBool,
@@ -377,11 +378,10 @@ struct Inner {
     /// Mutable because [`Pool::collect`] folds its collection into it after
     /// the open. Also serializes collections.
     report: Mutex<RecoveryReport>,
-    /// The open's allocated-block bitmap, kept for the first
-    /// [`Pool::collect`]; null when there is nothing to collect (a fresh,
-    /// rootless or rebased pool) or once a collection, an allocation or a
-    /// free consumed it; [`UNWALKED`] after a sealed open, whose first
-    /// collection walks the heap it left untouched. Owned: any other value
+    /// A walked open's allocated-block bitmap, kept for the collection of
+    /// the typed open; null when there is nothing to collect (a created,
+    /// sealed, rootless or rebased pool) or once the collection, an
+    /// allocation, a free or an attach consumed it. Owned: a non-null value
     /// came from `Box::into_raw`.
     inventory: AtomicPtr<gc::Bitmap>,
     /// This pool's telemetry (`nvtraverse-obs`), resolved from the pool's
@@ -395,20 +395,6 @@ struct Inner {
     ops: Mutex<optable::OpsState>,
     /// The epoch collector of [`Pool::collector`].
     collector: Collector,
-}
-
-/// The inventory of a sealed open: the heap is the one the close left, not
-/// yet walked. A dangling pointer, so no `Box` ever has it.
-const UNWALKED: *mut gc::Bitmap = std::ptr::NonNull::dangling().as_ptr();
-
-/// What [`Inner::take_inventory`] hands a collection.
-enum Inventory {
-    /// Consumed, or never kept: no collection can run.
-    Gone,
-    /// A sealed open's untouched heap, to walk if a collection runs.
-    Unwalked,
-    /// The open's walk.
-    Walked(Box<gc::Bitmap>),
 }
 
 // SAFETY: the mapping is plain shared memory; mutation happens through the engine's
@@ -494,9 +480,8 @@ impl PoolBuilder {
     /// a close that sealed, from the sealed summary with no walk
     /// ([`RecoveryReport::sealed`]). The open runs no tracer: it keeps the
     /// walk's allocated-block inventory for the root-driven mark-sweep
-    /// recovery GC (see the [`gc`] module) of the first [`Pool::collect`] —
-    /// which the typed `root::<S>()` attach calls with `S`'s tracer before
-    /// `S` attaches.
+    /// recovery GC (see the [`gc`] module) that the typed open of every
+    /// root runs ([`Pool::collect`]) before any structure attaches.
     ///
     /// The file is mapped at its recorded preferred base when that range is
     /// still free (embedded absolute pointers stay valid); otherwise it is
@@ -616,8 +601,7 @@ impl Pool {
             _file: file,
             rebased: false,
             ready: false,
-            created: true,
-            unrecovered: Mutex::default(),
+            recovered: AtomicBool::new(true),
             orphaned: AtomicBool::new(false),
             engine: Engine::new(metrics),
             roots: Mutex::new(()),
@@ -709,8 +693,7 @@ impl Pool {
             _file: file,
             rebased,
             ready: false,
-            created: false,
-            unrecovered: Mutex::default(),
+            recovered: AtomicBool::new(false),
             orphaned: AtomicBool::new(false),
             engine: Engine::new(metrics),
             roots: Mutex::new(()),
@@ -743,21 +726,15 @@ impl Pool {
             .map(|off| optable::snapshot_ops(mem, off, &mut report))
             .unwrap_or_default();
         *inner.ops.get_mut().unwrap_or_else(|e| e.into_inner()) = ops_state;
-        // Keep the walk's inventory for the first `collect`. Rebased
-        // mappings and rootless pools can never be collected. A sealed open
-        // has nothing to recover, and only an explicit collection walks.
-        let roots = inner.roots();
-        let collectable = !rebased && !roots.is_empty();
+        // A sealed open has nothing to recover. A walked one keeps its
+        // inventory for the typed open's collection; rebased mappings and
+        // rootless pools can never be collected.
         match allocated {
-            None if collectable => *inner.inventory.get_mut() = UNWALKED,
-            None => {}
-            Some(allocated) => {
-                if collectable {
-                    *inner.inventory.get_mut() = Box::into_raw(Box::new(allocated));
-                }
-                *inner.unrecovered.get_mut().unwrap_or_else(|e| e.into_inner()) =
-                    roots.into_iter().map(|(name, _)| name).filter(|name| name != optable::OPS_ROOT).collect();
+            None => *inner.recovered.get_mut() = true,
+            Some(allocated) if !rebased && !inner.roots().is_empty() => {
+                *inner.inventory.get_mut() = Box::into_raw(Box::new(allocated));
             }
+            Some(_) => {}
         }
         // Mark the pool dirty until a clean close. The preferred base is
         // only re-recorded for a NON-rebased mapping: on a rebased one,
@@ -1000,17 +977,6 @@ impl Pool {
         Ok(())
     }
 
-    /// Records that the structure at root `name` ran its recovery this
-    /// session — the typed `root::<S>()` attach calls it after
-    /// `recover_attached`. After an open that walked the heap, a close
-    /// seals a summary only once every root the open found has recovered
-    /// (and a collection ran): a structure a crash left unrecovered must
-    /// not be sealed as it is.
-    pub fn note_recovered(&self, name: &str) {
-        let mut unrecovered = self.inner.unrecovered.lock().unwrap_or_else(|e| e.into_inner());
-        unrecovered.retain(|root| root != name);
-    }
-
     /// Looks up the raw offset registered under `name`.
     ///
     /// (The typed counterpart — `pool.root::<S>(name)` returning an
@@ -1032,7 +998,6 @@ impl Pool {
     /// it named may now be garbage only a collection finds, so this
     /// session's close writes no sealed summary.
     pub fn remove_root(&self, name: &str) -> Option<u64> {
-        self.note_recovered(name);
         let inner = &*self.inner;
         let _guard = inner.roots.lock().unwrap_or_else(|e| e.into_inner());
         for slot in 0..MAX_ROOTS {
@@ -1078,11 +1043,14 @@ impl Pool {
     /// implementation shares: refuses a [rebased](Pool::is_rebased) pool
     /// (embedded absolute pointers would be invalid) and a torn slot from a
     /// crashed `set_root_offset` (offset 0), then resolves the root as a
-    /// typed pointer in the current mapping.
+    /// typed pointer in the current mapping. Like an allocation or a free,
+    /// it ends a walked open's chance to collect: an attached structure may
+    /// retire what its recovery unlinks, and a sweep would free it again.
     ///
     /// Allocation routing is the attaching structure's job (it carries
     /// this pool's [`Pool::alloc_target`] in its `PoolCtx`).
     pub fn attach_root_ptr<T>(&self, name: &str) -> Option<*mut T> {
+        self.inner.end_inventory();
         if self.is_rebased() {
             return None;
         }
@@ -1135,102 +1103,51 @@ impl Pool {
 
     // ---- recovery GC ----------------------------------------------------
 
-    /// Runs this open's root-driven mark-sweep recovery GC (the [`gc`]
-    /// module) with `tracers`, the `(root name, tracer)` of each root the
-    /// caller can name; the [`OPS_ROOT`] table brings its own. Returns
-    /// whether a collection ran; its reclaim is folded into
-    /// [`Pool::recovery_report`].
+    /// Runs this open's recovery around `recover`, the caller's attach and
+    /// recovery of every root — the typed open (`open_roots`/`root::<S>()`
+    /// in the `nvtraverse` crate) is the one caller, and every `(root name,
+    /// tracer)` of `tracers` is one root of its schema; the [`OPS_ROOT`]
+    /// table brings its own tracer.
     ///
-    /// Only the first call after the open can collect: it consumes the
-    /// open's block inventory, whether or not a collection runs, and so
-    /// does the first allocation or free — from then on the heap is no
-    /// longer the one the walk saw. Nothing is swept when a root has no
-    /// tracer in `tracers`, a tracer [refuses](Marker::refuse) its root,
-    /// or the pool is [rebased](Pool::is_rebased): reachability is then
-    /// not provable. The typed `root::<S>()` attach calls this with `S`'s
-    /// tracer before `S` attaches, which collects a single-root pool; a
-    /// multi-root pool is collected by passing every root's tracer here
-    /// before the first attach. Collections serialize on the report lock,
-    /// and the inventory is freed before this returns.
+    /// After a created or [sealed](RecoveryReport::sealed) open, and once
+    /// an earlier call recovered this open, there is nothing to recover:
+    /// no tracer runs and this is `recover()`. After a walked open, it
+    /// first runs the open's one root-driven mark-sweep recovery GC (the
+    /// [`gc`] module) with `tracers` — its reclaim is folded into
+    /// [`Pool::recovery_report`] — then `recover()`, and only when that
+    /// succeeds is the pool recovered, so its close may seal.
     ///
-    /// A tracer runs whether or not a collection can: when none can, each
-    /// of `tracers` whose root exists runs read-only — over the inventory
-    /// if it is still held, else over a fresh heap walk — and nothing is
-    /// swept, so a structure always gets its recovery plan from its own
-    /// tracer. Nothing runs on a rebased pool, whose absolute pointers no
-    /// tracer may follow.
+    /// # Errors
     ///
-    /// A [sealed](RecoveryReport::sealed) open keeps no inventory and has
-    /// nothing to recover, so the typed attach runs no tracer there and
-    /// calls this with none, which only ends the open's collection. An
-    /// explicit first call with every root's tracer still collects: it
-    /// walks the heap the close left and sweeps what no root reaches — a
-    /// block a session allocated and never linked or freed, which a clean
-    /// close keeps.
+    /// A walked open fails, sweeping nothing and with `recover` not called,
+    /// when the pool is [rebased](Pool::is_rebased), a root on media is not
+    /// in `tracers` or one in `tracers` is not on media (reachability is
+    /// then not provable), the heap changed since the open (an allocation,
+    /// free or attach consumed its inventory: a block the session itself
+    /// allocated is reachable from no root), or a tracer
+    /// [refuses](Marker::refuse) its root. Otherwise the error is
+    /// `recover`'s, and the pool stays unrecovered.
     ///
     /// # Safety
     ///
     /// Each tracer must trace the root it names as the type that created
     /// it (same concrete node layout) — the contract
-    /// `PoolAttach::attach_to_pool` states for the attaching type. No
-    /// structure may have attached to this pool since the open: a
-    /// structure's recovery may retire nodes it unlinks, and the sweep
-    /// would free them a second time. A mismatch misreads pool memory and
-    /// may sweep live blocks. The heap must be quiescent for the call.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the fresh walk finds a heap that no longer verifies:
-    /// recovery must fail loudly rather than present a corrupt pool as an
-    /// empty structure.
-    pub unsafe fn collect(&self, tracers: &mut [(&str, TraceFn<'_>)]) -> bool {
+    /// `PoolAttach::attach_to_pool` states for the attaching type. A
+    /// mismatch misreads pool memory and may sweep live blocks. The heap
+    /// must be quiescent for the call.
+    pub unsafe fn collect<R>(
+        &self,
+        tracers: &mut [(&str, TraceFn<'_>)],
+        recover: impl FnOnce() -> io::Result<R>,
+    ) -> io::Result<R> {
         let inner = &*self.inner;
-        let mut report = inner.report.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.rebased {
-            return false;
+        if inner.recovered.load(Ordering::Acquire) {
+            return recover();
         }
-        let inventory = inner.take_inventory();
-        let _t = obs::attribute_to(Some(inner.metrics));
-        let _p = obs::phase(obs::Phase::Gc);
-        let roots = match inventory {
-            Inventory::Gone => None,
-            _ => inner.traceable_roots(tracers),
-        };
-        let allocated = |inventory| match inventory {
-            Inventory::Walked(allocated) => *allocated,
-            _ => inner.walk_allocated(),
-        };
-        let Some(roots) = roots else {
-            let named: Vec<gc::Root> = (tracers.iter().enumerate())
-                .filter_map(|(i, (name, _))| {
-                    let off = self.root_offset(name).filter(|&off| off != 0)?;
-                    Some((name.to_string(), off, Some(i)))
-                })
-                .collect();
-            if !named.is_empty() {
-                gc::mark(inner.mem, &allocated(inventory), &named, tracers);
-            }
-            return false;
-        };
-        let allocated = allocated(inventory);
-        let Some((swept, bytes)) = gc::collect(
-            inner.mem,
-            &allocated,
-            &roots,
-            tracers,
-            &inner.engine,
-            inner.metrics,
-            &mut report,
-        ) else {
-            return false;
-        };
-        obs::ring::record(
-            obs::ring::EventKind::Gc,
-            &pool_label(&inner.path),
-            swept as u64,
-            bytes,
-        );
-        true
+        inner.collect(tracers)?;
+        let recovered = recover()?;
+        inner.recovered.store(true, Ordering::Release);
+        Ok(recovered)
     }
 
     /// Whether `off` is the payload start of a currently **allocated**
@@ -1446,39 +1363,44 @@ impl Inner {
         Some(report)
     }
 
-    /// A fresh read-only walk's allocated-block bitmap, for a
-    /// [`Pool::collect`] whose inventory is gone.
-    fn walk_allocated(&self) -> gc::Bitmap {
-        let frontier = self.engine.frontier();
-        let mut allocated = gc::Bitmap::new(frontier);
-        walk_heap(self.mem, frontier, |off, _, _, is_allocated| {
-            if is_allocated {
-                allocated.set(off);
-            }
-        })
-        .expect("the heap Pool::open verified no longer verifies");
-        allocated
+    /// The walked open's one collection (see [`Pool::collect`]): every
+    /// root traced over the open's inventory, then the sweep. Fails with
+    /// nothing swept when it cannot prove reachability.
+    fn collect(&self, tracers: &mut [(&str, TraceFn<'_>)]) -> io::Result<()> {
+        let mut report = self.report.lock().unwrap_or_else(|e| e.into_inner());
+        if self.rebased {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                "pool was rebased; absolute pointers for its roots are invalid",
+            ));
+        }
+        let roots = self.schema_roots(tracers)?;
+        let allocated = self.take_inventory().ok_or_else(|| {
+            io::Error::other("the heap changed since the open: an allocation, free or attach came before recovery")
+        })?;
+        let _t = obs::attribute_to(Some(self.metrics));
+        let _p = obs::phase(obs::Phase::Gc);
+        let (swept, bytes) =
+            gc::collect(self.mem, &allocated, &roots, tracers, &self.engine, self.metrics, &mut report)
+                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "a root is not the layout its tracer reads"))?;
+        obs::ring::record(obs::ring::EventKind::Gc, &pool_label(&self.path), swept as u64, bytes);
+        Ok(())
     }
 
-    /// Takes the open's block inventory, leaving it [`Inventory::Gone`].
-    fn take_inventory(&self) -> Inventory {
+    /// Takes the open's block inventory, leaving none.
+    fn take_inventory(&self) -> Option<Box<gc::Bitmap>> {
         let p = self.inventory.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if p.is_null() {
-            Inventory::Gone
-        } else if p == UNWALKED {
-            Inventory::Unwalked
-        } else {
-            // SAFETY: any other inventory came from `Box::into_raw` at
-            // open, and the swap hands it to exactly one caller.
-            Inventory::Walked(unsafe { Box::from_raw(p) })
-        }
+        // SAFETY: a non-null inventory came from `Box::into_raw` at open,
+        // and the swap hands it to exactly one caller.
+        (!p.is_null()).then(|| unsafe { Box::from_raw(p) })
     }
 
     /// Consumes the open's inventory, if still held: the heap is about to
     /// differ from the one the walk saw — a fresh allocation is reachable
-    /// from no root, a free may recycle a block — so no collection may run
-    /// on it any more. Once consumed this costs one load, `Relaxed`
-    /// because it only gates the swap, which does the `Acquire`.
+    /// from no root, a free may recycle a block, an attached structure may
+    /// retire one — so no collection may run on it any more. Once consumed
+    /// this costs one load, `Relaxed` because it only gates the swap, which
+    /// does the `Acquire`.
     fn end_inventory(&self) {
         if !self.inventory.load(Ordering::Relaxed).is_null() {
             drop(self.take_inventory());
@@ -1486,31 +1408,31 @@ impl Inner {
     }
 
     /// Every root with the tracer that traces it (see [`gc::Root`]) — or
-    /// `None` when the recovery GC must be skipped because reachability is
-    /// not provable: no roots at all, a torn slot (offset 0), or a root
-    /// without a tracer in `tracers`. One unknown root disables the whole
-    /// collection — its blocks' reachability cannot be established, and
-    /// sweeping them could destroy live data. The reserved ops-table root
-    /// has a built-in tracer (a single block, no outgoing pointers):
-    /// detectable pools must not lose the GC because no structure tracer
-    /// mentions it.
-    fn traceable_roots(&self, tracers: &[(&str, gc::TraceFn<'_>)]) -> Option<Vec<gc::Root>> {
+    /// the reason the collection must not run: a root on media that no
+    /// tracer names (its blocks' reachability cannot be established, and
+    /// sweeping them could destroy live data), or a tracer whose root is
+    /// not on media. The reserved ops-table root has a built-in tracer (a
+    /// single block, no outgoing pointers): detectable pools must not lose
+    /// the GC because no structure tracer mentions it.
+    fn schema_roots(&self, tracers: &[(&str, TraceFn<'_>)]) -> io::Result<Vec<gc::Root>> {
         let roots = self.roots();
-        if roots.is_empty() {
-            return None;
+        if let Some((name, _)) = tracers.iter().find(|(name, _)| !roots.iter().any(|(r, off)| r == name && *off != 0)) {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("pool has no root named {name:?} to recover"),
+            ));
         }
         roots
             .into_iter()
             .map(|(name, off)| {
-                if off == 0 {
-                    return None; // torn slot: its structure cannot be traced
+                let tracer = tracers.iter().position(|(n, _)| *n == name);
+                if tracer.is_none() && (name != optable::OPS_ROOT || off == 0) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!("root {name:?} is on media but the open's schema does not trace it: its blocks cannot be proven unreachable"),
+                    ));
                 }
-                let tracer = if name == optable::OPS_ROOT {
-                    None
-                } else {
-                    Some(tracers.iter().position(|(n, _)| *n == name)?)
-                };
-                Some((name, off, tracer))
+                Ok((name, off, tracer))
             })
             .collect()
     }
@@ -1564,10 +1486,7 @@ impl Drop for Inner {
             // A heap an open walked may hold crash garbage until a
             // collection proves it has none, and structures a crash left to
             // recover until each has: a seal would hide both.
-            let report = self.report.get_mut().unwrap_or_else(|e| e.into_inner());
-            let recovered = self.unrecovered.get_mut().unwrap_or_else(|e| e.into_inner()).is_empty();
-            let proven = self.created || report.sealed || (report.gc_ran && recovered);
-            let sealable = proven
+            let sealable = *self.recovered.get_mut()
                 && !*self.orphaned.get_mut()
                 && stranded == 0
                 && self.engine.magazines_held() == 0;
@@ -1607,10 +1526,10 @@ impl Inner {
 /// The one pass over the block headers in `[HEAP_START, frontier)`: checks
 /// every header against the heap invariants and calls `block(offset, size,
 /// class, allocated)` for each, in address order. Every consumer of the
-/// heap's block inventory — open-time recovery, [`Pool::verify_heap`] and
-/// a [`Pool::collect`] whose inventory is gone — is this loop, so a
-/// block that passed a weaker check somewhere can never poison a free list
-/// and later be handed out at its class size, overlapping a neighbour.
+/// heap's block inventory — open-time recovery and [`Pool::verify_heap`]
+/// — is this loop, so a block that passed a weaker check somewhere can
+/// never poison a free list and later be handed out at its class size,
+/// overlapping a neighbour.
 ///
 /// # Errors
 ///

@@ -25,14 +25,15 @@ fn unseal(p: &Path) {
     file.write_all_at(&0u64.to_le_bytes(), OFF_CLEAN).unwrap();
 }
 
-/// [`Pool::collect`] with `trace` as the tracer of root `name`.
+/// [`Pool::collect`] with `trace` as the tracer of root `name` and a
+/// recovery that attaches nothing: whether it succeeded.
 ///
 /// # Safety
 ///
 /// As for [`Pool::collect`].
 unsafe fn collect(pool: &Pool, name: &str, trace: unsafe fn(*mut u8, &mut gc::Marker<'_>)) -> bool {
     // SAFETY: forwarded.
-    unsafe { pool.collect(&mut [(name, &mut |root, marker| trace(root, marker))]) }
+    unsafe { pool.collect(&mut [(name, &mut |root, marker| trace(root, marker))], || Ok(())) }.is_ok()
 }
 
 #[test]
@@ -568,18 +569,13 @@ unsafe fn mark_root(root: *mut u8, marker: &mut gc::Marker<'_>) {
     marker.mark(root);
 }
 
-/// The same rules hold on walked opens and on sealed ones, whose first
-/// collection walks the heap the close left.
+/// A walked open collects once, in its first recovery that names every
+/// root, and only if nothing allocated, freed or attached before it; a
+/// refused recovery sweeps nothing. A sealed open never collects: a block
+/// the sealed session left allocated and unlinked stays live.
 #[test]
-fn only_the_first_collect_before_any_alloc_or_free_runs() {
-    first_collect_rules(true);
-    first_collect_rules(false);
-}
-
-/// [`only_the_first_collect_before_any_alloc_or_free_runs`], with every
-/// open walked (`walk`) or sealed.
-fn first_collect_rules(walk: bool) {
-    let path = tmp(if walk { "first-collect-walked" } else { "first-collect-sealed" });
+fn a_walked_open_collects_once_before_any_alloc_free_or_attach() {
+    let path = tmp("collect-rules");
     let (root_off, orphans);
     {
         let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
@@ -594,36 +590,19 @@ fn first_collect_rules(walk: bool) {
     }
     // Every close below seals: to walk, unseal before each open.
     let open = || {
-        if walk {
-            unseal(&path);
-        }
-        let pool = Pool::builder().path(&path).open().unwrap();
-        assert_eq!(pool.recovery_report().sealed, !walk);
-        pool
+        unseal(&path);
+        Pool::builder().path(&path).open().unwrap()
     };
     // SAFETY (every `collect` below): the root is a single self-contained
     // block; `mark_root` covers it, and nothing attaches to this pool.
 
-    // A missing tracer sweeps nothing, and ends the open's collection.
-    let pool = open();
-    assert!(!pool.recovery_report().gc_ran, "the open ran a collection");
-    assert!(!unsafe { pool.collect(&mut []) }, "no tracer: nothing to prove");
-    assert!(!unsafe { collect(&pool, "r", mark_root) }, "a second collect ran");
-    let report = pool.recovery_report();
-    assert!(!report.gc_ran);
-    assert_eq!((report.reclaimed_blocks, report.live_blocks), (0, 3));
-    assert_eq!(pool.live_offsets().len(), 3, "something was swept");
-    drop(pool);
-
-    // A free before the first attach cancels the collection.
+    // A free, an allocation or an attach before the recovery refuses it.
     let pool = open();
     // SAFETY: an orphan nothing references.
     unsafe { pool.dealloc(pool.at(orphans[0])) };
     assert!(!unsafe { collect(&pool, "r", mark_root) }, "a free left the inventory");
     assert!(!pool.recovery_report().gc_ran);
     drop(pool);
-
-    // So does an allocation.
     let pool = open();
     let fresh = pool.alloc(64, 8).unwrap();
     assert!(!unsafe { collect(&pool, "r", mark_root) }, "an allocation left the inventory");
@@ -631,50 +610,61 @@ fn first_collect_rules(walk: bool) {
     // SAFETY: just allocated, referenced by nobody.
     unsafe { pool.dealloc(fresh) };
     drop(pool);
-
-    // Every tracer, nothing allocated or freed: exactly the orphan goes.
     let pool = open();
+    assert!(pool.attach_root_ptr::<u64>("r").is_some());
+    assert!(!unsafe { collect(&pool, "r", mark_root) }, "an attach left the inventory");
+    assert!(!pool.recovery_report().gc_ran);
+    drop(pool);
+
+    // A root no tracer names, or a tracer whose root is missing, refuses
+    // without running the recovery or sweeping, and keeps the inventory.
+    let pool = open();
+    assert!(!pool.recovery_report().gc_ran, "the open ran a collection");
+    let err = unsafe { pool.collect(&mut [], || -> io::Result<()> { panic!("recovered a refused open") }) };
+    assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+    assert!(!unsafe { collect(&pool, "x", mark_root) }, "a missing root was collected");
+    let report = pool.recovery_report();
+    assert!(!report.gc_ran);
+    assert_eq!((report.reclaimed_blocks, report.live_blocks), (0, 2));
+    // Every tracer, nothing allocated, freed or attached: exactly the
+    // orphan goes, and the pool is recovered.
     assert!(unsafe { collect(&pool, "r", mark_root) }, "tracer given, nothing attached: collect");
     let report = pool.recovery_report();
     assert!(report.gc_ran);
     assert_eq!(report.reclaimed_blocks, 1, "exactly the orphan");
     assert_eq!(pool.live_offsets(), vec![root_off - BLOCK_HEADER]);
-    assert!(!unsafe { collect(&pool, "r", mark_root) }, "a second collect ran");
-    assert_eq!(pool.recovery_report(), report, "a second collect changed the report");
+    let mut traced = false;
+    let mut again = |_: *mut u8, _: &mut gc::Marker<'_>| traced = true;
+    assert!(unsafe { pool.collect(&mut [("r", &mut again)], || Ok(())) }.is_ok());
+    assert!(!traced, "a recovered open traced again");
+    assert_eq!(pool.recovery_report(), report, "a second recovery changed the report");
     drop(pool);
-    cleanup(&path);
-}
 
-/// A block a session allocated and never linked survives a sealed close as
-/// live; an explicit collection on the sealed open walks the heap and
-/// reclaims exactly it, and the next close seals the swept heap.
-#[test]
-fn an_explicit_collect_on_a_sealed_open_sweeps_an_orphan() {
-    let path = tmp("sealed-collect");
-    let (root_off, orphan) = {
-        let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
-        let keep = pool.alloc(64, 8).unwrap();
-        pool.set_root_offset("r", pool.offset_of(keep)).unwrap();
-        (pool.offset_of(keep), pool.offset_of(pool.alloc(64, 8).unwrap()))
-    };
-    let pool = Pool::builder().path(&path).open().unwrap();
-    let report = pool.recovery_report();
-    assert!(report.sealed && !report.gc_ran);
-    assert_eq!(report.live_blocks, 2, "the sealed close kept the orphan as live");
-    // SAFETY: the root is a single self-contained block `mark_root` covers,
-    // and nothing attaches to this pool.
-    assert!(unsafe { collect(&pool, "r", mark_root) }, "a sealed open's explicit collect did not run");
-    let report = pool.recovery_report();
-    assert!(report.gc_ran);
-    assert_eq!((report.reclaimed_blocks, report.live_blocks), (1, 1));
-    assert_eq!(pool.live_offsets(), vec![root_off - BLOCK_HEADER]);
-    assert!(!pool.is_allocated_payload(orphan));
-    assert_eq!(pool.inner.engine.summary(pool.inner.mem), walked_summary(&pool));
+    // A recovery that fails after the collection leaves the pool
+    // unrecovered: no second collection, and no seal.
+    let pool = open();
+    let err = unsafe { pool.collect(&mut [("r", &mut |root, marker| mark_root(root, marker))], || -> io::Result<()> { Err(io::Error::other("attach failed")) }) };
+    assert_eq!(err.unwrap_err().to_string(), "attach failed");
+    assert!(pool.recovery_report().gc_ran);
+    assert!(!unsafe { collect(&pool, "r", mark_root) }, "a second collection ran");
     drop(pool);
     let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(!pool.recovery_report().sealed, "an unrecovered session sealed");
+    assert!(unsafe { collect(&pool, "r", mark_root) });
+    drop(pool);
+
+    // Sealed: no tracer runs, the recovery does, and the block the sealed
+    // session allocated and never linked stays live.
+    let pool = Pool::builder().path(&path).open().unwrap();
+    assert!(pool.recovery_report().sealed);
+    let orphan = pool.offset_of(pool.alloc(64, 8).unwrap());
+    drop(pool);
+    let pool = Pool::builder().path(&path).open().unwrap();
+    let mut never = |_: *mut u8, _: &mut gc::Marker<'_>| panic!("a sealed open traced");
+    let recovered = unsafe { pool.collect(&mut [("r", &mut never)], || Ok(true)) }.unwrap();
     let report = pool.recovery_report();
-    assert!(report.sealed, "the swept session's close did not seal");
-    assert_eq!(report.live_blocks, 1);
+    assert!(recovered && report.sealed && !report.gc_ran);
+    assert!(pool.is_allocated_payload(orphan), "a sealed open swept");
     drop(pool);
     cleanup(&path);
 }
@@ -731,7 +721,7 @@ fn mark_allocated_if_skips_marked_blocks() {
         });
     };
     // SAFETY: the tracer marks the root and reads nothing.
-    assert!(unsafe { pool.collect(&mut [("r", &mut trace)]) });
+    assert!(unsafe { pool.collect(&mut [("r", &mut trace)], || Ok(())) }.is_ok());
     assert_eq!(offered, blocks[1..], "a marked block was offered");
     drop(pool);
     cleanup(&path);
@@ -801,7 +791,7 @@ fn op_table_registers_slots_and_survives_reopen() {
     unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
     // SAFETY: the pool's one root is the ops table, which brings its own.
-    assert!(unsafe { pool.collect(&mut []) }, "ops root has a built-in tracer");
+    assert!(unsafe { pool.collect(&mut [], || Ok(())) }.is_ok(), "ops root has a built-in tracer");
     let report = pool.recovery_report();
     assert_eq!(report.ops_descriptors, 1);
     assert_eq!(report.ops_not_applied, 1, "published no-op is decided");
@@ -1376,11 +1366,10 @@ fn a_session_that_drops_a_root_writes_no_seal() {
     let pool = Pool::builder().path(&path).open().unwrap();
     assert!(!pool.recovery_report().sealed, "a session that removed a root sealed");
     drop(pool);
-    // SAFETY: the one root is a single block; a collection seals again.
+    // SAFETY: the one root is a single block; a recovery seals again.
     unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
     assert!(unsafe { collect(&pool, "a", |root, marker| _ = marker.mark(root)) });
-    pool.note_recovered("a");
     drop(pool);
     let pool = Pool::builder().path(&path).open().unwrap();
     assert!(pool.recovery_report().sealed);

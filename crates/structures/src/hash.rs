@@ -896,7 +896,7 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    // ---- opens whose collection cannot run ----
+    // ---- crashed opens, collecting or refused ----
 
     use std::path::PathBuf;
 
@@ -905,11 +905,11 @@ mod tests {
     enum Open {
         /// Straight away: the collection runs, and its mark is the plan.
         Collecting,
-        /// After an allocation consumed the open's inventory: the tracer
-        /// runs read-only over a fresh heap walk.
+        /// After an allocation consumed the open's inventory: no
+        /// collection can run, so the typed open refuses.
         AfterAlloc,
-        /// On the image that also holds a root no tracer names: the tracer
-        /// runs read-only over the open's inventory.
+        /// On the image that also holds a root no schema names: the typed
+        /// open refuses.
         UntracedRoot,
     }
 
@@ -946,12 +946,13 @@ mod tests {
     }
 
     /// Opens a copy of one of `images` the way `how` says, lets `check`
-    /// see the recovered table, and returns its sorted pairs.
+    /// see the recovered table, and returns its sorted pairs — or `None`
+    /// when the typed open refused, having swept nothing.
     fn open_image<L: BucketList<Key = u64, Value = u64>>(
         images: &[PathBuf; 2],
         how: Open,
         check: impl FnOnce(&BucketTable<L>),
-    ) -> Vec<(u64, u64)> {
+    ) -> Option<Vec<(u64, u64)>> {
         let image = &images[usize::from(how == Open::UntracedRoot)];
         let path = image.with_extension("open");
         std::fs::copy(image, &path).unwrap();
@@ -960,8 +961,16 @@ mod tests {
             // SAFETY: just allocated, referenced by nobody.
             unsafe { pool.dealloc(pool.alloc(64, 8).unwrap()) };
         }
-        let map = pool.root::<BucketTable<L>>("kv").unwrap();
-        assert_eq!(pool.recovery_report().gc_ran, how == Open::Collecting, "{how:?}");
+        let live = pool.live_offsets();
+        let Ok(map) = pool.root::<BucketTable<L>>("kv") else {
+            let report = pool.recovery_report();
+            assert!(!report.gc_ran && report.reclaimed_blocks == 0, "{how:?}: a refused open swept");
+            assert_eq!(pool.live_offsets(), live, "{how:?}");
+            drop(pool);
+            std::fs::remove_file(&path).unwrap();
+            return None;
+        };
+        assert!(pool.recovery_report().gc_ran, "{how:?}");
         map.check_consistency(false).unwrap();
         check(&map);
         let mut pairs = map.iter_snapshot();
@@ -969,11 +978,11 @@ mod tests {
         drop(map);
         drop(pool);
         std::fs::remove_file(&path).unwrap();
-        pairs
+        Some(pairs)
     }
 
     #[test]
-    fn a_harris_open_that_cannot_collect_recovers_what_a_collecting_open_does() {
+    fn a_harris_crash_image_recovers_only_through_a_collecting_open() {
         type L = Harris<NvTraverse<MmapBackend>>;
         let mut marked = Vec::new();
         let images = crash_images::<L>("harris", 600, |map| {
@@ -990,14 +999,15 @@ mod tests {
         });
         assert!(marked.len() >= 10);
         let want: Vec<(u64, u64)> = (0..600u64).filter(|k| !marked.contains(k)).map(|k| (k, k * 7)).collect();
-        for how in [Open::Collecting, Open::AfterAlloc, Open::UntracedRoot] {
-            assert_eq!(open_image::<L>(&images, how, |_| {}), want, "{how:?}");
+        assert_eq!(open_image::<L>(&images, Open::Collecting, |_| {}), Some(want));
+        for how in [Open::AfterAlloc, Open::UntracedRoot] {
+            assert_eq!(open_image::<L>(&images, how, |_| {}), None, "{how:?}");
         }
         images.iter().for_each(|p| std::fs::remove_file(p).unwrap());
     }
 
     #[test]
-    fn a_soft_open_that_cannot_collect_recovers_what_a_collecting_open_does() {
+    fn a_soft_crash_image_recovers_only_through_a_collecting_open() {
         type L = SoftL<Soft<MmapBackend>>;
         /// Each bucket's nodes as `(key, seq)`, in chain order.
         fn seqs(map: &BucketTable<L>) -> Vec<Vec<(u64, u64)>> {
@@ -1045,6 +1055,7 @@ mod tests {
                     assert!(map.remove(k));
                 }
             };
+            let want = (how == Open::Collecting).then(|| want.clone());
             assert_eq!(open_image::<L>(&images, how, fresh_seqs_clear_the_tombs), want, "{how:?}");
         }
         images.iter().for_each(|p| std::fs::remove_file(p).unwrap());

@@ -14,7 +14,8 @@
 //! structures inside it — a Harris list, an MS queue, and a skiplist — each
 //! a first-class typed root (`pool.create_root::<S>("name")`), then exits
 //! without any serialization step. The second run reopens the file and asks
-//! for each root back by name (`pool.root::<S>("name")` = lookup → attach →
+//! for all three roots back by name and type in one call
+//! (`pool.open_roots::<(A, B, C)>([…])` = lookup → collect → attach →
 //! `recover()`): the list checks inserts *and* removes, the queue checks
 //! FIFO contents and that the rebuilt tail shortcut appends at the real
 //! end, the skiplist checks lookups through its freshly rebuilt towers.
@@ -29,7 +30,7 @@
 
 use nvtraverse_suite::core::policy::NvTraverse;
 use nvtraverse_suite::core::pool::Pool;
-use nvtraverse_suite::core::{DurableSet, PoolTrace, TypedRoots};
+use nvtraverse_suite::core::{DurableSet, TypedRoots};
 use nvtraverse_suite::pmem::MmapBackend;
 use nvtraverse_suite::structures::list::HarrisList;
 use nvtraverse_suite::structures::queue::MsQueue;
@@ -101,30 +102,12 @@ fn main() {
             .rev()
             .find(|e| e.kind == nvtraverse_suite::obs::ring::EventKind::Open)
             .map_or("unrecorded", |e| if e.b == 1 { "sealed" } else { "walked" });
-        // A walked open (after a crash) must collect: the recovery GC
-        // needs a tracer for *every* root, and only the first collection
-        // after the open can run, so hand it all three before the first
-        // `root::<S>()` (a single-root pool skips this — `root::<S>()`
-        // collects with its own tracer). Their recovery plans are dropped
-        // here: each `root::<S>()` below traces its root again, read-only,
-        // for its own. A sealed open has nothing to collect or recover.
-        if !pool.recovery_report().sealed {
-            // SAFETY: these roots were created by these exact types above,
-            // and nothing has attached yet.
-            let collected = unsafe {
-                pool.collect(&mut [
-                    ("demo-list", &mut |root, marker| _ = PooledList::trace(root, marker)),
-                    ("demo-queue", &mut |root, marker| PooledQueue::trace(root, marker)),
-                    ("demo-skip", &mut |root, marker| PooledSkip::trace(root, marker)),
-                ])
-            };
-            assert!(
-                collected,
-                "all three roots have tracers, so the recovery GC must run"
-            );
-        }
-
-        let list = pool.root::<PooledList>("demo-list").unwrap();
+        // One call names every root with its type. After a crash it traces
+        // all three, sweeps what none reaches, then attaches and recovers
+        // each; after a clean close it only attaches.
+        let (list, queue, skip) = pool
+            .open_roots::<(PooledList, PooledQueue, PooledSkip)>(["demo-list", "demo-queue", "demo-skip"])
+            .unwrap();
         let mut recovered = 0;
         for k in 0..LIST_KEYS {
             match list.get(k) {
@@ -137,7 +120,6 @@ fn main() {
             }
         }
 
-        let queue = pool.root::<PooledQueue>("demo-queue").unwrap();
         assert_eq!(queue.iter_snapshot(), (1..QUEUE_VALS).collect::<Vec<_>>());
         queue.enqueue(99); // the rebuilt tail must append at the real end
         assert_eq!(*queue.iter_snapshot().last().unwrap(), 99);
@@ -149,7 +131,6 @@ fn main() {
             queue.enqueue(v);
         }
 
-        let skip = pool.root::<PooledSkip>("demo-skip").unwrap();
         for k in 0..SKIP_KEYS {
             assert_eq!(skip.get(k), Some(k + 1000), "skiplist key {k} lost");
         }

@@ -400,10 +400,27 @@ fn parse_set_log(path: &Path) -> BTreeMap<u64, KeyLog> {
     out
 }
 
+/// Where a child whose progress log is `log` writes its stderr: the file
+/// beside the log, created empty, and the handle the child writes through.
+fn child_stderr(log: &Path) -> (PathBuf, std::process::Stdio) {
+    let path = log.with_extension("stderr");
+    let file = std::fs::File::create(&path).unwrap();
+    (path, file.into())
+}
+
+/// The last lines a child wrote to its stderr file `path`, for the panic
+/// that reports the child exiting on its own.
+fn stderr_tail(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let lines: Vec<&str> = text.lines().collect();
+    lines[lines.len().saturating_sub(20)..].join("\n")
+}
+
 /// Spawns a `kind` child, waits for it to ack at least `min_acks`
 /// operations (any uppercase tag), SIGKILLs it, and returns.
 fn run_child_until(kind: &str, pool: &Path, log: &Path, start_key: u64, min_acks: usize) {
     let exe = std::env::current_exe().unwrap();
+    let (stderr_path, stderr) = child_stderr(log);
     let mut child = std::process::Command::new(exe)
         .args(["--exact", "child_entry", "--test-threads=1", "--nocapture"])
         .env("NVT_CRASH_CHILD", kind)
@@ -411,7 +428,7 @@ fn run_child_until(kind: &str, pool: &Path, log: &Path, start_key: u64, min_acks
         .env("NVT_LOG", log)
         .env("NVT_START_KEY", start_key.to_string())
         .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
+        .stderr(stderr)
         .spawn()
         .unwrap();
 
@@ -426,7 +443,10 @@ fn run_child_until(kind: &str, pool: &Path, log: &Path, start_key: u64, min_acks
             break;
         }
         if let Some(status) = child.try_wait().unwrap() {
-            panic!("child exited on its own before the kill: {status:?}");
+            panic!(
+                "child exited on its own before the kill: {status:?}; its stderr ends:\n{}",
+                stderr_tail(&stderr_path)
+            );
         }
         assert!(
             Instant::now() < deadline,
@@ -437,6 +457,7 @@ fn run_child_until(kind: &str, pool: &Path, log: &Path, start_key: u64, min_acks
     // SIGKILL: no destructors, no msync, no clean-close marker.
     child.kill().unwrap();
     child.wait().unwrap();
+    let _ = std::fs::remove_file(&stderr_path);
 }
 
 /// Reopens the pool after a kill and asserts the invariants every structure
@@ -1254,13 +1275,14 @@ fn sigkill_mid_alloc_storm_recovers() {
         // double) the threshold.
         let _ = std::fs::remove_file(&log_path);
         let exe = std::env::current_exe().unwrap();
+        let (stderr_path, stderr) = child_stderr(&log_path);
         let mut child = std::process::Command::new(exe)
             .args(["--exact", "alloc_storm_child_entry", "--test-threads=1", "--nocapture"])
             .env("NVT_STORM_CHILD", "1")
             .env("NVT_POOL", &pool_path)
             .env("NVT_LOG", &log_path)
             .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
+            .stderr(stderr)
             .spawn()
             .unwrap();
         // Wait until the threads have collectively done enough ops.
@@ -1276,13 +1298,17 @@ fn sigkill_mid_alloc_storm_recovers() {
                 break;
             }
             if let Some(status) = child.try_wait().unwrap() {
-                panic!("storm child exited on its own: {status:?}");
+                panic!(
+                    "storm child exited on its own: {status:?}; its stderr ends:\n{}",
+                    stderr_tail(&stderr_path)
+                );
             }
             assert!(Instant::now() < deadline, "storm child too slow: {ops} ops");
             std::thread::sleep(Duration::from_millis(10));
         }
         child.kill().unwrap();
         child.wait().unwrap();
+        let _ = std::fs::remove_file(&stderr_path);
         storm_validate(&pool_path);
     }
 

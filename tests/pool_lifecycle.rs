@@ -408,36 +408,39 @@ fn deliberately_orphaned_allocation_is_swept_on_reopen() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// A pool whose roots lack a tracer must NOT be collected: reachability
-/// is unprovable, so the conservative answer is to keep every allocated
-/// block.
+/// A pool holding a root the open's schema does not name must NOT be
+/// collected: that root's reachability is unprovable, so the crashed
+/// open refuses, sweeping nothing, instead of keeping or freeing blocks
+/// on a guess. A sealed open has nothing to recover and only attaches.
 #[test]
 fn gc_skips_pools_with_untraceable_roots() {
     let path = tmp("no-tracer");
 
-    let off;
+    let (raw, orphan);
     {
-        let pool = nvtraverse::pool::Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
-        let p = pool.alloc(64, 8).unwrap();
-        off = pool.offset_of(p);
+        let list = create_pooled::<PooledList>(&path, 1 << 20, "set").unwrap();
+        for k in 0..20u64 {
+            assert!(list.insert(k, k));
+        }
+        let pool = list.pool();
+        raw = pool.offset_of(pool.alloc(64, 8).unwrap());
         // A raw root no structure type describes (like the storm test's
-        // slot array): nobody has a tracer for it.
-        pool.set_root_offset("raw-root", off).unwrap();
+        // slot array): no schema names it.
+        pool.set_root_offset("raw-root", raw).unwrap();
+        orphan = pool.offset_of(pool.alloc(64, 8).unwrap());
+        list.close().unwrap();
     }
-
-    unseal(&path);
-    let pool = nvtraverse::pool::Pool::builder().path(&path).open().unwrap();
-    // SAFETY: no tracer is given, so nothing is traced.
-    assert!(!unsafe { pool.collect(&mut []) }, "an untraceable root was collected");
-    let report = pool.recovery_report();
-    assert!(!report.gc_ran, "an untraceable root must disable the GC");
-    assert_eq!(report.reclaimed_blocks, 0);
-    assert_eq!(
-        pool.live_offsets(),
-        vec![off - 16],
-        "the unprovable block must survive untouched"
-    );
-    drop(pool);
+    let before = std::fs::read(&path).unwrap();
+    refused_sealed_and_walked(&path, &before, |pool| {
+        let opened = pool.root::<PooledList>("set");
+        if pool.recovery_report().sealed {
+            return opened.is_ok();
+        }
+        let err = opened.unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        let live = pool.live_offsets();
+        live.contains(&(raw - 16)) && live.contains(&(orphan - 16))
+    });
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -512,52 +515,63 @@ fn a_reused_pool_path_never_traces_with_the_old_files_type() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Two roots in one pool are opened by one typed call that names both.
+/// After a crash that call traces both roots, sweeps exactly the block
+/// neither reaches and recovers both structures, so the session's clean
+/// close seals again and the next open reads the summary.
 #[test]
 fn two_structures_share_one_pool() {
-    use nvtraverse::PoolTrace;
     let path = tmp("two");
     {
-        // Secondary roots are first-class now: just ask the pool for a
-        // second named root — no create/attach/adopt dance.
+        // Secondary roots are first-class: just ask the pool for a second
+        // named root — no create/attach/adopt dance.
         let pool = Pool::builder().path(&path).capacity(4 << 20).create().unwrap();
         let a = pool.create_root::<PooledList>("a").unwrap();
         let b = pool.create_root::<PooledList>("b").unwrap();
-        a.insert(1, 100);
-        b.insert(2, 200);
+        for k in 0..100u64 {
+            assert!(a.insert(k, k + 100));
+            assert!(b.insert(k + 1000, k + 200));
+        }
+        // An orphan: allocated, linked nowhere, as a crash mid-insert
+        // leaves one.
+        pool.alloc(64, 8).unwrap();
         b.close().unwrap();
         a.close().unwrap();
     }
+    let check = |pool: &Pool| {
+        let (a, b) = pool.open_roots::<(PooledList, PooledList)>(["a", "b"]).unwrap();
+        for k in 0..100u64 {
+            assert_eq!(a.get(k), Some(k + 100));
+            assert_eq!(b.get(k + 1000), Some(k + 200));
+        }
+        assert_eq!(a.get(1000), None, "structures must be disjoint");
+        assert_eq!((a.len(), b.len()), (100, 100));
+    };
     unseal(&path);
     let pool = Pool::builder().path(&path).open().unwrap();
-    // Multi-root GC: both roots' tracers go to the collection before the
-    // first attach.
-    // SAFETY: both roots were created as `PooledList` above; nothing has
-    // attached yet.
-    assert!(unsafe {
-        pool.collect(&mut [
-            ("a", &mut |root, marker| _ = PooledList::trace(root, marker)),
-            ("b", &mut |root, marker| _ = PooledList::trace(root, marker)),
-        ])
-    });
-    assert!(pool.recovery_report().gc_ran);
-    assert_eq!(pool.recovery_report().reclaimed_blocks, 0);
+    check(&pool);
+    let report = pool.recovery_report();
+    assert!(report.gc_ran && !report.sealed);
+    assert_eq!(report.reclaimed_blocks, 1, "exactly the orphan is swept");
     // Multi-root attribution: each root reports its own mark count
-    // (sentinel + one node each), regardless of registry order.
-    let mut marks = pool.recovery_report().root_marks;
+    // (sentinel + 100 nodes each), regardless of registry order.
+    let mut marks = report.root_marks;
     marks.sort();
     assert_eq!(
         marks,
-        vec![("a".to_string(), 2), ("b".to_string(), 2)],
+        vec![("a".to_string(), 101), ("b".to_string(), 101)],
         "each root must report the blocks marked from it"
     );
-    let a = pool.root::<PooledList>("a").unwrap();
-    let b = pool.root::<PooledList>("b").unwrap();
-    assert_eq!(a.get(1), Some(100));
-    assert_eq!(a.get(2), None, "structures must be disjoint");
-    assert_eq!(b.get(2), Some(200));
-    drop(b);
-    drop(a);
+    assert_eq!(pool.live_offsets().len(), 202);
     drop(pool);
+    for _ in 0..2 {
+        let pool = Pool::builder().path(&path).open().unwrap();
+        let report = pool.recovery_report();
+        assert!(report.sealed, "the recovered session's close did not seal");
+        assert!(!report.gc_ran);
+        assert_eq!(report.live_blocks, 202);
+        check(&pool);
+    }
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -679,14 +693,14 @@ fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Opens the image `before` (a sealed close's, one word stamped) twice and
-/// requires `refuses(pool)` each time. Sealed, no tracer runs and the attach
-/// alone refuses; the file keeps every byte. With its clean flag cleared,
-/// as a crash leaves it, the open walks and the tracer refuses the
-/// collection: nothing is swept, the heap verifies, and the close — of a
-/// session that never collected — writes no seal, so only the header's
-/// clean flag (1) and signature (poisoned) differ. The sealed image is put
-/// back at the end.
+/// Opens the image `before` (a sealed close's, one word stamped, or one
+/// holding a root no schema names) twice and requires `refuses(pool)` each
+/// time. Sealed, no tracer runs and only the attach can refuse; the file
+/// keeps every byte. With its clean flag cleared, as a crash leaves it, the
+/// open walks and the typed open refuses the collection: nothing is swept,
+/// the heap verifies, and the close — of a session that never recovered —
+/// writes no seal, so only the header's clean flag (1) and signature
+/// (poisoned) differ. The sealed image is put back at the end.
 fn refused_sealed_and_walked(path: &std::path::Path, before: &[u8], refuses: impl Fn(&Pool) -> bool) {
     for sealed in [true, false] {
         if !sealed {
@@ -694,7 +708,7 @@ fn refused_sealed_and_walked(path: &std::path::Path, before: &[u8], refuses: imp
         }
         let pool = Pool::builder().path(path).open().unwrap();
         assert_eq!(pool.recovery_report().sealed, sealed);
-        assert!(refuses(&pool), "an old-layout head attached (sealed: {sealed})");
+        assert!(refuses(&pool), "the open was not refused (sealed: {sealed})");
         let report = pool.recovery_report();
         assert!(!report.gc_ran && report.reclaimed_blocks == 0, "a refusing tracer must not sweep");
         pool.verify_heap().unwrap();
