@@ -1,21 +1,20 @@
-//! `pool_shards`: throughput of the **sharded multi-pool set** — shard
-//! count × thread count — the first scaling figure of the multi-pool era.
+//! `pool_shards`: throughput of the **sharded set** — shard count ×
+//! thread count — N hash-routed roots in one pool.
 //!
 //! Where `pool_structs` measures one structure in one pool, this sweep
-//! runs [`ShardedSet`] over N concurrently-open pools: every point uses
-//! the §5.1 harness (prefill to half the range, 10% insert / 10% delete /
-//! 80% lookup), so numbers are comparable with every other figure. With
-//! one shard the figure reduces to the single-pool hash map (the overhead
-//! of the routing mix is visible there); with more shards, operations on
-//! different shards share no allocator state and no structure memory, so
-//! contention drops as shards grow — on a multicore box the threads axis
-//! is where that pays off.
+//! runs [`ShardedSet`] over N roots of one pool: every point uses the
+//! §5.1 harness (prefill to half the range, 10% insert / 10% delete / 80%
+//! lookup), so numbers are comparable with every other figure. With one
+//! shard the figure reduces to the single-pool hash map (the overhead of
+//! the routing mix is visible there); with more shards, operations on
+//! different shards share no structure memory (the pool's allocator they
+//! do share), so structure contention drops as shards grow — on a
+//! multicore box the threads axis is where that pays off.
 //!
-//! After each measurement the set is closed and **reopened** (all shards
-//! concurrently), and the summed per-shard pool recovery time is recorded
-//! — each shard's sealed summary read after the clean close, or its heap
-//! walk and mark-sweep GC when it could not seal: the restart cost of a
-//! sharded deployment is N small independent recoveries, not one big one.
+//! After each measurement the set is closed and **reopened**, and the
+//! pool's recovery time is recorded — its sealed summary read after the
+//! clean close, or its heap walk and one mark-sweep GC over every shard
+//! when it could not seal.
 //!
 //! Points flow through the `--json` sink as figure `pool_shards`, series
 //! `shards-<n>` (x = threads, metric `mops`) and `shards-<n>-reopen-gc`
@@ -31,8 +30,7 @@ type ShardStruct = HashMapDs<u64, u64, NvTraverse<MmapBackend>>;
 
 /// Same key range as `pool_structs`, for comparability.
 const KEY_RANGE: u64 = 4096;
-/// Per-shard capacity: the live population splits across shards, so each
-/// file stays small.
+/// Per-shard capacity: the pool holds `shards ×` this.
 const SHARD_CAP: u64 = 16 << 20;
 
 fn shard_dir(shards: usize) -> std::path::PathBuf {
@@ -43,8 +41,8 @@ fn shard_dir(shards: usize) -> std::path::PathBuf {
 }
 
 /// One point: create the sharded set, run the §5.1 mixed workload, close,
-/// reopen (N concurrent independent recoveries), return
-/// `(mops, summed reopen recovery µs)`.
+/// reopen (one recovery over every shard), return
+/// `(mops, reopen recovery µs)`.
 fn point(shards: usize, threads: usize, secs: f64) -> (f64, f64) {
     let dir = shard_dir(shards);
     let _ = std::fs::remove_dir_all(&dir);
@@ -56,11 +54,8 @@ fn point(shards: usize, threads: usize, secs: f64) -> (f64, f64) {
     set.close().unwrap();
 
     let set = ShardedSet::<ShardStruct>::open(&dir).unwrap();
-    let gc_us: f64 = set
-        .recovery_reports()
-        .iter()
-        .map(|r| (r.phases.heap_walk_nanos + r.gc_nanos) as f64 / 1e3)
-        .sum();
+    let r = &set.recovery_reports()[0];
+    let gc_us = (r.phases.heap_walk_nanos + r.gc_nanos) as f64 / 1e3;
     set.close().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     (mops, gc_us)
@@ -74,9 +69,9 @@ pub fn run(mode: Mode) {
     };
     let shard_counts = [1usize, 2, 4];
     let threads = [1usize, 2, 4];
-    println!("\n== pool_shards: hash-sharded multi-pool set throughput ==");
+    println!("\n== pool_shards: hash-sharded set throughput (shards are roots of one pool) ==");
     println!(
-        "{:>10}{:>10}{:>14}{:>16}  [Mops/s; reopen-gc = summed per-shard recovery µs: sealed read, or walk+mark+sweep]",
+        "{:>10}{:>10}{:>14}{:>16}  [Mops/s; reopen-gc = the pool's recovery µs: sealed read, or walk+mark+sweep]",
         "shards", "threads", "mops", "reopen-gc"
     );
     for &n in &shard_counts {

@@ -59,8 +59,8 @@
 //! route each structure's node memory to *its* pool with no process-global
 //! state (where the paper's `libvmmalloc`, §5.1, takes over one heap for
 //! the whole process). See `examples/pool_restart.rs`,
-//! `tests/crash_process.rs`, and `nvtraverse_structures::sharded` for the
-//! N-pools-at-once form.
+//! `tests/crash_process.rs`, and `nvtraverse_structures::sharded` for N
+//! roots of one type opened as one schema (`Vec<S>`).
 //!
 //! ## Example
 //!

@@ -249,18 +249,19 @@ pub trait PoolAttach: Sized {
     unsafe fn attach_to_pool(pool: &Pool, name: &str) -> Option<Self>;
 
     /// Settles the pool's still-unresolved operation descriptors
-    /// ([`Pool::unresolved_ops`]) against this structure's **recovered**
-    /// state: re-run the lookup the descriptor describes and report
-    /// `Committed`/`NotApplied` back through [`Pool::resolve_op`]. Called
-    /// by the typed-root open path after
+    /// ([`Pool::unresolved_ops`]) whose key `owns` accepts — the keys the
+    /// [`Schema`] routes to this root — against this structure's
+    /// **recovered** state: re-run the lookup the descriptor describes and
+    /// report `Committed`/`NotApplied` back through [`Pool::resolve_op`].
+    /// Called by the typed-root open path after
     /// [`recover_attached`](PoolTrace::recover_attached) (quiescent,
     /// recovery finished), so `Pool::op_outcome` has an answer for every
     /// descriptor by the time the open returns a handle.
     ///
     /// The default does nothing — correct for every structure without
     /// detectable operations (their pools never arm a descriptor).
-    fn resolve_detectable(&self, pool: &Pool) {
-        let _ = pool;
+    fn resolve_detectable(&self, pool: &Pool, owns: &dyn Fn(u64) -> bool) {
+        let _ = (pool, owns);
     }
 }
 
@@ -452,10 +453,11 @@ pub unsafe trait PoolTrace: PoolAttach {
 /// opening through this API keeps the assertion in exactly one place per
 /// root name.
 pub trait TypedRoots {
-    /// Attaches to the roots `names` as the types of schema `S`, one name
-    /// per type in tuple order, runs their recovery, and returns the owning
-    /// handles. After a crash — an open that walked the heap — the first
-    /// call runs the open's one collection with every root's tracer, then
+    /// Attaches to the roots `names` as the types of schema `S` — one name
+    /// per type in tuple order, or any number of names for `Vec<S>` — runs
+    /// their recovery, and returns the owning handles. After a crash — an
+    /// open that walked the heap — the first call runs the open's one
+    /// collection with every root's tracer, then
     /// attaches every root, runs each structure's
     /// [`recover_attached`](PoolTrace::recover_attached) on its tracer's
     /// plan, then each one's
@@ -549,18 +551,49 @@ impl TypedRoots for Pool {
 }
 
 /// A pool's **schema**: the structure type of each root that
-/// [`TypedRoots::open_roots`] opens, as a tuple `(A, B, …)` of
-/// [`PoolTrace`] types (one to six), one per root name.
+/// [`TypedRoots::open_roots`] opens — a tuple `(A, B, …)` of [`PoolTrace`]
+/// types (one to six), one per root name, or `Vec<S>`: any number of roots
+/// of one type `S`, given as a slice of names.
 ///
 /// Naming every root at once is what lets a crashed pool be recovered as
 /// the paper's model (§2) requires, before any other operation: the open
 /// traces every root, sweeps what none reaches, and only then attaches
 /// and recovers each structure.
+///
+/// The roots of a `Vec<S>` partition a key space: root `i` holds the keys
+/// that [`shard_route`]`(key, names.len())` sends to `i` (the shards of a
+/// `ShardedSet`). The partition is how the open settles each operation
+/// descriptor with the root its operation ran on.
 pub trait Schema: schema::Open + Sized {
-    /// The root names, `[&str; N]`, in tuple order.
+    /// The root names: `[&str; N]` in tuple order, or `&[&str]`.
     type Names<'n>;
-    /// The handles, `(PooledHandle<A>, PooledHandle<B>, …)`, in tuple order.
+    /// The handles: `(PooledHandle<A>, PooledHandle<B>, …)` in tuple
+    /// order, or `Vec<PooledHandle<S>>` in name order.
     type Handles;
+}
+
+/// The key-routing mix (splitmix64): decorrelates shard choice from low key
+/// bits so sequential keys spread across shards. Must stay stable — it is
+/// effectively part of the on-disk format (re-routing keys would "lose"
+/// them in the wrong shard).
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Which of `shards` shards a key (by its bit pattern) routes to — the
+/// routing function of every sharded set and of the [`Schema`] `Vec<S>`,
+/// exposed so remote clients (the `nvtraverse-server` client library) can
+/// predict a key's shard without holding the set. Deterministic and stable
+/// across processes and versions: it is part of the on-disk format.
+///
+/// # Panics
+///
+/// Panics when `shards` is 0 (a sharded set always has at least one).
+pub fn shard_route(key_bits: u64, shards: usize) -> usize {
+    (mix(key_bits) % shards as u64) as usize
 }
 
 mod schema {
@@ -574,21 +607,46 @@ mod schema {
             Self: Schema;
     }
 
-    /// Attaches the root `name` as an `S`, recovering nothing.
-    pub(super) fn attach<S: PoolTrace>(pool: &Pool, name: &str) -> io::Result<PooledHandle<S>> {
-        // SAFETY: deferred to the caller's choice of `S` — see the
-        // `TypedRoots` type contract.
-        let inner = unsafe { S::attach_to_pool(pool, name) }.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                if pool.is_rebased() {
-                    format!("pool was rebased; absolute pointers for root {name:?} are invalid")
-                } else {
-                    format!("pool has no root named {name:?} that attaches as this type")
-                },
-            )
-        })?;
-        Ok(PooledHandle::from_attached(pool.clone(), inner))
+    /// One root of a schema being opened: its name, and the plan its trace
+    /// returned if this open collected.
+    pub(super) struct Root<'n, S: PoolTrace>(pub(super) &'n str, pub(super) Cell<Option<S::Plan>>);
+
+    impl<S: PoolTrace> Root<'_, S> {
+        /// The root's tracer for [`Pool::collect`]: traces it as an `S`
+        /// and keeps the plan.
+        pub(super) fn tracer(&self) -> impl FnMut(*mut u8, &mut Marker<'_>) + '_ {
+            move |root, marker| {
+                // SAFETY: the root was created as `S` — the caller's type
+                // contract, which attach asserts too.
+                self.1.set(Some(unsafe { S::trace(root, marker) }));
+            }
+        }
+
+        /// Attaches the root as an `S`, recovering nothing.
+        pub(super) fn attach(&self, pool: &Pool) -> io::Result<PooledHandle<S>> {
+            let name = self.0;
+            // SAFETY: deferred to the caller's choice of `S` — see the
+            // `TypedRoots` type contract.
+            let inner = unsafe { S::attach_to_pool(pool, name) }.ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::NotFound,
+                    if pool.is_rebased() {
+                        format!("pool was rebased; absolute pointers for root {name:?} are invalid")
+                    } else {
+                        format!("pool has no root named {name:?} that attaches as this type")
+                    },
+                )
+            })?;
+            Ok(PooledHandle::from_attached(pool.clone(), inner))
+        }
+
+        /// Runs the attached structure's recovery on its trace's plan; a
+        /// sealed or already recovered open traced nothing.
+        pub(super) fn recover(&self, handle: &PooledHandle<S>) {
+            if let Some(plan) = self.1.take() {
+                handle.recover_attached(plan);
+            }
+        }
     }
 }
 
@@ -603,27 +661,20 @@ macro_rules! schema {
 
         impl<$($S: PoolTrace),+> schema::Open for ($($S,)+) {
             fn open(pool: &Pool, names: <Self as Schema>::Names<'_>) -> io::Result<<Self as Schema>::Handles> {
-                let plans = ($(Cell::new(None::<$S::Plan>),)+);
-                let tracers: &mut [(&str, TraceFn<'_>)] = &mut [$(
-                    (names[$i], &mut |root: *mut u8, marker: &mut Marker<'_>| {
-                        // SAFETY: the root was created as `$S` — the
-                        // caller's type contract, which attach asserts too.
-                        plans.$i.set(Some(unsafe { $S::trace(root, marker) }));
-                    }),
-                )+];
+                let roots = ($(schema::Root::<$S>(names[$i], Cell::default()),)+);
+                let mut traces = ($(roots.$i.tracer(),)+);
+                let tracers: &mut [(&str, TraceFn<'_>)] = &mut [$((names[$i], &mut traces.$i),)+];
                 // SAFETY: each tracer traces its root as the type the
                 // schema names for it, and nothing attaches before the
                 // collection: the attaches are the recovery it runs.
                 unsafe {
                     pool.collect(tracers, || {
-                        let handles = ($(schema::attach::<$S>(pool, names[$i])?,)+);
-                        $(if let Some(plan) = plans.$i.take() {
-                            handles.$i.recover_attached(plan);
-                        })+
+                        let handles = ($(roots.$i.attach(pool)?,)+);
+                        $(roots.$i.recover(&handles.$i);)+
                         // Recovery done and quiescent: let each structure
                         // answer the descriptors the table alone could not
                         // classify.
-                        $(handles.$i.resolve_detectable(pool);)+
+                        $(handles.$i.resolve_detectable(pool, &|_| true);)+
                         Ok(handles)
                     })
                 }
@@ -638,6 +689,37 @@ schema!(3: A 0, B 1, C 2);
 schema!(4: A 0, B 1, C 2, D 3);
 schema!(5: A 0, B 1, C 2, D 3, E 4);
 schema!(6: A 0, B 1, C 2, D 3, E 4, F 5);
+
+impl<S: PoolTrace> Schema for Vec<S> {
+    type Names<'n> = &'n [&'n str];
+    type Handles = Vec<PooledHandle<S>>;
+}
+
+impl<S: PoolTrace> schema::Open for Vec<S> {
+    fn open(pool: &Pool, names: <Self as Schema>::Names<'_>) -> io::Result<<Self as Schema>::Handles> {
+        let roots: Vec<schema::Root<'_, S>> = names.iter().map(|&name| schema::Root(name, Cell::default())).collect();
+        let mut traces: Vec<_> = roots.iter().map(schema::Root::tracer).collect();
+        let mut tracers: Vec<(&str, TraceFn<'_>)> =
+            names.iter().zip(&mut traces).map(|(&name, trace)| (name, trace as TraceFn<'_>)).collect();
+        // SAFETY: as for the tuple schemas — every tracer traces its root
+        // as `S`, and nothing attaches before the collection.
+        unsafe {
+            pool.collect(&mut tracers, || {
+                let handles = roots.iter().map(|root| root.attach(pool)).collect::<io::Result<Vec<_>>>()?;
+                for (root, handle) in roots.iter().zip(&handles) {
+                    root.recover(handle);
+                }
+                // A root classifies only the descriptors whose key routes to
+                // it: another root's lookup would miss the key and call the
+                // operation never applied.
+                for (i, handle) in handles.iter().enumerate() {
+                    handle.resolve_detectable(pool, &|key| shard_route(key, handles.len()) == i);
+                }
+                Ok(handles)
+            })
+        }
+    }
+}
 
 /// Owning handle for a pool-resident structure: the attached structure plus
 /// a handle on the pool it lives in, dropped in that order.

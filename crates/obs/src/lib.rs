@@ -425,7 +425,7 @@ impl Snapshot {
         d
     }
 
-    /// Accumulates `other` into `self` (sharded-set aggregation).
+    /// Accumulates `other` into `self` (aggregation across pools).
     pub fn merge(&mut self, other: &Snapshot) {
         for p in 0..NUM_PHASES {
             self.flushes[p] = self.flushes[p].wrapping_add(other.flushes[p]);

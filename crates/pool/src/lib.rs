@@ -57,8 +57,7 @@
 //! # Many pools per process
 //!
 //! Pools are **first-class values**: any number can be open concurrently in
-//! one process (the sharded structures in `nvtraverse-structures` open one
-//! pool per shard). Each open pool registers its mapped region with
+//! one process. Each open pool registers its mapped region with
 //! [`nvtraverse_pmem::heap`], whose sorted-snapshot lookup routes every
 //! `free`/EBR-reclaim back to the owning pool, and exposes its allocation
 //! entry point as [`Pool::alloc_target`] so higher layers can direct node

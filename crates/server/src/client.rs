@@ -21,9 +21,9 @@ pub struct DetectableAck {
     /// Whether the operation took effect (insert was fresh / remove found
     /// its key).
     pub applied: bool,
-    /// Shard whose descriptor table recorded the op.
+    /// Shard whose descriptor slot recorded the op.
     pub shard: u32,
-    /// `OpId` bits within that shard's pool. The *next* detectable op on
+    /// `OpId` bits in the store's descriptor table. The *next* detectable op on
     /// the same connection reuses the slot with `seq + 1`, which is what
     /// makes the id predictable for write-ahead intent logs.
     pub op_id: u64,

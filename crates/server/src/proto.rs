@@ -70,7 +70,7 @@ pub const ST_OK: u8 = 0;
 pub const ST_MISS: u8 = 1;
 /// Reply status: the store's policy does not support this operation.
 pub const ST_UNSUPPORTED: u8 = 2;
-/// Reply status: the routed shard's pool is out of space.
+/// Reply status: the store's pool is out of space.
 pub const ST_POOL_FULL: u8 = 3;
 /// Reply status: `OP_OUTCOME` could not classify the id.
 pub const ST_UNKNOWN: u8 = 4;
@@ -135,9 +135,9 @@ pub enum Reply {
     Detectable {
         /// Whether the operation took effect (`Applied` vs `Miss`).
         applied: bool,
-        /// Shard whose descriptor table holds the op.
+        /// Shard whose descriptor slot holds the op.
         shard: u32,
-        /// The `OpId` bits within that shard's pool.
+        /// The `OpId` bits in the store's descriptor table.
         op_id: u64,
     },
     /// `OP_OUTCOME` classification: 0 committed, 1 not applied,
@@ -147,7 +147,7 @@ pub enum Reply {
     Unknown,
     /// The store's policy does not support the operation.
     Unsupported,
-    /// The routed shard's pool is full; nothing changed.
+    /// The store's pool is full; nothing changed.
     PoolFull,
     /// A JSON document (`STATS`).
     Json(String),

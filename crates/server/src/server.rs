@@ -15,10 +15,11 @@
 //! Shutdown (either [`Server::shutdown`] or a wire `SHUTDOWN` request):
 //! stop accepting, let every in-flight request finish and flush its
 //! reply, cut idle connections, join all threads, then close the store
-//! (which `msync`s every shard). A crash instead of a shutdown is the
-//! tested path, not a failure mode: reopening the store runs every
-//! shard's recovery pipeline and the op-table classification that makes
-//! acked detectable operations answerable (`tests/crash_server.rs`).
+//! (which `msync`s its pool). A crash instead of a shutdown is the
+//! tested path, not a failure mode: reopening the store runs the pool's
+//! recovery pipeline over every shard and the op-table classification
+//! that makes acked detectable operations answerable
+//! (`tests/crash_server.rs`).
 
 use crate::batch::run_batch;
 use crate::net::{Listener, Stream};
@@ -262,7 +263,7 @@ impl Server {
             Ok(shared) => shared.store.close(),
             Err(_) => {
                 // A handler leaked its Arc (should not happen once joined);
-                // still force the shards' mappings to their files.
+                // still force the pool's mapping to its file.
                 nvtraverse_pmem::MmapBackend::sync_all_regions();
                 Ok(())
             }

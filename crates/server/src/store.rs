@@ -5,7 +5,7 @@
 //! operations run against the NVTraverse transformation or the SOFT
 //! minimal-flush tier — so [`KvStore`] erases the policy type parameter
 //! into an enum and stamps the chosen policy into a `policy.kind` file
-//! next to the shard manifest. A restart reads that file back:
+//! next to the set's one pool file. A restart reads that file back:
 //! [`KvStore::open`] always reopens with the policy the data was written
 //! under (the two layouts are not interchangeable on disk).
 
@@ -79,7 +79,7 @@ fn read_policy(dir: &Path) -> io::Result<PolicyKind> {
     })
 }
 
-/// The erased store: one logical durable set over N shard pools.
+/// The erased store: one logical durable set over N shards of one pool.
 #[derive(Debug)]
 pub enum KvStore {
     /// NVTraverse-policy store.
@@ -89,8 +89,8 @@ pub enum KvStore {
 }
 
 impl KvStore {
-    /// Creates a fresh store of `shards` pools under `dir` and stamps the
-    /// policy file.
+    /// Creates a fresh store of `shards` shards in one pool of `shards ×
+    /// capacity_per_shard` bytes under `dir`, and stamps the policy file.
     ///
     /// # Errors
     ///
@@ -113,14 +113,14 @@ impl KvStore {
 
     /// Reopens the store under `dir` with the policy it was created with
     /// (read from `policy.kind`). This is the crash-safe restart path:
-    /// every shard pool runs its full recovery (heap walk, mark-sweep GC,
-    /// structure `recover()`, op-table classification) before the store
-    /// is returned.
+    /// after a crash the pool runs its full recovery (heap walk, one
+    /// mark-sweep GC over every shard, each shard's recovery, op-table
+    /// classification) before the store is returned.
     ///
     /// # Errors
     ///
     /// Fails when the directory holds no store, the policy file is
-    /// missing or unknown, or any shard fails to open.
+    /// missing or unknown, or the set fails to open.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<KvStore> {
         let dir = dir.as_ref();
         Ok(match read_policy(dir)? {
@@ -171,7 +171,7 @@ impl KvStore {
         }
     }
 
-    /// Number of shard pools.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         match self {
             KvStore::Nvt(s) => s.shard_count(),
@@ -233,15 +233,15 @@ impl KvStore {
         }
     }
 
-    /// Claims one descriptor slot in every shard for a detectable-ops
-    /// client. `None` under SOFT (its structures don't speak the
-    /// descriptor protocol). Slots are never reused within a pool file's
-    /// lifetime, so callers hold one bundle per long-lived thread — not
-    /// one per operation.
+    /// Claims one descriptor slot per shard for a detectable-ops client
+    /// (see [`ShardedSet::detectable_tokens`]). `None` under SOFT (its
+    /// structures don't speak the descriptor protocol). Slots are never
+    /// reused within a pool file's lifetime, so callers hold one bundle
+    /// per long-lived thread — not one per operation.
     ///
     /// # Errors
     ///
-    /// Fails when any shard's descriptor table is out of slots.
+    /// Fails when the descriptor table is out of slots.
     pub fn detectable_tokens(&self) -> io::Result<Option<ShardTokens>> {
         match self {
             KvStore::Nvt(s) => Ok(Some(s.detectable_tokens()?)),
@@ -282,9 +282,9 @@ impl KvStore {
         }
     }
 
-    /// Classifies a detectable op against shard `shard`'s open-time
-    /// descriptor table; `None` when the shard index is out of range or
-    /// the pool can't answer.
+    /// Classifies a detectable op of shard `shard` against the pool's
+    /// open-time descriptor table; `None` when the shard index is out of
+    /// range or the pool can't answer.
     pub fn op_outcome(&self, shard: usize, id: OpId) -> Option<OpOutcome> {
         if shard >= self.shard_count() {
             return None;
@@ -295,7 +295,7 @@ impl KvStore {
         }
     }
 
-    /// All shards' pool metrics merged (see
+    /// The pool's metrics, every shard's included (see
     /// [`ShardedSet::metrics_snapshot`]).
     pub fn metrics_snapshot(&self) -> nvtraverse_obs::Snapshot {
         match self {
@@ -304,7 +304,7 @@ impl KvStore {
         }
     }
 
-    /// One recovery report per shard, from the last open.
+    /// The pool's one recovery report, from the last open.
     pub fn recovery_reports(&self) -> Vec<RecoveryReport> {
         match self {
             KvStore::Nvt(s) => s.recovery_reports(),
@@ -312,11 +312,11 @@ impl KvStore {
         }
     }
 
-    /// Flushes every shard to its file and detaches.
+    /// Flushes the pool to its file and detaches.
     ///
     /// # Errors
     ///
-    /// The first shard close failure (the rest still close).
+    /// The sync failure.
     pub fn close(self) -> io::Result<()> {
         match self {
             KvStore::Nvt(s) => s.close(),
@@ -326,9 +326,9 @@ impl KvStore {
 }
 
 /// A connection's lazily claimed [`ShardTokens`]: descriptor slots are a
-/// finite per-pool resource (never reused within a file's lifetime), so a
-/// connection that never issues a detectable operation must never claim
-/// any.
+/// finite resource of the store's pool (never reused within its file's
+/// lifetime), so a connection that never issues a detectable operation
+/// must never claim any.
 #[derive(Debug, Default)]
 pub struct ConnTokens {
     tokens: Option<ShardTokens>,
@@ -344,8 +344,8 @@ impl ConnTokens {
     ///
     /// # Errors
     ///
-    /// [`OpError::Unsupported`] under SOFT; [`OpError::PoolFull`] when a
-    /// shard's descriptor table has no free slot.
+    /// [`OpError::Unsupported`] under SOFT; [`OpError::PoolFull`] when the
+    /// descriptor table has no slot free for every shard.
     pub fn get_or_claim(&mut self, store: &KvStore) -> Result<&mut ShardTokens, OpError> {
         if self.tokens.is_none() {
             match store.detectable_tokens() {

@@ -115,8 +115,8 @@ pub trait BucketList: DurableSet<Self::Key, Self::Value> + PoolTrace + Sized {
 
     /// [`PoolAttach::resolve_detectable`] for a table of these lists; the
     /// default does nothing (no detectable operations).
-    fn resolve_detectable(table: &BucketTable<Self>, pool: &Pool) {
-        let _ = (table, pool);
+    fn resolve_detectable(table: &BucketTable<Self>, pool: &Pool, owns: &dyn Fn(u64) -> bool) {
+        let _ = (table, pool, owns);
     }
 }
 
@@ -369,14 +369,14 @@ impl<L: BucketList> PoolAttach for BucketTable<L> {
         Some(BucketTable { buckets, collector })
     }
 
-    fn resolve_detectable(&self, pool: &Pool) {
-        <L as BucketList>::resolve_detectable(self, pool);
+    fn resolve_detectable(&self, pool: &Pool, owns: &dyn Fn(u64) -> bool) {
+        <L as BucketList>::resolve_detectable(self, pool, owns);
     }
 }
 
-// A root block that does not decode is left alone — attach rejects it too.
-// A bucket head the list type does not own (`BucketList::is_own_head`)
-// refuses the whole collection, and attach rejects that table as well.
+// A root block that does not decode, or names a bucket head the list type
+// does not own (`BucketList::is_own_head`), refuses the whole collection:
+// attach rejects that table too, and a sweep would free every node of it.
 // SAFETY: the root is the persistent bucket table `[n, head_off…]`; marking
 // it and handing its validated bucket heads to the list type's own walk
 // covers every block the table's recovery (each bucket's) can reach.
@@ -387,11 +387,13 @@ unsafe impl<L: BucketList> PoolTrace for BucketTable<L> {
     // SAFETY: see `PoolTrace::trace` — `root` is a root this type created, on the quiescent, header-verified heap of `Pool::open` recovery.
     unsafe fn trace(root: *mut u8, marker: &mut Marker<'_>) -> Vec<L::Plan> {
         let Some(capacity) = marker.capacity_of(root).filter(|_| marker.mark(root)) else {
+            marker.refuse();
             return Vec::new();
         };
         // SAFETY: `mark` vouched for `root` as an allocated payload of `capacity` bytes; the heap is quiescent during recovery.
         let heads = unsafe { decode_root(root as *const u64, capacity, |off| marker.at(off)) };
         let Some(heads) = heads else {
+            marker.refuse();
             return Vec::new();
         };
         // SAFETY: every head passed `Marker::at`, so `capacity_of` knows its payload; the heap is quiescent.
@@ -456,9 +458,9 @@ impl<K: Word + Ord, V: Word, D: Durability> BucketList for HarrisList<K, V, D> {
         unsafe { Self::trace_heads(&mut heads, marker) }
     }
 
-    fn resolve_detectable(table: &HashMapDs<K, V, D>, pool: &Pool) {
-        for raw in pool.unresolved_ops() {
-            pool.resolve_op(raw.id(), table.classify_op(&raw));
+    fn resolve_detectable(table: &HashMapDs<K, V, D>, pool: &Pool, owns: &dyn Fn(u64) -> bool) {
+        for raw in pool.unresolved_ops().iter().filter(|raw| owns(raw.key)) {
+            pool.resolve_op(raw.id(), table.classify_op(raw));
         }
     }
 }

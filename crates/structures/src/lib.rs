@@ -194,7 +194,7 @@ pub mod prelude {
     /// Durable min-priority queue.
     pub type DurablePriorityQueue<K, V> = crate::pqueue::PriorityQueue<K, V, NvTraverse<Clwb>>;
 
-    /// A hash-sharded durable set over N independent pool files
+    /// A hash-sharded durable set over N roots of one pool file
     /// (`MmapBackend`: the pool's own flush/fence backend).
     pub type ShardedDurableSet<K, V> = crate::sharded::ShardedSet<
         crate::hash::HashMapDs<K, V, NvTraverse<nvtraverse_pmem::MmapBackend>>,

@@ -542,9 +542,9 @@ where
         Some(unsafe { Self::attach_at(head, pool.collector().clone()) })
     }
 
-    fn resolve_detectable(&self, pool: &Pool) {
-        for raw in pool.unresolved_ops() {
-            pool.resolve_op(raw.id(), self.classify_op(&raw));
+    fn resolve_detectable(&self, pool: &Pool, owns: &dyn Fn(u64) -> bool) {
+        for raw in pool.unresolved_ops().iter().filter(|raw| owns(raw.key)) {
+            pool.resolve_op(raw.id(), self.classify_op(raw));
         }
     }
 }

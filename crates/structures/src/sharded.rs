@@ -1,35 +1,24 @@
-//! [`ShardedSet`]: one logical set hash-partitioned across **N independent
-//! pool files** — the first concrete sharding step of the ROADMAP's
-//! scale-out north star, and the proof that pools are first-class values.
+//! [`ShardedSet`]: one logical set hash-partitioned across **N roots of
+//! one pool** — N structures of one type, root `i` holding the keys that
+//! [`shard_route`] sends to `i`. It implements [`DurableSet`] by routing,
+//! so it drops into every harness, oracle and benchmark the per-structure
+//! sets already use.
 //!
-//! NVTraverse's correctness argument is about *fence placement*, not memory
-//! residence (the destination matters, not the journey) — nothing in the
-//! algorithms requires a single global heap. So a set can be split by key
-//! hash across independent pools, each with its own allocator, root, and
-//! recovery lifecycle:
+//! The shards share the pool's allocator, collector, descriptor table,
+//! metrics and the paper's one recovery (§2): [`ShardedSet::open`] opens
+//! every shard root in one typed open ([`TypedRoots::open_roots`] with the
+//! schema `Vec<S>`) — after a crash one heap walk and one mark-sweep
+//! collection with every shard's tracer, after a clean close only the
+//! sealed summary — and the pool's one [`RecoveryReport`] covers them all.
+//! A corrupt shard fails the open of the whole set.
 //!
-//! * **Scale**: operations on different shards share *no* allocator state —
-//!   not even lock-free shard heads — and no structure memory. Contention
-//!   drops with shard count, and each shard file can later live on a
-//!   different device.
-//! * **Independent recovery**: every shard is opened and recovered on its
-//!   own — concurrently, one thread per shard at [`ShardedSet::open`]: from
-//!   its sealed summary after a clean close, heap-walked,
-//!   mark-sweep-collected and `recover()`ed after a crash — and each
-//!   reports its own [`RecoveryReport`] ([`ShardedSet::recovery_reports`]). A crash is
-//!   repaired shard by shard; a corrupt shard file fails *its* open without
-//!   touching the others' data.
-//! * **Uniform interface**: [`ShardedSet`] implements [`DurableSet`] by
-//!   routing each key to `shard(hash(key) % N)`, so it drops into every
-//!   harness, oracle, and benchmark the per-structure sets already use.
-//!
-//! On disk, a sharded set is a directory of pool files `shard-000.pool`,
-//! `shard-001.pool`, … plus a `shards.count` manifest written *after*
-//! every shard exists — the commit point of creation. Opening trusts the
-//! manifest, never the file listing, so an interrupted create (or a
-//! missing shard file) fails loudly instead of silently coming up as a
-//! smaller set that routes keys to the wrong shards (the count is fixed
-//! at creation: routing depends on it).
+//! On disk a set is a directory holding one pool file, `shards.pool`, with
+//! the roots `shard-000-of-004`, `shard-001-of-004`, …: the count, which
+//! routing depends on, travels with every root. Opening requires exactly
+//! the roots `000..n-1` of `n`, so an interrupted create (or a lost shard
+//! root) fails loudly instead of coming up as a smaller set that routes
+//! keys to the wrong shards. A directory of the older one-file-per-shard
+//! layout (`shard-000.pool`, …) is refused, not converted.
 //!
 //! # Example
 //!
@@ -48,12 +37,12 @@
 //! for k in 0..100u64 { set.insert(k, k * 2); }
 //! set.close()?;
 //!
-//! // Reopen: all 4 pools open concurrently, each from the summary its
-//! // clean close sealed — no heap walk, nothing to collect.
+//! // Reopen: one pool, four roots, from the summary its clean close
+//! // sealed — no heap walk, nothing to collect.
 //! let set = ShardedSet::<List>::open(&dir)?;
 //! assert_eq!(set.shard_count(), 4);
 //! assert_eq!(set.len(), 100);
-//! assert!(set.recovery_reports().iter().all(|r| r.sealed));
+//! assert!(set.recovery_reports()[0].sealed);
 //! # set.close()?; std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), std::io::Error>(())
 //! ```
@@ -61,81 +50,63 @@
 use nvtraverse::detect::{DetectablePool, OpError, OpToken};
 use nvtraverse::{DurableSet, PoolAttach, PoolTrace, PooledHandle, TypedRoots};
 use nvtraverse_pmem::Word;
-use nvtraverse_pool::{OpId, Pool, RecoveryReport};
+use nvtraverse_pool::{OpId, Pool, RecoveryReport, MAX_ROOTS, OPS_ROOT};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Root name every shard registers its structure under (one structure per
-/// shard pool).
-pub const SHARD_ROOT: &str = "shard";
+pub use nvtraverse::set::shard_route;
 
-/// The key-routing mix (splitmix64): decorrelates shard choice from low key
-/// bits so sequential keys spread across shards. Must stay stable — it is
-/// effectively part of the on-disk format (re-routing keys would "lose"
-/// them in the wrong shard).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+fn pool_file(dir: &Path) -> PathBuf {
+    dir.join("shards.pool")
 }
 
-/// Which of `shards` shards a key (by its bit pattern) routes to — the
-/// routing function of every sharded set, exposed so remote clients (the
-/// `nvtraverse-server` client library) can predict a key's shard without
-/// holding the set. Deterministic and stable across processes and
-/// versions: it is part of the on-disk format.
-///
-/// # Panics
-///
-/// Panics when `shards` is 0 (a sharded set always has at least one).
-pub fn shard_route(key_bits: u64, shards: usize) -> usize {
-    (mix(key_bits) % shards as u64) as usize
+/// The root name of shard `i` of `n`: the count travels with every shard.
+fn root_name(i: usize, n: usize) -> String {
+    format!("shard-{i:03}-of-{n:03}")
 }
 
-fn shard_file(dir: &Path, i: usize) -> PathBuf {
-    dir.join(format!("shard-{i:03}.pool"))
-}
-
-/// The completion manifest: written (and fsynced) **after** every shard
-/// pool exists, holding the decimal shard count. Routing depends on the
-/// count, so it must never be inferred from however many files happen to
-/// be present — a create that crashed mid-way leaves shard files but no
-/// manifest, and `open` then fails loudly instead of silently coming up as
-/// a smaller set that routes keys to the wrong shards.
-fn manifest_file(dir: &Path) -> PathBuf {
-    dir.join("shards.count")
-}
-
-fn write_manifest(dir: &Path, shards: usize) -> io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::File::create(manifest_file(dir))?;
-    writeln!(f, "{shards}")?;
-    f.sync_all()
-}
-
-fn read_manifest(dir: &Path) -> io::Result<usize> {
-    let text = std::fs::read_to_string(manifest_file(dir)).map_err(|e| {
-        io::Error::new(
-            e.kind(),
+/// Refuses a directory written in the older layout: one pool file per
+/// shard (`shard-000.pool`, …) and a shard-count manifest. It is not
+/// converted; its files are left as they are.
+fn refuse_old_layout(dir: &Path) -> io::Result<()> {
+    if dir.join("shard-000.pool").exists() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
             format!(
-                "{}: no shard-count manifest — not a sharded set, or its \
-                 creation never completed (remove the directory to recreate)",
+                "{} holds a sharded set in the old layout, one pool file per shard \
+                 (shard-000.pool, …); a set is now one pool file and the old layout \
+                 is not converted: recreate the set in a fresh directory",
                 dir.display()
             ),
-        )
-    })?;
-    text.trim().parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: corrupt shard-count manifest {text:?}", dir.display()),
-        )
-    })
+        ));
+    }
+    Ok(())
 }
 
-/// One detectable-operation token **per shard**: each shard is its own pool
-/// with its own descriptor table, so a sharded client holds a bundle of
-/// per-pool [`OpToken`]s and [`ShardedSet::insert_detectable`] routes each
+/// The shard roots of `pool` in shard order: exactly `shard-000-of-n`, …,
+/// `shard-(n-1)-of-n` for the pool's `n` roots beside the descriptor
+/// table's. Routing depends on `n`, so a pool missing a shard root — a
+/// create that died midway — or holding a root of another shape is refused.
+fn shard_roots(pool: &Pool, dir: &Path) -> io::Result<Vec<String>> {
+    let mut names: Vec<String> = pool.roots().into_iter().map(|(name, _)| name).filter(|name| name != OPS_ROOT).collect();
+    names.sort_unstable();
+    let n = names.len();
+    if n == 0 || !names.iter().cloned().eq((0..n).map(|i| root_name(i, n))) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{}: roots {names:?} are not the shards 000..{n:03} of {n:03} — the set's \
+                 creation never completed, or a shard is lost (remove the directory to recreate)",
+                dir.display()
+            ),
+        ));
+    }
+    Ok(names)
+}
+
+/// One detectable-operation token **per shard**, every one a slot of the
+/// pool's one descriptor table: a sharded client holds a bundle of
+/// [`OpToken`]s and [`ShardedSet::insert_detectable`] routes each
 /// operation to the token of the shard the key hashes to.
 ///
 /// Obtain with [`ShardedSet::detectable_tokens`]; like a single token, a
@@ -146,8 +117,8 @@ pub struct ShardTokens {
 }
 
 impl ShardTokens {
-    /// The token for shard `i` — for asking a shard's pool about a
-    /// previous operation's slot, or driving a shard directly.
+    /// The token for shard `i` — for asking the pool about a previous
+    /// operation's slot, or driving a shard directly.
     ///
     /// # Panics
     ///
@@ -158,123 +129,89 @@ impl ShardTokens {
     }
 }
 
-/// One logical [`DurableSet`] hash-partitioned across N pool files, each an
-/// independently-recoverable pool holding one `S` under [`SHARD_ROOT`]. See
-/// the [module docs](self).
+/// One logical [`DurableSet`] hash-partitioned across N roots of one pool,
+/// each an `S`. See the [module docs](self).
 pub struct ShardedSet<S: PoolAttach> {
     shards: Box<[PooledHandle<S>]>,
-    dir: PathBuf,
 }
 
 impl<S: PoolAttach> std::fmt::Debug for ShardedSet<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSet")
-            .field("dir", &self.dir)
+            .field("pool", self.pool())
             .field("shards", &self.shards.len())
             .finish()
     }
 }
 
-impl<S: PoolTrace + Send> ShardedSet<S> {
-    /// Creates `shards` fresh pool files of `capacity_per_shard` bytes each
-    /// under `dir` (created if missing), each holding one empty `S`.
+impl<S: PoolTrace> ShardedSet<S> {
+    /// Creates one pool file of `shards × capacity_per_shard` bytes under
+    /// `dir` (created if missing), holding `shards` empty `S` roots.
     ///
     /// # Errors
     ///
-    /// Fails when `shards` is 0, a shard file already exists, or any pool
-    /// creation fails (already-created shards are left on disk; remove the
-    /// directory to retry).
+    /// `InvalidInput`, before any file is created, when `shards` is 0 or
+    /// more than the pool's root registry holds beside its descriptor
+    /// table (`MAX_ROOTS − 1`), or the capacity overflows `u64`. Otherwise
+    /// fails when `dir` already holds a set (of either layout), or the
+    /// pool or a root cannot be created (what was created stays on disk,
+    /// and opens as an incomplete set; remove the directory to retry).
     pub fn create(
         dir: impl AsRef<Path>,
         shards: usize,
         capacity_per_shard: u64,
     ) -> io::Result<Self> {
         let dir = dir.as_ref();
-        if shards == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a sharded set needs at least one shard",
-            ));
-        }
+        let capacity = (1..MAX_ROOTS)
+            .contains(&shards)
+            .then(|| capacity_per_shard.checked_mul(shards as u64))
+            .flatten()
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "a sharded set needs 1 to {} shards whose total capacity fits in \
+                         u64, not {shards} × {capacity_per_shard} bytes",
+                        MAX_ROOTS - 1
+                    ),
+                )
+            })?;
+        refuse_old_layout(dir)?;
         std::fs::create_dir_all(dir)?;
-        if shard_file(dir, 0).exists() || manifest_file(dir).exists() {
+        if pool_file(dir).exists() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("{} already holds a sharded set", dir.display()),
             ));
         }
-        let mut handles = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let pool = Pool::builder()
-                .path(shard_file(dir, i))
-                .capacity(capacity_per_shard)
-                .create()?;
-            handles.push(pool.create_root::<S>(SHARD_ROOT)?);
-        }
-        // The manifest is the commit point: only a fully-created set has
-        // one, so an interrupted create can never be opened truncated.
-        write_manifest(dir, shards)?;
-        Ok(ShardedSet {
-            shards: handles.into_boxed_slice(),
-            dir: dir.to_path_buf(),
-        })
+        let pool = Pool::builder().path(pool_file(dir)).capacity(capacity).create()?;
+        let handles = (0..shards)
+            .map(|i| pool.create_root::<S>(&root_name(i, shards)))
+            .collect::<io::Result<_>>()?;
+        Ok(ShardedSet { shards: handles })
     }
 
-    /// Opens the sharded set under `dir`: discovers the shard files, then
-    /// opens **all shards concurrently** (one thread per shard — this is
-    /// the multi-pool capability exercised end to end). Each shard runs the
-    /// full independent recovery pipeline: heap walk, root-driven
-    /// mark-sweep GC (run by `root::<S>` with `S`'s tracer, before the
-    /// structure attaches), and the structure's own `recover()`.
+    /// Opens the sharded set under `dir`: maps its one pool file and opens
+    /// every shard root in one typed open — after a crash, one heap walk,
+    /// one mark-sweep collection with every shard's tracer, then each
+    /// shard's recovery; after a clean close, the sealed summary alone.
     ///
     /// # Errors
     ///
-    /// Fails when `dir` holds no completed sharded set (no manifest), a
-    /// manifest-promised shard file is missing, or any shard fails to
-    /// open — one shard's failure does not modify the other shards'
-    /// files.
+    /// Fails when `dir` holds no set, a set of the old layout, a set whose
+    /// shard roots are not exactly `000..n-1` of one `n` (its creation never
+    /// completed), or the typed open fails — a corrupt shard fails the
+    /// whole set, and an open after a crash then sweeps nothing.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref();
-        // The manifest — not the file listing — is the source of truth for
-        // the count: every shard it promises must exist.
-        let count = read_manifest(dir)?;
-        for i in 0..count {
-            if !shard_file(dir, i).exists() {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!(
-                        "{}: manifest promises {count} shards but shard {i} is missing",
-                        dir.display()
-                    ),
-                ));
-            }
-        }
-        let mut results: Vec<io::Result<PooledHandle<S>>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..count)
-                .map(|i| {
-                    let path = shard_file(dir, i);
-                    scope.spawn(move || {
-                        Pool::builder()
-                            .path(&path)
-                            .open()
-                            .and_then(|pool| pool.root::<S>(SHARD_ROOT))
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("shard open worker panicked"))
-                .collect()
-        });
-        let mut handles = Vec::with_capacity(count);
-        for (i, r) in results.drain(..).enumerate() {
-            handles.push(r.map_err(|e| {
-                io::Error::new(e.kind(), format!("shard {i} of {}: {e}", dir.display()))
-            })?);
-        }
+        refuse_old_layout(dir)?;
+        let context = |e: io::Error| io::Error::new(e.kind(), format!("sharded set {}: {e}", dir.display()));
+        let pool = Pool::builder().path(pool_file(dir)).open().map_err(context)?;
+        let names = shard_roots(&pool, dir)?;
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let handles = pool.open_roots::<Vec<S>>(&names).map_err(context)?;
         Ok(ShardedSet {
             shards: handles.into_boxed_slice(),
-            dir: dir.to_path_buf(),
         })
     }
 
@@ -283,14 +220,15 @@ impl<S: PoolTrace + Send> ShardedSet<S> {
     ///
     /// # Errors
     ///
-    /// Propagates open/create failures.
+    /// Propagates open/create failures; a directory of the old layout is
+    /// refused, not recreated over.
     pub fn open_or_create(
         dir: impl AsRef<Path>,
         shards: usize,
         capacity_per_shard: u64,
     ) -> io::Result<Self> {
         let dir = dir.as_ref();
-        if manifest_file(dir).exists() {
+        if pool_file(dir).exists() {
             Self::open(dir)
         } else {
             Self::create(dir, shards, capacity_per_shard)
@@ -302,11 +240,6 @@ impl<S: PoolAttach> ShardedSet<S> {
     /// Number of shards (fixed at creation; key routing depends on it).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The directory holding the shard files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The handle of shard `i` (oracles and tests inspect shards directly).
@@ -329,65 +262,52 @@ impl<S: PoolAttach> ShardedSet<S> {
         shard_route(key_bits, self.shards.len())
     }
 
-    /// One [`RecoveryReport`] per shard, in shard order — N independent
-    /// recoveries, not one global one.
+    fn pool(&self) -> &Pool {
+        self.shards[0].pool()
+    }
+
+    /// The one pool's [`RecoveryReport`], once: one open recovered every
+    /// shard.
     pub fn recovery_reports(&self) -> Vec<RecoveryReport> {
-        self.shards.iter().map(|s| s.pool().recovery_report()).collect()
+        vec![self.pool().recovery_report()]
     }
 
-    /// One metrics snapshot per shard pool, in shard order — each shard's
-    /// flush/fence attribution, allocator counters, and latency histograms
-    /// are as independent as its allocator and recovery are.
-    pub fn metrics_snapshots(&self) -> Vec<nvtraverse_obs::Snapshot> {
-        self.shards.iter().map(|s| s.pool().metrics().snapshot()).collect()
-    }
-
-    /// All shards' metrics merged into a single [`nvtraverse_obs::Snapshot`]
-    /// — the logical set's aggregate view (counters sum; histograms merge
-    /// bucket-wise, so quantiles stay meaningful).
+    /// The pool's metrics: every shard's flush/fence attribution,
+    /// allocator counters and latency histograms, as one
+    /// [`nvtraverse_obs::Snapshot`].
     pub fn metrics_snapshot(&self) -> nvtraverse_obs::Snapshot {
-        let mut total = nvtraverse_obs::Snapshot::default();
-        for s in self.shards.iter() {
-            total.merge(&s.pool().metrics().snapshot());
-        }
-        total
+        self.pool().metrics().snapshot()
     }
 
-    /// Registers this client with **every** shard's persistent descriptor
-    /// table and returns the per-shard token bundle for
+    /// Registers this client with the pool's persistent descriptor table
+    /// once per shard and returns the token bundle for
     /// [`insert_detectable`](ShardedSet::insert_detectable) /
-    /// [`remove_detectable`](ShardedSet::remove_detectable).
+    /// [`remove_detectable`](ShardedSet::remove_detectable). A bundle takes
+    /// `shard_count` of the table's 128 slots
+    /// ([`OP_SLOTS`](nvtraverse_pool::optable::OP_SLOTS)), so a set of N
+    /// shards serves 128 / N bundles, where a pool per shard served 128.
+    /// A slot is never reused within the pool file's lifetime: hold one
+    /// bundle per long-lived client thread.
     ///
     /// # Errors
     ///
-    /// Fails when any shard's pool cannot hand out a descriptor slot
-    /// (table full, or the pool was opened read-only/rebased); already
-    /// claimed slots in other shards stay claimed.
+    /// Fails when the table cannot hand out a slot per shard (table full,
+    /// or the pool was rebased); the slots already claimed stay claimed.
     pub fn detectable_tokens(&self) -> io::Result<ShardTokens> {
-        let tokens: io::Result<Vec<OpToken>> =
-            self.shards.iter().map(|s| s.pool().op_token()).collect();
-        Ok(ShardTokens {
-            tokens: tokens?.into_boxed_slice(),
-        })
+        let tokens = self.shards.iter().map(|_| self.pool().op_token()).collect::<io::Result<_>>()?;
+        Ok(ShardTokens { tokens })
     }
 
-    /// Flushes every shard to its backing file and detaches, without
-    /// freeing any live node (each shard's [`PooledHandle::close`]).
+    /// Reclaims what this thread retired, flushes the pool to its backing
+    /// file and detaches, without freeing any live node (as
+    /// [`PooledHandle::close`] does for one root).
     ///
     /// # Errors
     ///
-    /// Returns the first shard sync failure (later shards still close).
+    /// Returns the sync failure.
     pub fn close(self) -> io::Result<()> {
-        let mut first_err = None;
-        for handle in self.shards.into_vec() {
-            if let Err(e) = handle.close() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.pool().collector().drain();
+        self.pool().sync()
     }
 }
 
@@ -434,16 +354,17 @@ where
 
 impl<S: PoolAttach> ShardedSet<S> {
     /// Detectable insert, routed to the shard the key hashes to and armed
-    /// in **that shard's** descriptor table. The returned [`OpId`] is
-    /// scoped to that shard's pool — after a crash, ask
-    /// `set.shard(set.shard_index_of(key.to_bits())).pool().op_outcome(id)`.
+    /// in **that shard's** slot of the pool's descriptor table — after a
+    /// crash, ask `set.shard(i).pool().op_outcome(id)` (every shard's pool
+    /// is the one pool). Each shard keeps its own slot, so a client can
+    /// predict the next [`OpId`] of each shard from its last one.
     ///
     /// The trait-level single-token form stays `Unsupported` for a sharded
-    /// set: one token cannot span N pools.
+    /// set: its clients hold a [`ShardTokens`] bundle.
     ///
     /// # Errors
     ///
-    /// Propagates the shard's [`OpError`] (e.g. that shard's pool is full).
+    /// Propagates the shard's [`OpError`] (e.g. the pool is full).
     ///
     /// # Panics
     ///
@@ -506,37 +427,121 @@ mod tests {
         d
     }
 
-    /// The manifest is the creation commit point: a set whose create was
-    /// interrupted (shard files, no manifest) and a set missing a
-    /// manifest-promised shard must both fail to open loudly — never come
-    /// up as a smaller set that silently routes keys to wrong shards.
+    /// Every file under `dir`, by name, with its bytes.
+    fn files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Roots carry the shard count, so a pool whose shard roots are not
+    /// exactly `000..n-1` of one `n` — a create that died midway, a lost
+    /// shard root, roots disagreeing on `n` — must fail to open loudly,
+    /// never come up as a smaller set that silently routes keys to wrong
+    /// shards. A directory of the old one-file-per-shard layout is refused
+    /// by `open` and `open_or_create` alike, leaving every file as it was.
     #[test]
     fn incomplete_sets_are_rejected_loudly() {
         let dir = tmp_dir("incomplete");
-        ShardedSet::<List>::create(&dir, 2, 1 << 20)
-            .unwrap()
-            .close()
-            .unwrap();
+        for roots in [
+            &["shard-000-of-003", "shard-001-of-003"][..], // interrupted create
+            &["shard-000-of-003", "shard-002-of-003"],     // a shard root is missing
+            &["shard-000-of-002", "shard-001-of-003"],     // counts disagree
+            &["shard-000-of-001", "shard-0-of-1"],         // a root of another shape
+        ] {
+            std::fs::create_dir_all(&dir).unwrap();
+            let pool = Pool::builder().path(pool_file(&dir)).capacity(1 << 20).create().unwrap();
+            for name in roots {
+                drop(pool.create_root::<List>(name).unwrap());
+            }
+            drop(pool);
+            let err = ShardedSet::<List>::open(&dir).unwrap_err();
+            assert!(err.to_string().contains("never completed"), "{roots:?}: {err}");
+            // open_or_create must not silently recreate over the leftovers.
+            assert!(ShardedSet::<List>::open_or_create(&dir, 3, 1 << 20).is_err());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
 
-        // "Crash mid-create": files exist, manifest does not.
-        std::fs::remove_file(manifest_file(&dir)).unwrap();
+        // The old layout: a pool file per shard.
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in [("shard-000.pool", &b"old shard 0"[..]), ("shard-001.pool", b"old shard 1")] {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let before = files(&dir);
         let err = ShardedSet::<List>::open(&dir).unwrap_err();
-        assert!(err.to_string().contains("manifest"), "{err}");
-        // open_or_create must not silently recreate over the leftovers.
-        assert!(ShardedSet::<List>::open_or_create(&dir, 2, 1 << 20).is_err());
-
-        // Manifest promises 2 shards, one is gone.
-        write_manifest(&dir, 2).unwrap();
-        std::fs::remove_file(shard_file(&dir, 1)).unwrap();
-        let err = ShardedSet::<List>::open(&dir).unwrap_err();
-        assert!(err.to_string().contains("missing"), "{err}");
-
+        assert!(err.to_string().contains("old layout"), "{err}");
+        let err = ShardedSet::<List>::open_or_create(&dir, 2, 1 << 20).unwrap_err();
+        assert!(err.to_string().contains("old layout"), "{err}");
+        assert!(files(&dir) == before, "a refused old layout must keep every byte");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Detectable operations route to per-shard descriptor tables, and
-    /// after a clean close + reopen each shard's pool answers for the last
-    /// operation armed in its table.
+    /// Zero shards, more shards than the root registry holds beside the
+    /// descriptor table, and a total capacity past `u64` are refused with
+    /// `InvalidInput` before any file is created.
+    #[test]
+    fn a_set_that_cannot_be_one_pool_is_refused_before_any_file() {
+        let dir = tmp_dir("bounds");
+        for (shards, capacity) in [(0, 1 << 20), (MAX_ROOTS, 1 << 20), (2, u64::MAX / 2 + 1)] {
+            let err = ShardedSet::<List>::create(&dir, shards, capacity).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{shards} × {capacity}: {err}");
+            assert!(!dir.exists(), "{shards} × {capacity}: a refused create made {}", dir.display());
+        }
+        let set = ShardedSet::<List>::create(&dir, MAX_ROOTS - 1, 1 << 16).unwrap();
+        assert_eq!(set.shard_count(), MAX_ROOTS - 1);
+        set.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crashed open of a 3-shard set traces every shard root in one
+    /// collection: exactly the one orphan block is swept, every key stays,
+    /// and the open recovered the whole pool, so the next open is sealed.
+    #[test]
+    fn a_crashed_open_collects_every_shard_once_and_seals_again() {
+        let dir = tmp_dir("orphan");
+        let live;
+        {
+            let set = ShardedSet::<List>::create(&dir, 3, 1 << 20).unwrap();
+            for k in 0..90u64 {
+                assert!(set.insert(k, k + 1));
+            }
+            let _orphan = set.shard(1).pool().alloc(64, 8).unwrap();
+            live = set.shard(0).pool().live_offsets().len();
+            set.close().unwrap();
+        }
+        crate::unseal(&pool_file(&dir));
+
+        let set = ShardedSet::<List>::open(&dir).unwrap();
+        let [report] = &set.recovery_reports()[..] else {
+            panic!("one pool, one report")
+        };
+        assert!(!report.sealed && report.gc_ran, "{report:?}");
+        assert_eq!(report.reclaimed_blocks, 1, "exactly the orphan is swept");
+        assert_eq!(report.live_blocks, live - 1);
+        let marked: Vec<_> = report.root_marks.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(marked, ["shard-000-of-003", "shard-001-of-003", "shard-002-of-003"]);
+        assert_eq!(set.len(), 90);
+        for k in 0..90u64 {
+            assert_eq!(set.get(k), Some(k + 1));
+        }
+        set.close().unwrap();
+
+        let set = ShardedSet::<List>::open(&dir).unwrap();
+        assert!(set.recovery_reports()[0].sealed, "the recovered session must seal");
+        assert_eq!(set.len(), 90);
+        set.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Detectable operations take one slot per shard in the pool's one
+    /// descriptor table, and after a clean close + reopen the pool answers
+    /// for each shard's last operation.
     #[test]
     fn detectable_ops_survive_reopen() {
         use nvtraverse_pool::OpOutcome;
@@ -565,52 +570,9 @@ mod tests {
             assert_eq!(set.get(k), Some(k + 1));
         }
         for r in set.recovery_reports() {
-            assert_eq!(r.ops_descriptors, 1, "one registered client per shard");
+            assert_eq!(r.ops_descriptors, set.shard_count(), "one slot per shard");
             assert_eq!(r.ops_pending, 0, "open must leave no undecided op");
         }
-        set.close().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The aggregate [`ShardedSet::metrics_snapshot`] must equal the
-    /// element-wise sum of the per-shard snapshots at a quiescent point —
-    /// the determinism contract the KV server's STATS reply and the
-    /// `kv_service` figure's fences/op attribution both lean on.
-    #[test]
-    fn metrics_snapshot_is_the_sum_of_the_shards() {
-        if !nvtraverse_obs::enabled() {
-            return; // NVT_OBS=off: nothing is recorded, nothing to pin
-        }
-        let dir = tmp_dir("metrics");
-        let set = ShardedSet::<List>::create(&dir, 3, 1 << 20).unwrap();
-        for k in 0..64u64 {
-            // Attribute each op to its shard's pool, as the server does.
-            let _t =
-                nvtraverse_obs::attribute_to(Some(set.shard(set.shard_index_of(k)).pool().metrics()));
-            set.insert(k, k);
-        }
-        let parts = set.metrics_snapshots();
-        assert_eq!(parts.len(), 3);
-        let mut summed = nvtraverse_obs::Snapshot::default();
-        for p in &parts {
-            summed.merge(p);
-        }
-        let aggregate = set.metrics_snapshot();
-        assert_eq!(aggregate, summed, "aggregate must be the shard-wise sum");
-        assert!(
-            parts.iter().all(|p| p.total_flushes() > 0),
-            "64 keys over 3 shards must flush in every shard"
-        );
-        assert_eq!(
-            aggregate.total_flushes(),
-            parts.iter().map(|p| p.total_flushes()).sum::<u64>()
-        );
-        assert_eq!(
-            aggregate.total_fences(),
-            parts.iter().map(|p| p.total_fences()).sum::<u64>()
-        );
-        // Deterministic while quiescent: asking again changes nothing.
-        assert_eq!(set.metrics_snapshot(), aggregate);
         set.close().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }

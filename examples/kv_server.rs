@@ -1,13 +1,14 @@
 //! A durable KV service over a Unix socket: `nvtraverse-server` in front
 //! of a sharded pool-backed store, surviving restarts (and crashes — the
-//! reopen runs every shard's full recovery pipeline).
+//! reopen runs the pool's full recovery pipeline over every shard).
 //!
 //! ```text
 //! cargo run --release --example kv_server [sock] [dir] [policy] [shards]
 //! ```
 //!
 //! Defaults: socket `/tmp/nvt-kv.sock`, store `/tmp/nvt-kv-store`, policy
-//! `nvt` (or `soft`), 4 shards. Run it, then talk to it from another
+//! `nvt` (or `soft`), 4 shards (1 to 15: each is a root of the store's
+//! one pool). Run it, then talk to it from another
 //! terminal with [`nvtraverse_server::Client`]:
 //!
 //! ```ignore
@@ -30,17 +31,23 @@ fn main() -> std::io::Result<()> {
         .unwrap_or(PolicyKind::NvTraverse);
     let shards: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
 
-    let store = KvStore::open_or_create(&dir, policy, shards, 64 << 20)?;
-    for (i, r) in store.recovery_reports().iter().enumerate() {
+    let store = match KvStore::open_or_create(&dir, policy, shards, 64 << 20) {
+        Ok(store) => store,
+        Err(e) => {
+            eprintln!("kv_server: cannot open or create the store at {dir}: {e}");
+            std::process::exit(2);
+        }
+    };
+    for r in store.recovery_reports() {
         if r.ops_descriptors > 0 || r.ops_pending > 0 {
             println!(
-                "shard {i}: recovered {} detectable-op descriptors ({} pending)",
+                "recovered {} detectable-op descriptors ({} pending)",
                 r.ops_descriptors, r.ops_pending
             );
         }
     }
     println!(
-        "store: {} keys in {} shard pool(s) under the {} policy at {dir}",
+        "store: {} keys in {} shard(s) of one pool under the {} policy at {dir}",
         store.len(),
         store.shard_count(),
         store.policy().name()

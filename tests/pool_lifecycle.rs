@@ -594,11 +594,14 @@ fn create_root_refuses_to_overwrite_a_live_root() {
 }
 
 /// The bucket table's root block `[n, head_off…]` is read back from media
-/// on every open (by the GC tracer inside `root::<S>`, then by attach), so
-/// nothing in it may be trusted: a count the block cannot hold and a head
-/// offset that names no allocated block must both surface as an `Err` from
-/// `root::<S>` — not a panic, not a read past the mapping, not a table
-/// quietly missing a bucket.
+/// on every open (by the GC tracer inside `root::<S>` after a crash, then
+/// by attach), so nothing in it may be trusted: a count the block cannot
+/// hold and a head offset that names no allocated block must both surface
+/// as an `Err` from `root::<S>` — not a panic, not a read past the mapping,
+/// not a table quietly missing a bucket. The tracer refuses such a root,
+/// so a crashed open sweeps nothing (the table's nodes would otherwise all
+/// be unreachable garbage to the sweep), and sealed or crashed, the
+/// refused open leaves the file as it was.
 #[test]
 fn corrupt_bucket_table_root_is_rejected_not_trusted() {
     use std::os::unix::fs::FileExt;
@@ -624,14 +627,11 @@ fn corrupt_bucket_table_root_is_rejected_not_trusted() {
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.write_all_at(&word.to_le_bytes(), at).unwrap();
         drop(file);
-        unseal(&path);
 
-        // root::<S> traces the corrupt root before attach ever sees it.
-        let pool = Pool::builder().path(&path).open().unwrap();
-        assert!(pool.root::<S>("set").is_err(), "{tag}: corrupt root attached");
-        assert!(pool.recovery_report().gc_ran);
-        pool.verify_heap().unwrap();
-        drop(pool);
+        // Sealed, attach rejects the root; crashed, root::<S> traces it
+        // before attach ever sees it, and the tracer refuses it.
+        let before = std::fs::read(&path).unwrap();
+        refused_sealed_and_walked(&path, &before, |pool| pool.root::<S>("set").is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
