@@ -99,6 +99,7 @@ impl OpToken {
     }
 
     /// The identity of the last operation begun through this token, if any.
+    // nvt-lint: allow(unused-pub): crash tests predict a resumed token's next `OpId`
     pub fn last_op(&self) -> Option<OpId> {
         (self.seq > 0).then(|| OpId::new(self.slot, self.seq))
     }
@@ -264,6 +265,7 @@ impl DetectablePool for Pool {
 /// where the table memory is registered with the active simulation so
 /// un-flushed descriptor words roll back at a simulated crash exactly like
 /// structure memory.
+// nvt-lint: allow(unused-pub): the `Sim` tests' stand-in for a pool's op table
 pub struct OpTable<B: Backend> {
     slots: Box<[SlotLine]>,
     _backend: std::marker::PhantomData<fn() -> B>,

@@ -103,19 +103,6 @@ impl<T> MarkedPtr<T> {
         self.bits & !TAG_MASK == 0
     }
 
-    /// Dereferences the untagged pointer.
-    ///
-    /// # Safety
-    ///
-    /// The pointer must be non-null and point to a live `T` for `'a` (in this
-    /// repository that protection comes from an epoch [`Guard`]).
-    ///
-    /// [`Guard`]: nvtraverse_ebr::Guard
-    #[inline]
-    pub unsafe fn deref<'a>(self) -> &'a T {
-        unsafe { &*self.ptr() }
-    }
-
     /// The two algorithm tag bits as a small integer in `0..4`.
     #[inline]
     pub fn tag(self) -> u64 {
@@ -167,15 +154,6 @@ impl<T> MarkedPtr<T> {
     pub fn with_flag(self) -> Self {
         MarkedPtr {
             bits: self.bits | FLAG_BIT,
-            _marker: PhantomData,
-        }
-    }
-
-    /// A copy with the flag bit clear.
-    #[inline]
-    pub fn without_flag(self) -> Self {
-        MarkedPtr {
-            bits: self.bits & !FLAG_BIT,
             _marker: PhantomData,
         }
     }
@@ -285,7 +263,7 @@ mod tests {
         assert!(m.is_marked() && !m.is_flagged());
         assert!(f.is_flagged() && !f.is_marked());
         assert_eq!(m.without_mark(), p);
-        assert_eq!(f.without_flag(), p);
+        assert_eq!(f.untagged(), p);
         assert_eq!(m.ptr(), node);
         assert_eq!(f.ptr(), node);
         unsafe { drop(Box::from_raw(node)) };
@@ -344,14 +322,6 @@ mod tests {
         let p = MarkedPtr::new(node).with_mark().with_flag().with_dirty();
         let u = p.untagged();
         assert_eq!(u, MarkedPtr::new(node));
-        unsafe { drop(Box::from_raw(node)) };
-    }
-
-    #[test]
-    fn deref_reads_the_value() {
-        let node = Box::into_raw(Box::new(99u64));
-        let p = MarkedPtr::new(node).with_mark();
-        assert_eq!(unsafe { *p.deref() }, 99);
         unsafe { drop(Box::from_raw(node)) };
     }
 }

@@ -33,6 +33,7 @@ use std::collections::BTreeMap;
 /// assert!(!m.remove(1));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
+// nvt-lint: allow(unused-pub): the property tests' sequential oracle
 pub struct ModelSet {
     map: BTreeMap<u64, u64>,
 }
@@ -162,6 +163,7 @@ impl KeyVerdict {
 /// let v = key_verdict(false, &[MutOp::Insert { key: 7, succeeded: true }], None);
 /// assert!(v.may_be_present && !v.may_be_absent);
 /// ```
+// nvt-lint: allow(unused-pub): the crash checkers' per-key oracle
 pub fn key_verdict(
     initially_present: bool,
     completed: &[MutOp],

@@ -8,10 +8,10 @@
 //! surface, so benchmarks, stress tests and crash tests are written once.
 //!
 //! [`PoolAttach`] + [`PooledHandle`] add the cross-process lifecycle for
-//! *every* traversal structure — set-shaped or not (queue, stack, priority
-//! queue): create a structure inside a `nvtraverse-pool` file, find it again
-//! by name after a restart, and keep the pool mapped for as long as the
-//! structure is in use.
+//! *every* traversal structure — set-shaped or not (queue, stack): create
+//! a structure inside a `nvtraverse-pool` file, find it again by name
+//! after a restart, and keep the pool mapped for as long as the structure
+//! is in use.
 //!
 //! The entry point is the **typed-root API** ([`TypedRoots`], implemented
 //! for [`Pool`]): build a pool with `Pool::builder()`, then
@@ -179,7 +179,7 @@ pub trait DurableSet<K, V>: Send + Sync {
 ///
 /// Every structure in `nvtraverse-structures` implements this — the sets
 /// (`HarrisList`, `HashMapDs`, `SkipList`, `EllenBst`, `NmBst`) *and* the
-/// non-set shapes (`MsQueue`, `TreiberStack`, `PriorityQueue`), which is the
+/// non-set shapes (`MsQueue`, `TreiberStack`), which is the
 /// paper's §3 generality claim made operational: any traversal data
 /// structure, not just sets, survives a crash when its core is persistent
 /// and its auxiliary parts are rebuilt on recovery.

@@ -362,6 +362,7 @@ impl Collector {
     }
 
     /// Number of objects this thread has retired that are not yet reclaimed.
+    // nvt-lint: allow(unused-pub): the recovery tests count what recovery retired
     pub fn local_garbage(&self) -> usize {
         let handle = local_handle(self, true).expect("registered");
         let bags = handle.bags.borrow();

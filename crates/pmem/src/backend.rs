@@ -306,11 +306,10 @@ impl<B: Backend> Backend for Count<B> {
 /// regular file (every CI machine), written pages already survive process
 /// death — the kernel owns them — so `clwb`/`sfence` preserves the paper's
 /// cost profile while process-crash durability comes for free. Surviving
-/// *power* failure on such a mapping additionally requires `msync`; enable
-/// [`MmapBackend::set_msync_on_fence`] to issue `MS_SYNC` for every mapped
-/// region at each fence (orders of magnitude slower — measurement use only).
-/// Non-x86-64 targets always take the `msync` path, as they have no flush
-/// instruction to lean on.
+/// *power* failure on such a mapping additionally requires `msync`
+/// ([`MmapBackend::sync_all_regions`], or `Pool::sync` for one pool).
+/// Non-x86-64 targets have no flush instruction to lean on, so there every
+/// fence `msync`s every mapped region.
 ///
 /// Pool mappings are announced via [`MmapBackend::register_region`]; the
 /// `nvtraverse-pool` crate does this when a pool is opened.
@@ -318,13 +317,9 @@ impl<B: Backend> Backend for Count<B> {
 pub struct MmapBackend;
 
 mod mmap_sync {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::RwLock;
 
     pub(super) static REGIONS: RwLock<Vec<(usize, usize)>> = RwLock::new(Vec::new());
-    pub(super) static REGION_COUNT: AtomicUsize = AtomicUsize::new(0);
-    pub(super) static MSYNC_ON_FENCE: AtomicBool =
-        AtomicBool::new(cfg!(not(target_arch = "x86_64")));
 
     #[cfg(unix)]
     // SAFETY: the pointer came from a live link read under this op's EBR guard; retired nodes are not freed until every guard from before the retire drops.
@@ -349,10 +344,6 @@ mod mmap_sync {
             let _ = (base, len);
         }
     }
-
-    pub(super) fn region_count() -> usize {
-        REGION_COUNT.load(Ordering::Acquire)
-    }
 }
 
 impl MmapBackend {
@@ -364,7 +355,6 @@ impl MmapBackend {
             .unwrap_or_else(|e| e.into_inner());
         if !regions.iter().any(|&(b, _)| b == base) {
             regions.push((base, len));
-            mmap_sync::REGION_COUNT.store(regions.len(), std::sync::atomic::Ordering::Release);
         }
     }
 
@@ -374,19 +364,10 @@ impl MmapBackend {
             .write()
             .unwrap_or_else(|e| e.into_inner());
         regions.retain(|&(b, _)| b != base);
-        mmap_sync::REGION_COUNT.store(regions.len(), std::sync::atomic::Ordering::Release);
-    }
-
-    /// Selects whether every fence also `msync`s every registered region.
-    ///
-    /// Defaults to `false` on x86-64 (where `clwb`/`sfence` match the
-    /// paper's persistence protocol) and `true` elsewhere.
-    pub fn set_msync_on_fence(enabled: bool) {
-        mmap_sync::MSYNC_ON_FENCE.store(enabled, std::sync::atomic::Ordering::Release);
     }
 
     /// Forces an `msync` of every registered region now (e.g. before a
-    /// planned shutdown), regardless of the fence setting.
+    /// planned shutdown).
     pub fn sync_all_regions() {
         mmap_sync::msync_all();
     }
@@ -413,10 +394,8 @@ impl Backend for MmapBackend {
         #[cfg(target_arch = "x86_64")]
         x86::sfence();
         #[cfg(not(target_arch = "x86_64"))]
-        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        if mmap_sync::MSYNC_ON_FENCE.load(std::sync::atomic::Ordering::Acquire)
-            && mmap_sync::region_count() > 0
         {
+            std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
             mmap_sync::msync_all();
         }
     }

@@ -77,12 +77,6 @@ pub fn defer_closing_fence() -> bool {
         .unwrap_or(false)
 }
 
-/// Whether a [`FenceBatch`] is currently active on this thread.
-#[inline]
-pub fn batch_active() -> bool {
-    DEPTH.try_with(|d| d.get() > 0).unwrap_or(false)
-}
-
 /// A thread-local fence-amortization scope: operations executed while it
 /// is alive defer their closing fences; dropping (or
 /// [`close`](FenceBatch::close)-ing) the outermost scope issues a single
@@ -159,6 +153,11 @@ mod tests {
         if !defer_closing_fence() {
             CB::fence();
         }
+    }
+
+    /// Whether a [`FenceBatch`] is currently active on this thread.
+    fn batch_active() -> bool {
+        DEPTH.try_with(|d| d.get() > 0).unwrap_or(false)
     }
 
     #[test]

@@ -173,13 +173,6 @@ impl<T: Word, B: Backend> PCell<T, B> {
         self.bits.load(Ordering::Acquire)
     }
 
-    /// Returns `true` if the cell currently holds the simulator poison
-    /// pattern. Only meaningful after a simulated crash.
-    #[inline]
-    pub fn is_poisoned(&self) -> bool {
-        self.peek_bits() == crate::POISON
-    }
-
     #[inline]
     fn check_poison(&self, bits: u64) {
         if bits == crate::POISON {

@@ -27,14 +27,15 @@
 //!
 //! # Lifetime contract
 //!
-//! `(ctx, dealloc)` pairs returned by [`owner_of`]/consumed by [`allocate`]
-//! are invoked *after* the snapshot pointer is read, so unregistering a
-//! heap does **not** wait for in-flight calls. The registering heap must
-//! stay alive until no thread can still be allocating from it or freeing
-//! pointers into it — for a pool, that is the rule (documented on `Pool`)
-//! that the last pool handle may only be dropped once its structures are no
-//! longer in use; their memory is unmapped by the drop anyway, so any
-//! concurrent use is already a use-after-unmap regardless of this registry.
+//! `(ctx, dealloc)` pairs returned by [`owner_of`] and `(ctx, alloc)`
+//! targets returned by [`current_target`] are invoked *after* the snapshot
+//! pointer is read, so unregistering a heap does **not** wait for
+//! in-flight calls. The registering heap must stay alive until no thread
+//! can still be allocating from it or freeing pointers into it — for a
+//! pool, that is the rule (documented on `Pool`) that the last pool
+//! handle may only be dropped once its structures are no longer in use;
+//! their memory is unmapped by the drop anyway, so any concurrent use is
+//! already a use-after-unmap regardless of this registry.
 //! Deferred frees obey it too: a pool's retired nodes wait in the pool's
 //! own epoch collector, which the pool drains before it unregisters and
 //! then closes, so no reclaim reaches a heap after its unregister. The same
@@ -131,7 +132,7 @@ pub fn swap_scoped_target(target: Option<AllocTarget>) -> Option<AllocTarget> {
     SCOPED.try_with(|s| s.replace(target)).unwrap_or(None)
 }
 
-/// The allocation target [`allocate`] would use right now: this thread's
+/// The allocation target an allocation would use right now: this thread's
 /// scoped target, or `None` — allocations come from the volatile heap.
 #[inline]
 pub fn current_target() -> Option<AllocTarget> {
@@ -193,27 +194,16 @@ pub fn owner_of(ptr: *const u8) -> Option<(usize, DeallocFn)> {
     }
 }
 
-/// Allocates from this thread's scoped target.
-///
-/// Returns `None` when no scope is entered **or** the target heap is
-/// exhausted — callers decide whether to fall back to the volatile heap or
-/// to fail (use [`current_target`] to distinguish). The no-target fast path
-/// is one TLS read.
-#[inline]
-pub fn allocate(size: usize, align: usize) -> Option<*mut u8> {
-    let t = current_target()?;
-    // SAFETY: the target pair was published together by its heap.
-    let p = unsafe { (t.alloc)(t.ctx, size, align) };
-    if p.is_null() {
-        None
-    } else {
-        Some(p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Allocates from this thread's scoped target; `None` without one.
+    fn allocate(size: usize, align: usize) -> Option<*mut u8> {
+        let t = current_target()?;
+        // SAFETY: the target pair was published together by its heap.
+        Some(unsafe { (t.alloc)(t.ctx, size, align) })
+    }
 
     unsafe fn fake_dealloc(_ctx: usize, _ptr: *mut u8, _size: usize, _align: usize) {}
 

@@ -30,9 +30,10 @@
 //!   copy — poisoning cells that were never persisted. This is the engine of
 //!   the crash tests that validate durable linearizability.
 //! * **The mapped-pool backend** ([`MmapBackend`]) persists a memory-mapped
-//!   pool file — `clwb`/`sfence` is exactly right on a DAX NVRAM mapping,
-//!   and [`MmapBackend::set_msync_on_fence`] adds `msync` for page-cache
-//!   mappings that must survive power loss, not just process death.
+//!   pool file — `clwb`/`sfence` is exactly right on a DAX NVRAM mapping;
+//!   a page-cache mapping that must survive power loss, not just process
+//!   death, needs an `msync` ([`MmapBackend::sync_all_regions`]), which
+//!   every fence issues on targets without a flush instruction.
 //!
 //! The [`heap`] module is the allocation seam between all of this and the
 //! `nvtraverse-pool` crate: a registry of foreign heaps (address ranges plus

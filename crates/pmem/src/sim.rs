@@ -346,6 +346,7 @@ impl SimHandle {
     }
 
     /// Makes every thread crash at its next simulated memory event.
+    // nvt-lint: allow(unused-pub): the concurrent crash tests' trigger
     pub fn trigger_crash(&self) {
         self.inner.crashed.store(true, Ordering::SeqCst);
     }
@@ -368,6 +369,7 @@ impl SimHandle {
     /// Enables spontaneous cache evictions: every `period`-th memory event
     /// also persists the accessed cell with its current value. `0` disables
     /// evictions (the default, maximally adversarial configuration).
+    // nvt-lint: allow(unused-pub): the crash tests' eviction adversary
     pub fn set_evict_period(&self, period: u64) {
         self.inner.evict_period.store(period, Ordering::SeqCst);
     }
@@ -386,6 +388,7 @@ impl SimHandle {
     ///
     /// Until first persisted, the cell's persisted copy is [`POISON`], so a
     /// crash before the first flush+fence poisons it.
+    // nvt-lint: allow(unused-pub): the simulator's model tests
     pub fn register_cell(&self, addr: usize) {
         self.inner.register(addr);
         if let Some(o) = self.inner.observer() {
@@ -398,6 +401,7 @@ impl SimHandle {
     /// Data structures call this when allocating a node, so a node that is
     /// linked into the structure but never flushed is fully poisoned by a
     /// crash — the classic "missing `flush(newNode)`" durability bug.
+    // nvt-lint: allow(unused-pub): the vet sanitizer's tests
     pub fn register_range(&self, addr: usize, len: usize) {
         debug_assert_eq!(addr % 8, 0, "cells must be 8-byte aligned");
         let words = len.div_ceil(8);
@@ -413,6 +417,7 @@ impl SimHandle {
     ///
     /// Must be called before freeing a node's memory, otherwise a later
     /// rollback would write through a dangling pointer.
+    // nvt-lint: allow(unused-pub): the vet sanitizer's tests
     pub fn deregister_range(&self, addr: usize, len: usize) {
         let words = len.div_ceil(8);
         for i in 0..words {
@@ -421,11 +426,6 @@ impl SimHandle {
         if let Some(o) = self.inner.observer() {
             o.on_deregister_range(addr, len);
         }
-    }
-
-    /// Returns the persisted bits of the cell at `addr`, if registered.
-    pub fn persisted_bits(&self, addr: usize) -> Option<u64> {
-        self.inner.shard(addr).lock().get(&addr).map(|e| e.persisted)
     }
 
     /// Simulates the crash: rolls every registered cell's volatile value back

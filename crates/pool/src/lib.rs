@@ -29,7 +29,6 @@
 //!   any structure attaches. A clean close instead **seals** a summary of
 //!   the allocator's state, and the next open reads it: no walk, no
 //!   collection ([`RecoveryReport::sealed`]; the private `seal` module).
-//! * [`POff`] — typed offset pointers, stable across rebased mappings.
 //! * A **root registry** — up to [`MAX_ROOTS`] named offsets in the pool
 //!   header, so a structure can be found again after reopen
 //!   (open → [`Pool::root_offset`] → attach → `recover()`; higher layers
@@ -89,12 +88,10 @@ mod engine;
 pub mod gc;
 mod mmap;
 pub mod optable;
-mod poff;
 mod seal;
 
 pub use gc::{Marker, TraceFn};
 pub use optable::{OpId, OpOutcome, RawOp, OPS_ROOT};
-pub use poff::POff;
 
 use engine::Engine;
 use nvtraverse_ebr::Collector;
@@ -354,7 +351,7 @@ struct Inner {
     mem: Mem,
     path: PathBuf,
     /// Keeps the file open (and its `flock` held) while mapped.
-    _file: File,
+    _file: mmap::LockedFile,
     rebased: bool,
     /// Set by `finish_open`: a half-built Inner from a failed open must not
     /// stamp the file as cleanly shut down on drop.
@@ -494,44 +491,6 @@ impl PoolBuilder {
         Pool::open_impl(self.want_path()?)
     }
 
-    /// [`open`](PoolBuilder::open), but with a bounded wait for the pool
-    /// file's exclusive lock: a [`WouldBlock`](io::ErrorKind::WouldBlock)
-    /// open (another process still holds the pool — typically one that is
-    /// just shutting down) is retried up to `attempts` times, sleeping
-    /// `delay` between tries, before the error is surfaced. Every other
-    /// error fails immediately, and a successful lock proceeds with the
-    /// normal recovery pipeline.
-    ///
-    /// `attempts` counts total tries (`0` is treated as `1`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PoolBuilder::open`]; still-`WouldBlock` after the last
-    /// attempt reports how long was waited.
-    pub fn open_retry(self, attempts: u32, delay: std::time::Duration) -> io::Result<Pool> {
-        let path = self.want_path()?.to_path_buf();
-        let attempts = attempts.max(1);
-        for attempt in 1..=attempts {
-            match Pool::open_impl(&path) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock && attempt < attempts => {
-                    std::thread::sleep(delay);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WouldBlock,
-                        format!(
-                            "pool {} still locked after {attempts} attempts over {:?}: {e}",
-                            path.display(),
-                            delay * (attempts - 1)
-                        ),
-                    ));
-                }
-                other => return other,
-            }
-        }
-        unreachable!("loop returns on the last attempt")
-    }
-
     /// Opens the pool if its file exists, otherwise creates it with the
     /// configured capacity. Also heals a file whose creation never
     /// completed (no magic persisted): it is unlinked and recreated.
@@ -576,7 +535,7 @@ impl Pool {
             .write(true)
             .create_new(true)
             .open(path)?;
-        lock_pool_file(&file, path)?;
+        let file = lock_pool_file(file, path)?;
         verify_same_inode(&file, path)?;
         file.set_len(capacity)?;
         // A deterministic per-path hint keeps distinct pools apart while
@@ -636,7 +595,7 @@ impl Pool {
 
     fn open_impl(path: &Path) -> io::Result<Pool> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
-        lock_pool_file(&file, path)?;
+        let file = lock_pool_file(file, path)?;
         let file_len = file.metadata()?.len();
         if file_len < MIN_CAPACITY {
             return Err(bad_pool(format!("file too small ({file_len} bytes)")));
@@ -799,7 +758,7 @@ impl Pool {
     /// `true` when the pool could not be mapped at its recorded base, so
     /// absolute pointers stored inside it are invalid. Structures with
     /// embedded pointers must refuse to attach; offset-based access
-    /// ([`POff`], [`Pool::at`]) remains correct.
+    /// ([`Pool::at`]) remains correct.
     pub fn is_rebased(&self) -> bool {
         self.inner.rebased
     }
@@ -878,37 +837,11 @@ impl Pool {
     ///
     /// # Safety
     ///
-    /// `ptr` must come from [`Pool::alloc`]/[`Pool::realloc`] on this pool,
+    /// `ptr` must come from [`Pool::alloc`] on this pool,
     /// must not be reachable by any thread, and must not be freed twice.
     pub unsafe fn dealloc(&self, ptr: *mut u8) {
         // SAFETY: the node is unlinked (no new traversal can reach it); EBR defers the actual free until all pre-retire guards drop.
         unsafe { self.inner.dealloc(ptr) }
-    }
-
-    /// Reallocates `ptr` to `new_size` bytes, copying the payload.
-    ///
-    /// Returns `None` (leaving `ptr` valid) when the pool is exhausted.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Pool::dealloc`]; on success the old pointer is
-    /// freed and must no longer be used.
-    pub unsafe fn realloc(&self, ptr: *mut u8, new_size: usize) -> Option<*mut u8> {
-        let (old_payload, _) = self.inner.block_info(ptr);
-        // In-place when the current block already has the capacity (both
-        // shrinks and small grows within the size class).
-        if new_size as u64 <= old_payload {
-            return Some(ptr);
-        }
-        let new = self.inner.alloc(new_size, BLOCK_ALIGN as usize)?;
-        // SAFETY: the offset/address was produced by this pool's allocator or recovery walk and stays within the mapping; layout invariants are documented on the enclosing type.
-        unsafe {
-            std::ptr::copy_nonoverlapping(ptr, new, (old_payload as usize).min(new_size));
-            MmapBackend::flush_range(new, new_size.min(old_payload as usize));
-            MmapBackend::fence();
-            self.inner.dealloc(ptr);
-        }
-        Some(new)
     }
 
     /// Payload capacity in bytes of the block holding `ptr`.
@@ -993,49 +926,9 @@ impl Pool {
         None
     }
 
-    /// Removes `name` from the registry, returning its offset. The graph
-    /// it named may now be garbage only a collection finds, so this
-    /// session's close writes no sealed summary.
-    pub fn remove_root(&self, name: &str) -> Option<u64> {
-        let inner = &*self.inner;
-        let _guard = inner.roots.lock().unwrap_or_else(|e| e.into_inner());
-        for slot in 0..MAX_ROOTS {
-            let (slot_name, off) = inner.read_root_slot(slot);
-            if slot_name.as_deref() == Some(name.as_bytes()) {
-                inner.orphaned.store(true, Ordering::Relaxed);
-                // SAFETY: the offset/address was produced by this pool's allocator or recovery walk and stays within the mapping; layout invariants are documented on the enclosing type.
-                unsafe {
-                    let dst = inner.mem.ptr(OFF_ROOTS + slot as u64 * ROOT_SLOT_SIZE);
-                    std::ptr::write_bytes(dst, 0, MAX_ROOT_NAME);
-                }
-                inner.mem.persist_range(
-                    (OFF_ROOTS + slot as u64 * ROOT_SLOT_SIZE) as usize,
-                    MAX_ROOT_NAME,
-                );
-                inner.mem.store(root_off_field(slot), 0);
-                inner.mem.persist_u64(root_off_field(slot));
-                return Some(off);
-            }
-        }
-        None
-    }
-
     /// All registered `(name, offset)` pairs.
     pub fn roots(&self) -> Vec<(String, u64)> {
         self.inner.roots()
-    }
-
-    // ---- typed convenience ----------------------------------------------
-
-    /// Allocates and initializes a `T`, returning a typed offset pointer.
-    ///
-    /// The contents are **not** flushed — persist them via the durability
-    /// policy as usual.
-    pub fn alloc_value<T>(&self, value: T) -> Option<POff<T>> {
-        let p = self.alloc(std::mem::size_of::<T>().max(1), std::mem::align_of::<T>())?;
-        // SAFETY: the offset/address was produced by this pool's allocator or recovery walk and stays within the mapping; layout invariants are documented on the enclosing type.
-        unsafe { (p as *mut T).write(value) };
-        Some(POff::from_raw(self.offset_of(p as *const u8)))
     }
 
     /// The checked attach-side root lookup every `PoolAttach`
@@ -1151,8 +1044,8 @@ impl Pool {
 
     /// Whether `off` is the payload start of a currently **allocated**
     /// block of this pool (full header validation against the walk
-    /// invariants). This is the check behind [`POff::resolve`]'s loud
-    /// rejection of offsets that were minted against a different pool.
+    /// invariants). Attaches check a root offset with it before they
+    /// dereference anything the file holds.
     pub fn is_allocated_payload(&self, off: u64) -> bool {
         let inner = &*self.inner;
         if off < HEAP_START + BLOCK_HEADER || !off.is_multiple_of(BLOCK_ALIGN) {
@@ -1208,6 +1101,7 @@ impl Pool {
 
     /// Offsets of currently allocated blocks (address order) — the pool's
     /// *live set*, as reconstructed purely from persistent metadata.
+    // nvt-lint: allow(unused-pub): the leak and sweep tests' live set
     pub fn live_offsets(&self) -> Vec<u64> {
         self.verify_heap()
             .map(|r| r.live.iter().map(|&(o, _)| o).collect())
@@ -1585,9 +1479,10 @@ fn root_off_field(slot: usize) -> u64 {
 
 /// Locks the pool file exclusively, translating contention into a clear
 /// "in use" error. Single-writer is what keeps two allocators from racing
-/// over the same mapped pages (the lock dies with the descriptor).
-fn lock_pool_file(file: &File, path: &Path) -> io::Result<()> {
-    mmap::lock_exclusive(file).map_err(|e| {
+/// over the same mapped pages (the lock is released when the returned
+/// file drops).
+fn lock_pool_file(file: File, path: &Path) -> io::Result<mmap::LockedFile> {
+    mmap::LockedFile::lock(file).map_err(|e| {
         if e.kind() == io::ErrorKind::WouldBlock {
             io::Error::new(
                 io::ErrorKind::WouldBlock,
@@ -1609,10 +1504,9 @@ fn lock_pool_file(file: &File, path: &Path) -> io::Result<()> {
 /// open (mid-create or in use) fails the lock and is left alone.
 fn unlink_if_never_completed(path: &Path) -> io::Result<bool> {
     use std::io::Read;
-    let mut f = OpenOptions::new().read(true).write(true).open(path)?;
-    if mmap::lock_exclusive(&f).is_err() {
+    let Ok(f) = mmap::LockedFile::lock(OpenOptions::new().read(true).write(true).open(path)?) else {
         return Ok(false); // someone owns it; let Pool::open report that
-    }
+    };
     // The lock was acquired on whatever inode we opened; if the path has
     // been replaced meanwhile (another healer won and re-created the pool),
     // unlinking by path would delete *their* live pool.
@@ -1620,7 +1514,7 @@ fn unlink_if_never_completed(path: &Path) -> io::Result<bool> {
         return Ok(false);
     }
     let mut magic = [0u8; 8];
-    let incomplete = match f.read_exact(&mut magic) {
+    let incomplete = match (&*f).read_exact(&mut magic) {
         Ok(()) => u64::from_le_bytes(magic) == 0,
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => true,
         Err(e) => return Err(e),

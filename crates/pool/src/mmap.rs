@@ -44,6 +44,7 @@ mod sys {
     const MAP_FAILED: usize = usize::MAX;
     const LOCK_EX: c_int = 2;
     const LOCK_NB: c_int = 4;
+    const LOCK_UN: c_int = 8;
 
     pub fn map_shared(
         file: &File,
@@ -118,6 +119,12 @@ mod sys {
         }
     }
 
+    pub fn unlock(file: &File) {
+        // SAFETY: `file` is an open descriptor; unlocking one that holds
+        // no lock is a no-op.
+        unsafe { flock(file.as_raw_fd(), LOCK_UN) };
+    }
+
     /// Reserves (PROT_NONE) an anonymous region at exactly `addr` — used by
     /// tests to force the rebased-open path. Returns false if the range is
     /// taken.
@@ -172,7 +179,8 @@ mod sys {
     pub fn lock_exclusive(_file: &File) -> io::Result<()> {
         unsupported()
     }
-    #[allow(dead_code)]
+    pub fn unlock(_file: &File) {}
+    #[cfg(test)]
     pub fn reserve_anon_at(_addr: usize, _len: usize) -> bool {
         false
     }
@@ -202,13 +210,37 @@ pub fn sync(base: usize, len: usize) -> io::Result<()> {
     sys::sync(base, len)
 }
 
-/// Takes a non-blocking exclusive `flock` on the pool file.
+/// A pool file under a non-blocking exclusive `flock`, which makes each
+/// pool single-writer across *and within* processes: a second open of a
+/// live pool fails instead of racing the allocator over shared pages.
 ///
-/// The lock lives as long as the file descriptor, making each pool
-/// single-writer across *and within* processes: a second open of a live
-/// pool fails instead of racing the allocator over shared pages.
-pub fn lock_exclusive(file: &File) -> io::Result<()> {
-    sys::lock_exclusive(file)
+/// Dropping it unlocks (`LOCK_UN`) before the descriptor closes. The close
+/// alone would not do: the lock belongs to the open file description, and
+/// a child forked by any thread of this process holds a copy of it until
+/// its `exec`, so the pool would stay locked for that long after its close.
+#[derive(Debug)]
+pub struct LockedFile(File);
+
+impl LockedFile {
+    /// Locks `file`; `WouldBlock` when another descriptor holds the lock.
+    pub fn lock(file: File) -> io::Result<LockedFile> {
+        sys::lock_exclusive(&file)?;
+        Ok(LockedFile(file))
+    }
+}
+
+impl std::ops::Deref for LockedFile {
+    type Target = File;
+
+    fn deref(&self) -> &File {
+        &self.0
+    }
+}
+
+impl Drop for LockedFile {
+    fn drop(&mut self) {
+        sys::unlock(&self.0);
+    }
 }
 
 /// Test hook: occupies `[addr, addr+len)` with an anonymous mapping.

@@ -110,26 +110,6 @@ fn oversize_blocks_first_fit_and_reuse() {
 }
 
 #[test]
-fn realloc_copies_payload() {
-    let path = tmp("realloc");
-    let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
-    let p = pool.alloc(64, 8).unwrap();
-    unsafe {
-        for i in 0..64 {
-            p.add(i).write(i as u8);
-        }
-        let q = pool.realloc(p, 4096).unwrap();
-        for i in 0..64 {
-            assert_eq!(q.add(i).read(), i as u8);
-        }
-        pool.dealloc(q);
-    }
-    pool.verify_heap().unwrap();
-    drop(pool);
-    cleanup(&path);
-}
-
-#[test]
 fn exhaustion_returns_none_not_panic() {
     let path = tmp("exhaust");
     let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
@@ -158,7 +138,7 @@ fn double_free_is_detected() {
 }
 
 #[test]
-fn roots_set_get_overwrite_remove() {
+fn roots_set_get_overwrite() {
     let path = tmp("roots");
     let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
     assert_eq!(pool.root_offset("list"), None);
@@ -169,8 +149,6 @@ fn roots_set_get_overwrite_remove() {
     pool.set_root_offset("list", 12288).unwrap(); // overwrite
     assert_eq!(pool.root_offset("list"), Some(12288));
     assert_eq!(pool.roots().len(), 2);
-    assert_eq!(pool.remove_root("list"), Some(12288));
-    assert_eq!(pool.root_offset("list"), None);
     // Name limits: empty, too long, and embedded NUL (would alias the
     // NUL-terminated on-disk form) are all rejected.
     assert!(pool.set_root_offset("", 1).is_err());
@@ -201,28 +179,6 @@ fn open_or_create_heals_a_crashed_create() {
 }
 
 #[test]
-fn realloc_within_capacity_is_in_place() {
-    let path = tmp("realloc-inplace");
-    let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
-    // 100 bytes lands in the 128-byte class (112 usable): growing to 110
-    // and shrinking to 8 must both stay in place.
-    let p = pool.alloc(100, 8).unwrap();
-    let cap = pool.usable_size(p as *const u8);
-    assert!(cap >= 110);
-    unsafe {
-        assert_eq!(pool.realloc(p, 110), Some(p));
-        assert_eq!(pool.realloc(p, 8), Some(p));
-        // Growing past the capacity moves.
-        let q = pool.realloc(p, cap as usize + 1).unwrap();
-        assert_ne!(q, p);
-        pool.dealloc(q);
-    }
-    pool.verify_heap().unwrap();
-    drop(pool);
-    cleanup(&path);
-}
-
-#[test]
 fn root_slots_exhaust_cleanly() {
     let path = tmp("rootfull");
     let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
@@ -230,9 +186,9 @@ fn root_slots_exhaust_cleanly() {
         pool.set_root_offset(&format!("r{i}"), i as u64 + 1).unwrap();
     }
     assert!(pool.set_root_offset("one-too-many", 99).is_err());
-    // Removing frees a slot.
-    pool.remove_root("r3").unwrap();
-    pool.set_root_offset("one-too-many", 99).unwrap();
+    // A full registry still repoints an existing name.
+    pool.set_root_offset("r3", 99).unwrap();
+    assert_eq!(pool.root_offset("r3"), Some(99));
     drop(pool);
     cleanup(&path);
 }
@@ -328,6 +284,38 @@ fn concurrent_second_open_is_refused() {
     cleanup(&path);
 }
 
+/// A child process that another thread forks holds a copy of every
+/// descriptor until its `exec`. A pool's close must still release the lock
+/// at once, or a reopen right after the close meets `WouldBlock`.
+#[test]
+fn a_close_releases_the_lock_while_a_forked_child_holds_the_descriptor() {
+    use std::io::{Read, Write};
+    use std::os::unix::process::CommandExt;
+    let path = tmp("fork-lock");
+    let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
+    let (mut forked, child_side) = std::io::pipe().unwrap();
+    let child = std::thread::spawn(move || {
+        let mut cmd = std::process::Command::new("true");
+        // SAFETY: the hook only writes to a pipe and sleeps, both
+        // async-signal-safe.
+        unsafe {
+            cmd.pre_exec(move || {
+                (&child_side).write_all(&[1])?;
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                Ok(())
+            });
+        }
+        cmd.status().unwrap()
+    });
+    // The child has forked, with the pool's descriptor, and waits to exec.
+    forked.read_exact(&mut [0]).unwrap();
+    drop(pool);
+    let reopened = Pool::builder().path(&path).open();
+    assert!(child.join().unwrap().success());
+    drop(reopened.expect("a closed pool stayed locked while a forked child held its descriptor"));
+    cleanup(&path);
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn occupied_preferred_base_forces_rebased_open() {
@@ -370,22 +358,6 @@ fn same_base_on_clean_reopen() {
     let pool = Pool::builder().path(&path).open().unwrap();
     assert!(!pool.is_rebased());
     assert_eq!(pool.base(), base1);
-    drop(pool);
-    cleanup(&path);
-}
-
-#[test]
-fn alloc_value_and_poff_roundtrip() {
-    let path = tmp("poff");
-    let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
-    let off: POff<u64> = pool.alloc_value(77u64).unwrap();
-    assert!(!off.is_null());
-    assert_eq!(unsafe { off.as_ref(&pool) }, Some(&77));
-    unsafe { (*off.resolve(&pool)) = 88 };
-    assert_eq!(unsafe { off.as_ref(&pool) }, Some(&88));
-    assert_eq!(POff::<u64>::of(&pool, off.resolve(&pool)), off);
-    assert_eq!(POff::<u64>::null().resolve(&pool), std::ptr::null_mut());
-    assert!(POff::<u64>::of(&pool, std::ptr::null()).is_null());
     drop(pool);
     cleanup(&path);
 }
@@ -543,7 +515,7 @@ fn concurrent_alloc_free_stress_keeps_heap_consistent() {
     cleanup(&path);
 }
 
-// ---- builder, recovery collection, POff validation -----------------------------------
+// ---- builder, recovery collection, payload validation -----------------------------------
 
 #[test]
 fn builder_requires_path_and_capacity() {
@@ -728,20 +700,18 @@ fn mark_allocated_if_skips_marked_blocks() {
 }
 
 #[test]
-fn poff_resolve_validates_allocated_payloads() {
-    let path = tmp("poff-validate");
+fn only_allocated_payload_starts_are_allocated_payloads() {
+    let path = tmp("payload-validate");
     let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
-    let off: POff<u64> = pool.alloc_value(9u64).unwrap();
-    assert_eq!(unsafe { off.as_ref(&pool) }, Some(&9));
-    assert!(off.try_resolve(&pool).is_some());
-    // A mid-block offset is not a payload start.
-    assert_eq!(POff::<u64>::from_raw(off.raw() + 8).try_resolve(&pool), None);
-    // Null resolves to null, never panics.
-    assert!(POff::<u64>::null().try_resolve(&pool).is_none());
-    assert!(POff::<u64>::null().resolve(&pool).is_null());
+    let p = pool.alloc(8, 8).unwrap();
+    let off = pool.offset_of(p);
+    assert!(pool.is_allocated_payload(off));
+    // A mid-block offset is not a payload start, and null is nothing.
+    assert!(!pool.is_allocated_payload(off + 8));
+    assert!(!pool.is_allocated_payload(0));
     // A freed block's offset is rejected too.
-    unsafe { pool.dealloc(off.resolve(&pool) as *mut u8) };
-    assert_eq!(off.try_resolve(&pool), None);
+    unsafe { pool.dealloc(p) };
+    assert!(!pool.is_allocated_payload(off));
     drop(pool);
     cleanup(&path);
 }
@@ -858,36 +828,6 @@ fn op_id_packs_slot_and_seq() {
     assert_eq!(id.seq(), (1 << 48) - 1);
     assert_eq!(OpId::from_bits(id.to_bits()), id);
     assert_ne!(OpId::new(0, 1).to_bits(), 0, "tag 0 never names a real op");
-}
-
-// ---- builder open_retry ---------------------------------------------------
-
-#[test]
-fn open_retry_waits_out_a_closing_holder() {
-    let path = tmp("open-retry");
-    let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
-
-    // While the lock is held, a bounded retry that expires reports
-    // WouldBlock instead of hanging.
-    let err = Pool::builder()
-        .path(&path)
-        .open_retry(2, std::time::Duration::from_millis(10))
-        .unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-
-    // Second thread: keep the pool open a little longer, then drop it.
-    let holder = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_millis(150));
-        drop(pool);
-    });
-    // Meanwhile retry until the holder lets go — a clean wait-then-open.
-    let reopened = Pool::builder()
-        .path(&path)
-        .open_retry(100, std::time::Duration::from_millis(20))
-        .expect("retry outlives the holder");
-    holder.join().unwrap();
-    drop(reopened);
-    cleanup(&path);
 }
 
 #[test]
@@ -1348,23 +1288,22 @@ fn a_close_seals_in_nvdata_order() {
     cleanup(&path);
 }
 
-/// A root removed or repointed may leave its old graph as garbage that only
-/// a collection finds, so that session's close writes no seal.
+/// A repointed root may leave its old graph as garbage that only a
+/// collection finds, so that session's close writes no seal.
 #[test]
 fn a_session_that_drops_a_root_writes_no_seal() {
     let path = tmp("seal-orphan");
     let pool = Pool::builder().path(&path).capacity(MIN_CAPACITY).create().unwrap();
-    for name in ["a", "b"] {
-        pool.set_root_offset(name, pool.offset_of(pool.alloc(64, 8).unwrap())).unwrap();
-    }
+    pool.set_root_offset("a", pool.offset_of(pool.alloc(64, 8).unwrap())).unwrap();
     pool.set_root_offset("a", pool.root_offset("a").unwrap()).unwrap();
     drop(pool);
     let pool = Pool::builder().path(&path).open().unwrap();
     assert!(pool.recovery_report().sealed, "rewriting a root's own offset orphans nothing");
-    pool.remove_root("b").unwrap();
+    let fresh = pool.offset_of(pool.alloc(64, 8).unwrap());
+    pool.set_root_offset("a", fresh).unwrap();
     drop(pool);
     let pool = Pool::builder().path(&path).open().unwrap();
-    assert!(!pool.recovery_report().sealed, "a session that removed a root sealed");
+    assert!(!pool.recovery_report().sealed, "a session that repointed a root sealed");
     drop(pool);
     // SAFETY: the one root is a single block; a recovery seals again.
     unseal(&path);
@@ -1373,11 +1312,6 @@ fn a_session_that_drops_a_root_writes_no_seal() {
     drop(pool);
     let pool = Pool::builder().path(&path).open().unwrap();
     assert!(pool.recovery_report().sealed);
-    let fresh = pool.offset_of(pool.alloc(64, 8).unwrap());
-    pool.set_root_offset("a", fresh).unwrap();
-    drop(pool);
-    let pool = Pool::builder().path(&path).open().unwrap();
-    assert!(!pool.recovery_report().sealed, "a session that repointed a root sealed");
     drop(pool);
     cleanup(&path);
 }

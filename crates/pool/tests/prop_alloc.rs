@@ -1,4 +1,4 @@
-//! Property tests for the pool allocator: random alloc/free/realloc
+//! Property tests for the pool allocator: random alloc/free/move
 //! sequences must preserve every header invariant, never corrupt payloads,
 //! and reopening the pool must reproduce exactly the same live set.
 
@@ -7,6 +7,7 @@
 // proptest — keep it, silence the stub-only lint.
 #![allow(clippy::needless_update)]
 
+use nvtraverse_pmem::{Backend, MmapBackend};
 use nvtraverse_pool::Pool;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -18,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 enum Op {
     Alloc { size: usize },
     Free { idx: usize },
-    Realloc { idx: usize, size: usize },
+    Move { idx: usize, size: usize },
 }
 
 fn size_strategy() -> impl Strategy<Value = usize> {
@@ -35,7 +36,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         size_strategy().prop_map(|size| Op::Alloc { size }),
         (0usize..64).prop_map(|idx| Op::Free { idx }),
-        ((0usize..64), size_strategy()).prop_map(|(idx, size)| Op::Realloc { idx, size }),
+        ((0usize..64), size_strategy()).prop_map(|(idx, size)| Op::Move { idx, size }),
     ]
 }
 
@@ -62,6 +63,22 @@ struct Held {
 fn fill(pool: &Pool, h: &Held) {
     assert!(pool.usable_size(h.ptr) >= h.size as u64, "block too small");
     unsafe { std::ptr::write_bytes(h.ptr, h.fill, h.size) };
+}
+
+/// Moves `h` to a new block of `size` bytes: alloc new, copy the common
+/// prefix, persist, swap, free old — the thread holds both blocks from the
+/// alloc to the free. `false`, with `h` unchanged, when the pool is full.
+fn move_block(pool: &Pool, h: &mut Held, size: usize) -> bool {
+    let Some(p) = pool.alloc(size, 8) else {
+        return false;
+    };
+    let keep = h.size.min(size);
+    unsafe { std::ptr::copy_nonoverlapping(h.ptr, p, keep) };
+    MmapBackend::flush_range(p, keep);
+    MmapBackend::fence();
+    let old = std::mem::replace(&mut h.ptr, p);
+    unsafe { pool.dealloc(old) };
+    true
 }
 
 fn check_payload(h: &Held, upto: usize) {
@@ -106,13 +123,12 @@ proptest! {
                         unsafe { pool.dealloc(h.ptr) };
                     }
                 }
-                Op::Realloc { idx, size } => {
+                Op::Move { idx, size } => {
                     if !held.is_empty() {
                         let i = idx % held.len();
                         let old_size = held[i].size;
-                        if let Some(p) = unsafe { pool.realloc(held[i].ptr, size) } {
-                            held[i].ptr = p;
-                            // Realloc must preserve the common prefix…
+                        if move_block(&pool, &mut held[i], size) {
+                            // The move must preserve the common prefix…
                             check_payload(&held[i], old_size.min(size));
                             // …then we refill at the (possibly larger) size.
                             held[i].size = size;
@@ -157,7 +173,7 @@ proptest! {
             let mut frees = 0usize;
             for op in &ops {
                 match *op {
-                    Op::Alloc { size } | Op::Realloc { size, .. } => {
+                    Op::Alloc { size } | Op::Move { size, .. } => {
                         if let Some(ptr) = pool.alloc(size, 8) {
                             let h = Held { ptr, size, fill: next_fill };
                             next_fill = next_fill.wrapping_add(1).max(1);
@@ -175,7 +191,6 @@ proptest! {
                 }
             }
             // Data must survive a kill, not just a clean close: flush it.
-            use nvtraverse_pmem::{Backend, MmapBackend};
             for h in &held {
                 MmapBackend::flush_range(h.ptr, h.size);
                 shadow.push((pool.offset_of(h.ptr as *const u8), h.size, h.fill));
@@ -255,14 +270,11 @@ proptest! {
                                             unsafe { pool.dealloc(h.ptr) };
                                         }
                                     }
-                                    Op::Realloc { idx, size } => {
+                                    Op::Move { idx, size } => {
                                         if !held.is_empty() {
                                             let i = idx % held.len();
                                             let old = held[i].size;
-                                            if let Some(p) =
-                                                unsafe { pool.realloc(held[i].ptr, size) }
-                                            {
-                                                held[i].ptr = p;
+                                            if move_block(&pool, &mut held[i], size) {
                                                 check_payload(&held[i], old.min(size));
                                                 held[i].size = size;
                                                 fill(&pool, &held[i]);
@@ -271,8 +283,7 @@ proptest! {
                                     }
                                 }
                             }
-                            use nvtraverse_pmem::{Backend, MmapBackend};
-                            let out: Vec<_> = held
+                                            let out: Vec<_> = held
                                 .iter()
                                 .map(|h| {
                                     check_payload(h, usize::MAX);

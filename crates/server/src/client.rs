@@ -217,6 +217,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport errors.
+    // nvt-lint: allow(unused-pub): the SHUTDOWN op; the server tests stop with it
     pub fn shutdown_server(&mut self) -> io::Result<()> {
         match self.request(&Request::Shutdown)? {
             Reply::Applied => Ok(()),
@@ -230,6 +231,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport errors.
+    // nvt-lint: allow(unused-pub): raw-frame helper of the malformed-frame tests
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
         let stream = self.stream.get_mut();
         stream.write_all(bytes)?;
@@ -242,6 +244,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport errors.
+    // nvt-lint: allow(unused-pub): raw-frame helper of the malformed-frame tests
     pub fn recv_raw_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
         proto::read_frame(&mut self.stream)
     }
@@ -252,6 +255,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport errors other than the expected close.
+    // nvt-lint: allow(unused-pub): raw-frame helper of the malformed-frame tests
     pub fn drain_to_eof(&mut self) -> io::Result<usize> {
         let mut total = 0;
         let mut scratch = [0u8; 512];

@@ -186,26 +186,16 @@ const PREFIX: usize = 4;
 
 /// Writes one frame (`u32le` length + body) with a single `write_all`:
 /// a prefix written on its own wakes the peer for four bytes it cannot
-/// act on. The caller flushes the stream when the exchange requires it
-/// (replies are flushed per frame by the server; a pipelining client may
-/// batch its flushes).
+/// act on. `encode` appends the body to `buf` behind a reserved prefix, so
+/// prefix and body leave in one write without being copied together
+/// first; `buf` is scratch space a connection reuses across frames. The
+/// caller flushes the stream when the exchange requires it (replies are
+/// flushed per frame by the server; a pipelining client may batch its
+/// flushes).
 ///
 /// # Errors
 ///
-/// I/O errors from `w`; `InvalidData` when `body` exceeds [`MAX_FRAME`].
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(PREFIX + body.len());
-    write_frame_with(w, &mut frame, |out| out.extend_from_slice(body))
-}
-
-/// [`write_frame`] for a body that is still to be encoded: `encode`
-/// appends it to `buf` behind a reserved prefix, so prefix and body leave
-/// in one write without being copied together first. `buf` is scratch
-/// space a connection reuses across frames.
-///
-/// # Errors
-///
-/// As [`write_frame`].
+/// I/O errors from `w`; `InvalidData` when the body exceeds [`MAX_FRAME`].
 pub(crate) fn write_frame_with(
     w: &mut impl Write,
     buf: &mut Vec<u8>,
@@ -520,6 +510,11 @@ pub fn decode_reply(req: &Request, body: &[u8]) -> Result<Reply, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One frame of an already-encoded `body`.
+    fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+        write_frame_with(w, &mut Vec::new(), |out| out.extend_from_slice(body))
+    }
 
     fn round_trip(req: Request, reply: Reply) {
         let mut rb = Vec::new();

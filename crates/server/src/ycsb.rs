@@ -100,11 +100,6 @@ impl Zipfian {
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
     }
-
-    /// Theoretical probability of the hottest rank: `1 / zetan`.
-    pub fn top_rank_mass(&self) -> f64 {
-        1.0 / self.zetan
-    }
 }
 
 fn zeta(n: u64, theta: f64) -> f64 {
@@ -349,7 +344,7 @@ mod tests {
         // n=1000, θ=0.99 ⇒ P(rank 0) = 1/zetan ≈ 0.1335. Pin the empirical
         // mass of the hottest key to a band around it.
         let mut z = Zipfian::new(1000, 0.99, 42);
-        let theory = z.top_rank_mass();
+        let theory = 1.0 / z.zetan;
         assert!((0.12..0.15).contains(&theory), "theory sanity: {theory}");
         let samples = 100_000;
         let mut top = 0u64;

@@ -26,7 +26,7 @@
 //! quiescent and teardown walks. Each keeps only its discipline: node
 //! layout, the linearizing write, Protocol-1 fields and recovery policy.
 //!
-//! Every structure (including [`pqueue::PriorityQueue`]) implements
+//! Every structure implements
 //! [`PoolAttach`](nvtraverse::PoolAttach): it can be created inside a
 //! `nvtraverse-pool` file, found again by name after a restart, and
 //! recovered — see `nvtraverse::PooledHandle` for the packaged lifecycle
@@ -152,7 +152,6 @@ pub mod ellen_bst;
 pub mod hash;
 pub mod list;
 pub mod nm_bst;
-pub mod pqueue;
 pub mod queue;
 pub mod sharded;
 pub mod skiplist;
@@ -160,43 +159,17 @@ pub mod soft_hash;
 pub mod soft_list;
 pub mod stack;
 
-/// Convenient aliases for the common instantiations of every structure.
+/// Aliases for the instantiations the examples and benchmarks name.
 pub mod prelude {
-    use nvtraverse::policy::{Izraelevitz, LinkPersist, NvTraverse, Soft, Volatile};
+    use nvtraverse::policy::NvTraverse;
     use nvtraverse_pmem::Clwb;
 
     /// The paper's "Traverse" series: NVTraverse on hardware flushes.
     pub type DurableList<K, V> = crate::list::HarrisList<K, V, NvTraverse<Clwb>>;
-    /// The paper's "orig" series: no persistence.
-    pub type VolatileList<K, V> = crate::list::HarrisList<K, V, Volatile>;
-    /// The paper's "Izraelevitz" series.
-    pub type IzraelevitzList<K, V> = crate::list::HarrisList<K, V, Izraelevitz<Clwb>>;
-    /// The paper's "Log Free" series (link-and-persist).
-    pub type LogFreeList<K, V> = crate::list::HarrisList<K, V, LinkPersist<Clwb>>;
-    /// The SOFT related-work series: volatile links, one validity flush
-    /// per update (list form).
-    pub type SoftDurableList<K, V> = crate::soft_list::SoftList<K, V, Soft<Clwb>>;
-
     /// Durable hash table.
     pub type DurableHashMap<K, V> = crate::hash::HashMapDs<K, V, NvTraverse<Clwb>>;
-    /// The SOFT related-work series, hash-table form.
-    pub type SoftDurableHashMap<K, V> = crate::soft_hash::SoftHash<K, V, Soft<Clwb>>;
     /// Durable Ellen et al. BST.
     pub type DurableEllenBst<K, V> = crate::ellen_bst::EllenBst<K, V, NvTraverse<Clwb>>;
-    /// Durable Natarajan–Mittal BST.
-    pub type DurableNmBst<K, V> = crate::nm_bst::NmBst<K, V, NvTraverse<Clwb>>;
-    /// Durable skiplist.
-    pub type DurableSkipList<K, V> = crate::skiplist::SkipList<K, V, NvTraverse<Clwb>>;
     /// Durable Michael–Scott queue.
     pub type DurableQueue<V> = crate::queue::MsQueue<V, NvTraverse<Clwb>>;
-    /// Durable Treiber stack.
-    pub type DurableStack<V> = crate::stack::TreiberStack<V, NvTraverse<Clwb>>;
-    /// Durable min-priority queue.
-    pub type DurablePriorityQueue<K, V> = crate::pqueue::PriorityQueue<K, V, NvTraverse<Clwb>>;
-
-    /// A hash-sharded durable set over N roots of one pool file
-    /// (`MmapBackend`: the pool's own flush/fence backend).
-    pub type ShardedDurableSet<K, V> = crate::sharded::ShardedSet<
-        crate::hash::HashMapDs<K, V, NvTraverse<nvtraverse_pmem::MmapBackend>>,
-    >;
 }

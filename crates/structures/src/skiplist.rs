@@ -634,19 +634,6 @@ where
         unsafe { guard.retire_with(node.cast(), free_tower::<K, V, D::B>) };
     }
 
-    /// Returns the smallest live `(key, value)`, reading through the policy
-    /// (used by the priority queue's `peek`/`pop_min`). Linearizes at the
-    /// bottom-link read of the first unmarked node.
-    pub fn min_entry(&self) -> Option<(K, V)> {
-        // Unlike the quiescent snapshot walks, this runs concurrently with
-        // removers: the marked nodes it reads through are retire()d by their
-        // deleters, so the walk must hold an epoch pin.
-        let _guard = self.collector.pin();
-        // The chain's walk, stopping at the first live node.
-        let w = chain::traverse::<_, D>(self.head, self.head, |_| false);
-        (!w.right.is_null()).then(|| (Self::key_of(w.right), w.value::<D>()))
-    }
-
     /// Quiescent: the live `(key, value)` pairs in key order (the unmarked
     /// bottom list — the persistent core the towers merely accelerate).
     pub fn iter_snapshot(&self) -> Vec<(K, V)> {

@@ -1,4 +1,5 @@
-//! `nvt-lint` — source-level persistency-protocol lints, CI gate.
+//! `nvt-lint` — source-level persistency-protocol and public-surface lints,
+//! CI gate.
 //!
 //! Usage: `nvt-lint [WORKSPACE_ROOT]` (default: current directory).
 //! Prints one `path:line: rule: message` per violation and exits non-zero

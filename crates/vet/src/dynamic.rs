@@ -150,11 +150,6 @@ impl VetReport {
         self.counts.get(&kind).copied().unwrap_or(0)
     }
 
-    /// Whether at least one finding of `kind` was recorded.
-    pub fn has(&self, kind: FindingKind) -> bool {
-        self.count(kind) > 0
-    }
-
     /// Total error-level findings.
     pub fn errors(&self) -> usize {
         FindingKind::ALL
@@ -171,11 +166,6 @@ impl VetReport {
             .filter(|k| !k.is_error())
             .map(|&k| self.count(k))
             .sum()
-    }
-
-    /// No error-level findings (warnings allowed).
-    pub fn is_clean(&self) -> bool {
-        self.errors() == 0
     }
 
     /// Serializes the report as one JSON object: per-kind counts, error
@@ -502,7 +492,7 @@ impl SimObserver for Shared {
 ///     Sim::fence();
 /// });
 /// let report = vet.finish(&sim);
-/// assert!(report.is_clean());
+/// assert_eq!(report.errors(), 0);
 /// ```
 pub struct Vet {
     shared: Arc<Shared>,
@@ -623,7 +613,7 @@ mod tests {
             Sim::fence();
         });
         let r = vet.finish(&sim);
-        assert!(r.is_clean(), "{:?}", r.findings);
+        assert_eq!(r.errors(), 0, "{:?}", r.findings);
         assert_eq!(r.warnings(), 0, "{:?}", r.findings);
         assert_eq!(r.ops, 1);
     }
@@ -735,7 +725,7 @@ mod tests {
         let r = vet.finish(&sim);
         assert_eq!(r.count(FindingKind::RedundantFlush), 1, "{:?}", r.findings);
         assert_eq!(r.count(FindingKind::RedundantFence), 1, "{:?}", r.findings);
-        assert!(r.is_clean(), "warnings must not be errors: {:?}", r.findings);
+        assert_eq!(r.errors(), 0, "warnings must not be errors: {:?}", r.findings);
     }
 
     #[test]
@@ -750,7 +740,7 @@ mod tests {
             drop(node); // PCell drop deregisters
         });
         let r = vet.finish(&sim);
-        assert!(r.is_clean(), "{:?}", r.findings);
+        assert_eq!(r.errors(), 0, "{:?}", r.findings);
     }
 
     #[test]
@@ -772,7 +762,7 @@ mod tests {
         let vet = Vet::install(&sim);
         let c = reg_cell(&sim, 0);
         let r = vet.finish(&sim);
-        assert!(r.is_clean());
+        assert_eq!(r.errors(), 0);
         c.store(9); // no observer: must not panic or record
     }
 }

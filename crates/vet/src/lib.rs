@@ -17,8 +17,9 @@
 //!   protocols rest on: `#[repr(C)]` on structs holding `PCell`s,
 //!   `// SAFETY:` comments on `unsafe` code in the persistence-critical
 //!   crates, no raw `PCell` accesses in `crates/structures` outside an
-//!   explicit allowlist, and no wall-clock reads (`Instant::now`,
-//!   `SystemTime`) on persistence-critical paths.
+//!   explicit allowlist, no wall-clock reads (`Instant::now`,
+//!   `SystemTime`) on persistence-critical paths, and no `pub` item that
+//!   only tests name.
 //!
 //! Both halves are dependency-free beyond the workspace's own crates.
 

@@ -13,6 +13,7 @@
 //! | `safety-comment` | `pmem`, `pool`, `structures` | every `unsafe` block/fn/impl/extern carries a `// SAFETY:` comment (or `# Safety` doc section for fns) |
 //! | `raw-pcell-access` | `structures` | no raw `PCell::{load, store, compare_exchange, swap, peek_bits}` outside an explicit allowlist — shared-cell traffic must route through the `Durability` policy so flushes/fences are placed by the protocol |
 //! | `wall-clock` | `pmem`, `core`, `structures`, `pool` | no `Instant::now` / `SystemTime` — wall-clock reads on persistence-critical paths are nondeterministic across crash/recovery |
+//! | `unused-pub` | library crates (`crates/*/src` outside `bin/`, the umbrella's `src/`) | every `pub` fn, struct, enum, trait, type alias, const or static is named by some non-test code: library code, binaries, benches, `examples/`, `src/` or `nvbench/src`. Tests (`tests/`, `#[cfg(test)]` code), comments, strings, imports, `pub type` aliases and the item's own definition and `impl` headers do not count |
 //!
 //! # Allowlist annotations
 //!
@@ -49,15 +50,18 @@ pub enum Rule {
     RawPcellAccess,
     /// No `Instant::now` / `SystemTime` in persistence-critical crates.
     WallClock,
+    /// No `pub` item that only tests name (cross-file: [`lint_workspace`]).
+    UnusedPub,
 }
 
 impl Rule {
     /// Every rule.
-    pub const ALL: [Rule; 4] = [
+    pub const ALL: [Rule; 5] = [
         Rule::ReprCPcell,
         Rule::SafetyComment,
         Rule::RawPcellAccess,
         Rule::WallClock,
+        Rule::UnusedPub,
     ];
 
     /// Stable kebab-case name used in diagnostics and annotations.
@@ -67,6 +71,7 @@ impl Rule {
             Rule::SafetyComment => "safety-comment",
             Rule::RawPcellAccess => "raw-pcell-access",
             Rule::WallClock => "wall-clock",
+            Rule::UnusedPub => "unused-pub",
         }
     }
 
@@ -406,43 +411,67 @@ fn parse_allows(scanned: &Scanned) -> Allows {
 
 // ---- #[cfg(test)] module masking ------------------------------------------
 
-/// Blanks out the bodies of `#[cfg(test)] mod … { … }` so rules skip them.
+/// Blanks out every `#[cfg(test)]` (or `#[cfg(all(test, …))]`) item so
+/// rules skip it: a braced item (`mod … { … }`, a fn, a `thread_local!`)
+/// through its closing brace, a `;`-terminated one (`use`, `mod tests;`, a
+/// statement) through its `;`.
 fn mask_test_modules(code: &mut [String]) {
     let mut ln = 0;
     while ln < code.len() {
-        if code[ln].contains("#[cfg(test)]") {
-            // Find the opening brace of the following item.
+        if let Some(after) = test_attr_end(&code[ln]) {
             let mut depth = 0i64;
-            let mut started = false;
-            let mut l = ln;
-            'outer: while l < code.len() {
-                let line: Vec<char> = code[l].chars().collect();
-                for (ci, &c) in line.iter().enumerate() {
+            let mut end = None;
+            'outer: for (l, line) in code.iter().enumerate().skip(ln) {
+                let from = if l == ln { after } else { 0 };
+                for c in line[from..].chars() {
                     match c {
-                        '{' => {
-                            depth += 1;
-                            started = true;
-                        }
-                        '}' => {
+                        '{' | '(' | '[' => depth += 1,
+                        '}' | ')' | ']' => {
                             depth -= 1;
+                            if depth == 0 && c == '}' {
+                                end = Some(l);
+                                break 'outer;
+                            }
                         }
-                        _ => continue,
-                    }
-                    if started && depth == 0 {
-                        // Blank from the line after the attr through here.
-                        for masked in code.iter_mut().take(l + 1).skip(ln) {
-                            *masked = masked.chars().map(|_| ' ').collect();
+                        ';' if depth == 0 => {
+                            end = Some(l);
+                            break 'outer;
                         }
-                        let _ = ci;
-                        ln = l;
-                        break 'outer;
+                        _ => {}
                     }
                 }
-                l += 1;
+            }
+            if let Some(end) = end {
+                for masked in &mut code[ln..=end] {
+                    *masked = masked.chars().map(|_| ' ').collect();
+                }
+                ln = end;
             }
         }
         ln += 1;
     }
+}
+
+/// The byte index just past a test-only `cfg` attribute on `line`.
+fn test_attr_end(line: &str) -> Option<usize> {
+    let start = ["#[cfg(test)]", "#[cfg(all(test,"]
+        .iter()
+        .find_map(|attr| line.find(attr))?;
+    let mut depth = 0i64;
+    for (i, c) in line[start..].char_indices() {
+        match c {
+            '[' | '(' => depth += 1,
+            ')' => depth -= 1,
+            ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(start + i + 1);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 // ---- rules ----------------------------------------------------------------
@@ -727,6 +756,284 @@ fn check_wall_clock(code: &[String], out: &mut Vec<(usize, String)>) {
     }
 }
 
+// ---- unused-pub (cross-file) ----------------------------------------------
+
+/// What a workspace-relative path is to `unused-pub`: `(defines, uses)`.
+/// Library sources define the checked items; they, binaries, benches,
+/// examples, the umbrella crate and `nvbench/src` are the users. Tests
+/// are neither.
+fn pub_roles(rel: &str) -> (bool, bool) {
+    let p = rel.replace('\\', "/");
+    if !p.ends_with(".rs") || p.contains("third_party/") || p.contains("/target/") {
+        return (false, false);
+    }
+    if p.ends_with("/tests.rs") || p.starts_with("tests/") || p.contains("/tests/") {
+        return (false, false);
+    }
+    let crate_src = p.starts_with("crates/") && p.contains("/src/");
+    let library = (crate_src && !p.contains("/src/bin/")) || p.starts_with("src/");
+    let user = library
+        || crate_src
+        || (p.starts_with("crates/") && p.contains("/benches/"))
+        || p.starts_with("examples/")
+        || p.starts_with("nvbench/src/");
+    (library, user)
+}
+
+/// A code token: an identifier (keywords included) or one punctuation
+/// character, with its 0-based line.
+#[derive(Clone, Copy)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Punct(char),
+}
+
+fn tokens(code: &[String]) -> Vec<(usize, Tok<'_>)> {
+    let mut out = Vec::new();
+    for (ln, line) in code.iter().enumerate() {
+        let mut chars = line.char_indices().peekable();
+        while let Some((i, c)) = chars.next() {
+            if c.is_alphabetic() || c == '_' {
+                let mut end = i + c.len_utf8();
+                while let Some(&(j, d)) = chars.peek() {
+                    if !(d.is_alphanumeric() || d == '_') {
+                        break;
+                    }
+                    end = j + d.len_utf8();
+                    chars.next();
+                }
+                out.push((ln, Tok::Ident(&line[i..end])));
+            } else if c.is_ascii_digit() {
+                // A number with its suffix (`1u64`) names nothing.
+                while chars
+                    .peek()
+                    .is_some_and(|&(_, d)| d.is_alphanumeric() || d == '_')
+                {
+                    chars.next();
+                }
+            } else if !c.is_whitespace() {
+                out.push((ln, Tok::Punct(c)));
+            }
+        }
+    }
+    out
+}
+
+/// The `pub` items one file defines and the names it uses.
+struct PubScan<'a> {
+    /// `(0-based line, item keyword, name)` of every bare-`pub` item.
+    defs: Vec<(usize, &'a str, &'a str)>,
+    /// Every identifier that counts as a use, once per occurrence.
+    uses: Vec<&'a str>,
+}
+
+/// Splits one file's tokens into the `pub` items it defines and the names
+/// it uses. Not a use: a `use` declaration, a `pub type` alias, the name
+/// of any item being defined, an `impl` header's self type, and an item's
+/// own name inside its body or its `impl` blocks (a constructor, a
+/// recursive call).
+fn scan_pub<'a>(toks: &[(usize, Tok<'a>)]) -> PubScan<'a> {
+    const ITEMS: [&str; 8] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "union",
+    ];
+    let ident = |i: usize| match toks.get(i) {
+        Some((_, Tok::Ident(s))) => Some(*s),
+        _ => None,
+    };
+    let punct = |i: usize, c: char| matches!(toks.get(i), Some((_, Tok::Punct(p))) if *p == c);
+    let skip_to_semicolon = |mut i: usize| {
+        while i < toks.len() && !punct(i, ';') {
+            i += 1;
+        }
+        i + 1
+    };
+    let mut out = PubScan {
+        defs: Vec::new(),
+        uses: Vec::new(),
+    };
+    let mut not_a_use = vec![false; toks.len()];
+    // Items whose body or `impl` block is open, with the brace depth it
+    // opened at; `pending` is named but its `{` has not come yet.
+    let mut owners: Vec<(&str, usize)> = Vec::new();
+    let mut pending: Option<&str> = None;
+    let (mut braces, mut parens) = (0usize, 0i64);
+    let mut i = 0;
+    while i < toks.len() {
+        let word = match toks[i].1 {
+            Tok::Punct(c) => {
+                match c {
+                    '{' => {
+                        braces += 1;
+                        if let Some(name) = pending.take() {
+                            owners.push((name, braces));
+                        }
+                    }
+                    '}' => {
+                        if owners.last().is_some_and(|o| o.1 == braces) {
+                            owners.pop();
+                        }
+                        braces = braces.saturating_sub(1);
+                    }
+                    '(' | '[' => parens += 1,
+                    ')' | ']' => parens -= 1,
+                    ';' if parens == 0 => pending = None,
+                    _ => {}
+                }
+                i += 1;
+                continue;
+            }
+            Tok::Ident(word) => word,
+        };
+        match word {
+            "use" => {
+                i = skip_to_semicolon(i);
+                continue;
+            }
+            "pub" if !punct(i + 1, '(') => {
+                let mut j = i + 1;
+                loop {
+                    match ident(j) {
+                        Some("unsafe" | "async" | "extern") => j += 1,
+                        Some("const") if matches!(ident(j + 1), Some("fn" | "unsafe")) => j += 1,
+                        _ if punct(j, '"') => j += 1,
+                        _ => break,
+                    }
+                }
+                if let Some(kw) = ident(j).filter(|k| ITEMS.contains(k)) {
+                    let at = if kw == "static" && ident(j + 1) == Some("mut") {
+                        j + 2
+                    } else {
+                        j + 1
+                    };
+                    if let Some(name) = ident(at) {
+                        out.defs.push((toks[at].0, kw, name));
+                    }
+                    if kw == "type" {
+                        i = skip_to_semicolon(i);
+                        continue;
+                    }
+                }
+            }
+            "fn" | "struct" | "enum" | "trait" | "union" | "mod" | "type" => {
+                if let Some(name) = ident(i + 1) {
+                    not_a_use[i + 1] = true;
+                    pending = Some(name);
+                }
+            }
+            "const" | "static" => {
+                let at = if ident(i + 1) == Some("mut") {
+                    i + 2
+                } else {
+                    i + 1
+                };
+                if ident(at).is_some() && punct(at + 1, ':') {
+                    not_a_use[at] = true;
+                }
+            }
+            "impl"
+                if i == 0
+                    || matches!(toks[i - 1].1, Tok::Punct('}' | ';' | ']' | '{'))
+                    || ident(i - 1) == Some("unsafe") =>
+            {
+                if let Some(head) = impl_self_head(toks, i) {
+                    not_a_use[head] = true;
+                    pending = ident(head);
+                }
+            }
+            _ => {}
+        }
+        if !not_a_use[i] && !owners.iter().any(|o| o.0 == word) {
+            out.uses.push(word);
+        }
+        i += 1;
+    }
+    out
+}
+
+/// The token index of an `impl` header's self-type name (`Foo` in
+/// `impl<'a, T> Trait for &'a a::Foo<T> where … {`).
+fn impl_self_head(toks: &[(usize, Tok<'_>)], at: usize) -> Option<usize> {
+    let is = |i: usize, c: char| matches!(toks.get(i), Some((_, Tok::Punct(p))) if *p == c);
+    let mut depth = 0i64;
+    let mut start = None;
+    let mut end = at + 1;
+    while end < toks.len() {
+        match toks[end].1 {
+            Tok::Punct('<') => depth += 1,
+            Tok::Punct('>') if !is(end - 1, '-') => {
+                depth -= 1;
+                // The `impl<…>` generics close: the type starts after them.
+                if depth == 0 && start.is_none() && is(at + 1, '<') {
+                    start = Some(end + 1);
+                }
+            }
+            Tok::Punct('{' | ';') => break,
+            Tok::Ident("where") if depth == 0 => break,
+            Tok::Ident("for") if depth == 0 && !is(end + 1, '<') => start = Some(end + 1),
+            _ => {}
+        }
+        end += 1;
+    }
+    // The last segment of the first path (`a::b::Foo`), past `&`,
+    // lifetimes, `mut` and `dyn`.
+    let mut head = None;
+    let from = start.unwrap_or(at + 1);
+    for (k, (_, tok)) in toks.iter().enumerate().take(end).skip(from) {
+        match tok {
+            Tok::Punct('&' | '\'' | ':') => {}
+            Tok::Ident(_) if is(k - 1, '\'') => {}
+            Tok::Ident("mut" | "dyn") if head.is_none() => {}
+            Tok::Ident(_) if head.is_none() || is(k - 1, ':') => head = Some(k),
+            _ => break,
+        }
+    }
+    head
+}
+
+/// `unused-pub` over a set of `(workspace-relative path, source)` files.
+fn check_unused_pub(files: &[(String, String)]) -> Vec<Violation> {
+    use std::collections::HashSet;
+    let mut used: HashSet<String> = HashSet::new();
+    let mut defs = Vec::new();
+    for (rel, source) in files {
+        let (library, user) = pub_roles(rel);
+        if !library && !user {
+            continue;
+        }
+        let scanned = scan(source);
+        let mut code = scanned.code.clone();
+        mask_test_modules(&mut code);
+        let toks = tokens(&code);
+        let found = scan_pub(&toks);
+        if user {
+            used.extend(found.uses.iter().map(|u| u.to_string()));
+        }
+        if library && !found.defs.is_empty() {
+            let allowed = parse_allows(&scanned)
+                .per_rule
+                .remove(&Rule::UnusedPub)
+                .unwrap_or_default();
+            for (ln, kw, name) in found.defs {
+                if !allowed.get(ln).copied().unwrap_or(false) {
+                    defs.push((rel.clone(), ln, kw.to_string(), name.to_string()));
+                }
+            }
+        }
+    }
+    defs.into_iter()
+        .filter(|(_, _, _, name)| !used.contains(name))
+        .map(|(file, ln, kw, name)| Violation {
+            file,
+            line: ln + 1,
+            rule: Rule::UnusedPub,
+            message: format!(
+                "`pub {kw} {name}` is named by no non-test code; delete it, narrow its \
+                 visibility, or annotate why it stays"
+            ),
+        })
+        .collect()
+}
+
 // ---- entry points ---------------------------------------------------------
 
 /// Lints one source file against `rules`, honouring allow annotations and
@@ -755,6 +1062,8 @@ pub fn lint_source(file: &str, source: &str, rules: &[Rule]) -> Vec<Violation> {
             Rule::SafetyComment => check_safety_comments(&scanned, &code, &mut found),
             Rule::RawPcellAccess => check_raw_pcell_access(&code, &mut found),
             Rule::WallClock => check_wall_clock(&code, &mut found),
+            // Cross-file: `lint_workspace` runs it over every file at once.
+            Rule::UnusedPub => {}
         }
         let allowed = &allows.per_rule[&rule];
         for (ln, message) in found {
@@ -810,27 +1119,37 @@ pub fn rules_for(rel_path: &str) -> Vec<Rule> {
     rules
 }
 
-/// Lints every applicable `.rs` file under `root` (a workspace checkout).
+/// Lints every applicable `.rs` file under `root` (a workspace checkout):
+/// each file's own rules, then `unused-pub` across all of them.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
+    let mut paths = Vec::new();
+    for dir in ["crates", "src", "examples", "nvbench/src"] {
+        collect_rs_files(&root.join(dir), &mut paths)?;
+    }
+    paths.sort();
     let mut files = Vec::new();
-    collect_rs_files(&root.join("crates"), &mut files)?;
-    collect_rs_files(&root.join("src"), &mut files)?;
-    files.sort();
-    let mut out = Vec::new();
-    for f in files {
+    for f in paths {
         let rel = f
             .strip_prefix(root)
             .unwrap_or(&f)
             .to_string_lossy()
             .replace('\\', "/");
-        let rules = rules_for(&rel);
-        if rules.is_empty() {
-            continue;
-        }
-        let source = std::fs::read_to_string(&f)?;
-        out.extend(lint_source(&rel, &source, &rules));
+        files.push((rel, std::fs::read_to_string(&f)?));
     }
-    Ok(out)
+    Ok(lint_files(&files))
+}
+
+/// [`lint_workspace`] over `(workspace-relative path, source)` pairs.
+fn lint_files(files: &[(String, String)]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (rel, source) in files {
+        let rules = rules_for(rel);
+        if !rules.is_empty() {
+            out.extend(lint_source(rel, source, &rules));
+        }
+    }
+    out.extend(check_unused_pub(files));
+    out
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -956,6 +1275,100 @@ mod tests {
         let v = lint(src, &[Rule::WallClock]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 4);
+    }
+
+    fn files(list: &[(&str, &str)]) -> Vec<(String, String)> {
+        list.iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect()
+    }
+
+    fn unused(list: &[(&str, &str)]) -> Vec<String> {
+        check_unused_pub(&files(list))
+            .into_iter()
+            .map(|v| v.message)
+            .collect()
+    }
+
+    #[test]
+    fn a_pub_item_named_only_by_tests_is_unused() {
+        let lib = "pub struct PoolBuilder;\nimpl PoolBuilder {\n    pub fn open(self) {}\n    pub fn open_retry(self, attempts: u32) {}\n}\n";
+        let test = "fn t() { PoolBuilder.open_retry(3); }\n";
+        let example = "fn main() { PoolBuilder.open(); }\n";
+        let v = unused(&[
+            ("crates/pool/src/lib.rs", lib),
+            ("crates/pool/tests/retry.rs", test),
+            ("tests/retry.rs", test),
+            ("examples/open.rs", example),
+        ]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("`pub fn open_retry`"), "{v:?}");
+
+        // Kept with a reason, it passes; without one, the annotation fails.
+        let kept = lib.replace(
+            "    pub fn open_retry",
+            "    // nvt-lint: allow(unused-pub): the lock tests wait out a holder with it\n    pub fn open_retry",
+        );
+        let ok = [
+            ("crates/pool/src/lib.rs", kept.as_str()),
+            ("examples/open.rs", example),
+        ];
+        assert!(unused(&ok).is_empty());
+        let bare = lib.replace(
+            "    pub fn open_retry",
+            "    // nvt-lint: allow(unused-pub)\n    pub fn open_retry",
+        );
+        let v = lint_files(&files(&[
+            ("crates/pool/src/lib.rs", bare.as_str()),
+            ("examples/open.rs", example),
+        ]));
+        assert!(
+            v.iter().any(|v| v.message.contains("must state a reason")),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn what_does_not_count_as_a_use() {
+        let lib = "pub struct Pq { inner: u64 }\n\
+                   impl Pq {\n    pub fn new() -> Pq { Pq { inner: 0 } }\n}\n\
+                   impl Default for Pq {\n    fn default() -> Self { Pq::new() }\n}\n\
+                   pub type Alias = Pq;\n\
+                   pub use self::Pq as Again;\n\
+                   // Pq in a comment\n\
+                   pub const NAME: &str = \"Pq\";\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { let _ = super::Pq::new(); }\n}\n";
+        let v = unused(&[
+            ("crates/structures/src/pq.rs", lib),
+            ("src/main.rs", "fn main() { NAME; }\n"),
+        ]);
+        // `new` is used (by `default`); `Pq` only by itself, its impls,
+        // an alias, a re-export, a comment, a string and a test.
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().any(|m| m.contains("`pub struct Pq`")), "{v:?}");
+        assert!(v.iter().any(|m| m.contains("`pub type Alias`")), "{v:?}");
+
+        // Any other item's body, a binary or `nvbench/src` is a user.
+        for user in [
+            "crates/server/src/lib.rs",
+            "crates/bench/src/bin/figures.rs",
+            "nvbench/src/main.rs",
+        ] {
+            let v = unused(&[
+                ("crates/structures/src/pq.rs", lib),
+                (user, "fn f() -> Alias { Pq::new() }\nfn g() { NAME; }\n"),
+            ]);
+            assert!(v.is_empty(), "{user}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn cfg_test_items_end_at_their_semicolon_or_brace() {
+        let src = "#[cfg(test)]\nuse std::cell::Cell;\nfn prod() { unsafe { f() } }\n\
+                   #[cfg(all(test, target_os = \"linux\"))]\nfn t() { unsafe { g() } }\n";
+        let v = lint(src, &[Rule::SafetyComment]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 3);
     }
 
     #[test]

@@ -371,7 +371,7 @@ fn vet_one_run<D: Durability<B = Sim>>() -> VetReport {
 fn vet_flags_no_flush_as_unpersisted_publish_in_one_run() {
     let r = vet_one_run::<NoFlush>();
     assert!(
-        r.has(FindingKind::UnpersistedPublish),
+        r.count(FindingKind::UnpersistedPublish) > 0,
         "a policy that never flushes published unflushed nodes, but the \
          sanitizer recorded no unpersisted-publish: {:#?}",
         r.findings
@@ -382,7 +382,7 @@ fn vet_flags_no_flush_as_unpersisted_publish_in_one_run() {
 fn vet_flags_no_fence_as_unpersisted_publish_in_one_run() {
     let r = vet_one_run::<NoFence>();
     assert!(
-        r.has(FindingKind::UnpersistedPublish),
+        r.count(FindingKind::UnpersistedPublish) > 0,
         "flushes without fences persist nothing, but the sanitizer \
          recorded no unpersisted-publish: {:#?}",
         r.findings
@@ -416,7 +416,7 @@ fn vet_flags_soft_under_flush_as_dirty_at_return_in_one_run() {
     }
     let r = vet.finish(&sim);
     assert!(
-        r.has(FindingKind::DirtyAtReturn),
+        r.count(FindingKind::DirtyAtReturn) > 0,
         "SOFT with its header flush removed returns with the validity word \
          dirty, but the sanitizer recorded no dirty-at-return: {:#?}",
         r.findings

@@ -15,7 +15,7 @@
 //! * the **queue** is validated against a consecutive-range FIFO oracle;
 //! * the **stack** against a LIFO replay oracle;
 //! * the **allocator** itself against a persistent slot-array audit
-//!   (the 8-thread alloc/free/realloc storm at the end of this file).
+//!   (the 8-thread alloc/free/move storm at the end of this file).
 //!
 //! ## Set oracle
 //!
@@ -1076,7 +1076,7 @@ const STORM_ROOT: &str = "storm-slots";
 
 /// Child-process entry point for the allocator storm (see
 /// `sigkill_mid_alloc_storm_recovers`): 8 threads hammer the lock-free
-/// allocator with alloc/free/realloc while every held block is tracked in a
+/// allocator with alloc/free/move while every held block is tracked in a
 /// persistent slot array inside the pool itself, so the parent can audit
 /// the live set after the kill.
 ///
@@ -1086,11 +1086,12 @@ const STORM_ROOT: &str = "storm-slots";
 ///   the block (it stays allocated, referenced by nothing), never the
 ///   reverse: a nonzero slot always names an allocated block.
 /// * alloc:   `alloc`, stamp + flush the payload, persist, then slot := off.
-/// * realloc: slot := 0, persist, `realloc`, stamp, persist, slot := new.
+/// * move:    `alloc` new, copy + stamp + flush, fence, slot := new,
+///   persist, then `dealloc` old (a full pool makes it a free).
 ///
 /// So at any kill point, every nonzero slot points at an allocated block
-/// with a valid stamp, and at most 2 blocks per thread (realloc holds two
-/// mid-copy) are allocated but untracked.
+/// with a valid stamp, and at most 2 blocks per thread (a move holds two
+/// from its alloc to its free) are allocated but untracked.
 #[test]
 fn alloc_storm_child_entry() {
     let Ok(_) = std::env::var("NVT_STORM_CHILD") else {
@@ -1135,22 +1136,18 @@ fn alloc_storm_child_entry() {
                         MmapBackend::flush_range(p, size);
                     };
                     if cur != 0 {
-                        if x.is_multiple_of(4) {
-                            // Realloc: untrack, move, retrack.
-                            unsafe { slot.write_volatile(0) };
-                            persist(slot);
-                            let size = 24 + (x % 4000) as usize;
+                        let size = 24 + (x % 4000) as usize;
+                        let moved = if x.is_multiple_of(4) { pool.alloc(size, 8) } else { None };
+                        if let Some(np) = moved {
+                            // Move: copy, retrack, then free the old block.
                             let p = pool.at(cur);
-                            if let Some(np) = unsafe { pool.realloc(p, size) } {
-                                stamp(np, size);
-                                MmapBackend::fence();
-                                unsafe {
-                                    slot.write_volatile(pool.offset_of(np as *const u8))
-                                };
-                                persist(slot);
-                            } else {
-                                unsafe { pool.dealloc(p) };
-                            }
+                            let keep = (pool.usable_size(p) as usize).min(size);
+                            unsafe { std::ptr::copy_nonoverlapping(p, np, keep) };
+                            stamp(np, size);
+                            MmapBackend::fence();
+                            unsafe { slot.write_volatile(pool.offset_of(np as *const u8)) };
+                            persist(slot);
+                            unsafe { pool.dealloc(p) };
                         } else {
                             // Free: untrack first.
                             unsafe { slot.write_volatile(0) };

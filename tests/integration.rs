@@ -72,19 +72,11 @@ fn ptm_structures_through_the_same_trait() {
 #[test]
 fn prelude_aliases_compile_and_work() {
     workout(&DurableList::<u64, u64>::new());
-    workout(&VolatileList::<u64, u64>::new());
-    workout(&IzraelevitzList::<u64, u64>::new());
-    workout(&LogFreeList::<u64, u64>::new());
     workout(&DurableHashMap::<u64, u64>::new(8));
     workout(&DurableEllenBst::<u64, u64>::new());
-    workout(&DurableNmBst::<u64, u64>::new());
-    workout(&DurableSkipList::<u64, u64>::new());
     let q = DurableQueue::<u64>::new();
     q.enqueue(1);
     assert_eq!(q.dequeue(), Some(1));
-    let st = DurableStack::<u64>::new();
-    st.push(2);
-    assert_eq!(st.pop(), Some(2));
 }
 
 #[test]
@@ -93,8 +85,8 @@ fn heterogeneous_trait_objects() {
         Box::new(DurableList::<u64, u64>::new()),
         Box::new(DurableHashMap::<u64, u64>::new(8)),
         Box::new(DurableEllenBst::<u64, u64>::new()),
-        Box::new(DurableNmBst::<u64, u64>::new()),
-        Box::new(DurableSkipList::<u64, u64>::new()),
+        Box::new(NmBst::<u64, u64, NvTraverse<Clwb>>::new()),
+        Box::new(SkipList::<u64, u64, NvTraverse<Clwb>>::new()),
         Box::new(TmList::<u64, u64, Clwb>::new()),
     ];
     for s in &sets {

@@ -16,7 +16,6 @@ use nvtraverse_structures::ellen_bst::EllenBst;
 use nvtraverse_structures::hash::HashMapDs;
 use nvtraverse_structures::list::HarrisList;
 use nvtraverse_structures::nm_bst::NmBst;
-use nvtraverse_structures::pqueue::PriorityQueue;
 use nvtraverse_structures::queue::MsQueue;
 use nvtraverse_structures::skiplist::SkipList;
 use nvtraverse_structures::soft_hash::SoftHash;
@@ -34,7 +33,6 @@ type PooledEllen = EllenBst<u64, u64, NvTraverse<MmapBackend>>;
 type PooledNm = NmBst<u64, u64, NvTraverse<MmapBackend>>;
 type PooledQueue = MsQueue<u64, NvTraverse<MmapBackend>>;
 type PooledStack = TreiberStack<u64, NvTraverse<MmapBackend>>;
-type PooledPq = PriorityQueue<u64, u64, NvTraverse<MmapBackend>>;
 type PooledSoftList = SoftList<u64, u64, Soft<MmapBackend>>;
 type PooledSoftHash = SoftHash<u64, u64, Soft<MmapBackend>>;
 
@@ -258,29 +256,6 @@ fn stack_survives_close_and_reopen() {
     assert_eq!(s.pop(), Some(44));
     assert_eq!(s.len(), 44);
     s.close().unwrap();
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn priority_queue_survives_close_and_reopen() {
-    let path = tmp("pq");
-
-    {
-        let pq = create_pooled::<PooledPq>(&path, 4 << 20, "heap").unwrap();
-        for p in [9u64, 2, 7, 4, 11, 1] {
-            assert!(pq.push(p, p * 100));
-        }
-        assert_eq!(pq.pop_min(), Some((1, 100)));
-        pq.close().unwrap();
-    }
-
-    let pq = open_pooled::<PooledPq>(&path, "heap").unwrap();
-    assert_eq!(pq.check_consistency(false).unwrap(), 5);
-    assert_eq!(pq.pop_min(), Some((2, 200)));
-    assert_eq!(pq.peek_min(), Some((4, 400)));
-    assert!(pq.push(3, 300), "usable after reopen");
-    assert_eq!(pq.pop_min(), Some((3, 300)));
-    pq.close().unwrap();
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -651,11 +626,11 @@ fn corrupt_bucket_table_root_is_rejected_not_trusted() {
 /// before the tag existed does — is refused, not destroyed. Traced as
 /// this layout, its `next[0]` would be another word: the GC would mark the
 /// wrong blocks and its sweep would durably free live nodes. Instead the
-/// tracer refuses (no sweep, `gc_ran` false) and the attach fails, as a
-/// `SkipList` and as a `PriorityQueue`, and the file keeps every byte.
+/// tracer refuses (no sweep, `gc_ran` false), the attach fails, and the
+/// file keeps every byte.
 #[test]
 fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
-    use nvtraverse::{PoolTrace, TypedRoots};
+    use nvtraverse::TypedRoots;
     use std::os::unix::fs::FileExt;
     let path = tmp("skip-layout");
     let head;
@@ -678,11 +653,7 @@ fn skiplist_pool_of_another_layout_is_refused_not_destroyed() {
     stamp(&[0; 8]);
     let before = std::fs::read(&path).unwrap();
 
-    fn refused<S: PoolTrace>(path: &std::path::Path, before: &[u8]) {
-        refused_sealed_and_walked(path, before, |pool| pool.root::<S>("skip").is_err());
-    }
-    refused::<PooledSkip>(&path, &before);
-    refused::<PooledPq>(&path, &before);
+    refused_sealed_and_walked(&path, &before, |pool| pool.root::<PooledSkip>("skip").is_err());
 
     // Nothing was lost: with its tag back, the list opens with every key.
     stamp(b"SKIPv003");
@@ -847,14 +818,6 @@ fn a_sealed_open_persists_nothing_for_any_pooled_type() {
     check::<PooledNm, _>("sealed-nm", fill_set, |s| (s.check_consistency(true), s.iter_snapshot()));
     check::<PooledSoftList, _>("sealed-soft-list", fill_set, |s| (s.check_consistency(false), s.iter_snapshot()));
     check::<PooledSoftHash, _>("sealed-soft-hash", fill_set, |s| (s.check_consistency(false), s.iter_snapshot()));
-    check::<PooledPq, _>(
-        "sealed-pq",
-        |pq| {
-            (0..300u64).for_each(|p| assert!(pq.push(p * 7 % 300, p)));
-            (0..75).for_each(|_| assert!(pq.pop_min().is_some()));
-        },
-        |pq| (pq.check_consistency(false), pq.peek_min()),
-    );
     check::<PooledQueue, _>(
         "sealed-queue",
         |q| {

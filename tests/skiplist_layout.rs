@@ -5,8 +5,8 @@
 //! This binary's global allocator records every live allocation's `(size,
 //! align)` in a header in front of the block and checks that `dealloc`
 //! presents the same pair. Every test drives skiplist nodes through one of
-//! their free paths — insert/remove churn, EBR reclamation, `pop_min`
-//! drains, teardown on drop — and then
+//! their free paths — insert/remove churn, EBR reclamation, teardown on
+//! drop — and then
 //! requires that no free in the whole binary presented a different layout.
 //! (A mismatch is counted, not panicked on, and the real layout is still
 //! returned to `System`, so the check itself never corrupts the heap.)
@@ -14,9 +14,8 @@
 use nvtraverse::policy::{NvTraverse, Volatile};
 use nvtraverse::{DurableSet, TypedRoots};
 use nvtraverse_ebr::Collector;
-use nvtraverse_pmem::{Clwb, MmapBackend, Sim, SimHandle};
+use nvtraverse_pmem::{MmapBackend, Sim, SimHandle};
 use nvtraverse_pool::Pool;
-use nvtraverse_structures::pqueue::PriorityQueue;
 use nvtraverse_structures::skiplist::SkipList;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -172,25 +171,5 @@ fn pooled_skiplist_returns_every_node_to_its_pool() {
     s.close().unwrap();
     drop(pool);
     std::fs::remove_file(&path).unwrap();
-    assert_every_free_matched();
-}
-
-#[test]
-fn priority_queue_drain_frees_every_node_at_its_own_size() {
-    let pq: PriorityQueue<u64, u64, NvTraverse<Clwb>> = PriorityQueue::new();
-    for p in 0..3_000u64 {
-        assert!(pq.push(p * 7 % 3_000, p));
-    }
-    std::thread::scope(|sc| {
-        for _ in 0..2 {
-            let pq = &pq;
-            sc.spawn(move || while pq.pop_min().is_some() {});
-        }
-    });
-    assert!(pq.is_empty());
-    for p in 0..500u64 {
-        assert!(pq.push(p, p));
-    }
-    drop(pq);
     assert_every_free_matched();
 }
