@@ -108,16 +108,12 @@ fn with_pooled<S: PoolAttach + nvtraverse::PoolTrace>(
     // The reopen path a restart pays: the sealed summary's read, or a heap
     // walk + root-driven mark-sweep over everything the workload left live.
     let pool = Pool::builder().path(&path).open().unwrap();
-    // `root::<S>` hands a walked open's collection S's tracer, so only a
-    // rebased remap — an address-space collision outside our control — can
-    // skip the GC (and then the attach itself fails).
-    if let Ok(s) = pool.root::<S>("bench") {
-        s.close().unwrap();
-    }
+    // `root::<S>` hands a walked open's collection S's tracer.
+    pool.root::<S>("bench").unwrap().close().unwrap();
     let report = pool.recovery_report();
     assert!(
-        report.sealed || report.gc_ran || pool.is_rebased(),
-        "walked, tracer given and mapping at preferred base, yet the GC skipped"
+        report.sealed || report.gc_ran,
+        "walked and tracer given, yet the GC skipped"
     );
     let gc_us = (report.phases.heap_walk_nanos + report.gc_nanos) as f64 / 1e3;
     drop(pool);

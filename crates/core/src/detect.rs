@@ -247,8 +247,7 @@ pub trait DetectablePool {
     ///
     /// # Errors
     ///
-    /// Fails when the pool is exhausted, out of descriptor slots, or
-    /// rebased — see
+    /// Fails when the pool is exhausted or out of descriptor slots — see
     /// [`Pool::register_op_token_raw`](crate::pool::Pool::register_op_token_raw).
     fn op_token(&self) -> std::io::Result<OpToken>;
 }

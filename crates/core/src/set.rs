@@ -230,11 +230,9 @@ pub trait PoolAttach: Sized {
 
     /// Re-attaches to the instance previously registered under `name`.
     ///
-    /// Returns `None` when the root is absent, the pool was
-    /// [rebased](Pool::is_rebased) (embedded absolute pointers would be
-    /// invalid), or the implementation finds the root block malformed or
-    /// stamped with another node layout. Like `create_in_pool`, the
-    /// attached instance captures a
+    /// Returns `None` when the root is absent, or the implementation finds
+    /// the root block malformed or stamped with another node layout. Like
+    /// `create_in_pool`, the attached instance captures a
     /// [`PoolCtx`](crate::alloc::PoolCtx) for `pool`. It writes nothing:
     /// recovery is [`PoolTrace::recover_attached`], run on the trace's
     /// plan. An attach by hand runs no recovery, and after a crash it ends
@@ -382,9 +380,8 @@ pub unsafe trait PoolTrace: PoolAttach {
     /// # Safety
     ///
     /// `root` must be the root of a structure created by
-    /// `Self::create_in_pool`, in a pool mapped at its preferred base,
-    /// quiescent, with verified block headers — the exact state
-    /// `Pool::open` recovery provides.
+    /// `Self::create_in_pool`, in a quiescent pool with verified block
+    /// headers — the exact state `Pool::open` recovery provides.
     unsafe fn trace(root: *mut u8, marker: &mut nvtraverse_pool::Marker<'_>) -> Self::Plan;
 
     /// Runs the structure's post-crash recovery (the `disconnect(root)` pass
@@ -471,12 +468,11 @@ pub trait TypedRoots {
     /// # Errors
     ///
     /// Fails when a root in `names` is missing or does not attach as its
-    /// type (a torn slot, or a block written under another node layout),
-    /// or the pool was [rebased](Pool::is_rebased). After a crash it also
-    /// fails, sweeping nothing, when the pool holds a root `names` leaves
-    /// out, or the heap changed before recovery (an allocation, free or
-    /// attach came first); the file then differs only in its header's open
-    /// and close words.
+    /// type (a torn slot, or a block written under another node layout).
+    /// After a crash it also fails, sweeping nothing, when the pool holds a
+    /// root `names` leaves out, or the heap changed before recovery (an
+    /// allocation, free or attach came first); the file then differs only
+    /// in its header's open and close words.
     fn open_roots<S: Schema>(&self, names: S::Names<'_>) -> io::Result<S::Handles>;
 
     /// [`TypedRoots::open_roots`] for a pool whose only root is `name`:
@@ -503,7 +499,7 @@ pub trait TypedRoots {
     ///
     /// # Errors
     ///
-    /// Fails when the pool was rebased or creation fails.
+    /// Fails when the root does not open or creation fails.
     fn root_or_create<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>>;
 }
 
@@ -535,12 +531,6 @@ impl TypedRoots for Pool {
     }
 
     fn root_or_create<S: PoolTrace>(&self, name: &str) -> io::Result<PooledHandle<S>> {
-        if self.is_rebased() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("pool was rebased; absolute pointers for root {name:?} are invalid"),
-            ));
-        }
         match self.root_offset(name) {
             // A torn slot (offset 0, crash mid-registration) is healed by
             // re-creating, same as a missing root.
@@ -630,11 +620,7 @@ mod schema {
             let inner = unsafe { S::attach_to_pool(pool, name) }.ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::NotFound,
-                    if pool.is_rebased() {
-                        format!("pool was rebased; absolute pointers for root {name:?} are invalid")
-                    } else {
-                        format!("pool has no root named {name:?} that attaches as this type")
-                    },
+                    format!("pool has no root named {name:?} that attaches as this type"),
                 )
             })?;
             Ok(PooledHandle::from_attached(pool.clone(), inner))

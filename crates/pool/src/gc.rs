@@ -51,10 +51,8 @@
 //! graph once. On a sealed open the typed open runs neither: the clean
 //! close left nothing to recover.
 //!
-//! The GC is conservative about what it cannot prove: it runs only when the
-//! pool is mapped at its preferred base (tracers chase embedded absolute
-//! pointers, exactly like `recover()`) and **every** root has a tracer. A
-//! root the open does not name fails the typed open — reachability of its
+//! The GC is conservative about what it cannot prove: it runs only when
+//! **every** root has a tracer. A root the open does not name fails the typed open — reachability of its
 //! blocks cannot be established, and sweeping them would destroy live
 //! data — and so does a tracer that [refuses](Marker::refuse) its root
 //! (one written under another node layout); nothing is swept either way.

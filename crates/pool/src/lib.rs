@@ -6,10 +6,11 @@
 //! death and power failure. The seed reproduction only had the volatile Rust
 //! heap plus a crash *simulator*; this crate supplies the real thing:
 //!
-//! * [`Pool`] — creates/opens a pool file and maps it `MAP_SHARED`, at the
-//!   same virtual base on every open when possible (embedded absolute
-//!   pointers then remain valid), falling back to a *rebased* mapping that
-//!   only offset-based access may use.
+//! * [`Pool`] — creates/opens a pool file and maps it `MAP_SHARED` at the
+//!   same virtual base on every open, so the absolute pointers structures
+//!   embed stay valid: a new pool takes a free base in a reserved address
+//!   window, and an open whose recorded base is occupied fails
+//!   (`AddrInUse`) instead of mapping elsewhere.
 //! * A **scalable recoverable allocator** — size-classed blocks with a
 //!   persistent 16-byte header each (size, class, allocated bit) and a
 //!   persisted heap frontier. The hot path is served from per-thread
@@ -138,7 +139,7 @@ pub(crate) const BLOCK_ALIGN: u64 = 16;
 const OFF_MAGIC: u64 = 0;
 const OFF_VERSION: u64 = 8;
 const OFF_CAPACITY: u64 = 16;
-const OFF_PREFERRED_BASE: u64 = 24;
+const OFF_BASE: u64 = 24;
 pub(crate) const OFF_FRONTIER: u64 = 32;
 const OFF_CLEAN: u64 = 40;
 /// The sealed summary's signature, poisoned while the pool is open; it
@@ -195,10 +196,9 @@ pub struct RecoveryReport {
     pub sealed: bool,
     /// Whether the root-driven mark-sweep GC ran for this open: `false`
     /// until the typed open of a walked pool ([`Pool::collect`]) collects.
-    /// It runs only when the pool mapped at its preferred base, the open
-    /// names **every** root with its tracer, and nothing allocated, freed
-    /// or attached since the open; otherwise the typed open fails and
-    /// nothing is swept.
+    /// It runs only when the open names **every** root with its tracer and
+    /// nothing allocated, freed or attached since the open; otherwise the
+    /// typed open fails and nothing is swept.
     pub gc_ran: bool,
     /// Allocated blocks the sweep proved unreachable from every root and
     /// returned to the free lists. `0` after a clean close (the EBR drain
@@ -352,7 +352,6 @@ struct Inner {
     path: PathBuf,
     /// Keeps the file open (and its `flock` held) while mapped.
     _file: mmap::LockedFile,
-    rebased: bool,
     /// Set by `finish_open`: a half-built Inner from a failed open must not
     /// stamp the file as cleanly shut down on drop.
     ready: bool,
@@ -376,7 +375,7 @@ struct Inner {
     report: Mutex<RecoveryReport>,
     /// A walked open's allocated-block bitmap, kept for the collection of
     /// the typed open; null when there is nothing to collect (a created,
-    /// sealed, rootless or rebased pool) or once the collection, an
+    /// sealed or rootless pool) or once the collection, an
     /// allocation, a free or an attach consumed it. Owned: a non-null value
     /// came from `Box::into_raw`.
     inventory: AtomicPtr<gc::Bitmap>,
@@ -411,7 +410,6 @@ impl fmt::Debug for Pool {
             .field("path", &self.inner.path)
             .field("base", &format_args!("{:#x}", self.inner.mem.base()))
             .field("capacity", &self.inner.mem.len())
-            .field("rebased", &self.inner.rebased)
             .finish()
     }
 }
@@ -465,8 +463,8 @@ impl PoolBuilder {
     /// # Errors
     ///
     /// Fails if `path`/`capacity` are unset, the file already exists, the
-    /// capacity is outside [`MIN_CAPACITY`]`..=`[`MAX_CAPACITY`], or
-    /// mapping fails.
+    /// capacity is outside [`MIN_CAPACITY`]`..=`[`MAX_CAPACITY`], or no
+    /// free range of the pool window takes it (the file is then removed).
     pub fn create(self) -> io::Result<Pool> {
         Pool::create_impl(self.want_path()?, self.want_capacity()?)
     }
@@ -479,14 +477,15 @@ impl PoolBuilder {
     /// recovery GC (see the [`gc`] module) that the typed open of every
     /// root runs ([`Pool::collect`]) before any structure attaches.
     ///
-    /// The file is mapped at its recorded preferred base when that range is
-    /// still free (embedded absolute pointers stay valid); otherwise it is
-    /// mapped elsewhere and the pool is [*rebased*](Pool::is_rebased).
+    /// The file is mapped at the base its creation recorded, the one
+    /// address where the absolute pointers inside it are valid.
     ///
     /// # Errors
     ///
     /// Fails if `path` is unset or missing, on bad magic/version/capacity,
-    /// or heap metadata that does not verify.
+    /// or heap metadata that does not verify; with `AddrInUse`, leaving the
+    /// file byte-identical, when another mapping of this process occupies
+    /// the recorded base's range.
     pub fn open(self) -> io::Result<Pool> {
         Pool::open_impl(self.want_path()?)
     }
@@ -538,10 +537,9 @@ impl Pool {
         let file = lock_pool_file(file, path)?;
         verify_same_inode(&file, path)?;
         file.set_len(capacity)?;
-        // A deterministic per-path hint keeps distinct pools apart while
-        // giving the same pool the same base on every run of a program.
-        let hint = mmap::base_hint(path);
-        let base = mmap::map_shared(&file, capacity as usize, Some(hint), false)?;
+        let base = mmap::map_new(&file, capacity as usize, path).inspect_err(|_| {
+            let _ = std::fs::remove_file(path);
+        })?;
         // Register with the msync fallback *before* the first header persist:
         // on targets without a flush instruction, persistence IS the msync of
         // registered regions, and an unregistered header write would not be
@@ -557,7 +555,6 @@ impl Pool {
             mem,
             path: path.to_path_buf(),
             _file: file,
-            rebased: false,
             ready: false,
             recovered: AtomicBool::new(true),
             orphaned: AtomicBool::new(false),
@@ -578,7 +575,7 @@ impl Pool {
         // instead of trusting a half-written header.
         mem.store(OFF_VERSION, VERSION);
         mem.store(OFF_CAPACITY, capacity);
-        mem.store(OFF_PREFERRED_BASE, base as u64);
+        mem.store(OFF_BASE, base as u64);
         mem.store(OFF_FRONTIER, HEAP_START);
         mem.store(OFF_CLEAN, 0);
         for slot in 0..MAX_ROOTS as u64 {
@@ -600,21 +597,18 @@ impl Pool {
         if file_len < MIN_CAPACITY {
             return Err(bad_pool(format!("file too small ({file_len} bytes)")));
         }
-        // Probe the header from a throwaway mapping to learn the base.
-        let probe = mmap::map_shared(&file, HEAP_START as usize, None, false)?;
-        // SAFETY: the offset/address was produced by this pool's allocator or recovery walk and stays within the mapping; layout invariants are documented on the enclosing type.
-        let (magic, version, capacity, preferred, clean, signature) = unsafe {
-            let at = |off: u64| ((probe + off as usize) as *const u64).read_volatile();
-            (
-                at(OFF_MAGIC),
-                at(OFF_VERSION),
-                at(OFF_CAPACITY),
-                at(OFF_PREFERRED_BASE),
-                at(OFF_CLEAN),
-                at(OFF_SEAL_SIG),
-            )
-        };
-        mmap::unmap(probe, HEAP_START as usize);
+        let mut header = [0u8; OFF_SEAL_AT as usize];
+        mmap::read_at(&file, &mut header, 0)?;
+        let at =
+            |off: u64| u64::from_le_bytes(header[off as usize..][..8].try_into().expect("8 bytes"));
+        let (magic, version, capacity, base, clean, signature) = (
+            at(OFF_MAGIC),
+            at(OFF_VERSION),
+            at(OFF_CAPACITY),
+            at(OFF_BASE),
+            at(OFF_CLEAN),
+            at(OFF_SEAL_SIG),
+        );
         if magic != MAGIC {
             return Err(bad_pool(format!("bad magic {magic:#x}")));
         }
@@ -629,13 +623,12 @@ impl Pool {
         if capacity > MAX_CAPACITY {
             return Err(bad_pool(format!("capacity {capacity} above maximum")));
         }
-
-        // Try the recorded base first so absolute pointers stay valid.
-        let (base, rebased) =
-            match mmap::map_shared(&file, capacity as usize, Some(preferred as usize), true) {
-                Ok(b) => (b, false),
-                Err(_) => (mmap::map_shared(&file, capacity as usize, None, false)?, true),
-            };
+        if base == 0 || !base.is_multiple_of(4096) {
+            return Err(bad_pool(format!(
+                "recorded base {base:#x} is not a page address"
+            )));
+        }
+        let base = mmap::map_shared(&file, capacity as usize, base as usize)?;
         // Before any persist (see create): the msync fallback only reaches
         // registered regions.
         MmapBackend::register_region(base, capacity as usize);
@@ -649,7 +642,6 @@ impl Pool {
             mem,
             path: path.to_path_buf(),
             _file: file,
-            rebased,
             ready: false,
             recovered: AtomicBool::new(false),
             orphaned: AtomicBool::new(false),
@@ -675,7 +667,7 @@ impl Pool {
         // Snapshot the operation-descriptor table (if present) while the
         // heap is still quiescent: `Pool::op_outcome` answers the crash
         // question against this open's state, not whatever the session
-        // mutates afterwards. (Offset-addressed, so valid even rebased.)
+        // mutates afterwards.
         let ops_state = (0..MAX_ROOTS)
             .find_map(|slot| {
                 let (name, off) = inner.read_root_slot(slot);
@@ -685,23 +677,14 @@ impl Pool {
             .unwrap_or_default();
         *inner.ops.get_mut().unwrap_or_else(|e| e.into_inner()) = ops_state;
         // A sealed open has nothing to recover. A walked one keeps its
-        // inventory for the typed open's collection; rebased mappings and
-        // rootless pools can never be collected.
+        // inventory for the typed open's collection; a rootless pool can
+        // never be collected.
         match allocated {
             None => *inner.recovered.get_mut() = true,
-            Some(allocated) if !rebased && !inner.roots().is_empty() => {
+            Some(allocated) if !inner.roots().is_empty() => {
                 *inner.inventory.get_mut() = Box::into_raw(Box::new(allocated));
             }
             Some(_) => {}
-        }
-        // Mark the pool dirty until a clean close. The preferred base is
-        // only re-recorded for a NON-rebased mapping: on a rebased one,
-        // absolute pointers inside the pool still encode the original
-        // base, and persisting the temporary base would make the next
-        // open look non-rebased while those pointers stay dangling.
-        if !rebased {
-            mem.store(OFF_PREFERRED_BASE, base as u64);
-            mem.persist_u64(OFF_PREFERRED_BASE);
         }
         // Dirty until a clean close, and the signature poisoned until a
         // close seals again: one line, one persist.
@@ -753,14 +736,6 @@ impl Pool {
     /// Path of the backing file.
     pub fn path(&self) -> &Path {
         &self.inner.path
-    }
-
-    /// `true` when the pool could not be mapped at its recorded base, so
-    /// absolute pointers stored inside it are invalid. Structures with
-    /// embedded pointers must refuse to attach; offset-based access
-    /// ([`Pool::at`]) remains correct.
-    pub fn is_rebased(&self) -> bool {
-        self.inner.rebased
     }
 
     /// What recovery found when this pool was opened — including, once
@@ -932,9 +907,8 @@ impl Pool {
     }
 
     /// The checked attach-side root lookup every `PoolAttach`
-    /// implementation shares: refuses a [rebased](Pool::is_rebased) pool
-    /// (embedded absolute pointers would be invalid) and a torn slot from a
-    /// crashed `set_root_offset` (offset 0), then resolves the root as a
+    /// implementation shares: refuses a torn slot from a crashed
+    /// `set_root_offset` (offset 0), then resolves the root as a
     /// typed pointer in the current mapping. Like an allocation or a free,
     /// it ends a walked open's chance to collect: an attached structure may
     /// retire what its recovery unlinks, and a sweep would free it again.
@@ -943,9 +917,6 @@ impl Pool {
     /// this pool's [`Pool::alloc_target`] in its `PoolCtx`).
     pub fn attach_root_ptr<T>(&self, name: &str) -> Option<*mut T> {
         self.inner.end_inventory();
-        if self.is_rebased() {
-            return None;
-        }
         let off = self.root_offset(name)?;
         if off == 0 {
             return None;
@@ -1012,8 +983,8 @@ impl Pool {
     /// # Errors
     ///
     /// A walked open fails, sweeping nothing and with `recover` not called,
-    /// when the pool is [rebased](Pool::is_rebased), a root on media is not
-    /// in `tracers` or one in `tracers` is not on media (reachability is
+    /// when a root on media is not in `tracers` or one in `tracers` is not
+    /// on media (reachability is
     /// then not provable), the heap changed since the open (an allocation,
     /// free or attach consumed its inventory: a block the session itself
     /// allocated is reachable from no root), or a tracer
@@ -1261,12 +1232,6 @@ impl Inner {
     /// nothing swept when it cannot prove reachability.
     fn collect(&self, tracers: &mut [(&str, TraceFn<'_>)]) -> io::Result<()> {
         let mut report = self.report.lock().unwrap_or_else(|e| e.into_inner());
-        if self.rebased {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                "pool was rebased; absolute pointers for its roots are invalid",
-            ));
-        }
         let roots = self.schema_roots(tracers)?;
         let allocated = self.take_inventory().ok_or_else(|| {
             io::Error::other("the heap changed since the open: an allocation, free or attach came before recovery")

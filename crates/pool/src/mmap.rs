@@ -1,5 +1,6 @@
-//! Thin `mmap` wrapper: shared file mappings at a requested base, plus the
-//! advisory file lock that makes a pool single-writer.
+//! Thin `mmap` wrapper: shared file mappings at an exact base, the window
+//! new pools take their bases from, and the advisory file lock that makes a
+//! pool single-writer.
 //!
 //! Declared directly against the C library (the build environment vendors no
 //! `libc` crate): `mmap`/`munmap`/`msync`/`flock` are part of every Unix
@@ -42,30 +43,21 @@ mod sys {
     const MAP_FIXED_NOREPLACE: c_int = 0x10_0000;
     const MS_SYNC: c_int = 4;
     const MAP_FAILED: usize = usize::MAX;
+    const EEXIST: i32 = 17;
     const LOCK_EX: c_int = 2;
     const LOCK_NB: c_int = 4;
     const LOCK_UN: c_int = 8;
 
-    pub fn map_shared(
-        file: &File,
-        len: usize,
-        hint: Option<usize>,
-        require_exact: bool,
-    ) -> io::Result<usize> {
-        let addr = hint.unwrap_or(0) as *mut c_void;
+    pub fn map_shared(file: &File, len: usize, base: usize) -> io::Result<usize> {
         #[cfg(target_os = "linux")]
-        let flags = if require_exact && hint.is_some() {
-            MAP_SHARED | MAP_FIXED_NOREPLACE
-        } else {
-            MAP_SHARED
-        };
+        let flags = MAP_SHARED | MAP_FIXED_NOREPLACE;
         #[cfg(not(target_os = "linux"))]
         let flags = MAP_SHARED;
         // SAFETY: len > 0, fd is a valid open file, and we never pass
         // MAP_FIXED, so no existing mapping can be clobbered.
         let p = unsafe {
             mmap(
-                addr,
+                base as *mut c_void,
                 len,
                 PROT_READ | PROT_WRITE,
                 flags,
@@ -74,22 +66,31 @@ mod sys {
             )
         } as usize;
         if p == MAP_FAILED {
-            return Err(io::Error::last_os_error());
+            let e = io::Error::last_os_error();
+            return Err(if e.raw_os_error() == Some(EEXIST) {
+                in_use(base)
+            } else {
+                e
+            });
         }
-        if require_exact {
-            if let Some(want) = hint {
-                if p != want {
-                    // Non-Linux: the hint was best-effort; undo and report
-                    // "range unavailable" so the caller rebases.
-                    unmap(p, len);
-                    return Err(io::Error::new(
-                        io::ErrorKind::AddrInUse,
-                        format!("could not map at {want:#x}"),
-                    ));
-                }
-            }
+        if p != base {
+            // The address was only a hint (not Linux, or a kernel older
+            // than 4.17 that ignores MAP_FIXED_NOREPLACE): undo.
+            unmap(p, len);
+            return Err(in_use(base));
         }
         Ok(p)
+    }
+
+    fn in_use(base: usize) -> io::Error {
+        io::Error::new(
+            io::ErrorKind::AddrInUse,
+            format!("the range at {base:#x} is occupied"),
+        )
+    }
+
+    pub fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
     }
 
     pub fn unmap(base: usize, len: usize) {
@@ -126,8 +127,7 @@ mod sys {
     }
 
     /// Reserves (PROT_NONE) an anonymous region at exactly `addr` — used by
-    /// tests to force the rebased-open path. Returns false if the range is
-    /// taken.
+    /// tests to occupy a pool's range. Returns false if the range is taken.
     #[cfg(all(test, target_os = "linux"))]
     pub fn reserve_anon_at(addr: usize, len: usize) -> bool {
         const PROT_NONE: c_int = 0;
@@ -164,12 +164,10 @@ mod sys {
         ))
     }
 
-    pub fn map_shared(
-        _file: &File,
-        _len: usize,
-        _hint: Option<usize>,
-        _require_exact: bool,
-    ) -> io::Result<usize> {
+    pub fn map_shared(_file: &File, _len: usize, _base: usize) -> io::Result<usize> {
+        unsupported()
+    }
+    pub fn read_at(_file: &File, _buf: &mut [u8], _offset: u64) -> io::Result<()> {
         unsupported()
     }
     pub fn unmap(_base: usize, _len: usize) {}
@@ -186,18 +184,16 @@ mod sys {
     }
 }
 
-/// Maps `len` bytes of `file` shared and read-write.
-///
-/// With `hint`, the kernel is asked for that base; with `require_exact` the
-/// call fails rather than mapping elsewhere (`MAP_FIXED_NOREPLACE`, so an
-/// occupied range is an error, never a clobber).
-pub fn map_shared(
-    file: &File,
-    len: usize,
-    hint: Option<usize>,
-    require_exact: bool,
-) -> io::Result<usize> {
-    sys::map_shared(file, len, hint, require_exact)
+/// Maps `len` bytes of `file` shared and read-write at exactly `base`, or
+/// fails with `AddrInUse` when any of the range is occupied
+/// (`MAP_FIXED_NOREPLACE`: never a clobber, never another address).
+pub fn map_shared(file: &File, len: usize, base: usize) -> io::Result<usize> {
+    sys::map_shared(file, len, base)
+}
+
+/// Reads exactly `buf.len()` bytes of `file` at `offset` (one `pread`).
+pub fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    sys::read_at(file, buf, offset)
 }
 
 /// Unmaps a region previously returned by [`map_shared`].
@@ -249,33 +245,56 @@ pub fn reserve_anon_at(addr: usize, len: usize) -> bool {
     sys::reserve_anon_at(addr, len)
 }
 
-/// Deterministic per-path mapping hint.
-///
-/// Spreads pools across a ~1 TiB arena far from the default mmap area, in
-/// 16 GiB steps, so (a) the same pool file gets the same base in every
-/// process that creates it, and (b) two different pools rarely collide. A
-/// collision is not fatal — the kernel then picks another base and `open`
-/// later treats the recorded one as preferred.
-pub fn base_hint(path: &Path) -> usize {
+/// The address window new pools are mapped in: below the executable and
+/// `brk` (a PIE loads near `0x5555_5555_0000`), far below the top-down
+/// area where the kernel places every mapping that asks for no address,
+/// so no such mapping ever lands on a pool's range.
+pub const WINDOW: std::ops::Range<usize> = 0x1000_0000_0000..0x5000_0000_0000;
+/// Granularity of pool bases in the window: 1 GiB, so 65 536 slots, and a
+/// pool of [`MAX_CAPACITY`](crate::MAX_CAPACITY) spans 1 024 of them.
+pub const SLOT: usize = 1 << 30;
+
+/// The base a new pool of `len` bytes at `path` tries on its `probe`-th
+/// attempt: the slot the path hashes to, then each next one, wrapping so
+/// that the whole range `[base, base + len)` stays inside [`WINDOW`]. The
+/// same path gets the same first base in every process, and distinct paths
+/// rarely share a slot.
+pub fn window_base(path: &Path, len: usize, probe: usize) -> usize {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for b in path.as_os_str().as_encoded_bytes() {
         h ^= *b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    const ARENA: usize = 0x7E00_0000_0000;
-    const SLOTS: u64 = 64;
-    const STEP: usize = 16 << 30;
-    ARENA + (h % SLOTS) as usize * STEP
+    let starts = starts(len) as u64;
+    WINDOW.start + ((h % starts + probe as u64) % starts) as usize * SLOT
+}
+
+/// How many slots a range of `len` bytes can start at inside [`WINDOW`].
+fn starts(len: usize) -> usize {
+    (WINDOW.end - WINDOW.start) / SLOT + 1 - len.div_ceil(SLOT)
+}
+
+/// Maps a new pool file at the first free base [`window_base`] offers,
+/// trying each start in the window once.
+pub fn map_new(file: &File, len: usize, path: &Path) -> io::Result<usize> {
+    for probe in 0..starts(len) {
+        match map_shared(file, len, window_base(path, len, probe)) {
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse => continue,
+            mapped => return mapped,
+        }
+    }
+    Err(io::Error::new(
+        io::ErrorKind::AddrInUse,
+        format!("no free {len}-byte range in the pool window"),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn map_write_sync_read_roundtrip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("nvt-mmap-test-{}", std::process::id()));
+    fn new_file(tag: &str, len: u64) -> (std::path::PathBuf, File) {
+        let path = std::env::temp_dir().join(format!("nvt-mmap-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let file = std::fs::OpenOptions::new()
             .read(true)
@@ -283,8 +302,14 @@ mod tests {
             .create_new(true)
             .open(&path)
             .unwrap();
-        file.set_len(8192).unwrap();
-        let base = map_shared(&file, 8192, None, false).unwrap();
+        file.set_len(len).unwrap();
+        (path, file)
+    }
+
+    #[test]
+    fn map_write_sync_read_roundtrip() {
+        let (path, file) = new_file("test", 8192);
+        let base = map_new(&file, 8192, &path).unwrap();
         unsafe { (base as *mut u64).write(0xDEAD_BEEF) };
         sync(base, 8192).unwrap();
         unmap(base, 8192);
@@ -294,34 +319,51 @@ mod tests {
     }
 
     #[test]
-    fn hint_is_deterministic_and_aligned() {
-        let a = base_hint(Path::new("/tmp/a.pool"));
-        let b = base_hint(Path::new("/tmp/a.pool"));
-        let c = base_hint(Path::new("/tmp/b.pool"));
-        assert_eq!(a, b);
-        assert_eq!(a % 4096, 0);
-        // Different paths usually differ (not guaranteed; just sanity).
-        let _ = c;
+    fn every_base_keeps_the_whole_range_inside_the_window() {
+        let mut lens = vec![
+            crate::MIN_CAPACITY as usize,
+            SLOT - 1,
+            SLOT,
+            SLOT + 1,
+            17 << 30,
+        ];
+        lens.extend([
+            (crate::MAX_CAPACITY as usize) - 4096,
+            crate::MAX_CAPACITY as usize,
+        ]);
+        for i in 0..2000 {
+            let path = format!("/tmp/nvt-window-{i}.pool");
+            for &len in &lens {
+                for probe in [0, 1, 7, starts(len) - 1, starts(len), 3 * starts(len) + 5] {
+                    let base = window_base(Path::new(&path), len, probe);
+                    assert!(
+                        base >= WINDOW.start
+                            && base + len <= WINDOW.end
+                            && base.is_multiple_of(SLOT),
+                        "{path}, {len} bytes, probe {probe}: base {base:#x} leaves the window"
+                    );
+                }
+            }
+        }
+        // The same path starts at the same base; the next probe is the next
+        // slot, or the window's first one after its last.
+        let (a, b) = (Path::new("/tmp/a.pool"), Path::new("/tmp/b.pool"));
+        assert_eq!(window_base(a, SLOT, 0), window_base(a, SLOT, 0));
+        assert_ne!(window_base(a, SLOT, 0), window_base(b, SLOT, 0));
+        let next = window_base(a, SLOT, 1);
+        assert!(next == window_base(a, SLOT, 0) + SLOT || next == WINDOW.start);
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn exact_mapping_at_free_base_succeeds_and_conflict_fails() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("nvt-mmap-fixed-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)
-            .unwrap();
-        file.set_len(4096).unwrap();
-        let want = base_hint(&path);
-        let base = map_shared(&file, 4096, Some(want), true).unwrap();
+        let (path, file) = new_file("fixed", 4096);
+        let want = window_base(&path, 4096, 0);
+        let base = map_shared(&file, 4096, want).unwrap();
         assert_eq!(base, want);
         // The same range is now occupied: an exact request must fail.
-        assert!(map_shared(&file, 4096, Some(want), true).is_err());
+        let err = map_shared(&file, 4096, want).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
         unmap(base, 4096);
         std::fs::remove_file(&path).unwrap();
     }

@@ -374,15 +374,8 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// Fails when the pool is exhausted, the table is out of slots, or the
-    /// pool is [rebased](Pool::is_rebased) (slot pointers would be
-    /// meaningless).
+    /// Fails when the pool is exhausted or the table is out of slots.
     pub fn register_op_token_raw(&self) -> io::Result<(u16, *mut u64, u64)> {
-        if self.is_rebased() {
-            return Err(io::Error::other(
-                "cannot register an op token on a rebased pool mapping",
-            ));
-        }
         let inner = &*self.inner;
         // The ops mutex serializes table creation and slot hand-out (it
         // nests *outside* the roots lock, which `ensure_ops_table` takes

@@ -1,4 +1,4 @@
-//! Unit tests: allocator behaviour, roots, reopen recovery, rebasing.
+//! Unit tests: allocator behaviour, roots, reopen recovery, mapping bases.
 
 use super::*;
 
@@ -318,32 +318,44 @@ fn a_close_releases_the_lock_while_a_forked_child_holds_the_descriptor() {
 
 #[cfg(target_os = "linux")]
 #[test]
-fn occupied_preferred_base_forces_rebased_open() {
-    let path = tmp("rebase");
+fn an_occupied_recorded_base_refuses_the_open() {
+    let path = tmp("occupied");
     let (base1, cap) = {
         let pool = Pool::builder().path(&path).capacity(1 << 20).create().unwrap();
         pool.set_root_offset("r", 4242).unwrap();
         (pool.base(), pool.capacity() as usize)
     };
-    // Squat on the recorded base so the next open cannot have it.
-    assert!(
-        mmap::reserve_anon_at(base1, cap),
-        "could not occupy the preferred base for the test"
-    );
+    let image = std::fs::read(&path).unwrap();
+    // Squat on the recorded base: the open must fail, not map elsewhere,
+    // and must leave the file as it found it.
+    assert!(mmap::reserve_anon_at(base1, cap), "could not occupy the recorded base for the test");
+    let err = Pool::builder().path(&path).open().unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::AddrInUse, "{err}");
+    assert!(std::fs::read(&path).unwrap() == image, "a refused open changed the file");
+    // With the range free again, the pool opens at its recorded base.
+    mmap::unmap(base1, cap);
     let pool = Pool::builder().path(&path).open().unwrap();
-    assert!(pool.is_rebased());
-    assert_ne!(pool.base(), base1);
-    // Offset-based access still works on a rebased mapping.
+    assert_eq!(pool.base(), base1);
     assert_eq!(pool.root_offset("r"), Some(4242));
     drop(pool);
-    mmap::unmap(base1, cap);
-    // A rebased open must NOT have re-recorded its temporary base: with the
-    // original range free again, the pool maps at its true home and the
-    // embedded absolute pointers are valid — not silently "non-rebased" at
-    // the wrong address.
+    cleanup(&path);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_create_whose_slot_is_occupied_takes_the_next_one() {
+    let path = tmp("next-slot");
+    let cap = 1 << 20;
+    let first = mmap::window_base(&path, cap, 0);
+    assert!(mmap::reserve_anon_at(first, cap), "could not occupy the first slot for the test");
+    let pool = Pool::builder().path(&path).capacity(cap as u64).create().unwrap();
+    assert_eq!(pool.base(), mmap::window_base(&path, cap, 1));
+    assert!(mmap::WINDOW.contains(&pool.base()));
+    drop(pool);
+    mmap::unmap(first, cap);
+    // The base the create recorded is the one every open maps at.
     let pool = Pool::builder().path(&path).open().unwrap();
-    assert!(!pool.is_rebased());
-    assert_eq!(pool.base(), base1, "preferred base lost across rebased open");
+    assert_eq!(pool.base(), mmap::window_base(&path, cap, 1));
     drop(pool);
     cleanup(&path);
 }
@@ -356,7 +368,6 @@ fn same_base_on_clean_reopen() {
         pool.base()
     };
     let pool = Pool::builder().path(&path).open().unwrap();
-    assert!(!pool.is_rebased());
     assert_eq!(pool.base(), base1);
     drop(pool);
     cleanup(&path);

@@ -291,8 +291,8 @@ impl<S: PoolAttach> ShardedSet<S> {
     ///
     /// # Errors
     ///
-    /// Fails when the table cannot hand out a slot per shard (table full,
-    /// or the pool was rebased); the slots already claimed stay claimed.
+    /// Fails when the table cannot hand out a slot per shard (the table is
+    /// full); the slots already claimed stay claimed.
     pub fn detectable_tokens(&self) -> io::Result<ShardTokens> {
         let tokens = self.shards.iter().map(|_| self.pool().op_token()).collect::<io::Result<_>>()?;
         Ok(ShardTokens { tokens })
